@@ -930,18 +930,27 @@ def _p40() -> Diagram:
     return Diagram("p40", pools=[pool], objects=[obj("o", "v", name="o")])
 
 
-def main() -> None:
-    write("travel.bpdmn.json", travel())
-    write("eco.bpdmn.json", eco())
-    write("empty.bpdmn.json", empty())
-    write("deadlock.bpdmn.json", deadlock())
-    write("handoff/direct.bpdmn.json", handoff_direct())
-    write("handoff/shared_store.bpdmn.json", handoff_shared_store())
-    write("handoff/global_store.bpdmn.json", handoff_global_store())
-    for name, (diagram, expect_valid) in validator_fixtures().items():
-        write(f"validator/{name}.bpdmn.json", diagram, expect_valid=expect_valid)
+def all_fixtures() -> dict[str, tuple[Diagram, bool]]:
+    """Every committed fixture: path under fixtures/ -> (diagram, expected valid)."""
+    out = {
+        "travel.bpdmn.json": (travel(), True),
+        "eco.bpdmn.json": (eco(), True),
+        "empty.bpdmn.json": (empty(), True),
+        "deadlock.bpdmn.json": (deadlock(), True),
+        "handoff/direct.bpdmn.json": (handoff_direct(), True),
+        "handoff/shared_store.bpdmn.json": (handoff_shared_store(), True),
+        "handoff/global_store.bpdmn.json": (handoff_global_store(), True),
+    }
+    for name, entry in validator_fixtures().items():
+        out[f"validator/{name}.bpdmn.json"] = entry
     for name, diagram in pattern_fixtures().items():
-        write(f"patterns/{name}.bpdmn.json", diagram)
+        out[f"patterns/{name}.bpdmn.json"] = (diagram, True)
+    return out
+
+
+def main() -> None:
+    for relpath, (diagram, expect_valid) in all_fixtures().items():
+        write(relpath, diagram, expect_valid=expect_valid)
 
 
 if __name__ == "__main__":

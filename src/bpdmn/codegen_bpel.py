@@ -17,7 +17,7 @@ import xml.etree.ElementTree as ET
 
 from . import validator
 from .expr import Lit, Ref, print_expr
-from .model import Diagram, Node, node_inputs, node_outputs
+from .model import DataMapping, Diagram, Node, SequenceFlow, node_inputs, node_outputs
 
 PROCESS_NS = "http://example.org/bpel/generated"
 PLACEHOLDER_PARTNER_LINK = "partnerLinkPlaceholder"
@@ -105,8 +105,7 @@ def _emit_variables(diagram: Diagram, process: ET.Element, warnings: list[str]) 
         ET.SubElement(variables, "variable", {"name": obj.id, "messageType": obj.name})
 
 
-def _assign_for_mapping(diagram: Diagram, mapping_id: str) -> ET.Element:
-    mapping = next(m for m in diagram.mappings if m.id == mapping_id)
+def _assign_for_mapping(mapping: DataMapping) -> ET.Element:
     assign = ET.Element("assign", {"name": mapping.id})
     for rule in mapping.rules:
         copy = ET.SubElement(assign, "copy")
@@ -173,7 +172,7 @@ def _node_element(diagram: Diagram, pool, node: Node, warnings: list[str]) -> li
     input_objects = {io.object for io in node_inputs(diagram, node.id)}
     for mapping in sorted(diagram.mappings, key=lambda m: m.id):
         if mapping.target_object in input_objects:
-            elements.append(_assign_for_mapping(diagram, mapping.id))
+            elements.append(_assign_for_mapping(mapping))
 
     if node.kind == "start_event_message":
         attrs = {
@@ -229,28 +228,26 @@ def _node_element(diagram: Diagram, pool, node: Node, warnings: list[str]) -> li
     return elements
 
 
-def _successors(pool, node_id: str) -> list:
-    return sorted(
-        (f for f in pool.sequence_flows if f.source == node_id), key=lambda f: f.id
-    )
+def _successors(diagram: Diagram, node_id: str) -> list[SequenceFlow]:
+    return sorted(diagram.index.out_flows.get(node_id, ()), key=lambda f: f.id)
 
 
-def _reachable(pool, node_id: str) -> set[str]:
+def _reachable(diagram: Diagram, node_id: str) -> set[str]:
     seen = {node_id}
     stack = [node_id]
     while stack:
         current = stack.pop()
-        for flow in _successors(pool, current):
+        for flow in _successors(diagram, current):
             if flow.target not in seen:
                 seen.add(flow.target)
                 stack.append(flow.target)
     return seen
 
 
-def _find_join(pool, branch_heads: list[str]) -> str | None:
+def _find_join(diagram: Diagram, branch_heads: list[str]) -> str | None:
     """First node reachable from every branch head (BFS order of the first
     branch); assumes structured split/join regions."""
-    reach_sets = [_reachable(pool, head) for head in branch_heads]
+    reach_sets = [_reachable(diagram, head) for head in branch_heads]
     common = set.intersection(*reach_sets) if reach_sets else set()
     # BFS from the first head to pick the nearest common node
     order = []
@@ -259,7 +256,7 @@ def _find_join(pool, branch_heads: list[str]) -> str | None:
     while queue:
         current = queue.pop(0)
         order.append(current)
-        for flow in _successors(pool, current):
+        for flow in _successors(diagram, current):
             if flow.target not in seen:
                 seen.add(flow.target)
                 queue.append(flow.target)
@@ -288,12 +285,12 @@ class _SkeletonBuilder:
             if node is None:
                 break
             if node.kind == "gateway_parallel":
-                nexts = _successors(self.pool, current)
+                nexts = _successors(self.diagram, current)
                 heads = [f.target for f in nexts]
                 if len(heads) <= 1:
                     current = heads[0] if heads else None
                     continue
-                join = _find_join(self.pool, heads)
+                join = _find_join(self.diagram, heads)
                 flow_el = ET.Element("flow", {"name": node.name or node.id})
                 for head in heads:
                     branch = self.render_chain(head, join)
@@ -303,7 +300,7 @@ class _SkeletonBuilder:
                 elements.append(flow_el)
                 if join is not None:
                     self.emitted.add(join)  # the join gateway itself emits nothing
-                    joins = _successors(self.pool, join)
+                    joins = _successors(self.diagram, join)
                     current = joins[0].target if joins else None
                 else:
                     current = None
@@ -313,16 +310,16 @@ class _SkeletonBuilder:
                 current = None
                 continue
             elements.extend(_node_element(self.diagram, self.pool, node, self.warnings))
-            nexts = _successors(self.pool, current)
+            nexts = _successors(self.diagram, current)
             current = nexts[0].target if nexts else None
         return elements
 
     def render_exclusive(self, node: Node) -> ET.Element:
-        outgoing = _successors(self.pool, node.id)
+        outgoing = _successors(self.diagram, node.id)
         guarded = [f for f in outgoing if f.guard is not None]
         defaults = [f for f in outgoing if f.guard is None]
         heads = [f.target for f in outgoing]
-        join = _find_join(self.pool, heads) if len(heads) > 1 else None
+        join = _find_join(self.diagram, heads) if len(heads) > 1 else None
         if_el = ET.Element("if", {"name": node.name or node.id})
         if guarded:
             cond = ET.SubElement(if_el, "condition")

@@ -2,16 +2,23 @@
 
 The diagram is the single source of truth for every other module: pools of
 nodes and flows, data stores with ER-style internal structure, structured
-data objects, explicit data flows, and data mappings. Diagrams are treated
-as immutable after construction; the constructor rejects duplicate
-identifiers and dangling flow endpoints, while the softer well-formedness
-rules live in :mod:`bpdmn.validator`.
+data objects, explicit data flows, and data mappings. The constructor
+rejects duplicate identifiers and dangling flow endpoints, while the softer
+well-formedness rules live in :mod:`bpdmn.validator`.
+
+Diagrams must not be mutated after construction: the derived views (lookups
+by id, flows into and out of a node, a node's inputs and outputs, an
+object's sources and targets, reachability) are built once, on first use,
+into a :class:`DiagramIndex` cached on the diagram, and a mutation would
+leave them stale.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 from .expr import Expression, Value
 
@@ -133,11 +140,12 @@ class Pool:
     explicit_data_flows: list[ExplicitDataFlow] = field(default_factory=list)
 
     def iter_nodes(self):
-        stack = list(self.nodes)
+        """Every node, sub-process children included, in pre-order."""
+        stack = self.nodes[::-1]
         while stack:
-            node = stack.pop(0)
+            node = stack.pop()
             yield node
-            stack = node.children + stack
+            stack.extend(reversed(node.children))
 
 
 @dataclass
@@ -411,43 +419,31 @@ class Diagram:
 
     # -- lookups
 
+    @cached_property
+    def index(self) -> DiagramIndex:
+        """The derived views, built on first use; see :class:`DiagramIndex`."""
+        return DiagramIndex(self)
+
     def iter_nodes(self):
         for pool in self.pools:
             yield from pool.iter_nodes()
 
     def node(self, node_id: str) -> Node | None:
-        for n in self.iter_nodes():
-            if n.id == node_id:
-                return n
-        return None
+        return self.index.nodes.get(node_id)
 
     def pool_of(self, element_id: str) -> Pool | None:
         """Pool containing the node, or the pool itself for a pool id."""
-        for pool in self.pools:
-            if pool.id == element_id:
-                return pool
-            for n in pool.iter_nodes():
-                if n.id == element_id:
-                    return pool
-        return None
+        return self.index.pool_of.get(element_id)
 
     def store(self, store_id: str) -> DataStore | None:
-        for s in self.stores:
-            if s.id == store_id:
-                return s
-        return None
+        return self.index.stores.get(store_id)
 
     def object(self, object_id: str) -> DataObject | None:
-        for o in self.objects:
-            if o.id == object_id:
-                return o
-        return None
+        return self.index.objects.get(object_id)
 
     def is_black_box_pool(self, element_id: str) -> bool:
-        for pool in self.pools:
-            if pool.id == element_id:
-                return not pool.nodes
-        return False
+        pool = self.index.pools.get(element_id)
+        return pool is not None and not pool.nodes
 
 
 class NotFoundError(KeyError):
@@ -484,59 +480,19 @@ class ObjectLink:
 def object_sources(diagram: Diagram, object_id: str) -> list[ObjectLink]:
     """Every place *object_id* is produced: store extraction, activity output,
     message receipt, or message start event."""
-    if diagram.object(object_id) is None:
+    index = diagram.index
+    if object_id not in index.objects:
         raise NotFoundError(object_id)
-    store_ids = {s.id for s in diagram.stores}
-    out: list[ObjectLink] = []
-    for pool in diagram.pools:
-        for flow in pool.sequence_flows:
-            for att in flow.attachments:
-                if att.object != object_id or att.direction != "output":
-                    continue
-                src = diagram.node(flow.source)
-                if src is not None and src.kind == "start_event_message":
-                    out.append(ObjectLink(LinkKind.MESSAGE_START, flow.source, flow.id))
-                else:
-                    out.append(ObjectLink(LinkKind.ACTIVITY_OUTPUT, flow.source, flow.id))
-        for flow in pool.explicit_data_flows:
-            if flow.object != object_id:
-                continue
-            if flow.source in store_ids:
-                out.append(ObjectLink(LinkKind.STORE_EXTRACTION, flow.source, flow.id))
-            elif flow.target not in store_ids:
-                # node-to-node transfer: produced by the source node
-                out.append(ObjectLink(LinkKind.ACTIVITY_OUTPUT, flow.source, flow.id))
-    for flow in diagram.message_flows:
-        for att in flow.attachments:
-            if att.object == object_id and att.direction == "input":
-                out.append(ObjectLink(LinkKind.MESSAGE_RECEIPT, flow.target, flow.id))
-    return out
+    return list(index.sources.get(object_id, ()))
 
 
 def object_targets(diagram: Diagram, object_id: str) -> list[ObjectLink]:
     """Every place *object_id* is consumed: store insertion, activity input,
     or message send. Symmetric to :func:`object_sources`."""
-    if diagram.object(object_id) is None:
+    index = diagram.index
+    if object_id not in index.objects:
         raise NotFoundError(object_id)
-    store_ids = {s.id for s in diagram.stores}
-    out: list[ObjectLink] = []
-    for pool in diagram.pools:
-        for flow in pool.sequence_flows:
-            for att in flow.attachments:
-                if att.object == object_id and att.direction == "input":
-                    out.append(ObjectLink(LinkKind.ACTIVITY_INPUT, flow.target, flow.id))
-        for flow in pool.explicit_data_flows:
-            if flow.object != object_id:
-                continue
-            if flow.target in store_ids:
-                out.append(ObjectLink(LinkKind.STORE_INSERTION, flow.target, flow.id))
-            elif flow.source not in store_ids:
-                out.append(ObjectLink(LinkKind.ACTIVITY_INPUT, flow.target, flow.id))
-    for flow in diagram.message_flows:
-        for att in flow.attachments:
-            if att.object == object_id and att.direction == "output":
-                out.append(ObjectLink(LinkKind.MESSAGE_SEND, flow.source, flow.id))
-    return out
+    return list(index.targets.get(object_id, ()))
 
 
 def resolve_scope(diagram: Diagram, store_id: str) -> set[str]:
@@ -574,52 +530,12 @@ class NodeIO:
 
 def node_inputs(diagram: Diagram, node_id: str) -> list[NodeIO]:
     """Objects consumed by a node, over every channel that can carry data in."""
-    store_ids = {s.id for s in diagram.stores}
-    out: list[NodeIO] = []
-    for pool in diagram.pools:
-        for flow in pool.sequence_flows:
-            if flow.target != node_id:
-                continue
-            for att in flow.attachments:
-                if att.direction == "input":
-                    out.append(NodeIO(att.object, att.optional, flow.id, "sequence"))
-        for flow in pool.explicit_data_flows:
-            if flow.target != node_id:
-                continue
-            channel = "store" if flow.source in store_ids else "explicit"
-            out.append(NodeIO(flow.object, flow.optional, flow.id, channel))
-    for flow in diagram.message_flows:
-        if flow.target != node_id:
-            continue
-        for att in flow.attachments:
-            if att.direction == "input":
-                out.append(NodeIO(att.object, att.optional, flow.id, "message"))
-    return out
+    return list(diagram.index.inputs.get(node_id, ()))
 
 
 def node_outputs(diagram: Diagram, node_id: str) -> list[NodeIO]:
     """Objects produced or emitted by a node."""
-    store_ids = {s.id for s in diagram.stores}
-    out: list[NodeIO] = []
-    for pool in diagram.pools:
-        for flow in pool.sequence_flows:
-            if flow.source != node_id:
-                continue
-            for att in flow.attachments:
-                if att.direction == "output":
-                    out.append(NodeIO(att.object, False, flow.id, "sequence"))
-        for flow in pool.explicit_data_flows:
-            if flow.source != node_id:
-                continue
-            channel = "store" if flow.target in store_ids else "explicit"
-            out.append(NodeIO(flow.object, False, flow.id, channel))
-    for flow in diagram.message_flows:
-        if flow.source != node_id:
-            continue
-        for att in flow.attachments:
-            if att.direction == "output":
-                out.append(NodeIO(att.object, False, flow.id, "message"))
-    return out
+    return list(diagram.index.outputs.get(node_id, ()))
 
 
 def store_readers(diagram: Diagram, store_id: str) -> set[str]:
@@ -657,27 +573,111 @@ def reaches(diagram: Diagram, source: str, target: str) -> bool:
     """
     if source == target:
         return True
-    edges: dict[str, set[str]] = {}
-
-    def add(a: str, b: str) -> None:
-        edges.setdefault(a, set()).add(b)
-
-    for pool in diagram.pools:
-        for flow in pool.sequence_flows:
-            add(flow.source, flow.target)
-        for flow in pool.explicit_data_flows:
-            add(flow.source, flow.target)
-    for flow in diagram.message_flows:
-        add(flow.source, flow.target)
-
+    successors = diagram.index.successors
     seen = {source}
     stack = [source]
     while stack:
-        current = stack.pop()
-        for nxt in edges.get(current, ()):
+        for nxt in successors.get(stack.pop(), ()):
             if nxt == target:
                 return True
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return False
+
+
+class DiagramIndex:
+    """The derived views of one diagram, built in a single pass over its
+    pools, sequence flows, explicit data flows and message flows.
+
+    Per-key lists keep the order of a scan over pools in order (each pool's
+    sequence flows, then its explicit data flows), then the message flows.
+    The lists are shared: the public view functions hand out copies.
+    """
+
+    def __init__(self, diagram: Diagram) -> None:
+        self.pools: dict[str, Pool] = {p.id: p for p in diagram.pools}
+        self.pool_of: dict[str, Pool] = dict(self.pools)  # node or pool id -> pool
+        self.nodes: dict[str, Node] = {}  # in iter_nodes order
+        for pool in diagram.pools:
+            for node in pool.iter_nodes():
+                self.nodes[node.id] = node
+                self.pool_of[node.id] = pool
+        self.stores: dict[str, DataStore] = {s.id: s for s in diagram.stores}
+        self.objects: dict[str, DataObject] = {o.id: o for o in diagram.objects}
+        self.flows: dict[str, SequenceFlow] = {}
+        self.in_flows: dict[str, list[SequenceFlow]] = {}  # node id -> sequence flows
+        self.out_flows: dict[str, list[SequenceFlow]] = {}
+        self.inputs: dict[str, list[NodeIO]] = {}  # endpoint id -> node_inputs
+        self.outputs: dict[str, list[NodeIO]] = {}
+        self.sources: dict[str, list[ObjectLink]] = {}  # object id -> object_sources
+        self.targets: dict[str, list[ObjectLink]] = {}
+        # attachments and explicit flows naming the object, and how many of
+        # them sit on a message flow to or from a black-box pool
+        self.uses: Counter[str] = Counter()
+        self.external_uses: Counter[str] = Counter()
+        self.successors: dict[str, set[str]] = {}  # reaches adjacency
+        inputs, outputs, sources, targets = self.inputs, self.outputs, self.sources, self.targets
+        stores = self.stores
+
+        def add(table: dict, key: str, value) -> None:
+            table.setdefault(key, []).append(value)
+
+        for pool in diagram.pools:
+            for flow in pool.sequence_flows:
+                self.flows[flow.id] = flow
+                add(self.out_flows, flow.source, flow)
+                add(self.in_flows, flow.target, flow)
+                self.successors.setdefault(flow.source, set()).add(flow.target)
+                produced = (
+                    LinkKind.MESSAGE_START
+                    if self.nodes[flow.source].kind == "start_event_message"
+                    else LinkKind.ACTIVITY_OUTPUT
+                )
+                for att in flow.attachments:
+                    self.uses[att.object] += 1
+                    if att.direction == "input":
+                        add(inputs, flow.target, NodeIO(att.object, att.optional, flow.id, "sequence"))
+                        add(targets, att.object, ObjectLink(LinkKind.ACTIVITY_INPUT, flow.target, flow.id))
+                    else:
+                        add(outputs, flow.source, NodeIO(att.object, False, flow.id, "sequence"))
+                        add(sources, att.object, ObjectLink(produced, flow.source, flow.id))
+            for flow in pool.explicit_data_flows:
+                self.successors.setdefault(flow.source, set()).add(flow.target)
+                self.uses[flow.object] += 1
+                from_store = flow.source in stores
+                to_store = flow.target in stores
+                in_channel = "store" if from_store else "explicit"
+                out_channel = "store" if to_store else "explicit"
+                add(inputs, flow.target, NodeIO(flow.object, flow.optional, flow.id, in_channel))
+                add(outputs, flow.source, NodeIO(flow.object, False, flow.id, out_channel))
+                if from_store:
+                    add(sources, flow.object, ObjectLink(LinkKind.STORE_EXTRACTION, flow.source, flow.id))
+                elif not to_store:
+                    # node-to-node transfer: produced by the source node
+                    add(sources, flow.object, ObjectLink(LinkKind.ACTIVITY_OUTPUT, flow.source, flow.id))
+                if to_store:
+                    add(targets, flow.object, ObjectLink(LinkKind.STORE_INSERTION, flow.target, flow.id))
+                elif not from_store:
+                    add(targets, flow.object, ObjectLink(LinkKind.ACTIVITY_INPUT, flow.target, flow.id))
+
+        black_boxes = {p.id for p in diagram.pools if not p.nodes}
+        for flow in diagram.message_flows:
+            self.successors.setdefault(flow.source, set()).add(flow.target)
+            external = flow.source in black_boxes or flow.target in black_boxes
+            for att in flow.attachments:
+                self.uses[att.object] += 1
+                if external:
+                    self.external_uses[att.object] += 1
+                if att.direction == "input":
+                    add(inputs, flow.target, NodeIO(att.object, att.optional, flow.id, "message"))
+                    add(sources, att.object, ObjectLink(LinkKind.MESSAGE_RECEIPT, flow.target, flow.id))
+                else:
+                    add(outputs, flow.source, NodeIO(att.object, False, flow.id, "message"))
+                    add(targets, att.object, ObjectLink(LinkKind.MESSAGE_SEND, flow.source, flow.id))
+
+        # object id -> nodes taking it as an input, in iter_nodes order
+        self.consumers: dict[str, list[str]] = {}
+        for node_id in self.nodes:
+            for obj in dict.fromkeys(io.object for io in inputs.get(node_id, ())):
+                add(self.consumers, obj, node_id)

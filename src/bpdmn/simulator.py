@@ -16,7 +16,7 @@ consumer fires is bound to null and never awaited.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .expr import ExprError, Value, eval_expr
 from .model import (
@@ -210,28 +210,13 @@ def init(
                         bound[key] = value
                     state.bindings[io.object] = bound
             state.completed.add(node.id)
-            for flow in pool.sequence_flows:
-                if flow.source == node.id:
-                    state.tokens[flow.id] = state.tokens.get(flow.id, 0) + 1
+            for flow in diagram.index.out_flows.get(node.id, ()):
+                state.tokens[flow.id] = state.tokens.get(flow.id, 0) + 1
     return state
 
 
 # ---------------------------------------------------------------------------
 # Enablement
-
-
-def _incoming_flows(diagram: Diagram, node_id: str):
-    for pool in diagram.pools:
-        for flow in pool.sequence_flows:
-            if flow.target == node_id:
-                yield flow
-
-
-def _outgoing_flows(diagram: Diagram, node_id: str):
-    for pool in diagram.pools:
-        for flow in pool.sequence_flows:
-            if flow.source == node_id:
-                yield flow
 
 
 def _store_read_available(
@@ -297,41 +282,59 @@ def _input_available(
     return False
 
 
-def enabled(state: ExecutionState, diagram: Diagram) -> set[str]:
-    """Nodes ready to fire under the join and data-availability conditions."""
-    behaviors = diagram.behaviors
-    ready: set[str] = set()
-    for node in diagram.iter_nodes():
-        incoming = list(_incoming_flows(diagram, node.id))
-        if not incoming:
-            if node.id in state.pending_starts:
-                pool = diagram.pool_of(node.id)
-                flow_ids = {f.id for f in diagram.message_flows if f.target == node.id}
-                if pool is not None and any(
-                    msg.flow in flow_ids for msg in state.inbox.get(pool.id, [])
-                ):
-                    ready.add(node.id)
-            continue
-        if node.id in state.completed and node.kind in (
-            "start_event_none",
-            "start_event_message",
-        ):
-            continue
-        if node.kind == "gateway_exclusive_data":
-            has_tokens = any(state.tokens.get(f.id, 0) > 0 for f in incoming)
-        else:
-            has_tokens = all(state.tokens.get(f.id, 0) > 0 for f in incoming)
-        if not has_tokens:
-            continue
-        behavior = behaviors.get(node.id)
-        inputs_ok = all(
-            io.optional
-            or _input_available(state, diagram, node, io, behavior, frozenset())
-            for io in node_inputs(diagram, node.id)
+def _is_enabled(
+    state: ExecutionState, diagram: Diagram, node: Node, behavior: TaskBehavior | None
+) -> bool:
+    """The enablement rule for one node: its join holds and every required
+    input is available."""
+    incoming = diagram.index.in_flows.get(node.id, ())
+    if not incoming:
+        if node.id not in state.pending_starts:
+            return False
+        pool = diagram.pool_of(node.id)
+        flow_ids = {f.id for f in diagram.message_flows if f.target == node.id}
+        return pool is not None and any(
+            msg.flow in flow_ids for msg in state.inbox.get(pool.id, [])
         )
-        if inputs_ok:
-            ready.add(node.id)
-    return ready
+    if node.id in state.completed and node.kind in (
+        "start_event_none",
+        "start_event_message",
+    ):
+        return False
+    if node.kind == "gateway_exclusive_data":
+        has_tokens = any(state.tokens.get(f.id, 0) > 0 for f in incoming)
+    else:
+        has_tokens = all(state.tokens.get(f.id, 0) > 0 for f in incoming)
+    return has_tokens and all(
+        io.optional or _input_available(state, diagram, node, io, behavior, frozenset())
+        for io in node_inputs(diagram, node.id)
+    )
+
+
+def enabled(
+    state: ExecutionState,
+    diagram: Diagram,
+    behaviors: dict[str, TaskBehavior] | None = None,
+) -> set[str]:
+    """Nodes ready to fire under the join and data-availability conditions.
+
+    Only the targets of marked sequence flows and the pending message starts
+    are examined: a node with in-flows but no marked one fails either join,
+    and a node without in-flows fires only as a pending message start.
+    """
+    if behaviors is None:
+        behaviors = diagram.behaviors
+    index = diagram.index
+    candidates = set(state.pending_starts)
+    for flow_id, count in state.tokens.items():
+        flow = index.flows.get(flow_id)
+        if flow is not None and count > 0:
+            candidates.add(flow.target)
+    return {
+        node_id
+        for node_id in candidates
+        if _is_enabled(state, diagram, index.nodes[node_id], behaviors.get(node_id))
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -377,38 +380,23 @@ def _run_behavior(
             _bind(state, trace, step, effect.target_object, effect.target_path, value)
             env[f"{effect.target_object}.{effect.target_path}"] = value
         for action in behavior.store_actions:
-            if isinstance(action, StoreInsert):
-                record: Record = {"__entity__": action.entity}
-                for fname, fexpr in sorted(action.assignments.items()):
-                    try:
-                        record[f"{action.entity}.{fname}"] = eval_expr(fexpr, env)
-                    except ExprError as exc:
-                        raise SimulationError(f"insert by {node.id}: {exc}") from exc
-                state.stores.setdefault(action.store, []).append(record)
-                trace.append(
-                    StoreChanged(
-                        step,
-                        action.store,
-                        action.entity,
-                        tuple(
-                            (k, v) for k, v in sorted(record.items()) if k != "__entity__"
-                        ),
-                    )
+            if not isinstance(action, StoreInsert):
+                continue  # store reads bind before the behavior runs, in step
+            record: Record = {"__entity__": action.entity}
+            for fname, fexpr in sorted(action.assignments.items()):
+                try:
+                    record[f"{action.entity}.{fname}"] = eval_expr(fexpr, env)
+                except ExprError as exc:
+                    raise SimulationError(f"insert by {node.id}: {exc}") from exc
+            state.stores.setdefault(action.store, []).append(record)
+            trace.append(
+                StoreChanged(
+                    step,
+                    action.store,
+                    action.entity,
+                    tuple((k, v) for k, v in sorted(record.items()) if k != "__entity__"),
                 )
-            else:
-                record = _matching_record(state, action)
-                if record is None:
-                    continue
-                obj = diagram.object(action.object)
-                if obj is None:
-                    continue
-                for var in obj.variables:
-                    if var.vtype == "record":
-                        continue
-                    if var.name in record:
-                        _bind(state, trace, step, action.object, var.name, record[var.name])
-                        env[f"{action.object}.{var.name}"] = record[var.name]
-                state.bindings.setdefault(action.object, {})
+            )
 
 
 def _receive_messages(
@@ -453,7 +441,7 @@ def _send_messages(
 def _emit_tokens(
     state: ExecutionState, diagram: Diagram, node: Node, trace: Trace, step: int
 ) -> None:
-    outgoing = sorted(_outgoing_flows(diagram, node.id), key=lambda f: f.id)
+    outgoing = sorted(diagram.index.out_flows.get(node.id, ()), key=lambda f: f.id)
     if not outgoing:
         return
     if node.kind == "gateway_exclusive_data":
@@ -489,7 +477,7 @@ def step(
     return the updated state together with the trace delta."""
     if behaviors is None:
         behaviors = diagram.behaviors
-    ready = enabled(state, diagram)
+    ready = enabled(state, diagram, behaviors)
     if not ready:
         raise SimulationError("no node is enabled")
     node_id = choose if choose is not None else min(ready)
@@ -503,7 +491,7 @@ def step(
     trace.append(NodeFired(current, node_id))
 
     # consume tokens
-    incoming = sorted(_incoming_flows(diagram, node_id), key=lambda f: f.id)
+    incoming = sorted(diagram.index.in_flows.get(node_id, ()), key=lambda f: f.id)
     if node.kind == "gateway_exclusive_data":
         for flow in incoming:
             if state.tokens.get(flow.id, 0) > 0:
@@ -545,11 +533,7 @@ def step(
                         _bind(state, trace, current, io.object, var.name, None)
 
     if behavior is not None:
-        effects_only = replace(
-            behavior,
-            store_actions=[a for a in behavior.store_actions if isinstance(a, StoreInsert)],
-        )
-        _run_behavior(state, diagram, node, effects_only, trace, current)
+        _run_behavior(state, diagram, node, behavior, trace, current)
 
     # every output object is considered produced once the node fires
     for io in node_outputs(diagram, node_id):
@@ -575,8 +559,11 @@ def run(
     """Execute until quiescence or the step limit.
 
     ``policy`` is ``smallest`` (deterministic default) or ``random``
-    (seeded uniform choice among enabled nodes).
+    (seeded uniform choice among enabled nodes); any other value raises
+    :class:`ValueError`.
     """
+    if policy not in ("smallest", "random"):
+        raise ValueError(f"unknown scheduling policy {policy!r}")
     if behaviors is None:
         behaviors = diagram.behaviors
     state = init(diagram, behaviors, start_inputs)
@@ -587,7 +574,7 @@ def run(
         for variable, value in sorted(state.bindings[obj].items()):
             trace.append(ObjectBound(0, obj, variable, value))
     while state.step_count < max_steps:
-        ready = enabled(state, diagram)
+        ready = enabled(state, diagram, behaviors)
         if not ready:
             break
         if policy == "random":
@@ -596,7 +583,7 @@ def run(
             choice = min(ready)
         state, delta = step(state, diagram, behaviors, choose=choice)
         trace.extend(delta)
-    ready = enabled(state, diagram)
+    ready = enabled(state, diagram, behaviors)
     if ready:
         status = "step_limit"
     elif state.token_total() > 0:
@@ -661,7 +648,7 @@ def explore_interleavings(
         if key in seen:
             return
         seen.add(key)
-        ready = enabled(state, diagram)
+        ready = enabled(state, diagram, behaviors)
         if not ready or state.step_count >= max_steps:
             results.add(fired)
             return

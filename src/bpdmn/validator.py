@@ -16,10 +16,7 @@ from .model import (
     Diagram,
     StoreInsert,
     StoreRead,
-    node_inputs,
-    node_outputs,
     object_sources,
-    object_targets,
     reaches,
     resolve_scope,
 )
@@ -71,61 +68,30 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.is_error for d in diagnostics)
 
 
-def _used_objects(diagram: Diagram) -> set[str]:
-    used: set[str] = set()
-    for pool in diagram.pools:
-        for flow in pool.sequence_flows:
-            used.update(a.object for a in flow.attachments)
-        for flow in pool.explicit_data_flows:
-            used.add(flow.object)
-    for flow in diagram.message_flows:
-        used.update(a.object for a in flow.attachments)
-    for mapping in diagram.mappings:
-        used.add(mapping.source_object)
-        used.add(mapping.target_object)
-    return used
-
-
 def _only_on_external_messages(diagram: Diagram, object_id: str) -> bool:
     """True when every use of the object sits on a message flow whose
     opposite endpoint is a black-box pool (data received from or sent
     outside the modeled diagram)."""
-    appearances = 0
-    external = 0
-    for pool in diagram.pools:
-        for flow in pool.sequence_flows:
-            appearances += sum(1 for a in flow.attachments if a.object == object_id)
-        for flow in pool.explicit_data_flows:
-            if flow.object == object_id:
-                appearances += 1
-    for flow in diagram.message_flows:
-        for att in flow.attachments:
-            if att.object != object_id:
-                continue
-            appearances += 1
-            if diagram.is_black_box_pool(flow.source) or diagram.is_black_box_pool(flow.target):
-                external += 1
-    return appearances > 0 and appearances == external
+    appearances = diagram.index.uses[object_id]
+    return appearances > 0 and appearances == diagram.index.external_uses[object_id]
 
 
 def _v1_sources_and_targets(diagram: Diagram) -> list[Diagnostic]:
     """V1: every used object is produced somewhere and consumed somewhere."""
     out = []
+    index = diagram.index
     mapping_targets = {m.target_object for m in diagram.mappings}
     mapping_sources = {m.source_object for m in diagram.mappings}
-    consumed_as_input: set[str] = set()
-    for node in diagram.iter_nodes():
-        consumed_as_input.update(io.object for io in node_inputs(diagram, node.id))
-    for object_id in sorted(_used_objects(diagram)):
-        if diagram.object(object_id) is None:
+    for object_id in sorted(set(index.uses) | mapping_targets | mapping_sources):
+        if object_id not in index.objects:
             continue  # dangling refs are construction errors
         if _only_on_external_messages(diagram, object_id):
             continue
-        has_source = bool(object_sources(diagram, object_id)) or object_id in mapping_targets
+        has_source = bool(index.sources.get(object_id)) or object_id in mapping_targets
         has_target = (
-            bool(object_targets(diagram, object_id))
+            bool(index.targets.get(object_id))
             or object_id in mapping_sources
-            or object_id in consumed_as_input
+            or object_id in index.consumers
         )
         if not has_source:
             out.append(_error("V1", object_id, "object is never produced (no source)"))
@@ -154,21 +120,18 @@ def _v3_mappings(diagram: Diagram) -> list[Diagnostic]:
     """V3: mappings connect a produced object to a consumed one on a
     connected path, and every copy-rule path resolves."""
     out = []
+    mapping_targets = {m.target_object for m in diagram.mappings}
     for mapping in diagram.mappings:
         source = diagram.object(mapping.source_object)
         target = diagram.object(mapping.target_object)
         if source is None or target is None:
             continue
         producers = [link.element for link in object_sources(diagram, source.id)]
-        if not producers and not any(m.target_object == source.id for m in diagram.mappings):
+        if not producers and source.id not in mapping_targets:
             out.append(
                 _error("V3", mapping.id, f"source object {source.id} is never produced")
             )
-        consumers = [
-            node.id
-            for node in diagram.iter_nodes()
-            if any(io.object == target.id for io in node_inputs(diagram, node.id))
-        ]
+        consumers = diagram.index.consumers.get(target.id, [])
         if not consumers:
             out.append(
                 _error("V3", mapping.id, f"target object {target.id} is not an input of any node")

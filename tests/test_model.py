@@ -163,6 +163,17 @@ def test_iter_nodes_covers_sub_process_children():
     assert {n.id for n in d.iter_nodes()} == {"sp", "inner"}
 
 
+def test_iter_nodes_is_pre_order_through_nested_sub_processes():
+    inner = Node("sp2", "SP2", "sub_process", children=[Node("c", "C", "task")])
+    outer = Node(
+        "sp1", "SP1", "sub_process", children=[Node("b", "B", "task"), inner, Node("d", "D", "task")]
+    )
+    pool = Pool("p", "P", nodes=[Node("a", "A", "task"), outer, Node("e", "E", "task")])
+    order = ["a", "sp1", "b", "sp2", "c", "d", "e"]
+    assert [n.id for n in pool.iter_nodes()] == order
+    assert [n.id for n in Diagram("diag", pools=[pool]).iter_nodes()] == order
+
+
 def test_travel_fixture_is_loaded(travel):
     assert travel.id == "travel"
     assert travel.node("check_cc").name == "Check Credit Card"

@@ -190,3 +190,55 @@ def test_multi_instance_behavior_runs_n_times():
     result = run(diagram, behaviors=behaviors)
     binds = [e for e in result.trace if isinstance(e, ObjectBound) and e.object == "o"]
     assert [e.value for e in binds] == [1, 2, 3]
+
+
+def test_enablement_uses_the_passed_behaviors():
+    # the diagram itself configures no store read, so only the passed
+    # behaviors can make t_read wait for a matching record
+    from bpdmn.expr import parse_expr
+    from bpdmn.model import (
+        DataObject,
+        DataStore,
+        Entity,
+        ExplicitDataFlow,
+        StoreInsert,
+        StoreRead,
+        TaskBehavior,
+        Variable,
+    )
+
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[
+            Node("s", "Start", "start_event_none"),
+            Node("t_write", "Write", "task"),
+            Node("t_read", "Read", "task"),
+            Node("e", "End", "end_event"),
+        ],
+        sequence_flows=[
+            SequenceFlow("f1", "s", "t_write"),
+            SequenceFlow("f2", "t_write", "t_read"),
+            SequenceFlow("f3", "t_read", "e"),
+        ],
+        explicit_data_flows=[ExplicitDataFlow("ef", "st", "t_read", "o")],
+    )
+    diagram = Diagram(
+        "d",
+        pools=[pool],
+        stores=[DataStore("st", "St", entities=[Entity("E", [Variable("f", "number")])])],
+        objects=[DataObject("o", "O", variables=[Variable("E.f", "number")], origin_store="st")],
+    )
+    behaviors = {
+        "t_write": TaskBehavior(store_actions=[StoreInsert("st", "E", {"f": parse_expr("1")})]),
+        "t_read": TaskBehavior(store_actions=[StoreRead("st", "E", "o", parse_expr("E.f = 2"))]),
+    }
+    result = run(diagram, behaviors=behaviors)
+    assert result.status == "deadlocked"
+    assert "t_read" not in result.fired_nodes()
+    assert explore_interleavings(diagram, behaviors=behaviors) == {frozenset({"t_write"})}
+
+
+def test_unknown_policy_is_rejected(travel):
+    with pytest.raises(ValueError, match="bogus"):
+        run(travel, policy="bogus")
