@@ -92,7 +92,7 @@ def translate(model_file: str, target: str, output: str | None) -> None:
     generator = codegen_bpel.to_bpel if target == "bpel" else codegen_xpdl.to_xpdl
     try:
         text, warnings = generator(diagram)
-    except (codegen_bpel.GenerationError, codegen_xpdl.GenerationError) as exc:
+    except codegen_bpel.GenerationError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_MODEL)
     for warning in warnings:

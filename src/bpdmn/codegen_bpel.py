@@ -25,7 +25,7 @@ PLACEHOLDER_PORT_TYPE = "portTypePlaceholder"
 
 
 class GenerationError(Exception):
-    pass
+    """A translator (BPEL or XPDL) refused the diagram."""
 
 
 def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
@@ -130,10 +130,9 @@ def _pick_input_variable(diagram: Diagram, node_id: str) -> str | None:
     )
     if not inputs:
         return None
-    mapping_targets = {m.target_object for m in diagram.mappings}
     # a mapping-produced input is the service's actual request format
     for obj in inputs:
-        if obj in mapping_targets:
+        if obj in diagram.index.mappings_to:
             return obj
     return inputs[0]
 
@@ -145,34 +144,37 @@ def _pick_output_variable(diagram: Diagram, node_id: str) -> str | None:
     return outputs[0] if outputs else None
 
 
-def _replies_to_starter(diagram: Diagram, pool, node_id: str) -> bool:
+def _participant(diagram: Diagram, endpoint: str) -> str:
+    """The pool a message flow endpoint belongs to, or the endpoint itself."""
+    pool = diagram.pool_of(endpoint)
+    return pool.id if pool is not None else endpoint
+
+
+def _start_message_sources(diagram: Diagram, pool) -> set[str]:
+    """The participants sending the messages that start the pool."""
+    message_in = diagram.index.message_in
+    return {
+        _participant(diagram, flow.source)
+        for node in pool.iter_nodes()
+        if node.kind == "start_event_message"
+        for flow in message_in.get(node.id, ())
+    }
+
+
+def _replies_to_starter(diagram: Diagram, start_sources: set[str], node_id: str) -> bool:
     """True when the node answers the pool's start message over a message flow
     back to the sending participant."""
-    start_sources: set[str] = set()
-    start_ids = {n.id for n in pool.iter_nodes() if n.kind == "start_event_message"}
-    for flow in diagram.message_flows:
-        if flow.target in start_ids:
-            src_pool = diagram.pool_of(flow.source)
-            start_sources.add(src_pool.id if src_pool is not None else flow.source)
-    if not start_sources:
-        return False
-    for flow in diagram.message_flows:
-        if flow.source != node_id:
-            continue
-        dst_pool = diagram.pool_of(flow.target)
-        dst = dst_pool.id if dst_pool is not None else flow.target
-        if dst in start_sources:
-            return True
-    return False
+    return any(
+        _participant(diagram, flow.target) in start_sources
+        for flow in diagram.index.message_out.get(node_id, ())
+    )
 
 
-def _node_element(diagram: Diagram, pool, node: Node, warnings: list[str]) -> list[ET.Element]:
+def _node_element(
+    diagram: Diagram, start_sources: set[str], node: Node, warnings: list[str]
+) -> list[ET.Element]:
     """Elements for one node: its mapping assigns followed by its activity."""
-    elements: list[ET.Element] = []
-    input_objects = {io.object for io in node_inputs(diagram, node.id)}
-    for mapping in sorted(diagram.mappings, key=lambda m: m.id):
-        if mapping.target_object in input_objects:
-            elements.append(_assign_for_mapping(mapping))
+    elements = [_assign_for_mapping(mapping) for mapping in diagram.index.mappings_into(node.id)]
 
     if node.kind == "start_event_message":
         attrs = {
@@ -187,7 +189,7 @@ def _node_element(diagram: Diagram, pool, node: Node, warnings: list[str]) -> li
             attrs["variable"] = outputs
         elements.append(ET.Element("receive", attrs))
     elif node.kind in ("task", "sub_process"):
-        if _replies_to_starter(diagram, pool, node.id):
+        if _replies_to_starter(diagram, start_sources, node.id):
             attrs = {
                 "name": node.name,
                 "partnerLink": PLACEHOLDER_PARTNER_LINK,
@@ -269,7 +271,7 @@ def _find_join(diagram: Diagram, branch_heads: list[str]) -> str | None:
 class _SkeletonBuilder:
     def __init__(self, diagram: Diagram, pool, warnings: list[str]) -> None:
         self.diagram = diagram
-        self.pool = pool
+        self.start_sources = _start_message_sources(diagram, pool)
         self.warnings = warnings
         self.emitted: set[str] = set()
 
@@ -309,7 +311,7 @@ class _SkeletonBuilder:
                 elements.append(self.render_exclusive(node))
                 current = None
                 continue
-            elements.extend(_node_element(self.diagram, self.pool, node, self.warnings))
+            elements.extend(_node_element(self.diagram, self.start_sources, node, self.warnings))
             nexts = _successors(self.diagram, current)
             current = nexts[0].target if nexts else None
         return elements

@@ -16,14 +16,11 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from . import validator
+from .codegen_bpel import GenerationError  # one class for both translators, importable from either
 from .expr import print_expr
 from .model import DataStore, Diagram, Node, node_inputs, node_outputs
 
 _BASIC_TYPES = {"string": "STRING", "number": "FLOAT", "boolean": "BOOLEAN"}
-
-
-class GenerationError(Exception):
-    pass
 
 
 def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
@@ -158,10 +155,7 @@ def _emit_activity(
             param_el = ET.SubElement(params_el, "ActualParameter")
             param_el.text = param
 
-    input_objects = set(inputs)
-    for mapping in sorted(diagram.mappings, key=lambda m: m.id):
-        if mapping.target_object not in input_objects:
-            continue
+    for mapping in diagram.index.mappings_into(node.id):
         assignments = ET.SubElement(activity, "Assignments", {"Id": mapping.id})
         for rule in mapping.rules:
             assignment = ET.SubElement(assignments, "Assignment")

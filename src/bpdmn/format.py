@@ -85,6 +85,16 @@ class _Reader:
             return None
         return data[key]
 
+    def list_of(self, data: dict, key: str, where: str) -> list:
+        """The list under *key*, empty when the key is absent. Any other
+        value is an error, read as an empty list."""
+        value = data.get(key, [])
+        if isinstance(value, list):
+            return value
+        ident = data.get("id")
+        self.fail(f"{key!r} of {where} must be a list", near=ident if isinstance(ident, str) else key)
+        return []
+
     def expr(self, text: object, where: str) -> Expression | None:
         if not isinstance(text, str):
             self.fail(f"expected expression string in {where}", near=where)
@@ -157,22 +167,15 @@ def parse_diagram_with_warnings(
 
 
 def _as_list(reader: _Reader, data: dict, key: str) -> list:
-    value = data.get(key)
-    if value is None:
+    if data.get(key) is None:
         reader.fail(f"missing key {key!r} in document")
         return []
-    if not isinstance(value, list):
-        reader.fail(f"{key!r} must be a list")
-        return []
-    return value
+    return reader.list_of(data, key, "document")
 
 
-def _read_attachments(reader: _Reader, items: object, where: str) -> list[model.ObjectAttachment]:
+def _read_attachments(reader: _Reader, data: dict, where: str) -> list[model.ObjectAttachment]:
     out = []
-    if not isinstance(items, list):
-        reader.fail(f"attachments of {where} must be a list", near=where)
-        return out
-    for item in items:
+    for item in reader.list_of(data, "attachments", where):
         if not isinstance(item, dict):
             reader.fail(f"bad attachment in {where}", near=where)
             continue
@@ -201,14 +204,15 @@ def _read_node(reader: _Reader, data: object) -> model.Node | None:
     condition = None
     if data.get("condition") is not None:
         condition = reader.expr(data["condition"], f"condition of node {node_id}")
-    children = [c for c in (_read_node(reader, ch) for ch in data.get("children", [])) if c]
+    where = f"node {node_id}"
+    children = [c for c in (_read_node(reader, ch) for ch in reader.list_of(data, "children", where)) if c]
     try:
         return model.Node(
             id=node_id,
             name=str(data.get("name", node_id)),
             kind=str(reader.require(data, "kind", f"node {node_id}") or "task"),
             children=children,
-            local_stores=[str(s) for s in data.get("local_stores", [])],
+            local_stores=[str(s) for s in reader.list_of(data, "local_stores", where)],
             condition=condition,
             multi_instance=bool(data.get("multi_instance", False)),
         )
@@ -225,9 +229,10 @@ def _read_pool(reader: _Reader, data: object) -> model.Pool | None:
         data, {"id", "name", "nodes", "sequence_flows", "explicit_data_flows"}, "pool"
     )
     pool_id = str(reader.require(data, "id", "pool") or "")
-    nodes = [n for n in (_read_node(reader, nd) for nd in data.get("nodes", [])) if n]
+    where = f"pool {pool_id}"
+    nodes = [n for n in (_read_node(reader, nd) for nd in reader.list_of(data, "nodes", where)) if n]
     seq_flows = []
-    for item in data.get("sequence_flows", []):
+    for item in reader.list_of(data, "sequence_flows", where):
         if not isinstance(item, dict):
             reader.fail(f"bad sequence flow in pool {pool_id}", near=pool_id)
             continue
@@ -242,14 +247,14 @@ def _read_pool(reader: _Reader, data: object) -> model.Pool | None:
                     id=flow_id,
                     source=str(item.get("source", "")),
                     target=str(item.get("target", "")),
-                    attachments=_read_attachments(reader, item.get("attachments", []), flow_id),
+                    attachments=_read_attachments(reader, item, flow_id),
                     guard=guard,
                 )
             )
         except model.ModelError as exc:
             reader.fail(str(exc), near=flow_id)
     data_flows = []
-    for item in data.get("explicit_data_flows", []):
+    for item in reader.list_of(data, "explicit_data_flows", where):
         if not isinstance(item, dict):
             reader.fail(f"bad data flow in pool {pool_id}", near=pool_id)
             continue
@@ -276,12 +281,9 @@ def _read_pool(reader: _Reader, data: object) -> model.Pool | None:
     )
 
 
-def _read_variables(reader: _Reader, items: object, where: str) -> list[model.Variable]:
+def _read_variables(reader: _Reader, data: dict, key: str, where: str) -> list[model.Variable]:
     out = []
-    if not isinstance(items, list):
-        reader.fail(f"variables of {where} must be a list", near=where)
-        return out
-    for item in items:
+    for item in reader.list_of(data, key, where):
         if not isinstance(item, dict):
             reader.fail(f"bad variable in {where}", near=where)
             continue
@@ -305,8 +307,9 @@ def _read_store(reader: _Reader, data: object) -> model.DataStore | None:
         "store",
     )
     store_id = str(reader.require(data, "id", "store") or "")
+    where = f"store {store_id}"
     entities = []
-    for item in data.get("entities", []):
+    for item in reader.list_of(data, "entities", where):
         if not isinstance(item, dict):
             reader.fail(f"bad entity in store {store_id}", near=store_id)
             continue
@@ -315,18 +318,18 @@ def _read_store(reader: _Reader, data: object) -> model.DataStore | None:
             entities.append(
                 model.Entity(
                     name=str(item.get("name", "")),
-                    fields=_read_variables(reader, item.get("fields", []), f"entity of {store_id}"),
+                    fields=_read_variables(reader, item, "fields", f"entity of {store_id}"),
                 )
             )
         except model.ModelError as exc:
             reader.fail(str(exc), near=str(item.get("name", store_id)))
     relationships = [
         model.Relationship(str(r.get("name", "")), str(r.get("left", "")), str(r.get("right", "")))
-        for r in data.get("relationships", [])
+        for r in reader.list_of(data, "relationships", where)
         if isinstance(r, dict)
     ]
     generalizations = []
-    for g in data.get("generalizations", []):
+    for g in reader.list_of(data, "generalizations", where):
         if not isinstance(g, dict):
             continue
         try:
@@ -371,7 +374,7 @@ def _read_object(reader: _Reader, data: object) -> model.DataObject | None:
             name=str(data.get("name", object_id)),
             stereotype=str(data.get("stereotype", "generic")),
             physicality=str(data.get("physicality", "digital")),
-            variables=_read_variables(reader, data.get("variables", []), f"object {object_id}"),
+            variables=_read_variables(reader, data, "variables", f"object {object_id}"),
             url=data.get("url"),
             state=data.get("state"),
             origin_store=data.get("origin_store"),
@@ -388,7 +391,7 @@ def _read_mapping(reader: _Reader, data: object) -> model.DataMapping | None:
     reader.unknown_keys(data, {"id", "source_object", "target_object", "rules"}, "mapping")
     mapping_id = str(reader.require(data, "id", "mapping") or "")
     rules = []
-    for item in data.get("rules", []):
+    for item in reader.list_of(data, "rules", f"mapping {mapping_id}"):
         if not isinstance(item, dict):
             reader.fail(f"bad rule in mapping {mapping_id}", near=mapping_id)
             continue
@@ -420,7 +423,7 @@ def _read_message_flow(reader: _Reader, data: object) -> model.MessageFlow | Non
             id=flow_id,
             source=str(data.get("source", "")),
             target=str(data.get("target", "")),
-            attachments=_read_attachments(reader, data.get("attachments", []), flow_id),
+            attachments=_read_attachments(reader, data, flow_id),
         )
     except model.ModelError as exc:
         reader.fail(str(exc), near=flow_id)
@@ -438,7 +441,7 @@ def _read_behaviors(reader: _Reader, data: object) -> dict[str, model.TaskBehavi
             continue
         reader.unknown_keys(spec, {"effects", "store_actions", "instances"}, f"behavior of {node_id}")
         effects = []
-        for item in spec.get("effects", []):
+        for item in reader.list_of(spec, "effects", f"behavior of {node_id}"):
             if not isinstance(item, dict) or "target" not in item or "expr" not in item:
                 reader.fail(f"bad effect in behavior of {node_id}", near=node_id)
                 continue
@@ -451,7 +454,7 @@ def _read_behaviors(reader: _Reader, data: object) -> dict[str, model.TaskBehavi
             if expr is not None:
                 effects.append(model.Effect(obj, path, expr))
         actions: list[model.StoreInsert | model.StoreRead] = []
-        for item in spec.get("store_actions", []):
+        for item in reader.list_of(spec, "store_actions", f"behavior of {node_id}"):
             if not isinstance(item, dict):
                 reader.fail(f"bad store action in behavior of {node_id}", near=node_id)
                 continue

@@ -662,7 +662,11 @@ class DiagramIndex:
                     add(targets, flow.object, ObjectLink(LinkKind.ACTIVITY_INPUT, flow.target, flow.id))
 
         black_boxes = {p.id for p in diagram.pools if not p.nodes}
+        self.message_in: dict[str, list[MessageFlow]] = {}  # endpoint id -> message flows
+        self.message_out: dict[str, list[MessageFlow]] = {}
         for flow in diagram.message_flows:
+            add(self.message_in, flow.target, flow)
+            add(self.message_out, flow.source, flow)
             self.successors.setdefault(flow.source, set()).add(flow.target)
             external = flow.source in black_boxes or flow.target in black_boxes
             for att in flow.attachments:
@@ -681,3 +685,13 @@ class DiagramIndex:
         for node_id in self.nodes:
             for obj in dict.fromkeys(io.object for io in inputs.get(node_id, ())):
                 add(self.consumers, obj, node_id)
+        # object id -> mappings producing it, sorted by id
+        self.mappings_to: dict[str, list[DataMapping]] = {}
+        for mapping in sorted(diagram.mappings, key=lambda m: m.id):
+            add(self.mappings_to, mapping.target_object, mapping)
+
+    def mappings_into(self, node_id: str) -> list[DataMapping]:
+        """Mappings producing one of the node's inputs, sorted by id: the
+        order in which a firing applies them and a translator emits them."""
+        objects = dict.fromkeys(io.object for io in self.inputs.get(node_id, ()))
+        return sorted((m for obj in objects for m in self.mappings_to.get(obj, ())), key=lambda m: m.id)

@@ -11,11 +11,37 @@ seeded random policy is available for exploratory runs.
 Store reads are non-destructive, inserts append, and bindings persist for
 the whole case once produced. An optional input that is absent when its
 consumer fires is bound to null and never awaited.
+
+The rule is written once, in ``_is_enabled``. ``enabled()`` applies it to the
+candidates of a state: targets of marked sequence flows and pending message
+starts. A run computes that set once and then keeps it up to date: after a
+firing it re-checks only the nodes the firing can affect. These are
+
+- the fired node and the targets of its outgoing sequence flows (tokens);
+- the targets of its outgoing message flows (a message on a flow is read
+  only by that flow's target; a receipt removes only messages the receiver
+  reads);
+- the nodes whose check asks whether an object the firing can bind is
+  bound: those taking it as an input, or taking as an input the target of a
+  mapping from it. A firing can bind its own inputs (mappings, optional
+  nulls), its outputs (messages included), its effects' targets and its
+  store reads' objects; a message it receives carries only objects its
+  sender had bound. Bindings are never removed, and outside store filters a
+  check reads only whether an object is bound, never its value;
+- every node with a store read: its filter reads the store's records and
+  the value of any binding, so it is re-checked after every firing.
+
+The state carries ``env``, the bindings flattened to ``object.path`` names,
+kept up to date by every binding; guards, effects, mappings, store inserts
+and store filters evaluate against it (filters and the multi-instance
+``instance.index`` through an overlay), so no environment is rebuilt per
+evaluation.
 """
 
 from __future__ import annotations
 
 import random
+from collections import ChainMap
 from dataclasses import dataclass, field
 
 from .expr import ExprError, Value, eval_expr
@@ -62,6 +88,12 @@ class ExecutionState:
     completed: set[str] = field(default_factory=set)
     step_count: int = 0
     pending_starts: set[str] = field(default_factory=set)  # message starts awaiting a message
+    # bindings flattened to "object.path" -> value, the names expressions read;
+    # built here, then kept up to date by every binding the simulator makes
+    env: dict[str, Value] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.env = _env_of(self.bindings)
 
     def token_total(self) -> int:
         return sum(self.tokens.values())
@@ -176,7 +208,7 @@ def init(
 
     state = ExecutionState()
     state.inbox = {p.id: [] for p in diagram.pools}
-    internal_message_targets = {f.target for f in diagram.message_flows}
+    internal_message_targets = diagram.index.message_in
 
     for pool in diagram.pools:
         for node in pool.iter_nodes():
@@ -209,6 +241,7 @@ def init(
                     for key, value in given.items():
                         bound[key] = value
                     state.bindings[io.object] = bound
+                    state.env.update((f"{io.object}.{key}", value) for key, value in bound.items())
             state.completed.add(node.id)
             for flow in diagram.index.out_flows.get(node.id, ()):
                 state.tokens[flow.id] = state.tokens.get(flow.id, 0) + 1
@@ -231,18 +264,14 @@ def _store_read_available(
 
 
 def _matching_record(state: ExecutionState, action: StoreRead) -> Record | None:
-    env_base = _env_of(state.bindings)
     for record in state.stores.get(action.store, []):
         if not record.get("__entity__") == action.entity:
             continue
         if action.filter is None:
             return record
-        env = dict(env_base)
-        for key, value in record.items():
-            if key != "__entity__":
-                env[key] = value
+        fields = {key: value for key, value in record.items() if key != "__entity__"}
         try:
-            if eval_expr(action.filter, env) is True:
+            if eval_expr(action.filter, ChainMap(fields, state.env)) is True:
                 return record
         except ExprError:
             continue
@@ -269,8 +298,8 @@ def _input_available(
     if io.channel == "store":
         return _store_read_available(state, diagram, behavior, io.object)
     # sequence or explicit node-to-node channel: maybe producible by a mapping
-    for mapping in diagram.mappings:
-        if mapping.target_object != io.object or mapping.id in visiting:
+    for mapping in diagram.index.mappings_to.get(io.object, ()):
+        if mapping.id in visiting:
             continue
         if mapping.source_object in state.bindings:
             return True
@@ -286,13 +315,14 @@ def _is_enabled(
     state: ExecutionState, diagram: Diagram, node: Node, behavior: TaskBehavior | None
 ) -> bool:
     """The enablement rule for one node: its join holds and every required
-    input is available."""
+    input is available. Store-channel inputs are tested last, so a store is
+    scanned only when everything else already holds."""
     incoming = diagram.index.in_flows.get(node.id, ())
     if not incoming:
         if node.id not in state.pending_starts:
             return False
         pool = diagram.pool_of(node.id)
-        flow_ids = {f.id for f in diagram.message_flows if f.target == node.id}
+        flow_ids = {f.id for f in diagram.index.message_in.get(node.id, ())}
         return pool is not None and any(
             msg.flow in flow_ids for msg in state.inbox.get(pool.id, [])
         )
@@ -305,10 +335,16 @@ def _is_enabled(
         has_tokens = any(state.tokens.get(f.id, 0) > 0 for f in incoming)
     else:
         has_tokens = all(state.tokens.get(f.id, 0) > 0 for f in incoming)
-    return has_tokens and all(
-        io.optional or _input_available(state, diagram, node, io, behavior, frozenset())
-        for io in node_inputs(diagram, node.id)
-    )
+    if not has_tokens:
+        return False
+    inputs = diagram.index.inputs.get(node.id, ())
+    for store_pass in (False, True):
+        for io in inputs:
+            if (io.channel == "store") is not store_pass or io.optional:
+                continue
+            if not _input_available(state, diagram, node, io, behavior, frozenset()):
+                return False
+    return True
 
 
 def enabled(
@@ -343,26 +379,22 @@ def enabled(
 
 def _bind(state: ExecutionState, trace: Trace, step: int, obj: str, path: str, value: Value) -> None:
     state.bindings.setdefault(obj, {})[path] = value
+    state.env[f"{obj}.{path}"] = value
     trace.append(ObjectBound(step, obj, path, value))
 
 
 def _apply_mappings(
     state: ExecutionState, diagram: Diagram, node: Node, trace: Trace, step: int
 ) -> None:
-    input_objects = {io.object for io in node_inputs(diagram, node.id)}
-    for mapping in sorted(diagram.mappings, key=lambda m: m.id):
-        if mapping.target_object not in input_objects:
-            continue
+    for mapping in diagram.index.mappings_into(node.id):
         if mapping.source_object not in state.bindings:
             continue
-        env = _env_of(state.bindings)
         for rule in mapping.rules:
             try:
-                value = eval_expr(rule.from_expr, env)
+                value = eval_expr(rule.from_expr, state.env)
             except ExprError as exc:
                 raise SimulationError(f"mapping {mapping.id}: {exc}") from exc
             _bind(state, trace, step, mapping.target_object, rule.to, value)
-            env[f"{mapping.target_object}.{rule.to}"] = value
 
 
 def _run_behavior(
@@ -370,15 +402,16 @@ def _run_behavior(
 ) -> None:
     instances = max(behavior.instances, 1) if node.multi_instance else 1
     for index in range(1, instances + 1):
-        env = _env_of(state.bindings)
-        env["instance.index"] = index
+        counter = {"instance.index": index}
+        env = ChainMap(counter, state.env)
         for effect in behavior.effects:
             try:
                 value = eval_expr(effect.expr, env)
             except ExprError as exc:
                 raise SimulationError(f"behavior of {node.id}: {exc}") from exc
             _bind(state, trace, step, effect.target_object, effect.target_path, value)
-            env[f"{effect.target_object}.{effect.target_path}"] = value
+            # an effect on an object named "instance" shadows the counter
+            counter.pop(f"{effect.target_object}.{effect.target_path}", None)
         for action in behavior.store_actions:
             if not isinstance(action, StoreInsert):
                 continue  # store reads bind before the behavior runs, in step
@@ -405,7 +438,7 @@ def _receive_messages(
     pool = diagram.pool_of(node.id)
     if pool is None:
         return
-    incoming_flow_ids = {f.id for f in diagram.message_flows if f.target == node.id}
+    incoming_flow_ids = {f.id for f in diagram.index.message_in.get(node.id, ())}
     queue = state.inbox.get(pool.id, [])
     remaining: list[Message] = []
     for msg in queue:
@@ -424,9 +457,7 @@ def _receive_messages(
 def _send_messages(
     state: ExecutionState, diagram: Diagram, node: Node, trace: Trace, step: int
 ) -> None:
-    for flow in diagram.message_flows:
-        if flow.source != node.id:
-            continue
+    for flow in diagram.index.message_out.get(node.id, ()):
         snapshot: Bindings = {}
         for att in flow.attachments:
             if att.direction == "output":
@@ -445,7 +476,7 @@ def _emit_tokens(
     if not outgoing:
         return
     if node.kind == "gateway_exclusive_data":
-        env = _env_of(state.bindings)
+        env = state.env
         default = None
         for flow in outgoing:
             if flow.guard is None:
@@ -477,12 +508,19 @@ def step(
     return the updated state together with the trace delta."""
     if behaviors is None:
         behaviors = diagram.behaviors
-    ready = enabled(state, diagram, behaviors)
-    if not ready:
-        raise SimulationError("no node is enabled")
-    node_id = choose if choose is not None else min(ready)
-    if node_id not in ready:
-        raise SimulationError(f"node {node_id} is not enabled")
+    if choose is None:
+        ready = enabled(state, diagram, behaviors)
+        if not ready:
+            raise SimulationError("no node is enabled")
+        node_id = min(ready)
+    else:
+        node_id = choose
+        chosen = diagram.node(node_id)
+        if chosen is None or not _is_enabled(state, diagram, chosen, behaviors.get(node_id)):
+            # the whole enabled set is needed only to word the refusal
+            if not enabled(state, diagram, behaviors):
+                raise SimulationError("no node is enabled")
+            raise SimulationError(f"node {node_id} is not enabled")
     node = diagram.node(node_id)
     assert node is not None
 
@@ -548,6 +586,66 @@ def step(
     return state, trace
 
 
+class _Watch:
+    """The nodes whose verdict a firing can change, for one run.
+
+    Built from the diagram's index and the behaviours in use; callers may
+    pass behaviours apart from the diagram, so this is not cached on it.
+    """
+
+    def __init__(self, diagram: Diagram, behaviors: dict[str, TaskBehavior]) -> None:
+        index = diagram.index
+        self.index = index
+        self.behaviors = behaviors
+        # object id -> nodes whose check asks whether the object is bound:
+        # those taking it as an input, or taking a mapping's target from it
+        self.readers: dict[str, set[str]] = {obj: set(nodes) for obj, nodes in index.consumers.items()}
+        for mapping in diagram.mappings:
+            self.readers.setdefault(mapping.source_object, set()).update(
+                index.consumers.get(mapping.target_object, ())
+            )
+        # a store filter reads records and any binding: re-checked every step
+        self.store_readers = {
+            node_id
+            for node_id, behavior in behaviors.items()
+            if node_id in index.nodes and any(isinstance(a, StoreRead) for a in behavior.store_actions)
+        }
+
+    def affected_by(self, node_id: str) -> set[str]:
+        """The fired node, the targets of its sequence and message flows, the
+        readers of every object its firing can bind, and the store readers."""
+        index = self.index
+        affected = {node_id} | self.store_readers
+        affected.update(f.target for f in index.out_flows.get(node_id, ()))
+        # messages on a flow are read only by that flow's target
+        affected.update(f.target for f in index.message_out.get(node_id, ()) if f.target in index.nodes)
+        written = {io.object for io in index.inputs.get(node_id, ())}  # mappings, optional nulls
+        written.update(io.object for io in index.outputs.get(node_id, ()) if io.channel != "store")
+        behavior = self.behaviors.get(node_id)
+        if behavior is not None:
+            written.update(effect.target_object for effect in behavior.effects)
+            written.update(a.object for a in behavior.store_actions if isinstance(a, StoreRead))
+        for obj in written:
+            affected.update(self.readers.get(obj, ()))
+        return affected
+
+
+def _recheck(
+    ready: set[str],
+    state: ExecutionState,
+    diagram: Diagram,
+    behaviors: dict[str, TaskBehavior],
+    node_ids: set[str],
+) -> None:
+    """Apply the enablement rule again to *node_ids*, updating *ready*."""
+    nodes = diagram.index.nodes
+    for node_id in node_ids:
+        if _is_enabled(state, diagram, nodes[node_id], behaviors.get(node_id)):
+            ready.add(node_id)
+        else:
+            ready.discard(node_id)
+
+
 def run(
     diagram: Diagram,
     behaviors: dict[str, TaskBehavior] | None = None,
@@ -573,17 +671,16 @@ def run(
     for obj in sorted(state.bindings):
         for variable, value in sorted(state.bindings[obj].items()):
             trace.append(ObjectBound(0, obj, variable, value))
-    while state.step_count < max_steps:
-        ready = enabled(state, diagram, behaviors)
-        if not ready:
-            break
+    watch = _Watch(diagram, behaviors)
+    ready = enabled(state, diagram, behaviors)
+    while ready and state.step_count < max_steps:
         if policy == "random":
             choice = rng.choice(sorted(ready))
         else:
             choice = min(ready)
         state, delta = step(state, diagram, behaviors, choose=choice)
         trace.extend(delta)
-    ready = enabled(state, diagram, behaviors)
+        _recheck(ready, state, diagram, behaviors, watch.affected_by(choice))
     if ready:
         status = "step_limit"
     elif state.token_total() > 0:
@@ -630,6 +727,26 @@ def _freeze_state(state: ExecutionState):
     )
 
 
+def _clone(state: ExecutionState) -> ExecutionState:
+    """An independent copy of *state*."""
+    clone = ExecutionState(
+        tokens=dict(state.tokens),
+        stores={k: [dict(r) for r in v] for k, v in state.stores.items()},
+        inbox={
+            k: [Message(m.flow, {o: dict(b) for o, b in m.objects.items()}) for m in v]
+            for k, v in state.inbox.items()
+        },
+        completed=set(state.completed),
+        step_count=state.step_count,
+        pending_starts=set(state.pending_starts),
+    )
+    # the environment is copied whole: rebuilding it from the bindings entry
+    # by entry is slower and fragments the heap
+    clone.bindings = {k: dict(v) for k, v in state.bindings.items()}
+    clone.env = state.env.copy()
+    return clone
+
+
 def explore_interleavings(
     diagram: Diagram,
     behaviors: dict[str, TaskBehavior] | None = None,
@@ -652,21 +769,14 @@ def explore_interleavings(
         if not ready or state.step_count >= max_steps:
             results.add(fired)
             return
-        for choice in sorted(ready):
-            clone = ExecutionState(
-                tokens=dict(state.tokens),
-                bindings={k: dict(v) for k, v in state.bindings.items()},
-                stores={k: [dict(r) for r in v] for k, v in state.stores.items()},
-                inbox={
-                    k: [Message(m.flow, {o: dict(b) for o, b in m.objects.items()}) for m in v]
-                    for k, v in state.inbox.items()
-                },
-                completed=set(state.completed),
-                step_count=state.step_count,
-                pending_starts=set(state.pending_starts),
-            )
-            clone, _ = step(clone, diagram, behaviors, choose=choice)
+        *others, last = sorted(ready)
+        for choice in others:
+            clone, _ = step(_clone(state), diagram, behaviors, choose=choice)
             explore(clone, fired | {choice})
+        # nothing reads this state after its last firing: fire it in place,
+        # so a path without choices keeps one state alive, not one per step
+        state, _ = step(state, diagram, behaviors, choose=last)
+        explore(state, fired | {last})
 
     explore(init(diagram, behaviors, start_inputs), frozenset())
     return results

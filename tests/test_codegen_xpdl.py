@@ -115,3 +115,9 @@ def test_sub_process_store_declared_locally():
 def test_invalid_diagram_is_refused():
     with pytest.raises(GenerationError):
         to_xpdl(load("validator/bad_v4.bpdmn.json"))
+
+
+def test_both_translators_raise_one_error_class():
+    from bpdmn import codegen_bpel
+
+    assert GenerationError is codegen_bpel.GenerationError

@@ -4,8 +4,10 @@ import json
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from bpdmn.cli import main
 from bpdmn.format import (
     EMPTY_DOCUMENT,
     ParseError,
@@ -111,3 +113,95 @@ def test_fuzz_inputs_never_crash(seed):
         parse_diagram(fuzz_input(seed))
     except ParseError:
         pass
+
+
+def _document() -> dict:
+    """A small valid document holding every list-valued key of the schema."""
+    return {
+        "bpdmn": "1.0",
+        "pools": [
+            {
+                "id": "p",
+                "name": "P",
+                "nodes": [
+                    {"id": "s", "name": "s", "kind": "start_event_none"},
+                    {"id": "sp", "name": "sp", "kind": "sub_process", "children": [], "local_stores": []},
+                ],
+                "sequence_flows": [{"id": "f", "source": "s", "target": "sp", "attachments": []}],
+                "explicit_data_flows": [],
+            },
+            {"id": "q", "name": "Q", "nodes": [], "sequence_flows": [], "explicit_data_flows": []},
+        ],
+        "stores": [
+            {
+                "id": "st",
+                "name": "St",
+                "entities": [{"name": "E", "fields": []}],
+                "relationships": [],
+                "generalizations": [],
+            }
+        ],
+        "objects": [{"id": "o", "name": "O", "variables": []}],
+        "mappings": [{"id": "m", "source_object": "o", "target_object": "o", "rules": [{"from": "1", "to": "v"}]}],
+        "message_flows": [{"id": "mf", "source": "sp", "target": "q", "attachments": []}],
+        "behaviors": {"sp": {"effects": [], "store_actions": []}},
+    }
+
+
+# (path to the holder, list-valued key)
+LIST_VALUED = [
+    ((), "pools"),
+    ((), "stores"),
+    ((), "objects"),
+    ((), "mappings"),
+    ((), "message_flows"),
+    (("pools", 0), "nodes"),
+    (("pools", 0), "sequence_flows"),
+    (("pools", 0), "explicit_data_flows"),
+    (("pools", 0, "nodes", 1), "children"),
+    (("pools", 0, "nodes", 1), "local_stores"),
+    (("pools", 0, "sequence_flows", 0), "attachments"),
+    (("stores", 0), "entities"),
+    (("stores", 0), "relationships"),
+    (("stores", 0), "generalizations"),
+    (("stores", 0, "entities", 0), "fields"),
+    (("objects", 0), "variables"),
+    (("mappings", 0), "rules"),
+    (("message_flows", 0), "attachments"),
+    (("behaviors", "sp"), "effects"),
+    (("behaviors", "sp"), "store_actions"),
+]
+
+
+def _with_number_at(path, key) -> str:
+    doc = _document()
+    holder = doc
+    for step in path:
+        holder = holder[step]
+    holder[key] = 5
+    return json.dumps(doc, indent=2)
+
+
+def _list_valued_id(case) -> str:
+    path, key = case
+    return ".".join([*(str(p) for p in path), key])
+
+
+def test_list_valued_document_parses():
+    parse_diagram(json.dumps(_document()))
+
+
+@pytest.mark.parametrize("path, key", LIST_VALUED, ids=[_list_valued_id(c) for c in LIST_VALUED])
+def test_non_list_value_is_a_parse_error(path, key):
+    with pytest.raises(ParseError, match=f"'{key}' of .* must be a list"):
+        parse_diagram(_with_number_at(path, key))
+
+
+@pytest.mark.parametrize("path, key", LIST_VALUED, ids=[_list_valued_id(c) for c in LIST_VALUED])
+def test_cli_rejects_non_list_value_with_exit_2(path, key, tmp_path):
+    model = tmp_path / "model.bpdmn.json"
+    model.write_text(_with_number_at(path, key), encoding="utf-8")
+    result = CliRunner().invoke(main, ["validate", str(model)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "must be a list" in result.output and "Traceback" not in result.output

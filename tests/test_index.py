@@ -6,16 +6,34 @@ used before the views were built once into :class:`bpdmn.model.DiagramIndex`.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from bpdmn import simulator, validator
+from bpdmn.expr import parse_expr
 from bpdmn.format import parse_diagram, serialize_diagram
 from bpdmn.model import (
+    CopyRule,
+    DataMapping,
+    DataObject,
+    DataStore,
     Diagram,
+    Effect,
+    Entity,
     LinkKind,
+    MessageFlow,
+    Node,
     NodeIO,
     NotFoundError,
+    ObjectAttachment,
     ObjectLink,
+    Pool,
+    SequenceFlow,
+    StoreInsert,
+    StoreRead,
+    TaskBehavior,
+    Variable,
     node_inputs,
     node_outputs,
     object_sources,
@@ -29,10 +47,83 @@ from randgen import random_diagram
 
 FIXTURE_PATHS = sorted(p.relative_to(FIXTURES).as_posix() for p in FIXTURES.rglob("*.bpdmn.json"))
 RANDOM_SEEDS = range(60)
-DIAGRAMS = [
-    pytest.param(parse_diagram((FIXTURES / relpath).read_text(encoding="utf-8")), id=relpath)
-    for relpath in FIXTURE_PATHS
-] + [pytest.param(random_diagram(seed), id=f"random{seed}") for seed in RANDOM_SEEDS]
+
+
+def _fork(w_out=(), **diagram_parts) -> Diagram:
+    """One pool: s -> g (parallel split) -> n, which waits for object W, and
+    g -> w -> e1 (carrying the attachments *w_out*); n -> e2. The firing of w
+    is what makes W available."""
+    nodes = [
+        Node("s", "s", "start_event_none"),
+        Node("g", "g", "gateway_parallel"),
+        Node("n", "n", "task"),
+        Node("w", "w", "task"),
+        Node("e1", "e1", "end_event"),
+        Node("e2", "e2", "end_event"),
+    ]
+    flows = [
+        SequenceFlow("f1", "s", "g"),
+        SequenceFlow("f2", "g", "n", [ObjectAttachment("W", "input")]),
+        SequenceFlow("f3", "g", "w"),
+        SequenceFlow("f4", "w", "e1", list(w_out)),
+        SequenceFlow("f5", "n", "e2"),
+    ]
+    objects = [DataObject(o, o, variables=[Variable("v", "number")]) for o in ("W", "S")]
+    return Diagram("fork", pools=[Pool("P", "P", nodes, flows)], objects=objects, **diagram_parts)
+
+
+def watch_cases() -> list:
+    """Diagrams in which a single rule of the incremental re-check is what
+    notices that a waiting node became enabled."""
+    one = parse_expr("1")
+    message_start = Diagram(
+        "message_start",
+        pools=[
+            Pool(
+                "P1",
+                "P1",
+                [Node("s1", "s1", "start_event_none"), Node("a", "a", "task"), Node("e1", "e1", "end_event")],
+                [SequenceFlow("f1", "s1", "a"), SequenceFlow("f2", "a", "e1")],
+            ),
+            Pool(
+                "P2",
+                "P2",
+                [Node("s2", "s2", "start_event_message"), Node("b", "b", "task"), Node("e2", "e2", "end_event")],
+                [SequenceFlow("f3", "s2", "b"), SequenceFlow("f4", "b", "e2")],
+            ),
+        ],
+        message_flows=[MessageFlow("m1", "a", "s2")],
+    )
+    mapped = _fork(
+        w_out=[ObjectAttachment("S", "output")],
+        mappings=[DataMapping("map", "S", "W", [CopyRule(parse_expr("S.v"), "v")])],
+        behaviors={"w": TaskBehavior(effects=[Effect("S", "v", one)])},
+    )
+    effect = _fork(behaviors={"w": TaskBehavior(effects=[Effect("W", "v", one)])})
+    store = DataStore("D", "D", entities=[Entity("E", [Variable("v", "number")])])
+    read = _fork(
+        stores=[store],
+        behaviors={
+            "g": TaskBehavior(store_actions=[StoreInsert("D", "E", {"v": one})]),
+            "w": TaskBehavior(store_actions=[StoreRead("D", "E", "W")]),
+        },
+    )
+    return [
+        pytest.param(message_start, id="watch-message-to-pending-start"),
+        pytest.param(mapped, id="watch-mapping-source"),
+        pytest.param(effect, id="watch-effect-target"),
+        pytest.param(read, id="watch-store-read-object"),
+    ]
+
+
+DIAGRAMS = (
+    [
+        pytest.param(parse_diagram((FIXTURES / relpath).read_text(encoding="utf-8")), id=relpath)
+        for relpath in FIXTURE_PATHS
+    ]
+    + [pytest.param(random_diagram(seed), id=f"random{seed}") for seed in RANDOM_SEEDS]
+    + watch_cases()
+)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +298,11 @@ def ref_consumers(d: Diagram, object_id: str) -> list[str]:
     ]
 
 
+def ref_mappings_into(d: Diagram, node_id: str) -> list:
+    input_objects = {io.object for io in ref_node_inputs(d, node_id)}
+    return [m for m in sorted(d.mappings, key=lambda m: m.id) if m.target_object in input_objects]
+
+
 def ref_enabled(state, d: Diagram, behaviors) -> set[str]:
     """The enablement rule applied to every node of the diagram."""
     ready = set()
@@ -252,6 +348,9 @@ def test_views_equal_scan_references(diagram):
         assert diagram.object(ident) is ref_object(diagram, ident)
         assert node_inputs(diagram, ident) == ref_node_inputs(diagram, ident)
         assert node_outputs(diagram, ident) == ref_node_outputs(diagram, ident)
+        assert diagram.index.mappings_into(ident) == ref_mappings_into(diagram, ident)
+        assert diagram.index.message_in.get(ident, []) == [f for f in diagram.message_flows if f.target == ident]
+        assert diagram.index.message_out.get(ident, []) == [f for f in diagram.message_flows if f.source == ident]
     for object_id in object_ids:
         assert object_sources(diagram, object_id) == ref_object_sources(diagram, object_id)
         assert object_targets(diagram, object_id) == ref_object_targets(diagram, object_id)
@@ -290,22 +389,34 @@ def test_index_is_built_on_first_use_only():
 
 
 # ---------------------------------------------------------------------------
-# Candidate-only enablement
+# Candidate-only and incremental enablement
 
 
 @pytest.mark.parametrize("diagram", DIAGRAMS)
 def test_enabled_equals_all_nodes_reference(diagram, monkeypatch):
-    original = simulator.enabled
+    """`enabled()` gives a run its first enabled set; after each firing the
+    run re-checks only the affected nodes. Both must equal the rule applied
+    to every node, at every step."""
+    original_enabled = simulator.enabled
+    original_recheck = simulator._recheck
     checked = []
 
-    def enabled_checked(state, d, behaviors=None):
-        ready = original(state, d, behaviors)
+    def check(ready, state, d, behaviors):
         expected = ref_enabled(state, d, d.behaviors if behaviors is None else behaviors)
         assert ready == expected, f"step {state.step_count}"
         checked.append(state.step_count)
+
+    def enabled_checked(state, d, behaviors=None):
+        ready = original_enabled(state, d, behaviors)
+        check(ready, state, d, behaviors)
         return ready
 
+    def recheck_checked(ready, state, d, behaviors, node_ids):
+        original_recheck(ready, state, d, behaviors, node_ids)
+        check(ready, state, d, behaviors)
+
     monkeypatch.setattr(simulator, "enabled", enabled_checked)
+    monkeypatch.setattr(simulator, "_recheck", recheck_checked)
     try:
         simulator.init(diagram)
     except simulator.InitializationError:
@@ -316,3 +427,34 @@ def test_enabled_equals_all_nodes_reference(diagram, monkeypatch):
         except simulator.SimulationError:
             pass  # a failing guard ends the run; every earlier step was checked
     assert checked
+
+
+@pytest.mark.parametrize("diagram", DIAGRAMS)
+def test_step_accepts_exactly_the_enabled_nodes(diagram, monkeypatch):
+    """`step(choose=X)` checks only X; at every transition of the oracle it
+    must accept exactly the nodes `enabled()` returns."""
+    original_step = simulator.step
+    candidates = [n.id for n in diagram.iter_nodes()] + ["no-such-node"]
+    checked = []
+
+    def step_checked(state, d, behaviors=None, choose=None):
+        accepted = set()
+        for node_id in candidates:
+            try:
+                original_step(copy.deepcopy(state), d, behaviors, choose=node_id)
+            except simulator.SimulationError as exc:
+                if str(exc) in (f"node {node_id} is not enabled", "no node is enabled"):
+                    continue  # refused before anything changed
+            accepted.add(node_id)
+        assert accepted == simulator.enabled(state, d, behaviors), f"step {state.step_count}"
+        checked.append(state.step_count)
+        return original_step(state, d, behaviors, choose=choose)
+
+    monkeypatch.setattr(simulator, "step", step_checked)
+    try:
+        simulator.explore_interleavings(diagram)
+    except simulator.InitializationError:
+        pytest.skip("the diagram cannot start without further start inputs")
+    except simulator.SimulationError:
+        pass  # a failing guard ends the exploration; earlier transitions were checked
+    assert checked or not simulator.enabled(simulator.init(diagram), diagram)

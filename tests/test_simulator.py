@@ -242,3 +242,56 @@ def test_enablement_uses_the_passed_behaviors():
 def test_unknown_policy_is_rejected(travel):
     with pytest.raises(ValueError, match="bogus"):
         run(travel, policy="bogus")
+
+
+def test_state_built_from_bindings_is_seen_by_guards_and_filters():
+    # the expression environment of a state made by a caller comes from the
+    # bindings it was given: the filter of r and the guard of gw read X.v
+    from bpdmn.expr import parse_expr
+    from bpdmn.model import (
+        DataObject,
+        DataStore,
+        Entity,
+        ExplicitDataFlow,
+        StoreRead,
+        TaskBehavior,
+        Variable,
+    )
+    from bpdmn.simulator import ExecutionState
+
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[
+            Node("s", "Start", "start_event_none"),
+            Node("r", "Read", "task"),
+            Node("gw", "Route", "gateway_exclusive_data"),
+            Node("e1", "E1", "end_event"),
+            Node("e2", "E2", "end_event"),
+            Node("e3", "E3", "end_event"),
+        ],
+        sequence_flows=[
+            SequenceFlow("fr", "s", "r"),
+            SequenceFlow("fg", "s", "gw"),
+            SequenceFlow("f_two", "gw", "e1", guard=parse_expr("X.v = 2")),
+            SequenceFlow("f_else", "gw", "e2"),
+            SequenceFlow("fe", "r", "e3"),
+        ],
+        explicit_data_flows=[ExplicitDataFlow("dr", "st", "r", "Y")],
+    )
+    diagram = Diagram(
+        "d",
+        pools=[pool],
+        stores=[DataStore("st", "St", entities=[Entity("E", [Variable("v", "number")])])],
+        objects=[DataObject(o, o, variables=[Variable("v", "number")]) for o in ("X", "Y")],
+        behaviors={"r": TaskBehavior(store_actions=[StoreRead("st", "E", "Y", parse_expr("E.v = X.v"))])},
+    )
+    for value, matches, route in [(2, True, "f_two"), (3, False, "f_else")]:
+        state = ExecutionState(
+            tokens={"fr": 1, "fg": 1},
+            bindings={"X": {"v": value}},
+            stores={"st": [{"__entity__": "E", "E.v": 2}]},
+        )
+        assert ("r" in enabled(state, diagram)) is matches
+        state, _ = step(state, diagram, choose="gw")
+        assert route in state.tokens
