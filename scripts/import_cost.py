@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Where the time of a cold ``bpdmn`` call goes: a profile of module loading.
+
+For each subcommand it runs a fresh ``python -X importtime -m bpdmn.cli
+<command> MODEL`` a few times and prints, as medians over the runs, the
+process's wall time, the ``bpdmn`` modules it loaded with each one's self and
+cumulative import time, and the cumulative import time of ``click``. The
+first line is the interpreter's own baseline, ``python -X importtime -c
+pass``. ``bpdmn.cli`` runs as ``__main__``, so it is compiled outside the
+import timer and shows only in the wall time.
+
+The script runs the ``bpdmn`` of the checkout it sits in; stdlib only::
+
+    python3 scripts/import_cost.py [MODEL]     # default fixtures/travel.bpdmn.json
+
+Times include compiling each module from source unless the interpreter finds
+(or may write) cached bytecode, so they depend on ``PYTHONDONTWRITEBYTECODE``
+and on any ``__pycache__`` directories present.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import statistics
+import subprocess
+import sys
+from collections import defaultdict
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNS = 5
+COMMANDS = (
+    ("validate",),
+    ("translate", "--to", "bpel"),
+    ("translate", "--to", "xpdl"),
+    ("simulate",),
+    ("patterns",),
+    ("render",),
+)
+
+
+def _run(args: list[str]) -> tuple[float, dict[str, tuple[int, int]]]:
+    """Wall time in ms and {module: (self us, cumulative us)} of one process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    start = perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
+    )
+    wall = (perf_counter() - start) * 1e3
+    times = {}
+    for line in proc.stderr.splitlines():
+        if not line.startswith("import time:"):
+            continue
+        self_us, cumulative_us, name = line[len("import time:") :].split("|")
+        if self_us.strip().isdigit():  # skip the header
+            times[name.strip()] = (int(self_us), int(cumulative_us))
+    return wall, times
+
+
+def profile(args: list[str]) -> tuple[float, dict[str, tuple[float, float]]]:
+    """Median wall time and per-module (self, cumulative) ms over RUNS runs."""
+    walls = []
+    samples: dict[str, list[tuple[int, int]]] = defaultdict(list)
+    for _ in range(RUNS):
+        wall, times = _run(args)
+        walls.append(wall)
+        for name, pair in times.items():
+            samples[name].append(pair)
+    modules = {
+        name: (statistics.median(s for s, _ in pairs) / 1e3, statistics.median(c for _, c in pairs) / 1e3)
+        for name, pairs in samples.items()
+    }
+    return statistics.median(walls), modules
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("model", nargs="?", default=str(ROOT / "fixtures" / "travel.bpdmn.json"))
+    model = parser.parse_args().model
+
+    wall, modules = profile(["-c", "pass"])
+    total = sum(s for s, _ in modules.values())
+    print(f"baseline `-c pass`: process {wall:.1f} ms, {len(modules)} modules, self import total {total:.1f} ms")
+    for command in COMMANDS:
+        wall, modules = profile(["-m", "bpdmn.cli", command[0], model, *command[1:]])
+        ours = sorted(name for name in modules if name.split(".")[0] == "bpdmn")
+        print(f"\n== {' '.join(command)}: process {wall:.1f} ms, {len(ours)} bpdmn modules")
+        print(f"  {'module':24s} {'self ms':>9s} {'cumulative ms':>14s}")
+        for name in ours:
+            self_ms, cumulative_ms = modules[name]
+            print(f"  {name:24s} {self_ms:9.2f} {cumulative_ms:14.2f}")
+        if "click" in modules:
+            print(f"  {'click':24s} {'':9s} {modules['click'][1]:14.2f}")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,7 +3,8 @@
 Subcommands: ``validate``, ``translate``, ``simulate``, ``patterns``,
 ``render``. Exit codes: 0 success, 1 model error (validation failures,
 generation refusals), 2 I/O or parse error, 3 simulated run deadlocked,
-4 step limit reached.
+4 step limit reached. Each subcommand imports the layer it runs when it
+runs, so a call loads only ``format``, ``validator`` and its own layer.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from . import codegen_bpel, codegen_xpdl, format as fmt, patterns, render as render_mod, simulator, validator
+from . import format as fmt, validator
 
 EXIT_OK = 0
 EXIT_MODEL = 1
@@ -88,8 +89,15 @@ def validate(model_file: str, as_json: bool) -> None:
 @click.option("-o", "--output", type=click.Path(), default=None, help="Output file (default stdout).")
 def translate(model_file: str, target: str, output: str | None) -> None:
     """Translate a valid model to a BPEL or XPDL fragment."""
+    from . import codegen_bpel
+
     diagram = _load(model_file)
-    generator = codegen_bpel.to_bpel if target == "bpel" else codegen_xpdl.to_xpdl
+    if target == "bpel":
+        generator = codegen_bpel.to_bpel
+    else:
+        from . import codegen_xpdl
+
+        generator = codegen_xpdl.to_xpdl
     try:
         text, warnings = generator(diagram)
     except codegen_bpel.GenerationError as exc:
@@ -123,6 +131,8 @@ def simulate(
     as_json: bool,
 ) -> None:
     """Execute a model under data-aware enablement and print the trace."""
+    from . import simulator
+
     diagram = _load(model_file)
     diagnostics = validator.validate(diagram)
     if validator.has_errors(diagnostics):
@@ -183,6 +193,8 @@ def simulate(
 @click.option("--json", "as_json", is_flag=True, help="Emit results as JSON.")
 def patterns_cmd(model_file: str | None, show_matrix: bool, as_json: bool) -> None:
     """Report which capability-matrix rows a model exercises."""
+    from . import patterns
+
     if show_matrix:
         if as_json:
             matrix = {
@@ -228,8 +240,10 @@ def patterns_cmd(model_file: str | None, show_matrix: bool, as_json: bool) -> No
 @click.option("-o", "--output", type=click.Path(), default=None, help="Output file (default stdout).")
 def render_cmd(model_file: str, hide_data: bool, output: str | None) -> None:
     """Emit a Graphviz dot drawing of the model."""
+    from . import render
+
     diagram = _load(model_file)
-    _write_out(render_mod.to_dot(diagram, hide_data=hide_data), output)
+    _write_out(render.to_dot(diagram, hide_data=hide_data), output)
     sys.exit(EXIT_OK)
 
 

@@ -120,6 +120,14 @@ def parse_diagram(text: str, strict: bool = True) -> model.Diagram:
 def parse_diagram_with_warnings(
     text: str, strict: bool = True
 ) -> tuple[model.Diagram, list[ParseDiagnostic]]:
+    # decoding and reading recurse once per nesting level
+    try:
+        return _parse(text, strict)
+    except RecursionError:
+        raise ParseError([ParseDiagnostic(SourceSpan(1, 1), "document nested too deeply")]) from None
+
+
+def _parse(text: str, strict: bool) -> tuple[model.Diagram, list[ParseDiagnostic]]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -460,8 +468,12 @@ def _read_behaviors(reader: _Reader, data: object) -> dict[str, model.TaskBehavi
                 continue
             action = item.get("action")
             if action == "insert":
+                raw = item.get("assignments", {})
+                if not isinstance(raw, dict):
+                    reader.fail(f"'assignments' of insert of {node_id} must be an object", near=node_id)
+                    raw = {}
                 assignments = {}
-                for fname, etext in item.get("assignments", {}).items():
+                for fname, etext in raw.items():
                     expr = reader.expr(etext, f"insert of {node_id}")
                     if expr is not None:
                         assignments[str(fname)] = expr
@@ -482,9 +494,12 @@ def _read_behaviors(reader: _Reader, data: object) -> dict[str, model.TaskBehavi
                 )
             else:
                 reader.fail(f"unknown store action {action!r} in behavior of {node_id}", near=node_id)
-        out[str(node_id)] = model.TaskBehavior(
-            effects=effects, store_actions=actions, instances=int(spec.get("instances", 1))
-        )
+        try:
+            instances = int(spec.get("instances", 1))
+        except (TypeError, ValueError, OverflowError):
+            reader.fail(f"'instances' of behavior of {node_id} must be an integer", near=node_id)
+            continue
+        out[str(node_id)] = model.TaskBehavior(effects=effects, store_actions=actions, instances=instances)
     return out
 
 

@@ -759,8 +759,12 @@ def explore_interleavings(
         behaviors = diagram.behaviors
     results: set[frozenset[str]] = set()
     seen: set = set()
+    # depth first with an explicit stack, so a path may be longer than the
+    # recursion limit; a frame holds a state, its fired set and the choices
+    # not yet taken, smallest last so that pop() takes it first
+    stack: list[tuple[ExecutionState, frozenset[str], list[str]]] = []
 
-    def explore(state: ExecutionState, fired: frozenset[str]) -> None:
+    def visit(state: ExecutionState, fired: frozenset[str]) -> None:
         key = (_freeze_state(state), fired)
         if key in seen:
             return
@@ -769,14 +773,18 @@ def explore_interleavings(
         if not ready or state.step_count >= max_steps:
             results.add(fired)
             return
-        *others, last = sorted(ready)
-        for choice in others:
-            clone, _ = step(_clone(state), diagram, behaviors, choose=choice)
-            explore(clone, fired | {choice})
-        # nothing reads this state after its last firing: fire it in place,
-        # so a path without choices keeps one state alive, not one per step
-        state, _ = step(state, diagram, behaviors, choose=last)
-        explore(state, fired | {last})
+        stack.append((state, fired, sorted(ready, reverse=True)))
 
-    explore(init(diagram, behaviors, start_inputs), frozenset())
+    visit(init(diagram, behaviors, start_inputs), frozenset())
+    while stack:
+        state, fired, choices = stack[-1]
+        choice = choices.pop()
+        if choices:
+            child, _ = step(_clone(state), diagram, behaviors, choose=choice)
+        else:
+            # nothing reads this state after its last firing: fire it in place,
+            # so a path without choices keeps one state alive, not one per step
+            stack.pop()
+            child, _ = step(state, diagram, behaviors, choose=choice)
+        visit(child, fired | {choice})
     return results

@@ -1,0 +1,93 @@
+"""What a fresh process loads: the CLI imports only ``format``, ``validator``
+and the layer of the subcommand it runs, and ``import bpdmn`` loads the
+other layers on first attribute access."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from conftest import FIXTURES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+BASE = {"bpdmn", "bpdmn.cli", "bpdmn.expr", "bpdmn.format", "bpdmn.model", "bpdmn.validator"}
+
+# prints [exit code, loaded bpdmn modules] after running the CLI on argv
+CLI_PROBE = """
+import contextlib, io, json, sys
+from bpdmn.cli import main
+code = None
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main(args=sys.argv[1:], prog_name="bpdmn")
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bpdmn")]))
+"""
+
+
+def _python(code: str, *args: str):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_importing_the_cli_loads_no_layer():
+    loaded = _python(
+        "import json, sys, bpdmn.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'bpdmn')))"
+    )
+    assert set(loaded) == BASE
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["validate"], set()),
+        (["translate", "--to", "bpel"], {"codegen_bpel"}),
+        (["translate", "--to", "xpdl"], {"codegen_bpel", "codegen_xpdl"}),
+        (["simulate"], {"simulator"}),
+        (["patterns"], {"patterns"}),
+        (["render"], {"render"}),
+    ],
+    ids=["validate", "translate-bpel", "translate-xpdl", "simulate", "patterns", "render"],
+)
+def test_each_subcommand_loads_only_its_layer(argv, layers):
+    code, loaded = _python(CLI_PROBE, argv[0], str(FIXTURES / "travel.bpdmn.json"), *argv[1:])
+    assert code == 0
+    assert set(loaded) == BASE | {f"bpdmn.{layer}" for layer in layers}
+
+
+def test_layers_load_on_first_access():
+    resolved = _python(
+        """
+import json, sys
+import bpdmn
+before = sorted(m for m in sys.modules if m.split(".")[0] == "bpdmn")
+names = [
+    bpdmn.simulator.run.__name__,
+    bpdmn.patterns.analyze.__name__,
+    bpdmn.render.to_dot.__name__,
+    bpdmn.codegen_bpel.to_bpel.__name__,
+    bpdmn.codegen_xpdl.to_xpdl.__name__,
+]
+try:
+    bpdmn.nope
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps([before, names, missing]))
+"""
+    )
+    before, names, missing = resolved
+    assert set(before) == BASE - {"bpdmn.cli"}
+    assert names == ["run", "analyze", "to_dot", "to_bpel", "to_xpdl"]
+    assert missing == "module 'bpdmn' has no attribute 'nope'"

@@ -205,3 +205,60 @@ def test_cli_rejects_non_list_value_with_exit_2(path, key, tmp_path):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert "must be a list" in result.output and "Traceback" not in result.output
+
+
+def _nested_document(depth: int) -> str:
+    """A document whose one node is *depth* sub-processes deep; written as
+    text, because encoding it with `json` would recurse as deep."""
+    head = "".join(f'{{"id": "n{i}", "name": "n", "kind": "sub_process", "children": [' for i in range(depth))
+    node = head + '{"id": "leaf", "name": "leaf", "kind": "task"}' + "]}" * depth
+    doc = _document()
+    doc["pools"][0]["nodes"].append({"id": "@"})
+    return json.dumps(doc).replace('{"id": "@"}', node)
+
+
+# (description, edit of the document, expected message)
+BAD_VALUES = [
+    ("instances-abc", lambda d: d["behaviors"]["sp"].update(instances="abc"), "'instances' of behavior of sp must be an integer"),
+    ("instances-list", lambda d: d["behaviors"]["sp"].update(instances=[1]), "'instances' of behavior of sp must be an integer"),
+    (
+        "assignments-list",
+        lambda d: d["behaviors"]["sp"]["store_actions"].append(
+            {"action": "insert", "store": "st", "entity": "E", "assignments": [1]}
+        ),
+        "'assignments' of insert of sp must be an object",
+    ),
+]
+
+
+def _bad_document(edit) -> str:
+    doc = _document()
+    edit(doc)
+    return json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize("edit, message", [c[1:] for c in BAD_VALUES], ids=[c[0] for c in BAD_VALUES])
+def test_bad_behavior_value_is_a_parse_error(edit, message):
+    with pytest.raises(ParseError, match=message):
+        parse_diagram(_bad_document(edit))
+
+
+@pytest.mark.parametrize("depth", [400, 900])
+def test_deep_nesting_is_a_parse_error(depth):
+    parse_diagram(_nested_document(20))
+    with pytest.raises(ParseError, match="document nested too deeply"):
+        parse_diagram(_nested_document(depth))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [(_bad_document(c[1]), c[2]) for c in BAD_VALUES] + [(_nested_document(900), "document nested too deeply")],
+    ids=[c[0] for c in BAD_VALUES] + ["nested-900"],
+)
+def test_cli_rejects_bad_document_with_exit_2(text, message, tmp_path):
+    model = tmp_path / "model.bpdmn.json"
+    model.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["validate", str(model)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output and "Traceback" not in result.output

@@ -458,3 +458,79 @@ def test_step_accepts_exactly_the_enabled_nodes(diagram, monkeypatch):
     except simulator.SimulationError:
         pass  # a failing guard ends the exploration; earlier transitions were checked
     assert checked or not simulator.enabled(simulator.init(diagram), diagram)
+
+
+# ---------------------------------------------------------------------------
+# Iterative oracle
+
+
+def ref_explore(d: Diagram, max_steps: int = 50) -> set[frozenset[str]]:
+    """The recursive depth-first search the oracle made before it kept its
+    own stack: one `enabled()` per new state, one `step()` per transition."""
+    behaviors = d.behaviors
+    results: set[frozenset[str]] = set()
+    seen: set = set()
+
+    def explore(state, fired: frozenset[str]) -> None:
+        key = (simulator._freeze_state(state), fired)
+        if key in seen:
+            return
+        seen.add(key)
+        ready = simulator.enabled(state, d, behaviors)
+        if not ready or state.step_count >= max_steps:
+            results.add(fired)
+            return
+        for choice in sorted(ready):
+            child, _ = simulator.step(simulator._clone(state), d, behaviors, choose=choice)
+            explore(child, fired | {choice})
+
+    explore(simulator.init(d, behaviors), frozenset())
+    return results
+
+
+@pytest.mark.parametrize("diagram", DIAGRAMS)
+def test_oracle_equals_recursive_reference(diagram, monkeypatch):
+    """Same outcome set, and the same `enabled()` and `step()` calls in the
+    same order, so the oracle's state and transition counts are unchanged."""
+    calls: list = []
+    original_enabled, original_step = simulator.enabled, simulator.step
+
+    def enabled_logged(state, d, behaviors=None):
+        calls.append(("enabled", state.step_count))
+        return original_enabled(state, d, behaviors)
+
+    def step_logged(state, d, behaviors=None, choose=None):
+        calls.append(("step", state.step_count, choose))
+        return original_step(state, d, behaviors, choose=choose)
+
+    monkeypatch.setattr(simulator, "enabled", enabled_logged)
+    monkeypatch.setattr(simulator, "step", step_logged)
+
+    def outcome(explore):
+        calls.clear()
+        try:
+            result = explore(diagram)
+        except simulator.InitializationError:
+            pytest.skip("the diagram cannot start without further start inputs")
+        except simulator.SimulationError as exc:
+            result = repr(exc)  # a failing guard ends both searches alike
+        return result, list(calls)
+
+    assert outcome(simulator.explore_interleavings) == outcome(ref_explore)
+
+
+def test_oracle_explores_a_chain_longer_than_the_recursion_limit():
+    import sys
+
+    n = sys.getrecursionlimit() + 200
+    tasks = [f"t{i}" for i in range(n)]
+    order = ["s", *tasks, "e"]
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[Node("s", "s", "start_event_none"), *(Node(t, t, "task") for t in tasks), Node("e", "e", "end_event")],
+        sequence_flows=[SequenceFlow(f"f{i}", a, b) for i, (a, b) in enumerate(zip(order, order[1:]))],
+    )
+    diagram = Diagram("chain", pools=[pool])
+    # the start event fires in `init`, outside the search
+    assert simulator.explore_interleavings(diagram, max_steps=n + 1) == {frozenset(order[1:])}
