@@ -15,7 +15,7 @@ from pathlib import Path
 
 import click
 
-from . import format as fmt, validator
+from . import __version__, format as fmt, validator
 
 EXIT_OK = 0
 EXIT_MODEL = 1
@@ -47,7 +47,7 @@ def _write_out(text: str, output: str | None) -> None:
 
 
 @click.group()
-@click.version_option(package_name="bpdmn")
+@click.version_option(__version__)
 def main() -> None:
     """Tooling for data-extended BPMN models: validation, pattern analysis,
     translation to BPEL and XPDL, and simulation."""

@@ -8,7 +8,10 @@ skeleton maps linear chains to ``sequence``, parallel gateway regions to
 
 Partner links, port types and WSDL definitions are emitted as fixed
 placeholders; they carry no data semantics. Objects attached to message
-flows have no BPEL counterpart and are skipped with a warning.
+flows have no BPEL counterpart and are skipped with a warning, and so is any
+task or sub-process the control skeleton does not reach.
+
+The text comes from :func:`xml_text`, the writer both translators share.
 """
 
 from __future__ import annotations
@@ -26,6 +29,66 @@ PLACEHOLDER_PORT_TYPE = "portTypePlaceholder"
 
 class GenerationError(Exception):
     """A translator (BPEL or XPDL) refused the diagram."""
+
+
+def xml_text(root: ET.Element) -> str:
+    """The document text of a translator's tree: an XML declaration, then the
+    tree with two-space indentation and a final newline.
+
+    Written in one pass over the tree, byte for byte what ``ET.indent`` and
+    ``ET.tostring`` give for the trees the translators build: plain tags,
+    comments, and elements that have either text or children, never both
+    (and no tails). Attributes keep their insertion order.
+    """
+    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n']
+    _write_element(root, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write_element(elem: ET.Element, newline: str, parts: list[str]) -> None:
+    tag = elem.tag
+    if tag is ET.Comment:
+        parts.append(f"<!--{elem.text}-->")
+        return
+    parts.append("<" + tag)
+    for key, value in elem.items():
+        parts.append(f' {key}="{_escape_attribute(value)}"')
+    if len(elem):
+        parts.append(">")
+        inner = newline + "  "
+        for child in elem:
+            parts.append(inner)
+            _write_element(child, inner, parts)
+        parts.append(f"{newline}</{tag}>")
+    elif elem.text:
+        parts.append(f">{_escape_text(elem.text)}</{tag}>")
+    else:
+        parts.append(" />")
+
+
+def _escape_text(text: str) -> str:
+    if "&" in text:
+        text = text.replace("&", "&amp;")
+    if "<" in text:
+        text = text.replace("<", "&lt;")
+    if ">" in text:
+        text = text.replace(">", "&gt;")
+    return text
+
+
+def _escape_attribute(text: str) -> str:
+    text = _escape_text(text)
+    if '"' in text:
+        text = text.replace('"', "&quot;")
+    # line ends and tabs inside a value would be normalised away by a parser
+    if "\r" in text:
+        text = text.replace("\r", "&#13;")
+    if "\n" in text:
+        text = text.replace("\n", "&#10;")
+    if "\t" in text:
+        text = text.replace("\t", "&#09;")
+    return text
 
 
 def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
@@ -73,9 +136,7 @@ def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
                 " matching variable scope, emitted at process level"
             )
 
-    ET.indent(process, space="  ")
-    text = ET.tostring(process, encoding="unicode", xml_declaration=False)
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + text + "\n", warnings
+    return xml_text(process), warnings
 
 
 def _emit_variables(diagram: Diagram, process: ET.Element, warnings: list[str]) -> None:
@@ -300,12 +361,12 @@ class _SkeletonBuilder:
                     seq.extend(branch)
                     flow_el.append(seq)
                 elements.append(flow_el)
-                if join is not None:
+                if join is not None and self.diagram.node(join).kind.startswith("gateway_"):
                     self.emitted.add(join)  # the join gateway itself emits nothing
                     joins = _successors(self.diagram, join)
                     current = joins[0].target if joins else None
                 else:
-                    current = None
+                    current = join  # any other join is rendered after the flow
                 continue
             if node.kind == "gateway_exclusive_data":
                 elements.append(self.render_exclusive(node))
@@ -357,4 +418,10 @@ def _emit_pool(diagram: Diagram, pool, warnings: list[str]) -> ET.Element | None
     seq = ET.Element("sequence")
     for start in starts:
         seq.extend(builder.render_chain(start.id, None))
+    for node in pool.nodes:
+        if node.kind in ("task", "sub_process") and node.id not in builder.emitted:
+            warnings.append(
+                f"{node.kind.replace('_', '-')} {node.id} of pool {pool.id} is not reached"
+                " by the BPEL control skeleton; skipped"
+            )
     return seq

@@ -8,7 +8,8 @@ message-flow objects map to ``Message`` elements. Unlike BPEL, no data
 construct is lost in the translation.
 
 Each task references a placeholder ``TaskApplication``; applications proper
-are outside the scope of the generated fragment.
+are outside the scope of the generated fragment. The text comes from
+:func:`bpdmn.codegen_bpel.xml_text`, the writer both translators share.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from . import validator
-from .codegen_bpel import GenerationError  # one class for both translators, importable from either
+# GenerationError: one class for both translators, importable from either
+from .codegen_bpel import GenerationError, xml_text
 from .expr import print_expr
 from .model import DataStore, Diagram, Node, node_inputs, node_outputs
 
@@ -85,9 +87,7 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
                 cond = ET.SubElement(tr, "Condition", {"Type": "CONDITION"})
                 cond.text = print_expr(flow.guard)
 
-    ET.indent(package, space="  ")
-    text = ET.tostring(package, encoding="unicode", xml_declaration=False)
-    return '<?xml version="1.0" encoding="UTF-8"?>\n' + text + "\n", warnings
+    return xml_text(package), warnings
 
 
 def _emit_store_fields(parent: ET.Element, store: DataStore) -> None:

@@ -146,6 +146,9 @@ def _parse(text: str, strict: bool) -> tuple[model.Diagram, list[ParseDiagnostic
     version = data.get("bpdmn")
     if version != FORMAT_VERSION:
         reader.fail(f"unsupported or missing format version {version!r}")
+    diagram_id = data.get("id", "diagram")
+    if not isinstance(diagram_id, str):
+        reader.fail("'id' of document must be a string", near="id")
 
     pools = [_read_pool(reader, p) for p in _as_list(reader, data, "pools")]
     stores = [_read_store(reader, s) for s in _as_list(reader, data, "stores")]
@@ -160,7 +163,7 @@ def _parse(text: str, strict: bool) -> tuple[model.Diagram, list[ParseDiagnostic
 
     try:
         diagram = model.Diagram(
-            id=data.get("id", "diagram"),
+            id=diagram_id,
             pools=[p for p in pools if p is not None],
             stores=[s for s in stores if s is not None],
             objects=[o for o in objects if o is not None],

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from bpdmn.cli import main
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fixture_text
 
 
 @pytest.fixture
@@ -134,3 +138,28 @@ def test_render_hide_data(runner):
     assert result.exit_code == 0
     assert result.output.startswith('digraph "travel"')
     assert "cylinder" not in result.output
+
+
+@pytest.mark.parametrize("command", [["validate"], ["translate", "--to", "xpdl"], ["render"]])
+def test_non_string_document_id_exit_2(runner, tmp_path, command):
+    doc = json.loads(fixture_text("travel.bpdmn.json"))
+    doc["id"] = 5
+    model = tmp_path / "travel.bpdmn.json"
+    model.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    result = runner.invoke(main, [command[0], str(model), *command[1:]])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "'id' of document must be a string" in result.output
+
+
+def test_version_from_a_checkout():
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bpdmn.cli", "--version"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "0.1.0" in proc.stdout

@@ -4,7 +4,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from bpdmn import validator
 from bpdmn.codegen_bpel import GenerationError, to_bpel
+from bpdmn.model import Diagram, Node, Pool, SequenceFlow
 
 from conftest import load
 
@@ -107,3 +109,42 @@ def test_message_flow_objects_warn(eco):
 def test_invalid_diagram_is_refused():
     with pytest.raises(GenerationError):
         to_bpel(load("validator/bad_v1.bpdmn.json"))
+
+
+def _one_pool(kinds: dict[str, str], edges: list[tuple[str, str]]) -> Diagram:
+    """One pool whose nodes are the endpoints of *edges*; a node not named in
+    *kinds* is a task."""
+    ids = list(dict.fromkeys(n for edge in edges for n in edge))
+    nodes = [Node(i, i, kinds.get(i, "task")) for i in ids]
+    flows = [SequenceFlow(f"f{k}", a, b) for k, (a, b) in enumerate(edges)]
+    diagram = Diagram("diagram", pools=[Pool("p", "P", nodes, flows)])
+    assert validator.validate(diagram) == []
+    return diagram
+
+
+def test_task_chosen_as_join_follows_the_flow():
+    # a and b join at g2 before d, c goes straight to d: d is the split's join
+    diagram = _one_pool(
+        {"s": "start_event_none", "g1": "gateway_parallel", "g2": "gateway_parallel", "end": "end_event"},
+        [("s", "g1"), ("g1", "a"), ("g1", "b"), ("g1", "c"), ("a", "g2"), ("b", "g2"), ("g2", "d"), ("c", "d"), ("d", "e"), ("e", "end")],
+    )
+    xml, warnings = to_bpel(diagram)
+    root = ET.fromstring(xml)
+    assert len(root.findall(".//invoke[@name='d']")) == 1
+    assert [(child.tag, child.get("name")) for child in root.find("sequence")] == [
+        ("flow", "g1"),
+        ("invoke", "d"),
+        ("invoke", "e"),
+    ]
+    assert warnings == []
+
+
+def test_task_left_out_of_the_skeleton_is_named():
+    # an exclusive gateway renders one default branch; the second is not reached
+    diagram = _one_pool(
+        {"s": "start_event_none", "x": "gateway_exclusive_data", "e1": "end_event", "e2": "end_event"},
+        [("s", "x"), ("x", "a"), ("x", "b"), ("a", "e1"), ("b", "e2")],
+    )
+    xml, warnings = to_bpel(diagram)
+    assert ET.fromstring(xml).find(".//invoke[@name='b']") is None
+    assert warnings == ["task b of pool p is not reached by the BPEL control skeleton; skipped"]

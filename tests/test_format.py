@@ -191,6 +191,14 @@ def test_list_valued_document_parses():
     parse_diagram(json.dumps(_document()))
 
 
+@pytest.mark.parametrize("value", [5, ["x"], None, True])
+def test_non_string_document_id_is_a_parse_error(value):
+    doc = _document()
+    doc["id"] = value
+    with pytest.raises(ParseError, match="'id' of document must be a string"):
+        parse_diagram(json.dumps(doc))
+
+
 @pytest.mark.parametrize("path, key", LIST_VALUED, ids=[_list_valued_id(c) for c in LIST_VALUED])
 def test_non_list_value_is_a_parse_error(path, key):
     with pytest.raises(ParseError, match=f"'{key}' of .* must be a list"):
