@@ -3,11 +3,13 @@
 
 For each model it records the exit code, stdout and stderr of
 ``validate --json``, ``translate --to bpel``, ``translate --to xpdl``,
-``patterns --json``, ``simulate --json`` (default policy, ``--policy random
---seed 3`` and ``--policy random --seed 7``) and ``render``, and the outcome
-set of ``simulator.explore_interleavings``. The models are the committed
-fixtures (or the model files named on the command line) and ``--random N``
-seeded ``tests/randgen.random_diagram`` diagrams.
+``patterns --json``, ``patterns --matrix --json``, ``simulate --json``
+(default policy, ``--policy random --seed 3`` and ``--policy random --seed
+7``) and ``render``, the canonical text ``serialize_diagram`` writes for the
+parsed model, and the outcome set of ``simulator.explore_interleavings``.
+The models are the committed fixtures (or the model files named on the
+command line) and ``--random N`` seeded ``tests/randgen.random_diagram``
+diagrams.
 
 The script imports the ``bpdmn`` of the checkout it sits in, so two checkouts
 can be compared byte for byte::
@@ -44,6 +46,7 @@ COMMANDS = {
     "translate --to bpel": ["translate", "{model}", "--to", "bpel"],
     "translate --to xpdl": ["translate", "{model}", "--to", "xpdl"],
     "patterns --json": ["patterns", "{model}", "--json"],
+    "patterns --matrix --json": ["patterns", "{model}", "--matrix", "--json"],
     "simulate --json": ["simulate", "{model}", "--json"],
     "simulate --json --policy random --seed 3": ["simulate", "{model}", "--json", "--policy", "random", "--seed", "3"],
     "simulate --json --policy random --seed 7": ["simulate", "{model}", "--json", "--policy", "random", "--seed", "7"],
@@ -67,6 +70,13 @@ def _cli_outputs(path: Path, name: str) -> dict:
     return out
 
 
+def _canonical_text(path: Path) -> dict:
+    try:
+        return {"text": serialize_diagram(parse_diagram(path.read_text(encoding="utf-8")))}
+    except ParseError as exc:
+        return {"error": f"ParseError: {exc}"}
+
+
 def _oracle_outcomes(path: Path, max_steps: int) -> dict:
     try:
         diagram = parse_diagram(path.read_text(encoding="utf-8"))
@@ -78,7 +88,11 @@ def _oracle_outcomes(path: Path, max_steps: int) -> dict:
 
 def digest(models: dict[str, Path], oracle_steps: int) -> dict:
     return {
-        name: {**_cli_outputs(path, name), "explore_interleavings": _oracle_outcomes(path, oracle_steps)}
+        name: {
+            **_cli_outputs(path, name),
+            "serialize": _canonical_text(path),
+            "explore_interleavings": _oracle_outcomes(path, oracle_steps),
+        }
         for name, path in models.items()
     }
 

@@ -62,7 +62,7 @@ def validate(model_file: str, as_json: bool) -> None:
     diagnostics = validator.validate(diagram)
     if as_json:
         click.echo(
-            json.dumps(
+            fmt.json_text(
                 [
                     {
                         "rule": d.rule,
@@ -72,7 +72,7 @@ def validate(model_file: str, as_json: bool) -> None:
                     }
                     for d in diagnostics
                 ],
-                indent=2,
+                ensure_ascii=True,
             )
         )
     else:
@@ -167,14 +167,14 @@ def simulate(
 
     if as_json:
         click.echo(
-            json.dumps(
+            fmt.json_text(
                 {
                     "status": result.status,
                     "steps": result.state.step_count,
                     "fired": sorted(result.fired_nodes()),
                     "trace": [str(e) for e in result.trace],
                 },
-                indent=2,
+                ensure_ascii=True,
             )
         )
     else:
@@ -201,7 +201,7 @@ def patterns_cmd(model_file: str | None, show_matrix: bool, as_json: bool) -> No
                 key: {"bpmn": a.value, "bpdmn": b.value}
                 for key, (a, b) in patterns.capability_matrix().items()
             }
-            click.echo(json.dumps(matrix, indent=2))
+            click.echo(fmt.json_text(matrix, ensure_ascii=True))
         else:
             click.echo(patterns.render_matrix(), nl=False)
         if model_file is None:
@@ -215,22 +215,13 @@ def patterns_cmd(model_file: str | None, show_matrix: bool, as_json: bool) -> No
     except patterns.InvalidDiagramError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_MODEL)
+    found = {key: ids for key, ids in sorted(report.ids.items()) if ids}
     if as_json:
-        click.echo(
-            json.dumps(
-                {
-                    key: [sorted(w) for w in witnesses]
-                    for key, witnesses in sorted(report.instances.items())
-                    if witnesses
-                },
-                indent=2,
-            )
-        )
+        click.echo(fmt.json_text(found, ensure_ascii=True))
     else:
-        for key, witnesses in sorted(report.instances.items()):
-            if witnesses:
-                shown = ", ".join("{" + ", ".join(sorted(w)) + "}" for w in witnesses)
-                click.echo(f"{key}: {len(witnesses)} instance(s): {shown}")
+        for key, ids in found.items():
+            shown = ", ".join("{" + ", ".join(w) + "}" for w in ids)
+            click.echo(f"{key}: {len(ids)} instance(s): {shown}")
     sys.exit(EXIT_OK)
 
 

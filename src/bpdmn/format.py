@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring, encode_basestring_ascii
 
 from . import model
-from .expr import ExprError, Expression, parse_expr, print_expr
+from .expr import ExprError, Expression, Value, parse_expr, print_expr
 
 FORMAT_VERSION = "1.0"
 
@@ -85,15 +86,45 @@ class _Reader:
             return None
         return data[key]
 
+    def _wrong_type(self, data: dict, key: str, where: str, expected: str) -> None:
+        ident = data.get("id")
+        self.fail(f"{key!r} of {where} must be {expected}", near=ident if isinstance(ident, str) else key)
+
     def list_of(self, data: dict, key: str, where: str) -> list:
         """The list under *key*, empty when the key is absent. Any other
         value is an error, read as an empty list."""
         value = data.get(key, [])
         if isinstance(value, list):
             return value
-        ident = data.get("id")
-        self.fail(f"{key!r} of {where} must be a list", near=ident if isinstance(ident, str) else key)
+        self._wrong_type(data, key, where, "a list")
         return []
+
+    def string(self, data: dict, key: str, where: str, default: str) -> str:
+        """The string under *key*, *default* when the key is absent. Any
+        other value is an error, read as *default*."""
+        value = data.get(key, default)
+        if isinstance(value, str):
+            return value
+        self._wrong_type(data, key, where, "a string")
+        return default
+
+    def optional_string(self, data: dict, key: str, where: str) -> str | None:
+        """The string under *key*, ``None`` when the key is absent or null.
+        Any other value is an error, read as ``None``."""
+        value = data.get(key)
+        if value is None or isinstance(value, str):
+            return value
+        self._wrong_type(data, key, where, "a string or null")
+        return None
+
+    def scalar(self, data: dict, key: str, where: str) -> Value:
+        """The string, number, boolean or null under *key*. Any other value
+        is an error, read as ``None``."""
+        value = data[key]
+        if value is None or isinstance(value, (str, int, float)):
+            return value
+        self._wrong_type(data, key, where, "a string, number, boolean or null")
+        return None
 
     def expr(self, text: object, where: str) -> Expression | None:
         if not isinstance(text, str):
@@ -220,7 +251,7 @@ def _read_node(reader: _Reader, data: object) -> model.Node | None:
     try:
         return model.Node(
             id=node_id,
-            name=str(data.get("name", node_id)),
+            name=reader.string(data, "name", where, node_id),
             kind=str(reader.require(data, "kind", f"node {node_id}") or "task"),
             children=children,
             local_stores=[str(s) for s in reader.list_of(data, "local_stores", where)],
@@ -285,7 +316,7 @@ def _read_pool(reader: _Reader, data: object) -> model.Pool | None:
             reader.fail(str(exc), near=flow_id)
     return model.Pool(
         id=pool_id,
-        name=str(data.get("name", pool_id)),
+        name=reader.string(data, "name", where, pool_id),
         nodes=nodes,
         sequence_flows=seq_flows,
         explicit_data_flows=data_flows,
@@ -359,8 +390,8 @@ def _read_store(reader: _Reader, data: object) -> model.DataStore | None:
         scope = model.Scope.diagram()
     return model.DataStore(
         id=store_id,
-        name=str(data.get("name", store_id)),
-        icon=str(data.get("icon", "database")),
+        name=reader.string(data, "name", where, store_id),
+        icon=reader.string(data, "icon", where, "database"),
         entities=entities,
         relationships=relationships,
         generalizations=generalizations,
@@ -379,16 +410,17 @@ def _read_object(reader: _Reader, data: object) -> model.DataObject | None:
         "data object",
     )
     object_id = str(reader.require(data, "id", "data object") or "")
+    where = f"object {object_id}"
     try:
         return model.DataObject(
             id=object_id,
-            name=str(data.get("name", object_id)),
-            stereotype=str(data.get("stereotype", "generic")),
+            name=reader.string(data, "name", where, object_id),
+            stereotype=reader.string(data, "stereotype", where, "generic"),
             physicality=str(data.get("physicality", "digital")),
-            variables=_read_variables(reader, data, "variables", f"object {object_id}"),
-            url=data.get("url"),
-            state=data.get("state"),
-            origin_store=data.get("origin_store"),
+            variables=_read_variables(reader, data, "variables", where),
+            url=reader.optional_string(data, "url", where),
+            state=reader.optional_string(data, "state", where),
+            origin_store=reader.optional_string(data, "origin_store", where),
         )
     except model.ModelError as exc:
         reader.fail(str(exc), near=object_id)
@@ -515,7 +547,8 @@ def _read_start_inputs(reader: _Reader, data: object) -> dict[str, dict]:
         if not isinstance(bindings, dict):
             reader.fail(f"start inputs of {obj_id} must be an object", near=obj_id)
             continue
-        out[str(obj_id)] = {str(k): v for k, v in bindings.items()}
+        where = f"start inputs of {obj_id}"
+        out[str(obj_id)] = {str(k): reader.scalar(bindings, k, where) for k in bindings}
     return out
 
 
@@ -544,7 +577,75 @@ def serialize_diagram(diagram: model.Diagram) -> str:
         doc["start_inputs"] = {
             obj: dict(sorted(vals.items())) for obj, vals in sorted(diagram.start_inputs.items())
         }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return json_text(doc, ensure_ascii=False) + "\n"
+
+
+_INF = float("inf")
+
+
+def json_text(value: object, ensure_ascii: bool) -> str:
+    """*value* as ``json.dumps(value, indent=2, ensure_ascii=ensure_ascii)``
+    writes it, in one recursive pass (with ``indent`` set, ``json.dumps``
+    takes its pure-Python encoder). Takes dicts with string keys, lists,
+    tuples, strings, ints, floats, bools and ``None``; raises ``TypeError``
+    on anything else."""
+    parts: list[str] = []
+    _write_json(value, encode_basestring_ascii if ensure_ascii else encode_basestring, "\n", parts)
+    return "".join(parts)
+
+
+def _write_json(value: object, encode, newline: str, parts: list[str]) -> None:
+    if isinstance(value, str):
+        parts.append(encode(value))
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        opening = "{" + inner
+        for key, item in value.items():
+            parts.append(opening)
+            parts.append(encode(key))
+            parts.append(": ")
+            if isinstance(item, str):
+                parts.append(encode(item))
+            else:
+                _write_json(item, encode, inner, parts)
+            opening = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        opening = "[" + inner
+        for item in value:
+            parts.append(opening)
+            if isinstance(item, str):
+                parts.append(encode(item))
+            else:
+                _write_json(item, encode, inner, parts)
+            opening = "," + inner
+        parts.append(newline + "]")
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            parts.append("NaN")
+        elif value == _INF:
+            parts.append("Infinity")
+        elif value == -_INF:
+            parts.append("-Infinity")
+        else:
+            parts.append(float.__repr__(value))
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _attachment_dicts(attachments: list[model.ObjectAttachment]) -> list[dict]:

@@ -8,9 +8,9 @@ well-formedness rules live in :mod:`bpdmn.validator`.
 
 Diagrams must not be mutated after construction: the derived views (lookups
 by id, flows into and out of a node, a node's inputs and outputs, an
-object's sources and targets, reachability) are built once, on first use,
-into a :class:`DiagramIndex` cached on the diagram, and a mutation would
-leave them stale.
+object's sources and targets, a store's readers and writers, reachability)
+are built once, on first use, into a :class:`DiagramIndex` cached on the
+diagram, and a mutation would leave them stale.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ NODE_KINDS = {
 START_KINDS = {"start_event_none", "start_event_message"}
 
 OBJECT_STEREOTYPES = {"generic", "document", "product", "message"}
-STORE_ICONS = {"database", "warehouse", "folder"}
 SCALAR_VTYPES = {"string", "number", "boolean"}
 VTYPES = SCALAR_VTYPES | {"record"}
 
@@ -211,10 +210,6 @@ class DataStore:
     generalizations: list[Generalization] = field(default_factory=list)
     scope: Scope = field(default_factory=Scope.diagram)
     collapsed: bool = False
-
-    @property
-    def custom_icon(self) -> bool:
-        return self.icon not in STORE_ICONS
 
     def entity(self, name: str) -> Entity | None:
         for e in self.entities:
@@ -503,7 +498,7 @@ def resolve_scope(diagram: Diagram, store_id: str) -> set[str]:
     if store is None:
         raise NotFoundError(store_id)
     if store.scope.kind == "diagram":
-        return {n.id for n in diagram.iter_nodes()}
+        return set(diagram.index.nodes)
     root = diagram.node(store.scope.sub_process)
     if root is None:
         return set()
@@ -540,30 +535,12 @@ def node_outputs(diagram: Diagram, node_id: str) -> list[NodeIO]:
 
 def store_readers(diagram: Diagram, store_id: str) -> set[str]:
     """Nodes extracting objects from the store (explicit flows and behaviors)."""
-    readers: set[str] = set()
-    for pool in diagram.pools:
-        for flow in pool.explicit_data_flows:
-            if flow.source == store_id:
-                readers.add(flow.target)
-    for node_id, behavior in diagram.behaviors.items():
-        for action in behavior.store_actions:
-            if isinstance(action, StoreRead) and action.store == store_id:
-                readers.add(node_id)
-    return readers
+    return set(diagram.index.readers.get(store_id, ()))
 
 
 def store_writers(diagram: Diagram, store_id: str) -> set[str]:
     """Nodes inserting objects into the store (explicit flows and behaviors)."""
-    writers: set[str] = set()
-    for pool in diagram.pools:
-        for flow in pool.explicit_data_flows:
-            if flow.target == store_id:
-                writers.add(flow.source)
-    for node_id, behavior in diagram.behaviors.items():
-        for action in behavior.store_actions:
-            if isinstance(action, StoreInsert) and action.store == store_id:
-                writers.add(node_id)
-    return writers
+    return set(diagram.index.writers.get(store_id, ()))
 
 
 def reaches(diagram: Diagram, source: str, target: str) -> bool:
@@ -588,7 +565,7 @@ def reaches(diagram: Diagram, source: str, target: str) -> bool:
 
 class DiagramIndex:
     """The derived views of one diagram, built in a single pass over its
-    pools, sequence flows, explicit data flows and message flows.
+    pools, sequence flows, explicit data flows, behaviors and message flows.
 
     Per-key lists keep the order of a scan over pools in order (each pool's
     sequence flows, then its explicit data flows), then the message flows.
@@ -617,6 +594,10 @@ class DiagramIndex:
         self.uses: Counter[str] = Counter()
         self.external_uses: Counter[str] = Counter()
         self.successors: dict[str, set[str]] = {}  # reaches adjacency
+        # store id -> nodes extracting from it / inserting into it, over
+        # explicit data flows and behaviors
+        self.readers: dict[str, set[str]] = {}
+        self.writers: dict[str, set[str]] = {}
         inputs, outputs, sources, targets = self.inputs, self.outputs, self.sources, self.targets
         stores = self.stores
 
@@ -652,14 +633,21 @@ class DiagramIndex:
                 add(inputs, flow.target, NodeIO(flow.object, flow.optional, flow.id, in_channel))
                 add(outputs, flow.source, NodeIO(flow.object, False, flow.id, out_channel))
                 if from_store:
+                    self.readers.setdefault(flow.source, set()).add(flow.target)
                     add(sources, flow.object, ObjectLink(LinkKind.STORE_EXTRACTION, flow.source, flow.id))
                 elif not to_store:
                     # node-to-node transfer: produced by the source node
                     add(sources, flow.object, ObjectLink(LinkKind.ACTIVITY_OUTPUT, flow.source, flow.id))
                 if to_store:
+                    self.writers.setdefault(flow.target, set()).add(flow.source)
                     add(targets, flow.object, ObjectLink(LinkKind.STORE_INSERTION, flow.target, flow.id))
                 elif not from_store:
                     add(targets, flow.object, ObjectLink(LinkKind.ACTIVITY_INPUT, flow.target, flow.id))
+
+        for node_id, behavior in diagram.behaviors.items():
+            for action in behavior.store_actions:
+                table = self.readers if isinstance(action, StoreRead) else self.writers
+                table.setdefault(action.store, set()).add(node_id)
 
         black_boxes = {p.id for p in diagram.pools if not p.nodes}
         self.message_in: dict[str, list[MessageFlow]] = {}  # endpoint id -> message flows

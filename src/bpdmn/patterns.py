@@ -6,6 +6,12 @@ data-extended notation. The detectors are this toolchain's structural
 interpretation of each supported pattern; each detector documents its
 predicate in one sentence and returns witness element-id sets found in a
 concrete model. Unsupported patterns (3, 6, 35, 37) always report empty.
+
+:func:`analyze` builds the relations the detectors share (tasks and nodes by
+kind, each object's producers and consumers, environment source and sink
+stores, the stores each node accesses, each node's pool, the message flows
+to or from a black-box pool) once per diagram, from the diagram's index, and
+each detector is a query over them.
 """
 
 from __future__ import annotations
@@ -15,13 +21,7 @@ from enum import Enum
 
 from . import validator
 from .expr import expr_refs
-from .model import (
-    Diagram,
-    node_inputs,
-    node_outputs,
-    store_readers,
-    store_writers,
-)
+from .model import Diagram, Node, NodeIO
 
 
 class Support(str, Enum):
@@ -155,6 +155,8 @@ Witness = frozenset[str]
 @dataclass
 class PatternReport:
     instances: dict[str, list[Witness]]
+    # each witness's element ids, sorted, in the order of ``instances``
+    ids: dict[str, list[list[str]]]
 
     def witnesses(self, key: str) -> list[Witness]:
         return self.instances.get(key, [])
@@ -165,498 +167,390 @@ class InvalidDiagramError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Structural helpers
+# Facts
 
 
-def _tasks(d: Diagram):
-    return [n for n in d.iter_nodes() if n.kind == "task"]
+class _Facts:
+    """The relations the detectors query, built once per analyzed diagram
+    from its index."""
 
+    def __init__(self, d: Diagram) -> None:
+        index = d.index
+        self.d = d
+        self.index = index
+        self.kinds: dict[str, list[Node]] = {}  # node kind -> nodes, in pre-order
+        self.pool_of: dict[str, str] = {}  # node id -> pool id
+        # (node id, NodeIO) over every node's inputs and outputs
+        self.inputs: list[tuple[str, NodeIO]] = []
+        self.outputs: list[tuple[str, NodeIO]] = []
+        for node_id, node in index.nodes.items():
+            self.kinds.setdefault(node.kind, []).append(node)
+            self.pool_of[node_id] = index.pool_of[node_id].id
+            self.inputs += [(node_id, io) for io in index.inputs.get(node_id, ())]
+            self.outputs += [(node_id, io) for io in index.outputs.get(node_id, ())]
+        self.tasks = self.kinds.get("task", [])
+        self.task_ids = {n.id for n in self.tasks}
+        self.multi_instance = [n for n in self.tasks if n.multi_instance]
+        # object id -> nodes producing / consuming it over sequence and explicit flows
+        self.producers: dict[str, set[str]] = {}
+        self.consumers: dict[str, set[str]] = {}
+        for pairs, table in ((self.outputs, self.producers), (self.inputs, self.consumers)):
+            for node_id, io in pairs:
+                if io.channel in ("sequence", "explicit"):
+                    table.setdefault(io.object, set()).add(node_id)
+        self.readers, self.writers = index.readers, index.writers
+        # stores only read inside the diagram hold data the environment owns;
+        # stores only written hand data to the environment
+        self.env_sources = [s for s in d.stores if self.readers.get(s.id) and not self.writers.get(s.id)]
+        self.env_sinks = [s for s in d.stores if self.writers.get(s.id) and not self.readers.get(s.id)]
+        self.accessed: dict[str, set[str]] = {}  # node id -> declared stores it reads or writes
+        for store in d.stores:
+            for node_id in self.accessors(store.id):
+                self.accessed.setdefault(node_id, set()).add(store.id)
+        self.data_flows = [flow for pool in d.pools for flow in pool.explicit_data_flows]
+        self.black_boxes = {p.id for p in d.pools if not p.nodes}
+        self.black_box_flows = [
+            f for f in d.message_flows if f.source in self.black_boxes or f.target in self.black_boxes
+        ]
 
-def _env_source_stores(d: Diagram) -> list[str]:
-    # stores only read inside the diagram: data owned by the environment
-    return [s.id for s in d.stores if store_readers(d, s.id) and not store_writers(d, s.id)]
+    def accessors(self, store_id: str) -> set[str]:
+        return self.readers.get(store_id, set()) | self.writers.get(store_id, set())
 
-
-def _env_sink_stores(d: Diagram) -> list[str]:
-    # stores only written inside the diagram: data handed to the environment
-    return [s.id for s in d.stores if store_writers(d, s.id) and not store_readers(d, s.id)]
-
-
-def _black_box_message_flows(d: Diagram):
-    for flow in d.message_flows:
-        if d.is_black_box_pool(flow.source) or d.is_black_box_pool(flow.target):
-            yield flow
-
-
-def _task_producers(d: Diagram) -> dict[str, set[str]]:
-    """object id -> nodes producing it via output attachments or explicit flows."""
-    producers: dict[str, set[str]] = {}
-    for node in d.iter_nodes():
-        for io in node_outputs(d, node.id):
-            if io.channel in ("sequence", "explicit"):
-                producers.setdefault(io.object, set()).add(node.id)
-    return producers
-
-
-def _task_consumers(d: Diagram) -> dict[str, set[str]]:
-    consumers: dict[str, set[str]] = {}
-    for node in d.iter_nodes():
-        for io in node_inputs(d, node.id):
-            if io.channel in ("sequence", "explicit"):
-                consumers.setdefault(io.object, set()).add(node.id)
-    return consumers
+    def pools(self, node_ids: set[str]) -> set[str]:
+        """The pools holding any of the nodes."""
+        return {self.pool_of[n] for n in node_ids if n in self.pool_of}
 
 
 # ---------------------------------------------------------------------------
-# Detectors. Each returns a list of witness element-id sets.
+# Detectors. Each is a query over the facts returning witness element-id sets.
 
 
-def _d01(d: Diagram) -> list[Witness]:
+def _d01(f: _Facts) -> list[Witness]:
     """A task produces a data object of its own (output attachment)."""
-    out = []
-    for node in _tasks(d):
-        for io in node_outputs(d, node.id):
-            if io.channel == "sequence":
-                out.append(frozenset({node.id, io.object}))
-    return out
+    outputs = f.index.outputs
+    return [
+        frozenset({n.id, io.object})
+        for n in f.tasks
+        for io in outputs.get(n.id, ())
+        if io.channel == "sequence"
+    ]
 
 
-def _d02(d: Diagram) -> list[Witness]:
+def _d02(f: _Facts) -> list[Witness]:
     """A store is scoped to a sub-process block."""
     return [
         frozenset({s.id, s.scope.sub_process})
-        for s in d.stores
+        for s in f.d.stores
         if s.scope.kind == "sub_process"
     ]
 
 
-def _d04(d: Diagram) -> list[Witness]:
+def _d04(f: _Facts) -> list[Witness]:
     """A multi-instance task keeps its data in a shared store."""
-    out = []
-    for node in _tasks(d):
-        if not node.multi_instance:
-            continue
-        for store in d.stores:
-            if node.id in store_readers(d, store.id) | store_writers(d, store.id):
-                out.append(frozenset({node.id, store.id}))
-    return out
+    return [frozenset({n.id, sid}) for n in f.multi_instance for sid in f.accessed.get(n.id, ())]
 
 
-def _d05(d: Diagram) -> list[Witness]:
+def _d05(f: _Facts) -> list[Witness]:
     """A diagram-scoped store is written and read within one pool (case data)."""
-    out = []
-    for store in d.stores:
-        if store.scope.kind != "diagram":
-            continue
-        for pool in d.pools:
-            ids = {n.id for n in pool.iter_nodes()}
-            if store_writers(d, store.id) & ids and store_readers(d, store.id) & ids:
-                out.append(frozenset({store.id, pool.id}))
-    return out
+    return [
+        frozenset({s.id, pool})
+        for s in f.d.stores
+        if s.scope.kind == "diagram"
+        for pool in f.pools(f.writers.get(s.id, set())) & f.pools(f.readers.get(s.id, set()))
+    ]
 
 
-def _d07(d: Diagram) -> list[Witness]:
+def _d07(f: _Facts) -> list[Witness]:
     """A diagram-scoped store is accessed from two or more pools."""
     out = []
-    for store in d.stores:
-        if store.scope.kind != "diagram":
-            continue
-        accessors = store_readers(d, store.id) | store_writers(d, store.id)
-        pools = {p.id for p in d.pools if accessors & {n.id for n in p.iter_nodes()}}
-        if len(pools) >= 2:
-            out.append(frozenset({store.id} | pools))
+    for s in f.d.stores:
+        if s.scope.kind == "diagram":
+            pools = f.pools(f.accessors(s.id))
+            if len(pools) >= 2:
+                out.append(frozenset({s.id} | pools))
     return out
 
 
-def _d08(d: Diagram) -> list[Witness]:
+def _d08(f: _Facts) -> list[Witness]:
     """A store read but never written inside the diagram models environment data."""
-    return [frozenset({sid}) for sid in _env_source_stores(d)]
+    return [frozenset({s.id}) for s in f.env_sources]
 
 
-def _d09(d: Diagram) -> list[Witness]:
+def _d09(f: _Facts) -> list[Witness]:
     """An object output by one task is an input of a different task."""
-    out = []
-    producers = _task_producers(d)
-    consumers = _task_consumers(d)
-    task_ids = {n.id for n in _tasks(d)}
-    for obj, prods in producers.items():
-        for p in prods & task_ids:
-            for c in consumers.get(obj, set()) & task_ids:
-                if p != c:
-                    out.append(frozenset({p, c, obj}))
-    return out
+    task_ids = f.task_ids
+    return [
+        frozenset({p, c, obj})
+        for obj, prods in f.producers.items()
+        for p in prods & task_ids
+        for c in f.consumers.get(obj, set()) & task_ids
+        if p != c
+    ]
 
 
-def _d10(d: Diagram) -> list[Witness]:
+def _d10(f: _Facts) -> list[Witness]:
     """An object flows into a sub-process as input."""
-    out = []
-    for node in d.iter_nodes():
-        if node.kind != "sub_process":
-            continue
-        for io in node_inputs(d, node.id):
-            out.append(frozenset({node.id, io.object}))
-    return out
+    inputs = f.index.inputs
+    return [
+        frozenset({n.id, io.object}) for n in f.kinds.get("sub_process", ()) for io in inputs.get(n.id, ())
+    ]
 
 
-def _d11(d: Diagram) -> list[Witness]:
+def _d11(f: _Facts) -> list[Witness]:
     """A sub-process hands an object out as output."""
-    out = []
-    for node in d.iter_nodes():
-        if node.kind != "sub_process":
-            continue
-        for io in node_outputs(d, node.id):
-            out.append(frozenset({node.id, io.object}))
-    return out
+    outputs = f.index.outputs
+    return [
+        frozenset({n.id, io.object}) for n in f.kinds.get("sub_process", ()) for io in outputs.get(n.id, ())
+    ]
 
 
-def _d12(d: Diagram) -> list[Witness]:
+def _d12(f: _Facts) -> list[Witness]:
     """Data flows into a multi-instance task (attachment or store extraction)."""
-    out = []
-    for node in _tasks(d):
-        if not node.multi_instance:
-            continue
-        for io in node_inputs(d, node.id):
-            out.append(frozenset({node.id, io.object}))
-    return out
+    inputs = f.index.inputs
+    return [frozenset({n.id, io.object}) for n in f.multi_instance for io in inputs.get(n.id, ())]
 
 
-def _d13(d: Diagram) -> list[Witness]:
+def _d13(f: _Facts) -> list[Witness]:
     """Data flows out of a multi-instance task (attachment or store insertion)."""
-    out = []
-    for node in _tasks(d):
-        if not node.multi_instance:
-            continue
-        for io in node_outputs(d, node.id):
-            out.append(frozenset({node.id, io.object}))
-    return out
+    outputs = f.index.outputs
+    return [frozenset({n.id, io.object}) for n in f.multi_instance for io in outputs.get(n.id, ())]
 
 
-def _d14(d: Diagram) -> list[Witness]:
+def _d14(f: _Facts) -> list[Witness]:
     """A diagram-scoped store is written in one pool and read in another."""
-    out = []
-    for store in d.stores:
-        if store.scope.kind != "diagram":
-            continue
-        writer_pools = {
-            p.id for p in d.pools if store_writers(d, store.id) & {n.id for n in p.iter_nodes()}
-        }
-        reader_pools = {
-            p.id for p in d.pools if store_readers(d, store.id) & {n.id for n in p.iter_nodes()}
-        }
-        for wp in writer_pools:
-            for rp in reader_pools:
-                if wp != rp:
-                    out.append(frozenset({store.id, wp, rp}))
-    return out
+    return [
+        frozenset({s.id, wp, rp})
+        for s in f.d.stores
+        if s.scope.kind == "diagram"
+        for wp in f.pools(f.writers.get(s.id, set()))
+        for rp in f.pools(f.readers.get(s.id, set()))
+        if wp != rp
+    ]
 
 
-def _d15(d: Diagram) -> list[Witness]:
+def _d15(f: _Facts) -> list[Witness]:
     """A node sends an object on a message flow to a black-box pool."""
-    out = []
-    for flow in _black_box_message_flows(d):
-        if not d.is_black_box_pool(flow.target):
-            continue
-        for att in flow.attachments:
-            if att.direction == "output":
-                out.append(frozenset({flow.id, flow.source, att.object}))
-    return out
+    return [
+        frozenset({flow.id, flow.source, att.object})
+        for flow in f.black_box_flows
+        if flow.target in f.black_boxes
+        for att in flow.attachments
+        if att.direction == "output"
+    ]
 
 
-def _d16(d: Diagram) -> list[Witness]:
+def _d16(f: _Facts) -> list[Witness]:
     """A task extracts an object from an environment-owned (read-only) store."""
-    out = []
-    env = set(_env_source_stores(d))
-    for pool in d.pools:
-        for flow in pool.explicit_data_flows:
-            if flow.source in env:
-                out.append(frozenset({flow.target, flow.source, flow.object}))
-    return out
+    env = {s.id for s in f.env_sources}
+    return [frozenset({flow.target, flow.source, flow.object}) for flow in f.data_flows if flow.source in env]
 
 
-def _d17(d: Diagram) -> list[Witness]:
+def _d17(f: _Facts) -> list[Witness]:
     """A black-box pool pushes an object to a task over a message flow."""
-    out = []
-    task_ids = {n.id for n in _tasks(d)}
-    for flow in _black_box_message_flows(d):
-        if not d.is_black_box_pool(flow.source) or flow.target not in task_ids:
-            continue
-        for att in flow.attachments:
-            if att.direction == "input":
-                out.append(frozenset({flow.id, flow.target, att.object}))
-    return out
+    return [
+        frozenset({flow.id, flow.target, att.object})
+        for flow in f.black_box_flows
+        if flow.source in f.black_boxes and flow.target in f.task_ids
+        for att in flow.attachments
+        if att.direction == "input"
+    ]
 
 
-def _d18(d: Diagram) -> list[Witness]:
+def _d18(f: _Facts) -> list[Witness]:
     """A task deposits an object in a store nothing in the diagram reads."""
-    out = []
-    env = set(_env_sink_stores(d))
-    for pool in d.pools:
-        for flow in pool.explicit_data_flows:
-            if flow.target in env:
-                out.append(frozenset({flow.source, flow.target, flow.object}))
-    return out
+    env = {s.id for s in f.env_sinks}
+    return [frozenset({flow.source, flow.target, flow.object}) for flow in f.data_flows if flow.target in env]
 
 
-def _d19(d: Diagram) -> list[Witness]:
+def _d19(f: _Facts) -> list[Witness]:
     """A pool (case) pushes data to the environment through a write-only store."""
-    out = []
-    env = set(_env_sink_stores(d))
-    for pool in d.pools:
-        ids = {n.id for n in pool.iter_nodes()}
-        for sid in env:
-            if store_writers(d, sid) & ids:
-                out.append(frozenset({pool.id, sid}))
-    return out
+    return [frozenset({pool, s.id}) for s in f.env_sinks for pool in f.pools(f.writers[s.id])]
 
 
-def _d20(d: Diagram) -> list[Witness]:
+def _d20(f: _Facts) -> list[Witness]:
     """A pool (case) pulls data from an environment-owned store."""
-    out = []
-    env = set(_env_source_stores(d))
-    for pool in d.pools:
-        ids = {n.id for n in pool.iter_nodes()}
-        for sid in env:
-            if store_readers(d, sid) & ids:
-                out.append(frozenset({pool.id, sid}))
-    return out
+    return [frozenset({pool, s.id}) for s in f.env_sources for pool in f.pools(f.readers[s.id])]
 
 
-def _d21(d: Diagram) -> list[Witness]:
+def _d21(f: _Facts) -> list[Witness]:
     """The environment pushes data into a case through a message start event."""
-    out = []
-    for node in d.iter_nodes():
-        if node.kind != "start_event_message":
-            continue
-        for io in node_outputs(d, node.id):
-            if io.channel == "sequence":
-                out.append(frozenset({node.id, io.object}))
-    return out
+    outputs = f.index.outputs
+    return [
+        frozenset({n.id, io.object})
+        for n in f.kinds.get("start_event_message", ())
+        for io in outputs.get(n.id, ())
+        if io.channel == "sequence"
+    ]
 
 
-def _d22(d: Diagram) -> list[Witness]:
+def _d22(f: _Facts) -> list[Witness]:
     """The environment pulls case results: an object is sent out to a
     black-box pool."""
-    out = []
-    for flow in _black_box_message_flows(d):
-        if not d.is_black_box_pool(flow.target):
-            continue
-        src_pool = d.pool_of(flow.source)
-        for att in flow.attachments:
-            if att.direction == "output" and src_pool is not None:
-                out.append(frozenset({src_pool.id, flow.id, att.object}))
-    return out
+    pool_of = f.index.pool_of
+    return [
+        frozenset({pool_of[flow.source].id, flow.id, att.object})
+        for flow in f.black_box_flows
+        if flow.target in f.black_boxes and flow.source in pool_of
+        for att in flow.attachments
+        if att.direction == "output"
+    ]
 
 
-def _d23(d: Diagram) -> list[Witness]:
+def _d23(f: _Facts) -> list[Witness]:
     """At workflow level, data is pushed to the environment via a write-only
     diagram-scoped store."""
-    return [
-        frozenset({sid})
-        for sid in _env_sink_stores(d)
-        if (s := d.store(sid)) is not None and s.scope.kind == "diagram"
-    ]
+    return [frozenset({s.id}) for s in f.env_sinks if s.scope.kind == "diagram"]
 
 
-def _d24(d: Diagram) -> list[Witness]:
+def _d24(f: _Facts) -> list[Witness]:
     """At workflow level, data is pulled from an environment-owned
     diagram-scoped store."""
-    return [
-        frozenset({sid})
-        for sid in _env_source_stores(d)
-        if (s := d.store(sid)) is not None and s.scope.kind == "diagram"
-    ]
+    return [frozenset({s.id}) for s in f.env_sources if s.scope.kind == "diagram"]
 
 
-def _d25(d: Diagram) -> list[Witness]:
+def _d25(f: _Facts) -> list[Witness]:
     """A black-box pool pushes a message that starts a process (message flow
     into a start event)."""
-    out = []
-    starts = {n.id for n in d.iter_nodes() if n.kind == "start_event_message"}
-    for flow in _black_box_message_flows(d):
-        if d.is_black_box_pool(flow.source) and flow.target in starts:
-            out.append(frozenset({flow.id, flow.target}))
-    return out
-
-
-def _d26(d: Diagram) -> list[Witness]:
-    """At workflow level, the environment pulls results over a message flow
-    to a black-box pool."""
-    out = []
-    for flow in _black_box_message_flows(d):
-        if d.is_black_box_pool(flow.target) and flow.attachments:
-            out.append(frozenset({flow.id, flow.target}))
-    return out
-
-
-def _d27(d: Diagram) -> list[Witness]:
-    """A structured object (with variables) is passed into a node by value."""
-    out = []
-    for node in d.iter_nodes():
-        for io in node_inputs(d, node.id):
-            obj = d.object(io.object)
-            if obj is not None and obj.variables and io.channel == "sequence":
-                out.append(frozenset({node.id, io.object}))
-    return out
-
-
-def _d28(d: Diagram) -> list[Witness]:
-    """A structured object (with variables) is passed out of a node by value."""
-    out = []
-    for node in d.iter_nodes():
-        for io in node_outputs(d, node.id):
-            obj = d.object(io.object)
-            if obj is not None and obj.variables and io.channel == "sequence":
-                out.append(frozenset({node.id, io.object}))
-    return out
-
-
-def _d29(d: Diagram) -> list[Witness]:
-    """A node copies data out of a store and back into the same store."""
-    out = []
-    for store in d.stores:
-        for node_id in store_readers(d, store.id) & store_writers(d, store.id):
-            out.append(frozenset({node_id, store.id}))
-    return out
-
-
-def _d30(d: Diagram) -> list[Witness]:
-    """An object carrying a URL is passed around as an unlocked reference."""
-    out = []
-    used = set()
-    for node in d.iter_nodes():
-        for io in node_inputs(d, node.id) + node_outputs(d, node.id):
-            used.add(io.object)
-    for obj in d.objects:
-        if obj.url is not None and obj.id in used:
-            out.append(frozenset({obj.id}))
-    return out
-
-
-def _d31(d: Diagram) -> list[Witness]:
-    """An object bound to a store (origin store reference) is passed between
-    nodes; access goes through the engine-managed store."""
-    out = []
-    for obj in d.objects:
-        if obj.origin_store is None:
-            continue
-        for node in d.iter_nodes():
-            for io in node_inputs(d, node.id):
-                if io.object == obj.id and io.channel == "sequence":
-                    out.append(frozenset({node.id, obj.id, obj.origin_store}))
-    return out
-
-
-def _d32(d: Diagram) -> list[Witness]:
-    """A data mapping transforms data into the input format of a node."""
-    out = []
-    consumers = _task_consumers(d)
-    for mapping in d.mappings:
-        if consumers.get(mapping.target_object):
-            out.append(frozenset({mapping.id}))
-    return out
-
-
-def _d33(d: Diagram) -> list[Witness]:
-    """A data mapping transforms data produced as the output of a node."""
-    out = []
-    produced: set[str] = set()
-    for node in d.iter_nodes():
-        produced.update(io.object for io in node_outputs(d, node.id))
-    for mapping in d.mappings:
-        if mapping.source_object in produced:
-            out.append(frozenset({mapping.id}))
-    return out
-
-
-def _d34(d: Diagram) -> list[Witness]:
-    """A task waits on a required (non-optional) input object."""
-    out = []
-    for node in _tasks(d):
-        for io in node_inputs(d, node.id):
-            if not io.optional:
-                out.append(frozenset({node.id, io.object}))
-    return out
-
-
-def _d36(d: Diagram) -> list[Witness]:
-    """A task guarantees an output object exists on completion."""
-    out = []
-    for node in _tasks(d):
-        for io in node_outputs(d, node.id):
-            out.append(frozenset({node.id, io.object}))
-    return out
-
-
-def _d38(d: Diagram) -> list[Witness]:
-    """A message event (start or intermediate) carrying data triggers work."""
-    out = []
-    for node in d.iter_nodes():
-        if node.kind not in ("start_event_message", "intermediate_message"):
-            continue
-        if node_inputs(d, node.id) or node_outputs(d, node.id):
-            out.append(frozenset({node.id}))
-    return out
-
-
-def _d39(d: Diagram) -> list[Witness]:
-    """A node-to-node explicit data flow enables the downstream node."""
-    out = []
-    store_ids = {s.id for s in d.stores}
-    for pool in d.pools:
-        for flow in pool.explicit_data_flows:
-            if flow.source not in store_ids and flow.target not in store_ids:
-                out.append(frozenset({flow.id, flow.source, flow.target}))
-    return out
-
-
-def _d40(d: Diagram) -> list[Witness]:
-    """A data-based exclusive gateway routes on a guard over object data."""
-    out = []
-    for pool in d.pools:
-        for flow in pool.sequence_flows:
-            node = d.node(flow.source)
-            if (
-                node is not None
-                and node.kind == "gateway_exclusive_data"
-                and flow.guard is not None
-                and expr_refs(flow.guard)
-            ):
-                out.append(frozenset({node.id, flow.id}))
-    return out
-
-
-def _d_structure(d: Diagram) -> list[Witness]:
-    """A store exposes ER structure, or an object carries typed variables."""
-    out = []
-    for store in d.stores:
-        if any(e.fields for e in store.entities):
-            out.append(frozenset({store.id}))
-    for obj in d.objects:
-        if obj.variables:
-            out.append(frozenset({obj.id}))
-    return out
-
-
-def _d_explicit_data_flow(d: Diagram) -> list[Witness]:
-    """The model uses a dashed explicit data flow connector."""
+    starts = {n.id for n in f.kinds.get("start_event_message", ())}
     return [
-        frozenset({flow.id}) for pool in d.pools for flow in pool.explicit_data_flows
+        frozenset({flow.id, flow.target})
+        for flow in f.black_box_flows
+        if flow.source in f.black_boxes and flow.target in starts
     ]
 
 
-def _d_data_control_flow(d: Diagram) -> list[Witness]:
+def _d26(f: _Facts) -> list[Witness]:
+    """At workflow level, the environment pulls results over a message flow
+    to a black-box pool."""
+    return [
+        frozenset({flow.id, flow.target})
+        for flow in f.black_box_flows
+        if flow.target in f.black_boxes and flow.attachments
+    ]
+
+
+def _d27(f: _Facts) -> list[Witness]:
+    """A structured object (with variables) is passed into a node by value."""
+    objects = f.index.objects
+    return [
+        frozenset({node_id, io.object})
+        for node_id, io in f.inputs
+        if io.channel == "sequence" and objects[io.object].variables
+    ]
+
+
+def _d28(f: _Facts) -> list[Witness]:
+    """A structured object (with variables) is passed out of a node by value."""
+    objects = f.index.objects
+    return [
+        frozenset({node_id, io.object})
+        for node_id, io in f.outputs
+        if io.channel == "sequence" and objects[io.object].variables
+    ]
+
+
+def _d29(f: _Facts) -> list[Witness]:
+    """A node copies data out of a store and back into the same store."""
+    return [
+        frozenset({node_id, s.id})
+        for s in f.d.stores
+        for node_id in f.readers.get(s.id, set()) & f.writers.get(s.id, set())
+    ]
+
+
+def _d30(f: _Facts) -> list[Witness]:
+    """An object carrying a URL is passed around as an unlocked reference."""
+    used = {io.object for _, io in f.inputs} | {io.object for _, io in f.outputs}
+    return [frozenset({obj.id}) for obj in f.d.objects if obj.url is not None and obj.id in used]
+
+
+def _d31(f: _Facts) -> list[Witness]:
+    """An object bound to a store (origin store reference) is passed between
+    nodes; access goes through the engine-managed store."""
+    objects = f.index.objects
+    return [
+        frozenset({node_id, io.object, origin})
+        for node_id, io in f.inputs
+        if io.channel == "sequence" and (origin := objects[io.object].origin_store) is not None
+    ]
+
+
+def _d32(f: _Facts) -> list[Witness]:
+    """A data mapping transforms data into the input format of a node."""
+    return [frozenset({m.id}) for m in f.d.mappings if f.consumers.get(m.target_object)]
+
+
+def _d33(f: _Facts) -> list[Witness]:
+    """A data mapping transforms data produced as the output of a node."""
+    produced = {io.object for _, io in f.outputs}
+    return [frozenset({m.id}) for m in f.d.mappings if m.source_object in produced]
+
+
+def _d34(f: _Facts) -> list[Witness]:
+    """A task waits on a required (non-optional) input object."""
+    inputs = f.index.inputs
+    return [frozenset({n.id, io.object}) for n in f.tasks for io in inputs.get(n.id, ()) if not io.optional]
+
+
+def _d36(f: _Facts) -> list[Witness]:
+    """A task guarantees an output object exists on completion."""
+    outputs = f.index.outputs
+    return [frozenset({n.id, io.object}) for n in f.tasks for io in outputs.get(n.id, ())]
+
+
+def _d38(f: _Facts) -> list[Witness]:
+    """A message event (start or intermediate) carrying data triggers work."""
+    index = f.index
+    return [
+        frozenset({n.id})
+        for kind in ("start_event_message", "intermediate_message")
+        for n in f.kinds.get(kind, ())
+        if index.inputs.get(n.id) or index.outputs.get(n.id)
+    ]
+
+
+def _d39(f: _Facts) -> list[Witness]:
+    """A node-to-node explicit data flow enables the downstream node."""
+    stores = f.index.stores
+    return [
+        frozenset({flow.id, flow.source, flow.target})
+        for flow in f.data_flows
+        if flow.source not in stores and flow.target not in stores
+    ]
+
+
+def _d40(f: _Facts) -> list[Witness]:
+    """A data-based exclusive gateway routes on a guard over object data."""
+    nodes = f.index.nodes
+    return [
+        frozenset({flow.source, flow.id})
+        for flow in f.index.flows.values()
+        if nodes[flow.source].kind == "gateway_exclusive_data"
+        and flow.guard is not None
+        and expr_refs(flow.guard)
+    ]
+
+
+def _d_structure(f: _Facts) -> list[Witness]:
+    """A store exposes ER structure, or an object carries typed variables."""
+    return [frozenset({s.id}) for s in f.d.stores if any(e.fields for e in s.entities)] + [
+        frozenset({obj.id}) for obj in f.d.objects if obj.variables
+    ]
+
+
+def _d_explicit_data_flow(f: _Facts) -> list[Witness]:
+    """The model uses a dashed explicit data flow connector."""
+    return [frozenset({flow.id}) for flow in f.data_flows]
+
+
+def _d_data_control_flow(f: _Facts) -> list[Witness]:
     """An object rides a control (sequence) flow and gates its target."""
-    out = []
-    for pool in d.pools:
-        for flow in pool.sequence_flows:
-            for att in flow.attachments:
-                out.append(frozenset({flow.id, att.object}))
-    return out
+    return [frozenset({flow.id, att.object}) for flow in f.index.flows.values() for att in flow.attachments]
 
 
-def _d_process_data_store(d: Diagram) -> list[Witness]:
+def _d_process_data_store(f: _Facts) -> list[Witness]:
     """The model declares a data store."""
-    return [frozenset({s.id}) for s in d.stores]
+    return [frozenset({s.id}) for s in f.d.stores]
 
 
 _DETECTORS = {
@@ -716,15 +610,19 @@ def analyze(diagram: Diagram) -> PatternReport:
             "diagram has validation errors: "
             + "; ".join(str(x) for x in diagnostics if x.is_error)
         )
+    facts = _Facts(diagram)
     instances: dict[str, list[Witness]] = {}
+    ids: dict[str, list[list[str]]] = {}
     for key in PATTERN_KEYS:
         if key in UNSUPPORTED_KEYS:
-            instances[key] = []
+            instances[key], ids[key] = [], []
             continue
-        witnesses = _DETECTORS[key](diagram)
-        # deterministic order, deduplicated
-        instances[key] = sorted(set(witnesses), key=lambda w: sorted(w))
-    return PatternReport(instances=instances)
+        # deduplicated, each witness sorted once, in order of its sorted ids
+        listed = {w: sorted(w) for w in _DETECTORS[key](facts)}
+        order = sorted(listed, key=listed.__getitem__)
+        instances[key] = order
+        ids[key] = [listed[w] for w in order]
+    return PatternReport(instances=instances, ids=ids)
 
 
 def detector_doc(key: str) -> str:

@@ -98,9 +98,6 @@ class ExecutionState:
     def token_total(self) -> int:
         return sum(self.tokens.values())
 
-    def store_size(self, store_id: str) -> int:
-        return len(self.stores.get(store_id, []))
-
 
 # ---------------------------------------------------------------------------
 # Trace

@@ -14,8 +14,6 @@ from . import model
 from .expr import expr_refs
 from .model import (
     Diagram,
-    StoreInsert,
-    StoreRead,
     object_sources,
     reaches,
     resolve_scope,
@@ -221,20 +219,10 @@ def _has_cycle(edges: dict[str, list[str]]) -> bool:
 def _v5_store_scope(diagram: Diagram) -> list[Diagnostic]:
     """V5: every node reading or writing a store lies inside its scope."""
     out = []
-    node_ids = {n.id for n in diagram.iter_nodes()}
+    index = diagram.index
     for store in diagram.stores:
         allowed = resolve_scope(diagram, store.id)
-        accessors: set[str] = set()
-        for pool in diagram.pools:
-            for flow in pool.explicit_data_flows:
-                if flow.source == store.id and flow.target in node_ids:
-                    accessors.add(flow.target)
-                if flow.target == store.id and flow.source in node_ids:
-                    accessors.add(flow.source)
-        for node_id, behavior in diagram.behaviors.items():
-            for action in behavior.store_actions:
-                if isinstance(action, (StoreInsert, StoreRead)) and action.store == store.id:
-                    accessors.add(node_id)
+        accessors = index.readers.get(store.id, set()) | index.writers.get(store.id, set())
         for node_id in sorted(accessors - allowed):
             out.append(
                 _error("V5", node_id, f"node accesses store {store.id} outside its scope")

@@ -236,6 +236,16 @@ BAD_VALUES = [
         ),
         "'assignments' of insert of sp must be an object",
     ),
+    ("origin-store-list", lambda d: d["objects"][0].update(origin_store=["st"]), "'origin_store' of object o must be a string or null"),
+    ("origin-store-object", lambda d: d["objects"][0].update(origin_store={"id": "st"}), "'origin_store' of object o must be a string or null"),
+    ("url-number", lambda d: d["objects"][0].update(url=5), "'url' of object o must be a string or null"),
+    ("node-name-number", lambda d: d["pools"][0]["nodes"][0].update(name=5), "'name' of node s must be a string"),
+    ("pool-name-null", lambda d: d["pools"][0].update(name=None), "'name' of pool p must be a string"),
+    (
+        "start-input-list",
+        lambda d: d.update(start_inputs={"o": {"cardType": ["VISA"]}}),
+        "'cardType' of start inputs of o must be a string, number, boolean or null",
+    ),
 ]
 
 

@@ -39,6 +39,8 @@ from bpdmn.model import (
     object_sources,
     object_targets,
     reaches,
+    store_readers,
+    store_writers,
 )
 from bpdmn.render import to_dot
 
@@ -252,6 +254,21 @@ def ref_object_targets(d: Diagram, object_id: str) -> list[ObjectLink]:
     return out
 
 
+def ref_store_accessors(d: Diagram, store_id: str, action_type: type, reading: bool) -> set[str]:
+    """Readers (*reading*) or writers of the store, over explicit data flows
+    and behaviors."""
+    out = set()
+    for pool in d.pools:
+        for flow in pool.explicit_data_flows:
+            if (flow.source if reading else flow.target) == store_id:
+                out.add(flow.target if reading else flow.source)
+    for node_id, behavior in d.behaviors.items():
+        for action in behavior.store_actions:
+            if isinstance(action, action_type) and action.store == store_id:
+                out.add(node_id)
+    return out
+
+
 def ref_reaches(d: Diagram, source: str, target: str) -> bool:
     if source == target:
         return True
@@ -358,6 +375,9 @@ def test_views_equal_scan_references(diagram):
         assert validator._only_on_external_messages(diagram, object_id) == ref_only_on_external_messages(
             diagram, object_id
         )
+    for store_id in [*store_ids, "no-such-element"]:
+        assert store_readers(diagram, store_id) == ref_store_accessors(diagram, store_id, StoreRead, True)
+        assert store_writers(diagram, store_id) == ref_store_accessors(diagram, store_id, StoreInsert, False)
     with pytest.raises(NotFoundError):
         object_sources(diagram, "no-such-element")
     with pytest.raises(NotFoundError):
