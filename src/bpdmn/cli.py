@@ -119,7 +119,8 @@ def translate(model_file: str, target: str, output: str | None) -> None:
     "overrides",
     multiple=True,
     metavar="OBJ.VAR=VALUE",
-    help="Override a start input (repeatable). VALUE is parsed as JSON when possible.",
+    help="Override a start input (repeatable). VALUE is parsed as JSON when possible; "
+    "it must be a string, number, boolean or null.",
 )
 @click.option("--json", "as_json", is_flag=True, help="Emit the run result as JSON.")
 def simulate(
@@ -151,6 +152,9 @@ def simulate(
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        if not fmt.is_scalar(value):
+            click.echo(f"error: bad --set {item!r}, VALUE must be a string, number, boolean or null", err=True)
+            sys.exit(EXIT_IO)
         start_inputs.setdefault(obj, {})[var] = value
 
     try:

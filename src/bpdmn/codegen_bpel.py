@@ -19,7 +19,7 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 from . import validator
-from .expr import Lit, Ref, print_expr
+from .expr import Ref, print_expr
 from .model import DataMapping, Diagram, Node, SequenceFlow, node_inputs, node_outputs
 
 PROCESS_NS = "http://example.org/bpel/generated"
@@ -97,12 +97,9 @@ def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
     Returns the XML text and a list of warnings. Raises
     :class:`GenerationError` when the diagram has validation errors.
     """
-    diagnostics = validator.validate(diagram)
-    if validator.has_errors(diagnostics):
-        raise GenerationError(
-            "diagram has validation errors: "
-            + "; ".join(str(x) for x in diagnostics if x.is_error)
-        )
+    problem = validator.errors_text(diagram)
+    if problem is not None:
+        raise GenerationError(problem)
     warnings: list[str] = []
 
     process = ET.Element("process", {"name": diagram.id, "targetNamespace": PROCESS_NS})
@@ -177,8 +174,6 @@ def _assign_for_mapping(mapping: DataMapping) -> ET.Element:
                 "from",
                 {"variable": mapping.source_object, "part": ".".join(expr.path[1:])},
             )
-        elif isinstance(expr, Lit):
-            ET.SubElement(copy, "from", {"expression": print_expr(expr)})
         else:
             ET.SubElement(copy, "from", {"expression": print_expr(expr)})
         ET.SubElement(copy, "to", {"variable": mapping.target_object, "part": rule.to})

@@ -31,12 +31,9 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
     Returns the XML text and a list of warnings. Raises
     :class:`GenerationError` when the diagram has validation errors.
     """
-    diagnostics = validator.validate(diagram)
-    if validator.has_errors(diagnostics):
-        raise GenerationError(
-            "diagram has validation errors: "
-            + "; ".join(str(x) for x in diagnostics if x.is_error)
-        )
+    problem = validator.errors_text(diagram)
+    if problem is not None:
+        raise GenerationError(problem)
     warnings: list[str] = []
 
     package = ET.Element("Package", {"Id": diagram.id, "Name": diagram.id})

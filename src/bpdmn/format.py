@@ -6,6 +6,17 @@ The schema mirrors the metamodel one-to-one. Top-level keys, in order:
 ``start_inputs`` sections consumed by the simulator. Canonical form uses
 two-space indentation, keys in schema order, elements sorted by id, and a
 trailing newline, so golden-file comparisons stay byte-stable.
+
+Reading is strict and coerces nothing. Each element is read by one
+``_read_*`` function built from the typed readers of ``_Reader``:
+``element`` (an object whose keys are all known), ``string``,
+``optional_string`` (a string or null), ``flag`` (a boolean), ``integer``
+(an int that is not a boolean), ``scalar``, ``expr``, ``list_of``,
+``strings``, ``entries`` and ``items`` (a list of elements), and ``build``,
+which turns a model error into a diagnostic. A value of the wrong type, a
+missing required key or an unknown key is a :class:`ParseError`; an absent
+optional key takes its default. So a document that parses is written back
+with the same values.
 """
 
 from __future__ import annotations
@@ -18,6 +29,10 @@ from . import model
 from .expr import ExprError, Expression, Value, parse_expr, print_expr
 
 FORMAT_VERSION = "1.0"
+
+# Element lists nested deeper (sub-processes in sub-processes) are refused:
+# reading, writing and drawing a diagram recurse once per level.
+_MAX_NESTING = 100
 
 
 @dataclass(frozen=True)
@@ -57,78 +72,89 @@ def _span_of(text: str, needle: str | None) -> SourceSpan:
     return SourceSpan(1, 1)
 
 
-class _Reader:
-    """Schema walker collecting diagnostics with best-effort spans."""
+def is_scalar(value: object) -> bool:
+    """Whether *value* may be a start input: a string, number, boolean or
+    null. ``start_inputs`` and ``simulate --set`` both read values by it."""
+    return value is None or isinstance(value, (str, int, float))
 
-    def __init__(self, text: str, strict: bool) -> None:
+
+class _Reader:
+    """The typed readers every element is read with. A wrong value records a
+    diagnostic and reads as a stand-in, so one pass reports every error."""
+
+    def __init__(self, text: str) -> None:
         self.text = text
-        self.strict = strict
         self.errors: list[ParseDiagnostic] = []
-        self.warnings: list[ParseDiagnostic] = []
+        self.depth = 0  # element lists being read
 
     def fail(self, message: str, near: str | None = None) -> None:
         self.errors.append(ParseDiagnostic(_span_of(self.text, near), message))
 
-    def unknown_keys(self, data: dict, allowed: set[str], where: str) -> None:
-        for key in data:
-            if key not in allowed:
-                diag = ParseDiagnostic(_span_of(self.text, key), f"unknown key {key!r} in {where}")
-                if self.strict:
-                    self.errors.append(diag)
-                else:
-                    self.warnings.append(diag)
-
-    def require(self, data: dict, key: str, where: str, default=None):
-        if key not in data:
-            if default is not None:
-                return default
-            self.fail(f"missing key {key!r} in {where}", near=data.get("id"))
-            return None
-        return data[key]
-
-    def _wrong_type(self, data: dict, key: str, where: str, expected: str) -> None:
+    def _wrong(self, data: dict, key: str, where: str, expected: str) -> None:
         ident = data.get("id")
-        self.fail(f"{key!r} of {where} must be {expected}", near=ident if isinstance(ident, str) else key)
+        near = ident if isinstance(ident, str) else None
+        if key in data:
+            self.fail(f"{key!r} of {where} must be {expected}", near=near or key)
+        else:
+            self.fail(f"missing key {key!r} in {where}", near=near)
 
-    def list_of(self, data: dict, key: str, where: str) -> list:
-        """The list under *key*, empty when the key is absent. Any other
-        value is an error, read as an empty list."""
-        value = data.get(key, [])
-        if isinstance(value, list):
-            return value
-        self._wrong_type(data, key, where, "a list")
-        return []
+    def element(self, data: object, what: str, keys: set[str]) -> dict | None:
+        """*data* when it is an object, else ``None``; keys outside *keys* are errors."""
+        if not isinstance(data, dict):
+            self.fail(f"{what} must be an object")
+            return None
+        for key in data:
+            if key not in keys:
+                self.fail(f"unknown key {key!r} in {what}", near=key)
+        return data
 
-    def string(self, data: dict, key: str, where: str, default: str) -> str:
-        """The string under *key*, *default* when the key is absent. Any
-        other value is an error, read as *default*."""
+    def string(self, data: dict, key: str, where: str, default: str | None = None) -> str:
+        """The string under *key*, *default* when it is absent; required without one."""
         value = data.get(key, default)
         if isinstance(value, str):
             return value
-        self._wrong_type(data, key, where, "a string")
-        return default
+        self._wrong(data, key, where, "a string")
+        return default or ""
 
     def optional_string(self, data: dict, key: str, where: str) -> str | None:
-        """The string under *key*, ``None`` when the key is absent or null.
-        Any other value is an error, read as ``None``."""
+        """The string under *key*, ``None`` when the key is absent or null."""
         value = data.get(key)
         if value is None or isinstance(value, str):
             return value
-        self._wrong_type(data, key, where, "a string or null")
+        self._wrong(data, key, where, "a string or null")
         return None
+
+    def flag(self, data: dict, key: str, where: str) -> bool:
+        """The boolean under *key*, false when the key is absent."""
+        value = data.get(key, False)
+        if isinstance(value, bool):
+            return value
+        self._wrong(data, key, where, "a boolean")
+        return False
+
+    def integer(self, data: dict, key: str, where: str, default: int) -> int:
+        """The integer, not a boolean, under *key*, *default* when it is absent."""
+        value = data.get(key, default)
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        self._wrong(data, key, where, "an integer")
+        return default
 
     def scalar(self, data: dict, key: str, where: str) -> Value:
-        """The string, number, boolean or null under *key*. Any other value
-        is an error, read as ``None``."""
+        """The value under *key*, which :func:`is_scalar` must accept."""
         value = data[key]
-        if value is None or isinstance(value, (str, int, float)):
+        if is_scalar(value):
             return value
-        self._wrong_type(data, key, where, "a string, number, boolean or null")
+        self._wrong(data, key, where, "a string, number, boolean or null")
         return None
 
-    def expr(self, text: object, where: str) -> Expression | None:
+    def expr(self, data: dict, key: str, where: str, optional: bool = False) -> Expression | None:
+        """The expression under *key*; if *optional*, ``None`` when absent or null."""
+        text = data.get(key)
+        if text is None and optional:
+            return None
         if not isinstance(text, str):
-            self.fail(f"expected expression string in {where}", near=where)
+            self._wrong(data, key, where, "an expression string")
             return None
         try:
             return parse_expr(text)
@@ -136,419 +162,396 @@ class _Reader:
             self.fail(f"bad expression in {where}: {exc}", near=text)
             return None
 
+    def list_of(self, data: dict, key: str, where: str) -> list:
+        """The list under *key*, empty when the key is absent."""
+        value = data.get(key, [])
+        if isinstance(value, list):
+            return value
+        self._wrong(data, key, where, "a list")
+        return []
 
-def parse_diagram(text: str, strict: bool = True) -> model.Diagram:
+    def strings(self, data: dict, key: str, where: str) -> list[str]:
+        """The list of strings under *key*, empty when the key is absent."""
+        values = data.get(key, [])
+        if isinstance(values, list) and all(isinstance(v, str) for v in values):
+            return values
+        self._wrong(data, key, where, "a list of strings")
+        return []
+
+    def entries(self, data: dict, key: str, where: str) -> dict:
+        """The object under *key*, empty when the key is absent."""
+        value = data.get(key, {})
+        if isinstance(value, dict):
+            return value
+        self._wrong(data, key, where, "an object")
+        return {}
+
+    def items(self, data: dict, key: str, where: str, read) -> list:
+        """The list under *key*, each item read by ``read(reader, item, where)``
+        and left out when that gives ``None``."""
+        if key not in data:
+            return []
+        if self.depth == _MAX_NESTING:
+            self.fail("document nested too deeply", near=key)
+            return []
+        self.depth += 1
+        out = []
+        for item in self.list_of(data, key, where):
+            element = read(self, item, where)
+            if element is not None:
+                out.append(element)
+        self.depth -= 1
+        return out
+
+    def build(self, near: str | None, cls, *fields):
+        """``cls(*fields)``, or ``None`` with the model error recorded near
+        *near*. The fields come in the order the class declares them, which
+        is the order of the schema's keys: a dataclass takes arguments by
+        position faster than by keyword."""
+        try:
+            return cls(*fields)
+        except model.ModelError as exc:
+            self.fail(str(exc), near=near)
+            return None
+
+
+def parse_diagram(text: str) -> model.Diagram:
     """Parse canonical JSON into a :class:`~bpdmn.model.Diagram`.
 
-    Raises :class:`ParseError` with source-located diagnostics on malformed
-    documents, schema violations and dangling references. With
-    ``strict=False`` unknown keys are warnings instead of errors.
+    Raises :class:`ParseError`, and nothing else, with source-located
+    diagnostics on malformed documents, schema violations and dangling
+    references.
     """
-    diagram, _ = parse_diagram_with_warnings(text, strict=strict)
-    return diagram
-
-
-def parse_diagram_with_warnings(
-    text: str, strict: bool = True
-) -> tuple[model.Diagram, list[ParseDiagnostic]]:
-    # decoding and reading recurse once per nesting level
+    # decoding a document and parsing an expression recurse once per nesting level
     try:
-        return _parse(text, strict)
+        return _parse(text)
     except RecursionError:
         raise ParseError([ParseDiagnostic(SourceSpan(1, 1), "document nested too deeply")]) from None
 
 
-def _parse(text: str, strict: bool) -> tuple[model.Diagram, list[ParseDiagnostic]]:
+def _parse(text: str) -> model.Diagram:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             [ParseDiagnostic(SourceSpan(exc.lineno, exc.colno), f"malformed document: {exc.msg}")]
         ) from exc
-    if not isinstance(data, dict):
-        raise ParseError([ParseDiagnostic(SourceSpan(1, 1), "top level must be an object")])
-
-    reader = _Reader(text, strict)
-    reader.unknown_keys(
-        data,
-        {"bpdmn", "id", "pools", "stores", "objects", "mappings", "message_flows", "behaviors", "start_inputs"},
-        "document",
-    )
+    reader = _Reader(text)
+    keys = {"bpdmn", "id", "pools", "stores", "objects", "mappings", "message_flows", "behaviors", "start_inputs"}
+    if reader.element(data, "document", keys) is None:
+        raise ParseError(reader.errors)
     version = data.get("bpdmn")
     if version != FORMAT_VERSION:
         reader.fail(f"unsupported or missing format version {version!r}")
-    diagram_id = data.get("id", "diagram")
-    if not isinstance(diagram_id, str):
-        reader.fail("'id' of document must be a string", near="id")
-
-    pools = [_read_pool(reader, p) for p in _as_list(reader, data, "pools")]
-    stores = [_read_store(reader, s) for s in _as_list(reader, data, "stores")]
-    objects = [_read_object(reader, o) for o in _as_list(reader, data, "objects")]
-    mappings = [_read_mapping(reader, m) for m in _as_list(reader, data, "mappings")]
-    message_flows = [_read_message_flow(reader, f) for f in _as_list(reader, data, "message_flows")]
-    behaviors = _read_behaviors(reader, data.get("behaviors", {}))
-    start_inputs = _read_start_inputs(reader, data.get("start_inputs", {}))
-
-    if reader.errors:
+    for key in ("pools", "stores", "objects", "mappings", "message_flows"):
+        if key not in data:
+            reader.fail(f"missing key {key!r} in document")
+    fields = (
+        reader.string(data, "id", "document", "diagram"),
+        reader.items(data, "pools", "document", _read_pool),
+        reader.items(data, "stores", "document", _read_store),
+        reader.items(data, "objects", "document", _read_object),
+        reader.items(data, "mappings", "document", _read_mapping),
+        reader.items(data, "message_flows", "document", _read_message_flow),
+        _read_behaviors(reader, data),
+        _read_start_inputs(reader, data),
+    )
+    diagram = None if reader.errors else reader.build(None, model.Diagram, *fields)
+    if diagram is None:
         raise ParseError(reader.errors)
-
-    try:
-        diagram = model.Diagram(
-            id=diagram_id,
-            pools=[p for p in pools if p is not None],
-            stores=[s for s in stores if s is not None],
-            objects=[o for o in objects if o is not None],
-            mappings=[m for m in mappings if m is not None],
-            message_flows=[f for f in message_flows if f is not None],
-            behaviors=behaviors,
-            start_inputs=start_inputs,
-        )
-    except model.ModelError as exc:
-        raise ParseError([ParseDiagnostic(_span_of(text, None), str(exc))]) from exc
-    return diagram, reader.warnings
+    return diagram
 
 
-def _as_list(reader: _Reader, data: dict, key: str) -> list:
-    if data.get(key) is None:
-        reader.fail(f"missing key {key!r} in document")
-        return []
-    return reader.list_of(data, key, "document")
+# Each _read_<element>(reader, data, where) reads one element found in the
+# list of *where*, or records why it cannot and returns None.
 
 
-def _read_attachments(reader: _Reader, data: dict, where: str) -> list[model.ObjectAttachment]:
-    out = []
-    for item in reader.list_of(data, "attachments", where):
-        if not isinstance(item, dict):
-            reader.fail(f"bad attachment in {where}", near=where)
-            continue
-        reader.unknown_keys(item, {"object", "direction", "optional"}, f"attachment of {where}")
-        try:
-            out.append(
-                model.ObjectAttachment(
-                    object=str(item.get("object", "")),
-                    direction=str(item.get("direction", "")),
-                    optional=bool(item.get("optional", False)),
-                )
-            )
-        except model.ModelError as exc:
-            reader.fail(str(exc), near=str(item.get("object", where)))
-    return out
-
-
-def _read_node(reader: _Reader, data: object) -> model.Node | None:
-    if not isinstance(data, dict):
-        reader.fail("node must be an object")
+def _read_pool(reader: _Reader, data: object, _where: str) -> model.Pool | None:
+    item = reader.element(data, "pool", {"id", "name", "nodes", "sequence_flows", "explicit_data_flows"})
+    if item is None:
         return None
-    reader.unknown_keys(
-        data, {"id", "name", "kind", "children", "local_stores", "condition", "multi_instance"}, "node"
-    )
-    node_id = str(reader.require(data, "id", "node") or "")
-    condition = None
-    if data.get("condition") is not None:
-        condition = reader.expr(data["condition"], f"condition of node {node_id}")
-    where = f"node {node_id}"
-    children = [c for c in (_read_node(reader, ch) for ch in reader.list_of(data, "children", where)) if c]
-    try:
-        return model.Node(
-            id=node_id,
-            name=reader.string(data, "name", where, node_id),
-            kind=str(reader.require(data, "kind", f"node {node_id}") or "task"),
-            children=children,
-            local_stores=[str(s) for s in reader.list_of(data, "local_stores", where)],
-            condition=condition,
-            multi_instance=bool(data.get("multi_instance", False)),
-        )
-    except model.ModelError as exc:
-        reader.fail(str(exc), near=node_id)
-        return None
-
-
-def _read_pool(reader: _Reader, data: object) -> model.Pool | None:
-    if not isinstance(data, dict):
-        reader.fail("pool must be an object")
-        return None
-    reader.unknown_keys(
-        data, {"id", "name", "nodes", "sequence_flows", "explicit_data_flows"}, "pool"
-    )
-    pool_id = str(reader.require(data, "id", "pool") or "")
+    pool_id = reader.string(item, "id", "pool")
     where = f"pool {pool_id}"
-    nodes = [n for n in (_read_node(reader, nd) for nd in reader.list_of(data, "nodes", where)) if n]
-    seq_flows = []
-    for item in reader.list_of(data, "sequence_flows", where):
-        if not isinstance(item, dict):
-            reader.fail(f"bad sequence flow in pool {pool_id}", near=pool_id)
-            continue
-        reader.unknown_keys(item, {"id", "source", "target", "attachments", "guard"}, "sequence flow")
-        flow_id = str(reader.require(item, "id", "sequence flow") or "")
-        guard = None
-        if item.get("guard") is not None:
-            guard = reader.expr(item["guard"], f"guard of flow {flow_id}")
-        try:
-            seq_flows.append(
-                model.SequenceFlow(
-                    id=flow_id,
-                    source=str(item.get("source", "")),
-                    target=str(item.get("target", "")),
-                    attachments=_read_attachments(reader, item, flow_id),
-                    guard=guard,
-                )
-            )
-        except model.ModelError as exc:
-            reader.fail(str(exc), near=flow_id)
-    data_flows = []
-    for item in reader.list_of(data, "explicit_data_flows", where):
-        if not isinstance(item, dict):
-            reader.fail(f"bad data flow in pool {pool_id}", near=pool_id)
-            continue
-        reader.unknown_keys(item, {"id", "source", "target", "object", "optional"}, "explicit data flow")
-        flow_id = str(reader.require(item, "id", "explicit data flow") or "")
-        try:
-            data_flows.append(
-                model.ExplicitDataFlow(
-                    id=flow_id,
-                    source=str(item.get("source", "")),
-                    target=str(item.get("target", "")),
-                    object=str(item.get("object", "")),
-                    optional=bool(item.get("optional", False)),
-                )
-            )
-        except model.ModelError as exc:
-            reader.fail(str(exc), near=flow_id)
-    return model.Pool(
-        id=pool_id,
-        name=reader.string(data, "name", where, pool_id),
-        nodes=nodes,
-        sequence_flows=seq_flows,
-        explicit_data_flows=data_flows,
+    return reader.build(
+        pool_id,
+        model.Pool,
+        pool_id,
+        reader.string(item, "name", where, pool_id),
+        reader.items(item, "nodes", where, _read_node),
+        reader.items(item, "sequence_flows", where, _read_sequence_flow),
+        reader.items(item, "explicit_data_flows", where, _read_data_flow),
     )
 
 
-def _read_variables(reader: _Reader, data: dict, key: str, where: str) -> list[model.Variable]:
-    out = []
-    for item in reader.list_of(data, key, where):
-        if not isinstance(item, dict):
-            reader.fail(f"bad variable in {where}", near=where)
-            continue
-        reader.unknown_keys(item, {"name", "vtype"}, f"variable of {where}")
-        try:
-            out.append(
-                model.Variable(name=str(item.get("name", "")), vtype=str(item.get("vtype", "string")))
-            )
-        except model.ModelError as exc:
-            reader.fail(str(exc), near=str(item.get("name", where)))
-    return out
-
-
-def _read_store(reader: _Reader, data: object) -> model.DataStore | None:
-    if not isinstance(data, dict):
-        reader.fail("store must be an object")
+def _read_node(reader: _Reader, data: object, where: str) -> model.Node | None:
+    what = f"node of {where}"
+    item = reader.element(
+        data, what, {"id", "name", "kind", "children", "local_stores", "condition", "multi_instance"}
+    )
+    if item is None:
         return None
-    reader.unknown_keys(
-        data,
-        {"id", "name", "icon", "entities", "relationships", "generalizations", "scope", "collapsed"},
-        "store",
+    node_id = reader.string(item, "id", what)
+    where = f"node {node_id}"
+    return reader.build(
+        node_id,
+        model.Node,
+        node_id,
+        reader.string(item, "name", where, node_id),
+        reader.string(item, "kind", where),
+        reader.items(item, "children", where, _read_node),
+        reader.strings(item, "local_stores", where),
+        reader.expr(item, "condition", f"condition of {where}", optional=True),
+        reader.flag(item, "multi_instance", where),
     )
-    store_id = str(reader.require(data, "id", "store") or "")
+
+
+def _read_sequence_flow(reader: _Reader, data: object, where: str) -> model.SequenceFlow | None:
+    what = f"sequence flow of {where}"
+    item = reader.element(data, what, {"id", "source", "target", "attachments", "guard"})
+    if item is None:
+        return None
+    flow_id = reader.string(item, "id", what)
+    where = f"sequence flow {flow_id}"
+    return reader.build(
+        flow_id,
+        model.SequenceFlow,
+        flow_id,
+        reader.string(item, "source", where),
+        reader.string(item, "target", where),
+        reader.items(item, "attachments", where, _read_attachment),
+        reader.expr(item, "guard", f"guard of flow {flow_id}", optional=True),
+    )
+
+
+def _read_data_flow(reader: _Reader, data: object, where: str) -> model.ExplicitDataFlow | None:
+    what = f"data flow of {where}"
+    item = reader.element(data, what, {"id", "source", "target", "object", "optional"})
+    if item is None:
+        return None
+    flow_id = reader.string(item, "id", what)
+    where = f"data flow {flow_id}"
+    return reader.build(
+        flow_id,
+        model.ExplicitDataFlow,
+        flow_id,
+        reader.string(item, "source", where),
+        reader.string(item, "target", where),
+        reader.string(item, "object", where),
+        reader.flag(item, "optional", where),
+    )
+
+
+def _read_attachment(reader: _Reader, data: object, where: str) -> model.ObjectAttachment | None:
+    what = f"attachment of {where}"
+    item = reader.element(data, what, {"object", "direction", "optional"})
+    if item is None:
+        return None
+    obj = reader.string(item, "object", what)
+    return reader.build(
+        obj,
+        model.ObjectAttachment,
+        obj,
+        reader.string(item, "direction", what),
+        reader.flag(item, "optional", what),
+    )
+
+
+def _read_store(reader: _Reader, data: object, _where: str) -> model.DataStore | None:
+    item = reader.element(
+        data, "store", {"id", "name", "icon", "entities", "relationships", "generalizations", "scope", "collapsed"}
+    )
+    if item is None:
+        return None
+    store_id = reader.string(item, "id", "store")
     where = f"store {store_id}"
-    entities = []
-    for item in reader.list_of(data, "entities", where):
-        if not isinstance(item, dict):
-            reader.fail(f"bad entity in store {store_id}", near=store_id)
-            continue
-        reader.unknown_keys(item, {"name", "fields"}, "entity")
-        try:
-            entities.append(
-                model.Entity(
-                    name=str(item.get("name", "")),
-                    fields=_read_variables(reader, item, "fields", f"entity of {store_id}"),
-                )
-            )
-        except model.ModelError as exc:
-            reader.fail(str(exc), near=str(item.get("name", store_id)))
-    relationships = [
-        model.Relationship(str(r.get("name", "")), str(r.get("left", "")), str(r.get("right", "")))
-        for r in reader.list_of(data, "relationships", where)
-        if isinstance(r, dict)
-    ]
-    generalizations = []
-    for g in reader.list_of(data, "generalizations", where):
-        if not isinstance(g, dict):
-            continue
-        try:
-            generalizations.append(
-                model.Generalization(str(g.get("parent", "")), str(g.get("child", "")))
-            )
-        except model.ModelError as exc:
-            reader.fail(str(exc), near=store_id)
-    scope_text = data.get("scope", "diagram")
-    if scope_text == "diagram":
-        scope = model.Scope.diagram()
-    elif isinstance(scope_text, str) and scope_text.startswith("sub_process:"):
-        scope = model.Scope.of(scope_text.split(":", 1)[1])
-    else:
-        reader.fail(f"bad scope {scope_text!r} in store {store_id}", near=store_id)
-        scope = model.Scope.diagram()
-    return model.DataStore(
-        id=store_id,
-        name=reader.string(data, "name", where, store_id),
-        icon=reader.string(data, "icon", where, "database"),
-        entities=entities,
-        relationships=relationships,
-        generalizations=generalizations,
-        scope=scope,
-        collapsed=bool(data.get("collapsed", False)),
+    kind, sep, node = reader.string(item, "scope", where, "diagram").partition(":")
+    scope = reader.build(store_id, model.Scope, kind, node if sep else None)
+    return reader.build(
+        store_id,
+        model.DataStore,
+        store_id,
+        reader.string(item, "name", where, store_id),
+        reader.string(item, "icon", where, "database"),
+        reader.items(item, "entities", where, _read_entity),
+        reader.items(item, "relationships", where, _read_relationship),
+        reader.items(item, "generalizations", where, _read_generalization),
+        scope,
+        reader.flag(item, "collapsed", where),
     )
 
 
-def _read_object(reader: _Reader, data: object) -> model.DataObject | None:
-    if not isinstance(data, dict):
-        reader.fail("object must be an object")
+def _read_entity(reader: _Reader, data: object, where: str) -> model.Entity | None:
+    what = f"entity of {where}"
+    item = reader.element(data, what, {"name", "fields"})
+    if item is None:
         return None
-    reader.unknown_keys(
-        data,
-        {"id", "name", "stereotype", "physicality", "variables", "url", "state", "origin_store"},
-        "data object",
+    name = reader.string(item, "name", what)
+    return reader.build(name, model.Entity, name, reader.items(item, "fields", f"entity {name}", _read_variable))
+
+
+def _read_relationship(reader: _Reader, data: object, where: str) -> model.Relationship | None:
+    what = f"relationship of {where}"
+    item = reader.element(data, what, {"name", "left", "right"})
+    if item is None:
+        return None
+    name = reader.string(item, "name", what)
+    return reader.build(
+        name, model.Relationship, name, reader.string(item, "left", what), reader.string(item, "right", what)
     )
-    object_id = str(reader.require(data, "id", "data object") or "")
+
+
+def _read_generalization(reader: _Reader, data: object, where: str) -> model.Generalization | None:
+    what = f"generalization of {where}"
+    item = reader.element(data, what, {"parent", "child"})
+    if item is None:
+        return None
+    parent = reader.string(item, "parent", what)
+    return reader.build(parent, model.Generalization, parent, reader.string(item, "child", what))
+
+
+def _read_variable(reader: _Reader, data: object, where: str) -> model.Variable | None:
+    what = f"variable of {where}"
+    item = reader.element(data, what, {"name", "vtype"})
+    if item is None:
+        return None
+    name = reader.string(item, "name", what)
+    return reader.build(name, model.Variable, name, reader.string(item, "vtype", what, "string"))
+
+
+def _read_object(reader: _Reader, data: object, _where: str) -> model.DataObject | None:
+    item = reader.element(
+        data, "object", {"id", "name", "stereotype", "physicality", "variables", "url", "state", "origin_store"}
+    )
+    if item is None:
+        return None
+    object_id = reader.string(item, "id", "object")
     where = f"object {object_id}"
-    try:
-        return model.DataObject(
-            id=object_id,
-            name=reader.string(data, "name", where, object_id),
-            stereotype=reader.string(data, "stereotype", where, "generic"),
-            physicality=str(data.get("physicality", "digital")),
-            variables=_read_variables(reader, data, "variables", where),
-            url=reader.optional_string(data, "url", where),
-            state=reader.optional_string(data, "state", where),
-            origin_store=reader.optional_string(data, "origin_store", where),
-        )
-    except model.ModelError as exc:
-        reader.fail(str(exc), near=object_id)
+    return reader.build(
+        object_id,
+        model.DataObject,
+        object_id,
+        reader.string(item, "name", where, object_id),
+        reader.string(item, "stereotype", where, "generic"),
+        reader.string(item, "physicality", where, "digital"),
+        reader.items(item, "variables", where, _read_variable),
+        reader.optional_string(item, "url", where),
+        reader.optional_string(item, "state", where),
+        reader.optional_string(item, "origin_store", where),
+    )
+
+
+def _read_mapping(reader: _Reader, data: object, _where: str) -> model.DataMapping | None:
+    item = reader.element(data, "mapping", {"id", "source_object", "target_object", "rules"})
+    if item is None:
         return None
+    mapping_id = reader.string(item, "id", "mapping")
+    where = f"mapping {mapping_id}"
+    return reader.build(
+        mapping_id,
+        model.DataMapping,
+        mapping_id,
+        reader.string(item, "source_object", where),
+        reader.string(item, "target_object", where),
+        reader.items(item, "rules", where, _read_rule),
+    )
 
 
-def _read_mapping(reader: _Reader, data: object) -> model.DataMapping | None:
-    if not isinstance(data, dict):
-        reader.fail("mapping must be an object")
+def _read_rule(reader: _Reader, data: object, where: str) -> model.CopyRule | None:
+    what = f"rule of {where}"
+    item = reader.element(data, what, {"from", "to"})
+    if item is None:
         return None
-    reader.unknown_keys(data, {"id", "source_object", "target_object", "rules"}, "mapping")
-    mapping_id = str(reader.require(data, "id", "mapping") or "")
-    rules = []
-    for item in reader.list_of(data, "rules", f"mapping {mapping_id}"):
-        if not isinstance(item, dict):
-            reader.fail(f"bad rule in mapping {mapping_id}", near=mapping_id)
-            continue
-        reader.unknown_keys(item, {"from", "to"}, f"rule of mapping {mapping_id}")
-        from_expr = reader.expr(item.get("from"), f"rule of mapping {mapping_id}")
-        if from_expr is None:
-            continue
-        rules.append(model.CopyRule(from_expr=from_expr, to=str(item.get("to", ""))))
-    try:
-        return model.DataMapping(
-            id=mapping_id,
-            source_object=str(data.get("source_object", "")),
-            target_object=str(data.get("target_object", "")),
-            rules=rules,
-        )
-    except model.ModelError as exc:
-        reader.fail(str(exc), near=mapping_id)
+    return reader.build(where, model.CopyRule, reader.expr(item, "from", what), reader.string(item, "to", what))
+
+
+def _read_message_flow(reader: _Reader, data: object, _where: str) -> model.MessageFlow | None:
+    item = reader.element(data, "message flow", {"id", "source", "target", "attachments"})
+    if item is None:
         return None
+    flow_id = reader.string(item, "id", "message flow")
+    where = f"message flow {flow_id}"
+    return reader.build(
+        flow_id,
+        model.MessageFlow,
+        flow_id,
+        reader.string(item, "source", where),
+        reader.string(item, "target", where),
+        reader.items(item, "attachments", where, _read_attachment),
+    )
 
 
-def _read_message_flow(reader: _Reader, data: object) -> model.MessageFlow | None:
-    if not isinstance(data, dict):
-        reader.fail("message flow must be an object")
-        return None
-    reader.unknown_keys(data, {"id", "source", "target", "attachments"}, "message flow")
-    flow_id = str(reader.require(data, "id", "message flow") or "")
-    try:
-        return model.MessageFlow(
-            id=flow_id,
-            source=str(data.get("source", "")),
-            target=str(data.get("target", "")),
-            attachments=_read_attachments(reader, data, flow_id),
-        )
-    except model.ModelError as exc:
-        reader.fail(str(exc), near=flow_id)
-        return None
-
-
-def _read_behaviors(reader: _Reader, data: object) -> dict[str, model.TaskBehavior]:
-    out: dict[str, model.TaskBehavior] = {}
-    if not isinstance(data, dict):
-        reader.fail("'behaviors' must be an object")
-        return out
-    for node_id, spec in data.items():
-        if not isinstance(spec, dict):
-            reader.fail(f"behavior of {node_id} must be an object", near=node_id)
-            continue
-        reader.unknown_keys(spec, {"effects", "store_actions", "instances"}, f"behavior of {node_id}")
-        effects = []
-        for item in reader.list_of(spec, "effects", f"behavior of {node_id}"):
-            if not isinstance(item, dict) or "target" not in item or "expr" not in item:
-                reader.fail(f"bad effect in behavior of {node_id}", near=node_id)
-                continue
-            target = str(item["target"])
-            if "." not in target:
-                reader.fail(f"effect target {target!r} must be object.path", near=target)
-                continue
-            obj, path = target.split(".", 1)
-            expr = reader.expr(item["expr"], f"effect of {node_id}")
-            if expr is not None:
-                effects.append(model.Effect(obj, path, expr))
-        actions: list[model.StoreInsert | model.StoreRead] = []
-        for item in reader.list_of(spec, "store_actions", f"behavior of {node_id}"):
-            if not isinstance(item, dict):
-                reader.fail(f"bad store action in behavior of {node_id}", near=node_id)
-                continue
-            action = item.get("action")
-            if action == "insert":
-                raw = item.get("assignments", {})
-                if not isinstance(raw, dict):
-                    reader.fail(f"'assignments' of insert of {node_id} must be an object", near=node_id)
-                    raw = {}
-                assignments = {}
-                for fname, etext in raw.items():
-                    expr = reader.expr(etext, f"insert of {node_id}")
-                    if expr is not None:
-                        assignments[str(fname)] = expr
-                actions.append(
-                    model.StoreInsert(str(item.get("store", "")), str(item.get("entity", "")), assignments)
-                )
-            elif action == "read":
-                flt = None
-                if item.get("filter") is not None:
-                    flt = reader.expr(item["filter"], f"read of {node_id}")
-                actions.append(
-                    model.StoreRead(
-                        str(item.get("store", "")),
-                        str(item.get("entity", "")),
-                        str(item.get("object", "")),
-                        flt,
-                    )
-                )
-            else:
-                reader.fail(f"unknown store action {action!r} in behavior of {node_id}", near=node_id)
-        try:
-            instances = int(spec.get("instances", 1))
-        except (TypeError, ValueError, OverflowError):
-            reader.fail(f"'instances' of behavior of {node_id} must be an integer", near=node_id)
-            continue
-        out[str(node_id)] = model.TaskBehavior(effects=effects, store_actions=actions, instances=instances)
+def _read_behaviors(reader: _Reader, data: dict) -> dict[str, model.TaskBehavior]:
+    out = {}
+    for node_id, spec in reader.entries(data, "behaviors", "document").items():
+        behavior = _read_behavior(reader, spec, node_id)
+        if behavior is not None:
+            out[node_id] = behavior
     return out
 
 
-def _read_start_inputs(reader: _Reader, data: object) -> dict[str, dict]:
-    if not isinstance(data, dict):
-        reader.fail("'start_inputs' must be an object")
-        return {}
-    out: dict[str, dict] = {}
-    for obj_id, bindings in data.items():
-        if not isinstance(bindings, dict):
-            reader.fail(f"start inputs of {obj_id} must be an object", near=obj_id)
-            continue
+def _read_behavior(reader: _Reader, data: object, node_id: str) -> model.TaskBehavior | None:
+    where = f"behavior of {node_id}"
+    item = reader.element(data, where, {"effects", "store_actions", "instances"})
+    if item is None:
+        return None
+    # an effect or store action is named after the node: "insert of <node>"
+    return reader.build(
+        node_id,
+        model.TaskBehavior,
+        reader.items(item, "effects", node_id, _read_effect),
+        reader.items(item, "store_actions", node_id, _read_store_action),
+        reader.integer(item, "instances", where, 1),
+    )
+
+
+def _read_effect(reader: _Reader, data: object, node_id: str) -> model.Effect | None:
+    what = f"effect of {node_id}"
+    item = reader.element(data, what, {"target", "expr"})
+    if item is None:
+        return None
+    target = reader.string(item, "target", what)
+    obj, dot, path = target.partition(".")
+    if not dot:
+        reader.fail(f"effect target {target!r} must be object.path", near=target)
+    return reader.build(target, model.Effect, obj, path, reader.expr(item, "expr", what))
+
+
+def _read_store_action(
+    reader: _Reader, data: object, node_id: str
+) -> model.StoreInsert | model.StoreRead | None:
+    action = data.get("action") if isinstance(data, dict) else None
+    what = f"{action} of {node_id}"
+    if action == "insert":
+        item = reader.element(data, what, {"action", "store", "entity", "assignments"})
+        assignments = reader.entries(item, "assignments", what)
+        return reader.build(
+            node_id,
+            model.StoreInsert,
+            reader.string(item, "store", what),
+            reader.string(item, "entity", what),
+            {name: reader.expr(assignments, name, what) for name in assignments},
+        )
+    if action == "read":
+        item = reader.element(data, what, {"action", "store", "entity", "object", "filter"})
+        return reader.build(
+            node_id,
+            model.StoreRead,
+            reader.string(item, "store", what),
+            reader.string(item, "entity", what),
+            reader.string(item, "object", what),
+            reader.expr(item, "filter", what, optional=True),
+        )
+    reader.fail(f'store action of {node_id} must be an object with "action" "insert" or "read"', near=node_id)
+    return None
+
+
+def _read_start_inputs(reader: _Reader, data: dict) -> dict[str, dict[str, Value]]:
+    inputs = reader.entries(data, "start_inputs", "document")
+    out = {}
+    for obj_id in inputs:
+        bindings = reader.entries(inputs, obj_id, "start inputs")
         where = f"start inputs of {obj_id}"
-        out[str(obj_id)] = {str(k): reader.scalar(bindings, k, where) for k in bindings}
+        out[obj_id] = {var: reader.scalar(bindings, var, where) for var in bindings}
     return out
 
 

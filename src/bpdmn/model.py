@@ -35,7 +35,6 @@ NODE_KINDS = {
 
 START_KINDS = {"start_event_none", "start_event_message"}
 
-OBJECT_STEREOTYPES = {"generic", "document", "product", "message"}
 SCALAR_VTYPES = {"string", "number", "boolean"}
 VTYPES = SCALAR_VTYPES | {"record"}
 
@@ -187,6 +186,8 @@ class Scope:
             raise ModelError(f"invalid scope kind {self.kind!r}")
         if self.kind == "sub_process" and not self.sub_process:
             raise ModelError("sub-process scope requires a node id")
+        if self.kind == "diagram" and self.sub_process is not None:
+            raise ModelError("diagram scope names no node")
 
     @classmethod
     def diagram(cls) -> Scope:
@@ -195,9 +196,6 @@ class Scope:
     @classmethod
     def of(cls, node_id: str) -> Scope:
         return cls("sub_process", node_id)
-
-
-DIAGRAM_SCOPE = Scope.diagram
 
 
 @dataclass
@@ -210,12 +208,6 @@ class DataStore:
     generalizations: list[Generalization] = field(default_factory=list)
     scope: Scope = field(default_factory=Scope.diagram)
     collapsed: bool = False
-
-    def entity(self, name: str) -> Entity | None:
-        for e in self.entities:
-            if e.name == name:
-                return e
-        return None
 
     def qualified_field_names(self) -> set[str]:
         """All ``Entity.field`` names, including fields inherited through

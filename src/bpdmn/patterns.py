@@ -604,12 +604,9 @@ def analyze(diagram: Diagram) -> PatternReport:
     report empty lists. Raises :class:`InvalidDiagramError` when the
     diagram has validation errors.
     """
-    diagnostics = validator.validate(diagram)
-    if validator.has_errors(diagnostics):
-        raise InvalidDiagramError(
-            "diagram has validation errors: "
-            + "; ".join(str(x) for x in diagnostics if x.is_error)
-        )
+    problem = validator.errors_text(diagram)
+    if problem is not None:
+        raise InvalidDiagramError(problem)
     facts = _Facts(diagram)
     instances: dict[str, list[Witness]] = {}
     ids: dict[str, list[list[str]]] = {}

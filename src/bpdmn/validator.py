@@ -66,6 +66,13 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
     return any(d.is_error for d in diagnostics)
 
 
+def errors_text(diagram: Diagram) -> str | None:
+    """Why the diagram may not be translated or analyzed: its validation
+    errors joined into one message, or ``None`` when it has none."""
+    errors = [str(d) for d in validate(diagram) if d.is_error]
+    return "diagram has validation errors: " + "; ".join(errors) if errors else None
+
+
 def _only_on_external_messages(diagram: Diagram, object_id: str) -> bool:
     """True when every use of the object sits on a message flow whose
     opposite endpoint is a black-box pool (data received from or sent

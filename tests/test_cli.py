@@ -109,6 +109,14 @@ def test_simulate_set_override_changes_route(runner):
     assert "check_hotel" not in payload["fired"]
 
 
+@pytest.mark.parametrize("value", ["[1,2]", '{"a":1}'])
+def test_simulate_set_refuses_a_value_start_inputs_refuse(runner, value):
+    result = runner.invoke(main, ["simulate", fx("travel.bpdmn.json"), "--set", f"input.cardNumber={value}"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error: bad --set" in result.output
+
+
 def test_simulate_seeded_random_policy(runner):
     args = ["simulate", fx("eco.bpdmn.json"), "--policy", "random", "--seed", "3", "--json"]
     first = runner.invoke(main, args)

@@ -2,19 +2,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from bpdmn import format as fmt
 from bpdmn.cli import main
-from bpdmn.format import (
-    EMPTY_DOCUMENT,
-    ParseError,
-    parse_diagram,
-    parse_diagram_with_warnings,
-    serialize_diagram,
-)
+from bpdmn.format import EMPTY_DOCUMENT, ParseError, parse_diagram, serialize_diagram
 
 from conftest import FIXTURES, fixture_text
 from randgen import fuzz_input, random_diagram
@@ -69,9 +65,6 @@ def test_unknown_key_strict_vs_lenient():
     raw = json.dumps(text)
     with pytest.raises(ParseError, match="unknown key 'mystery'"):
         parse_diagram(raw)
-    diagram, warnings = parse_diagram_with_warnings(raw, strict=False)
-    assert diagram is not None
-    assert any("mystery" in str(w) for w in warnings)
 
 
 def test_unknown_node_kind_is_located():
@@ -246,6 +239,36 @@ BAD_VALUES = [
         lambda d: d.update(start_inputs={"o": {"cardType": ["VISA"]}}),
         "'cardType' of start inputs of o must be a string, number, boolean or null",
     ),
+    # each of these was read with str(), bool() or int(), or skipped, and so rewritten
+    ("pool-id-number", lambda d: d["pools"][0].update(id=5), "'id' of pool must be a string"),
+    ("node-id-null", lambda d: d["pools"][0]["nodes"][0].update(id=None), "'id' of node of pool p must be a string"),
+    ("node-kind-null", lambda d: d["pools"][0]["nodes"][0].update(kind=None), "'kind' of node s must be a string"),
+    ("node-kind-empty", lambda d: d["pools"][0]["nodes"][0].update(kind=""), "node s: unknown kind ''"),
+    (
+        "attachment-optional-string",
+        lambda d: d["pools"][0]["sequence_flows"][0]["attachments"].append(
+            {"object": "o", "direction": "input", "optional": "no"}
+        ),
+        "'optional' of attachment of sequence flow f must be a boolean",
+    ),
+    (
+        "variable-name-number",
+        lambda d: d["objects"][0]["variables"].append({"name": 7, "vtype": "string"}),
+        "'name' of variable of object o must be a string",
+    ),
+    ("store-collapsed-string", lambda d: d["stores"][0].update(collapsed="false"), "'collapsed' of store st must be a boolean"),
+    ("relationship-number", lambda d: d["stores"][0].update(relationships=[5]), "relationship of store st must be an object"),
+    (
+        "relationship-unknown-key",
+        lambda d: d["stores"][0].update(relationships=[{"name": "r", "left": "E", "right": "E", "via": "x"}]),
+        "unknown key 'via' in relationship of store st",
+    ),
+    ("generalization-string", lambda d: d["stores"][0].update(generalizations=["x"]), "generalization of store st must be an object"),
+    ("instances-float", lambda d: d["behaviors"]["sp"].update(instances=2.7), "'instances' of behavior of sp must be an integer"),
+    ("instances-true", lambda d: d["behaviors"]["sp"].update(instances=True), "'instances' of behavior of sp must be an integer"),
+    ("instances-string", lambda d: d["behaviors"]["sp"].update(instances="3"), "'instances' of behavior of sp must be an integer"),
+    # raised the model's own error instead of a ParseError
+    ("scope-without-node", lambda d: d["stores"][0].update(scope="sub_process:"), "sub-process scope requires a node id"),
 ]
 
 
@@ -280,3 +303,146 @@ def test_cli_rejects_bad_document_with_exit_2(text, message, tmp_path):
     assert result.exit_code == 2
     assert isinstance(result.exception, SystemExit)
     assert message in result.output and "Traceback" not in result.output
+
+
+# ---------------------------------------------------------------------------
+# Mutation fuzzing: every single-point change of a few valid documents
+
+
+def _every_key_document() -> dict:
+    """`_document()` plus an element holding each optional key of the schema."""
+    doc = _document()
+    pool = doc["pools"][0]
+    pool["nodes"][1]["local_stores"] = ["st"]
+    pool["nodes"] += [
+        {"id": "t", "name": "t", "kind": "task", "multi_instance": True},
+        {"id": "g", "name": "g", "kind": "gateway_exclusive_data", "condition": "o.v = 1"},
+    ]
+    attachment = {"object": "o", "direction": "input", "optional": True}
+    pool["sequence_flows"].append(
+        {"id": "f2", "source": "sp", "target": "t", "guard": "true", "attachments": [attachment]}
+    )
+    pool["explicit_data_flows"].append({"id": "d", "source": "st", "target": "t", "object": "o", "optional": True})
+    doc["stores"][0].update(
+        icon="folder",
+        relationships=[{"name": "r", "left": "E", "right": "E"}],
+        generalizations=[{"parent": "E", "child": "F"}],
+        scope="sub_process:sp",
+        collapsed=True,
+    )
+    doc["objects"].append(
+        {
+            "id": "o2",
+            "name": "O2",
+            "stereotype": "document",
+            "physicality": "physical",
+            "variables": [{"name": "v", "vtype": "number"}],
+            "url": "u",
+            "state": "new",
+            "origin_store": "st",
+        }
+    )
+    doc["behaviors"]["t"] = {
+        "effects": [{"target": "o.v", "expr": "1"}],
+        "store_actions": [
+            {"action": "insert", "store": "st", "entity": "E", "assignments": {"x": "1"}},
+            {"action": "read", "store": "st", "entity": "E", "object": "o", "filter": "true"},
+        ],
+        "instances": 2,
+    }
+    doc["start_inputs"] = {"o": {"v": 1}}
+    return doc
+
+
+FUZZ_DOCUMENTS = ["every-key", "travel.bpdmn.json", "eco.bpdmn.json"]
+MUTANT_VALUES = (5, "s", [], {}, None, True)
+_DROP = object()
+
+
+def _fuzz_cases(name: str) -> tuple[dict, list]:
+    """The document and its mutations: all of them for the every-key
+    document, every third one for a fixture, which keeps two or three of the
+    seven mutations of each path (seven and three are coprime)."""
+    if name == "every-key":
+        doc = _every_key_document()
+        return doc, list(_mutations(doc))
+    doc = json.loads(fixture_text(name))
+    return doc, list(_mutations(doc))[::3]
+
+
+def _mutations(node, path=()):
+    """(path, value) for each single-point mutation under *node*: every key
+    and list item dropped (`_DROP`) or set to each of `MUTANT_VALUES`."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        for value in (_DROP, *MUTANT_VALUES):
+            yield (*path, key), value
+        if isinstance(child, (dict, list)):
+            yield from _mutations(child, (*path, key))
+
+
+def _mutant(node, path: tuple, value):
+    """A copy of *node* with the mutation (*path*, *value*) applied; only
+    the containers along *path* are copied."""
+    node = dict(node) if isinstance(node, dict) else list(node)
+    if len(path) > 1:
+        node[path[0]] = _mutant(node[path[0]], path[1:], value)
+    elif value is _DROP:
+        del node[path[0]]
+    else:
+        node[path[0]] = value
+    return node
+
+
+def test_mutations_cover_every_key_the_parser_reads(monkeypatch):
+    read: set[str] = set()
+
+    class Logged(dict):
+        """A decoded object that logs each key the parser looks up in it."""
+
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def __contains__(self, key):
+            read.add(key)
+            return super().__contains__(key)
+
+    decode = SimpleNamespace(
+        loads=lambda text: json.loads(text, object_hook=Logged), JSONDecodeError=json.JSONDecodeError
+    )
+    monkeypatch.setattr(fmt, "json", decode)
+    mutated = set()
+    for name in FUZZ_DOCUMENTS:
+        doc, mutations = _fuzz_cases(name)
+        parse_diagram(json.dumps(doc))
+        mutated |= {path[-1] for path, _ in mutations}
+    assert read and read <= mutated, sorted(read - mutated)
+
+
+@pytest.mark.parametrize("name", FUZZ_DOCUMENTS)
+def test_every_mutant_is_refused_or_parses_to_a_fixpoint(name, tmp_path):
+    doc, mutations = _fuzz_cases(name)
+    refused = []
+    for path, value in mutations:
+        text = json.dumps(_mutant(doc, path, value))
+        try:
+            canonical = serialize_diagram(parse_diagram(text))
+        except ParseError:
+            refused.append(text)
+            continue
+        assert serialize_diagram(parse_diagram(canonical)) == canonical, (path, value)
+        # a number, string or boolean the parser accepts is written back as is
+        # (null, [] and {} may stand for an absent key, which is not written)
+        if isinstance(path[-1], str) and isinstance(value, (int, str)):
+            assert f"{json.dumps(path[-1])}: {json.dumps(value)}" in canonical, (path, value)
+    assert refused
+    model = tmp_path / "mutant.bpdmn.json"
+    for text in refused[::50]:
+        model.write_text(text, encoding="utf-8")
+        result = CliRunner().invoke(main, ["validate", str(model)])
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
+        assert "error: " in result.output and "Traceback" not in result.output
