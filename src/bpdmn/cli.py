@@ -155,6 +155,9 @@ def simulate(
         if not fmt.is_scalar(value):
             click.echo(f"error: bad --set {item!r}, VALUE must be a string, number, boolean or null", err=True)
             sys.exit(EXIT_IO)
+        if diagram.object(obj) is None:
+            click.echo(f"error: bad --set {item!r}, the model declares no object {obj!r}", err=True)
+            sys.exit(EXIT_IO)
         start_inputs.setdefault(obj, {})[var] = value
 
     try:

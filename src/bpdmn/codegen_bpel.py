@@ -20,7 +20,7 @@ import xml.etree.ElementTree as ET
 
 from . import validator
 from .expr import Ref, print_expr
-from .model import DataMapping, Diagram, Node, SequenceFlow, node_inputs, node_outputs
+from .model import START_KINDS, DataMapping, Diagram, Node, SequenceFlow, node_inputs, node_outputs
 
 PROCESS_NS = "http://example.org/bpel/generated"
 PLACEHOLDER_PARTNER_LINK = "partnerLinkPlaceholder"
@@ -103,7 +103,7 @@ def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
     warnings: list[str] = []
 
     process = ET.Element("process", {"name": diagram.id, "targetNamespace": PROCESS_NS})
-    _emit_variables(diagram, process, warnings)
+    _emit_variables(diagram, process)
 
     pool_bodies = []
     for pool in sorted(diagram.pools, key=lambda p: p.id):
@@ -136,7 +136,7 @@ def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
     return xml_text(process), warnings
 
 
-def _emit_variables(diagram: Diagram, process: ET.Element, warnings: list[str]) -> None:
+def _emit_variables(diagram: Diagram, process: ET.Element) -> None:
     variables = ET.SubElement(process, "variables")
     names_seen: dict[str, str] = {}
 
@@ -226,9 +226,7 @@ def _replies_to_starter(diagram: Diagram, start_sources: set[str], node_id: str)
     )
 
 
-def _node_element(
-    diagram: Diagram, start_sources: set[str], node: Node, warnings: list[str]
-) -> list[ET.Element]:
+def _node_element(diagram: Diagram, start_sources: set[str], node: Node) -> list[ET.Element]:
     """Elements for one node: its mapping assigns followed by its activity."""
     elements = [_assign_for_mapping(mapping) for mapping in diagram.index.mappings_into(node.id)]
 
@@ -325,10 +323,9 @@ def _find_join(diagram: Diagram, branch_heads: list[str]) -> str | None:
 
 
 class _SkeletonBuilder:
-    def __init__(self, diagram: Diagram, pool, warnings: list[str]) -> None:
+    def __init__(self, diagram: Diagram, pool) -> None:
         self.diagram = diagram
         self.start_sources = _start_message_sources(diagram, pool)
-        self.warnings = warnings
         self.emitted: set[str] = set()
 
     def render_chain(self, start_id: str, stop_id: str | None) -> list[ET.Element]:
@@ -367,7 +364,7 @@ class _SkeletonBuilder:
                 elements.append(self.render_exclusive(node))
                 current = None
                 continue
-            elements.extend(_node_element(self.diagram, self.start_sources, node, self.warnings))
+            elements.extend(_node_element(self.diagram, self.start_sources, node))
             nexts = _successors(self.diagram, current)
             current = nexts[0].target if nexts else None
         return elements
@@ -404,12 +401,12 @@ class _SkeletonBuilder:
 
 def _emit_pool(diagram: Diagram, pool, warnings: list[str]) -> ET.Element | None:
     starts = sorted(
-        (n for n in pool.iter_nodes() if n.kind in ("start_event_none", "start_event_message")),
+        (n for n in pool.iter_nodes() if n.kind in START_KINDS),
         key=lambda n: n.id,
     )
     if not starts:
         return None
-    builder = _SkeletonBuilder(diagram, pool, warnings)
+    builder = _SkeletonBuilder(diagram, pool)
     seq = ET.Element("sequence")
     for start in starts:
         seq.extend(builder.render_chain(start.id, None))

@@ -404,6 +404,13 @@ class Diagram:
             if store.scope.kind == "sub_process" and store.scope.sub_process not in node_ids:
                 raise ModelError(f"store {store.id}: unknown scope node {store.scope.sub_process!r}")
 
+        for node_id in self.behaviors:
+            if node_id not in node_ids:
+                raise ModelError(f"behavior of {node_id}: unknown node")
+        for object_id in self.start_inputs:
+            if object_id not in object_ids:
+                raise ModelError(f"start input {object_id}: unknown object")
+
     # -- lookups
 
     @cached_property

@@ -12,6 +12,11 @@ Store reads are non-destructive, inserts append, and bindings persist for
 the whole case once produced. An optional input that is absent when its
 consumer fires is bound to null and never awaited.
 
+A node's effects, store actions and instance count are its behaviour in
+``diagram.behaviors``, the behaviours the validator checked; nothing else
+supplies them. Only the start inputs can be overridden, by ``init`` and
+``run``.
+
 The rule is written once, in ``_is_enabled``. ``enabled()`` applies it to the
 candidates of a state: targets of marked sequence flows and pending message
 starts. A run computes that set once and then keeps it up to date: after a
@@ -46,6 +51,7 @@ from dataclasses import dataclass, field
 
 from .expr import ExprError, Value, eval_expr
 from .model import (
+    START_KINDS,
     Diagram,
     Node,
     NodeIO,
@@ -53,7 +59,6 @@ from .model import (
     StoreRead,
     TaskBehavior,
     node_inputs,
-    node_outputs,
 )
 
 
@@ -183,21 +188,12 @@ def _env_of(bindings: Bindings) -> dict[str, Value]:
     return env
 
 
-def _start_objects(diagram: Diagram, node_id: str) -> list[NodeIO]:
-    return [io for io in node_outputs(diagram, node_id) if io.channel == "sequence"]
-
-
-def init(
-    diagram: Diagram,
-    behaviors: dict[str, TaskBehavior] | None = None,
-    start_inputs: dict[str, dict[str, Value]] | None = None,
-) -> ExecutionState:
+def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = None) -> ExecutionState:
     """Build the initial state: tokens on the outgoing flows of ready start
-    events, message-start objects bound from *start_inputs*. Message starts
-    fed by an internal message flow stay pending until the message arrives.
+    events, message-start objects bound from *start_inputs* (by default the
+    diagram's). Message starts fed by an internal message flow stay pending
+    until the message arrives.
     """
-    if behaviors is None:
-        behaviors = diagram.behaviors
     if start_inputs is None:
         start_inputs = diagram.start_inputs
     if not any(True for _ in diagram.iter_nodes()):
@@ -209,10 +205,10 @@ def init(
 
     for pool in diagram.pools:
         for node in pool.iter_nodes():
-            if node.kind not in ("start_event_none", "start_event_message"):
+            if node.kind not in START_KINDS:
                 continue
             if node.kind == "start_event_message":
-                outputs = _start_objects(diagram, node.id)
+                outputs = [io for io in diagram.index.outputs.get(node.id, ()) if io.channel == "sequence"]
                 supplied = [io for io in outputs if io.object in start_inputs]
                 if node.id in internal_message_targets and not supplied:
                     state.pending_starts.add(node.id)
@@ -249,9 +245,7 @@ def init(
 # Enablement
 
 
-def _store_read_available(
-    state: ExecutionState, diagram: Diagram, behavior: TaskBehavior | None, object_id: str
-) -> bool:
+def _store_read_available(state: ExecutionState, behavior: TaskBehavior | None, object_id: str) -> bool:
     if behavior is not None:
         for action in behavior.store_actions:
             if isinstance(action, StoreRead) and action.object == object_id:
@@ -276,12 +270,7 @@ def _matching_record(state: ExecutionState, action: StoreRead) -> Record | None:
 
 
 def _input_available(
-    state: ExecutionState,
-    diagram: Diagram,
-    node: Node,
-    io: NodeIO,
-    behavior: TaskBehavior | None,
-    visiting: frozenset[str],
+    state: ExecutionState, diagram: Diagram, node: Node, io: NodeIO, visiting: frozenset[str]
 ) -> bool:
     if io.object in state.bindings:
         return True
@@ -293,24 +282,22 @@ def _input_available(
                     return True
         return False
     if io.channel == "store":
-        return _store_read_available(state, diagram, behavior, io.object)
+        return _store_read_available(state, diagram.behaviors.get(node.id), io.object)
     # sequence or explicit node-to-node channel: maybe producible by a mapping
     for mapping in diagram.index.mappings_to.get(io.object, ()):
         if mapping.id in visiting:
             continue
         if mapping.source_object in state.bindings:
             return True
-        for other in node_inputs(diagram, node.id):
+        for other in diagram.index.inputs.get(node.id, ()):
             if other.object == mapping.source_object and _input_available(
-                state, diagram, node, other, behavior, visiting | {mapping.id}
+                state, diagram, node, other, visiting | {mapping.id}
             ):
                 return True
     return False
 
 
-def _is_enabled(
-    state: ExecutionState, diagram: Diagram, node: Node, behavior: TaskBehavior | None
-) -> bool:
+def _is_enabled(state: ExecutionState, diagram: Diagram, node: Node) -> bool:
     """The enablement rule for one node: its join holds and every required
     input is available. Store-channel inputs are tested last, so a store is
     scanned only when everything else already holds."""
@@ -323,10 +310,7 @@ def _is_enabled(
         return pool is not None and any(
             msg.flow in flow_ids for msg in state.inbox.get(pool.id, [])
         )
-    if node.id in state.completed and node.kind in (
-        "start_event_none",
-        "start_event_message",
-    ):
+    if node.id in state.completed and node.kind in START_KINDS:
         return False
     if node.kind == "gateway_exclusive_data":
         has_tokens = any(state.tokens.get(f.id, 0) > 0 for f in incoming)
@@ -339,35 +323,25 @@ def _is_enabled(
         for io in inputs:
             if (io.channel == "store") is not store_pass or io.optional:
                 continue
-            if not _input_available(state, diagram, node, io, behavior, frozenset()):
+            if not _input_available(state, diagram, node, io, frozenset()):
                 return False
     return True
 
 
-def enabled(
-    state: ExecutionState,
-    diagram: Diagram,
-    behaviors: dict[str, TaskBehavior] | None = None,
-) -> set[str]:
+def enabled(state: ExecutionState, diagram: Diagram) -> set[str]:
     """Nodes ready to fire under the join and data-availability conditions.
 
     Only the targets of marked sequence flows and the pending message starts
     are examined: a node with in-flows but no marked one fails either join,
     and a node without in-flows fires only as a pending message start.
     """
-    if behaviors is None:
-        behaviors = diagram.behaviors
     index = diagram.index
     candidates = set(state.pending_starts)
     for flow_id, count in state.tokens.items():
         flow = index.flows.get(flow_id)
         if flow is not None and count > 0:
             candidates.add(flow.target)
-    return {
-        node_id
-        for node_id in candidates
-        if _is_enabled(state, diagram, index.nodes[node_id], behaviors.get(node_id))
-    }
+    return {node_id for node_id in candidates if _is_enabled(state, diagram, index.nodes[node_id])}
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +368,7 @@ def _apply_mappings(
             _bind(state, trace, step, mapping.target_object, rule.to, value)
 
 
-def _run_behavior(
-    state: ExecutionState, diagram: Diagram, node: Node, behavior: TaskBehavior, trace: Trace, step: int
-) -> None:
+def _run_behavior(state: ExecutionState, node: Node, behavior: TaskBehavior, trace: Trace, step: int) -> None:
     instances = max(behavior.instances, 1) if node.multi_instance else 1
     for index in range(1, instances + 1):
         counter = {"instance.index": index}
@@ -466,9 +438,7 @@ def _send_messages(
         # messages to black-box pools leave the modeled world
 
 
-def _emit_tokens(
-    state: ExecutionState, diagram: Diagram, node: Node, trace: Trace, step: int
-) -> None:
+def _emit_tokens(state: ExecutionState, diagram: Diagram, node: Node) -> None:
     outgoing = sorted(diagram.index.out_flows.get(node.id, ()), key=lambda f: f.id)
     if not outgoing:
         return
@@ -495,31 +465,12 @@ def _emit_tokens(
         state.tokens[flow.id] = state.tokens.get(flow.id, 0) + 1
 
 
-def step(
-    state: ExecutionState,
-    diagram: Diagram,
-    behaviors: dict[str, TaskBehavior] | None = None,
-    choose: str | None = None,
-) -> tuple[ExecutionState, Trace]:
-    """Fire one enabled node (the smallest id unless *choose* names one) and
-    return the updated state together with the trace delta."""
-    if behaviors is None:
-        behaviors = diagram.behaviors
-    if choose is None:
-        ready = enabled(state, diagram, behaviors)
-        if not ready:
-            raise SimulationError("no node is enabled")
-        node_id = min(ready)
-    else:
-        node_id = choose
-        chosen = diagram.node(node_id)
-        if chosen is None or not _is_enabled(state, diagram, chosen, behaviors.get(node_id)):
-            # the whole enabled set is needed only to word the refusal
-            if not enabled(state, diagram, behaviors):
-                raise SimulationError("no node is enabled")
-            raise SimulationError(f"node {node_id} is not enabled")
-    node = diagram.node(node_id)
-    assert node is not None
+def step(state: ExecutionState, diagram: Diagram, node_id: str) -> tuple[ExecutionState, Trace]:
+    """Fire the node *node_id* and return the updated state together with
+    the trace delta; :class:`SimulationError` if that node is not enabled."""
+    node = diagram.index.nodes.get(node_id)
+    if node is None or not _is_enabled(state, diagram, node):
+        raise SimulationError(f"node {node_id} is not enabled")
 
     current = state.step_count + 1
     trace: Trace = []
@@ -541,7 +492,7 @@ def step(
     _receive_messages(state, diagram, node, trace, current)
     state.pending_starts.discard(node_id)
 
-    behavior = behaviors.get(node_id)
+    behavior = diagram.behaviors.get(node_id)
     # pre-behavior store reads so effects can see extracted data
     if behavior is not None:
         for action in behavior.store_actions:
@@ -558,7 +509,7 @@ def step(
     _apply_mappings(state, diagram, node, trace, current)
 
     # optional inputs that never arrived are bound to null now
-    for io in node_inputs(diagram, node_id):
+    for io in diagram.index.inputs.get(node_id, ()):
         if io.optional and io.object not in state.bindings:
             obj = diagram.object(io.object)
             state.bindings[io.object] = {}
@@ -568,15 +519,15 @@ def step(
                         _bind(state, trace, current, io.object, var.name, None)
 
     if behavior is not None:
-        _run_behavior(state, diagram, node, behavior, trace, current)
+        _run_behavior(state, node, behavior, trace, current)
 
     # every output object is considered produced once the node fires
-    for io in node_outputs(diagram, node_id):
+    for io in diagram.index.outputs.get(node_id, ()):
         if io.channel != "store":
             state.bindings.setdefault(io.object, {})
 
     _send_messages(state, diagram, node, trace, current)
-    _emit_tokens(state, diagram, node, trace, current)
+    _emit_tokens(state, diagram, node)
 
     state.completed.add(node_id)
     state.step_count = current
@@ -584,16 +535,13 @@ def step(
 
 
 class _Watch:
-    """The nodes whose verdict a firing can change, for one run.
+    """The nodes whose verdict a firing can change, for one run, from the
+    diagram's index and behaviours."""
 
-    Built from the diagram's index and the behaviours in use; callers may
-    pass behaviours apart from the diagram, so this is not cached on it.
-    """
-
-    def __init__(self, diagram: Diagram, behaviors: dict[str, TaskBehavior]) -> None:
+    def __init__(self, diagram: Diagram) -> None:
         index = diagram.index
         self.index = index
-        self.behaviors = behaviors
+        self.behaviors = diagram.behaviors
         # object id -> nodes whose check asks whether the object is bound:
         # those taking it as an input, or taking a mapping's target from it
         self.readers: dict[str, set[str]] = {obj: set(nodes) for obj, nodes in index.consumers.items()}
@@ -604,8 +552,8 @@ class _Watch:
         # a store filter reads records and any binding: re-checked every step
         self.store_readers = {
             node_id
-            for node_id, behavior in behaviors.items()
-            if node_id in index.nodes and any(isinstance(a, StoreRead) for a in behavior.store_actions)
+            for node_id, behavior in diagram.behaviors.items()
+            if any(isinstance(a, StoreRead) for a in behavior.store_actions)
         }
 
     def affected_by(self, node_id: str) -> set[str]:
@@ -627,17 +575,11 @@ class _Watch:
         return affected
 
 
-def _recheck(
-    ready: set[str],
-    state: ExecutionState,
-    diagram: Diagram,
-    behaviors: dict[str, TaskBehavior],
-    node_ids: set[str],
-) -> None:
+def _recheck(ready: set[str], state: ExecutionState, diagram: Diagram, node_ids: set[str]) -> None:
     """Apply the enablement rule again to *node_ids*, updating *ready*."""
     nodes = diagram.index.nodes
     for node_id in node_ids:
-        if _is_enabled(state, diagram, nodes[node_id], behaviors.get(node_id)):
+        if _is_enabled(state, diagram, nodes[node_id]):
             ready.add(node_id)
         else:
             ready.discard(node_id)
@@ -645,7 +587,6 @@ def _recheck(
 
 def run(
     diagram: Diagram,
-    behaviors: dict[str, TaskBehavior] | None = None,
     start_inputs: dict[str, dict[str, Value]] | None = None,
     max_steps: int = 1000,
     policy: str = "smallest",
@@ -659,25 +600,23 @@ def run(
     """
     if policy not in ("smallest", "random"):
         raise ValueError(f"unknown scheduling policy {policy!r}")
-    if behaviors is None:
-        behaviors = diagram.behaviors
-    state = init(diagram, behaviors, start_inputs)
+    state = init(diagram, start_inputs)
     rng = random.Random(seed)
     trace: Trace = []
     # initial bindings (start inputs) appear in the trace at step 0
     for obj in sorted(state.bindings):
         for variable, value in sorted(state.bindings[obj].items()):
             trace.append(ObjectBound(0, obj, variable, value))
-    watch = _Watch(diagram, behaviors)
-    ready = enabled(state, diagram, behaviors)
+    watch = _Watch(diagram)
+    ready = enabled(state, diagram)
     while ready and state.step_count < max_steps:
         if policy == "random":
             choice = rng.choice(sorted(ready))
         else:
             choice = min(ready)
-        state, delta = step(state, diagram, behaviors, choose=choice)
+        state, delta = step(state, diagram, choice)
         trace.extend(delta)
-        _recheck(ready, state, diagram, behaviors, watch.affected_by(choice))
+        _recheck(ready, state, diagram, watch.affected_by(choice))
     if ready:
         status = "step_limit"
     elif state.token_total() > 0:
@@ -744,16 +683,10 @@ def _clone(state: ExecutionState) -> ExecutionState:
     return clone
 
 
-def explore_interleavings(
-    diagram: Diagram,
-    behaviors: dict[str, TaskBehavior] | None = None,
-    start_inputs: dict[str, dict[str, Value]] | None = None,
-    max_steps: int = 50,
-) -> set[frozenset[str]]:
+def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozenset[str]]:
     """Brute-force oracle: the set of fired-node sets over every possible
-    firing order. Intended for desk-scale, gateway-free diagrams."""
-    if behaviors is None:
-        behaviors = diagram.behaviors
+    firing order from the diagram's start inputs. Intended for desk-scale,
+    gateway-free diagrams."""
     results: set[frozenset[str]] = set()
     seen: set = set()
     # depth first with an explicit stack, so a path may be longer than the
@@ -766,22 +699,22 @@ def explore_interleavings(
         if key in seen:
             return
         seen.add(key)
-        ready = enabled(state, diagram, behaviors)
+        ready = enabled(state, diagram)
         if not ready or state.step_count >= max_steps:
             results.add(fired)
             return
         stack.append((state, fired, sorted(ready, reverse=True)))
 
-    visit(init(diagram, behaviors, start_inputs), frozenset())
+    visit(init(diagram), frozenset())
     while stack:
         state, fired, choices = stack[-1]
         choice = choices.pop()
         if choices:
-            child, _ = step(_clone(state), diagram, behaviors, choose=choice)
+            child, _ = step(_clone(state), diagram, choice)
         else:
             # nothing reads this state after its last firing: fire it in place,
             # so a path without choices keeps one state alive, not one per step
             stack.pop()
-            child, _ = step(state, diagram, behaviors, choose=choice)
+            child, _ = step(state, diagram, choice)
         visit(child, fired | {choice})
     return results

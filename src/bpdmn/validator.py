@@ -19,8 +19,6 @@ from .model import (
     resolve_scope,
 )
 
-RULE_IDS = ("V1", "V2", "V3", "V4", "V5", "V6", "V7", "V8", "V9")
-
 
 class Severity(str, Enum):
     ERROR = "error"

@@ -117,6 +117,13 @@ def test_simulate_set_refuses_a_value_start_inputs_refuse(runner, value):
     assert "error: bad --set" in result.output
 
 
+def test_simulate_set_refuses_an_undeclared_object(runner):
+    result = runner.invoke(main, ["simulate", fx("travel.bpdmn.json"), "--set", "nosuch.v=1"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error: bad --set 'nosuch.v=1', the model declares no object 'nosuch'" in result.output
+
+
 def test_simulate_seeded_random_policy(runner):
     args = ["simulate", fx("eco.bpdmn.json"), "--policy", "random", "--seed", "3", "--json"]
     first = runner.invoke(main, args)

@@ -269,6 +269,10 @@ BAD_VALUES = [
     ("instances-string", lambda d: d["behaviors"]["sp"].update(instances="3"), "'instances' of behavior of sp must be an integer"),
     # raised the model's own error instead of a ParseError
     ("scope-without-node", lambda d: d["stores"][0].update(scope="sub_process:"), "sub-process scope requires a node id"),
+    # parsed and kept, though nothing could ever run or read them
+    ("behavior-unknown-node", lambda d: d["behaviors"].update(nosuch={"instances": 3}), "behavior of nosuch: unknown node"),
+    ("behavior-of-a-pool", lambda d: d["behaviors"].update(q={}), "behavior of q: unknown node"),
+    ("start-input-unknown-object", lambda d: d.update(start_inputs={"nosuch": {"v": 1}}), "start input nosuch: unknown object"),
 ]
 
 

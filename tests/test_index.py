@@ -320,7 +320,7 @@ def ref_mappings_into(d: Diagram, node_id: str) -> list:
     return [m for m in sorted(d.mappings, key=lambda m: m.id) if m.target_object in input_objects]
 
 
-def ref_enabled(state, d: Diagram, behaviors) -> set[str]:
+def ref_enabled(state, d: Diagram) -> set[str]:
     """The enablement rule applied to every node of the diagram."""
     ready = set()
     for node in d.iter_nodes():
@@ -337,9 +337,8 @@ def ref_enabled(state, d: Diagram, behaviors) -> set[str]:
         marked = [state.tokens.get(f.id, 0) > 0 for f in incoming]
         if not (any(marked) if node.kind == "gateway_exclusive_data" else all(marked)):
             continue
-        behavior = behaviors.get(node.id)
         if all(
-            io.optional or simulator._input_available(state, d, node, io, behavior, frozenset())
+            io.optional or simulator._input_available(state, d, node, io, frozenset())
             for io in ref_node_inputs(d, node.id)
         ):
             ready.add(node.id)
@@ -421,19 +420,18 @@ def test_enabled_equals_all_nodes_reference(diagram, monkeypatch):
     original_recheck = simulator._recheck
     checked = []
 
-    def check(ready, state, d, behaviors):
-        expected = ref_enabled(state, d, d.behaviors if behaviors is None else behaviors)
-        assert ready == expected, f"step {state.step_count}"
+    def check(ready, state, d):
+        assert ready == ref_enabled(state, d), f"step {state.step_count}"
         checked.append(state.step_count)
 
-    def enabled_checked(state, d, behaviors=None):
-        ready = original_enabled(state, d, behaviors)
-        check(ready, state, d, behaviors)
+    def enabled_checked(state, d):
+        ready = original_enabled(state, d)
+        check(ready, state, d)
         return ready
 
-    def recheck_checked(ready, state, d, behaviors, node_ids):
-        original_recheck(ready, state, d, behaviors, node_ids)
-        check(ready, state, d, behaviors)
+    def recheck_checked(ready, state, d, node_ids):
+        original_recheck(ready, state, d, node_ids)
+        check(ready, state, d)
 
     monkeypatch.setattr(simulator, "enabled", enabled_checked)
     monkeypatch.setattr(simulator, "_recheck", recheck_checked)
@@ -451,24 +449,24 @@ def test_enabled_equals_all_nodes_reference(diagram, monkeypatch):
 
 @pytest.mark.parametrize("diagram", DIAGRAMS)
 def test_step_accepts_exactly_the_enabled_nodes(diagram, monkeypatch):
-    """`step(choose=X)` checks only X; at every transition of the oracle it
-    must accept exactly the nodes `enabled()` returns."""
+    """`step(state, diagram, X)` checks only X; at every transition of the
+    oracle it must accept exactly the nodes `enabled()` returns."""
     original_step = simulator.step
     candidates = [n.id for n in diagram.iter_nodes()] + ["no-such-node"]
     checked = []
 
-    def step_checked(state, d, behaviors=None, choose=None):
+    def step_checked(state, d, choose):
         accepted = set()
         for node_id in candidates:
             try:
-                original_step(copy.deepcopy(state), d, behaviors, choose=node_id)
+                original_step(copy.deepcopy(state), d, node_id)
             except simulator.SimulationError as exc:
-                if str(exc) in (f"node {node_id} is not enabled", "no node is enabled"):
+                if str(exc) == f"node {node_id} is not enabled":
                     continue  # refused before anything changed
             accepted.add(node_id)
-        assert accepted == simulator.enabled(state, d, behaviors), f"step {state.step_count}"
+        assert accepted == simulator.enabled(state, d), f"step {state.step_count}"
         checked.append(state.step_count)
-        return original_step(state, d, behaviors, choose=choose)
+        return original_step(state, d, choose)
 
     monkeypatch.setattr(simulator, "step", step_checked)
     try:
@@ -487,7 +485,6 @@ def test_step_accepts_exactly_the_enabled_nodes(diagram, monkeypatch):
 def ref_explore(d: Diagram, max_steps: int = 50) -> set[frozenset[str]]:
     """The recursive depth-first search the oracle made before it kept its
     own stack: one `enabled()` per new state, one `step()` per transition."""
-    behaviors = d.behaviors
     results: set[frozenset[str]] = set()
     seen: set = set()
 
@@ -496,15 +493,15 @@ def ref_explore(d: Diagram, max_steps: int = 50) -> set[frozenset[str]]:
         if key in seen:
             return
         seen.add(key)
-        ready = simulator.enabled(state, d, behaviors)
+        ready = simulator.enabled(state, d)
         if not ready or state.step_count >= max_steps:
             results.add(fired)
             return
         for choice in sorted(ready):
-            child, _ = simulator.step(simulator._clone(state), d, behaviors, choose=choice)
+            child, _ = simulator.step(simulator._clone(state), d, choice)
             explore(child, fired | {choice})
 
-    explore(simulator.init(d, behaviors), frozenset())
+    explore(simulator.init(d), frozenset())
     return results
 
 
@@ -515,13 +512,13 @@ def test_oracle_equals_recursive_reference(diagram, monkeypatch):
     calls: list = []
     original_enabled, original_step = simulator.enabled, simulator.step
 
-    def enabled_logged(state, d, behaviors=None):
+    def enabled_logged(state, d):
         calls.append(("enabled", state.step_count))
-        return original_enabled(state, d, behaviors)
+        return original_enabled(state, d)
 
-    def step_logged(state, d, behaviors=None, choose=None):
+    def step_logged(state, d, choose):
         calls.append(("step", state.step_count, choose))
-        return original_step(state, d, behaviors, choose=choose)
+        return original_step(state, d, choose)
 
     monkeypatch.setattr(simulator, "enabled", enabled_logged)
     monkeypatch.setattr(simulator, "step", step_logged)

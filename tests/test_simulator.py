@@ -71,7 +71,7 @@ def test_eco_failure_ends_without_process(eco):
 
 
 def test_eco_message_start_waits_for_order(eco):
-    state = init(eco, eco.behaviors, eco.start_inputs)
+    state = init(eco)
     assert "m_start" in state.pending_starts
     assert "m_start" not in enabled(state, eco)
 
@@ -112,12 +112,12 @@ def test_random_policy_reproducible_per_seed(travel):
 
 def test_no_nodes_raises():
     with pytest.raises(InitializationError):
-        init(Diagram("d"), {}, {})
+        init(Diagram("d"), {})
 
 
 def test_missing_start_inputs_raise(travel):
     with pytest.raises(InitializationError, match="missing required start input"):
-        init(travel, travel.behaviors, {})
+        init(travel, {})
 
 
 def test_startless_pool_deadlocks_immediately():
@@ -133,9 +133,9 @@ def test_startless_pool_deadlocks_immediately():
 
 
 def test_step_consumes_and_produces_tokens(travel):
-    state = init(travel, travel.behaviors, travel.start_inputs)
+    state = init(travel)
     assert state.tokens == {"f01": 1}
-    state, trace = step(state, travel, travel.behaviors)
+    state, trace = step(state, travel, "check_cc")
     assert state.tokens == {"f02": 1}
     assert isinstance(trace[0], NodeFired) and trace[0].node == "check_cc"
 
@@ -180,21 +180,23 @@ def test_shared_store_reader_waits_for_writer():
 
 
 def test_multi_instance_behavior_runs_n_times():
-    diagram = load("patterns/p13.bpdmn.json")
-    from bpdmn.model import Effect, TaskBehavior
+    import dataclasses
+
     from bpdmn.expr import parse_expr
+    from bpdmn.model import Effect, TaskBehavior
 
     behaviors = {
         "t1": TaskBehavior(effects=[Effect("o", "v", parse_expr("instance.index"))], instances=3)
     }
-    result = run(diagram, behaviors=behaviors)
+    diagram = dataclasses.replace(load("patterns/p13.bpdmn.json"), behaviors=behaviors)
+    result = run(diagram)
     binds = [e for e in result.trace if isinstance(e, ObjectBound) and e.object == "o"]
     assert [e.value for e in binds] == [1, 2, 3]
 
 
-def test_enablement_uses_the_passed_behaviors():
-    # the diagram itself configures no store read, so only the passed
-    # behaviors can make t_read wait for a matching record
+def test_store_read_matching_no_record_blocks_the_reader():
+    # t_write inserts E.f = 1 and t_read reads E.f = 2: its input never
+    # becomes available, so it never fires
     from bpdmn.expr import parse_expr
     from bpdmn.model import (
         DataObject,
@@ -228,15 +230,15 @@ def test_enablement_uses_the_passed_behaviors():
         pools=[pool],
         stores=[DataStore("st", "St", entities=[Entity("E", [Variable("f", "number")])])],
         objects=[DataObject("o", "O", variables=[Variable("E.f", "number")], origin_store="st")],
+        behaviors={
+            "t_write": TaskBehavior(store_actions=[StoreInsert("st", "E", {"f": parse_expr("1")})]),
+            "t_read": TaskBehavior(store_actions=[StoreRead("st", "E", "o", parse_expr("E.f = 2"))]),
+        },
     )
-    behaviors = {
-        "t_write": TaskBehavior(store_actions=[StoreInsert("st", "E", {"f": parse_expr("1")})]),
-        "t_read": TaskBehavior(store_actions=[StoreRead("st", "E", "o", parse_expr("E.f = 2"))]),
-    }
-    result = run(diagram, behaviors=behaviors)
+    result = run(diagram)
     assert result.status == "deadlocked"
     assert "t_read" not in result.fired_nodes()
-    assert explore_interleavings(diagram, behaviors=behaviors) == {frozenset({"t_write"})}
+    assert explore_interleavings(diagram) == {frozenset({"t_write"})}
 
 
 def test_unknown_policy_is_rejected(travel):
@@ -293,5 +295,5 @@ def test_state_built_from_bindings_is_seen_by_guards_and_filters():
             stores={"st": [{"__entity__": "E", "E.v": 2}]},
         )
         assert ("r" in enabled(state, diagram)) is matches
-        state, _ = step(state, diagram, choose="gw")
+        state, _ = step(state, diagram, "gw")
         assert route in state.tokens
