@@ -142,6 +142,7 @@ def simulate(
         sys.exit(EXIT_MODEL)
 
     start_inputs = {obj: dict(vals) for obj, vals in diagram.start_inputs.items()}
+    produced = diagram.start_objects()
     for item in overrides:
         key, sep, raw = item.partition("=")
         obj, dot, var = key.partition(".")
@@ -157,6 +158,9 @@ def simulate(
             sys.exit(EXIT_IO)
         if diagram.object(obj) is None:
             click.echo(f"error: bad --set {item!r}, the model declares no object {obj!r}", err=True)
+            sys.exit(EXIT_IO)
+        if obj not in produced:
+            click.echo(f"error: bad --set {item!r}, no message start event produces {obj!r}", err=True)
             sys.exit(EXIT_IO)
         start_inputs.setdefault(obj, {})[var] = value
 

@@ -387,7 +387,7 @@ class _SkeletonBuilder:
                 cond.text = print_expr(extra.guard)
                 seq = ET.SubElement(elseif, "sequence")
                 seq.extend(self.render_chain(extra.target, join))
-        for default in defaults[:1]:
+        for default in defaults:  # at most one: V7
             else_el = ET.SubElement(if_el, "else")
             seq = ET.SubElement(else_el, "sequence")
             seq.extend(self.render_chain(default.target, join))

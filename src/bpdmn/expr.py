@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 Value = str | int | float | bool | None
 
-_RELOPS = ("=", "!=", "<=", ">=", "<", ">")
 # unicode spellings accepted on input, printed as ASCII
 _RELOP_ALIASES = {"≠": "!=", "≤": "<=", "≥": ">="}
 
@@ -64,7 +63,7 @@ class Lit:
 
 @dataclass(frozen=True)
 class Cmp:
-    op: str  # one of _RELOPS
+    op: str  # "=", "!=", "<", "<=", ">" or ">="
     left: Expression
     right: Expression
 

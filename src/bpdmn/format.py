@@ -13,10 +13,11 @@ Reading is strict and coerces nothing. Each element is read by one
 ``optional_string`` (a string or null), ``flag`` (a boolean), ``integer``
 (an int that is not a boolean), ``scalar``, ``expr``, ``list_of``,
 ``strings``, ``entries`` and ``items`` (a list of elements), and ``build``,
-which turns a model error into a diagnostic. A value of the wrong type, a
-missing required key or an unknown key is a :class:`ParseError`; an absent
-optional key takes its default. So a document that parses is written back
-with the same values.
+which turns a model error into a diagnostic and builds no element one of
+whose fields failed, so each fault gives one diagnostic. A value of the
+wrong type, a missing required key or an unknown key is a
+:class:`ParseError`; an absent optional key takes its default. So a
+document that parses is written back with the same values.
 """
 
 from __future__ import annotations
@@ -80,17 +81,21 @@ def is_scalar(value: object) -> bool:
 
 class _Reader:
     """The typed readers every element is read with. A wrong value records a
-    diagnostic and reads as a stand-in, so one pass reports every error."""
+    diagnostic and reads as a stand-in, so one pass reports every error; an
+    element one of whose own fields failed is not built, so a fault is
+    reported once and not again through the stand-in."""
 
     def __init__(self, text: str) -> None:
         self.text = text
         self.errors: list[ParseDiagnostic] = []
         self.depth = 0  # element lists being read
+        self.faulty = False  # a field of the element being read failed
 
     def fail(self, message: str, near: str | None = None) -> None:
         self.errors.append(ParseDiagnostic(_span_of(self.text, near), message))
 
     def _wrong(self, data: dict, key: str, where: str, expected: str) -> None:
+        self.faulty = True
         ident = data.get("id")
         near = ident if isinstance(ident, str) else None
         if key in data:
@@ -103,6 +108,7 @@ class _Reader:
         if not isinstance(data, dict):
             self.fail(f"{what} must be an object")
             return None
+        self.faulty = False
         for key in data:
             if key not in keys:
                 self.fail(f"unknown key {key!r} in {what}", near=key)
@@ -188,30 +194,39 @@ class _Reader:
 
     def items(self, data: dict, key: str, where: str, read) -> list:
         """The list under *key*, each item read by ``read(reader, item, where)``
-        and left out when that gives ``None``."""
+        and left out when that gives ``None``, which fails the enclosing
+        element."""
         if key not in data:
             return []
         if self.depth == _MAX_NESTING:
             self.fail("document nested too deeply", near=key)
             return []
         self.depth += 1
+        values = self.list_of(data, key, where)
+        faulty = self.faulty  # the enclosing element's, which its items reset
         out = []
-        for item in self.list_of(data, key, where):
+        for item in values:
             element = read(self, item, where)
             if element is not None:
                 out.append(element)
+        # an item left out is a field of the enclosing element that failed
+        self.faulty = faulty or len(out) < len(values)
         self.depth -= 1
         return out
 
     def build(self, near: str | None, cls, *fields):
-        """``cls(*fields)``, or ``None`` with the model error recorded near
-        *near*. The fields come in the order the class declares them, which
-        is the order of the schema's keys: a dataclass takes arguments by
-        position faster than by keyword."""
+        """``cls(*fields)``; ``None`` when a field of the element failed to
+        read or build, or with the model error recorded near *near*. The
+        fields come in the order the class declares them, which is the order
+        of the schema's keys: a dataclass takes arguments by position faster
+        than by keyword."""
+        if self.faulty:
+            return None
         try:
             return cls(*fields)
         except model.ModelError as exc:
             self.fail(str(exc), near=near)
+            self.faulty = True
             return None
 
 
@@ -511,7 +526,7 @@ def _read_effect(reader: _Reader, data: object, node_id: str) -> model.Effect | 
         return None
     target = reader.string(item, "target", what)
     obj, dot, path = target.partition(".")
-    if not dot:
+    if not dot and not reader.faulty:
         reader.fail(f"effect target {target!r} must be object.path", near=target)
     return reader.build(target, model.Effect, obj, path, reader.expr(item, "expr", what))
 

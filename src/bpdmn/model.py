@@ -407,9 +407,24 @@ class Diagram:
         for node_id in self.behaviors:
             if node_id not in node_ids:
                 raise ModelError(f"behavior of {node_id}: unknown node")
+        produced = self.start_objects() if self.start_inputs else set()
         for object_id in self.start_inputs:
             if object_id not in object_ids:
                 raise ModelError(f"start input {object_id}: unknown object")
+            if object_id not in produced:
+                raise ModelError(f"start input {object_id}: no message start event produces it")
+
+    def start_objects(self) -> set[str]:
+        """The objects a start input can bind: those a message start event
+        outputs over a sequence flow. Read from the pools, not the index, so
+        that building a diagram does not build its index."""
+        out: set[str] = set()
+        for pool in self.pools:
+            starts = {n.id for n in pool.iter_nodes() if n.kind == "start_event_message"}
+            for flow in pool.sequence_flows:
+                if flow.source in starts:
+                    out.update(att.object for att in flow.attachments if att.direction == "output")
+        return out
 
     # -- lookups
 
@@ -597,6 +612,7 @@ class DiagramIndex:
         # explicit data flows and behaviors
         self.readers: dict[str, set[str]] = {}
         self.writers: dict[str, set[str]] = {}
+        self.store_fed: set[str] = set()  # nodes with a store-channel input
         inputs, outputs, sources, targets = self.inputs, self.outputs, self.sources, self.targets
         stores = self.stores
 
@@ -633,6 +649,7 @@ class DiagramIndex:
                 add(outputs, flow.source, NodeIO(flow.object, False, flow.id, out_channel))
                 if from_store:
                     self.readers.setdefault(flow.source, set()).add(flow.target)
+                    self.store_fed.add(flow.target)
                     add(sources, flow.object, ObjectLink(LinkKind.STORE_EXTRACTION, flow.source, flow.id))
                 elif not to_store:
                     # node-to-node transfer: produced by the source node

@@ -19,22 +19,15 @@ supplies them. Only the start inputs can be overridden, by ``init`` and
 
 The rule is written once, in ``_is_enabled``. ``enabled()`` applies it to the
 candidates of a state: targets of marked sequence flows and pending message
-starts. A run computes that set once and then keeps it up to date: after a
-firing it re-checks only the nodes the firing can affect. These are
-
-- the fired node and the targets of its outgoing sequence flows (tokens);
-- the targets of its outgoing message flows (a message on a flow is read
-  only by that flow's target; a receipt removes only messages the receiver
-  reads);
-- the nodes whose check asks whether an object the firing can bind is
-  bound: those taking it as an input, or taking as an input the target of a
-  mapping from it. A firing can bind its own inputs (mappings, optional
-  nulls), its outputs (messages included), its effects' targets and its
-  store reads' objects; a message it receives carries only objects its
-  sender had bound. Bindings are never removed, and outside store filters a
-  check reads only whether an object is bound, never its value;
-- every node with a store read: its filter reads the store's records and
-  the value of any binding, so it is re-checked after every firing.
+starts. A run and the oracle do not apply it again to every candidate after
+each firing, because of one fact: when a node X fires, no other enabled node
+becomes disabled unless it has a store-channel input. X takes tokens only
+from flows into X and removes only messages on flows into X; only X's entries
+in ``pending_starts`` and ``completed`` change; bindings and store records are
+never removed; and only a store read's filter reads binding values, which X
+may rebind. So ``enabled(state, diagram, prior)`` keeps a candidate found in
+*prior*, the nodes enabled before the firing other than X, without a check,
+unless it has a store-channel input. ``step`` still checks the node it fires.
 
 The state carries ``env``, the bindings flattened to ``object.path`` names,
 kept up to date by every binding; guards, effects, mappings, store inserts
@@ -328,12 +321,17 @@ def _is_enabled(state: ExecutionState, diagram: Diagram, node: Node) -> bool:
     return True
 
 
-def enabled(state: ExecutionState, diagram: Diagram) -> set[str]:
+def enabled(
+    state: ExecutionState, diagram: Diagram, prior: set[str] | frozenset[str] = frozenset()
+) -> set[str]:
     """Nodes ready to fire under the join and data-availability conditions.
 
     Only the targets of marked sequence flows and the pending message starts
     are examined: a node with in-flows but no marked one fails either join,
     and a node without in-flows fires only as a pending message start.
+    *prior* holds the nodes enabled before the last firing, less the fired
+    node; a candidate in it without a store-channel input is still enabled
+    (see the module docstring) and is not checked again.
     """
     index = diagram.index
     candidates = set(state.pending_starts)
@@ -341,7 +339,12 @@ def enabled(state: ExecutionState, diagram: Diagram) -> set[str]:
         flow = index.flows.get(flow_id)
         if flow is not None and count > 0:
             candidates.add(flow.target)
-    return {node_id for node_id in candidates if _is_enabled(state, diagram, index.nodes[node_id])}
+    nodes, store_fed = index.nodes, index.store_fed
+    return {
+        node_id
+        for node_id in candidates
+        if (node_id in prior and node_id not in store_fed) or _is_enabled(state, diagram, nodes[node_id])
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -534,57 +537,6 @@ def step(state: ExecutionState, diagram: Diagram, node_id: str) -> tuple[Executi
     return state, trace
 
 
-class _Watch:
-    """The nodes whose verdict a firing can change, for one run, from the
-    diagram's index and behaviours."""
-
-    def __init__(self, diagram: Diagram) -> None:
-        index = diagram.index
-        self.index = index
-        self.behaviors = diagram.behaviors
-        # object id -> nodes whose check asks whether the object is bound:
-        # those taking it as an input, or taking a mapping's target from it
-        self.readers: dict[str, set[str]] = {obj: set(nodes) for obj, nodes in index.consumers.items()}
-        for mapping in diagram.mappings:
-            self.readers.setdefault(mapping.source_object, set()).update(
-                index.consumers.get(mapping.target_object, ())
-            )
-        # a store filter reads records and any binding: re-checked every step
-        self.store_readers = {
-            node_id
-            for node_id, behavior in diagram.behaviors.items()
-            if any(isinstance(a, StoreRead) for a in behavior.store_actions)
-        }
-
-    def affected_by(self, node_id: str) -> set[str]:
-        """The fired node, the targets of its sequence and message flows, the
-        readers of every object its firing can bind, and the store readers."""
-        index = self.index
-        affected = {node_id} | self.store_readers
-        affected.update(f.target for f in index.out_flows.get(node_id, ()))
-        # messages on a flow are read only by that flow's target
-        affected.update(f.target for f in index.message_out.get(node_id, ()) if f.target in index.nodes)
-        written = {io.object for io in index.inputs.get(node_id, ())}  # mappings, optional nulls
-        written.update(io.object for io in index.outputs.get(node_id, ()) if io.channel != "store")
-        behavior = self.behaviors.get(node_id)
-        if behavior is not None:
-            written.update(effect.target_object for effect in behavior.effects)
-            written.update(a.object for a in behavior.store_actions if isinstance(a, StoreRead))
-        for obj in written:
-            affected.update(self.readers.get(obj, ()))
-        return affected
-
-
-def _recheck(ready: set[str], state: ExecutionState, diagram: Diagram, node_ids: set[str]) -> None:
-    """Apply the enablement rule again to *node_ids*, updating *ready*."""
-    nodes = diagram.index.nodes
-    for node_id in node_ids:
-        if _is_enabled(state, diagram, nodes[node_id]):
-            ready.add(node_id)
-        else:
-            ready.discard(node_id)
-
-
 def run(
     diagram: Diagram,
     start_inputs: dict[str, dict[str, Value]] | None = None,
@@ -607,7 +559,6 @@ def run(
     for obj in sorted(state.bindings):
         for variable, value in sorted(state.bindings[obj].items()):
             trace.append(ObjectBound(0, obj, variable, value))
-    watch = _Watch(diagram)
     ready = enabled(state, diagram)
     while ready and state.step_count < max_steps:
         if policy == "random":
@@ -616,7 +567,7 @@ def run(
             choice = min(ready)
         state, delta = step(state, diagram, choice)
         trace.extend(delta)
-        _recheck(ready, state, diagram, watch.affected_by(choice))
+        ready = enabled(state, diagram, ready - {choice})
     if ready:
         status = "step_limit"
     elif state.token_total() > 0:
@@ -690,24 +641,24 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
     results: set[frozenset[str]] = set()
     seen: set = set()
     # depth first with an explicit stack, so a path may be longer than the
-    # recursion limit; a frame holds a state, its fired set and the choices
-    # not yet taken, smallest last so that pop() takes it first
-    stack: list[tuple[ExecutionState, frozenset[str], list[str]]] = []
+    # recursion limit; a frame holds a state, its fired set, its enabled set
+    # and the choices not yet taken, smallest last so that pop() takes it first
+    stack: list[tuple[ExecutionState, frozenset[str], set[str], list[str]]] = []
 
-    def visit(state: ExecutionState, fired: frozenset[str]) -> None:
+    def visit(state: ExecutionState, fired: frozenset[str], prior: set[str] | frozenset[str]) -> None:
         key = (_freeze_state(state), fired)
         if key in seen:
             return
         seen.add(key)
-        ready = enabled(state, diagram)
+        ready = enabled(state, diagram, prior)
         if not ready or state.step_count >= max_steps:
             results.add(fired)
             return
-        stack.append((state, fired, sorted(ready, reverse=True)))
+        stack.append((state, fired, ready, sorted(ready, reverse=True)))
 
-    visit(init(diagram), frozenset())
+    visit(init(diagram), frozenset(), frozenset())
     while stack:
-        state, fired, choices = stack[-1]
+        state, fired, ready, choices = stack[-1]
         choice = choices.pop()
         if choices:
             child, _ = step(_clone(state), diagram, choice)
@@ -716,5 +667,5 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
             # so a path without choices keeps one state alive, not one per step
             stack.pop()
             child, _ = step(state, diagram, choice)
-        visit(child, fired | {choice})
+        visit(child, fired | {choice}, ready - {choice})
     return results

@@ -252,12 +252,21 @@ def _v6_message_objects_cross_pool(diagram: Diagram) -> list[Diagnostic]:
 
 def _v7_pool_shape(diagram: Diagram) -> list[Diagnostic]:
     """V7: each (non-black-box) pool has at least one start and one end
-    event; flow endpoint existence is enforced at construction."""
+    event, and each exclusive gateway at most one unguarded (default)
+    outgoing flow; flow endpoint existence is enforced at construction."""
     out = []
     for pool in diagram.pools:
         if not pool.nodes:
             continue  # black-box pool: opaque external participant
-        kinds = {n.kind for n in pool.iter_nodes()}
+        kinds = set()
+        for node in pool.iter_nodes():
+            kinds.add(node.kind)
+            if node.kind != "gateway_exclusive_data":
+                continue
+            defaults = sorted(f.id for f in diagram.index.out_flows.get(node.id, ()) if f.guard is None)
+            if len(defaults) > 1:
+                message = f"exclusive gateway has more than one unguarded flow: {', '.join(defaults)}"
+                out.append(_error("V7", node.id, message))
         if not (kinds & model.START_KINDS):
             out.append(_error("V7", pool.id, "pool has no start event"))
         if "end_event" not in kinds:

@@ -124,6 +124,14 @@ def test_simulate_set_refuses_an_undeclared_object(runner):
     assert "error: bad --set 'nosuch.v=1', the model declares no object 'nosuch'" in result.output
 
 
+def test_simulate_set_refuses_an_object_no_message_start_produces(runner):
+    # plan is declared, but init would never bind it from a start input
+    result = runner.invoke(main, ["simulate", fx("travel.bpdmn.json"), "--set", "plan.nosuch=1", "--json"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert "error: bad --set 'plan.nosuch=1', no message start event produces 'plan'" in result.output
+
+
 def test_simulate_seeded_random_policy(runner):
     args = ["simulate", fx("eco.bpdmn.json"), "--policy", "random", "--seed", "3", "--json"]
     first = runner.invoke(main, args)

@@ -3,9 +3,12 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 import pytest
+from click.testing import CliRunner
 
 from bpdmn import validator
+from bpdmn.cli import main
 from bpdmn.codegen_bpel import GenerationError, to_bpel
+from bpdmn.format import serialize_diagram
 from bpdmn.model import Diagram, Node, Pool, SequenceFlow
 
 from conftest import load
@@ -111,13 +114,18 @@ def test_invalid_diagram_is_refused():
         to_bpel(load("validator/bad_v1.bpdmn.json"))
 
 
-def _one_pool(kinds: dict[str, str], edges: list[tuple[str, str]]) -> Diagram:
+def _pool_diagram(kinds: dict[str, str], edges: list[tuple[str, str]]) -> Diagram:
     """One pool whose nodes are the endpoints of *edges*; a node not named in
     *kinds* is a task."""
     ids = list(dict.fromkeys(n for edge in edges for n in edge))
     nodes = [Node(i, i, kinds.get(i, "task")) for i in ids]
     flows = [SequenceFlow(f"f{k}", a, b) for k, (a, b) in enumerate(edges)]
-    diagram = Diagram("diagram", pools=[Pool("p", "P", nodes, flows)])
+    return Diagram("diagram", pools=[Pool("p", "P", nodes, flows)])
+
+
+def _one_pool(kinds: dict[str, str], edges: list[tuple[str, str]]) -> Diagram:
+    """:func:`_pool_diagram`, which must validate clean."""
+    diagram = _pool_diagram(kinds, edges)
     assert validator.validate(diagram) == []
     return diagram
 
@@ -140,11 +148,28 @@ def test_task_chosen_as_join_follows_the_flow():
 
 
 def test_task_left_out_of_the_skeleton_is_named():
-    # an exclusive gateway renders one default branch; the second is not reached
+    # no start reaches b, so the skeleton, which follows the flows from a start, leaves it out
     diagram = _one_pool(
-        {"s": "start_event_none", "x": "gateway_exclusive_data", "e1": "end_event", "e2": "end_event"},
-        [("s", "x"), ("x", "a"), ("x", "b"), ("a", "e1"), ("b", "e2")],
+        {"s": "start_event_none", "e1": "end_event", "e2": "end_event"},
+        [("s", "a"), ("a", "e1"), ("b", "e2")],
     )
     xml, warnings = to_bpel(diagram)
     assert ET.fromstring(xml).find(".//invoke[@name='b']") is None
     assert warnings == ["task b of pool p is not reached by the BPEL control skeleton; skipped"]
+
+
+def test_second_default_flow_of_an_exclusive_gateway_is_refused(tmp_path):
+    # BPEL has one <else> and the simulator takes one default: b would never run
+    diagram = _pool_diagram(
+        {"s": "start_event_none", "x": "gateway_exclusive_data", "e1": "end_event", "e2": "end_event"},
+        [("s", "x"), ("x", "a"), ("x", "b"), ("a", "e1"), ("b", "e2")],
+    )
+    model = tmp_path / "two_defaults.bpdmn.json"
+    model.write_text(serialize_diagram(diagram), encoding="utf-8")
+    runner = CliRunner()
+    result = runner.invoke(main, ["validate", str(model)])
+    assert result.exit_code == 1
+    assert result.output == "V7 error x: exclusive gateway has more than one unguarded flow: f1, f2\n"
+    result = runner.invoke(main, ["translate", str(model), "--to", "bpel"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output

@@ -273,6 +273,7 @@ BAD_VALUES = [
     ("behavior-unknown-node", lambda d: d["behaviors"].update(nosuch={"instances": 3}), "behavior of nosuch: unknown node"),
     ("behavior-of-a-pool", lambda d: d["behaviors"].update(q={}), "behavior of q: unknown node"),
     ("start-input-unknown-object", lambda d: d.update(start_inputs={"nosuch": {"v": 1}}), "start input nosuch: unknown object"),
+    ("start-input-not-produced", lambda d: d.update(start_inputs={"o": {"v": 1}}), "start input o: no message start event produces it"),
 ]
 
 
@@ -309,6 +310,46 @@ def test_cli_rejects_bad_document_with_exit_2(text, message, tmp_path):
     assert message in result.output and "Traceback" not in result.output
 
 
+# (description, fixture, edit of its document, the one expected message)
+ONE_FAULT = [
+    (
+        "node-kind-null",
+        "travel.bpdmn.json",
+        lambda d: d["pools"][0]["nodes"][0].update(kind=None),
+        "'kind' of node archive must be a string",
+    ),
+    (
+        "variable-name-number",
+        "travel.bpdmn.json",
+        lambda d: d["objects"][0]["variables"][0].update(name=7),
+        "'name' of variable of object carRequest must be a string",
+    ),
+    (
+        "attachment-direction-missing",
+        "travel.bpdmn.json",
+        lambda d: d["pools"][0]["sequence_flows"][0]["attachments"][0].pop("direction"),
+        "missing key 'direction' in attachment of sequence flow f01",
+    ),
+    (
+        "effect-target-number",
+        "eco.bpdmn.json",
+        lambda d: d["behaviors"]["m_check"]["effects"][0].update(target=5),
+        "'target' of effect of m_check must be a string",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, edit, message", [c[1:] for c in ONE_FAULT], ids=[c[0] for c in ONE_FAULT])
+def test_a_field_that_fails_to_read_gives_one_diagnostic(name, edit, message):
+    """The element holding the field is not built, so the stand-in the field
+    read as cannot fail a check of its own."""
+    doc = json.loads(fixture_text(name))
+    edit(doc)
+    with pytest.raises(ParseError) as info:
+        parse_diagram(json.dumps(doc, indent=2))
+    assert [d.message for d in info.value.diagnostics] == [message]
+
+
 # ---------------------------------------------------------------------------
 # Mutation fuzzing: every single-point change of a few valid documents
 
@@ -317,6 +358,9 @@ def _every_key_document() -> dict:
     """`_document()` plus an element holding each optional key of the schema."""
     doc = _document()
     pool = doc["pools"][0]
+    # a message start producing o, the object of the start inputs
+    pool["nodes"][0]["kind"] = "start_event_message"
+    pool["sequence_flows"][0]["attachments"] = [{"object": "o", "direction": "output"}]
     pool["nodes"][1]["local_stores"] = ["st"]
     pool["nodes"] += [
         {"id": "t", "name": "t", "kind": "task", "multi_instance": True},

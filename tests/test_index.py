@@ -21,6 +21,7 @@ from bpdmn.model import (
     Diagram,
     Effect,
     Entity,
+    ExplicitDataFlow,
     LinkKind,
     MessageFlow,
     Node,
@@ -74,9 +75,45 @@ def _fork(w_out=(), **diagram_parts) -> Diagram:
     return Diagram("fork", pools=[Pool("P", "P", nodes, flows)], objects=objects, **diagram_parts)
 
 
-def watch_cases() -> list:
-    """Diagrams in which a single rule of the incremental re-check is what
-    notices that a waiting node became enabled."""
+def _rebound_filter() -> Diagram:
+    """One pool: s -> w0 -> g (parallel split) -> a -> e1 and g -> r -> e2.
+    w0 binds K.v = 1 and inserts E{v: 1} into store D; a sets K.v := 2; r
+    reads D over an explicit data flow with the filter E.v = K.v. Once a has
+    fired, no record matches and r is disabled."""
+    nodes = [
+        Node("s", "s", "start_event_none"),
+        Node("w0", "w0", "task"),
+        Node("g", "g", "gateway_parallel"),
+        Node("a", "a", "task"),
+        Node("r", "r", "task"),
+        Node("e1", "e1", "end_event"),
+        Node("e2", "e2", "end_event"),
+    ]
+    edges = [("s", "w0"), ("w0", "g"), ("g", "a"), ("g", "r"), ("a", "e1"), ("r", "e2")]
+    flows = [SequenceFlow(f"f{k}", source, target) for k, (source, target) in enumerate(edges)]
+    store = DataStore("D", "D", entities=[Entity("E", [Variable("v", "number")])])
+    return Diagram(
+        "rebound_filter",
+        pools=[Pool("P", "P", nodes, flows, [ExplicitDataFlow("d1", "D", "r", "R")])],
+        stores=[store],
+        objects=[DataObject(o, o, variables=[Variable("v", "number")]) for o in ("K", "R")],
+        behaviors={
+            "w0": TaskBehavior(
+                effects=[Effect("K", "v", parse_expr("1"))],
+                store_actions=[StoreInsert("D", "E", {"v": parse_expr("1")})],
+            ),
+            "a": TaskBehavior(effects=[Effect("K", "v", parse_expr("2"))]),
+            "r": TaskBehavior(store_actions=[StoreRead("D", "E", "R", parse_expr("E.v = K.v"))]),
+        },
+    )
+
+
+def firing_cases() -> list:
+    """Diagrams in which one firing changes whether another node is enabled:
+    a waiting node becomes enabled by a message to a pending start, by a
+    mapping's source, by an effect's target or by a store read's object, or
+    an enabled store reader becomes disabled when the binding its filter
+    reads is rebound."""
     one = parse_expr("1")
     message_start = Diagram(
         "message_start",
@@ -115,6 +152,7 @@ def watch_cases() -> list:
         pytest.param(mapped, id="watch-mapping-source"),
         pytest.param(effect, id="watch-effect-target"),
         pytest.param(read, id="watch-store-read-object"),
+        pytest.param(_rebound_filter(), id="store-filter-rebound"),
     ]
 
 
@@ -124,7 +162,7 @@ DIAGRAMS = (
         for relpath in FIXTURE_PATHS
     ]
     + [pytest.param(random_diagram(seed), id=f"random{seed}") for seed in RANDOM_SEEDS]
-    + watch_cases()
+    + firing_cases()
 )
 
 
@@ -367,6 +405,8 @@ def test_views_equal_scan_references(diagram):
         assert diagram.index.mappings_into(ident) == ref_mappings_into(diagram, ident)
         assert diagram.index.message_in.get(ident, []) == [f for f in diagram.message_flows if f.target == ident]
         assert diagram.index.message_out.get(ident, []) == [f for f in diagram.message_flows if f.source == ident]
+        fed = any(io.channel == "store" for io in ref_node_inputs(diagram, ident))
+        assert (ident in diagram.index.store_fed) == fed
     for object_id in object_ids:
         assert object_sources(diagram, object_id) == ref_object_sources(diagram, object_id)
         assert object_targets(diagram, object_id) == ref_object_targets(diagram, object_id)
@@ -413,38 +453,45 @@ def test_index_is_built_on_first_use_only():
 
 @pytest.mark.parametrize("diagram", DIAGRAMS)
 def test_enabled_equals_all_nodes_reference(diagram, monkeypatch):
-    """`enabled()` gives a run its first enabled set; after each firing the
-    run re-checks only the affected nodes. Both must equal the rule applied
-    to every node, at every step."""
-    original_enabled = simulator.enabled
-    original_recheck = simulator._recheck
+    """A run calls `enabled()` once to start and once after each firing,
+    passing the set it had less the fired node. Each result must equal the
+    rule applied to every node, at every step."""
+    original_enabled, original_step = simulator.enabled, simulator.step
     checked = []
+    calls = [0, 0]  # enabled() calls, firings
 
-    def check(ready, state, d):
+    def enabled_checked(state, d, prior=frozenset()):
+        ready = original_enabled(state, d, prior)
         assert ready == ref_enabled(state, d), f"step {state.step_count}"
         checked.append(state.step_count)
-
-    def enabled_checked(state, d):
-        ready = original_enabled(state, d)
-        check(ready, state, d)
+        calls[0] += 1
         return ready
 
-    def recheck_checked(ready, state, d, node_ids):
-        original_recheck(ready, state, d, node_ids)
-        check(ready, state, d)
+    def step_counted(state, d, node_id):
+        result = original_step(state, d, node_id)
+        calls[1] += 1
+        return result
 
     monkeypatch.setattr(simulator, "enabled", enabled_checked)
-    monkeypatch.setattr(simulator, "_recheck", recheck_checked)
+    monkeypatch.setattr(simulator, "step", step_counted)
     try:
         simulator.init(diagram)
     except simulator.InitializationError:
         pytest.skip("the diagram cannot start without further start inputs")
     for policy, seed in [("smallest", 0), ("random", 1), ("random", 2)]:
+        calls[:] = [0, 0]
         try:
             simulator.run(diagram, max_steps=200, policy=policy, seed=seed)
         except simulator.SimulationError:
             pass  # a failing guard ends the run; every earlier step was checked
+        assert calls[0] == calls[1] + 1, (policy, seed)
     assert checked
+
+
+def test_rebinding_a_filtered_binding_disables_a_store_reader():
+    result = simulator.run(_rebound_filter())
+    assert [e.node for e in result.trace if isinstance(e, simulator.NodeFired)] == ["w0", "g", "a", "e1"]
+    assert result.status == "deadlocked"
 
 
 @pytest.mark.parametrize("diagram", DIAGRAMS)
@@ -512,9 +559,9 @@ def test_oracle_equals_recursive_reference(diagram, monkeypatch):
     calls: list = []
     original_enabled, original_step = simulator.enabled, simulator.step
 
-    def enabled_logged(state, d):
+    def enabled_logged(state, d, prior=frozenset()):
         calls.append(("enabled", state.step_count))
-        return original_enabled(state, d)
+        return original_enabled(state, d, prior)
 
     def step_logged(state, d, choose):
         calls.append(("step", state.step_count, choose))
