@@ -3,10 +3,11 @@
 
 For each model it records the exit code, stdout and stderr of
 ``validate --json``, ``translate --to bpel``, ``translate --to xpdl``,
-``patterns --json``, ``patterns --matrix --json``, ``simulate --json``
-(default policy, ``--policy random --seed 3`` and ``--policy random --seed
-7``) and ``render``, the canonical text ``serialize_diagram`` writes for the
-parsed model, and the outcome set of ``simulator.explore_interleavings``.
+``patterns --json``, ``patterns --matrix``, ``patterns --matrix --json``,
+``simulate --json`` (default policy, ``--policy random --seed 3`` and
+``--policy random --seed 7``) and ``render``, the canonical text
+``serialize_diagram`` writes for the parsed model, and the outcome set of
+``simulator.explore_interleavings``.
 The models are the committed fixtures (or the model files named on the
 command line) and ``--random N`` seeded ``tests/randgen.random_diagram``
 diagrams.
@@ -46,6 +47,7 @@ COMMANDS = {
     "translate --to bpel": ["translate", "{model}", "--to", "bpel"],
     "translate --to xpdl": ["translate", "{model}", "--to", "xpdl"],
     "patterns --json": ["patterns", "{model}", "--json"],
+    "patterns --matrix": ["patterns", "{model}", "--matrix"],
     "patterns --matrix --json": ["patterns", "{model}", "--matrix", "--json"],
     "simulate --json": ["simulate", "{model}", "--json"],
     "simulate --json --policy random --seed 3": ["simulate", "{model}", "--json", "--policy", "random", "--seed", "3"],

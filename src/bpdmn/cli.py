@@ -2,9 +2,11 @@
 
 Subcommands: ``validate``, ``translate``, ``simulate``, ``patterns``,
 ``render``. Exit codes: 0 success, 1 model error (validation failures,
-generation refusals), 2 I/O or parse error, 3 simulated run deadlocked,
-4 step limit reached. Each subcommand imports the layer it runs when it
-runs, so a call loads only ``format``, ``validator`` and its own layer.
+generation refusals), 2 I/O or parse error (a model file that cannot be
+read or is not UTF-8, an output file that cannot be written), 3 simulated
+run deadlocked, 4 step limit reached. Each subcommand imports the layer it
+runs when it runs, so a call loads only ``format``, ``validator`` and its
+own layer.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def _load(path: str):
     """Read and parse a diagram file; exits with code 2 on failure."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         click.echo(f"error: cannot read {path}: {exc}", err=True)
         sys.exit(EXIT_IO)
     try:
@@ -40,10 +42,15 @@ def _load(path: str):
 
 
 def _write_out(text: str, output: str | None) -> None:
+    """Write to *output*, or stdout; exits with code 2 when it cannot be written."""
     if output is None or output == "-":
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         Path(output).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        click.echo(f"error: cannot write {output}: {exc}", err=True)
+        sys.exit(EXIT_IO)
 
 
 @click.group()

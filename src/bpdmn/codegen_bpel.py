@@ -31,6 +31,10 @@ class GenerationError(Exception):
     """A translator (BPEL or XPDL) refused the diagram."""
 
 
+# the characters XML 1.0 has no way to write, not even as a reference
+_NOT_IN_XML = [chr(c) for c in (*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF)]
+
+
 def xml_text(root: ET.Element) -> str:
     """The document text of a translator's tree: an XML declaration, then the
     tree with two-space indentation and a final newline.
@@ -38,12 +42,22 @@ def xml_text(root: ET.Element) -> str:
     Written in one pass over the tree, byte for byte what ``ET.indent`` and
     ``ET.tostring`` give for the trees the translators build: plain tags,
     comments, and elements that have either text or children, never both
-    (and no tails). Attributes keep their insertion order.
+    (and no tails). Attributes keep their insertion order. Raises
+    :class:`GenerationError`, naming the character and its line, when the
+    text holds a character XML 1.0 cannot carry.
     """
     parts = ['<?xml version="1.0" encoding="UTF-8"?>\n']
     _write_element(root, "\n", parts)
     parts.append("\n")
-    return "".join(parts)
+    text = "".join(parts)
+    for char in _NOT_IN_XML:
+        at = text.find(char)
+        if at >= 0:
+            start = text.rfind("\n", 0, at) + 1
+            line, number = text[start : text.find("\n", at)].strip(), text.count("\n", 0, start) + 1
+            message = f"XML 1.0 cannot carry character U+{ord(char):04X}"
+            raise GenerationError(f"{message} (output line {number}: {line!r})")
+    return text
 
 
 def _write_element(elem: ET.Element, newline: str, parts: list[str]) -> None:

@@ -251,6 +251,13 @@ def _parse(text: str) -> model.Diagram:
         raise ParseError(
             [ParseDiagnostic(SourceSpan(exc.lineno, exc.colno), f"malformed document: {exc.msg}")]
         ) from exc
+    # a lone surrogate takes an escape or a character outside ASCII
+    if "\\" in text or not text.isascii():
+        bad = _unencodable_string(data)
+        if bad is not None:
+            quoted = json.dumps(bad)
+            span = _span_of(text, quoted[1:-1])
+            raise ParseError([ParseDiagnostic(span, f"string {quoted} holds a lone surrogate")])
     reader = _Reader(text)
     keys = {"bpdmn", "id", "pools", "stores", "objects", "mappings", "message_flows", "behaviors", "start_inputs"}
     if reader.element(data, "document", keys) is None:
@@ -275,6 +282,25 @@ def _parse(text: str) -> model.Diagram:
     if diagram is None:
         raise ParseError(reader.errors)
     return diagram
+
+
+def _unencodable_string(data: object) -> str | None:
+    """A key or string of decoded JSON that UTF-8 cannot encode (it holds a
+    lone surrogate), or ``None``."""
+    stack = [data]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, dict):
+            stack += item
+            stack += item.values()
+        elif isinstance(item, list):
+            stack += item
+        elif isinstance(item, str):
+            try:
+                item.encode("utf-8")
+            except UnicodeEncodeError:
+                return item
+    return None
 
 
 # Each _read_<element>(reader, data, where) reads one element found in the

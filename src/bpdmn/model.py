@@ -211,25 +211,64 @@ class DataStore:
 
     def qualified_field_names(self) -> set[str]:
         """All ``Entity.field`` names, including fields inherited through
-        (acyclic) generalizations."""
+        generalizations: an entity has the own fields of every entity it
+        reaches through generalizations between entities of the store."""
         own: dict[str, set[str]] = {e.name: {f.name for f in e.fields} for e in self.entities}
-        parents: dict[str, list[str]] = {}
+        parents: dict[str, list[str]] = {name: [] for name in own}
         for g in self.generalizations:
-            parents.setdefault(g.child, []).append(g.parent)
+            if g.child in own and g.parent in own:
+                parents[g.child].append(g.parent)
+        fields: dict[str, set[str]] = {}  # entity -> own and inherited fields
+        for component in strong_components(parents):
+            # a component reaches what any of its entities reaches, and every
+            # component it reaches comes before it
+            reached = set().union(*(own[n] for n in component))
+            for n in component:
+                for p in parents[n]:
+                    reached |= fields.get(p, set())
+            fields.update(dict.fromkeys(component, reached))
+        return {f"{e.name}.{f}" for e in self.entities for f in fields[e.name]}
 
-        def effective(name: str, seen: frozenset[str]) -> set[str]:
-            if name in seen or name not in own:
-                return set()
-            fields = set(own[name])
-            for p in parents.get(name, []):
-                fields |= effective(p, seen | {name})
-            return fields
 
-        result: set[str] = set()
-        for e in self.entities:
-            for f in effective(e.name, frozenset()):
-                result.add(f"{e.name}.{f}")
-        return result
+def strong_components(edges: dict[str, list[str]]) -> list[list[str]]:
+    """The strongly connected components of the graph with an edge from each
+    key to each of its listed nodes, each component after every component
+    it reaches (Tarjan's algorithm, walked with an explicit stack)."""
+    number: dict[str, int] = {}  # visit order
+    low: dict[str, int] = {}  # least visit number reachable within the open path
+    stack: list[str] = []
+    on_stack: set[str] = set()
+    components: list[list[str]] = []
+    for root in edges:
+        if root in number:
+            continue
+        number[root] = low[root] = len(number)
+        stack.append(root)
+        on_stack.add(root)
+        path = [(root, iter(edges[root]))]
+        while path:
+            node, successors = path[-1]
+            for nxt in successors:
+                if nxt not in number:
+                    number[nxt] = low[nxt] = len(number)
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    path.append((nxt, iter(edges.get(nxt, ()))))
+                    break
+                if nxt in on_stack:
+                    low[node] = min(low[node], number[nxt])
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[node])
+                if low[node] == number[node]:
+                    component = []
+                    while not component or component[-1] != node:
+                        component.append(stack.pop())
+                        on_stack.discard(component[-1])
+                    components.append(component)
+    return components
 
 
 @dataclass

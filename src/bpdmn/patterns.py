@@ -1,11 +1,14 @@
 """Workflow Data Pattern capability matrix and structural detectors.
 
-The matrix is a fixed transcription: 40 numbered patterns plus four extra
-requirement rows, each with a support level for plain BPMN and for the
-data-extended notation. The detectors are this toolchain's structural
-interpretation of each supported pattern; each detector documents its
-predicate in one sentence and returns witness element-id sets found in a
-concrete model. Unsupported patterns (3, 6, 35, 37) always report empty.
+The matrix is one table, :data:`PATTERNS`: 40 numbered patterns plus four
+additional requirement rows, each written once with its name, its group, its
+support level in plain BPMN and its detector. A detector is this toolchain's
+structural interpretation of a pattern the data-extended notation supports:
+it documents its predicate in one sentence and returns witness element-id
+sets found in a concrete model. A row's data-extended support is "supported"
+exactly when it has a detector; the four rows without one (3, 6, 35, 37)
+always report empty. The matrix, the unsupported keys and the rendered
+table are read off the rows.
 
 :func:`analyze` builds the relations the detectors share (tasks and nodes by
 kind, each object's producers and consumers, environment source and sink
@@ -16,6 +19,7 @@ each detector is a query over them.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,118 +39,6 @@ class Support(str, Enum):
 
 
 _S, _P, _U = Support.SUPPORTED, Support.PARTIAL, Support.UNSUPPORTED
-
-
-@dataclass(frozen=True)
-class Pattern:
-    key: str  # "1".."40" or an extra-row name
-    name: str
-    group: str
-    number: int | None = None
-
-
-PATTERNS: list[Pattern] = [
-    Pattern("1", "Task data", "data visibility", 1),
-    Pattern("2", "Block data", "data visibility", 2),
-    Pattern("3", "Scope data", "data visibility", 3),
-    Pattern("4", "Multiple Instance data", "data visibility", 4),
-    Pattern("5", "Case data", "data visibility", 5),
-    Pattern("6", "Folder data", "data visibility", 6),
-    Pattern("7", "Workflow data", "data visibility", 7),
-    Pattern("8", "Environment data", "data visibility", 8),
-    Pattern("9", "Data Interaction between Tasks", "data interaction (internal)", 9),
-    Pattern("10", "Block Task to Sub-workflow Decomposition", "data interaction (internal)", 10),
-    Pattern("11", "Sub-workflow Decomposition to Block Task", "data interaction (internal)", 11),
-    Pattern("12", "To Multiple Instance Task", "data interaction (internal)", 12),
-    Pattern("13", "From Multiple Instance Task", "data interaction (internal)", 13),
-    Pattern("14", "Case to Case", "data interaction (internal)", 14),
-    Pattern("15", "Task to Environment - Push", "data interaction (external)", 15),
-    Pattern("16", "Environment to Task - Pull", "data interaction (external)", 16),
-    Pattern("17", "Environment to Task - Push", "data interaction (external)", 17),
-    Pattern("18", "Task to Environment - Pull", "data interaction (external)", 18),
-    Pattern("19", "Case to Environment - Push", "data interaction (external)", 19),
-    Pattern("20", "Environment to Case - Pull", "data interaction (external)", 20),
-    Pattern("21", "Environment to Case - Push", "data interaction (external)", 21),
-    Pattern("22", "Case to Environment - Pull", "data interaction (external)", 22),
-    Pattern("23", "Workflow to Environment - Push", "data interaction (external)", 23),
-    Pattern("24", "Environment to Workflow - Pull", "data interaction (external)", 24),
-    Pattern("25", "Environment to Workflow - Push", "data interaction (external)", 25),
-    Pattern("26", "Workflow to Environment - Pull", "data interaction (external)", 26),
-    Pattern("27", "Data Transfer by Value - Incoming", "data transfer", 27),
-    Pattern("28", "Data Transfer by Value - Outcoming", "data transfer", 28),
-    Pattern("29", "Data Transfer - Copy In/Copy Out", "data transfer", 29),
-    Pattern("30", "Data Transfer by Reference - Unlocked", "data transfer", 30),
-    Pattern("31", "Data Transfer by Reference - Locked", "data transfer", 31),
-    Pattern("32", "Data Transformation - Input", "data transfer", 32),
-    Pattern("33", "Data Transformation - Output", "data transfer", 33),
-    Pattern("34", "Task Precondition - Data Existence", "data based routing", 34),
-    Pattern("35", "Task Precondition - Data Value", "data based routing", 35),
-    Pattern("36", "Task Postcondition - Data Existence", "data based routing", 36),
-    Pattern("37", "Task Postcondition - Data Value", "data based routing", 37),
-    Pattern("38", "Event-based Task Trigger", "data based routing", 38),
-    Pattern("39", "Data-based Task Trigger", "data based routing", 39),
-    Pattern("40", "Data-based Routing", "data based routing", 40),
-    Pattern("structure", "Structure", "additional requirements"),
-    Pattern("explicit_data_flow", "Explicit Data Flow", "additional requirements"),
-    Pattern("data_control_flow", "Data / Control Flow", "additional requirements"),
-    Pattern("process_data_store", "Process Data Store", "additional requirements"),
-]
-
-PATTERN_KEYS = [p.key for p in PATTERNS]
-UNSUPPORTED_KEYS = {"3", "6", "35", "37"}
-
-# (BPMN support, data-extended support) per row
-_MATRIX: dict[str, tuple[Support, Support]] = {
-    "1": (_S, _S),
-    "2": (_S, _S),
-    "3": (_U, _U),
-    "4": (_P, _S),
-    "5": (_S, _S),
-    "6": (_U, _U),
-    "7": (_U, _S),
-    "8": (_U, _S),
-    "9": (_S, _S),
-    "10": (_S, _S),
-    "11": (_S, _S),
-    "12": (_U, _S),
-    "13": (_U, _S),
-    "14": (_U, _S),
-    "15": (_S, _S),
-    "16": (_S, _S),
-    "17": (_S, _S),
-    "18": (_S, _S),
-    "19": (_U, _S),
-    "20": (_U, _S),
-    "21": (_U, _S),
-    "22": (_U, _S),
-    "23": (_U, _S),
-    "24": (_U, _S),
-    "25": (_U, _S),
-    "26": (_U, _S),
-    "27": (_S, _S),
-    "28": (_S, _S),
-    "29": (_P, _S),
-    "30": (_U, _S),
-    "31": (_S, _S),
-    "32": (_P, _S),
-    "33": (_P, _S),
-    "34": (_S, _S),
-    "35": (_U, _U),
-    "36": (_S, _S),
-    "37": (_U, _U),
-    "38": (_S, _S),
-    "39": (_S, _S),
-    "40": (_S, _S),
-    "structure": (_U, _S),
-    "explicit_data_flow": (_P, _S),
-    "data_control_flow": (_P, _S),
-    "process_data_store": (_U, _S),
-}
-
-
-def capability_matrix() -> dict[str, tuple[Support, Support]]:
-    """The static 44-row matrix: pattern key -> (BPMN, BPDMN) support."""
-    return dict(_MATRIX)
 
 
 Witness = frozenset[str]
@@ -553,48 +445,81 @@ def _d_process_data_store(f: _Facts) -> list[Witness]:
     return [frozenset({s.id}) for s in f.d.stores]
 
 
-_DETECTORS = {
-    "1": _d01,
-    "2": _d02,
-    "4": _d04,
-    "5": _d05,
-    "7": _d07,
-    "8": _d08,
-    "9": _d09,
-    "10": _d10,
-    "11": _d11,
-    "12": _d12,
-    "13": _d13,
-    "14": _d14,
-    "15": _d15,
-    "16": _d16,
-    "17": _d17,
-    "18": _d18,
-    "19": _d19,
-    "20": _d20,
-    "21": _d21,
-    "22": _d22,
-    "23": _d23,
-    "24": _d24,
-    "25": _d25,
-    "26": _d26,
-    "27": _d27,
-    "28": _d28,
-    "29": _d29,
-    "30": _d30,
-    "31": _d31,
-    "32": _d32,
-    "33": _d33,
-    "34": _d34,
-    "36": _d36,
-    "38": _d38,
-    "39": _d39,
-    "40": _d40,
-    "structure": _d_structure,
-    "explicit_data_flow": _d_explicit_data_flow,
-    "data_control_flow": _d_data_control_flow,
-    "process_data_store": _d_process_data_store,
-}
+@dataclass(frozen=True)
+class Pattern:
+    """One row of the capability matrix: a Workflow Data Pattern (numbered
+    1-40) or an additional requirement, with its support in plain BPMN and
+    the detector of its instances in BPDMN (``None``: BPDMN does not support
+    it either)."""
+
+    key: str  # "1".."40" or an extra-row name
+    name: str
+    group: str
+    bpmn: Support
+    detector: Callable[[_Facts], list[Witness]] | None
+
+    @property
+    def number(self) -> int | None:
+        return int(self.key) if self.key.isdigit() else None
+
+    @property
+    def bpdmn(self) -> Support:
+        return Support.SUPPORTED if self.detector else Support.UNSUPPORTED
+
+
+PATTERNS: list[Pattern] = [
+    Pattern("1", "Task data", "data visibility", _S, _d01),
+    Pattern("2", "Block data", "data visibility", _S, _d02),
+    Pattern("3", "Scope data", "data visibility", _U, None),
+    Pattern("4", "Multiple Instance data", "data visibility", _P, _d04),
+    Pattern("5", "Case data", "data visibility", _S, _d05),
+    Pattern("6", "Folder data", "data visibility", _U, None),
+    Pattern("7", "Workflow data", "data visibility", _U, _d07),
+    Pattern("8", "Environment data", "data visibility", _U, _d08),
+    Pattern("9", "Data Interaction between Tasks", "data interaction (internal)", _S, _d09),
+    Pattern("10", "Block Task to Sub-workflow Decomposition", "data interaction (internal)", _S, _d10),
+    Pattern("11", "Sub-workflow Decomposition to Block Task", "data interaction (internal)", _S, _d11),
+    Pattern("12", "To Multiple Instance Task", "data interaction (internal)", _U, _d12),
+    Pattern("13", "From Multiple Instance Task", "data interaction (internal)", _U, _d13),
+    Pattern("14", "Case to Case", "data interaction (internal)", _U, _d14),
+    Pattern("15", "Task to Environment - Push", "data interaction (external)", _S, _d15),
+    Pattern("16", "Environment to Task - Pull", "data interaction (external)", _S, _d16),
+    Pattern("17", "Environment to Task - Push", "data interaction (external)", _S, _d17),
+    Pattern("18", "Task to Environment - Pull", "data interaction (external)", _S, _d18),
+    Pattern("19", "Case to Environment - Push", "data interaction (external)", _U, _d19),
+    Pattern("20", "Environment to Case - Pull", "data interaction (external)", _U, _d20),
+    Pattern("21", "Environment to Case - Push", "data interaction (external)", _U, _d21),
+    Pattern("22", "Case to Environment - Pull", "data interaction (external)", _U, _d22),
+    Pattern("23", "Workflow to Environment - Push", "data interaction (external)", _U, _d23),
+    Pattern("24", "Environment to Workflow - Pull", "data interaction (external)", _U, _d24),
+    Pattern("25", "Environment to Workflow - Push", "data interaction (external)", _U, _d25),
+    Pattern("26", "Workflow to Environment - Pull", "data interaction (external)", _U, _d26),
+    Pattern("27", "Data Transfer by Value - Incoming", "data transfer", _S, _d27),
+    Pattern("28", "Data Transfer by Value - Outcoming", "data transfer", _S, _d28),
+    Pattern("29", "Data Transfer - Copy In/Copy Out", "data transfer", _P, _d29),
+    Pattern("30", "Data Transfer by Reference - Unlocked", "data transfer", _U, _d30),
+    Pattern("31", "Data Transfer by Reference - Locked", "data transfer", _S, _d31),
+    Pattern("32", "Data Transformation - Input", "data transfer", _P, _d32),
+    Pattern("33", "Data Transformation - Output", "data transfer", _P, _d33),
+    Pattern("34", "Task Precondition - Data Existence", "data based routing", _S, _d34),
+    Pattern("35", "Task Precondition - Data Value", "data based routing", _U, None),
+    Pattern("36", "Task Postcondition - Data Existence", "data based routing", _S, _d36),
+    Pattern("37", "Task Postcondition - Data Value", "data based routing", _U, None),
+    Pattern("38", "Event-based Task Trigger", "data based routing", _S, _d38),
+    Pattern("39", "Data-based Task Trigger", "data based routing", _S, _d39),
+    Pattern("40", "Data-based Routing", "data based routing", _S, _d40),
+    Pattern("structure", "Structure", "additional requirements", _U, _d_structure),
+    Pattern("explicit_data_flow", "Explicit Data Flow", "additional requirements", _P, _d_explicit_data_flow),
+    Pattern("data_control_flow", "Data / Control Flow", "additional requirements", _P, _d_data_control_flow),
+    Pattern("process_data_store", "Process Data Store", "additional requirements", _U, _d_process_data_store),
+]
+
+UNSUPPORTED_KEYS = {p.key for p in PATTERNS if p.detector is None}
+
+
+def capability_matrix() -> dict[str, tuple[Support, Support]]:
+    """The static 44-row matrix: pattern key -> (BPMN, BPDMN) support."""
+    return {p.key: (p.bpmn, p.bpdmn) for p in PATTERNS}
 
 
 def analyze(diagram: Diagram) -> PatternReport:
@@ -610,37 +535,30 @@ def analyze(diagram: Diagram) -> PatternReport:
     facts = _Facts(diagram)
     instances: dict[str, list[Witness]] = {}
     ids: dict[str, list[list[str]]] = {}
-    for key in PATTERN_KEYS:
-        if key in UNSUPPORTED_KEYS:
-            instances[key], ids[key] = [], []
-            continue
+    for pattern in PATTERNS:
         # deduplicated, each witness sorted once, in order of its sorted ids
-        listed = {w: sorted(w) for w in _DETECTORS[key](facts)}
+        listed = {w: sorted(w) for w in pattern.detector(facts)} if pattern.detector else {}
         order = sorted(listed, key=listed.__getitem__)
-        instances[key] = order
-        ids[key] = [listed[w] for w in order]
+        instances[pattern.key] = order
+        ids[pattern.key] = [listed[w] for w in order]
     return PatternReport(instances=instances, ids=ids)
 
 
 def detector_doc(key: str) -> str:
     """One-sentence predicate description for a supported pattern."""
-    func = _DETECTORS.get(key)
+    func = next((p.detector for p in PATTERNS if p.key == key), None)
     return (func.__doc__ or "").strip() if func else "not supported; no detector"
 
 
 def render_matrix() -> str:
     """Fixed-width text table mirroring the capability comparison layout."""
-    matrix = capability_matrix()
-    lines = []
     header = f"{'pattern':<48} {'BPMN':>5} {'BPDMN':>6}"
-    lines.append(header)
-    lines.append("-" * len(header))
+    lines = [header, "-" * len(header)]
     current_group = None
     for pattern in PATTERNS:
         if pattern.group != current_group:
             current_group = pattern.group
             lines.append(f"[{current_group}]")
-        bpmn, bpdmn = matrix[pattern.key]
         label = f"{pattern.number}. {pattern.name}" if pattern.number else pattern.name
-        lines.append(f"{label:<48} {bpmn.symbol:>5} {bpdmn.symbol:>6}")
+        lines.append(f"{label:<48} {pattern.bpmn.symbol:>5} {pattern.bpdmn.symbol:>6}")
     return "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ cosmetic rule (V9) is a warning. The validator never mutates its input.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -17,6 +18,7 @@ from .model import (
     object_sources,
     reaches,
     resolve_scope,
+    strong_components,
 )
 
 
@@ -181,7 +183,7 @@ def _v4_store_structure(diagram: Diagram) -> list[Diagnostic]:
     out = []
     for store in diagram.stores:
         names = [e.name for e in store.entities]
-        for name in sorted({n for n in names if names.count(n) > 1}):
+        for name in sorted(n for n, count in Counter(names).items() if count > 1):
             out.append(_error("V4", store.id, f"duplicate entity name {name!r}"))
         entity_names = set(names)
         for rel in store.relationships:
@@ -198,27 +200,10 @@ def _v4_store_structure(diagram: Diagram) -> list[Diagnostic]:
                         _error("V4", store.id, f"generalization endpoint {end!r} does not exist")
                     )
             parents.setdefault(gen.child, []).append(gen.parent)
-        if _has_cycle(parents):
+        # a cycle is a component of two or more entities (no entity generalizes itself)
+        if any(len(c) > 1 for c in strong_components(parents)):
             out.append(_error("V4", store.id, "generalization edges form a cycle"))
     return out
-
-
-def _has_cycle(edges: dict[str, list[str]]) -> bool:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: dict[str, int] = {}
-
-    def visit(node: str) -> bool:
-        color[node] = GRAY
-        for nxt in edges.get(node, ()):
-            state = color.get(nxt, WHITE)
-            if state == GRAY:
-                return True
-            if state == WHITE and visit(nxt):
-                return True
-        color[node] = BLACK
-        return False
-
-    return any(color.get(n, WHITE) == WHITE and visit(n) for n in list(edges))
 
 
 def _v5_store_scope(diagram: Diagram) -> list[Diagnostic]:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -186,3 +187,95 @@ def test_version_from_a_checkout():
     )
     assert proc.returncode == 0, proc.stderr
     assert "0.1.0" in proc.stdout
+
+
+# Inputs that once ended in a traceback, malformed XML or exponential time.
+# Each model runs through every subcommand that reads a model (and the
+# unwritable -o case through both writers), in a subprocess with a timeout:
+# the exit code is the documented one and no traceback is printed.
+MODEL_COMMANDS = {
+    "validate": ["validate"],
+    "bpel": ["translate", "--to", "bpel"],
+    "xpdl": ["translate", "--to", "xpdl"],
+    "simulate": ["simulate"],
+    "patterns": ["patterns"],
+    "render": ["render"],
+}
+# an output file in a directory that does not exist
+OUTPUT_COMMANDS = {
+    "bpel -o": ["translate", "--to", "bpel", "-o", "{missing}"],
+    "render -o": ["render", "-o", "{missing}"],
+}
+
+
+def _with_store(**fields) -> bytes:
+    """good_v8 (object o carries E.f of its origin store st) with the store's
+    entity graph replaced."""
+    doc = json.loads(fixture_text("validator/good_v8.bpdmn.json"))
+    doc["stores"][0].update(fields)
+    return json.dumps(doc, indent=2).encode()
+
+
+def _chain(child_first: bool) -> bytes:
+    """3000 entities, each a child of the one before; the root E has f."""
+    names = ["E"] + [f"E{i}" for i in range(1, 3000)]
+    entities = [{"name": n, "fields": [{"name": "f", "vtype": "string"}] if n == "E" else []} for n in names]
+    links = [{"parent": p, "child": c} for p, c in zip(names, names[1:])]
+    return _with_store(entities=entities, generalizations=links[::-1] if child_first else links)
+
+
+def _ladder(layers: int) -> bytes:
+    """Layers of two entities, each a child of both entities of the layer above."""
+    entities = [{"name": "E", "fields": [{"name": "f", "vtype": "string"}]}, {"name": "F"}]
+    links = []
+    for layer in range(1, layers):
+        above = [entities[-2]["name"], entities[-1]["name"]]
+        for side in "ab":
+            entities.append({"name": f"L{layer}{side}", "fields": [{"name": f"g{layer}", "vtype": "string"}]})
+            links += [{"parent": p, "child": f"L{layer}{side}"} for p in above]
+    return _with_store(entities=entities, generalizations=links)
+
+
+def _travel_with(name: str) -> bytes:
+    doc = json.loads(fixture_text("travel.bpdmn.json"))
+    doc["pools"][0]["nodes"][0]["name"] = name
+    return json.dumps(doc, indent=2).encode()
+
+
+ALL_OK = dict.fromkeys(MODEL_COMMANDS, 0)
+ALL_IO = dict.fromkeys(MODEL_COMMANDS, 2)
+HOSTILE_INPUTS = {
+    "v4-chain-child-first": (_chain(child_first=True), ALL_OK),
+    "v8-chain-parent-first": (_chain(child_first=False), ALL_OK),
+    "v8-ladder-30": (_ladder(30), ALL_OK),
+    "not-utf8": (b'{"bpdmn": "1.0", "id": "\xff"}', ALL_IO),
+    "lone-surrogate": (_travel_with("bad\ud800name"), ALL_IO),
+    "xml-illegal-char": (_travel_with("bad\u0001name"), {**ALL_OK, "bpel": 1, "xpdl": 1}),
+    "output-into-missing-directory": (fixture_text("travel.bpdmn.json").encode(), dict.fromkeys(OUTPUT_COMMANDS, 2)),
+}
+
+
+@pytest.mark.parametrize("case", HOSTILE_INPUTS)
+def test_hostile_input_exits_as_documented_without_traceback(tmp_path, case):
+    data, expected = HOSTILE_INPUTS[case]
+    model = tmp_path / "model.bpdmn.json"
+    model.write_bytes(data)
+    src = Path(__file__).resolve().parent.parent / "src"
+    commands = {**MODEL_COMMANDS, **OUTPUT_COMMANDS}
+    for command, code in expected.items():
+        args = [str(tmp_path / "missing" / "out") if a == "{missing}" else a for a in commands[command]]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bpdmn.cli", args[0], str(model), *args[1:]],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            encoding="utf-8",
+            errors="replace",
+            timeout=10,
+        )
+        assert "Traceback" not in proc.stderr, (command, proc.stderr)
+        assert proc.returncode == code, (command, proc.stderr)
+        if args[0] == "translate" and code == 0:
+            ET.fromstring(proc.stdout.encode())
+        if code == 2:
+            assert proc.stderr.startswith("error: "), (command, proc.stderr)

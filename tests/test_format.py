@@ -494,3 +494,40 @@ def test_every_mutant_is_refused_or_parses_to_a_fixpoint(name, tmp_path):
         result = CliRunner().invoke(main, ["validate", str(model)])
         assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
         assert "error: " in result.output and "Traceback" not in result.output
+
+
+def _travel_text(edit, ensure_ascii: bool = True) -> str:
+    doc = json.loads(fixture_text("travel.bpdmn.json"))
+    edit(doc)
+    return json.dumps(doc, indent=2, ensure_ascii=ensure_ascii)
+
+
+LONE_SURROGATES = [
+    ("high", lambda d: d["pools"][0].update(name="bad\ud800name")),
+    ("low", lambda d: d["pools"][0].update(name="\udc00")),
+    ("pair-reversed", lambda d: d["objects"][0].update(name="\ude00\ud83d")),
+    ("in-a-key", lambda d: d.update(behaviors={"\udbff": {"instances": 2}})),
+]
+
+
+@pytest.mark.parametrize("edit", [c[1] for c in LONE_SURROGATES], ids=[c[0] for c in LONE_SURROGATES])
+def test_lone_surrogate_is_a_parse_error(edit):
+    for ensure_ascii in (True, False):  # escaped, or raw in the text handed to the parser
+        with pytest.raises(ParseError, match="holds a lone surrogate"):
+            parse_diagram(_travel_text(edit, ensure_ascii))
+
+
+def test_lone_surrogate_is_located():
+    text = _travel_text(LONE_SURROGATES[0][1])
+    with pytest.raises(ParseError) as info:
+        parse_diagram(text)
+    line = next(n for n, row in enumerate(text.splitlines(), 1) if "bad\\ud800name" in row)
+    assert str(info.value).startswith(f"{line}:")
+
+
+def test_escaped_surrogate_pair_round_trips():
+    text = _travel_text(lambda d: d["pools"][0].update(name="smile \U0001f600"))
+    assert "\\ud83d\\ude00" in text
+    canonical = serialize_diagram(parse_diagram(text))
+    assert '"smile \U0001f600"' in canonical
+    assert serialize_diagram(parse_diagram(canonical)) == canonical

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import re
+import sys
+from dataclasses import replace
 
 import pytest
 
-from bpdmn.validator import Severity, has_errors, validate
+from bpdmn.format import ParseError, parse_diagram
+from bpdmn.model import DataStore, Diagram, Entity, Generalization, Scope, Variable
+from bpdmn.validator import Severity, _v4_store_structure, has_errors, validate
 
-from conftest import load
+from conftest import FIXTURES, load
 
 RULES = [f"V{i}" for i in range(1, 10)]
 
@@ -65,3 +69,128 @@ def test_validate_does_not_mutate(travel):
     validate(travel)
     after = len(travel.mappings), len(travel.objects), len(list(travel.iter_nodes()))
     assert before == after
+
+
+# The recursive walks V4 and V8 used before they became iterative: the
+# reference the shared component walk must agree with.
+
+
+def _reference_has_cycle(edges: dict[str, list[str]]) -> bool:
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color: dict[str, int] = {}
+
+    def visit(node: str) -> bool:
+        color[node] = GRAY
+        for nxt in edges.get(node, ()):
+            state = color.get(nxt, WHITE)
+            if state == GRAY:
+                return True
+            if state == WHITE and visit(nxt):
+                return True
+        color[node] = BLACK
+        return False
+
+    return any(color.get(n, WHITE) == WHITE and visit(n) for n in list(edges))
+
+
+def _reference_qualified_field_names(store: DataStore) -> set[str]:
+    own = {e.name: {f.name for f in e.fields} for e in store.entities}
+    parents: dict[str, list[str]] = {}
+    for g in store.generalizations:
+        parents.setdefault(g.child, []).append(g.parent)
+
+    def effective(name: str, seen: frozenset[str]) -> set[str]:
+        if name in seen or name not in own:
+            return set()
+        fields = set(own[name])
+        for p in parents.get(name, []):
+            fields |= effective(p, seen | {name})
+        return fields
+
+    return {f"{e.name}.{f}" for e in store.entities for f in effective(e.name, frozenset())}
+
+
+def _store(entities: dict[str, list[str]], links: list[tuple[str, str]]) -> DataStore:
+    """A store of the named entities with their fields and (parent, child) generalizations."""
+    return DataStore(
+        "st",
+        "S",
+        entities=[Entity(name, [Variable(f) for f in fields]) for name, fields in entities.items()],
+        generalizations=[Generalization(p, c) for p, c in links],
+    )
+
+
+CHAIN = {f"E{i}": [f"f{i}"] for i in range(40)}
+CHAIN_LINKS = [(f"E{i}", f"E{i + 1}") for i in range(39)]
+HAND_BUILT_STORES = {
+    "chain-parent-first": _store(CHAIN, CHAIN_LINKS),
+    "chain-child-first": _store(CHAIN, CHAIN_LINKS[::-1]),
+    "diamond": _store(
+        {"A": ["a"], "B": ["b"], "C": ["c"], "D": ["d"]},
+        [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")],
+    ),
+    "two-cycle": _store({"A": ["a"], "B": ["b"]}, [("A", "B"), ("B", "A")]),
+    "cycle-with-tails": _store(
+        {"A": ["a"], "B": ["b"], "C": ["c"], "D": ["d"], "R": ["r"]},
+        [("R", "A"), ("A", "B"), ("B", "C"), ("C", "A"), ("C", "D")],
+    ),
+    "two-cycles-joined": _store(
+        {"A": ["a"], "B": ["b"], "C": ["c"], "D": ["d"]},
+        [("A", "B"), ("B", "A"), ("B", "C"), ("C", "D"), ("D", "C")],
+    ),
+    "unknown-endpoints": _store(
+        {"A": ["a"], "B": ["b"], "C": ["c"]},
+        [("X", "A"), ("A", "Y"), ("Y", "B"), ("B", "C")],
+    ),
+    "cycle-through-unknown": _store({"A": ["a"], "B": ["b"]}, [("A", "X"), ("X", "B"), ("B", "A")]),
+    "duplicate-names": DataStore(
+        "st",
+        "S",
+        entities=[Entity("A", [Variable("a1")]), Entity("A", [Variable("a2")]), Entity("B", [Variable("b")])],
+        generalizations=[Generalization("A", "B")],
+    ),
+}
+
+
+def _fixture_stores() -> dict[str, DataStore]:
+    stores = {}
+    for path in sorted(FIXTURES.rglob("*.bpdmn.json")):
+        try:
+            diagram = parse_diagram(path.read_text(encoding="utf-8"))
+        except ParseError:
+            continue
+        stores.update({f"{path.name}:{s.id}": s for s in diagram.stores})
+    return stores
+
+
+ALL_STORES = {**_fixture_stores(), **HAND_BUILT_STORES}
+
+
+@pytest.mark.parametrize("name", ALL_STORES)
+def test_entity_graph_walks_agree_with_the_recursive_reference(name):
+    store = ALL_STORES[name]
+    parents: dict[str, list[str]] = {}
+    for g in store.generalizations:
+        parents.setdefault(g.child, []).append(g.parent)
+    v4 = _v4_store_structure(Diagram("d", stores=[replace(store, scope=Scope.diagram())]))
+    assert any("form a cycle" in d.message for d in v4) == _reference_has_cycle(parents)
+    assert store.qualified_field_names() == _reference_qualified_field_names(store)
+
+
+def test_entity_graph_walks_take_a_chain_deeper_than_the_recursion_limit():
+    depth = sys.getrecursionlimit() * 3
+    links = [(f"E{i}", f"E{i + 1}") for i in range(depth - 1)]
+    entities = {f"E{i}": ["f"] if i == 0 else [] for i in range(depth)}
+    for order in (links, links[::-1]):
+        store = _store(entities, order)
+        assert not _v4_store_structure(Diagram("d", stores=[store]))
+        assert store.qualified_field_names() == {f"E{i}.f" for i in range(depth)}
+    cyclic = _store(entities, [*links, (f"E{depth - 1}", "E0")])
+    messages = [d.message for d in _v4_store_structure(Diagram("d", stores=[cyclic]))]
+    assert messages == ["generalization edges form a cycle"]
+
+
+def test_v4_names_each_duplicate_entity_once_in_name_order():
+    store = DataStore("st", "S", entities=[Entity(n) for n in ["B", "A", "B", "C", "A", "A"]])
+    messages = [d.message for d in _v4_store_structure(Diagram("d", stores=[store]))]
+    assert messages == ["duplicate entity name 'A'", "duplicate entity name 'B'"]

@@ -135,3 +135,26 @@ def test_escaped_text_equals_elementtree(monkeypatch):
         assert '="d&amp;&lt;&gt;&quot;\'&#10;&#09;&#13; é"' in text
         assert "&amp;&lt;&gt;\"\\'\n\t\r é" in text  # a guard, as element text
         ET.fromstring(text.encode("utf-8"))  # raises if malformed
+
+
+NOT_IN_XML = [*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF]
+
+
+@pytest.mark.parametrize("code", NOT_IN_XML, ids=lambda c: f"U+{c:04X}")
+@pytest.mark.parametrize("place", ["attribute", "text"])
+def test_a_character_xml_cannot_carry_is_refused(code, place):
+    root = ET.Element("process")
+    child = ET.SubElement(root, "step", name="ok")
+    if place == "attribute":
+        child.set("name", f"bad{chr(code)}name")
+    else:
+        child.text = f"bad{chr(code)}name"
+    with pytest.raises(codegen_bpel.GenerationError, match=rf"U\+{code:04X} \(output line 3: '<step "):
+        xml_text(root)
+
+
+@pytest.mark.parametrize("code", [0x9, 0xA, 0xD, 0x20, 0xD7FF, 0xE000, 0xFFFD, 0x10000], ids=lambda c: f"U+{c:04X}")
+def test_a_character_xml_carries_is_written(code):
+    root = ET.Element("process", name=f"a{chr(code)}b")
+    root.text = f"a{chr(code)}b"
+    assert ET.fromstring(xml_text(root).encode("utf-8")).get("name") == f"a{chr(code)}b"
