@@ -6,8 +6,10 @@ For each model it records the exit code, stdout and stderr of
 ``patterns --json``, ``patterns --matrix``, ``patterns --matrix --json``,
 ``simulate --json`` (default policy, ``--policy random --seed 3`` and
 ``--policy random --seed 7``) and ``render``, the canonical text
-``serialize_diagram`` writes for the parsed model, and the outcome set of
-``simulator.explore_interleavings``.
+``serialize_diagram`` writes for the parsed model, the outcome set of
+``simulator.explore_interleavings``, and the refusals: the diagnostics,
+spans and messages, of every third single-point mutant of the model's
+document (``tests/randgen.mutations``) that ``parse_diagram`` refuses.
 The models are the committed fixtures (or the model files named on the
 command line) and ``--random N`` seeded ``tests/randgen.random_diagram``
 diagrams.
@@ -40,7 +42,7 @@ from click.testing import CliRunner
 from bpdmn import simulator
 from bpdmn.cli import main as cli
 from bpdmn.format import ParseError, parse_diagram, serialize_diagram
-from randgen import random_diagram
+from randgen import DROP, mutant, mutations, random_diagram
 
 COMMANDS = {
     "validate --json": ["validate", "{model}", "--json"],
@@ -88,12 +90,30 @@ def _oracle_outcomes(path: Path, max_steps: int) -> dict:
     return {"outcomes": sorted(sorted(fired) for fired in outcomes)}
 
 
+def _refusals(path: Path) -> list[dict]:
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    out = []
+    for where, value in list(mutations(doc))[::3]:
+        try:
+            parse_diagram(json.dumps(mutant(doc, where, value), indent=2))
+        except ParseError as exc:
+            change = "dropped" if value is DROP else f"= {json.dumps(value)}"
+            out.append(
+                {
+                    "mutation": f"{'.'.join(map(str, where))} {change}",
+                    "diagnostics": [str(d) for d in exc.diagnostics],
+                }
+            )
+    return out
+
+
 def digest(models: dict[str, Path], oracle_steps: int) -> dict:
     return {
         name: {
             **_cli_outputs(path, name),
             "serialize": _canonical_text(path),
             "explore_interleavings": _oracle_outcomes(path, oracle_steps),
+            "refusals": _refusals(path),
         }
         for name, path in models.items()
     }

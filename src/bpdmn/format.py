@@ -7,23 +7,32 @@ The schema mirrors the metamodel one-to-one. Top-level keys, in order:
 two-space indentation, keys in schema order, elements sorted by id, and a
 trailing newline, so golden-file comparisons stay byte-stable.
 
-Reading is strict and coerces nothing. Each element is read by one
-``_read_*`` function built from the typed readers of ``_Reader``:
-``element`` (an object whose keys are all known), ``string``,
-``optional_string`` (a string or null), ``flag`` (a boolean), ``integer``
-(an int that is not a boolean), ``scalar``, ``expr``, ``list_of``,
-``strings``, ``entries`` and ``items`` (a list of elements), and ``build``,
-which turns a model error into a diagnostic and builds no element one of
-whose fields failed, so each fault gives one diagnostic. A value of the
-wrong type, a missing required key or an unknown key is a
-:class:`ParseError`; an absent optional key takes its default. So a
-document that parses is written back with the same values.
+The schema is one table per element type (``_TABLES``, with the document's
+own ``_DOCUMENT``). Each row names a key, its kind (one of the typed
+readers of ``_Reader``: ``string``, ``optional_string``, ``flag``,
+``integer``, ``expr``, ``strings``, ``items`` of another element, or a
+small codec of its own for the store ``scope``, an effect's ``target``, an
+insert's ``assignments``, the ``behaviors`` and the ``start_inputs``), the
+value an absent key reads as, and whether the writer leaves that value
+out; a list of elements is written sorted by the keys its kind names. The
+rows follow the fields of the element's class, and each table compiles into
+one reader and one writer, so a key is written once, in its table.
+
+Reading is strict and coerces nothing. A value of the wrong type, a
+missing required key or an unknown key is a :class:`ParseError`; an absent
+optional key takes its default. ``_Reader.build`` turns a model error into
+a diagnostic and builds no element one of whose fields failed, so each
+fault gives one diagnostic, and a document that parses is written back
+with the same values.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from operator import attrgetter
+from typing import Callable, NamedTuple
 from json.encoder import encode_basestring, encode_basestring_ascii
 
 from . import model
@@ -259,25 +268,15 @@ def _parse(text: str) -> model.Diagram:
             span = _span_of(text, quoted[1:-1])
             raise ParseError([ParseDiagnostic(span, f"string {quoted} holds a lone surrogate")])
     reader = _Reader(text)
-    keys = {"bpdmn", "id", "pools", "stores", "objects", "mappings", "message_flows", "behaviors", "start_inputs"}
-    if reader.element(data, "document", keys) is None:
+    if reader.element(data, "document", _DOCUMENT.names) is None:
         raise ParseError(reader.errors)
-    version = data.get("bpdmn")
-    if version != FORMAT_VERSION:
-        reader.fail(f"unsupported or missing format version {version!r}")
-    for key in ("pools", "stores", "objects", "mappings", "message_flows"):
-        if key not in data:
-            reader.fail(f"missing key {key!r} in document")
-    fields = (
-        reader.string(data, "id", "document", "diagram"),
-        reader.items(data, "pools", "document", _read_pool),
-        reader.items(data, "stores", "document", _read_store),
-        reader.items(data, "objects", "document", _read_object),
-        reader.items(data, "mappings", "document", _read_mapping),
-        reader.items(data, "message_flows", "document", _read_message_flow),
-        _read_behaviors(reader, data),
-        _read_start_inputs(reader, data),
-    )
+    tag, version = _DOCUMENT.tag
+    if data.get(tag) != version:
+        reader.fail(f"unsupported or missing format version {data.get(tag)!r}")
+    for key in _DOCUMENT.keys:
+        if key.default is _REQUIRED and key.name not in data:
+            reader.fail(f"missing key {key.name!r} in document")
+    fields = _DOCUMENT.read_fields(reader, data, "document")
     diagram = None if reader.errors else reader.build(None, model.Diagram, *fields)
     if diagram is None:
         raise ParseError(reader.errors)
@@ -303,297 +302,435 @@ def _unencodable_string(data: object) -> str | None:
     return None
 
 
-# Each _read_<element>(reader, data, where) reads one element found in the
-# list of *where*, or records why it cannot and returns None.
+# ---------------------------------------------------------------------------
+# The schema: one table per element type. A table's keys come in the order
+# of its class's fields, which is the order a document writes them in and
+# the order build passes them in.
+
+_REQUIRED = object()  # the default of a key that must be present
+_ID = object()  # the default of a name: the element's id
+_DEFAULT = object()  # a reader's last argument is the key's default
+_NONE = object()  # a reader takes no last argument
 
 
-def _read_pool(reader: _Reader, data: object, _where: str) -> model.Pool | None:
-    item = reader.element(data, "pool", {"id", "name", "nodes", "sequence_flows", "explicit_data_flows"})
-    if item is None:
+class _Kind(NamedTuple):
+    """How a key's value is read, by ``read(reader, data, key, where)`` or,
+    with ``arg``, ``read(reader, data, key, where, arg)``, and written, by
+    ``write(value)`` (as it is when ``None``). A list of elements of class
+    ``of`` is read with ``_TABLES[of].read`` as its ``arg``."""
+
+    read: Callable
+    write: Callable | None = None
+    of: type | None = None
+    arg: object = _NONE
+
+
+_STRING = _Kind(_Reader.string, arg=_DEFAULT)
+_OPTIONAL_STRING = _Kind(_Reader.optional_string)
+_FLAG = _Kind(_Reader.flag)
+_INTEGER = _Kind(_Reader.integer, arg=_DEFAULT)
+_EXPR = _Kind(_Reader.expr, print_expr)
+_OPTIONAL_EXPR = _Kind(_Reader.expr, print_expr, arg=True)
+_STRINGS = _Kind(_Reader.strings, sorted)
+
+
+def _items(cls: type, *order: str) -> _Kind:
+    """A list of elements of *cls*, written sorted by the attributes *order*,
+    or in the list's own order when none are named."""
+    by = attrgetter(*order) if order else None
+
+    def write(values: list) -> list[dict]:
+        write_item = _TABLES[cls].write
+        return [write_item(value) for value in (sorted(values, key=by) if by else values)]
+
+    return _Kind(_Reader.items, write, cls)
+
+
+class _Key(NamedTuple):
+    """One key of an element: its name in the document; its kind; the value
+    it reads as when absent; whether the writer leaves it out when it holds
+    that value; the fields it fills, when not the one field of its name;
+    and what its diagnostics call the element, when not what they call it
+    elsewhere (``{where}``: the enclosing element, ``{id}``: the element's
+    first field)."""
+
+    name: str
+    kind: _Kind
+    default: object = _REQUIRED
+    omit: bool = False
+    fills: tuple[str, ...] = ()
+    where: str | None = None
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        return self.fills or (self.name,)
+
+
+def _fstring(template: str) -> str:
+    """Source of an f-string for *template*, whose ``{id}`` is ``f0``."""
+    return "f" + repr(template.replace("{id}", "{f0}"))
+
+
+def _compile(name: str, params: str, body: list[str], namespace: dict) -> Callable:
+    """The function ``name(params)`` with the source lines *body*, whose free
+    names are looked up in *namespace*."""
+    exec(f"def {name}({params}):\n    " + "\n    ".join(body), namespace)
+    return namespace[name]
+
+
+class _Element:
+    """The table of one element type: its class; what a diagnostic calls an
+    element (``{where}``: the enclosing element); what it calls the
+    element's later fields and its items, once its first field is read
+    (``{id}``: that field; ``None``: what it calls the element); its keys;
+    and a constant key written first (``tag``).
+
+    Its reader and writer are compiled from the table on first use, as
+    :mod:`dataclasses` compiles ``__init__``: a loop over the keys at run
+    time made parsing the perfbench chain model a third slower."""
+
+    def __init__(self, cls: type, what: str, name: str | None, *keys: _Key, tag=None) -> None:
+        self.cls = cls
+        self.what = what
+        self.name = name
+        self.keys = keys
+        self.tag = tag
+        self.names = {key.name for key in keys} | ({tag[0]} if tag else set())
+
+    def _reads(self, namespace: dict) -> list[str]:
+        """Source lines reading each key of ``item`` into ``f0``, ``f1``, ..."""
+        lines = ["at = what"]
+        for i, key in enumerate(self.keys):
+            kind = key.kind
+            namespace[f"read{i}"] = kind.read
+            if kind.of is not None:
+                namespace[f"of{i}"] = _TABLES[kind.of]
+                arg = f", of{i}.read"
+            elif key.default is _ID:
+                arg = ", f0"
+            elif kind.arg is _NONE:
+                arg = ""
+            else:
+                default = None if key.default is _REQUIRED else key.default
+                namespace[f"arg{i}"] = default if kind.arg is _DEFAULT else kind.arg
+                arg = f", arg{i}"
+            at = "at" if key.where is None else _fstring(key.where)
+            lines.append(f"f{i} = read{i}(reader, item, {key.name!r}, {at}{arg})")
+            if i == 0 and self.name is not None:
+                lines.append(f"at = {_fstring(self.name)}")
+        return lines
+
+    def _arguments(self) -> str:
+        """Source of the fields ``f0``, ``f1``, ... as arguments of the class."""
+        return ", ".join(("*" if len(key.fields) > 1 else "") + f"f{i}" for i, key in enumerate(self.keys))
+
+    @cached_property
+    def read(self) -> Callable:
+        """``read(reader, data, where)``: the element *data*, found in the
+        list of *where*, or ``None`` with the reason recorded. A model error
+        is located at the element's first field when that is a string (its
+        id or name), else at *where*."""
+        namespace = {"cls": self.cls, "names": self.names}
+        body = [
+            f"what = {_fstring(self.what)}",
+            "item = reader.element(data, what, names)",
+            "if item is None:",
+            "    return None",
+            *self._reads(namespace),
+            f"return reader.build(f0 if isinstance(f0, str) else where, cls, {self._arguments()})",
+        ]
+        return _compile("read", "reader, data, where", body, namespace)
+
+    @cached_property
+    def read_fields(self) -> Callable:
+        """``read_fields(reader, item, where)``: the fields of the element *item*,
+        an object whose keys are already checked, in its class's order."""
+        namespace: dict = {}
+        body = [f"what = {_fstring(self.what)}", *self._reads(namespace), f"return [{self._arguments()}]"]
+        return _compile("read_fields", "reader, item, where", body, namespace)
+
+    @cached_property
+    def write(self) -> Callable:
+        """``write(element)``: *element* as the object a document holds."""
+        namespace: dict = {}
+        body = [f"out = {{{self.tag[0]!r}: {self.tag[1]!r}}}" if self.tag else "out = {}"]
+        for i, key in enumerate(self.keys):
+            body.append("value = " + ", ".join(f"element.{field}" for field in key.fields))
+            namespace[f"write{i}"] = key.kind.write
+            put = f"out[{key.name!r}] = " + ("value" if key.kind.write is None else f"write{i}(value)")
+            if not key.omit:
+                body.append(put)
+            else:
+                namespace[f"omit{i}"] = key.default
+                body += [f"if value != omit{i}:", "    " + put]
+        body.append("return out")
+        return _compile("write", "element", body, namespace)
+
+
+# The irregular keys, each read and written by a codec of its own.
+
+
+def _read_scope(reader: _Reader, data: dict, key: str, where: str, default: str) -> model.Scope | None:
+    kind, sep, node = reader.string(data, key, where, default).partition(":")
+    return reader.build(data.get("id"), model.Scope, kind, node if sep else None)
+
+
+def _read_target(reader: _Reader, data: dict, key: str, where: str) -> tuple[str, str]:
+    target = reader.string(data, key, where)
+    obj, dot, path = target.partition(".")
+    if not dot and not reader.faulty:
+        reader.fail(f"effect target {target!r} must be object.path", near=target)
+    return obj, path
+
+
+def _read_assignments(reader: _Reader, data: dict, key: str, where: str) -> dict:
+    assignments = reader.entries(data, key, where)
+    return {name: reader.expr(assignments, name, where) for name in assignments}
+
+
+def _read_store_action(reader: _Reader, data: object, node_id: str):
+    action = data.get("action") if isinstance(data, dict) else None
+    table = _ACTIONS.get(action) if isinstance(action, str) else None
+    if table is None:
+        reader.fail(f'store action of {node_id} must be an object with "action" "insert" or "read"', near=node_id)
         return None
-    pool_id = reader.string(item, "id", "pool")
-    where = f"pool {pool_id}"
-    return reader.build(
-        pool_id,
-        model.Pool,
-        pool_id,
-        reader.string(item, "name", where, pool_id),
-        reader.items(item, "nodes", where, _read_node),
-        reader.items(item, "sequence_flows", where, _read_sequence_flow),
-        reader.items(item, "explicit_data_flows", where, _read_data_flow),
-    )
+    return table.read(reader, data, node_id)
 
 
-def _read_node(reader: _Reader, data: object, where: str) -> model.Node | None:
-    what = f"node of {where}"
-    item = reader.element(
-        data, what, {"id", "name", "kind", "children", "local_stores", "condition", "multi_instance"}
-    )
-    if item is None:
-        return None
-    node_id = reader.string(item, "id", what)
-    where = f"node {node_id}"
-    return reader.build(
-        node_id,
-        model.Node,
-        node_id,
-        reader.string(item, "name", where, node_id),
-        reader.string(item, "kind", where),
-        reader.items(item, "children", where, _read_node),
-        reader.strings(item, "local_stores", where),
-        reader.expr(item, "condition", f"condition of {where}", optional=True),
-        reader.flag(item, "multi_instance", where),
-    )
-
-
-def _read_sequence_flow(reader: _Reader, data: object, where: str) -> model.SequenceFlow | None:
-    what = f"sequence flow of {where}"
-    item = reader.element(data, what, {"id", "source", "target", "attachments", "guard"})
-    if item is None:
-        return None
-    flow_id = reader.string(item, "id", what)
-    where = f"sequence flow {flow_id}"
-    return reader.build(
-        flow_id,
-        model.SequenceFlow,
-        flow_id,
-        reader.string(item, "source", where),
-        reader.string(item, "target", where),
-        reader.items(item, "attachments", where, _read_attachment),
-        reader.expr(item, "guard", f"guard of flow {flow_id}", optional=True),
-    )
-
-
-def _read_data_flow(reader: _Reader, data: object, where: str) -> model.ExplicitDataFlow | None:
-    what = f"data flow of {where}"
-    item = reader.element(data, what, {"id", "source", "target", "object", "optional"})
-    if item is None:
-        return None
-    flow_id = reader.string(item, "id", what)
-    where = f"data flow {flow_id}"
-    return reader.build(
-        flow_id,
-        model.ExplicitDataFlow,
-        flow_id,
-        reader.string(item, "source", where),
-        reader.string(item, "target", where),
-        reader.string(item, "object", where),
-        reader.flag(item, "optional", where),
-    )
-
-
-def _read_attachment(reader: _Reader, data: object, where: str) -> model.ObjectAttachment | None:
-    what = f"attachment of {where}"
-    item = reader.element(data, what, {"object", "direction", "optional"})
-    if item is None:
-        return None
-    obj = reader.string(item, "object", what)
-    return reader.build(
-        obj,
-        model.ObjectAttachment,
-        obj,
-        reader.string(item, "direction", what),
-        reader.flag(item, "optional", what),
-    )
-
-
-def _read_store(reader: _Reader, data: object, _where: str) -> model.DataStore | None:
-    item = reader.element(
-        data, "store", {"id", "name", "icon", "entities", "relationships", "generalizations", "scope", "collapsed"}
-    )
-    if item is None:
-        return None
-    store_id = reader.string(item, "id", "store")
-    where = f"store {store_id}"
-    kind, sep, node = reader.string(item, "scope", where, "diagram").partition(":")
-    scope = reader.build(store_id, model.Scope, kind, node if sep else None)
-    return reader.build(
-        store_id,
-        model.DataStore,
-        store_id,
-        reader.string(item, "name", where, store_id),
-        reader.string(item, "icon", where, "database"),
-        reader.items(item, "entities", where, _read_entity),
-        reader.items(item, "relationships", where, _read_relationship),
-        reader.items(item, "generalizations", where, _read_generalization),
-        scope,
-        reader.flag(item, "collapsed", where),
-    )
-
-
-def _read_entity(reader: _Reader, data: object, where: str) -> model.Entity | None:
-    what = f"entity of {where}"
-    item = reader.element(data, what, {"name", "fields"})
-    if item is None:
-        return None
-    name = reader.string(item, "name", what)
-    return reader.build(name, model.Entity, name, reader.items(item, "fields", f"entity {name}", _read_variable))
-
-
-def _read_relationship(reader: _Reader, data: object, where: str) -> model.Relationship | None:
-    what = f"relationship of {where}"
-    item = reader.element(data, what, {"name", "left", "right"})
-    if item is None:
-        return None
-    name = reader.string(item, "name", what)
-    return reader.build(
-        name, model.Relationship, name, reader.string(item, "left", what), reader.string(item, "right", what)
-    )
-
-
-def _read_generalization(reader: _Reader, data: object, where: str) -> model.Generalization | None:
-    what = f"generalization of {where}"
-    item = reader.element(data, what, {"parent", "child"})
-    if item is None:
-        return None
-    parent = reader.string(item, "parent", what)
-    return reader.build(parent, model.Generalization, parent, reader.string(item, "child", what))
-
-
-def _read_variable(reader: _Reader, data: object, where: str) -> model.Variable | None:
-    what = f"variable of {where}"
-    item = reader.element(data, what, {"name", "vtype"})
-    if item is None:
-        return None
-    name = reader.string(item, "name", what)
-    return reader.build(name, model.Variable, name, reader.string(item, "vtype", what, "string"))
-
-
-def _read_object(reader: _Reader, data: object, _where: str) -> model.DataObject | None:
-    item = reader.element(
-        data, "object", {"id", "name", "stereotype", "physicality", "variables", "url", "state", "origin_store"}
-    )
-    if item is None:
-        return None
-    object_id = reader.string(item, "id", "object")
-    where = f"object {object_id}"
-    return reader.build(
-        object_id,
-        model.DataObject,
-        object_id,
-        reader.string(item, "name", where, object_id),
-        reader.string(item, "stereotype", where, "generic"),
-        reader.string(item, "physicality", where, "digital"),
-        reader.items(item, "variables", where, _read_variable),
-        reader.optional_string(item, "url", where),
-        reader.optional_string(item, "state", where),
-        reader.optional_string(item, "origin_store", where),
-    )
-
-
-def _read_mapping(reader: _Reader, data: object, _where: str) -> model.DataMapping | None:
-    item = reader.element(data, "mapping", {"id", "source_object", "target_object", "rules"})
-    if item is None:
-        return None
-    mapping_id = reader.string(item, "id", "mapping")
-    where = f"mapping {mapping_id}"
-    return reader.build(
-        mapping_id,
-        model.DataMapping,
-        mapping_id,
-        reader.string(item, "source_object", where),
-        reader.string(item, "target_object", where),
-        reader.items(item, "rules", where, _read_rule),
-    )
-
-
-def _read_rule(reader: _Reader, data: object, where: str) -> model.CopyRule | None:
-    what = f"rule of {where}"
-    item = reader.element(data, what, {"from", "to"})
-    if item is None:
-        return None
-    return reader.build(where, model.CopyRule, reader.expr(item, "from", what), reader.string(item, "to", what))
-
-
-def _read_message_flow(reader: _Reader, data: object, _where: str) -> model.MessageFlow | None:
-    item = reader.element(data, "message flow", {"id", "source", "target", "attachments"})
-    if item is None:
-        return None
-    flow_id = reader.string(item, "id", "message flow")
-    where = f"message flow {flow_id}"
-    return reader.build(
-        flow_id,
-        model.MessageFlow,
-        flow_id,
-        reader.string(item, "source", where),
-        reader.string(item, "target", where),
-        reader.items(item, "attachments", where, _read_attachment),
-    )
-
-
-def _read_behaviors(reader: _Reader, data: dict) -> dict[str, model.TaskBehavior]:
+def _read_behaviors(reader: _Reader, data: dict, key: str, where: str) -> dict:
     out = {}
-    for node_id, spec in reader.entries(data, "behaviors", "document").items():
-        behavior = _read_behavior(reader, spec, node_id)
+    for node_id, spec in reader.entries(data, key, where).items():
+        behavior = _BEHAVIOR.read(reader, spec, node_id)
         if behavior is not None:
             out[node_id] = behavior
     return out
 
 
-def _read_behavior(reader: _Reader, data: object, node_id: str) -> model.TaskBehavior | None:
-    where = f"behavior of {node_id}"
-    item = reader.element(data, where, {"effects", "store_actions", "instances"})
-    if item is None:
-        return None
-    # an effect or store action is named after the node: "insert of <node>"
-    return reader.build(
-        node_id,
-        model.TaskBehavior,
-        reader.items(item, "effects", node_id, _read_effect),
-        reader.items(item, "store_actions", node_id, _read_store_action),
-        reader.integer(item, "instances", where, 1),
-    )
-
-
-def _read_effect(reader: _Reader, data: object, node_id: str) -> model.Effect | None:
-    what = f"effect of {node_id}"
-    item = reader.element(data, what, {"target", "expr"})
-    if item is None:
-        return None
-    target = reader.string(item, "target", what)
-    obj, dot, path = target.partition(".")
-    if not dot and not reader.faulty:
-        reader.fail(f"effect target {target!r} must be object.path", near=target)
-    return reader.build(target, model.Effect, obj, path, reader.expr(item, "expr", what))
-
-
-def _read_store_action(
-    reader: _Reader, data: object, node_id: str
-) -> model.StoreInsert | model.StoreRead | None:
-    action = data.get("action") if isinstance(data, dict) else None
-    what = f"{action} of {node_id}"
-    if action == "insert":
-        item = reader.element(data, what, {"action", "store", "entity", "assignments"})
-        assignments = reader.entries(item, "assignments", what)
-        return reader.build(
-            node_id,
-            model.StoreInsert,
-            reader.string(item, "store", what),
-            reader.string(item, "entity", what),
-            {name: reader.expr(assignments, name, what) for name in assignments},
-        )
-    if action == "read":
-        item = reader.element(data, what, {"action", "store", "entity", "object", "filter"})
-        return reader.build(
-            node_id,
-            model.StoreRead,
-            reader.string(item, "store", what),
-            reader.string(item, "entity", what),
-            reader.string(item, "object", what),
-            reader.expr(item, "filter", what, optional=True),
-        )
-    reader.fail(f'store action of {node_id} must be an object with "action" "insert" or "read"', near=node_id)
-    return None
-
-
-def _read_start_inputs(reader: _Reader, data: dict) -> dict[str, dict[str, Value]]:
-    inputs = reader.entries(data, "start_inputs", "document")
+def _read_start_inputs(reader: _Reader, data: dict, key: str, where: str) -> dict:
+    inputs = reader.entries(data, key, where)
     out = {}
     for obj_id in inputs:
         bindings = reader.entries(inputs, obj_id, "start inputs")
-        where = f"start inputs of {obj_id}"
-        out[obj_id] = {var: reader.scalar(bindings, var, where) for var in bindings}
+        at = f"start inputs of {obj_id}"
+        out[obj_id] = {var: reader.scalar(bindings, var, at) for var in bindings}
     return out
+
+
+_SCOPE = _Kind(
+    _read_scope,
+    lambda scope: "diagram" if scope.kind == "diagram" else f"sub_process:{scope.sub_process}",
+    arg=_DEFAULT,
+)
+_TARGET = _Kind(_read_target, lambda target: f"{target[0]}.{target[1]}")
+_ASSIGNMENTS = _Kind(
+    _read_assignments, lambda assignments: {name: print_expr(e) for name, e in sorted(assignments.items())}
+)
+_STORE_ACTIONS = _Kind(
+    _Reader.items,
+    lambda actions: [_TABLES[type(action)].write(action) for action in actions],
+    arg=_read_store_action,
+)
+_BEHAVIORS = _Kind(
+    _read_behaviors, lambda behaviors: {node: _BEHAVIOR.write(b) for node, b in sorted(behaviors.items())}
+)
+_START_INPUTS = _Kind(
+    _read_start_inputs,
+    lambda inputs: {obj: dict(sorted(values.items())) for obj, values in sorted(inputs.items())},
+)
+
+_ATTACHMENTS = _items(model.ObjectAttachment, "object", "direction")
+_VARIABLES = _items(model.Variable, "name")
+
+_DOCUMENT = _Element(
+    model.Diagram,
+    "document",
+    None,
+    _Key("id", _STRING, "diagram", omit=True),
+    _Key("pools", _items(model.Pool, "id")),
+    _Key("stores", _items(model.DataStore, "id")),
+    _Key("objects", _items(model.DataObject, "id")),
+    _Key("mappings", _items(model.DataMapping, "id")),
+    _Key("message_flows", _items(model.MessageFlow, "id")),
+    _Key("behaviors", _BEHAVIORS, {}, omit=True),
+    _Key("start_inputs", _START_INPUTS, {}, omit=True),
+    tag=("bpdmn", FORMAT_VERSION),
+)
+_POOL = _Element(
+    model.Pool,
+    "pool",
+    "pool {id}",
+    _Key("id", _STRING),
+    _Key("name", _STRING, _ID),
+    _Key("nodes", _items(model.Node, "id"), []),
+    _Key("sequence_flows", _items(model.SequenceFlow, "id"), []),
+    _Key("explicit_data_flows", _items(model.ExplicitDataFlow, "id"), []),
+)
+_NODE = _Element(
+    model.Node,
+    "node of {where}",
+    "node {id}",
+    _Key("id", _STRING),
+    _Key("name", _STRING, _ID),
+    _Key("kind", _STRING),
+    _Key("children", _items(model.Node, "id"), [], omit=True),
+    _Key("local_stores", _STRINGS, [], omit=True),
+    _Key("condition", _OPTIONAL_EXPR, None, omit=True, where="condition of node {id}"),
+    _Key("multi_instance", _FLAG, False, omit=True),
+)
+_SEQUENCE_FLOW = _Element(
+    model.SequenceFlow,
+    "sequence flow of {where}",
+    "sequence flow {id}",
+    _Key("id", _STRING),
+    _Key("source", _STRING),
+    _Key("target", _STRING),
+    _Key("attachments", _ATTACHMENTS, [], omit=True),
+    _Key("guard", _OPTIONAL_EXPR, None, omit=True, where="guard of flow {id}"),
+)
+_DATA_FLOW = _Element(
+    model.ExplicitDataFlow,
+    "data flow of {where}",
+    "data flow {id}",
+    _Key("id", _STRING),
+    _Key("source", _STRING),
+    _Key("target", _STRING),
+    _Key("object", _STRING),
+    _Key("optional", _FLAG, False, omit=True),
+)
+_ATTACHMENT = _Element(
+    model.ObjectAttachment,
+    "attachment of {where}",
+    None,
+    _Key("object", _STRING),
+    _Key("direction", _STRING),
+    _Key("optional", _FLAG, False, omit=True),
+)
+_STORE = _Element(
+    model.DataStore,
+    "store",
+    "store {id}",
+    _Key("id", _STRING),
+    _Key("name", _STRING, _ID),
+    _Key("icon", _STRING, "database"),
+    _Key("entities", _items(model.Entity, "name"), []),
+    _Key("relationships", _items(model.Relationship, "name"), [], omit=True),
+    _Key("generalizations", _items(model.Generalization, "parent", "child"), [], omit=True),
+    _Key("scope", _SCOPE, "diagram"),
+    _Key("collapsed", _FLAG, False, omit=True),
+)
+_ENTITY = _Element(
+    model.Entity, "entity of {where}", "entity {id}", _Key("name", _STRING), _Key("fields", _VARIABLES, [])
+)
+_RELATIONSHIP = _Element(
+    model.Relationship,
+    "relationship of {where}",
+    None,
+    _Key("name", _STRING),
+    _Key("left", _STRING),
+    _Key("right", _STRING),
+)
+_GENERALIZATION = _Element(
+    model.Generalization, "generalization of {where}", None, _Key("parent", _STRING), _Key("child", _STRING)
+)
+_VARIABLE = _Element(
+    model.Variable, "variable of {where}", None, _Key("name", _STRING), _Key("vtype", _STRING, "string")
+)
+_OBJECT = _Element(
+    model.DataObject,
+    "object",
+    "object {id}",
+    _Key("id", _STRING),
+    _Key("name", _STRING, _ID),
+    _Key("stereotype", _STRING, "generic"),
+    _Key("physicality", _STRING, "digital", omit=True),
+    _Key("variables", _VARIABLES, []),
+    _Key("url", _OPTIONAL_STRING, None, omit=True),
+    _Key("state", _OPTIONAL_STRING, None, omit=True),
+    _Key("origin_store", _OPTIONAL_STRING, None, omit=True),
+)
+_MAPPING = _Element(
+    model.DataMapping,
+    "mapping",
+    "mapping {id}",
+    _Key("id", _STRING),
+    _Key("source_object", _STRING),
+    _Key("target_object", _STRING),
+    # rule order is meaningful (ordered copy rules), never sorted
+    _Key("rules", _items(model.CopyRule), []),
+)
+_RULE = _Element(
+    model.CopyRule, "rule of {where}", None, _Key("from", _EXPR, fills=("from_expr",)), _Key("to", _STRING)
+)
+_MESSAGE_FLOW = _Element(
+    model.MessageFlow,
+    "message flow",
+    "message flow {id}",
+    _Key("id", _STRING),
+    _Key("source", _STRING),
+    _Key("target", _STRING),
+    _Key("attachments", _ATTACHMENTS, [], omit=True),
+)
+# an effect or store action is named after the node: "insert of <node>"
+_BEHAVIOR = _Element(
+    model.TaskBehavior,
+    "behavior of {where}",
+    None,
+    _Key("effects", _items(model.Effect), [], omit=True, where="{where}"),
+    _Key("store_actions", _STORE_ACTIONS, [], omit=True, where="{where}"),
+    _Key("instances", _INTEGER, 1, omit=True),
+)
+_EFFECT = _Element(
+    model.Effect,
+    "effect of {where}",
+    None,
+    _Key("target", _TARGET, fills=("target_object", "target_path")),
+    _Key("expr", _EXPR),
+)
+_INSERT = _Element(
+    model.StoreInsert,
+    "insert of {where}",
+    None,
+    _Key("store", _STRING),
+    _Key("entity", _STRING),
+    _Key("assignments", _ASSIGNMENTS, {}),
+    tag=("action", "insert"),
+)
+_READ = _Element(
+    model.StoreRead,
+    "read of {where}",
+    None,
+    _Key("store", _STRING),
+    _Key("entity", _STRING),
+    _Key("object", _STRING),
+    _Key("filter", _OPTIONAL_EXPR, None, omit=True),
+    tag=("action", "read"),
+)
+
+_TABLES = {
+    table.cls: table
+    for table in (
+        _DOCUMENT,
+        _POOL,
+        _NODE,
+        _SEQUENCE_FLOW,
+        _DATA_FLOW,
+        _ATTACHMENT,
+        _STORE,
+        _ENTITY,
+        _RELATIONSHIP,
+        _GENERALIZATION,
+        _VARIABLE,
+        _OBJECT,
+        _MAPPING,
+        _RULE,
+        _MESSAGE_FLOW,
+        _BEHAVIOR,
+        _EFFECT,
+        _INSERT,
+        _READ,
+    )
+}
+_ACTIONS = {"insert": _INSERT, "read": _READ}
 
 
 # ---------------------------------------------------------------------------
@@ -603,25 +740,7 @@ def _read_start_inputs(reader: _Reader, data: dict) -> dict[str, dict[str, Value
 def serialize_diagram(diagram: model.Diagram) -> str:
     """Canonical text: schema key order, elements sorted by id, two-space
     indentation, trailing newline."""
-    doc: dict = {"bpdmn": FORMAT_VERSION}
-    if diagram.id != "diagram":
-        doc["id"] = diagram.id
-    doc["pools"] = [_pool_dict(p) for p in sorted(diagram.pools, key=lambda p: p.id)]
-    doc["stores"] = [_store_dict(s) for s in sorted(diagram.stores, key=lambda s: s.id)]
-    doc["objects"] = [_object_dict(o) for o in sorted(diagram.objects, key=lambda o: o.id)]
-    doc["mappings"] = [_mapping_dict(m) for m in sorted(diagram.mappings, key=lambda m: m.id)]
-    doc["message_flows"] = [
-        _message_flow_dict(f) for f in sorted(diagram.message_flows, key=lambda f: f.id)
-    ]
-    if diagram.behaviors:
-        doc["behaviors"] = {
-            node_id: _behavior_dict(b) for node_id, b in sorted(diagram.behaviors.items())
-        }
-    if diagram.start_inputs:
-        doc["start_inputs"] = {
-            obj: dict(sorted(vals.items())) for obj, vals in sorted(diagram.start_inputs.items())
-        }
-    return json_text(doc, ensure_ascii=False) + "\n"
+    return json_text(_DOCUMENT.write(diagram), ensure_ascii=False) + "\n"
 
 
 _INF = float("inf")
@@ -690,150 +809,6 @@ def _write_json(value: object, encode, newline: str, parts: list[str]) -> None:
             parts.append(float.__repr__(value))
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _attachment_dicts(attachments: list[model.ObjectAttachment]) -> list[dict]:
-    out = []
-    for att in sorted(attachments, key=lambda a: (a.object, a.direction)):
-        d: dict = {"object": att.object, "direction": att.direction}
-        if att.optional:
-            d["optional"] = True
-        out.append(d)
-    return out
-
-
-def _node_dict(node: model.Node) -> dict:
-    d: dict = {"id": node.id, "name": node.name, "kind": node.kind}
-    if node.children:
-        d["children"] = [_node_dict(c) for c in sorted(node.children, key=lambda n: n.id)]
-    if node.local_stores:
-        d["local_stores"] = sorted(node.local_stores)
-    if node.condition is not None:
-        d["condition"] = print_expr(node.condition)
-    if node.multi_instance:
-        d["multi_instance"] = True
-    return d
-
-
-def _pool_dict(pool: model.Pool) -> dict:
-    d: dict = {"id": pool.id, "name": pool.name}
-    d["nodes"] = [_node_dict(n) for n in sorted(pool.nodes, key=lambda n: n.id)]
-    flows = []
-    for flow in sorted(pool.sequence_flows, key=lambda f: f.id):
-        fd: dict = {"id": flow.id, "source": flow.source, "target": flow.target}
-        if flow.attachments:
-            fd["attachments"] = _attachment_dicts(flow.attachments)
-        if flow.guard is not None:
-            fd["guard"] = print_expr(flow.guard)
-        flows.append(fd)
-    d["sequence_flows"] = flows
-    data_flows = []
-    for flow in sorted(pool.explicit_data_flows, key=lambda f: f.id):
-        fd = {"id": flow.id, "source": flow.source, "target": flow.target, "object": flow.object}
-        if flow.optional:
-            fd["optional"] = True
-        data_flows.append(fd)
-    d["explicit_data_flows"] = data_flows
-    return d
-
-
-def _variable_dicts(variables: list[model.Variable]) -> list[dict]:
-    return [
-        {"name": v.name, "vtype": v.vtype} for v in sorted(variables, key=lambda v: v.name)
-    ]
-
-
-def _store_dict(store: model.DataStore) -> dict:
-    d: dict = {"id": store.id, "name": store.name, "icon": store.icon}
-    d["entities"] = [
-        {"name": e.name, "fields": _variable_dicts(e.fields)}
-        for e in sorted(store.entities, key=lambda e: e.name)
-    ]
-    if store.relationships:
-        d["relationships"] = [
-            {"name": r.name, "left": r.left, "right": r.right}
-            for r in sorted(store.relationships, key=lambda r: r.name)
-        ]
-    if store.generalizations:
-        d["generalizations"] = [
-            {"parent": g.parent, "child": g.child}
-            for g in sorted(store.generalizations, key=lambda g: (g.parent, g.child))
-        ]
-    if store.scope.kind == "diagram":
-        d["scope"] = "diagram"
-    else:
-        d["scope"] = f"sub_process:{store.scope.sub_process}"
-    if store.collapsed:
-        d["collapsed"] = True
-    return d
-
-
-def _object_dict(obj: model.DataObject) -> dict:
-    d: dict = {"id": obj.id, "name": obj.name, "stereotype": obj.stereotype}
-    if obj.physicality != "digital":
-        d["physicality"] = obj.physicality
-    d["variables"] = _variable_dicts(obj.variables)
-    if obj.url is not None:
-        d["url"] = obj.url
-    if obj.state is not None:
-        d["state"] = obj.state
-    if obj.origin_store is not None:
-        d["origin_store"] = obj.origin_store
-    return d
-
-
-def _mapping_dict(mapping: model.DataMapping) -> dict:
-    return {
-        "id": mapping.id,
-        "source_object": mapping.source_object,
-        "target_object": mapping.target_object,
-        # rule order is meaningful (ordered copy rules), never sorted
-        "rules": [{"from": print_expr(r.from_expr), "to": r.to} for r in mapping.rules],
-    }
-
-
-def _message_flow_dict(flow: model.MessageFlow) -> dict:
-    d: dict = {"id": flow.id, "source": flow.source, "target": flow.target}
-    if flow.attachments:
-        d["attachments"] = _attachment_dicts(flow.attachments)
-    return d
-
-
-def _behavior_dict(behavior: model.TaskBehavior) -> dict:
-    d: dict = {}
-    if behavior.effects:
-        d["effects"] = [
-            {"target": f"{e.target_object}.{e.target_path}", "expr": print_expr(e.expr)}
-            for e in behavior.effects
-        ]
-    if behavior.store_actions:
-        actions = []
-        for action in behavior.store_actions:
-            if isinstance(action, model.StoreInsert):
-                actions.append(
-                    {
-                        "action": "insert",
-                        "store": action.store,
-                        "entity": action.entity,
-                        "assignments": {
-                            k: print_expr(v) for k, v in sorted(action.assignments.items())
-                        },
-                    }
-                )
-            else:
-                ad: dict = {
-                    "action": "read",
-                    "store": action.store,
-                    "entity": action.entity,
-                    "object": action.object,
-                }
-                if action.filter is not None:
-                    ad["filter"] = print_expr(action.filter)
-                actions.append(ad)
-        d["store_actions"] = actions
-    if behavior.instances != 1:
-        d["instances"] = behavior.instances
-    return d
 
 
 # canonical serialization of a diagram with no elements

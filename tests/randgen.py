@@ -2,7 +2,9 @@
 
 Generated diagrams always satisfy the construction invariants (unique ids,
 resolvable references) but are free to violate the soft validation rules —
-the serializer and parser must handle both.
+the serializer and parser must handle both. ``mutations`` and ``mutant``
+derive every single-point change of a decoded document, for mutation
+fuzzing of the parser.
 """
 
 from __future__ import annotations
@@ -160,3 +162,30 @@ def fuzz_input(seed: int) -> str:
     return bytes(rng.randrange(256) for _ in range(rng.randint(0, 100))).decode(
         "utf-8", errors="replace"
     )
+
+
+MUTANT_VALUES = (5, "s", [], {}, None, True)
+DROP = object()
+
+
+def mutations(node, path=()):
+    """(path, value) for each single-point mutation under *node*: every key
+    and list item dropped (`DROP`) or set to each of `MUTANT_VALUES`."""
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        for value in (DROP, *MUTANT_VALUES):
+            yield (*path, key), value
+        if isinstance(child, (dict, list)):
+            yield from mutations(child, (*path, key))
+
+
+def mutant(node, path: tuple, value):
+    """A copy of *node* with the mutation (*path*, *value*) applied; only
+    the containers along *path* are copied."""
+    node = dict(node) if isinstance(node, dict) else list(node)
+    if len(path) > 1:
+        node[path[0]] = mutant(node[path[0]], path[1:], value)
+    elif value is DROP:
+        del node[path[0]]
+    else:
+        node[path[0]] = value
+    return node

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,12 +10,12 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from bpdmn import format as fmt
+from bpdmn import format as fmt, model
 from bpdmn.cli import main
 from bpdmn.format import EMPTY_DOCUMENT, ParseError, parse_diagram, serialize_diagram
 
 from conftest import FIXTURES, fixture_text
-from randgen import fuzz_input, random_diagram
+from randgen import fuzz_input, mutant as _mutant, mutations as _mutations, random_diagram
 
 ALL_FIXTURES = sorted(p.relative_to(FIXTURES) for p in FIXTURES.rglob("*.bpdmn.json"))
 
@@ -357,6 +359,7 @@ def test_a_field_that_fails_to_read_gives_one_diagnostic(name, edit, message):
 def _every_key_document() -> dict:
     """`_document()` plus an element holding each optional key of the schema."""
     doc = _document()
+    doc["id"] = "every-key"
     pool = doc["pools"][0]
     # a message start producing o, the object of the start inputs
     pool["nodes"][0]["kind"] = "start_event_message"
@@ -403,8 +406,6 @@ def _every_key_document() -> dict:
 
 
 FUZZ_DOCUMENTS = ["every-key", "travel.bpdmn.json", "eco.bpdmn.json"]
-MUTANT_VALUES = (5, "s", [], {}, None, True)
-_DROP = object()
 
 
 def _fuzz_cases(name: str) -> tuple[dict, list]:
@@ -418,27 +419,42 @@ def _fuzz_cases(name: str) -> tuple[dict, list]:
     return doc, list(_mutations(doc))[::3]
 
 
-def _mutations(node, path=()):
-    """(path, value) for each single-point mutation under *node*: every key
-    and list item dropped (`_DROP`) or set to each of `MUTANT_VALUES`."""
-    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
-        for value in (_DROP, *MUTANT_VALUES):
-            yield (*path, key), value
-        if isinstance(child, (dict, list)):
-            yield from _mutations(child, (*path, key))
+@pytest.mark.parametrize("cls", list(fmt._TABLES), ids=lambda cls: cls.__name__)
+def test_table_keys_fill_the_fields_of_their_class_in_order(cls):
+    """`_Reader.build` passes the fields by position, in the table's order."""
+    table = fmt._TABLES[cls]
+    assert [f for key in table.keys for f in key.fields] == [f.name for f in dataclasses.fields(cls)]
 
 
-def _mutant(node, path: tuple, value):
-    """A copy of *node* with the mutation (*path*, *value*) applied; only
-    the containers along *path* are copied."""
-    node = dict(node) if isinstance(node, dict) else list(node)
-    if len(path) > 1:
-        node[path[0]] = _mutant(node[path[0]], path[1:], value)
-    elif value is _DROP:
-        del node[path[0]]
-    else:
-        node[path[0]] = value
-    return node
+def _elements(table, data: dict):
+    """(table, object) for the object *data* that *table* reads and for each
+    element within it."""
+    yield table, data
+    for key in table.keys:
+        value = data.get(key.name)
+        if key.name == "behaviors":
+            for spec in value.values():
+                yield from _elements(fmt._TABLES[model.TaskBehavior], spec)
+        elif key.name == "store_actions":
+            for action in value:
+                yield from _elements(fmt._ACTIONS[action["action"]], action)
+        elif key.kind.of is not None and value:
+            for item in value:
+                yield from _elements(fmt._TABLES[key.kind.of], item)
+
+
+def test_every_key_document_holds_every_key_of_every_table():
+    held = {(table.cls, key) for table, data in _elements(fmt._DOCUMENT, _every_key_document()) for key in data}
+    keys = {(table.cls, name) for table in fmt._TABLES.values() for name in table.names}
+    assert keys <= held, sorted(f"{cls.__name__}.{name}" for cls, name in keys - held)
+
+
+def test_readme_names_every_key_of_the_schema():
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Model format")[1].split("\n## ")[0]
+    named = set(re.findall(r"`([^`]+)`", section))
+    keys = {name for table in fmt._TABLES.values() for name in table.names}
+    assert keys <= named, sorted(keys - named)
 
 
 def test_mutations_cover_every_key_the_parser_reads(monkeypatch):
