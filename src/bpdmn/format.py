@@ -7,16 +7,18 @@ The schema mirrors the metamodel one-to-one. Top-level keys, in order:
 two-space indentation, keys in schema order, elements sorted by id, and a
 trailing newline, so golden-file comparisons stay byte-stable.
 
-The schema is one table per element type (``_TABLES``, with the document's
-own ``_DOCUMENT``). Each row names a key, its kind (one of the typed
-readers of ``_Reader``: ``string``, ``optional_string``, ``flag``,
-``integer``, ``expr``, ``strings``, ``items`` of another element, or a
-small codec of its own for the store ``scope``, an effect's ``target``, an
-insert's ``assignments``, the ``behaviors`` and the ``start_inputs``), the
-value an absent key reads as, and whether the writer leaves that value
-out; a list of elements is written sorted by the keys its kind names. The
-rows follow the fields of the element's class, and each table compiles into
-one reader and one writer, so a key is written once, in its table.
+The schema is one table per element type (``_TABLES``; ``_DOCUMENT`` is the
+document's). A row names a key and gives its kind, its default (the value
+an absent key reads as) and whether the writer leaves the key out when it
+holds that default. A kind is one of the typed readers of ``_Reader``
+(``string``, ``optional_string``, ``flag``, ``integer``, ``expr``,
+``strings``), a list of the elements of another table, written sorted by
+the attributes it names, or a small codec for an irregular key: the store
+``scope``, an effect's ``target``, an insert's ``assignments``, the
+``action`` that picks a store action's table, and the ``behaviors`` and
+``start_inputs`` maps. The rows follow the fields of the element's class,
+and each table compiles into one reader and one writer, so each key of
+each element is written once, in its table.
 
 Reading is strict and coerces nothing. A value of the wrong type, a
 missing required key or an unknown key is a :class:`ParseError`; an absent
@@ -340,8 +342,9 @@ def _items(cls: type, *order: str) -> _Kind:
     by = attrgetter(*order) if order else None
 
     def write(values: list) -> list[dict]:
-        write_item = _TABLES[cls].write
-        return [write_item(value) for value in (sorted(values, key=by) if by else values)]
+        if not values:  # compiles no writer, as for EMPTY_DOCUMENT on import
+            return []
+        return list(map(_TABLES[cls].write, sorted(values, key=by) if by else values))
 
     return _Kind(_Reader.items, write, cls)
 
@@ -386,8 +389,8 @@ class _Element:
     and a constant key written first (``tag``).
 
     Its reader and writer are compiled from the table on first use, as
-    :mod:`dataclasses` compiles ``__init__``: a loop over the keys at run
-    time made parsing the perfbench chain model a third slower."""
+    :mod:`dataclasses` compiles ``__init__``, so an element costs what a
+    hand-written reader or writer costs and not a loop over its keys."""
 
     def __init__(self, cls: type, what: str, name: str | None, *keys: _Key, tag=None) -> None:
         self.cls = cls
@@ -453,29 +456,36 @@ class _Element:
     def write(self) -> Callable:
         """``write(element)``: *element* as the object a document holds."""
         namespace: dict = {}
-        body = [f"out = {{{self.tag[0]!r}: {self.tag[1]!r}}}" if self.tag else "out = {}"]
+        # the keys up to the first one that may be left out start the dict
+        start = [f"{self.tag[0]!r}: {self.tag[1]!r}"] if self.tag else []
+        body: list[str] = []
         for i, key in enumerate(self.keys):
-            body.append("value = " + ", ".join(f"element.{field}" for field in key.fields))
-            namespace[f"write{i}"] = key.kind.write
-            put = f"out[{key.name!r}] = " + ("value" if key.kind.write is None else f"write{i}(value)")
-            if not key.omit:
-                body.append(put)
+            namespace[f"write{i}"], namespace[f"omit{i}"] = key.kind.write, key.default
+            get = "(" + ", ".join(f"element.{field}" for field in key.fields) + ")"
+            value = "value" if key.omit else get
+            if key.kind.write is not None:
+                value = f"write{i}({value})"
+            if key.omit:
+                body += [f"value = {get}", f"if value != omit{i}:", f"    out[{key.name!r}] = {value}"]
+            elif body:
+                body.append(f"out[{key.name!r}] = {value}")
             else:
-                namespace[f"omit{i}"] = key.default
-                body += [f"if value != omit{i}:", "    " + put]
-        body.append("return out")
+                start.append(f"{key.name!r}: {value}")
+        body = ["out = {" + ", ".join(start) + "}", *body, "return out"]
         return _compile("write", "element", body, namespace)
 
 
-# The irregular keys, each read and written by a codec of its own.
+# The irregular keys, each read by a decoder of its own and written by a
+# function of its kind.
 
 
-def _read_scope(reader: _Reader, data: dict, key: str, where: str, default: str) -> model.Scope | None:
+def _decode_scope(reader: _Reader, data: dict, key: str, where: str, default: str) -> model.Scope | None:
     kind, sep, node = reader.string(data, key, where, default).partition(":")
+    # a bad scope is located at the store's id, which is read before it
     return reader.build(data.get("id"), model.Scope, kind, node if sep else None)
 
 
-def _read_target(reader: _Reader, data: dict, key: str, where: str) -> tuple[str, str]:
+def _decode_target(reader: _Reader, data: dict, key: str, where: str) -> tuple[str, str]:
     target = reader.string(data, key, where)
     obj, dot, path = target.partition(".")
     if not dot and not reader.faulty:
@@ -483,12 +493,12 @@ def _read_target(reader: _Reader, data: dict, key: str, where: str) -> tuple[str
     return obj, path
 
 
-def _read_assignments(reader: _Reader, data: dict, key: str, where: str) -> dict:
+def _decode_assignments(reader: _Reader, data: dict, key: str, where: str) -> dict:
     assignments = reader.entries(data, key, where)
     return {name: reader.expr(assignments, name, where) for name in assignments}
 
 
-def _read_store_action(reader: _Reader, data: object, node_id: str):
+def _decode_store_action(reader: _Reader, data: object, node_id: str):
     action = data.get("action") if isinstance(data, dict) else None
     table = _ACTIONS.get(action) if isinstance(action, str) else None
     if table is None:
@@ -497,7 +507,7 @@ def _read_store_action(reader: _Reader, data: object, node_id: str):
     return table.read(reader, data, node_id)
 
 
-def _read_behaviors(reader: _Reader, data: dict, key: str, where: str) -> dict:
+def _decode_behaviors(reader: _Reader, data: dict, key: str, where: str) -> dict:
     out = {}
     for node_id, spec in reader.entries(data, key, where).items():
         behavior = _BEHAVIOR.read(reader, spec, node_id)
@@ -506,7 +516,7 @@ def _read_behaviors(reader: _Reader, data: dict, key: str, where: str) -> dict:
     return out
 
 
-def _read_start_inputs(reader: _Reader, data: dict, key: str, where: str) -> dict:
+def _decode_start_inputs(reader: _Reader, data: dict, key: str, where: str) -> dict:
     inputs = reader.entries(data, key, where)
     out = {}
     for obj_id in inputs:
@@ -517,24 +527,24 @@ def _read_start_inputs(reader: _Reader, data: dict, key: str, where: str) -> dic
 
 
 _SCOPE = _Kind(
-    _read_scope,
+    _decode_scope,
     lambda scope: "diagram" if scope.kind == "diagram" else f"sub_process:{scope.sub_process}",
     arg=_DEFAULT,
 )
-_TARGET = _Kind(_read_target, lambda target: f"{target[0]}.{target[1]}")
+_TARGET = _Kind(_decode_target, lambda target: f"{target[0]}.{target[1]}")
 _ASSIGNMENTS = _Kind(
-    _read_assignments, lambda assignments: {name: print_expr(e) for name, e in sorted(assignments.items())}
+    _decode_assignments, lambda assignments: {name: print_expr(e) for name, e in sorted(assignments.items())}
 )
 _STORE_ACTIONS = _Kind(
     _Reader.items,
     lambda actions: [_TABLES[type(action)].write(action) for action in actions],
-    arg=_read_store_action,
+    arg=_decode_store_action,
 )
 _BEHAVIORS = _Kind(
-    _read_behaviors, lambda behaviors: {node: _BEHAVIOR.write(b) for node, b in sorted(behaviors.items())}
+    _decode_behaviors, lambda behaviors: {node: _BEHAVIOR.write(b) for node, b in sorted(behaviors.items())}
 )
 _START_INPUTS = _Kind(
-    _read_start_inputs,
+    _decode_start_inputs,
     lambda inputs: {obj: dict(sorted(values.items())) for obj, values in sorted(inputs.items())},
 )
 

@@ -3,8 +3,9 @@
 The diagram is the single source of truth for every other module: pools of
 nodes and flows, data stores with ER-style internal structure, structured
 data objects, explicit data flows, and data mappings. The constructor
-rejects duplicate identifiers and dangling flow endpoints, while the softer
-well-formedness rules live in :mod:`bpdmn.validator`.
+rejects duplicate identifiers and dangling references (flow endpoints, and
+the objects, stores and entities that flows, mappings and behaviours name),
+while the softer well-formedness rules live in :mod:`bpdmn.validator`.
 
 Diagrams must not be mutated after construction: the derived views (lookups
 by id, flows into and out of a node, a node's inputs and outputs, an
@@ -342,6 +343,10 @@ class TaskBehavior:
     store_actions: list[StoreInsert | StoreRead] = field(default_factory=list)
     instances: int = 1  # >1 only for multi-instance tasks
 
+    def __post_init__(self) -> None:
+        if self.instances < 1:
+            raise ModelError(f"behavior: instances must be at least 1, not {self.instances}")
+
 
 # ---------------------------------------------------------------------------
 # Diagram
@@ -392,7 +397,7 @@ class Diagram:
 
     def _check_references(self) -> None:
         node_ids = {n.id for n in self.iter_nodes()}
-        store_ids = {s.id for s in self.stores}
+        stores = {s.id: s for s in self.stores}
         object_ids = {o.id for o in self.objects}
         pool_ids = {p.id for p in self.pools}
 
@@ -408,17 +413,17 @@ class Diagram:
                     if att.object not in object_ids:
                         raise ModelError(f"flow {flow.id}: unknown object {att.object!r}")
             for flow in pool.explicit_data_flows:
-                ends_stores = [e for e in (flow.source, flow.target) if e in store_ids]
+                ends_stores = [e for e in (flow.source, flow.target) if e in stores]
                 if len(ends_stores) == 2:
                     raise ModelError(f"data flow {flow.id}: both endpoints are stores")
                 for end in (flow.source, flow.target):
-                    if end not in node_ids and end not in store_ids:
+                    if end not in node_ids and end not in stores:
                         raise ModelError(f"data flow {flow.id}: unknown endpoint {end!r}")
                 if flow.object not in object_ids:
                     raise ModelError(f"data flow {flow.id}: unknown object {flow.object!r}")
             for node in pool.iter_nodes():
                 for sid in node.local_stores:
-                    if sid not in store_ids:
+                    if sid not in stores:
                         raise ModelError(f"node {node.id}: unknown local store {sid!r}")
 
         for flow in self.message_flows:
@@ -430,7 +435,7 @@ class Diagram:
                     raise ModelError(f"message flow {flow.id}: unknown object {att.object!r}")
 
         for obj in self.objects:
-            if obj.origin_store is not None and obj.origin_store not in store_ids:
+            if obj.origin_store is not None and obj.origin_store not in stores:
                 raise ModelError(f"object {obj.id}: unknown origin store {obj.origin_store!r}")
 
         for mapping in self.mappings:
@@ -443,9 +448,21 @@ class Diagram:
             if store.scope.kind == "sub_process" and store.scope.sub_process not in node_ids:
                 raise ModelError(f"store {store.id}: unknown scope node {store.scope.sub_process!r}")
 
-        for node_id in self.behaviors:
+        for node_id, behavior in self.behaviors.items():
             if node_id not in node_ids:
                 raise ModelError(f"behavior of {node_id}: unknown node")
+            where = f"behavior of {node_id}"
+            for effect in behavior.effects:
+                if effect.target_object not in object_ids:
+                    raise ModelError(f"{where}: unknown object {effect.target_object!r}")
+            for action in behavior.store_actions:
+                store = stores.get(action.store)
+                if store is None:
+                    raise ModelError(f"{where}: unknown store {action.store!r}")
+                if all(entity.name != action.entity for entity in store.entities):
+                    raise ModelError(f"{where}: unknown entity {action.entity!r} of store {store.id}")
+                if isinstance(action, StoreRead) and action.object not in object_ids:
+                    raise ModelError(f"{where}: unknown object {action.object!r}")
         produced = self.start_objects() if self.start_inputs else set()
         for object_id in self.start_inputs:
             if object_id not in object_ids:

@@ -372,7 +372,7 @@ def _apply_mappings(
 
 
 def _run_behavior(state: ExecutionState, node: Node, behavior: TaskBehavior, trace: Trace, step: int) -> None:
-    instances = max(behavior.instances, 1) if node.multi_instance else 1
+    instances = behavior.instances if node.multi_instance else 1
     for index in range(1, instances + 1):
         counter = {"instance.index": index}
         env = ChainMap(counter, state.env)

@@ -276,6 +276,36 @@ BAD_VALUES = [
     ("behavior-of-a-pool", lambda d: d["behaviors"].update(q={}), "behavior of q: unknown node"),
     ("start-input-unknown-object", lambda d: d.update(start_inputs={"nosuch": {"v": 1}}), "start input nosuch: unknown object"),
     ("start-input-not-produced", lambda d: d.update(start_inputs={"o": {"v": 1}}), "start input o: no message start event produces it"),
+    # parsed and validated clean, then deadlocked or failed the run
+    (
+        "effect-unknown-object",
+        lambda d: d["behaviors"]["sp"]["effects"].append({"target": "nosuch.v", "expr": "1"}),
+        "behavior of sp: unknown object 'nosuch'",
+    ),
+    (
+        "store-action-unknown-store",
+        lambda d: d["behaviors"]["sp"]["store_actions"].append(
+            {"action": "insert", "store": "nosuch", "entity": "E", "assignments": {}}
+        ),
+        "behavior of sp: unknown store 'nosuch'",
+    ),
+    (
+        "store-action-unknown-entity",
+        lambda d: d["behaviors"]["sp"]["store_actions"].append(
+            {"action": "read", "store": "st", "entity": "Nosuch", "object": "o"}
+        ),
+        "behavior of sp: unknown entity 'Nosuch' of store st",
+    ),
+    (
+        "read-unknown-object",
+        lambda d: d["behaviors"]["sp"]["store_actions"].append(
+            {"action": "read", "store": "st", "entity": "E", "object": "nosuch"}
+        ),
+        "behavior of sp: unknown object 'nosuch'",
+    ),
+    # parsed and written back, while the simulator ran one instance
+    ("instances-zero", lambda d: d["behaviors"]["sp"].update(instances=0), "behavior: instances must be at least 1, not 0"),
+    ("instances-negative", lambda d: d["behaviors"]["sp"].update(instances=-3), "behavior: instances must be at least 1, not -3"),
 ]
 
 
