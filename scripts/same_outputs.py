@@ -7,7 +7,9 @@ For each model it records the exit code, stdout and stderr of
 ``simulate --json`` (default policy, ``--policy random --seed 3`` and
 ``--policy random --seed 7``) and ``render``, the canonical text
 ``serialize_diagram`` writes for the parsed model, the outcome set of
-``simulator.explore_interleavings``, and the refusals: the diagnostics,
+``simulator.explore_interleavings`` with the number of states it visits (its
+``enabled()`` calls, one per new state, so a state key that merges or splits
+states shows), and the refusals: the diagnostics,
 spans and messages, of every third single-point mutant of the model's
 document (``tests/randgen.mutations``) that ``parse_diagram`` refuses.
 The models are the committed fixtures (or the model files named on the
@@ -82,12 +84,23 @@ def _canonical_text(path: Path) -> dict:
 
 
 def _oracle_outcomes(path: Path, max_steps: int) -> dict:
+    original = simulator.enabled
+    states = 0
+
+    def enabled_counted(*args):
+        nonlocal states
+        states += 1
+        return original(*args)
+
+    simulator.enabled = enabled_counted
     try:
         diagram = parse_diagram(path.read_text(encoding="utf-8"))
         outcomes = simulator.explore_interleavings(diagram, max_steps=max_steps)
     except (ParseError, simulator.SimulationError) as exc:
-        return {"error": f"{type(exc).__name__}: {exc}"}
-    return {"outcomes": sorted(sorted(fired) for fired in outcomes)}
+        return {"error": f"{type(exc).__name__}: {exc}", "states": states}
+    finally:
+        simulator.enabled = original
+    return {"outcomes": sorted(sorted(fired) for fired in outcomes), "states": states}
 
 
 def _refusals(path: Path) -> list[dict]:

@@ -215,9 +215,9 @@ def _pick_output_variable(diagram: Diagram, node_id: str) -> str | None:
 
 
 def _participant(diagram: Diagram, endpoint: str) -> str:
-    """The pool a message flow endpoint belongs to, or the endpoint itself."""
-    pool = diagram.pool_of(endpoint)
-    return pool.id if pool is not None else endpoint
+    """The pool a message flow endpoint belongs to, or the endpoint itself
+    when it is a pool."""
+    return diagram.pool_of(endpoint).id
 
 
 def _start_message_sources(diagram: Diagram, pool) -> set[str]:
@@ -317,22 +317,17 @@ def _reachable(diagram: Diagram, node_id: str) -> set[str]:
 def _find_join(diagram: Diagram, branch_heads: list[str]) -> str | None:
     """First node reachable from every branch head (BFS order of the first
     branch); assumes structured split/join regions."""
-    reach_sets = [_reachable(diagram, head) for head in branch_heads]
-    common = set.intersection(*reach_sets) if reach_sets else set()
-    # BFS from the first head to pick the nearest common node
-    order = []
-    seen = {branch_heads[0]}
-    queue = [branch_heads[0]]
-    while queue:
-        current = queue.pop(0)
-        order.append(current)
+    # the BFS from the first head walks its reach set: intersect the others'
+    others = [_reachable(diagram, head) for head in branch_heads[1:]]
+    order = [branch_heads[0]]
+    seen = set(order)
+    for current in order:  # the list grows as the BFS walks it
+        if current not in branch_heads and all(current in reach for reach in others):
+            return current
         for flow in _successors(diagram, current):
             if flow.target not in seen:
                 seen.add(flow.target)
-                queue.append(flow.target)
-    for node_id in order:
-        if node_id in common and node_id not in branch_heads:
-            return node_id
+                order.append(flow.target)
     return None
 
 
@@ -351,8 +346,6 @@ class _SkeletonBuilder:
                 break
             self.emitted.add(current)
             node = self.diagram.node(current)
-            if node is None:
-                break
             if node.kind == "gateway_parallel":
                 nexts = _successors(self.diagram, current)
                 heads = [f.target for f in nexts]

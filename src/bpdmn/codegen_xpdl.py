@@ -105,8 +105,6 @@ def _actual_parameters(diagram: Diagram, node_id: str) -> list[str]:
     params = []
     for io in sorted(node_inputs(diagram, node_id), key=lambda io: (io.object, io.via)):
         obj = diagram.object(io.object)
-        if obj is None:
-            continue
         for var in sorted(obj.variables, key=lambda v: v.name):
             if var.vtype == "record":
                 continue

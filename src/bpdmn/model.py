@@ -16,7 +16,6 @@ diagram, and a mutation would leave them stale.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -570,8 +569,6 @@ def resolve_scope(diagram: Diagram, store_id: str) -> set[str]:
     if store.scope.kind == "diagram":
         return set(diagram.index.nodes)
     root = diagram.node(store.scope.sub_process)
-    if root is None:
-        return set()
     result = {root.id}
     stack = list(root.children)
     while stack:
@@ -659,10 +656,6 @@ class DiagramIndex:
         self.outputs: dict[str, list[NodeIO]] = {}
         self.sources: dict[str, list[ObjectLink]] = {}  # object id -> object_sources
         self.targets: dict[str, list[ObjectLink]] = {}
-        # attachments and explicit flows naming the object, and how many of
-        # them sit on a message flow to or from a black-box pool
-        self.uses: Counter[str] = Counter()
-        self.external_uses: Counter[str] = Counter()
         self.successors: dict[str, set[str]] = {}  # reaches adjacency
         # store id -> nodes extracting from it / inserting into it, over
         # explicit data flows and behaviors
@@ -687,7 +680,6 @@ class DiagramIndex:
                     else LinkKind.ACTIVITY_OUTPUT
                 )
                 for att in flow.attachments:
-                    self.uses[att.object] += 1
                     if att.direction == "input":
                         add(inputs, flow.target, NodeIO(att.object, att.optional, flow.id, "sequence"))
                         add(targets, att.object, ObjectLink(LinkKind.ACTIVITY_INPUT, flow.target, flow.id))
@@ -696,7 +688,6 @@ class DiagramIndex:
                         add(sources, att.object, ObjectLink(produced, flow.source, flow.id))
             for flow in pool.explicit_data_flows:
                 self.successors.setdefault(flow.source, set()).add(flow.target)
-                self.uses[flow.object] += 1
                 from_store = flow.source in stores
                 to_store = flow.target in stores
                 in_channel = "store" if from_store else "explicit"
@@ -721,18 +712,13 @@ class DiagramIndex:
                 table = self.readers if isinstance(action, StoreRead) else self.writers
                 table.setdefault(action.store, set()).add(node_id)
 
-        black_boxes = {p.id for p in diagram.pools if not p.nodes}
         self.message_in: dict[str, list[MessageFlow]] = {}  # endpoint id -> message flows
         self.message_out: dict[str, list[MessageFlow]] = {}
         for flow in diagram.message_flows:
             add(self.message_in, flow.target, flow)
             add(self.message_out, flow.source, flow)
             self.successors.setdefault(flow.source, set()).add(flow.target)
-            external = flow.source in black_boxes or flow.target in black_boxes
             for att in flow.attachments:
-                self.uses[att.object] += 1
-                if external:
-                    self.external_uses[att.object] += 1
                 if att.direction == "input":
                     add(inputs, flow.target, NodeIO(att.object, att.optional, flow.id, "message"))
                     add(sources, att.object, ObjectLink(LinkKind.MESSAGE_RECEIPT, flow.target, flow.id))

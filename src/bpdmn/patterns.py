@@ -282,7 +282,7 @@ def _d22(f: _Facts) -> list[Witness]:
     return [
         frozenset({pool_of[flow.source].id, flow.id, att.object})
         for flow in f.black_box_flows
-        if flow.target in f.black_boxes and flow.source in pool_of
+        if flow.target in f.black_boxes
         for att in flow.attachments
         if att.direction == "output"
     ]

@@ -3,14 +3,18 @@
 A node is enabled when its join condition holds (a token on every incoming
 sequence flow for tasks and parallel joins, on at least one for exclusive
 merges) and every non-optional input object is available: already bound,
-deliverable from a store, waiting in the pool inbox, or producible by a
-data mapping whose source is available. The default scheduling policy fires
-the enabled node with the smallest id, which makes runs reproducible; a
-seeded random policy is available for exploratory runs.
+deliverable from a store, carried by a message waiting on its message flow,
+or producible by a data mapping whose source is available. The default
+scheduling policy fires the enabled node with the smallest id, which makes
+runs reproducible; a seeded random policy is available for exploratory runs.
 
 Store reads are non-destructive, inserts append, and bindings persist for
 the whole case once produced. An optional input that is absent when its
-consumer fires is bound to null and never awaited.
+consumer fires is bound to null and never awaited. An object is bound
+exactly when ``_bind_object`` has run for it: for a start input, a received
+message, a store read, a mapping, an effect, a null optional input, or a
+firing that outputs it. ``state.inbox`` queues messages per message flow,
+oldest first; only the flow's target reads its queue.
 
 A node's effects, store actions and instance count are its behaviour in
 ``diagram.behaviors``, the behaviours the validator checked; nothing else
@@ -30,10 +34,13 @@ may rebind. So ``enabled(state, diagram, prior)`` keeps a candidate found in
 unless it has a store-channel input. ``step`` still checks the node it fires.
 
 The state carries ``env``, the bindings flattened to ``object.path`` names,
-kept up to date by every binding; guards, effects, mappings, store inserts
+kept up to date by ``_bind_object``; guards, effects, mappings, store inserts
 and store filters evaluate against it (filters and the multi-instance
 ``instance.index`` through an overlay), so no environment is rebuilt per
 evaluation.
+
+The oracle's outcome for a path is ``completed`` less the start events
+``init`` completed, which never fire: the nodes the path fired.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ Bindings = dict[str, dict[str, Value]]  # object id -> variable path -> value
 
 @dataclass
 class Message:
-    flow: str  # message flow id
+    step: int  # the step that sent it
     objects: Bindings  # snapshot of the attached objects
 
 
@@ -82,12 +89,12 @@ class ExecutionState:
     tokens: dict[str, int] = field(default_factory=dict)  # sequence flow id -> count
     bindings: Bindings = field(default_factory=dict)
     stores: dict[str, list[Record]] = field(default_factory=dict)  # records as Entity.field maps
-    inbox: dict[str, list[Message]] = field(default_factory=dict)  # pool id -> queue
+    inbox: dict[str, list[Message]] = field(default_factory=dict)  # message flow id -> queue, oldest first
     completed: set[str] = field(default_factory=set)
     step_count: int = 0
     pending_starts: set[str] = field(default_factory=set)  # message starts awaiting a message
     # bindings flattened to "object.path" -> value, the names expressions read;
-    # built here, then kept up to date by every binding the simulator makes
+    # built here, then kept up to date by _bind_object
     env: dict[str, Value] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -193,7 +200,6 @@ def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = No
         raise InitializationError("no start event: diagram has no nodes")
 
     state = ExecutionState()
-    state.inbox = {p.id: [] for p in diagram.pools}
     internal_message_targets = diagram.index.message_in
 
     for pool in diagram.pools:
@@ -206,28 +212,15 @@ def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = No
                 if node.id in internal_message_targets and not supplied:
                     state.pending_starts.add(node.id)
                     continue
-                missing = [
-                    io.object
-                    for io in outputs
-                    if not io.optional and io.object not in start_inputs
-                ]
+                missing = [io.object for io in outputs if not io.optional and io.object not in start_inputs]
                 if missing and node.id not in internal_message_targets:
                     raise InitializationError(
                         f"start event {node.id}: missing required start input for {missing}"
                     )
                 for io in outputs:
-                    obj = diagram.object(io.object)
-                    given = start_inputs.get(io.object, {})
-                    bound: dict[str, Value] = {}
-                    if obj is not None:
-                        for var in obj.variables:
-                            if var.vtype == "record":
-                                continue
-                            bound[var.name] = given.get(var.name)
-                    for key, value in given.items():
-                        bound[key] = value
-                    state.bindings[io.object] = bound
-                    state.env.update((f"{io.object}.{key}", value) for key, value in bound.items())
+                    names = _variable_names(diagram, io.object)
+                    values = dict.fromkeys(names) | start_inputs.get(io.object, {})
+                    _bind_object(state, [], 0, io.object, values)  # run() traces them at step 0
             state.completed.add(node.id)
             for flow in diagram.index.out_flows.get(node.id, ()):
                 state.tokens[flow.id] = state.tokens.get(flow.id, 0) + 1
@@ -268,12 +261,7 @@ def _input_available(
     if io.object in state.bindings:
         return True
     if io.channel == "message":
-        pool = diagram.pool_of(node.id)
-        if pool is not None:
-            for msg in state.inbox.get(pool.id, []):
-                if msg.flow == io.via and io.object in msg.objects:
-                    return True
-        return False
+        return any(io.object in msg.objects for msg in state.inbox.get(io.via, ()))
     if io.channel == "store":
         return _store_read_available(state, diagram.behaviors.get(node.id), io.object)
     # sequence or explicit node-to-node channel: maybe producible by a mapping
@@ -296,12 +284,8 @@ def _is_enabled(state: ExecutionState, diagram: Diagram, node: Node) -> bool:
     scanned only when everything else already holds."""
     incoming = diagram.index.in_flows.get(node.id, ())
     if not incoming:
-        if node.id not in state.pending_starts:
-            return False
-        pool = diagram.pool_of(node.id)
-        flow_ids = {f.id for f in diagram.index.message_in.get(node.id, ())}
-        return pool is not None and any(
-            msg.flow in flow_ids for msg in state.inbox.get(pool.id, [])
+        return node.id in state.pending_starts and any(
+            state.inbox.get(f.id) for f in diagram.index.message_in.get(node.id, ())
         )
     if node.id in state.completed and node.kind in START_KINDS:
         return False
@@ -351,10 +335,19 @@ def enabled(
 # Firing
 
 
-def _bind(state: ExecutionState, trace: Trace, step: int, obj: str, path: str, value: Value) -> None:
-    state.bindings.setdefault(obj, {})[path] = value
-    state.env[f"{obj}.{path}"] = value
-    trace.append(ObjectBound(step, obj, path, value))
+def _bind_object(state: ExecutionState, trace: Trace, step: int, obj: str, values: dict[str, Value]) -> None:
+    """Bind *obj*, then each path in *values*: the only writer of
+    ``state.bindings`` and ``state.env`` once a state exists."""
+    variables = state.bindings.setdefault(obj, {})
+    for path, value in values.items():
+        variables[path] = value
+        state.env[f"{obj}.{path}"] = value
+        trace.append(ObjectBound(step, obj, path, value))
+
+
+def _variable_names(diagram: Diagram, obj: str) -> list[str]:
+    """The variables of *obj* that hold a value, in declaration order."""
+    return [var.name for var in diagram.index.objects[obj].variables if var.vtype != "record"]
 
 
 def _apply_mappings(
@@ -368,7 +361,7 @@ def _apply_mappings(
                 value = eval_expr(rule.from_expr, state.env)
             except ExprError as exc:
                 raise SimulationError(f"mapping {mapping.id}: {exc}") from exc
-            _bind(state, trace, step, mapping.target_object, rule.to, value)
+            _bind_object(state, trace, step, mapping.target_object, {rule.to: value})
 
 
 def _run_behavior(state: ExecutionState, node: Node, behavior: TaskBehavior, trace: Trace, step: int) -> None:
@@ -381,7 +374,7 @@ def _run_behavior(state: ExecutionState, node: Node, behavior: TaskBehavior, tra
                 value = eval_expr(effect.expr, env)
             except ExprError as exc:
                 raise SimulationError(f"behavior of {node.id}: {exc}") from exc
-            _bind(state, trace, step, effect.target_object, effect.target_path, value)
+            _bind_object(state, trace, step, effect.target_object, {effect.target_path: value})
             # an effect on an object named "instance" shadows the counter
             counter.pop(f"{effect.target_object}.{effect.target_path}", None)
         for action in behavior.store_actions:
@@ -407,23 +400,17 @@ def _run_behavior(state: ExecutionState, node: Node, behavior: TaskBehavior, tra
 def _receive_messages(
     state: ExecutionState, diagram: Diagram, node: Node, trace: Trace, step: int
 ) -> None:
-    pool = diagram.pool_of(node.id)
-    if pool is None:
-        return
-    incoming_flow_ids = {f.id for f in diagram.index.message_in.get(node.id, ())}
-    queue = state.inbox.get(pool.id, [])
-    remaining: list[Message] = []
-    for msg in queue:
-        if msg.flow in incoming_flow_ids:
-            trace.append(MessageReceived(step, msg.flow))
-            for obj, variables in msg.objects.items():
-                state.bindings.setdefault(obj, {})
-                for path, value in variables.items():
-                    _bind(state, trace, step, obj, path, value)
-            incoming_flow_ids.discard(msg.flow)  # one message per flow per firing
-        else:
-            remaining.append(msg)
-    state.inbox[pool.id] = remaining
+    """Take the oldest message of each flow into *node*, in the order they
+    were sent. A step has one sender, which sends in the order of
+    ``message_in``; the stable sort keeps it for messages of one step."""
+    flows = diagram.index.message_in.get(node.id, ())
+    queues = [(flow.id, queue) for flow in flows if (queue := state.inbox.get(flow.id))]
+    queues.sort(key=lambda item: item[1][0].step)
+    for flow_id, queue in queues:
+        msg = queue.pop(0)
+        trace.append(MessageReceived(step, flow_id))
+        for obj, variables in msg.objects.items():
+            _bind_object(state, trace, step, obj, variables)
 
 
 def _send_messages(
@@ -434,10 +421,9 @@ def _send_messages(
         for att in flow.attachments:
             if att.direction == "output":
                 snapshot[att.object] = dict(state.bindings.get(att.object, {}))
-        target_pool = diagram.pool_of(flow.target)
         trace.append(MessageSent(step, flow.id))
-        if target_pool is not None and target_pool.nodes:
-            state.inbox.setdefault(target_pool.id, []).append(Message(flow.id, snapshot))
+        if not diagram.is_black_box_pool(flow.target):
+            state.inbox.setdefault(flow.id, []).append(Message(step, snapshot))
         # messages to black-box pools leave the modeled world
 
 
@@ -502,24 +488,15 @@ def step(state: ExecutionState, diagram: Diagram, node_id: str) -> tuple[Executi
             if isinstance(action, StoreRead):
                 record = _matching_record(state, action)
                 if record is not None:
-                    obj = diagram.object(action.object)
-                    if obj is not None:
-                        for var in obj.variables:
-                            if var.vtype != "record" and var.name in record:
-                                _bind(state, trace, current, action.object, var.name, record[var.name])
-                        state.bindings.setdefault(action.object, {})
+                    values = {n: record[n] for n in _variable_names(diagram, action.object) if n in record}
+                    _bind_object(state, trace, current, action.object, values)
 
     _apply_mappings(state, diagram, node, trace, current)
 
     # optional inputs that never arrived are bound to null now
     for io in diagram.index.inputs.get(node_id, ()):
         if io.optional and io.object not in state.bindings:
-            obj = diagram.object(io.object)
-            state.bindings[io.object] = {}
-            if obj is not None:
-                for var in obj.variables:
-                    if var.vtype != "record":
-                        _bind(state, trace, current, io.object, var.name, None)
+            _bind_object(state, trace, current, io.object, dict.fromkeys(_variable_names(diagram, io.object)))
 
     if behavior is not None:
         _run_behavior(state, node, behavior, trace, current)
@@ -527,7 +504,7 @@ def step(state: ExecutionState, diagram: Diagram, node_id: str) -> tuple[Executi
     # every output object is considered produced once the node fires
     for io in diagram.index.outputs.get(node_id, ()):
         if io.channel != "store":
-            state.bindings.setdefault(io.object, {})
+            _bind_object(state, trace, current, io.object, {})
 
     _send_messages(state, diagram, node, trace, current)
     _emit_tokens(state, diagram, node)
@@ -609,7 +586,7 @@ def _freeze_state(state: ExecutionState):
         tuple(sorted(state.tokens.items())),
         tuple(sorted(state.bindings)),
         tuple(sorted((s, len(r)) for s, r in state.stores.items())),
-        tuple(sorted((p, len(q)) for p, q in state.inbox.items())),
+        tuple(sorted((f, len(q)) for f, q in state.inbox.items() if q)),
         tuple(sorted(state.completed)),
     )
 
@@ -619,10 +596,7 @@ def _clone(state: ExecutionState) -> ExecutionState:
     clone = ExecutionState(
         tokens=dict(state.tokens),
         stores={k: [dict(r) for r in v] for k, v in state.stores.items()},
-        inbox={
-            k: [Message(m.flow, {o: dict(b) for o, b in m.objects.items()}) for m in v]
-            for k, v in state.inbox.items()
-        },
+        inbox={k: list(v) for k, v in state.inbox.items()},  # a message is never changed
         completed=set(state.completed),
         step_count=state.step_count,
         pending_starts=set(state.pending_starts),
@@ -641,24 +615,26 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
     results: set[frozenset[str]] = set()
     seen: set = set()
     # depth first with an explicit stack, so a path may be longer than the
-    # recursion limit; a frame holds a state, its fired set, its enabled set
-    # and the choices not yet taken, smallest last so that pop() takes it first
-    stack: list[tuple[ExecutionState, frozenset[str], set[str], list[str]]] = []
+    # recursion limit; a frame holds a state, its enabled set and the choices
+    # not yet taken, smallest last so that pop() takes it first
+    stack: list[tuple[ExecutionState, set[str], list[str]]] = []
 
-    def visit(state: ExecutionState, fired: frozenset[str], prior: set[str] | frozenset[str]) -> None:
-        key = (_freeze_state(state), fired)
+    def visit(state: ExecutionState, prior: set[str] | frozenset[str]) -> None:
+        key = _freeze_state(state)
         if key in seen:
             return
         seen.add(key)
         ready = enabled(state, diagram, prior)
         if not ready or state.step_count >= max_steps:
-            results.add(fired)
+            results.add(frozenset(state.completed) - started)
             return
-        stack.append((state, fired, ready, sorted(ready, reverse=True)))
+        stack.append((state, ready, sorted(ready, reverse=True)))
 
-    visit(init(diagram), frozenset(), frozenset())
+    start = init(diagram)
+    started = frozenset(start.completed)
+    visit(start, frozenset())
     while stack:
-        state, fired, ready, choices = stack[-1]
+        state, ready, choices = stack[-1]
         choice = choices.pop()
         if choices:
             child, _ = step(_clone(state), diagram, choice)
@@ -667,5 +643,5 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
             # so a path without choices keeps one state alive, not one per step
             stack.pop()
             child, _ = step(state, diagram, choice)
-        visit(child, fired | {choice}, ready - {choice})
+        visit(child, ready - {choice})
     return results

@@ -74,11 +74,16 @@ def errors_text(diagram: Diagram) -> str | None:
 
 
 def _only_on_external_messages(diagram: Diagram, object_id: str) -> bool:
-    """True when every use of the object sits on a message flow whose
-    opposite endpoint is a black-box pool (data received from or sent
-    outside the modeled diagram)."""
-    appearances = diagram.index.uses[object_id]
-    return appearances > 0 and appearances == diagram.index.external_uses[object_id]
+    """True when the object has links and each one is carried by a message
+    flow to or from a black-box pool (data received from or sent outside
+    the modeled diagram)."""
+    links = [*diagram.index.sources.get(object_id, ()), *diagram.index.targets.get(object_id, ())]
+    external = {
+        flow.id
+        for flow in diagram.message_flows
+        if diagram.is_black_box_pool(flow.source) or diagram.is_black_box_pool(flow.target)
+    }
+    return bool(links) and all(link.via in external for link in links)
 
 
 def _v1_sources_and_targets(diagram: Diagram) -> list[Diagnostic]:
@@ -87,17 +92,15 @@ def _v1_sources_and_targets(diagram: Diagram) -> list[Diagnostic]:
     index = diagram.index
     mapping_targets = {m.target_object for m in diagram.mappings}
     mapping_sources = {m.source_object for m in diagram.mappings}
-    for object_id in sorted(set(index.uses) | mapping_targets | mapping_sources):
-        if object_id not in index.objects:
-            continue  # dangling refs are construction errors
-        if _only_on_external_messages(diagram, object_id):
-            continue
+    for object_id in sorted(set(index.sources) | set(index.targets) | mapping_targets | mapping_sources):
         has_source = bool(index.sources.get(object_id)) or object_id in mapping_targets
         has_target = (
             bool(index.targets.get(object_id))
             or object_id in mapping_sources
             or object_id in index.consumers
         )
+        if (has_source and has_target) or _only_on_external_messages(diagram, object_id):
+            continue
         if not has_source:
             out.append(_error("V1", object_id, "object is never produced (no source)"))
         if not has_target:
@@ -129,8 +132,6 @@ def _v3_mappings(diagram: Diagram) -> list[Diagnostic]:
     for mapping in diagram.mappings:
         source = diagram.object(mapping.source_object)
         target = diagram.object(mapping.target_object)
-        if source is None or target is None:
-            continue
         producers = [link.element for link in object_sources(diagram, source.id)]
         if not producers and source.id not in mapping_targets:
             out.append(
@@ -228,7 +229,7 @@ def _v6_message_objects_cross_pool(diagram: Diagram) -> list[Diagnostic]:
             continue
         src_pool = diagram.pool_of(flow.source)
         dst_pool = diagram.pool_of(flow.target)
-        if src_pool is not None and dst_pool is not None and src_pool.id == dst_pool.id:
+        if src_pool.id == dst_pool.id:
             out.append(
                 _error("V6", flow.id, "message flow with objects connects a pool to itself")
             )
@@ -267,8 +268,6 @@ def _v8_origin_store_variables(diagram: Diagram) -> list[Diagnostic]:
         if obj.origin_store is None:
             continue
         store = diagram.store(obj.origin_store)
-        if store is None:
-            continue
         known = store.qualified_field_names()
         for var in obj.variables:
             if var.vtype == "record":

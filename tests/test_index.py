@@ -365,9 +365,8 @@ def ref_enabled(state, d: Diagram) -> set[str]:
         incoming = [f for p in d.pools for f in p.sequence_flows if f.target == node.id]
         if not incoming:
             if node.id in state.pending_starts:
-                pool = ref_pool_of(d, node.id)
                 flow_ids = {f.id for f in d.message_flows if f.target == node.id}
-                if pool is not None and any(m.flow in flow_ids for m in state.inbox.get(pool.id, [])):
+                if any(state.inbox.get(f) for f in flow_ids):
                     ready.add(node.id)
             continue
         if node.id in state.completed and node.kind in ("start_event_none", "start_event_message"):

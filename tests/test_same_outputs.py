@@ -35,6 +35,7 @@ def test_digest_is_reproducible(tmp_path):
     assert json.loads(travel["simulate --json"]["stdout"])["status"] == "completed"
     assert digest["fixtures/deadlock.bpdmn.json"]["simulate --json"]["exit"] == 3
     assert travel["explore_interleavings"]["outcomes"]
+    assert travel["explore_interleavings"]["states"] > 0
     # refused mutants, with spans that point into the document
     located = [d for refusal in travel["refusals"] for d in refusal["diagnostics"] if not d.startswith("1:1: ")]
     assert located

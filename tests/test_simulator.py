@@ -297,3 +297,47 @@ def test_state_built_from_bindings_is_seen_by_guards_and_filters():
         assert ("r" in enabled(state, diagram)) is matches
         state, _ = step(state, diagram, "gw")
         assert route in state.tokens
+
+
+def test_messages_are_received_in_the_order_they_were_sent():
+    # r receives on m_a and m_b, listed in that order, but t1 sends on m_b a
+    # step before t2 sends on m_a: r takes the messages in the order they were
+    # sent, so o keeps the value of the later message, the one on m_a
+    from bpdmn.expr import parse_expr
+    from bpdmn.model import DataObject, Effect, MessageFlow, ObjectAttachment, TaskBehavior, Variable
+
+    def pool(pool_id: str, task: str) -> Pool:
+        start, end = f"s_{pool_id}", f"e_{pool_id}"
+        return Pool(
+            pool_id,
+            pool_id.upper(),
+            nodes=[Node(start, "Start", "start_event_none"), Node(task, task, "task"), Node(end, "End", "end_event")],
+            sequence_flows=[SequenceFlow(f"{task}_in", start, task), SequenceFlow(f"{task}_out", task, end)],
+        )
+
+    def carries(*objects: str) -> list[ObjectAttachment]:
+        return [ObjectAttachment(o, d) for o in objects for d in ("output", "input")]
+
+    diagram = Diagram(
+        "d",
+        pools=[pool("pa", "t2"), pool("pb", "t1"), pool("pc", "r")],
+        objects=[DataObject(o, o, variables=[Variable("v", "number")]) for o in ("o", "x")],
+        message_flows=[MessageFlow("m_a", "t2", "r", carries("o", "x")), MessageFlow("m_b", "t1", "r", carries("o"))],
+        behaviors={
+            "t1": TaskBehavior(effects=[Effect("o", "v", parse_expr("2"))]),
+            "t2": TaskBehavior(effects=[Effect("o", "v", parse_expr("1")), Effect("x", "v", parse_expr("1"))]),
+        },
+    )
+    result = run(diagram)
+    assert result.status == "completed"
+    fired = {e.node: e.step for e in result.trace if isinstance(e, NodeFired)}
+    assert fired["t1"] < fired["t2"] < fired["r"]
+    assert [str(e) for e in result.trace if e.step == fired["r"]] == [
+        f"step {fired['r']}: fired r",
+        f"step {fired['r']}: message received on m_b",
+        f"step {fired['r']}: bound o.v = 2",
+        f"step {fired['r']}: message received on m_a",
+        f"step {fired['r']}: bound o.v = 1",
+        f"step {fired['r']}: bound x.v = 1",
+    ]
+    assert result.state.bindings["o"] == {"v": 1}
