@@ -157,9 +157,12 @@ def simulate(
             click.echo(f"error: bad --set {item!r}, expected OBJ.VAR=VALUE", err=True)
             sys.exit(EXIT_IO)
         try:
-            value = json.loads(raw)
+            value = fmt.decode_json(raw)
         except json.JSONDecodeError:
             value = raw
+        except fmt.ParseError as exc:
+            click.echo(f"error: bad --set {item!r}, VALUE is an {exc.diagnostics[0].message}", err=True)
+            sys.exit(EXIT_IO)
         if not fmt.is_scalar(value):
             click.echo(f"error: bad --set {item!r}, VALUE must be a string, number, boolean or null", err=True)
             sys.exit(EXIT_IO)

@@ -13,18 +13,62 @@ are single-quoted, numbers are decimal, booleans are ``true``/``false``.
 Comparisons with a null operand evaluate to false; a null operand in a
 boolean connective is treated as false as well, so guards over optional
 inputs never crash a run.
+
+The lexical rules are one pattern, ``_TOKEN``, whose named groups are the
+token kinds, and the README states them in words.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 Value = str | int | float | bool | None
 
-# unicode spellings accepted on input, printed as ASCII
-_RELOP_ALIASES = {"≠": "!=", "≤": "<=", "≥": ">="}
+# relational operator (as printed) -> its comparison and its other spelling
+_RELOPS: dict[str, tuple[Callable[[Value, Value], bool], str | None]] = {
+    "=": (operator.eq, None),
+    "!=": (operator.ne, "≠"),
+    "<": (operator.lt, None),
+    "<=": (operator.le, "≤"),
+    ">": (operator.gt, None),
+    ">=": (operator.ge, "≥"),
+}
+# every spelling of a relational operator -> the operator it reads as
+_SPELLED = {spelling: op for op, (_, other) in _RELOPS.items() for spelling in (op, other) if spelling}
 
-_KEYWORDS = {"and", "or", "not", "true", "false"}
+# boolean connective, loosest first -> the value of a left operand that decides it
+_CONNECTIVES = {"or": True, "and": False}
+_LOOSEST_FIRST = tuple(_CONNECTIVES)
+_COMPARISON = len(_CONNECTIVES)  # a comparison binds tighter than any connective
+_TERM = _COMPARISON + 1
+
+_BOOLEANS = {"true": True, "false": False}
+_KEYWORDS = {*_CONNECTIVES, *_BOOLEANS, "not"}
+
+_TOKEN = re.compile(
+    "|".join(
+        f"(?P<{kind}>{pattern})"
+        for kind, pattern in (
+            ("space", r"\s+"),
+            ("number", r"-?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?"),
+            # a letter or _ first; a word starting with another character is refused
+            ("ident", r"[^\W\d][\w.]*"),
+            # an escape is one unit, so \' never closes the literal
+            ("string", r"'(?:[^'\\]|\\['\\]|\\(?!['\\]))*'"),
+            ("quote", "'"),
+            ("op", "|".join(map(re.escape, sorted(_SPELLED, key=len, reverse=True)))),
+            ("lparen", r"\("),
+            ("rparen", r"\)"),
+            ("other", "."),
+        )
+    ),
+    re.DOTALL,
+)
+_ESCAPE = re.compile(r"\\(['\\])")
 
 
 class ExprError(Exception):
@@ -63,14 +107,14 @@ class Lit:
 
 @dataclass(frozen=True)
 class Cmp:
-    op: str  # "=", "!=", "<", "<=", ">" or ">="
+    op: str  # a key of _RELOPS
     left: Expression
     right: Expression
 
 
 @dataclass(frozen=True)
 class BoolOp:
-    op: str  # 'and' | 'or'
+    op: str  # a key of _CONNECTIVES
     left: Expression
     right: Expression
 
@@ -87,206 +131,121 @@ Expression = Ref | Lit | Cmp | BoolOp | Not
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'ident', 'path', 'number', 'string', 'op', 'lparen', 'rparen', 'eof'
+class _Token(NamedTuple):
+    kind: str  # a group of _TOKEN other than space, quote and other; or 'eof'
     text: str
     pos: int
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
+    for match in _TOKEN.finditer(text):
+        kind, word, pos = match.lastgroup, match.group(), match.start()
+        if kind == "space":
             continue
-        if c in _RELOP_ALIASES:
-            tokens.append(_Token("op", _RELOP_ALIASES[c], i))
-            i += 1
-            continue
-        two = text[i : i + 2]
-        if two in ("!=", "<=", ">="):
-            tokens.append(_Token("op", two, i))
-            i += 2
-            continue
-        if c in "=<>":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c == "(":
-            tokens.append(_Token("lparen", c, i))
-            i += 1
-            continue
-        if c == ")":
-            tokens.append(_Token("rparen", c, i))
-            i += 1
-            continue
-        if c == "'":
-            j = i + 1
-            parts: list[str] = []
-            while j < n:
-                if text[j] == "\\" and j + 1 < n and text[j + 1] in ("'", "\\"):
-                    parts.append(text[j + 1])
-                    j += 2
-                elif text[j] == "'":
-                    break
-                else:
-                    parts.append(text[j])
-                    j += 1
-            else:
-                raise ExprSyntaxError("unterminated string literal", i)
-            if j >= n:
-                raise ExprSyntaxError("unterminated string literal", i)
-            tokens.append(_Token("string", "".join(parts), i))
-            i = j + 1
-            continue
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isdigit() or text[j] == "."):
-                j += 1
-            # scientific-notation suffix: 1e-05, 2.5E+3
-            if j < n and text[j] in "eE":
-                k = j + 1
-                if k < n and text[k] in "+-":
-                    k += 1
-                if k < n and text[k].isdigit():
-                    j = k + 1
-                    while j < n and text[j].isdigit():
-                        j += 1
-            tokens.append(_Token("number", text[i:j], i))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                j += 1
-            word = text[i:j]
-            if word.endswith(".") or ".." in word:
-                raise ExprSyntaxError(f"malformed path {word!r}", i)
-            tokens.append(_Token("ident", word, i))
-            i = j
-            continue
-        raise ExprSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("eof", "", n))
+        if kind == "op":
+            word = _SPELLED[word]
+        elif kind == "string":
+            word = _ESCAPE.sub(r"\1", word[1:-1]) if "\\" in word else word[1:-1]
+        elif kind == "quote":
+            raise ExprSyntaxError("unterminated string literal", pos)
+        elif kind == "other" or (kind == "ident" and not (word[0].isalpha() or word[0] == "_")):
+            raise ExprSyntaxError(f"unexpected character {word[0]!r}", pos)
+        elif kind == "ident" and (word.endswith(".") or ".." in word):
+            raise ExprSyntaxError(f"malformed path {word!r}", pos)
+        tokens.append(_Token(kind, word, pos))
+    tokens.append(_Token("eof", "", len(text)))
     return tokens
 
 
+def _number(token: _Token) -> int | float:
+    """The value of a number token: a float when it has a point or an
+    exponent. A number that is not finite, or an integer of more digits than
+    ``int()`` reads, is a syntax error."""
+    text = token.text
+    try:
+        value = int(text) if text.lstrip("-").isdecimal() else float(text)
+    except ValueError:  # an integer of more digits than int() reads
+        raise ExprSyntaxError("number out of range", token.pos) from None
+    if abs(value) == math.inf:
+        raise ExprSyntaxError("number out of range", token.pos)
+    return value
+
+
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: it reads *tokens*, the tokens not yet read, from the end, so the
+# next token is the last.
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
-        self.tokens = tokens
-        self.i = 0
+def _take(tokens: list[_Token], kind: str, text: str | None = None) -> _Token | None:
+    """The next token, consumed, when it is of *kind* (and reads *text*)."""
+    tok = tokens[-1]
+    if tok.kind != kind or (text is not None and tok.text != text):
+        return None
+    return tokens.pop()
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _parse(tokens: list[_Token], level: int = 0) -> Expression:
+    """The connectives of *level* and tighter, left-associative, or a
+    comparison at level ``_COMPARISON``."""
+    if level == _COMPARISON:
+        left = _parse_term(tokens)
+        op = _take(tokens, "op")
+        return left if op is None else Cmp(op.text, left, _parse_term(tokens))
+    op = _LOOSEST_FIRST[level]
+    node = _parse(tokens, level + 1)
+    while _take(tokens, "ident", op):
+        node = BoolOp(op, node, _parse(tokens, level + 1))
+    return node
 
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ExprSyntaxError(f"expected {kind}, found {tok.text or 'end of input'!r}", tok.pos)
-        return self.next()
 
-    def parse_expr(self) -> Expression:
-        node = self.parse_and()
-        while self.peek().kind == "ident" and self.peek().text == "or":
-            self.next()
-            node = BoolOp("or", node, self.parse_and())
+def _parse_term(tokens: list[_Token]) -> Expression:
+    tok = tokens.pop()
+    if tok.kind == "ident":
+        if tok.text == "not":
+            return Not(_parse_term(tokens))
+        if tok.text in _BOOLEANS:
+            return Lit(_BOOLEANS[tok.text])
+        if tok.text.split(".", 1)[0] in _KEYWORDS:
+            raise ExprSyntaxError(f"unexpected keyword {tok.text!r}", tok.pos)
+        return Ref(tuple(tok.text.split(".")))
+    if tok.kind == "number":
+        return Lit(_number(tok))
+    if tok.kind == "string":
+        return Lit(tok.text)
+    if tok.kind == "lparen":
+        node = _parse(tokens)
+        if _take(tokens, "rparen") is None:
+            raise ExprSyntaxError(f"expected rparen, found {tokens[-1].text or 'end of input'!r}", tokens[-1].pos)
         return node
-
-    def parse_and(self) -> Expression:
-        node = self.parse_cmp()
-        while self.peek().kind == "ident" and self.peek().text == "and":
-            self.next()
-            node = BoolOp("and", node, self.parse_cmp())
-        return node
-
-    def parse_cmp(self) -> Expression:
-        left = self.parse_term()
-        if self.peek().kind == "op":
-            op = self.next().text
-            right = self.parse_term()
-            return Cmp(op, left, right)
-        return left
-
-    def parse_term(self) -> Expression:
-        tok = self.peek()
-        if tok.kind == "ident":
-            if tok.text == "not":
-                self.next()
-                return Not(self.parse_term())
-            if tok.text == "true":
-                self.next()
-                return Lit(True)
-            if tok.text == "false":
-                self.next()
-                return Lit(False)
-            if tok.text.split(".", 1)[0] in _KEYWORDS:
-                raise ExprSyntaxError(f"unexpected keyword {tok.text!r}", tok.pos)
-            self.next()
-            return Ref(tuple(tok.text.split(".")))
-        if tok.kind == "number":
-            self.next()
-            if "." in tok.text:
-                return Lit(float(tok.text))
-            return Lit(int(tok.text))
-        if tok.kind == "string":
-            self.next()
-            return Lit(tok.text)
-        if tok.kind == "lparen":
-            self.next()
-            node = self.parse_expr()
-            self.expect("rparen")
-            return node
-        raise ExprSyntaxError(f"unexpected token {tok.text or 'end of input'!r}", tok.pos)
+    raise ExprSyntaxError(f"unexpected token {tok.text or 'end of input'!r}", tok.pos)
 
 
 def parse_expr(text: str) -> Expression:
     """Parse *text* into an expression tree.
 
     Raises :class:`ExprSyntaxError` (with a character position) on malformed
-    or empty input.
+    or empty input, and no other exception.
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    parser = _Parser(_tokenize(text))
-    node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        raise ExprSyntaxError(f"trailing input {tok.text!r}", tok.pos)
+    tokens = _tokenize(text)[::-1]
+    try:
+        node = _parse(tokens)
+    except RecursionError:
+        raise ExprSyntaxError("expression nested too deeply", tokens[-1].pos if tokens else len(text)) from None
+    if tokens[-1].kind != "eof":
+        raise ExprSyntaxError(f"trailing input {tokens[-1].text!r}", tokens[-1].pos)
     return node
 
 
 # ---------------------------------------------------------------------------
 # Printer
 
-# precedence levels: or < and < cmp < term
-_PREC_OR, _PREC_AND, _PREC_CMP, _PREC_TERM = 1, 2, 3, 4
-
-
-def _prec(e: Expression) -> int:
-    if isinstance(e, BoolOp):
-        return _PREC_OR if e.op == "or" else _PREC_AND
-    if isinstance(e, Cmp):
-        return _PREC_CMP
-    return _PREC_TERM
-
 
 def _fmt_lit(value: Value) -> str:
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
+    if isinstance(value, bool):
+        return str(value).lower()
     if value is None:
         return "null"  # never produced by the parser; printed for diagnostics
     if isinstance(value, str):
@@ -295,35 +254,29 @@ def _fmt_lit(value: Value) -> str:
     return repr(value)
 
 
-def print_expr(e: Expression) -> str:
-    """Render *e* back to source text; ``parse_expr(print_expr(e)) == e``."""
+def _print(e: Expression, within: int) -> str:
+    """*e* as text, parenthesized when it binds looser than *within*: a
+    connective at its level, then a comparison, then a term."""
     if isinstance(e, Ref):
         return e.dotted
     if isinstance(e, Lit):
         return _fmt_lit(e.value)
     if isinstance(e, Not):
-        inner = print_expr(e.operand)
-        if _prec(e.operand) < _PREC_TERM:
-            inner = f"({inner})"
-        return f"not {inner}"
+        return f"not {_print(e.operand, _TERM)}"
     if isinstance(e, Cmp):
-        sides = []
-        for side in (e.left, e.right):
-            text = print_expr(side)
-            if _prec(side) < _PREC_TERM:
-                text = f"({text})"
-            sides.append(text)
-        return f"{sides[0]} {e.op} {sides[1]}"
-    if isinstance(e, BoolOp):
-        own = _prec(e)
-        left = print_expr(e.left)
-        if _prec(e.left) < own:
-            left = f"({left})"
-        right = print_expr(e.right)
-        if _prec(e.right) <= own and isinstance(e.right, BoolOp):
-            right = f"({right})"
-        return f"{left} {e.op} {right}"
-    raise TypeError(f"not an expression: {e!r}")
+        level, text = _COMPARISON, f"{_print(e.left, _TERM)} {e.op} {_print(e.right, _TERM)}"
+    elif isinstance(e, BoolOp):
+        # left-associative: a right operand of the same connective keeps its parentheses
+        level = _LOOSEST_FIRST.index(e.op)
+        text = f"{_print(e.left, level)} {e.op} {_print(e.right, level + 1)}"
+    else:
+        raise TypeError(f"not an expression: {e!r}")
+    return f"({text})" if level < within else text
+
+
+def print_expr(e: Expression) -> str:
+    """Render *e* back to source text; ``parse_expr(print_expr(e)) == e``."""
+    return _print(e, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +308,10 @@ def eval_expr(e: Expression, env: dict[str, Value]) -> Value:
     if isinstance(e, Not):
         return not _truthy(eval_expr(e.operand, env), "'not'")
     if isinstance(e, BoolOp):
-        left = _truthy(eval_expr(e.left, env), f"'{e.op}'")
-        if e.op == "and":
-            if not left:
-                return False
-            return _truthy(eval_expr(e.right, env), "'and'")
-        if left:
-            return True
-        return _truthy(eval_expr(e.right, env), "'or'")
+        decides = _CONNECTIVES[e.op]
+        if _truthy(eval_expr(e.left, env), f"'{e.op}'") is decides:
+            return decides
+        return _truthy(eval_expr(e.right, env), f"'{e.op}'")
     if isinstance(e, Cmp):
         left = eval_expr(e.left, env)
         right = eval_expr(e.right, env)
@@ -373,39 +322,24 @@ def eval_expr(e: Expression, env: dict[str, Value]) -> Value:
 def _compare(op: str, left: Value, right: Value) -> bool:
     if left is None or right is None:
         return False
+    compare, _ = _RELOPS.get(op, (None, None))
+    if compare is None:
+        raise ExprTypeError(f"unknown operator {op!r}")
     numeric = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     if isinstance(left, bool) or isinstance(right, bool):
         if not (isinstance(left, bool) and isinstance(right, bool)):
             raise ExprTypeError(f"cannot compare {left!r} with {right!r}")
-        if op not in ("=", "!="):
+        if compare not in (operator.eq, operator.ne):
             raise ExprTypeError(f"ordering comparison {op!r} not defined for booleans")
-    elif numeric(left) and numeric(right):
-        pass
-    elif isinstance(left, str) and isinstance(right, str):
-        pass
-    else:
+    elif not (numeric(left) and numeric(right)) and not (isinstance(left, str) and isinstance(right, str)):
         raise ExprTypeError(f"cannot compare {left!r} with {right!r}")
-    if op == "=":
-        return left == right
-    if op == "!=":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise ExprTypeError(f"unknown operator {op!r}")
+    return compare(left, right)
 
 
 def expr_refs(e: Expression) -> set[str]:
     """All dotted paths referenced anywhere in *e*."""
     if isinstance(e, Ref):
         return {e.dotted}
-    if isinstance(e, Lit):
-        return set()
     if isinstance(e, Not):
         return expr_refs(e.operand)
     if isinstance(e, (Cmp, BoolOp)):

@@ -31,6 +31,9 @@ with the same values.
 from __future__ import annotations
 
 import json
+import math
+import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
@@ -85,9 +88,25 @@ def _span_of(text: str, needle: str | None) -> SourceSpan:
 
 
 def is_scalar(value: object) -> bool:
-    """Whether *value* may be a start input: a string, number, boolean or
-    null. ``start_inputs`` and ``simulate --set`` both read values by it."""
-    return value is None or isinstance(value, (str, int, float))
+    """Whether *value* may be a start input: a string, finite number, boolean
+    or null. ``start_inputs`` and ``simulate --set`` both read values by it."""
+    return value is None or isinstance(value, (str, int)) or (isinstance(value, float) and math.isfinite(value))
+
+
+def decode_json(text: str) -> object:
+    """*text* decoded as JSON, as a document and a ``simulate --set`` value
+    both are. Raises ``json.JSONDecodeError`` when *text* is not JSON, and
+    :class:`ParseError` when it holds an integer of more digits than
+    ``int()`` reads."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # int() refused the digits of a number
+        limit = sys.get_int_max_str_digits()
+        digits = re.search("[0-9]{%d,}" % (limit + 1), text)
+        span = _span_of(text, digits.group() if digits else None)
+        raise ParseError([ParseDiagnostic(span, f"integer of more than {limit} digits")]) from None
 
 
 class _Reader:
@@ -257,7 +276,7 @@ def parse_diagram(text: str) -> model.Diagram:
 
 def _parse(text: str) -> model.Diagram:
     try:
-        data = json.loads(text)
+        data = decode_json(text)
     except json.JSONDecodeError as exc:
         raise ParseError(
             [ParseDiagnostic(SourceSpan(exc.lineno, exc.colno), f"malformed document: {exc.msg}")]

@@ -416,11 +416,11 @@ def _receive_messages(
 def _send_messages(
     state: ExecutionState, diagram: Diagram, node: Node, trace: Trace, step: int
 ) -> None:
+    """Send a message on each flow out of *node*, carrying each object
+    attached to the flow, whatever its direction: the target waits for the
+    flow's ``input`` attachments."""
     for flow in diagram.index.message_out.get(node.id, ()):
-        snapshot: Bindings = {}
-        for att in flow.attachments:
-            if att.direction == "output":
-                snapshot[att.object] = dict(state.bindings.get(att.object, {}))
+        snapshot: Bindings = {att.object: dict(state.bindings.get(att.object, {})) for att in flow.attachments}
         trace.append(MessageSent(step, flow.id))
         if not diagram.is_black_box_pool(flow.target):
             state.inbox.setdefault(flow.id, []).append(Message(step, snapshot))

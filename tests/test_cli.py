@@ -118,6 +118,16 @@ def test_simulate_set_refuses_a_value_start_inputs_refuse(runner, value):
     assert "error: bad --set" in result.output
 
 
+@pytest.mark.parametrize(
+    "value", ["NaN", "Infinity", "-Infinity", "1e400", "9" * 5000], ids=["nan", "inf", "-inf", "1e400", "5000-digits"]
+)
+def test_simulate_set_refuses_a_number_start_inputs_refuse(runner, value):
+    result = runner.invoke(main, ["simulate", fx("travel.bpdmn.json"), "--set", f"input.cardNumber={value}"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("error: bad --set") and result.output.count("\n") == 1
+
+
 def test_simulate_set_refuses_an_undeclared_object(runner):
     result = runner.invoke(main, ["simulate", fx("travel.bpdmn.json"), "--set", "nosuch.v=1"])
     assert result.exit_code == 2
@@ -242,6 +252,13 @@ def _travel_with(name: str) -> bytes:
     return json.dumps(doc, indent=2).encode()
 
 
+def _travel_replacing(old: str, new: str) -> bytes:
+    """The travel fixture's text with its one *old* replaced by *new*."""
+    text = fixture_text("travel.bpdmn.json")
+    assert text.count(old) == 1
+    return text.replace(old, new).encode()
+
+
 ALL_OK = dict.fromkeys(MODEL_COMMANDS, 0)
 ALL_IO = dict.fromkeys(MODEL_COMMANDS, 2)
 HOSTILE_INPUTS = {
@@ -251,6 +268,8 @@ HOSTILE_INPUTS = {
     "not-utf8": (b'{"bpdmn": "1.0", "id": "\xff"}', ALL_IO),
     "lone-surrogate": (_travel_with("bad\ud800name"), ALL_IO),
     "xml-illegal-char": (_travel_with("bad\u0001name"), {**ALL_OK, "bpel": 1, "xpdl": 1}),
+    "guard-1.2.3": (_travel_replacing('"guard": "response.valid"', '"guard": "1.2.3"'), ALL_IO),
+    "start-input-5000-digits": (_travel_replacing('"cardNumber": "12345678"', '"cardNumber": ' + "9" * 5000), ALL_IO),
     "output-into-missing-directory": (fixture_text("travel.bpdmn.json").encode(), dict.fromkeys(OUTPUT_COMMANDS, 2)),
 }
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 from types import SimpleNamespace
@@ -306,13 +307,32 @@ BAD_VALUES = [
     # parsed and written back, while the simulator ran one instance
     ("instances-zero", lambda d: d["behaviors"]["sp"].update(instances=0), "behavior: instances must be at least 1, not 0"),
     ("instances-negative", lambda d: d["behaviors"]["sp"].update(instances=-3), "behavior: instances must be at least 1, not -3"),
+    # a start input that is not a finite number broke parse(serialize(d)) == d,
+    # and one of more digits than int() reads raised ValueError
+    *[
+        (
+            f"start-input-{name}",
+            lambda d, value=value: d.update(start_inputs={"o": {"v": value}}),
+            "'v' of start inputs of o must be a string, number, boolean or null",
+        )
+        for name, value in [
+            ("nan", math.nan),
+            ("infinity", math.inf),
+            ("minus-infinity", -math.inf),
+            ("1e400", "<bare 1e400>"),
+        ]
+    ],
+    ("start-input-5000-digits", lambda d: d.update(start_inputs={"o": {"v": "<bare " + "9" * 5000 + ">"}}), "integer of more than"),
 ]
 
 
 def _bad_document(edit) -> str:
+    """`_document()` after *edit*; a string `<bare N>` in it is written as the
+    bare JSON number N, which `json.dumps` cannot write when N is `1e400` or
+    holds 5000 digits."""
     doc = _document()
     edit(doc)
-    return json.dumps(doc, indent=2)
+    return re.sub(r'"<bare ([^>]*)>"', r"\1", json.dumps(doc, indent=2))
 
 
 @pytest.mark.parametrize("edit, message", [c[1:] for c in BAD_VALUES], ids=[c[0] for c in BAD_VALUES])
@@ -433,6 +453,42 @@ def _every_key_document() -> dict:
     }
     doc["start_inputs"] = {"o": {"v": 1}}
     return doc
+
+
+# each expression key of the every-key document -> where it is set
+EXPRESSION_KEYS = {
+    "guard": lambda d, text: d["pools"][0]["sequence_flows"][1].update(guard=text),
+    "condition": lambda d, text: d["pools"][0]["nodes"][3].update(condition=text),
+    "filter": lambda d, text: d["behaviors"]["t"]["store_actions"][1].update(filter=text),
+    "from": lambda d, text: d["mappings"][0]["rules"][0].update({"from": text}),
+    "expr": lambda d, text: d["behaviors"]["t"]["effects"][0].update(expr=text),
+    "assignment": lambda d, text: d["behaviors"]["t"]["store_actions"][0]["assignments"].update(x=text),
+}
+# numbers the expression tokenizer once read with int() or float() unchecked
+HOSTILE_NUMBERS = {"1e5": True, "2E+3": True, "1.2.3": False, "9..": False, "1.0e999": False, "²": False, "9" * 5000: False}
+
+
+@pytest.mark.parametrize("key", EXPRESSION_KEYS)
+@pytest.mark.parametrize("text", HOSTILE_NUMBERS, ids=lambda text: text if len(text) < 10 else f"{len(text)}-digits")
+def test_a_hostile_number_in_an_expression_parses_or_is_a_parse_error(key, text):
+    doc = _every_key_document()
+    EXPRESSION_KEYS[key](doc, text)
+    try:
+        canonical = serialize_diagram(parse_diagram(json.dumps(doc)))
+    except ParseError as exc:
+        assert not HOSTILE_NUMBERS[text] and "bad expression" in str(exc)
+        return
+    assert HOSTILE_NUMBERS[text]
+    assert serialize_diagram(parse_diagram(canonical)) == canonical
+
+
+@pytest.mark.parametrize("guard", ["o.v = 0.00001", "o.v = 10000000000000000.0", "o.v = -1.5e-300"])
+def test_a_float_in_a_guard_is_written_as_text_that_reads_back(guard):
+    doc = _every_key_document()
+    EXPRESSION_KEYS["guard"](doc, guard)
+    # the canonical text lists elements sorted, so compare diagrams read from it
+    diagram = parse_diagram(serialize_diagram(parse_diagram(json.dumps(doc))))
+    assert parse_diagram(serialize_diagram(diagram)) == diagram
 
 
 FUZZ_DOCUMENTS = ["every-key", "travel.bpdmn.json", "eco.bpdmn.json"]

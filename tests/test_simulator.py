@@ -341,3 +341,30 @@ def test_messages_are_received_in_the_order_they_were_sent():
         f"step {fired['r']}: bound x.v = 1",
     ]
     assert result.state.bindings["o"] == {"v": 1}
+
+
+def test_a_message_carries_the_objects_its_flow_attaches_as_input():
+    # the message flow snd -> rcv attaches o only as input: rcv waits for o
+    # in the message, so the message must carry it, not only output attachments
+    from bpdmn.model import DataObject, MessageFlow, ObjectAttachment, Variable
+
+    def pool(pool_id: str, task: str) -> Pool:
+        start, end = f"s_{pool_id}", f"e_{pool_id}"
+        return Pool(
+            pool_id,
+            pool_id.upper(),
+            nodes=[Node(start, "Start", "start_event_none"), Node(task, task, "task"), Node(end, "End", "end_event")],
+            sequence_flows=[SequenceFlow(f"{task}_in", start, task), SequenceFlow(f"{task}_out", task, end)],
+        )
+
+    diagram = Diagram(
+        "d",
+        pools=[pool("pa", "snd"), pool("pb", "rcv")],
+        objects=[DataObject("o", "o", variables=[Variable("v", "number")])],
+        message_flows=[MessageFlow("m", "snd", "rcv", [ObjectAttachment("o", "input")])],
+    )
+    result = run(diagram)
+    assert result.status == "completed"
+    assert "rcv" in result.fired_nodes()
+    fired = {e.node: e.step for e in result.trace if isinstance(e, NodeFired)}
+    assert fired["snd"] < fired["rcv"]
