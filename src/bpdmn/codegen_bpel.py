@@ -9,18 +9,17 @@ skeleton maps linear chains to ``sequence``, parallel gateway regions to
 Partner links, port types and WSDL definitions are emitted as fixed
 placeholders; they carry no data semantics. Objects attached to message
 flows have no BPEL counterpart and are skipped with a warning, and so is any
-task or sub-process the control skeleton does not reach.
+task or sub-process, at any depth, that the control skeleton does not reach.
 
-The text comes from :func:`xml_text`, the writer both translators share.
+The text is written from the model in document order by :class:`XmlWriter`,
+the writer both translators share; no document tree is built.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-
 from . import validator
 from .expr import Ref, print_expr
-from .model import START_KINDS, DataMapping, Diagram, Node, SequenceFlow, node_inputs, node_outputs
+from .model import START_KINDS, Diagram, Node, SequenceFlow, node_inputs, node_outputs
 
 PROCESS_NS = "http://example.org/bpel/generated"
 PLACEHOLDER_PARTNER_LINK = "partnerLinkPlaceholder"
@@ -35,73 +34,86 @@ class GenerationError(Exception):
 _NOT_IN_XML = [chr(c) for c in (*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF)]
 
 
-def xml_text(root: ET.Element) -> str:
-    """The document text of a translator's tree: an XML declaration, then the
-    tree with two-space indentation and a final newline.
+class XmlWriter:
+    """An XML document written in document order: an XML declaration, then
+    the elements with two-space indentation, then a final newline.
 
-    Written in one pass over the tree, byte for byte what ``ET.indent`` and
-    ``ET.tostring`` give for the trees the translators build: plain tags,
-    comments, and elements that have either text or children, never both
-    (and no tails). Attributes keep their insertion order. Raises
-    :class:`GenerationError`, naming the character and its line, when the
-    text holds a character XML 1.0 cannot carry.
+    An element holds either children (:meth:`open`, then :meth:`close`) or
+    text (:meth:`leaf`), never both. A start tag stays open until the
+    element's first child arrives, so an element closed with no child is
+    written ``<tag ... />``. Attributes keep their insertion order.
     """
-    parts = ['<?xml version="1.0" encoding="UTF-8"?>\n']
-    _write_element(root, "\n", parts)
-    parts.append("\n")
-    text = "".join(parts)
-    for char in _NOT_IN_XML:
-        at = text.find(char)
-        if at >= 0:
-            start = text.rfind("\n", 0, at) + 1
-            line, number = text[start : text.find("\n", at)].strip(), text.count("\n", 0, start) + 1
-            message = f"XML 1.0 cannot carry character U+{ord(char):04X}"
-            raise GenerationError(f"{message} (output line {number}: {line!r})")
-    return text
+
+    def __init__(self) -> None:
+        self.parts = ['<?xml version="1.0" encoding="UTF-8"?>']
+        self.open_tags: list[str] = []
+        self.indent = "\n"  # the line break and indentation before a child
+        self.childless = False  # the innermost open element has no child yet
+
+    def _start_tag(self, tag: str, attrs: dict[str, str] | None) -> None:
+        """A child's start tag, less its closing ``>``, on a line of its own."""
+        parts = self.parts
+        if self.childless:
+            parts.append(">")
+            self.childless = False
+        parts.append(self.indent + "<" + tag)
+        if attrs:
+            for key, value in attrs.items():
+                parts.append(f' {key}="{_escape(value, _ATTRIBUTE_ESCAPES)}"')
+
+    def open(self, tag: str, attrs: dict[str, str] | None = None) -> None:
+        """Start an element whose children follow, up to :meth:`close`."""
+        self._start_tag(tag, attrs)
+        self.open_tags.append(tag)
+        self.indent += "  "
+        self.childless = True
+
+    def close(self) -> None:
+        """End the innermost open element."""
+        tag = self.open_tags.pop()
+        self.indent = self.indent[:-2]
+        if self.childless:
+            self.parts.append(" />")
+            self.childless = False
+        else:
+            self.parts.append(f"{self.indent}</{tag}>")
+
+    def leaf(self, tag: str, attrs: dict[str, str] | None = None, text: str = "") -> None:
+        """Write an element without children, holding *text* if any."""
+        self._start_tag(tag, attrs)
+        self.parts.append(f">{_escape(text, _TEXT_ESCAPES)}</{tag}>" if text else " />")
+
+    def comment(self, text: str) -> None:
+        if self.childless:
+            self.parts.append(">")
+            self.childless = False
+        self.parts.append(f"{self.indent}<!--{text}-->")
+
+    def text(self) -> str:
+        """The document, once every element is closed. Raises
+        :class:`GenerationError`, naming the character and its line, when the
+        text holds a character XML 1.0 cannot carry."""
+        text = "".join(self.parts) + "\n"
+        for char in _NOT_IN_XML:
+            at = text.find(char)
+            if at >= 0:
+                start = text.rfind("\n", 0, at) + 1
+                line, number = text[start : text.find("\n", at)].strip(), text.count("\n", 0, start) + 1
+                message = f"XML 1.0 cannot carry character U+{ord(char):04X}"
+                raise GenerationError(f"{message} (output line {number}: {line!r})")
+        return text
 
 
-def _write_element(elem: ET.Element, newline: str, parts: list[str]) -> None:
-    tag = elem.tag
-    if tag is ET.Comment:
-        parts.append(f"<!--{elem.text}-->")
-        return
-    parts.append("<" + tag)
-    for key, value in elem.items():
-        parts.append(f' {key}="{_escape_attribute(value)}"')
-    if len(elem):
-        parts.append(">")
-        inner = newline + "  "
-        for child in elem:
-            parts.append(inner)
-            _write_element(child, inner, parts)
-        parts.append(f"{newline}</{tag}>")
-    elif elem.text:
-        parts.append(f">{_escape_text(elem.text)}</{tag}>")
-    else:
-        parts.append(" />")
+# a parser reads a raw carriage return as a line feed, and normalises line
+# feeds and tabs inside an attribute value to spaces
+_TEXT_ESCAPES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ("\r", "&#13;"))
+_ATTRIBUTE_ESCAPES = (*_TEXT_ESCAPES, ('"', "&quot;"), ("\n", "&#10;"), ("\t", "&#09;"))
 
 
-def _escape_text(text: str) -> str:
-    if "&" in text:
-        text = text.replace("&", "&amp;")
-    if "<" in text:
-        text = text.replace("<", "&lt;")
-    if ">" in text:
-        text = text.replace(">", "&gt;")
-    return text
-
-
-def _escape_attribute(text: str) -> str:
-    text = _escape_text(text)
-    if '"' in text:
-        text = text.replace('"', "&quot;")
-    # line ends and tabs inside a value would be normalised away by a parser
-    if "\r" in text:
-        text = text.replace("\r", "&#13;")
-    if "\n" in text:
-        text = text.replace("\n", "&#10;")
-    if "\t" in text:
-        text = text.replace("\t", "&#09;")
+def _escape(text: str, escapes: tuple[tuple[str, str], ...]) -> str:
+    for char, reference in escapes:
+        if char in text:
+            text = text.replace(char, reference)
     return text
 
 
@@ -115,24 +127,34 @@ def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
     if problem is not None:
         raise GenerationError(problem)
     warnings: list[str] = []
-
-    process = ET.Element("process", {"name": diagram.id, "targetNamespace": PROCESS_NS})
-    _emit_variables(diagram, process)
-
-    pool_bodies = []
+    # black-box pools, and pools without a start, have no executable body
+    bodies = []
     for pool in sorted(diagram.pools, key=lambda p: p.id):
-        if not pool.nodes:
-            continue  # black-box pools have no executable body
-        body = _emit_pool(diagram, pool, warnings)
-        if body is not None:
-            pool_bodies.append((pool, body))
-    if len(pool_bodies) == 1:
-        process.append(pool_bodies[0][1])
-    elif pool_bodies:
-        flow = ET.SubElement(process, "flow", {"name": "pools"})
-        for pool, body in pool_bodies:
-            body.set("name", pool.name)
-            flow.append(body)
+        starts = sorted((n for n in pool.iter_nodes() if n.kind in START_KINDS), key=lambda n: n.id)
+        if starts:
+            bodies.append((pool, starts))
+
+    out = XmlWriter()
+    out.open("process", {"name": diagram.id, "targetNamespace": PROCESS_NS})
+    _write_variables(out, diagram)
+    side_by_side = len(bodies) > 1  # in a flow, each body named by its pool
+    if side_by_side:
+        out.open("flow", {"name": "pools"})
+    for pool, starts in bodies:
+        out.open("sequence", {"name": pool.name} if side_by_side else None)
+        skeleton = _Skeleton(out, diagram, pool)
+        for start in starts:
+            skeleton.chain(start.id, None)
+        out.close()
+        for node in pool.iter_nodes():
+            if node.kind in ("task", "sub_process") and node.id not in skeleton.emitted:
+                warnings.append(
+                    f"{node.kind.replace('_', '-')} {node.id} of pool {pool.id} is not reached"
+                    " by the BPEL control skeleton; skipped"
+                )
+    if side_by_side:
+        out.close()
+    out.close()
 
     for flow in diagram.message_flows:
         for att_object in sorted({att.object for att in flow.attachments}):
@@ -147,11 +169,11 @@ def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
                 " matching variable scope, emitted at process level"
             )
 
-    return xml_text(process), warnings
+    return out.text(), warnings
 
 
-def _emit_variables(diagram: Diagram, process: ET.Element) -> None:
-    variables = ET.SubElement(process, "variables")
+def _write_variables(out: XmlWriter, diagram: Diagram) -> None:
+    out.open("variables")
     names_seen: dict[str, str] = {}
 
     def claim(name: str, owner: str) -> None:
@@ -168,30 +190,12 @@ def _emit_variables(diagram: Diagram, process: ET.Element) -> None:
                     continue
                 name = f"{store.id}.{entity.name}.{fld.name}"
                 claim(name, f"store {store.id}")
-                variables.append(
-                    ET.Comment(f" store-backed variable, element type {fld.vtype} ")
-                )
-                ET.SubElement(variables, "variable", {"name": name, "element": fld.vtype})
+                out.comment(f" store-backed variable, element type {fld.vtype} ")
+                out.leaf("variable", {"name": name, "element": fld.vtype})
     for obj in sorted(diagram.objects, key=lambda o: o.id):
         claim(obj.id, f"object {obj.id}")
-        ET.SubElement(variables, "variable", {"name": obj.id, "messageType": obj.name})
-
-
-def _assign_for_mapping(mapping: DataMapping) -> ET.Element:
-    assign = ET.Element("assign", {"name": mapping.id})
-    for rule in mapping.rules:
-        copy = ET.SubElement(assign, "copy")
-        expr = rule.from_expr
-        if isinstance(expr, Ref) and expr.path[0] == mapping.source_object:
-            ET.SubElement(
-                copy,
-                "from",
-                {"variable": mapping.source_object, "part": ".".join(expr.path[1:])},
-            )
-        else:
-            ET.SubElement(copy, "from", {"expression": print_expr(expr)})
-        ET.SubElement(copy, "to", {"variable": mapping.target_object, "part": rule.to})
-    return assign
+        out.leaf("variable", {"name": obj.id, "messageType": obj.name})
+    out.close()
 
 
 def _pick_input_variable(diagram: Diagram, node_id: str) -> str | None:
@@ -214,92 +218,62 @@ def _pick_output_variable(diagram: Diagram, node_id: str) -> str | None:
     return outputs[0] if outputs else None
 
 
-def _participant(diagram: Diagram, endpoint: str) -> str:
-    """The pool a message flow endpoint belongs to, or the endpoint itself
-    when it is a pool."""
-    return diagram.pool_of(endpoint).id
-
-
 def _start_message_sources(diagram: Diagram, pool) -> set[str]:
-    """The participants sending the messages that start the pool."""
+    """The participants (pools) sending the messages that start the pool."""
     message_in = diagram.index.message_in
     return {
-        _participant(diagram, flow.source)
+        diagram.pool_of(flow.source).id
         for node in pool.iter_nodes()
         if node.kind == "start_event_message"
         for flow in message_in.get(node.id, ())
     }
 
 
-def _replies_to_starter(diagram: Diagram, start_sources: set[str], node_id: str) -> bool:
-    """True when the node answers the pool's start message over a message flow
-    back to the sending participant."""
-    return any(
-        _participant(diagram, flow.target) in start_sources
-        for flow in diagram.index.message_out.get(node_id, ())
-    )
+def _write_node(out: XmlWriter, diagram: Diagram, start_sources: set[str], node: Node) -> None:
+    """One node: its mapping assigns, then its activity."""
+    for mapping in diagram.index.mappings_into(node.id):
+        out.open("assign", {"name": mapping.id})
+        for rule in mapping.rules:
+            out.open("copy")
+            expr = rule.from_expr
+            if isinstance(expr, Ref) and expr.path[0] == mapping.source_object:
+                out.leaf("from", {"variable": mapping.source_object, "part": ".".join(expr.path[1:])})
+            else:
+                out.leaf("from", {"expression": print_expr(expr)})
+            out.leaf("to", {"variable": mapping.target_object, "part": rule.to})
+            out.close()
+        out.close()
 
-
-def _node_element(diagram: Diagram, start_sources: set[str], node: Node) -> list[ET.Element]:
-    """Elements for one node: its mapping assigns followed by its activity."""
-    elements = [_assign_for_mapping(mapping) for mapping in diagram.index.mappings_into(node.id)]
-
+    link = {"name": node.name, "partnerLink": PLACEHOLDER_PARTNER_LINK, "portType": PLACEHOLDER_PORT_TYPE}
     if node.kind == "start_event_message":
-        attrs = {
-            "name": node.name,
-            "partnerLink": PLACEHOLDER_PARTNER_LINK,
-            "portType": PLACEHOLDER_PORT_TYPE,
-            "operation": "receive",
-            "createInstance": "yes",
-        }
-        outputs = _pick_output_variable(diagram, node.id)
-        if outputs:
-            attrs["variable"] = outputs
-        elements.append(ET.Element("receive", attrs))
+        attrs = {**link, "operation": "receive", "createInstance": "yes"}
+        outvar = _pick_output_variable(diagram, node.id)
+        if outvar:
+            attrs["variable"] = outvar
+        out.leaf("receive", attrs)
+    elif node.kind == "intermediate_message":
+        out.leaf("receive", {**link, "operation": "receive"})
     elif node.kind in ("task", "sub_process"):
-        if _replies_to_starter(diagram, start_sources, node.id):
-            attrs = {
-                "name": node.name,
-                "partnerLink": PLACEHOLDER_PARTNER_LINK,
-                "portType": PLACEHOLDER_PORT_TYPE,
-                "operation": "reply",
-            }
-            out = _pick_output_variable(diagram, node.id)
-            if out:
-                attrs["variable"] = out
-            elements.append(ET.Element("reply", attrs))
+        # a reply answers the pool's start message, back to its sending participant
+        if any(
+            diagram.pool_of(flow.target).id in start_sources
+            for flow in diagram.index.message_out.get(node.id, ())
+        ):
+            attrs = {**link, "operation": "reply"}
+            outvar = _pick_output_variable(diagram, node.id)
+            if outvar:
+                attrs["variable"] = outvar
+            out.leaf("reply", attrs)
         else:
-            attrs = {
-                "name": node.name,
-                "partnerLink": PLACEHOLDER_PARTNER_LINK,
-                "portType": PLACEHOLDER_PORT_TYPE,
-                "operation": "execute",
-            }
+            attrs = {**link, "operation": "execute"}
             invar = _pick_input_variable(diagram, node.id)
             outvar = _pick_output_variable(diagram, node.id)
             if invar:
                 attrs["inputVariable"] = invar
             if outvar:
                 attrs["outputVariable"] = outvar
-            elements.append(ET.Element("invoke", attrs))
-    elif node.kind == "intermediate_message":
-        elements.append(
-            ET.Element(
-                "receive",
-                {
-                    "name": node.name,
-                    "partnerLink": PLACEHOLDER_PARTNER_LINK,
-                    "portType": PLACEHOLDER_PORT_TYPE,
-                    "operation": "receive",
-                },
-            )
-        )
+            out.leaf("invoke", attrs)
     # start_event_none, end_event and gateways emit no standalone activity
-    return elements
-
-
-def _successors(diagram: Diagram, node_id: str) -> list[SequenceFlow]:
-    return sorted(diagram.index.out_flows.get(node_id, ()), key=lambda f: f.id)
 
 
 def _reachable(diagram: Diagram, node_id: str) -> set[str]:
@@ -307,7 +281,7 @@ def _reachable(diagram: Diagram, node_id: str) -> set[str]:
     stack = [node_id]
     while stack:
         current = stack.pop()
-        for flow in _successors(diagram, current):
+        for flow in diagram.index.out_flows.get(current, ()):
             if flow.target not in seen:
                 seen.add(flow.target)
                 stack.append(flow.target)
@@ -324,103 +298,74 @@ def _find_join(diagram: Diagram, branch_heads: list[str]) -> str | None:
     for current in order:  # the list grows as the BFS walks it
         if current not in branch_heads and all(current in reach for reach in others):
             return current
-        for flow in _successors(diagram, current):
+        for flow in diagram.index.out_flows.get(current, ()):
             if flow.target not in seen:
                 seen.add(flow.target)
                 order.append(flow.target)
     return None
 
 
-class _SkeletonBuilder:
-    def __init__(self, diagram: Diagram, pool) -> None:
+class _Skeleton:
+    """The control skeleton of one pool, written as it is walked."""
+
+    def __init__(self, out: XmlWriter, diagram: Diagram, pool) -> None:
+        self.out = out
         self.diagram = diagram
         self.start_sources = _start_message_sources(diagram, pool)
         self.emitted: set[str] = set()
 
-    def render_chain(self, start_id: str, stop_id: str | None) -> list[ET.Element]:
-        """Render from *start_id* (inclusive) up to *stop_id* (exclusive)."""
-        elements: list[ET.Element] = []
+    def chain(self, start_id: str, stop_id: str | None) -> None:
+        """Write from *start_id* (inclusive) up to *stop_id* (exclusive)."""
+        diagram, out = self.diagram, self.out
         current: str | None = start_id
-        while current is not None and current != stop_id:
-            if current in self.emitted:
-                break
+        while current is not None and current != stop_id and current not in self.emitted:
             self.emitted.add(current)
-            node = self.diagram.node(current)
-            if node.kind == "gateway_parallel":
-                nexts = _successors(self.diagram, current)
-                heads = [f.target for f in nexts]
-                if len(heads) <= 1:
-                    current = heads[0] if heads else None
-                    continue
-                join = _find_join(self.diagram, heads)
-                flow_el = ET.Element("flow", {"name": node.name or node.id})
-                for head in heads:
-                    branch = self.render_chain(head, join)
-                    seq = ET.Element("sequence")
-                    seq.extend(branch)
-                    flow_el.append(seq)
-                elements.append(flow_el)
-                if join is not None and self.diagram.node(join).kind.startswith("gateway_"):
-                    self.emitted.add(join)  # the join gateway itself emits nothing
-                    joins = _successors(self.diagram, join)
-                    current = joins[0].target if joins else None
-                else:
-                    current = join  # any other join is rendered after the flow
-                continue
+            node = diagram.node(current)
+            nexts = diagram.index.out_flows.get(current, [])
             if node.kind == "gateway_exclusive_data":
-                elements.append(self.render_exclusive(node))
-                current = None
-                continue
-            elements.extend(_node_element(self.diagram, self.start_sources, node))
-            nexts = _successors(self.diagram, current)
+                self.exclusive(node, nexts)
+                return
+            if node.kind == "gateway_parallel" and len(nexts) > 1:
+                heads = [f.target for f in nexts]
+                join = _find_join(diagram, heads)
+                out.open("flow", {"name": node.name or node.id})
+                for head in heads:
+                    self.branch(head, join)
+                out.close()
+                if join is not None and diagram.node(join).kind.startswith("gateway_"):
+                    self.emitted.add(join)  # the join gateway itself emits nothing
+                    nexts = diagram.index.out_flows.get(join, [])
+                else:
+                    current = join  # any other join is written after the flow
+                    continue
+            elif node.kind != "gateway_parallel":  # a parallel gateway that does not split writes nothing
+                _write_node(out, diagram, self.start_sources, node)
             current = nexts[0].target if nexts else None
-        return elements
 
-    def render_exclusive(self, node: Node) -> ET.Element:
-        outgoing = _successors(self.diagram, node.id)
-        guarded = [f for f in outgoing if f.guard is not None]
-        defaults = [f for f in outgoing if f.guard is None]
-        heads = [f.target for f in outgoing]
-        join = _find_join(self.diagram, heads) if len(heads) > 1 else None
-        if_el = ET.Element("if", {"name": node.name or node.id})
-        if guarded:
-            cond = ET.SubElement(if_el, "condition")
-            cond.text = print_expr(guarded[0].guard)
-            seq = ET.SubElement(if_el, "sequence")
-            seq.extend(self.render_chain(guarded[0].target, join))
-            for extra in guarded[1:]:
-                elseif = ET.SubElement(if_el, "elseif")
-                cond = ET.SubElement(elseif, "condition")
-                cond.text = print_expr(extra.guard)
-                seq = ET.SubElement(elseif, "sequence")
-                seq.extend(self.render_chain(extra.target, join))
-        for default in defaults:  # at most one: V7
-            else_el = ET.SubElement(if_el, "else")
-            seq = ET.SubElement(else_el, "sequence")
-            seq.extend(self.render_chain(default.target, join))
+    def branch(self, head: str, stop_id: str | None) -> None:
+        self.out.open("sequence")
+        self.chain(head, stop_id)
+        self.out.close()
+
+    def exclusive(self, node: Node, outgoing: list[SequenceFlow]) -> None:
+        out = self.out
+        join = _find_join(self.diagram, [f.target for f in outgoing]) if len(outgoing) > 1 else None
         if join is not None:
-            wrapper = ET.Element("sequence")
-            wrapper.append(if_el)
-            wrapper.extend(self.render_chain(join, None))
-            return wrapper
-        return if_el
-
-
-def _emit_pool(diagram: Diagram, pool, warnings: list[str]) -> ET.Element | None:
-    starts = sorted(
-        (n for n in pool.iter_nodes() if n.kind in START_KINDS),
-        key=lambda n: n.id,
-    )
-    if not starts:
-        return None
-    builder = _SkeletonBuilder(diagram, pool)
-    seq = ET.Element("sequence")
-    for start in starts:
-        seq.extend(builder.render_chain(start.id, None))
-    for node in pool.nodes:
-        if node.kind in ("task", "sub_process") and node.id not in builder.emitted:
-            warnings.append(
-                f"{node.kind.replace('_', '-')} {node.id} of pool {pool.id} is not reached"
-                " by the BPEL control skeleton; skipped"
-            )
-    return seq
+            out.open("sequence")
+        out.open("if", {"name": node.name or node.id})
+        for n, flow in enumerate(f for f in outgoing if f.guard is not None):
+            if n:
+                out.open("elseif")
+            out.leaf("condition", text=print_expr(flow.guard))
+            self.branch(flow.target, join)
+            if n:
+                out.close()
+        for flow in outgoing:
+            if flow.guard is None:  # at most one: V7
+                out.open("else")
+                self.branch(flow.target, join)
+                out.close()
+        out.close()
+        if join is not None:
+            self.chain(join, None)
+            out.close()

@@ -8,17 +8,16 @@ message-flow objects map to ``Message`` elements. Unlike BPEL, no data
 construct is lost in the translation.
 
 Each task references a placeholder ``TaskApplication``; applications proper
-are outside the scope of the generated fragment. The text comes from
-:func:`bpdmn.codegen_bpel.xml_text`, the writer both translators share.
+are outside the scope of the generated fragment. The text is written from the
+model in document order by :class:`bpdmn.codegen_bpel.XmlWriter`, the writer
+both translators share.
 """
 
 from __future__ import annotations
 
-import xml.etree.ElementTree as ET
-
 from . import validator
 # GenerationError: one class for both translators, importable from either
-from .codegen_bpel import GenerationError, xml_text
+from .codegen_bpel import GenerationError, XmlWriter
 from .expr import print_expr
 from .model import DataStore, Diagram, Node, node_inputs, node_outputs
 
@@ -36,69 +35,72 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
         raise GenerationError(problem)
     warnings: list[str] = []
 
-    package = ET.Element("Package", {"Id": diagram.id, "Name": diagram.id})
+    out = XmlWriter()
+    out.open("Package", {"Id": diagram.id, "Name": diagram.id})
 
     diagram_stores = [s for s in diagram.stores if s.scope.kind == "diagram"]
     scoped_stores = {s.scope.sub_process: s for s in diagram.stores if s.scope.kind == "sub_process"}
     if diagram_stores:
-        fields_el = ET.SubElement(package, "DataFields")
+        out.open("DataFields")
         for store in sorted(diagram_stores, key=lambda s: s.id):
-            _emit_store_fields(fields_el, store)
+            _write_store_fields(out, store)
+        out.close()
 
     if diagram.objects:
-        objects_el = ET.SubElement(package, "DataObjects")
+        out.open("DataObjects")
         for obj in sorted(diagram.objects, key=lambda o: o.id):
-            obj_el = ET.SubElement(objects_el, "DataObject", {"Id": obj.id, "Name": obj.name})
-            refs = ET.SubElement(obj_el, "DataFields")
+            out.open("DataObject", {"Id": obj.id, "Name": obj.name})
+            out.open("DataFields")
             for var in sorted(obj.variables, key=lambda v: v.name):
-                if var.vtype == "record":
-                    continue
-                ET.SubElement(refs, "DataField", {"Id": var.name})
+                if var.vtype != "record":
+                    out.leaf("DataField", {"Id": var.name})
+            out.close()
+            out.close()
+        out.close()
 
     if diagram.message_flows:
-        messages_el = ET.SubElement(package, "Messages")
+        out.open("Messages")
         for flow in sorted(diagram.message_flows, key=lambda f: f.id):
-            msg = ET.SubElement(
-                messages_el,
-                "Message",
-                {"Id": flow.id, "From": flow.source, "To": flow.target},
-            )
+            out.open("Message", {"Id": flow.id, "From": flow.source, "To": flow.target})
             for att in sorted(flow.attachments, key=lambda a: (a.object, a.direction)):
                 if att.direction == "output":
-                    ET.SubElement(msg, "DataObject", {"Id": att.object})
+                    out.leaf("DataObject", {"Id": att.object})
+            out.close()
+        out.close()
 
-    processes = ET.SubElement(package, "WorkflowProcesses")
+    out.open("WorkflowProcesses")
     for pool in sorted(diagram.pools, key=lambda p: p.id):
         if not pool.nodes:
             continue  # black-box pools stay opaque
-        proc = ET.SubElement(processes, "WorkflowProcess", {"Id": pool.id, "Name": pool.name})
-        activities = ET.SubElement(proc, "Activities")
+        out.open("WorkflowProcess", {"Id": pool.id, "Name": pool.name})
+        out.open("Activities")
         for node in sorted(pool.iter_nodes(), key=lambda n: n.id):
             if node.kind in ("task", "sub_process"):
-                activities.append(_emit_activity(diagram, node, scoped_stores))
-        transitions = ET.SubElement(proc, "Transitions")
+                _write_activity(out, diagram, node, scoped_stores)
+        out.close()
+        out.open("Transitions")
         for flow in sorted(pool.sequence_flows, key=lambda f: f.id):
-            attrs = {"Id": flow.id, "From": flow.source, "To": flow.target}
-            tr = ET.SubElement(transitions, "Transition", attrs)
+            out.open("Transition", {"Id": flow.id, "From": flow.source, "To": flow.target})
             if flow.guard is not None:
-                cond = ET.SubElement(tr, "Condition", {"Type": "CONDITION"})
-                cond.text = print_expr(flow.guard)
+                out.leaf("Condition", {"Type": "CONDITION"}, print_expr(flow.guard))
+            out.close()
+        out.close()
+        out.close()
+    out.close()
+    out.close()
+    return out.text(), warnings
 
-    return xml_text(package), warnings
 
-
-def _emit_store_fields(parent: ET.Element, store: DataStore) -> None:
+def _write_store_fields(out: XmlWriter, store: DataStore) -> None:
     for entity in sorted(store.entities, key=lambda e: e.name):
         for fld in sorted(entity.fields, key=lambda f: f.name):
             if fld.vtype == "record":
                 continue  # record leaves appear as their own dotted fields
-            field_el = ET.SubElement(
-                parent,
-                "DataField",
-                {"Id": f"{store.id}.{entity.name}.{fld.name}", "Name": fld.name},
-            )
-            dtype = ET.SubElement(field_el, "DataType")
-            ET.SubElement(dtype, "BasicType", {"Type": _BASIC_TYPES[fld.vtype]})
+            out.open("DataField", {"Id": f"{store.id}.{entity.name}.{fld.name}", "Name": fld.name})
+            out.open("DataType")
+            out.leaf("BasicType", {"Type": _BASIC_TYPES[fld.vtype]})
+            out.close()
+            out.close()
 
 
 def _actual_parameters(diagram: Diagram, node_id: str) -> list[str]:
@@ -112,16 +114,15 @@ def _actual_parameters(diagram: Diagram, node_id: str) -> list[str]:
     return params
 
 
-def _emit_activity(
-    diagram: Diagram, node: Node, scoped_stores: dict[str, DataStore]
-) -> ET.Element:
-    activity = ET.Element("Activity", {"Id": node.id, "Name": node.name})
+def _write_activity(out: XmlWriter, diagram: Diagram, node: Node, scoped_stores: dict[str, DataStore]) -> None:
+    out.open("Activity", {"Id": node.id, "Name": node.name})
 
     store = scoped_stores.get(node.id)
     if store is not None:
         # stores scoped to this sub-process declare their fields locally
-        local_fields = ET.SubElement(activity, "DataFields")
-        _emit_store_fields(local_fields, store)
+        out.open("DataFields")
+        _write_store_fields(out, store)
+        out.close()
 
     inputs = sorted({io.object for io in node_inputs(diagram, node.id)})
     outputs = sorted({io.object for io in node_outputs(diagram, node.id) if io.channel != "store"})
@@ -129,33 +130,37 @@ def _emit_activity(
         {io.object for io in node_outputs(diagram, node.id) if io.channel == "store"}
         - set(outputs)
     )
-    if inputs:
-        input_sets = ET.SubElement(activity, "InputSets")
-        input_set = ET.SubElement(input_sets, "InputSet")
-        for obj in inputs:
-            ET.SubElement(input_set, "Input", {"ArtifactId": obj})
-    if outputs or store_outputs:
-        output_sets = ET.SubElement(activity, "OutputSets")
-        output_set = ET.SubElement(output_sets, "OutputSet")
-        for obj in outputs + store_outputs:
-            ET.SubElement(output_set, "Output", {"ArtifactId": obj})
+    for sets, one_set, item, objects in (
+        ("InputSets", "InputSet", "Input", inputs),
+        ("OutputSets", "OutputSet", "Output", outputs + store_outputs),
+    ):
+        if objects:
+            out.open(sets)
+            out.open(one_set)
+            for obj in objects:
+                out.leaf(item, {"ArtifactId": obj})
+            out.close()
+            out.close()
 
-    implementation = ET.SubElement(activity, "Implementation")
-    task = ET.SubElement(implementation, "Task")
-    application = ET.SubElement(task, "TaskApplication", {"Id": f"{node.id}_application"})
+    out.open("Implementation")
+    out.open("Task")
+    out.open("TaskApplication", {"Id": f"{node.id}_application"})
     params = _actual_parameters(diagram, node.id)
     if params:
-        params_el = ET.SubElement(application, "ActualParameters")
+        out.open("ActualParameters")
         for param in params:
-            param_el = ET.SubElement(params_el, "ActualParameter")
-            param_el.text = param
+            out.leaf("ActualParameter", text=param)
+        out.close()
+    out.close()
+    out.close()
+    out.close()
 
     for mapping in diagram.index.mappings_into(node.id):
-        assignments = ET.SubElement(activity, "Assignments", {"Id": mapping.id})
+        out.open("Assignments", {"Id": mapping.id})
         for rule in mapping.rules:
-            assignment = ET.SubElement(assignments, "Assignment")
-            target = ET.SubElement(assignment, "Target")
-            target.text = f"{mapping.target_object}.{rule.to}"
-            expression = ET.SubElement(assignment, "Expression")
-            expression.text = print_expr(rule.from_expr)
-    return activity
+            out.open("Assignment")
+            out.leaf("Target", text=f"{mapping.target_object}.{rule.to}")
+            out.leaf("Expression", text=print_expr(rule.from_expr))
+            out.close()
+        out.close()
+    out.close()

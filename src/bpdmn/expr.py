@@ -239,6 +239,18 @@ def parse_expr(text: str) -> Expression:
     return node
 
 
+def _chain(e: BoolOp) -> list[Expression]:
+    """The operands, left to right, of the chain of *e*'s connective that *e*
+    heads: ``a or b or c`` parses as ``(a or b) or c``. Walked with a loop, so
+    a chain of thousands of terms needs no deep recursion."""
+    rights = []
+    node: Expression = e
+    while isinstance(node, BoolOp) and node.op == e.op:
+        rights.append(node.right)
+        node = node.left
+    return [node, *reversed(rights)]
+
+
 # ---------------------------------------------------------------------------
 # Printer
 
@@ -268,7 +280,8 @@ def _print(e: Expression, within: int) -> str:
     elif isinstance(e, BoolOp):
         # left-associative: a right operand of the same connective keeps its parentheses
         level = _LOOSEST_FIRST.index(e.op)
-        text = f"{_print(e.left, level)} {e.op} {_print(e.right, level + 1)}"
+        first, *rest = _chain(e)
+        text = f" {e.op} ".join([_print(first, level), *(_print(operand, level + 1) for operand in rest)])
     else:
         raise TypeError(f"not an expression: {e!r}")
     return f"({text})" if level < within else text
@@ -309,9 +322,10 @@ def eval_expr(e: Expression, env: dict[str, Value]) -> Value:
         return not _truthy(eval_expr(e.operand, env), "'not'")
     if isinstance(e, BoolOp):
         decides = _CONNECTIVES[e.op]
-        if _truthy(eval_expr(e.left, env), f"'{e.op}'") is decides:
-            return decides
-        return _truthy(eval_expr(e.right, env), f"'{e.op}'")
+        for operand in _chain(e):
+            if _truthy(eval_expr(operand, env), f"'{e.op}'") is decides:
+                return decides
+        return not decides
     if isinstance(e, Cmp):
         left = eval_expr(e.left, env)
         right = eval_expr(e.right, env)
@@ -338,10 +352,13 @@ def _compare(op: str, left: Value, right: Value) -> bool:
 
 def expr_refs(e: Expression) -> set[str]:
     """All dotted paths referenced anywhere in *e*."""
-    if isinstance(e, Ref):
-        return {e.dotted}
-    if isinstance(e, Not):
-        return expr_refs(e.operand)
-    if isinstance(e, (Cmp, BoolOp)):
-        return expr_refs(e.left) | expr_refs(e.right)
-    return set()
+    refs, stack = set(), [e]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Ref):
+            refs.add(e.dotted)
+        elif isinstance(e, Not):
+            stack.append(e.operand)
+        elif isinstance(e, (Cmp, BoolOp)):
+            stack += (e.left, e.right)
+    return refs

@@ -635,8 +635,10 @@ class DiagramIndex:
     pools, sequence flows, explicit data flows, behaviors and message flows.
 
     Per-key lists keep the order of a scan over pools in order (each pool's
-    sequence flows, then its explicit data flows), then the message flows.
-    The lists are shared: the public view functions hand out copies.
+    sequence flows, then its explicit data flows), then the message flows,
+    except ``in_flows`` and ``out_flows``, which are in flow-id order: the
+    order in which a firing consumes and emits tokens and BPEL takes
+    branches. The lists are shared: the public view functions hand out copies.
     """
 
     def __init__(self, diagram: Diagram) -> None:
@@ -706,6 +708,9 @@ class DiagramIndex:
                     add(targets, flow.object, ObjectLink(LinkKind.STORE_INSERTION, flow.target, flow.id))
                 elif not from_store:
                     add(targets, flow.object, ObjectLink(LinkKind.ACTIVITY_INPUT, flow.target, flow.id))
+        for flows in (*self.in_flows.values(), *self.out_flows.values()):
+            if len(flows) > 1:  # most nodes have one, and the index is built on every call
+                flows.sort(key=lambda f: f.id)
 
         for node_id, behavior in diagram.behaviors.items():
             for action in behavior.store_actions:

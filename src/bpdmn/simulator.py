@@ -428,7 +428,7 @@ def _send_messages(
 
 
 def _emit_tokens(state: ExecutionState, diagram: Diagram, node: Node) -> None:
-    outgoing = sorted(diagram.index.out_flows.get(node.id, ()), key=lambda f: f.id)
+    outgoing = diagram.index.out_flows.get(node.id, ())
     if not outgoing:
         return
     if node.kind == "gateway_exclusive_data":
@@ -466,7 +466,7 @@ def step(state: ExecutionState, diagram: Diagram, node_id: str) -> tuple[Executi
     trace.append(NodeFired(current, node_id))
 
     # consume tokens
-    incoming = sorted(diagram.index.in_flows.get(node_id, ()), key=lambda f: f.id)
+    incoming = diagram.index.in_flows.get(node_id, ())
     if node.kind == "gateway_exclusive_data":
         for flow in incoming:
             if state.tokens.get(flow.id, 0) > 0:

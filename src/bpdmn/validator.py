@@ -249,7 +249,7 @@ def _v7_pool_shape(diagram: Diagram) -> list[Diagnostic]:
             kinds.add(node.kind)
             if node.kind != "gateway_exclusive_data":
                 continue
-            defaults = sorted(f.id for f in diagram.index.out_flows.get(node.id, ()) if f.guard is None)
+            defaults = [f.id for f in diagram.index.out_flows.get(node.id, ()) if f.guard is None]
             if len(defaults) > 1:
                 message = f"exclusive gateway has more than one unguarded flow: {', '.join(defaults)}"
                 out.append(_error("V7", node.id, message))

@@ -270,6 +270,7 @@ HOSTILE_INPUTS = {
     "xml-illegal-char": (_travel_with("bad\u0001name"), {**ALL_OK, "bpel": 1, "xpdl": 1}),
     "guard-1.2.3": (_travel_replacing('"guard": "response.valid"', '"guard": "1.2.3"'), ALL_IO),
     "start-input-5000-digits": (_travel_replacing('"cardNumber": "12345678"', '"cardNumber": ' + "9" * 5000), ALL_IO),
+    "guard-3000-terms": (_travel_replacing('"guard": "response.valid"', '"guard": "' + " or ".join(["response.valid"] * 3000) + '"'), ALL_OK),
     "output-into-missing-directory": (fixture_text("travel.bpdmn.json").encode(), dict.fromkeys(OUTPUT_COMMANDS, 2)),
 }
 

@@ -158,6 +158,18 @@ def test_task_left_out_of_the_skeleton_is_named():
     assert warnings == ["task b of pool p is not reached by the BPEL control skeleton; skipped"]
 
 
+def test_sub_process_child_left_out_of_the_skeleton_is_named():
+    # the skeleton writes sp as one invoke: the task inside it is not in the BPEL
+    sub_process = Node("sp", "sp", "sub_process", children=[Node("c1", "c1", "task")])
+    nodes = [Node("s", "s", "start_event_none"), sub_process, Node("e", "e", "end_event")]
+    flows = [SequenceFlow("f0", "s", "sp"), SequenceFlow("f1", "sp", "e")]
+    diagram = Diagram("diagram", pools=[Pool("p", "P", nodes, flows)])
+    assert validator.validate(diagram) == []
+    xml, warnings = to_bpel(diagram)
+    assert ET.fromstring(xml).find(".//invoke[@name='c1']") is None
+    assert warnings == ["task c1 of pool p is not reached by the BPEL control skeleton; skipped"]
+
+
 def test_second_default_flow_of_an_exclusive_gateway_is_refused(tmp_path):
     # BPEL has one <else> and the simulator takes one default: b would never run
     diagram = _pool_diagram(

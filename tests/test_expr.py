@@ -146,6 +146,49 @@ def test_print_parse_round_trip(e):
     assert repr(parse_expr(print_expr(e))) == repr(e)
 
 
+def _recursive_eval(e, env):
+    """``eval_expr`` as one recursion per connective, short-circuiting on the
+    left operand: the reference for the loop over a chain."""
+    if isinstance(e, BoolOp):
+        decides = e.op == "or"
+        for operand in (e.left, e.right):
+            value = _recursive_eval(operand, env)
+            if value is not None and not isinstance(value, bool):
+                raise ExprTypeError(f"expected boolean in '{e.op}', got {value!r}")
+            if bool(value) is decides:
+                return decides
+        return not decides
+    if isinstance(e, Not):
+        return eval_expr(Not(Lit(_recursive_eval(e.operand, env))), env)
+    return eval_expr(e, env)
+
+
+def _value_or_error(evaluate, e, env):
+    try:
+        return evaluate(e, env)
+    except ExprError as exc:
+        return type(exc), str(exc)
+
+
+@given(_exprs(), st.data())
+def test_eval_matches_one_recursion_per_connective(e, data):
+    values = st.one_of(st.none(), st.booleans(), st.integers(0, 2), st.just("a"))
+    env = {ref: data.draw(values) for ref in sorted(expr_refs(e)) if data.draw(st.booleans())}
+    assert _value_or_error(eval_expr, e, env) == _value_or_error(_recursive_eval, e, env)
+
+
+@pytest.mark.parametrize("op", ["or", "and"])
+def test_a_chain_of_thousands_of_terms_needs_no_deep_recursion(op):
+    terms = [f"o.v{i % 7}" for i in range(3000)]
+    e = parse_expr(f" {op} ".join(terms))
+    assert print_expr(e) == f" {op} ".join(terms)
+    assert expr_refs(e) == {f"o.v{i}" for i in range(7)}
+    env = {f"o.v{i}": op == "and" for i in range(7)}
+    assert eval_expr(e, env) is (op == "and")
+    # short circuit: the first deciding term ends the walk before an unbound one
+    assert eval_expr(parse_expr(f"o.v0 {op} " + f" {op} ".join(["x.y"] * 3000)), {"o.v0": op == "or"}) is (op == "or")
+
+
 @given(st.floats(allow_nan=False, allow_infinity=False))
 def test_every_finite_float_reads_back_as_printed(x):
     assert repr(parse_expr(print_expr(Lit(x)))) == repr(Lit(x))

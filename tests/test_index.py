@@ -156,6 +156,15 @@ def firing_cases() -> list:
     ]
 
 
+def flows_out_of_id_order() -> Diagram:
+    """A parallel split and join whose flows the pool lists out of id order;
+    canonical documents and generated diagrams list them in id order."""
+    kinds = {"s": "start_event_none", "g": "gateway_parallel", "a": "task", "b": "task", "j": "gateway_parallel"}
+    nodes = [Node(i, i, kind) for i, kind in {**kinds, "e": "end_event"}.items()]
+    edges = (("f5", "b", "j"), ("f1", "s", "g"), ("f3", "g", "b"), ("f6", "j", "e"), ("f2", "g", "a"), ("f4", "a", "j"))
+    return Diagram("d", pools=[Pool("p", "P", nodes, [SequenceFlow(*edge) for edge in edges])])
+
+
 DIAGRAMS = (
     [
         pytest.param(parse_diagram((FIXTURES / relpath).read_text(encoding="utf-8")), id=relpath)
@@ -163,6 +172,7 @@ DIAGRAMS = (
     ]
     + [pytest.param(random_diagram(seed), id=f"random{seed}") for seed in RANDOM_SEEDS]
     + firing_cases()
+    + [pytest.param(flows_out_of_id_order(), id="flows-out-of-id-order")]
 )
 
 
@@ -393,8 +403,11 @@ def test_views_equal_scan_references(diagram):
     store_ids = [s.id for s in diagram.stores]
     object_ids = [o.id for o in diagram.objects]
     ids = node_ids + pool_ids + store_ids + object_ids + ["no-such-element"]
+    sequence_flows = sorted((f for p in diagram.pools for f in p.sequence_flows), key=lambda f: f.id)
 
     for ident in ids:
+        assert diagram.index.in_flows.get(ident, []) == [f for f in sequence_flows if f.target == ident]
+        assert diagram.index.out_flows.get(ident, []) == [f for f in sequence_flows if f.source == ident]
         assert diagram.node(ident) is ref_node(diagram, ident)
         assert diagram.pool_of(ident) is ref_pool_of(diagram, ident)
         assert diagram.store(ident) is ref_store(diagram, ident)

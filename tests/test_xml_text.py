@@ -1,15 +1,19 @@
-"""The translators' one-pass XML writer against the ElementTree serialization
-it replaced: the same bytes for every tree either translator builds."""
+"""The translators' XML writer against ElementTree, the serialization it
+replaced: each document either translator writes is what ``ET.indent`` and
+``ET.tostring`` write for the tree ElementTree reads back from it.
+ElementTree is a test-only dependency; the package itself does not import it."""
 
 from __future__ import annotations
 
+import ast
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
 from bpdmn import codegen_bpel, codegen_xpdl, validator
-from bpdmn.codegen_bpel import xml_text
-from bpdmn.expr import parse_expr
+from bpdmn.codegen_bpel import GenerationError, XmlWriter
+from bpdmn.expr import parse_expr, print_expr
 from bpdmn.format import ParseError
 from bpdmn.model import (
     CopyRule,
@@ -28,12 +32,20 @@ from bpdmn.model import (
 from conftest import FIXTURES, load
 from randgen import random_diagram
 
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "bpdmn").glob("*.py"))
+TRANSLATORS = (codegen_bpel.to_bpel, codegen_xpdl.to_xpdl)
+
 
 def reference_text(root: ET.Element) -> str:
     """The replaced serialization: ``ET.indent`` and ``ET.tostring``."""
     ET.indent(root, space="  ")
     text = ET.tostring(root, encoding="unicode", xml_declaration=False)
     return '<?xml version="1.0" encoding="UTF-8"?>\n' + text + "\n"
+
+
+def read_back(text: str) -> ET.Element:
+    """The tree ElementTree reads from a document, comments kept."""
+    return ET.fromstring(text.encode("utf-8"), ET.XMLParser(target=ET.TreeBuilder(insert_comments=True)))
 
 
 # every character either escape rule rewrites, one neither rewrites, and non-ASCII text
@@ -99,42 +111,68 @@ VALID_RANDOM_SEEDS = [
 ]
 
 
-def _assert_same_as_elementtree(diagram: Diagram, monkeypatch) -> list[str]:
-    texts = []
-    for module, translate in ((codegen_bpel, codegen_bpel.to_bpel), (codegen_xpdl, codegen_xpdl.to_xpdl)):
-        trees = []
-
-        def keep_tree(root: ET.Element) -> str:
-            trees.append(root)
-            return xml_text(root)
-
-        monkeypatch.setattr(module, "xml_text", keep_tree)
+def _assert_same_as_elementtree(diagram: Diagram) -> None:
+    for translate in TRANSLATORS:
         text, _ = translate(diagram)
-        assert len(trees) == 1
-        assert text == reference_text(trees[0])
-        texts.append(text)
-    return texts
+        assert text == reference_text(read_back(text))
 
 
 @pytest.mark.parametrize("relpath", VALID_FIXTURES)
-def test_fixture_text_equals_elementtree(relpath, monkeypatch):
-    _assert_same_as_elementtree(load(relpath), monkeypatch)
+def test_fixture_text_equals_elementtree(relpath):
+    _assert_same_as_elementtree(load(relpath))
 
 
 @pytest.mark.parametrize("seed", VALID_RANDOM_SEEDS)
-def test_random_diagram_text_equals_elementtree(seed, monkeypatch):
-    _assert_same_as_elementtree(random_diagram(seed), monkeypatch)
+def test_random_diagram_text_equals_elementtree(seed):
+    _assert_same_as_elementtree(random_diagram(seed))
 
 
-def test_escaped_text_equals_elementtree(monkeypatch):
+def _written_model_strings(diagram: Diagram) -> set[str]:
+    """The strings of the hostile diagram a translator writes as an attribute
+    value or element text: ids, names and printed expressions, and the two
+    strings composed of them (a store field's variable, a task's application)."""
+    (pool,), (mapping,), (store,) = diagram.pools, diagram.mappings, diagram.stores
+    return {
+        diagram.id,
+        pool.id,
+        pool.name,
+        mapping.id,
+        *(string for node in pool.nodes for string in (node.id, node.name, f"{node.id}_application")),
+        *(flow.id for flow in pool.sequence_flows),
+        *(print_expr(flow.guard) for flow in pool.sequence_flows if flow.guard is not None),
+        *(print_expr(rule.from_expr) for rule in mapping.rules),
+        *(obj.name for obj in diagram.objects),
+        *(f"{store.id}.{entity.name}.{fld.name}" for entity in store.entities for fld in entity.fields),
+    }
+
+
+def test_escaped_text_equals_elementtree():
     diagram = hostile_diagram()
     assert validator.validate(diagram) == []
-    bpel, xpdl = _assert_same_as_elementtree(diagram, monkeypatch)
-    assert "<!-- store-backed variable, element type number -->" in bpel
-    for text in (bpel, xpdl):
+    model_strings = _written_model_strings(diagram)
+    for translate in TRANSLATORS:
+        text, _ = translate(diagram)
+        # ElementTree writes a carriage return in element text raw, which a parser reads as a line feed
+        assert text == reference_text(read_back(text)).replace("\r", "&#13;")
         assert '="d&amp;&lt;&gt;&quot;\'&#10;&#09;&#13; é"' in text
-        assert "&amp;&lt;&gt;\"\\'\n\t\r é" in text  # a guard, as element text
-        ET.fromstring(text.encode("utf-8"))  # raises if malformed
+        assert "&amp;&lt;&gt;\"\\'\n\t&#13; é" in text  # a guard, as element text
+        root = read_back(text)
+        written = [value for el in root.iter() for value in (el.text, *el.attrib.values()) if value and "é" in value]
+        assert written and set(written) <= model_strings
+    bpel, _ = codegen_bpel.to_bpel(diagram)
+    assert "<!-- store-backed variable, element type number -->" in bpel
+
+
+def test_an_element_without_children_or_text_is_self_closing():
+    out = XmlWriter()
+    out.open("a", {"k": "v"})
+    out.open("b")
+    out.close()
+    out.comment(" c ")
+    out.leaf("d", text="t")
+    out.leaf("e", {"k": ""}, "")
+    out.close()
+    assert out.text() == '<?xml version="1.0" encoding="UTF-8"?>\n<a k="v">\n  <b />\n  <!-- c -->\n  <d>t</d>\n  <e k="" />\n</a>\n'
 
 
 NOT_IN_XML = [*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF]
@@ -143,18 +181,32 @@ NOT_IN_XML = [*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF]
 @pytest.mark.parametrize("code", NOT_IN_XML, ids=lambda c: f"U+{c:04X}")
 @pytest.mark.parametrize("place", ["attribute", "text"])
 def test_a_character_xml_cannot_carry_is_refused(code, place):
-    root = ET.Element("process")
-    child = ET.SubElement(root, "step", name="ok")
+    out = XmlWriter()
+    out.open("process")
     if place == "attribute":
-        child.set("name", f"bad{chr(code)}name")
+        out.leaf("step", {"name": f"bad{chr(code)}name"})
     else:
-        child.text = f"bad{chr(code)}name"
-    with pytest.raises(codegen_bpel.GenerationError, match=rf"U\+{code:04X} \(output line 3: '<step "):
-        xml_text(root)
+        out.leaf("step", {"name": "ok"}, f"bad{chr(code)}name")
+    out.close()
+    with pytest.raises(GenerationError, match=rf"U\+{code:04X} \(output line 3: '<step "):
+        out.text()
 
 
 @pytest.mark.parametrize("code", [0x9, 0xA, 0xD, 0x20, 0xD7FF, 0xE000, 0xFFFD, 0x10000], ids=lambda c: f"U+{c:04X}")
 def test_a_character_xml_carries_is_written(code):
-    root = ET.Element("process", name=f"a{chr(code)}b")
-    root.text = f"a{chr(code)}b"
-    assert ET.fromstring(xml_text(root).encode("utf-8")).get("name") == f"a{chr(code)}b"
+    out = XmlWriter()
+    out.leaf("process", {"name": f"a{chr(code)}b"}, f"a{chr(code)}b")
+    root = ET.fromstring(out.text().encode("utf-8"))
+    assert root.get("name") == root.text == f"a{chr(code)}b"
+
+
+def test_the_package_does_not_import_elementtree():
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            assert not any(m == "xml.etree" or m.startswith("xml.etree.") for m in modules), path.name
