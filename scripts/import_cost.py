@@ -3,11 +3,10 @@
 
 For each subcommand it runs a fresh ``python -X importtime -m bpdmn.cli
 <command> MODEL`` a few times and prints, as medians over the runs, the
-process's wall time, the ``bpdmn`` modules it loaded with each one's self and
-cumulative import time, and the cumulative import time of ``click``. The
-first line is the interpreter's own baseline, ``python -X importtime -c
-pass``. ``bpdmn.cli`` runs as ``__main__``, so it is compiled outside the
-import timer and shows only in the wall time.
+process's wall time and the ``bpdmn`` modules it loaded with each one's self
+and cumulative import time. The first line is the interpreter's own baseline,
+``python -X importtime -c pass``. ``bpdmn.cli`` runs as ``__main__``, so it
+is compiled outside the import timer and shows only in the wall time.
 
 The script runs the ``bpdmn`` of the checkout it sits in; stdlib only::
 
@@ -92,8 +91,6 @@ def main() -> None:
         for name in ours:
             self_ms, cumulative_ms = modules[name]
             print(f"  {name:24s} {self_ms:9.2f} {cumulative_ms:14.2f}")
-        if "click" in modules:
-            print(f"  {'click':24s} {'':9s} {modules['click'][1]:14.2f}")
 
 
 if __name__ == "__main__":

@@ -25,12 +25,13 @@ can be compared byte for byte::
 
 Name the same model files in both runs when passing them explicitly; a model
 is keyed by its path relative to the checkout (or as given, outside it).
-Needs click 8.2 or later, whose test runner keeps stderr apart from stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -38,8 +39,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
-
-from click.testing import CliRunner
 
 from bpdmn import simulator
 from bpdmn.cli import main as cli
@@ -60,18 +59,27 @@ COMMANDS = {
 }
 
 
+def _cli_call(argv: list[str]) -> dict:
+    """One in-process CLI call: exit code, stdout and stderr, and any
+    exception other than ``SystemExit`` it raised, counted as exit 1."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    entry = {}
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            cli(argv)
+        except SystemExit as exc:
+            entry["exit"] = exc.code
+        except Exception as exc:
+            entry["exit"] = 1
+            entry["exception"] = f"{type(exc).__name__}: {exc}"
+    return {**entry, "stdout": stdout.getvalue(), "stderr": stderr.getvalue()}
+
+
 def _cli_outputs(path: Path, name: str) -> dict:
-    runner = CliRunner()
     out = {}
     for label, template in COMMANDS.items():
-        result = runner.invoke(cli, [str(path) if arg == "{model}" else arg for arg in template])
-        entry = {
-            "exit": result.exit_code,
-            "stdout": result.stdout,
-            "stderr": result.stderr.replace(str(path), name),
-        }
-        if result.exception is not None and not isinstance(result.exception, SystemExit):
-            entry["exception"] = f"{type(result.exception).__name__}: {result.exception}"
+        entry = _cli_call([str(path) if arg == "{model}" else arg for arg in template])
+        entry["stderr"] = entry["stderr"].replace(str(path), name)
         out[label] = entry
     return out
 

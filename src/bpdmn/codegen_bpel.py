@@ -147,7 +147,8 @@ def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
             skeleton.chain(start.id, None)
         out.close()
         for node in pool.iter_nodes():
-            if node.kind in ("task", "sub_process") and node.id not in skeleton.emitted:
+            # every kind _write_node writes an activity for; a start heads a chain
+            if node.kind in ("task", "sub_process", "intermediate_message") and node.id not in skeleton.emitted:
                 warnings.append(
                     f"{node.kind.replace('_', '-')} {node.id} of pool {pool.id} is not reached"
                     " by the BPEL control skeleton; skipped"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import argparse
+import ast
 import json
 import os
 import subprocess
@@ -8,186 +10,283 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from bpdmn.cli import main
+from conftest import FIXTURES, fixture_text, run_cli
 
-from conftest import FIXTURES, fixture_text
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fx(relpath: str) -> str:
     return str(FIXTURES / relpath)
 
 
-def test_validate_ok(runner):
-    result = runner.invoke(main, ["validate", fx("travel.bpdmn.json")])
-    assert result.exit_code == 0
-    assert result.output.strip() == "ok"
+def test_validate_ok():
+    result = run_cli("validate", fx("travel.bpdmn.json"))
+    assert result.code == 0
+    assert result.out.strip() == "ok"
 
 
-def test_validate_reports_errors_with_exit_1(runner):
-    result = runner.invoke(main, ["validate", fx("validator/bad_v3.bpdmn.json")])
-    assert result.exit_code == 1
-    assert result.output.startswith("V3 error m1:")
+def test_validate_reports_errors_with_exit_1():
+    result = run_cli("validate", fx("validator/bad_v3.bpdmn.json"))
+    assert result.code == 1
+    assert result.out.startswith("V3 error m1:")
 
 
-def test_validate_json_mode(runner):
-    result = runner.invoke(main, ["validate", "--json", fx("validator/bad_v7.bpdmn.json")])
-    assert result.exit_code == 1
-    payload = json.loads(result.output)
+def test_validate_json_mode():
+    result = run_cli("validate", "--json", fx("validator/bad_v7.bpdmn.json"))
+    assert result.code == 1
+    payload = json.loads(result.out)
     assert {d["rule"] for d in payload} == {"V7"}
 
 
-def test_missing_file_exit_2(runner):
-    result = runner.invoke(main, ["validate", "/nonexistent.bpdmn.json"])
-    assert result.exit_code == 2
+def test_missing_file_exit_2():
+    result = run_cli("validate", "/nonexistent.bpdmn.json")
+    assert result.code == 2
 
 
-def test_parse_error_exit_2(runner, tmp_path):
+def test_parse_error_exit_2(tmp_path):
     bad = tmp_path / "bad.bpdmn.json"
     bad.write_text("{not json")
-    result = runner.invoke(main, ["validate", str(bad)])
-    assert result.exit_code == 2
-    assert "error:" in result.output
+    result = run_cli("validate", str(bad))
+    assert result.code == 2
+    assert "error:" in result.err
 
 
-def test_translate_bpel_to_stdout(runner):
-    result = runner.invoke(main, ["translate", fx("travel.bpdmn.json"), "--to", "bpel"])
-    assert result.exit_code == 0
-    assert '<invoke name="Check Credit Card"' in result.output
+def test_translate_bpel_to_stdout():
+    result = run_cli("translate", fx("travel.bpdmn.json"), "--to", "bpel")
+    assert result.code == 0
+    assert '<invoke name="Check Credit Card"' in result.out
 
 
-def test_translate_xpdl_to_file(runner, tmp_path):
+def test_translate_xpdl_to_file(tmp_path):
     out = tmp_path / "eco.xpdl"
-    result = runner.invoke(
-        main, ["translate", fx("eco.bpdmn.json"), "--to", "xpdl", "-o", str(out)]
-    )
-    assert result.exit_code == 0
+    result = run_cli("translate", fx("eco.bpdmn.json"), "--to", "xpdl", "-o", str(out))
+    assert result.code == 0
     assert 'DataField Id="OracleDB.Device.deviceID"' in out.read_text()
 
 
-def test_translate_invalid_model_exit_1(runner):
-    result = runner.invoke(
-        main, ["translate", fx("validator/bad_v1.bpdmn.json"), "--to", "bpel"]
-    )
-    assert result.exit_code == 1
+def test_translate_invalid_model_exit_1():
+    result = run_cli("translate", fx("validator/bad_v1.bpdmn.json"), "--to", "bpel")
+    assert result.code == 1
 
 
-def test_simulate_completed(runner):
-    result = runner.invoke(main, ["simulate", fx("travel.bpdmn.json")])
-    assert result.exit_code == 0
-    assert "status: completed" in result.output
+def test_simulate_completed():
+    result = run_cli("simulate", fx("travel.bpdmn.json"))
+    assert result.code == 0
+    assert "status: completed" in result.out
 
 
-def test_simulate_deadlock_exit_3(runner):
-    result = runner.invoke(main, ["simulate", fx("deadlock.bpdmn.json")])
-    assert result.exit_code == 3
+def test_simulate_deadlock_exit_3():
+    result = run_cli("simulate", fx("deadlock.bpdmn.json"))
+    assert result.code == 3
 
 
-def test_simulate_step_limit_exit_4(runner):
-    result = runner.invoke(main, ["simulate", fx("travel.bpdmn.json"), "--max-steps", "2"])
-    assert result.exit_code == 4
+def test_simulate_step_limit_exit_4():
+    result = run_cli("simulate", fx("travel.bpdmn.json"), "--max-steps", "2")
+    assert result.code == 4
 
 
-def test_simulate_set_override_changes_route(runner):
-    result = runner.invoke(
-        main,
-        [
-            "simulate",
-            fx("travel.bpdmn.json"),
-            "--set",
-            "input.cardNumber=00000000",
-            "--json",
-        ],
-    )
-    payload = json.loads(result.output)
+def test_simulate_set_override_changes_route():
+    result = run_cli("simulate", fx("travel.bpdmn.json"), "--set", "input.cardNumber=00000000", "--json")
+    payload = json.loads(result.out)
     assert payload["status"] == "completed"
     assert "check_hotel" not in payload["fired"]
 
 
 @pytest.mark.parametrize("value", ["[1,2]", '{"a":1}'])
-def test_simulate_set_refuses_a_value_start_inputs_refuse(runner, value):
-    result = runner.invoke(main, ["simulate", fx("travel.bpdmn.json"), "--set", f"input.cardNumber={value}"])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert "error: bad --set" in result.output
+def test_simulate_set_refuses_a_value_start_inputs_refuse(value):
+    result = run_cli("simulate", fx("travel.bpdmn.json"), "--set", f"input.cardNumber={value}")
+    assert result.code == 2
+    assert "error: bad --set" in result.err
 
 
 @pytest.mark.parametrize(
     "value", ["NaN", "Infinity", "-Infinity", "1e400", "9" * 5000], ids=["nan", "inf", "-inf", "1e400", "5000-digits"]
 )
-def test_simulate_set_refuses_a_number_start_inputs_refuse(runner, value):
-    result = runner.invoke(main, ["simulate", fx("travel.bpdmn.json"), "--set", f"input.cardNumber={value}"])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert result.output.startswith("error: bad --set") and result.output.count("\n") == 1
+def test_simulate_set_refuses_a_number_start_inputs_refuse(value):
+    result = run_cli("simulate", fx("travel.bpdmn.json"), "--set", f"input.cardNumber={value}")
+    assert result.code == 2
+    assert result.out == ""
+    assert result.err.startswith("error: bad --set") and result.err.count("\n") == 1
 
 
-def test_simulate_set_refuses_an_undeclared_object(runner):
-    result = runner.invoke(main, ["simulate", fx("travel.bpdmn.json"), "--set", "nosuch.v=1"])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert "error: bad --set 'nosuch.v=1', the model declares no object 'nosuch'" in result.output
+def test_simulate_set_refuses_an_undeclared_object():
+    result = run_cli("simulate", fx("travel.bpdmn.json"), "--set", "nosuch.v=1")
+    assert result.code == 2
+    assert "error: bad --set 'nosuch.v=1', the model declares no object 'nosuch'" in result.err
 
 
-def test_simulate_set_refuses_an_object_no_message_start_produces(runner):
+def test_simulate_set_refuses_an_object_no_message_start_produces():
     # plan is declared, but init would never bind it from a start input
-    result = runner.invoke(main, ["simulate", fx("travel.bpdmn.json"), "--set", "plan.nosuch=1", "--json"])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert "error: bad --set 'plan.nosuch=1', no message start event produces 'plan'" in result.output
+    result = run_cli("simulate", fx("travel.bpdmn.json"), "--set", "plan.nosuch=1", "--json")
+    assert result.code == 2
+    assert "error: bad --set 'plan.nosuch=1', no message start event produces 'plan'" in result.err
 
 
-def test_simulate_seeded_random_policy(runner):
+def test_simulate_seeded_random_policy():
     args = ["simulate", fx("eco.bpdmn.json"), "--policy", "random", "--seed", "3", "--json"]
-    first = runner.invoke(main, args)
-    second = runner.invoke(main, args)
-    assert first.output == second.output
+    first = run_cli(*args)
+    second = run_cli(*args)
+    assert first.out == second.out
 
 
-def test_patterns_matrix(runner):
-    result = runner.invoke(main, ["patterns", "--matrix"])
-    assert result.exit_code == 0
-    assert "BPMN  BPDMN" in result.output
+def test_patterns_matrix():
+    result = run_cli("patterns", "--matrix")
+    assert result.code == 0
+    assert "BPMN  BPDMN" in result.out
 
 
-def test_patterns_on_model(runner):
-    result = runner.invoke(main, ["patterns", fx("patterns/p40.bpdmn.json")])
-    assert result.exit_code == 0
-    assert any(line.startswith("40:") for line in result.output.splitlines())
+def test_patterns_on_model():
+    result = run_cli("patterns", fx("patterns/p40.bpdmn.json"))
+    assert result.code == 0
+    assert any(line.startswith("40:") for line in result.out.splitlines())
 
 
-def test_patterns_invalid_model_exit_1(runner):
-    result = runner.invoke(main, ["patterns", fx("validator/bad_v1.bpdmn.json")])
-    assert result.exit_code == 1
+def test_patterns_invalid_model_exit_1():
+    result = run_cli("patterns", fx("validator/bad_v1.bpdmn.json"))
+    assert result.code == 1
 
 
-def test_render_hide_data(runner):
-    result = runner.invoke(main, ["render", fx("travel.bpdmn.json"), "--hide-data"])
-    assert result.exit_code == 0
-    assert result.output.startswith('digraph "travel"')
-    assert "cylinder" not in result.output
+def test_render_hide_data():
+    result = run_cli("render", fx("travel.bpdmn.json"), "--hide-data")
+    assert result.code == 0
+    assert result.out.startswith('digraph "travel"')
+    assert "cylinder" not in result.out
 
 
 @pytest.mark.parametrize("command", [["validate"], ["translate", "--to", "xpdl"], ["render"]])
-def test_non_string_document_id_exit_2(runner, tmp_path, command):
+def test_non_string_document_id_exit_2(tmp_path, command):
     doc = json.loads(fixture_text("travel.bpdmn.json"))
     doc["id"] = 5
     model = tmp_path / "travel.bpdmn.json"
     model.write_text(json.dumps(doc, indent=2), encoding="utf-8")
-    result = runner.invoke(main, [command[0], str(model), *command[1:]])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert "'id' of document must be a string" in result.output
+    result = run_cli(command[0], str(model), *command[1:])
+    assert result.code == 2
+    assert "'id' of document must be a string" in result.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["nosuch"],
+        ["validate"],
+        ["validate", "--js", fx("travel.bpdmn.json")],
+        ["validate", fx("travel.bpdmn.json"), fx("eco.bpdmn.json")],
+        ["translate", fx("travel.bpdmn.json")],
+        ["translate", fx("travel.bpdmn.json"), "--to", "wsdl"],
+        ["simulate", fx("travel.bpdmn.json"), "--max-steps", "many"],
+        ["simulate", fx("travel.bpdmn.json"), "--policy", "fifo"],
+    ],
+    ids=[
+        "no-command",
+        "unknown-command",
+        "no-model",
+        "abbreviated-option",
+        "extra-argument",
+        "no-target",
+        "unknown-target",
+        "non-integer",
+        "unknown-policy",
+    ],
+)
+def test_usage_error_exit_2(argv):
+    result = run_cli(*argv)
+    assert result.code == 2
+    assert result.out == ""
+    assert "usage: bpdmn" in result.err
+
+
+def test_help_exits_0_and_names_every_command():
+    result = run_cli("--help")
+    assert result.code == 0
+    for command in ("validate", "translate", "simulate", "patterns", "render"):
+        assert command in result.out
+    result = run_cli("simulate", "--help")
+    assert result.code == 0
+    assert "[default: 1000]" in " ".join(result.out.split())
+
+
+def test_only_the_first_call_builds_a_parser(monkeypatch):
+    run_cli("validate", fx("travel.bpdmn.json"))
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert run_cli("render", fx("travel.bpdmn.json")).code == 0
+    assert run_cli("validate", "--js", fx("travel.bpdmn.json")).code == 2
+    assert built == []
+
+
+def _travel_with_escape_in_a_name(tmp_path) -> Path:
+    doc = json.loads(fixture_text("travel.bpdmn.json"))
+    doc["pools"][0]["nodes"][0]["name"] = "a\u001b[31mred\u001b[0m"
+    model = tmp_path / "travel.bpdmn.json"
+    model.write_text(json.dumps(doc, indent=2), encoding="utf-8")
+    return model
+
+
+def test_stdout_carries_the_text_of_dash_o(tmp_path):
+    # stdout is a pipe here, not a terminal: it gets the layer's text unchanged
+    model = _travel_with_escape_in_a_name(tmp_path)
+    out = tmp_path / "out.dot"
+    written = subprocess.run(
+        [sys.executable, "-m", "bpdmn.cli", "render", str(model), "-o", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        timeout=60,
+    )
+    printed = subprocess.run(
+        [sys.executable, "-m", "bpdmn.cli", "render", str(model)],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True,
+        timeout=60,
+    )
+    assert written.returncode == printed.returncode == 0
+    assert b"\x1b[31m" in printed.stdout
+    assert printed.stdout == out.read_bytes()
+
+
+def test_stdout_closed_by_its_reader_exits_1_quietly():
+    # as in `bpdmn render model | head -1`, with the reader gone before the write
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "bpdmn.cli", "render", fx("travel.bpdmn.json")],
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
+def test_no_source_imports_click():
+    importers = []
+    for directory in ("src/bpdmn", "tests", "scripts"):
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.split(".")[0] == "click" for name in names):
+                    importers.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert importers == []
 
 
 def test_version_from_a_checkout():
-    src = Path(__file__).resolve().parent.parent / "src"
+    src = ROOT / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "bpdmn.cli", "--version"],
         env=dict(os.environ, PYTHONPATH=str(src)),
@@ -196,7 +295,7 @@ def test_version_from_a_checkout():
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "0.1.0" in proc.stdout
+    assert proc.stdout == "bpdmn, version 0.1.0\n"
 
 
 # Inputs that once ended in a traceback, malformed XML or exponential time.
@@ -280,7 +379,7 @@ def test_hostile_input_exits_as_documented_without_traceback(tmp_path, case):
     data, expected = HOSTILE_INPUTS[case]
     model = tmp_path / "model.bpdmn.json"
     model.write_bytes(data)
-    src = Path(__file__).resolve().parent.parent / "src"
+    src = ROOT / "src"
     commands = {**MODEL_COMMANDS, **OUTPUT_COMMANDS}
     for command, code in expected.items():
         args = [str(tmp_path / "missing" / "out") if a == "{missing}" else a for a in commands[command]]

@@ -3,15 +3,13 @@ from __future__ import annotations
 import xml.etree.ElementTree as ET
 
 import pytest
-from click.testing import CliRunner
 
 from bpdmn import validator
-from bpdmn.cli import main
 from bpdmn.codegen_bpel import GenerationError, to_bpel
 from bpdmn.format import serialize_diagram
 from bpdmn.model import Diagram, Node, Pool, SequenceFlow
 
-from conftest import load
+from conftest import load, run_cli
 
 
 @pytest.fixture
@@ -170,6 +168,35 @@ def test_sub_process_child_left_out_of_the_skeleton_is_named():
     assert warnings == ["task c1 of pool p is not reached by the BPEL control skeleton; skipped"]
 
 
+def _unreached_intermediate_message() -> Diagram:
+    # m1 starts no chain and no flow reaches it
+    nodes = [
+        Node("s", "s", "start_event_none"),
+        Node("e", "e", "end_event"),
+        Node("m1", "m1", "intermediate_message"),
+        Node("e2", "e2", "end_event"),
+    ]
+    flows = [SequenceFlow("f0", "s", "e"), SequenceFlow("f1", "m1", "e2")]
+    return Diagram("diagram", pools=[Pool("p", "P", nodes, flows)])
+
+
+def _intermediate_message_in_a_sub_process() -> Diagram:
+    # the skeleton writes sp as one invoke, not the receive inside it
+    sub_process = Node("sp", "sp", "sub_process", children=[Node("m1", "m1", "intermediate_message")])
+    nodes = [Node("s", "s", "start_event_none"), sub_process, Node("e", "e", "end_event")]
+    flows = [SequenceFlow("f0", "s", "sp"), SequenceFlow("f1", "sp", "e")]
+    return Diagram("diagram", pools=[Pool("p", "P", nodes, flows)])
+
+
+@pytest.mark.parametrize("build", [_unreached_intermediate_message, _intermediate_message_in_a_sub_process])
+def test_intermediate_message_left_out_of_the_skeleton_is_named(build):
+    diagram = build()
+    assert validator.validate(diagram) == []
+    xml, warnings = to_bpel(diagram)
+    assert ET.fromstring(xml).find(".//receive[@name='m1']") is None
+    assert warnings == ["intermediate-message m1 of pool p is not reached by the BPEL control skeleton; skipped"]
+
+
 def test_second_default_flow_of_an_exclusive_gateway_is_refused(tmp_path):
     # BPEL has one <else> and the simulator takes one default: b would never run
     diagram = _pool_diagram(
@@ -178,10 +205,10 @@ def test_second_default_flow_of_an_exclusive_gateway_is_refused(tmp_path):
     )
     model = tmp_path / "two_defaults.bpdmn.json"
     model.write_text(serialize_diagram(diagram), encoding="utf-8")
-    runner = CliRunner()
-    result = runner.invoke(main, ["validate", str(model)])
-    assert result.exit_code == 1
-    assert result.output == "V7 error x: exclusive gateway has more than one unguarded flow: f1, f2\n"
-    result = runner.invoke(main, ["translate", str(model), "--to", "bpel"])
-    assert result.exit_code == 1
-    assert isinstance(result.exception, SystemExit) and "Traceback" not in result.output
+    result = run_cli("validate", str(model))
+    assert result.code == 1
+    assert result.out == "V7 error x: exclusive gateway has more than one unguarded flow: f1, f2\n"
+    assert result.err == ""
+    result = run_cli("translate", str(model), "--to", "bpel")
+    assert result.code == 1
+    assert "Traceback" not in result.out + result.err

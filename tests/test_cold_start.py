@@ -17,7 +17,8 @@ from conftest import FIXTURES
 SRC = Path(__file__).resolve().parent.parent / "src"
 BASE = {"bpdmn", "bpdmn.cli", "bpdmn.expr", "bpdmn.format", "bpdmn.model", "bpdmn.validator"}
 
-# prints [exit code, loaded bpdmn modules] after running the CLI on argv
+# prints [exit code, loaded bpdmn modules, loaded click modules] after
+# running the CLI on argv
 CLI_PROBE = """
 import contextlib, io, json, sys
 from bpdmn.cli import main
@@ -27,7 +28,10 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         main(args=sys.argv[1:], prog_name="bpdmn")
     except SystemExit as exc:
         code = exc.code
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "bpdmn")]))
+loaded = sorted(sys.modules)
+ours = [m for m in loaded if m.split(".")[0] == "bpdmn"]
+click = [m for m in loaded if m.split(".")[0] == "click"]
+print(json.dumps([code, ours, click]))
 """
 
 
@@ -61,9 +65,10 @@ def test_importing_the_cli_loads_no_layer():
     ids=["validate", "translate-bpel", "translate-xpdl", "simulate", "patterns", "render"],
 )
 def test_each_subcommand_loads_only_its_layer(argv, layers):
-    code, loaded = _python(CLI_PROBE, argv[0], str(FIXTURES / "travel.bpdmn.json"), *argv[1:])
+    code, loaded, click = _python(CLI_PROBE, argv[0], str(FIXTURES / "travel.bpdmn.json"), *argv[1:])
     assert code == 0
     assert set(loaded) == BASE | {f"bpdmn.{layer}" for layer in layers}
+    assert click == []
 
 
 def test_layers_load_on_first_access():

@@ -8,14 +8,12 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from bpdmn import format as fmt, model
-from bpdmn.cli import main
 from bpdmn.format import EMPTY_DOCUMENT, ParseError, parse_diagram, serialize_diagram
 
-from conftest import FIXTURES, fixture_text
+from conftest import FIXTURES, fixture_text, run_cli
 from randgen import fuzz_input, mutant as _mutant, mutations as _mutations, random_diagram
 
 ALL_FIXTURES = sorted(p.relative_to(FIXTURES) for p in FIXTURES.rglob("*.bpdmn.json"))
@@ -205,10 +203,9 @@ def test_non_list_value_is_a_parse_error(path, key):
 def test_cli_rejects_non_list_value_with_exit_2(path, key, tmp_path):
     model = tmp_path / "model.bpdmn.json"
     model.write_text(_with_number_at(path, key), encoding="utf-8")
-    result = CliRunner().invoke(main, ["validate", str(model)])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert "must be a list" in result.output and "Traceback" not in result.output
+    result = run_cli("validate", str(model))
+    assert result.code == 2
+    assert "must be a list" in result.err and "Traceback" not in result.err
 
 
 def _nested_document(depth: int) -> str:
@@ -356,10 +353,9 @@ def test_deep_nesting_is_a_parse_error(depth):
 def test_cli_rejects_bad_document_with_exit_2(text, message, tmp_path):
     model = tmp_path / "model.bpdmn.json"
     model.write_text(text, encoding="utf-8")
-    result = CliRunner().invoke(main, ["validate", str(model)])
-    assert result.exit_code == 2
-    assert isinstance(result.exception, SystemExit)
-    assert message in result.output and "Traceback" not in result.output
+    result = run_cli("validate", str(model))
+    assert result.code == 2
+    assert message in result.err and "Traceback" not in result.err
 
 
 # (description, fixture, edit of its document, the one expected message)
@@ -593,9 +589,9 @@ def test_every_mutant_is_refused_or_parses_to_a_fixpoint(name, tmp_path):
     model = tmp_path / "mutant.bpdmn.json"
     for text in refused[::50]:
         model.write_text(text, encoding="utf-8")
-        result = CliRunner().invoke(main, ["validate", str(model)])
-        assert result.exit_code == 2 and isinstance(result.exception, SystemExit), result.output
-        assert "error: " in result.output and "Traceback" not in result.output
+        result = run_cli("validate", str(model))
+        assert result.code == 2, result.err
+        assert "error: " in result.err and "Traceback" not in result.err
 
 
 def _travel_text(edit, ensure_ascii: bool = True) -> str:
