@@ -4,8 +4,14 @@ Store fields become ``DataField`` declarations (``<storeId>.<Entity>.<field>``),
 objects become ``DataObject`` elements referencing their data fields, tasks
 become ``Activity`` elements with ``InputSets``/``OutputSets`` and
 ``ActualParameter`` entries, data mappings become ``Assignments`` blocks, and
-message-flow objects map to ``Message`` elements. Unlike BPEL, no data
-construct is lost in the translation.
+the objects attached to a message flow map to its ``Message`` element.
+
+Some of the model has no place in the package and is left out without a
+warning: task behaviours (effects, store actions, instances) and the
+multi-instance flag; a store's relationships, generalizations, icon and
+collapsed flag; the diagram's start inputs; an object's stereotype,
+physicality, url, state and origin store; the ``optional`` flag of an input;
+and gateways and events, which appear only as the ends of transitions.
 
 Each task references a placeholder ``TaskApplication``; applications proper
 are outside the scope of the generated fragment. The text is written from the
@@ -38,11 +44,16 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
     out = XmlWriter()
     out.open("Package", {"Id": diagram.id, "Name": diagram.id})
 
-    diagram_stores = [s for s in diagram.stores if s.scope.kind == "diagram"]
-    scoped_stores = {s.scope.sub_process: s for s in diagram.stores if s.scope.kind == "sub_process"}
+    diagram_stores: list[DataStore] = []
+    scoped_stores: dict[str, list[DataStore]] = {}
+    for store in sorted(diagram.stores, key=lambda s: s.id):
+        if store.scope.kind == "diagram":
+            diagram_stores.append(store)
+        else:
+            scoped_stores.setdefault(store.scope.sub_process, []).append(store)
     if diagram_stores:
         out.open("DataFields")
-        for store in sorted(diagram_stores, key=lambda s: s.id):
+        for store in diagram_stores:
             _write_store_fields(out, store)
         out.close()
 
@@ -62,9 +73,9 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
         out.open("Messages")
         for flow in sorted(diagram.message_flows, key=lambda f: f.id):
             out.open("Message", {"Id": flow.id, "From": flow.source, "To": flow.target})
-            for att in sorted(flow.attachments, key=lambda a: (a.object, a.direction)):
-                if att.direction == "output":
-                    out.leaf("DataObject", {"Id": att.object})
+            # a message carries every attached object, whatever its direction
+            for obj in sorted({att.object for att in flow.attachments}):
+                out.leaf("DataObject", {"Id": obj})
             out.close()
         out.close()
 
@@ -114,14 +125,17 @@ def _actual_parameters(diagram: Diagram, node_id: str) -> list[str]:
     return params
 
 
-def _write_activity(out: XmlWriter, diagram: Diagram, node: Node, scoped_stores: dict[str, DataStore]) -> None:
+def _write_activity(
+    out: XmlWriter, diagram: Diagram, node: Node, scoped_stores: dict[str, list[DataStore]]
+) -> None:
     out.open("Activity", {"Id": node.id, "Name": node.name})
 
-    store = scoped_stores.get(node.id)
-    if store is not None:
+    stores = scoped_stores.get(node.id)
+    if stores:
         # stores scoped to this sub-process declare their fields locally
         out.open("DataFields")
-        _write_store_fields(out, store)
+        for store in stores:
+            _write_store_fields(out, store)
         out.close()
 
     inputs = sorted({io.object for io in node_inputs(diagram, node.id)})

@@ -395,7 +395,7 @@ class Diagram:
             add("message flow", flow.id)
 
     def _check_references(self) -> None:
-        node_ids = {n.id for n in self.iter_nodes()}
+        node_kinds = {n.id: n.kind for n in self.iter_nodes()}
         stores = {s.id: s for s in self.stores}
         object_ids = {o.id for o in self.objects}
         pool_ids = {p.id for p in self.pools}
@@ -416,7 +416,7 @@ class Diagram:
                 if len(ends_stores) == 2:
                     raise ModelError(f"data flow {flow.id}: both endpoints are stores")
                 for end in (flow.source, flow.target):
-                    if end not in node_ids and end not in stores:
+                    if end not in node_kinds and end not in stores:
                         raise ModelError(f"data flow {flow.id}: unknown endpoint {end!r}")
                 if flow.object not in object_ids:
                     raise ModelError(f"data flow {flow.id}: unknown object {flow.object!r}")
@@ -427,7 +427,7 @@ class Diagram:
 
         for flow in self.message_flows:
             for end in (flow.source, flow.target):
-                if end not in node_ids and end not in pool_ids:
+                if end not in node_kinds and end not in pool_ids:
                     raise ModelError(f"message flow {flow.id}: unknown endpoint {end!r}")
             for att in flow.attachments:
                 if att.object not in object_ids:
@@ -444,11 +444,14 @@ class Diagram:
                 raise ModelError(f"mapping {mapping.id}: unknown target object")
 
         for store in self.stores:
-            if store.scope.kind == "sub_process" and store.scope.sub_process not in node_ids:
-                raise ModelError(f"store {store.id}: unknown scope node {store.scope.sub_process!r}")
+            scope = store.scope.sub_process
+            if scope is not None and scope not in node_kinds:
+                raise ModelError(f"store {store.id}: unknown scope node {scope!r}")
+            if scope is not None and node_kinds[scope] != "sub_process":
+                raise ModelError(f"store {store.id}: scope node {scope!r} is not a sub-process")
 
         for node_id, behavior in self.behaviors.items():
-            if node_id not in node_ids:
+            if node_id not in node_kinds:
                 raise ModelError(f"behavior of {node_id}: unknown node")
             where = f"behavior of {node_id}"
             for effect in behavior.effects:

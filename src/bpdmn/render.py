@@ -78,7 +78,8 @@ def to_dot(diagram: Diagram, hide_data: bool = False) -> str:
     for flow in diagram.message_flows:
         attrs = "style=dashed, arrowhead=open"
         if not hide_data:
-            objs = ", ".join(a.object for a in flow.attachments if a.direction == "output")
+            # every attached object once, whatever its direction
+            objs = ", ".join(dict.fromkeys(a.object for a in flow.attachments))
             if objs:
                 attrs += f", label={_quote(objs)}"
         lines.append(f"  {_quote(flow.source)} -> {_quote(flow.target)} [{attrs}];")

@@ -609,9 +609,14 @@ def _clone(state: ExecutionState) -> ExecutionState:
 
 
 def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozenset[str]]:
-    """Brute-force oracle: the set of fired-node sets over every possible
-    firing order from the diagram's start inputs. Intended for desk-scale,
-    gateway-free diagrams."""
+    """Brute-force oracle: the set of fired-node sets over the firing orders
+    from the diagram's start inputs, for desk-scale diagrams.
+
+    States are merged by :func:`_freeze_state`, which compares tokens, the
+    names of bound objects, store and inbox sizes and the completed set, but
+    neither bound values nor the step count. So an outcome that depends on
+    which values were bound, or on where ``max_steps`` cuts a path, can be
+    missed when another path reached the same key first."""
     results: set[frozenset[str]] = set()
     seen: set = set()
     # depth first with an explicit stack, so a path may be longer than the

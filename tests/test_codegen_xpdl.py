@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import json
 import xml.etree.ElementTree as ET
 
 import pytest
 
+from bpdmn import validator
 from bpdmn.codegen_xpdl import GenerationError, to_xpdl
+from bpdmn.format import parse_diagram
 
-from conftest import load
+from conftest import fixture_text, load
 
 
 @pytest.fixture
@@ -75,6 +78,15 @@ def test_message_flows_become_messages(eco_xpdl):
     assert message.find("DataObject").get("Id") == "Order_ID"
 
 
+def test_message_names_each_attached_object_once(eco_xpdl):
+    root, _ = eco_xpdl
+    # eco's mf1 attaches Order_ID in both directions
+    assert [o.get("Id") for o in root.findall("Messages/Message[@Id='mf1']/DataObject")] == ["Order_ID"]
+    # p17's mf1 attaches o as an input only; the message still carries it
+    p17 = ET.fromstring(to_xpdl(load("patterns/p17.bpdmn.json"))[0])
+    assert [o.get("Id") for o in p17.findall("Messages/Message[@Id='mf1']/DataObject")] == ["o"]
+
+
 def test_transitions_carry_guards(eco_xpdl):
     root, _ = eco_xpdl
     transition = root.find(".//Transition[@Id='g3']")
@@ -110,6 +122,15 @@ def test_sub_process_store_declared_locally():
     assert root.find("DataFields") is None  # no diagram-scoped stores
     activity = root.find(".//Activity[@Id='sp']")
     assert activity.find("DataFields/DataField[@Id='st.E.f']") is not None
+
+
+def test_every_store_scoped_to_one_sub_process_is_declared():
+    data = json.loads(fixture_text("patterns/p2.bpdmn.json"))
+    data["stores"].append({**data["stores"][0], "id": "st2", "name": "Second"})
+    d = parse_diagram(json.dumps(data))
+    assert validator.validate(d) == []
+    activity = ET.fromstring(to_xpdl(d)[0]).find(".//Activity[@Id='sp']")
+    assert [f.get("Id") for f in activity.findall("DataFields/DataField")] == ["st.E.f", "st2.E.f"]
 
 
 def test_invalid_diagram_is_refused():

@@ -1,29 +1,33 @@
-"""The committed fixtures are exactly what ``scripts/gen_fixtures.py`` builds."""
+"""Every committed fixture validates exactly as its path says.
+
+A ``validator/bad_vN`` fixture reports rule VN and nothing else, an error for
+V1–V8 and a warning for V9; every other fixture reports nothing. The
+fixtures are edited as canonical JSON; ``test_format`` checks that each is a
+canonical fixpoint and ``test_patterns`` that each pattern exemplar yields
+its row.
+"""
 
 from __future__ import annotations
 
-import importlib.util
+import re
+
+import pytest
 
 from bpdmn import validator
-from bpdmn.format import serialize_diagram
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load
 
-GENERATOR = FIXTURES.parent / "scripts" / "gen_fixtures.py"
-
-
-def _generator():
-    spec = importlib.util.spec_from_file_location("gen_fixtures", GENERATOR)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+PATHS = sorted(p.relative_to(FIXTURES).as_posix() for p in FIXTURES.rglob("*.bpdmn.json"))
 
 
-def test_committed_fixtures_match_their_builders():
-    built = _generator().all_fixtures()
-    committed = sorted(p.relative_to(FIXTURES).as_posix() for p in FIXTURES.rglob("*.bpdmn.json"))
-    assert sorted(built) == committed
-    for relpath, (diagram, expect_valid) in built.items():
-        assert serialize_diagram(diagram) == (FIXTURES / relpath).read_text(encoding="utf-8"), relpath
-        if expect_valid:
-            assert not validator.has_errors(validator.validate(diagram)), relpath
+def expected_diagnostics(relpath: str) -> set[tuple[str, str]]:
+    bad = re.fullmatch(r"validator/bad_v(\d)\.bpdmn\.json", relpath)
+    if bad is None:
+        return set()
+    return {(f"V{bad[1]}", "warning" if bad[1] == "9" else "error")}
+
+
+@pytest.mark.parametrize("relpath", PATHS)
+def test_fixture_validates_as_its_path_says(relpath):
+    reported = {(d.rule, d.severity.value) for d in validator.validate(load(relpath))}
+    assert reported == expected_diagnostics(relpath)

@@ -133,6 +133,12 @@ def test_resolve_scope_diagram_and_sub_process():
     assert resolve_scope(d, "local") == {"sp", "inner"}
 
 
+def test_store_scope_must_name_a_sub_process():
+    pool = Pool("p", "P", nodes=[Node("s", "S", "start_event_none"), Node("e", "E", "end_event")])
+    with pytest.raises(ModelError, match="scope node 'e' is not a sub-process"):
+        Diagram("d", pools=[pool], stores=[DataStore("st", "S", scope=Scope.of("e"))])
+
+
 def test_qualified_field_names_include_generalization():
     store = DataStore(
         "st",

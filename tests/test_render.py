@@ -33,6 +33,15 @@ def test_black_box_pool_rendered_dashed():
     assert "arrowhead=open" in dot  # message flow styling
 
 
+def test_message_label_names_each_attached_object_once():
+    # eco's mf1 attaches Order_ID in both directions
+    dot = to_dot(load("eco.bpdmn.json"))
+    assert '"t_send" -> "m_start" [style=dashed, arrowhead=open, label="Order_ID"];' in dot
+    # p17's mf1 attaches o as an input only
+    dot = to_dot(load("patterns/p17.bpdmn.json"))
+    assert '"env" -> "t1" [style=dashed, arrowhead=open, label="o"];' in dot
+
+
 def test_quoting_is_safe():
     dot = to_dot(load("eco.bpdmn.json"))
     assert 'label="Archive' not in dot  # sanity: travel-only label absent
