@@ -4,14 +4,16 @@ Store fields become ``DataField`` declarations (``<storeId>.<Entity>.<field>``),
 objects become ``DataObject`` elements referencing their data fields, tasks
 become ``Activity`` elements with ``InputSets``/``OutputSets`` and
 ``ActualParameter`` entries, data mappings become ``Assignments`` blocks, and
-the objects attached to a message flow map to its ``Message`` element.
+the objects attached to a message flow map to its ``Message`` element. Each
+gateway is an ``Activity`` holding a ``Route`` and each event one holding an
+``Event``, so every ``Transition`` names activities of its process.
 
 Some of the model has no place in the package and is left out without a
 warning: task behaviours (effects, store actions, instances) and the
 multi-instance flag; a store's relationships, generalizations, icon and
 collapsed flag; the diagram's start inputs; an object's stereotype,
 physicality, url, state and origin store; the ``optional`` flag of an input;
-and gateways and events, which appear only as the ends of transitions.
+a gateway's condition; and the data inputs and outputs of gateways and events.
 
 Each task references a placeholder ``TaskApplication``; applications proper
 are outside the scope of the generated fragment. The text is written from the
@@ -28,6 +30,16 @@ from .expr import print_expr
 from .model import DataStore, Diagram, Node, node_inputs, node_outputs
 
 _BASIC_TYPES = {"string": "STRING", "number": "FLOAT", "boolean": "BOOLEAN"}
+# gateway and event kinds -> the Route, or the element inside an Event, that
+# their Activity holds, and its attributes
+_ROUTES_AND_EVENTS = {
+    "gateway_exclusive_data": ("Route", {"GatewayType": "Exclusive"}),
+    "gateway_parallel": ("Route", {"GatewayType": "Parallel"}),
+    "start_event_none": ("StartEvent", {"Trigger": "None"}),
+    "start_event_message": ("StartEvent", {"Trigger": "Message"}),
+    "end_event": ("EndEvent", {"Result": "None"}),
+    "intermediate_message": ("IntermediateEvent", {"Trigger": "Message"}),
+}
 
 
 def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
@@ -88,6 +100,8 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
         for node in sorted(pool.iter_nodes(), key=lambda n: n.id):
             if node.kind in ("task", "sub_process"):
                 _write_activity(out, diagram, node, scoped_stores)
+            else:
+                _write_route_or_event(out, node)
         out.close()
         out.open("Transitions")
         for flow in sorted(pool.sequence_flows, key=lambda f: f.id):
@@ -112,6 +126,18 @@ def _write_store_fields(out: XmlWriter, store: DataStore) -> None:
             out.leaf("BasicType", {"Type": _BASIC_TYPES[fld.vtype]})
             out.close()
             out.close()
+
+
+def _write_route_or_event(out: XmlWriter, node: Node) -> None:
+    tag, attrs = _ROUTES_AND_EVENTS[node.kind]
+    out.open("Activity", {"Id": node.id, "Name": node.name})
+    if tag == "Route":
+        out.leaf(tag, attrs)
+    else:
+        out.open("Event")
+        out.leaf(tag, attrs)
+        out.close()
+    out.close()
 
 
 def _actual_parameters(diagram: Diagram, node_id: str) -> list[str]:

@@ -24,7 +24,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 Value = str | int | float | bool | None
 
@@ -296,56 +296,67 @@ def print_expr(e: Expression) -> str:
 # Evaluator
 
 
-def _truthy(value: Value, context: str) -> bool:
+def _truthy(value: Value, connective: str) -> bool:
     # null in a boolean position counts as false (optional-input rule)
     if value is None:
         return False
     if isinstance(value, bool):
         return value
-    raise ExprTypeError(f"expected boolean in {context}, got {value!r}")
+    raise ExprTypeError(f"expected boolean in '{connective}', got {value!r}")
 
 
-def eval_expr(e: Expression, env: dict[str, Value]) -> Value:
+def eval_expr(e: Expression, env: Mapping[str, Value]) -> Value:
     """Strictly evaluate *e* under *env* (dotted path -> value).
+
+    *env* is read only through ``env[path]``, which must raise
+    :class:`KeyError` for an unbound path; a ``dict`` subclass whose
+    ``__missing__`` reads another mapping qualifies.
 
     Comparisons with a null operand yield false; ``and``/``or``
     short-circuit. Unbound paths raise :class:`UnboundPathError`; comparing
     operands of different scalar types raises :class:`ExprTypeError`.
     """
-    if isinstance(e, Lit):
+    kind = type(e)
+    if kind is Ref:
+        path = ".".join(e.path)
+        try:
+            return env[path]
+        except KeyError:
+            raise UnboundPathError(path) from None
+    if kind is Lit:
         return e.value
-    if isinstance(e, Ref):
-        if e.dotted not in env:
-            raise UnboundPathError(e.dotted)
-        return env[e.dotted]
-    if isinstance(e, Not):
-        return not _truthy(eval_expr(e.operand, env), "'not'")
-    if isinstance(e, BoolOp):
+    if kind is Cmp:
+        return _compare(e.op, eval_expr(e.left, env), eval_expr(e.right, env))
+    if kind is BoolOp:
         decides = _CONNECTIVES[e.op]
         for operand in _chain(e):
-            if _truthy(eval_expr(operand, env), f"'{e.op}'") is decides:
+            if _truthy(eval_expr(operand, env), e.op) is decides:
                 return decides
         return not decides
-    if isinstance(e, Cmp):
-        left = eval_expr(e.left, env)
-        right = eval_expr(e.right, env)
-        return _compare(e.op, left, right)
+    if kind is Not:
+        return not _truthy(eval_expr(e.operand, env), "not")
     raise TypeError(f"not an expression: {e!r}")
 
 
+def _numeric(value: Value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _compare(op: str, left: Value, right: Value) -> bool:
+    compare, _ = _RELOPS.get(op, (None, None))
+    # two ints, two floats or two strs compare as they are
+    if compare is not None and type(left) is type(right) and type(left) in (int, float, str):
+        return compare(left, right)
     if left is None or right is None:
         return False
-    compare, _ = _RELOPS.get(op, (None, None))
     if compare is None:
         raise ExprTypeError(f"unknown operator {op!r}")
-    numeric = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
     if isinstance(left, bool) or isinstance(right, bool):
         if not (isinstance(left, bool) and isinstance(right, bool)):
             raise ExprTypeError(f"cannot compare {left!r} with {right!r}")
         if compare not in (operator.eq, operator.ne):
             raise ExprTypeError(f"ordering comparison {op!r} not defined for booleans")
-    elif not (numeric(left) and numeric(right)) and not (isinstance(left, str) and isinstance(right, str)):
+    elif not (_numeric(left) and _numeric(right)) and not (isinstance(left, str) and isinstance(right, str)):
         raise ExprTypeError(f"cannot compare {left!r} with {right!r}")
     return compare(left, right)
 

@@ -35,9 +35,10 @@ unless it has a store-channel input. ``step`` still checks the node it fires.
 
 The state carries ``env``, the bindings flattened to ``object.path`` names,
 kept up to date by ``_bind_object``; guards, effects, mappings, store inserts
-and store filters evaluate against it (filters and the multi-instance
-``instance.index`` through an overlay), so no environment is rebuilt per
-evaluation.
+and store filters evaluate against it, so no environment is rebuilt per
+evaluation. A store filter reads a record's fields, and effects and inserts
+read ``instance.index``, through an ``_Overlay``: a ``dict`` of those few
+entries whose misses read ``env``.
 
 The oracle's outcome for a path is ``completed`` less the start events
 ``init`` completed, which never fire: the nodes the path fired.
@@ -46,7 +47,6 @@ The oracle's outcome for a path is ``completed`` less the start events
 from __future__ import annotations
 
 import random
-from collections import ChainMap
 from dataclasses import dataclass, field
 
 from .expr import ExprError, Value, eval_expr
@@ -76,6 +76,20 @@ class StuckGatewayError(SimulationError):
 
 Record = dict[str, Value]
 Bindings = dict[str, dict[str, Value]]  # object id -> variable path -> value
+
+
+class _Overlay(dict):
+    """Its own entries over *outer*: ``[]`` on a key it lacks reads *outer*,
+    and raises :class:`KeyError` when *outer* lacks it too."""
+
+    __slots__ = ("outer",)
+
+    def __init__(self, entries: dict[str, Value], outer: dict[str, Value]) -> None:
+        super().__init__(entries)
+        self.outer = outer
+
+    def __missing__(self, key: str) -> Value:
+        return self.outer[key]
 
 
 @dataclass
@@ -246,9 +260,10 @@ def _matching_record(state: ExecutionState, action: StoreRead) -> Record | None:
             continue
         if action.filter is None:
             return record
-        fields = {key: value for key, value in record.items() if key != "__entity__"}
+        fields = _Overlay(record, state.env)
+        del fields["__entity__"]
         try:
-            if eval_expr(action.filter, ChainMap(fields, state.env)) is True:
+            if eval_expr(action.filter, fields) is True:
                 return record
         except ExprError:
             continue
@@ -367,8 +382,7 @@ def _apply_mappings(
 def _run_behavior(state: ExecutionState, node: Node, behavior: TaskBehavior, trace: Trace, step: int) -> None:
     instances = behavior.instances if node.multi_instance else 1
     for index in range(1, instances + 1):
-        counter = {"instance.index": index}
-        env = ChainMap(counter, state.env)
+        env = _Overlay({"instance.index": index}, state.env)
         for effect in behavior.effects:
             try:
                 value = eval_expr(effect.expr, env)
@@ -376,7 +390,7 @@ def _run_behavior(state: ExecutionState, node: Node, behavior: TaskBehavior, tra
                 raise SimulationError(f"behavior of {node.id}: {exc}") from exc
             _bind_object(state, trace, step, effect.target_object, {effect.target_path: value})
             # an effect on an object named "instance" shadows the counter
-            counter.pop(f"{effect.target_object}.{effect.target_path}", None)
+            env.pop(f"{effect.target_object}.{effect.target_path}", None)
         for action in behavior.store_actions:
             if not isinstance(action, StoreInsert):
                 continue  # store reads bind before the behavior runs, in step
@@ -465,18 +479,18 @@ def step(state: ExecutionState, diagram: Diagram, node_id: str) -> tuple[Executi
     trace: Trace = []
     trace.append(NodeFired(current, node_id))
 
-    # consume tokens
-    incoming = diagram.index.in_flows.get(node_id, ())
-    if node.kind == "gateway_exclusive_data":
-        for flow in incoming:
-            if state.tokens.get(flow.id, 0) > 0:
-                state.tokens[flow.id] -= 1
+    # consume tokens: one from each marked flow in, or from the first for an
+    # exclusive merge; a flow whose count reaches 0 leaves ``state.tokens``
+    tokens, exclusive = state.tokens, node.kind == "gateway_exclusive_data"
+    for flow in diagram.index.in_flows.get(node_id, ()):
+        count = tokens.get(flow.id, 0)
+        if count > 0:
+            if count == 1:
+                del tokens[flow.id]
+            else:
+                tokens[flow.id] = count - 1
+            if exclusive:
                 break
-    else:
-        for flow in incoming:
-            if state.tokens.get(flow.id, 0) > 0:
-                state.tokens[flow.id] -= 1
-    state.tokens = {k: v for k, v in state.tokens.items() if v > 0}
 
     _receive_messages(state, diagram, node, trace, current)
     state.pending_starts.discard(node_id)

@@ -8,8 +8,13 @@ import pytest
 from bpdmn import validator
 from bpdmn.codegen_xpdl import GenerationError, to_xpdl
 from bpdmn.format import parse_diagram
+from bpdmn.model import Diagram, Node, Pool, SequenceFlow
 
 from conftest import fixture_text, load
+from test_fixtures import PATHS, expected_diagnostics
+
+# the fixtures with no validation error, which to_xpdl translates
+TRANSLATABLE = [p for p in PATHS if all(severity != "error" for _, severity in expected_diagnostics(p))]
 
 
 @pytest.fixture
@@ -108,6 +113,33 @@ def test_no_data_construct_is_lost(eco, eco_xpdl):
     assert len(root.findall(".//DataField[@Name]")) == scalar_fields
     mapping_rules = sum(len(m.rules) for m in eco.mappings)
     assert len(root.findall(".//Assignment")) == mapping_rules
+
+
+@pytest.mark.parametrize("relpath", TRANSLATABLE)
+def test_every_transition_joins_activities_of_its_process(relpath):
+    root = ET.fromstring(to_xpdl(load(relpath))[0])
+    for process in root.iter("WorkflowProcess"):
+        activities = {activity.get("Id") for activity in process.iter("Activity")}
+        ends = {t.get(end) for t in process.iter("Transition") for end in ("From", "To")}
+        assert ends <= activities
+
+
+def test_gateways_and_events_become_routes_and_events():
+    root = ET.fromstring(to_xpdl(load("travel.bpdmn.json"))[0])
+    assert root.find(".//Activity[@Id='gw']/Route").attrib == {"GatewayType": "Exclusive"}
+    assert root.find(".//Activity[@Id='join']/Route").attrib == {"GatewayType": "Parallel"}
+    assert root.find(".//Activity[@Id='n_start']/Event/StartEvent").attrib == {"Trigger": "Message"}
+    assert root.find(".//Activity[@Id='n_end']/Event/EndEvent").attrib == {"Result": "None"}
+    p9 = ET.fromstring(to_xpdl(load("patterns/p9.bpdmn.json"))[0])
+    assert p9.find(".//Activity[@Id='s']/Event/StartEvent").attrib == {"Trigger": "None"}
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[Node("s", "S", "start_event_none"), Node("m1", "M1", "intermediate_message"), Node("e", "E", "end_event")],
+        sequence_flows=[SequenceFlow("f1", "s", "m1"), SequenceFlow("f2", "m1", "e")],
+    )
+    waits = ET.fromstring(to_xpdl(Diagram("d", pools=[pool]))[0])
+    assert waits.find(".//Activity[@Id='m1']/Event/IntermediateEvent").attrib == {"Trigger": "Message"}
 
 
 def test_one_workflow_process_per_modeled_pool(eco_xpdl):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import pytest
@@ -16,11 +17,16 @@ from bpdmn.expr import (
     Not,
     Ref,
     UnboundPathError,
+    Value,
+    _CONNECTIVES,
+    _RELOPS,
+    _chain,
     eval_expr,
     expr_refs,
     parse_expr,
     print_expr,
 )
+from bpdmn.simulator import _Overlay
 
 
 def test_parse_simple_comparison():
@@ -464,3 +470,118 @@ def test_hostile_numbers_are_syntax_errors(text, message, pos):
     with pytest.raises(ExprSyntaxError, match=message) as err:
         parse_expr(text)
     assert pos is None or err.value.position == pos
+
+
+# -- the evaluator before exact-class dispatch, as a reference ---------------
+#
+# `ref_eval_expr`, `_ref_truthy` and `_ref_compare` are the evaluator that
+# dispatches on the class of each node with `isinstance`, unchanged but for
+# their names. The evaluator must give the same value, or raise the same
+# exception class with the same message, for every expression and
+# environment. The reference reads a plain dict with `in`, which a mapping
+# that reads another on a miss does not answer for the other's keys; so it is
+# given every entry in one dict.
+
+
+def _ref_truthy(value: Value, context: str) -> bool:
+    # null in a boolean position counts as false (optional-input rule)
+    if value is None:
+        return False
+    if isinstance(value, bool):
+        return value
+    raise ExprTypeError(f"expected boolean in {context}, got {value!r}")
+
+
+def ref_eval_expr(e, env: dict[str, Value]) -> Value:
+    """Strictly evaluate *e* under *env* (dotted path -> value).
+
+    Comparisons with a null operand yield false; ``and``/``or``
+    short-circuit. Unbound paths raise :class:`UnboundPathError`; comparing
+    operands of different scalar types raises :class:`ExprTypeError`.
+    """
+    if isinstance(e, Lit):
+        return e.value
+    if isinstance(e, Ref):
+        if e.dotted not in env:
+            raise UnboundPathError(e.dotted)
+        return env[e.dotted]
+    if isinstance(e, Not):
+        return not _ref_truthy(ref_eval_expr(e.operand, env), "'not'")
+    if isinstance(e, BoolOp):
+        decides = _CONNECTIVES[e.op]
+        for operand in _chain(e):
+            if _ref_truthy(ref_eval_expr(operand, env), f"'{e.op}'") is decides:
+                return decides
+        return not decides
+    if isinstance(e, Cmp):
+        left = ref_eval_expr(e.left, env)
+        right = ref_eval_expr(e.right, env)
+        return _ref_compare(e.op, left, right)
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _ref_compare(op: str, left: Value, right: Value) -> bool:
+    if left is None or right is None:
+        return False
+    compare, _ = _RELOPS.get(op, (None, None))
+    if compare is None:
+        raise ExprTypeError(f"unknown operator {op!r}")
+    numeric = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+    if isinstance(left, bool) or isinstance(right, bool):
+        if not (isinstance(left, bool) and isinstance(right, bool)):
+            raise ExprTypeError(f"cannot compare {left!r} with {right!r}")
+        if compare not in (operator.eq, operator.ne):
+            raise ExprTypeError(f"ordering comparison {op!r} not defined for booleans")
+    elif not (numeric(left) and numeric(right)) and not (isinstance(left, str) and isinstance(right, str)):
+        raise ExprTypeError(f"cannot compare {left!r} with {right!r}")
+    return compare(left, right)
+
+
+def _evaluated(evaluate, e, env):
+    """The repr of what *evaluate* gives (which tells 1 from 1.0 and True,
+    and reads NaN as itself), or the class and message of its error."""
+    try:
+        return repr(evaluate(e, env))
+    except ExprError as exc:
+        return type(exc), str(exc)
+
+
+_values = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(), st.text(alphabet="abc'", max_size=3)
+)
+
+
+def _environment(e, data) -> dict[str, Value]:
+    """Values for some of the paths *e* reads; the others stay unbound."""
+    return {ref: data.draw(_values) for ref in sorted(expr_refs(e)) if data.draw(st.booleans())}
+
+
+@settings(max_examples=300)
+@given(_exprs(), st.data())
+def test_eval_matches_the_reference_on_a_dict(e, data):
+    env = _environment(e, data)
+    assert _evaluated(eval_expr, e, env) == _evaluated(ref_eval_expr, e, env)
+
+
+@settings(max_examples=300)
+@given(_exprs(), st.data())
+def test_eval_matches_the_reference_on_an_overlay(e, data):
+    env = _environment(e, data)
+    own = {path for path in env if data.draw(st.booleans())}
+    overlay = _Overlay({p: v for p, v in env.items() if p in own}, {p: v for p, v in env.items() if p not in own})
+    assert _evaluated(eval_expr, e, overlay) == _evaluated(ref_eval_expr, e, env)
+
+
+@pytest.mark.parametrize(
+    "text, env, expected",
+    [
+        ("1 = 1.0", {}, "True"),
+        ("true = 1", {}, (ExprTypeError, "cannot compare True with 1")),
+        ("o.x < 'a'", {"o.x": 3}, (ExprTypeError, "cannot compare 3 with 'a'")),
+        ("o.n and x.y", {"o.n": None}, "False"),
+    ],
+    ids=["int-equals-float", "bool-against-int-raises", "int-against-str-raises", "null-and-unbound-is-false"],
+)
+def test_eval_pinned_cases(text, env, expected):
+    e = parse_expr(text)
+    assert _evaluated(eval_expr, e, env) == _evaluated(ref_eval_expr, e, env) == expected

@@ -4,6 +4,7 @@ import pytest
 
 from bpdmn.model import Diagram, Node, Pool, SequenceFlow
 from bpdmn.simulator import (
+    ExecutionState,
     InitializationError,
     NodeFired,
     ObjectBound,
@@ -368,3 +369,83 @@ def test_a_message_carries_the_objects_its_flow_attaches_as_input():
     assert "rcv" in result.fired_nodes()
     fired = {e.node: e.step for e in result.trace if isinstance(e, NodeFired)}
     assert fired["snd"] < fired["rcv"]
+
+
+def _store_reader(filter_text: str) -> Diagram:
+    """A start, then task r that reads x from store st by *filter_text*."""
+    from bpdmn.expr import parse_expr
+    from bpdmn.model import DataObject, DataStore, Entity, ExplicitDataFlow, StoreRead, TaskBehavior, Variable
+
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[Node("s", "Start", "start_event_none"), Node("r", "Read", "task"), Node("e", "End", "end_event")],
+        sequence_flows=[SequenceFlow("fr", "s", "r"), SequenceFlow("fe", "r", "e")],
+        explicit_data_flows=[ExplicitDataFlow("dr", "st", "r", "x")],
+    )
+    fields = [Variable("slot", "number"), Variable("val", "string")]
+    return Diagram(
+        "d",
+        pools=[pool],
+        stores=[DataStore("st", "St", entities=[Entity("Rec", fields)])],
+        objects=[
+            DataObject("o", "O", variables=[Variable("v", "number")]),
+            DataObject("x", "X", variables=[Variable(f"Rec.{f.name}", f.vtype) for f in fields]),
+        ],
+        behaviors={"r": TaskBehavior(store_actions=[StoreRead("st", "Rec", "x", parse_expr(filter_text))])},
+    )
+
+
+def _reader_state(*records: dict) -> ExecutionState:
+    """A token before r, o.v bound to 2, and *records* of entity Rec in st."""
+    return ExecutionState(
+        tokens={"fr": 1},
+        bindings={"o": {"v": 2}},
+        stores={"st": [{"__entity__": "Rec", **record} for record in records]},
+    )
+
+
+def test_a_filter_reads_record_fields_over_bindings_and_takes_the_first_match():
+    diagram = _store_reader("Rec.slot = o.v")
+    state = _reader_state(
+        {"Rec.slot": 1, "Rec.val": "a"}, {"Rec.slot": 2, "Rec.val": "b"}, {"Rec.slot": 2, "Rec.val": "c"}
+    )
+    assert enabled(state, diagram) == {"r"}
+    state, _ = step(state, diagram, "r")
+    assert state.bindings["x"] == {"Rec.slot": 2, "Rec.val": "b"}
+
+
+def test_a_filter_on_an_unbound_path_skips_the_record():
+    # the first record has no Rec.val, so the filter cannot read it there
+    diagram = _store_reader("Rec.val = 'c' or Rec.slot = o.v")
+    state = _reader_state({"Rec.slot": 2}, {"Rec.slot": 3, "Rec.val": "c"})
+    state, _ = step(state, diagram, "r")
+    assert state.bindings["x"] == {"Rec.slot": 3, "Rec.val": "c"}
+    assert "r" not in enabled(_reader_state({"Rec.slot": 2}), _store_reader("Rec.val = 'c'"))
+
+
+def test_a_filter_never_sees_the_entity_key():
+    diagram = _store_reader("__entity__ = 'Rec'")
+    assert "r" not in enabled(_reader_state({"Rec.slot": 2, "Rec.val": "b"}), diagram)
+
+
+def test_an_effect_on_instance_index_shadows_the_counter_for_its_instance():
+    import dataclasses
+
+    from bpdmn.expr import parse_expr
+    from bpdmn.model import DataObject, Effect, TaskBehavior, Variable
+
+    effects = [
+        Effect("o", "a", parse_expr("instance.index")),
+        Effect("instance", "index", parse_expr("'set'")),
+        Effect("o", "b", parse_expr("instance.index")),
+    ]
+    p13 = load("patterns/p13.bpdmn.json")
+    diagram = dataclasses.replace(
+        p13,
+        objects=[*p13.objects, DataObject("instance", "Instance", variables=[Variable("index", "string")])],
+        behaviors={"t1": TaskBehavior(effects=effects, instances=2)},
+    )
+    binds = [(e.variable, e.value) for e in run(diagram).trace if isinstance(e, ObjectBound) and e.object == "o"]
+    # each instance starts from its own counter, and reads the effect once made
+    assert binds == [("a", 1), ("b", "set"), ("a", 2), ("b", "set")]

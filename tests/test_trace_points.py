@@ -4,8 +4,9 @@ The benchmark's ``--trace 1`` pass rebinds layer entry points from outside
 the package. A name that is renamed away, or no longer called on the path
 the benchmark drives, silently drops its per-layer metrics from the result
 line. This test installs the tracer, runs what a traced benchmark round runs
-on one fixture, and checks that no trace point is absent and every per-layer
-metric the tracer computes is reported.
+on one fixture, and checks that no trace point is absent, every per-layer
+metric the tracer computes is reported, and the simulator's evaluations are
+counted.
 """
 
 from __future__ import annotations
@@ -82,4 +83,8 @@ def test_every_trace_point_is_present_and_reached():
     assert tracer.absent == []
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     expected = {metric["name"] for metric in declared} - MEASURED_BY_RUN
-    assert set(tracing.layer_metrics(tracer, {})) == expected
+    metrics = tracing.layer_metrics(tracer, {})
+    assert set(metrics) == expected
+    # travel's guards are evaluated through simulator.eval_expr, the name the
+    # tracer counts: an evaluation routed around it would read 0 here
+    assert metrics["simulator.eval_calls"] > 0
