@@ -8,6 +8,12 @@ and cumulative import time. The first line is the interpreter's own baseline,
 ``python -X importtime -c pass``. ``bpdmn.cli`` runs as ``__main__``, so it
 is compiled outside the import timer and shows only in the wall time.
 
+The last line is a cost ``-X importtime`` cannot see: the schema readers of
+``bpdmn.format`` are compiled on their first call, not on import. It gives,
+as medians over fresh processes, the time ``format._compile`` takes while
+one ``parse_diagram`` reads MODEL, and the functions and source lines it
+compiles (for a valid MODEL, the readers a valid document uses).
+
 The script runs the ``bpdmn`` of the checkout it sits in; stdlib only::
 
     python3 scripts/import_cost.py [MODEL]     # default fixtures/travel.bpdmn.json
@@ -29,7 +35,32 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
-RUNS = 5
+RUNS = 11
+
+# prints the ms, functions and source lines format._compile spends and
+# compiles while parse_diagram reads the model named by argv[1]
+COMPILE_PROBE = """
+import sys
+from time import perf_counter
+from bpdmn import format
+compile_, spent = format._compile, [0.0, 0, 0]
+def timed(name, params, body, namespace):
+    start = perf_counter()
+    try:
+        return compile_(name, params, body, namespace)
+    finally:
+        spent[0] += (perf_counter() - start) * 1e3
+        spent[1] += 1
+        spent[2] += 1 + len(body)
+format._compile = timed
+with open(sys.argv[1], encoding="utf-8") as model:
+    text = model.read()
+try:
+    format.parse_diagram(text)
+except format.ParseError:
+    pass
+print(*spent)
+"""
 COMMANDS = (
     ("validate",),
     ("translate", "--to", "bpel"),
@@ -40,14 +71,17 @@ COMMANDS = (
 )
 
 
-def _run(args: list[str]) -> tuple[float, dict[str, tuple[int, int]]]:
-    """Wall time in ms and {module: (self us, cumulative us)} of one process."""
+def _python(args: list[str]) -> subprocess.CompletedProcess:
+    """A fresh interpreter run on *args*, importing ``bpdmn`` from this checkout."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60)
+
+
+def _run(args: list[str]) -> tuple[float, dict[str, tuple[int, int]]]:
+    """Wall time in ms and {module: (self us, cumulative us)} of one process."""
     start = perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = _python(["-X", "importtime", *args])
     wall = (perf_counter() - start) * 1e3
     times = {}
     for line in proc.stderr.splitlines():
@@ -75,6 +109,19 @@ def profile(args: list[str]) -> tuple[float, dict[str, tuple[float, float]]]:
     return statistics.median(walls), modules
 
 
+def compile_cost(model: str) -> tuple[float, int, int]:
+    """Median ms, functions and lines of the schema readers one parse of
+    *model* compiles, over RUNS fresh processes."""
+    runs = []
+    for _ in range(RUNS):
+        proc = _python(["-c", COMPILE_PROBE, model])
+        if proc.returncode != 0:
+            raise SystemExit(proc.stderr)
+        ms, functions, lines = proc.stdout.split()
+        runs.append((float(ms), int(functions), int(lines)))
+    return statistics.median(ms for ms, _, _ in runs), runs[0][1], runs[0][2]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("model", nargs="?", default=str(ROOT / "fixtures" / "travel.bpdmn.json"))
@@ -91,6 +138,9 @@ def main() -> None:
         for name in ours:
             self_ms, cumulative_ms = modules[name]
             print(f"  {name:24s} {self_ms:9.2f} {cumulative_ms:14.2f}")
+
+    ms, functions, lines = compile_cost(model)
+    print(f"\n== schema readers one parse compiles: {ms:.2f} ms, {functions} functions, {lines} lines")
 
 
 if __name__ == "__main__":

@@ -8,12 +8,14 @@ the objects attached to a message flow map to its ``Message`` element. Each
 gateway is an ``Activity`` holding a ``Route`` and each event one holding an
 ``Event``, so every ``Transition`` names activities of its process.
 
-Some of the model has no place in the package and is left out without a
-warning: task behaviours (effects, store actions, instances) and the
-multi-instance flag; a store's relationships, generalizations, icon and
+A data-based gateway's condition, and the data inputs and outputs of
+gateways and events, have no place in the package: they are left out with
+one warning per node, naming what it loses. Some of the model is left out
+without a warning: task behaviours (effects, store actions, instances) and
+the multi-instance flag; a store's relationships, generalizations, icon and
 collapsed flag; the diagram's start inputs; an object's stereotype,
-physicality, url, state and origin store; the ``optional`` flag of an input;
-a gateway's condition; and the data inputs and outputs of gateways and events.
+physicality, url, state and origin store; and the ``optional`` flag of an
+input.
 
 Each task references a placeholder ``TaskApplication``; applications proper
 are outside the scope of the generated fragment. The text is written from the
@@ -102,6 +104,12 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
                 _write_activity(out, diagram, node, scoped_stores)
             else:
                 _write_route_or_event(out, node)
+                left_out = _left_out(diagram, node)
+                if left_out:
+                    warnings.append(
+                        f"{node.kind.replace('_', '-')} {node.id} of pool {pool.id}:"
+                        f" {' and '.join(left_out)} left out of the XPDL"
+                    )
         out.close()
         out.open("Transitions")
         for flow in sorted(pool.sequence_flows, key=lambda f: f.id):
@@ -138,6 +146,17 @@ def _write_route_or_event(out: XmlWriter, node: Node) -> None:
         out.leaf(tag, attrs)
         out.close()
     out.close()
+
+
+def _left_out(diagram: Diagram, node: Node) -> list[str]:
+    """What the Activity of gateway or event *node* cannot hold: its
+    condition, and the objects it takes or gives."""
+    left_out = ["its condition"] if node.condition is not None else []
+    for what, links in (("inputs", node_inputs), ("outputs", node_outputs)):
+        objects = sorted({io.object for io in links(diagram, node.id)})
+        if objects:
+            left_out.append(f"its data {what} {', '.join(objects)}")
+    return left_out
 
 
 def _actual_parameters(diagram: Diagram, node_id: str) -> list[str]:

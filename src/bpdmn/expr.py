@@ -137,38 +137,47 @@ class _Token(NamedTuple):
     pos: int
 
 
+# builds a token from a tuple in C, without the Python-level ``_Token.__new__``
+_new_token = tuple.__new__
+
+
 def _tokenize(text: str) -> list[_Token]:
+    """The tokens of *text*, ``eof`` last, in reverse order: the parser reads
+    the next token from the end of the list."""
     tokens: list[_Token] = []
     for match in _TOKEN.finditer(text):
-        kind, word, pos = match.lastgroup, match.group(), match.start()
-        if kind == "space":
+        kind, word = match.lastgroup, match.group()
+        if kind == "ident":
+            if not (word[0].isalpha() or word[0] == "_"):
+                raise ExprSyntaxError(f"unexpected character {word[0]!r}", match.start())
+            if word[-1] == "." or ".." in word:
+                raise ExprSyntaxError(f"malformed path {word!r}", match.start())
+        elif kind == "space":
             continue
-        if kind == "op":
+        elif kind == "op":
             word = _SPELLED[word]
         elif kind == "string":
             word = _ESCAPE.sub(r"\1", word[1:-1]) if "\\" in word else word[1:-1]
         elif kind == "quote":
-            raise ExprSyntaxError("unterminated string literal", pos)
-        elif kind == "other" or (kind == "ident" and not (word[0].isalpha() or word[0] == "_")):
-            raise ExprSyntaxError(f"unexpected character {word[0]!r}", pos)
-        elif kind == "ident" and (word.endswith(".") or ".." in word):
-            raise ExprSyntaxError(f"malformed path {word!r}", pos)
-        tokens.append(_Token(kind, word, pos))
-    tokens.append(_Token("eof", "", len(text)))
+            raise ExprSyntaxError("unterminated string literal", match.start())
+        elif kind == "other":
+            raise ExprSyntaxError(f"unexpected character {word!r}", match.start())
+        tokens.append(_new_token(_Token, (kind, word, match.start())))
+    tokens.append(_new_token(_Token, ("eof", "", len(text))))
+    tokens.reverse()
     return tokens
 
 
-def _number(token: _Token) -> int | float:
-    """The value of a number token: a float when it has a point or an
-    exponent. A number that is not finite, or an integer of more digits than
-    ``int()`` reads, is a syntax error."""
-    text = token.text
+def _number(text: str, pos: int) -> int | float:
+    """The value of the number token *text* at *pos*: a float when it has a
+    point or an exponent. A number that is not finite, or an integer of more
+    digits than ``int()`` reads, is a syntax error."""
     try:
         value = int(text) if text.lstrip("-").isdecimal() else float(text)
     except ValueError:  # an integer of more digits than int() reads
-        raise ExprSyntaxError("number out of range", token.pos) from None
+        raise ExprSyntaxError("number out of range", pos) from None
     if abs(value) == math.inf:
-        raise ExprSyntaxError("number out of range", token.pos)
+        raise ExprSyntaxError("number out of range", pos)
     return value
 
 
@@ -177,48 +186,44 @@ def _number(token: _Token) -> int | float:
 # next token is the last.
 
 
-def _take(tokens: list[_Token], kind: str, text: str | None = None) -> _Token | None:
-    """The next token, consumed, when it is of *kind* (and reads *text*)."""
-    tok = tokens[-1]
-    if tok.kind != kind or (text is not None and tok.text != text):
-        return None
-    return tokens.pop()
-
-
 def _parse(tokens: list[_Token], level: int = 0) -> Expression:
     """The connectives of *level* and tighter, left-associative, or a
     comparison at level ``_COMPARISON``."""
     if level == _COMPARISON:
         left = _parse_term(tokens)
-        op = _take(tokens, "op")
-        return left if op is None else Cmp(op.text, left, _parse_term(tokens))
+        if tokens[-1].kind != "op":
+            return left
+        return Cmp(tokens.pop().text, left, _parse_term(tokens))
     op = _LOOSEST_FIRST[level]
     node = _parse(tokens, level + 1)
-    while _take(tokens, "ident", op):
+    while tokens[-1].text == op and tokens[-1].kind == "ident":
+        tokens.pop()
         node = BoolOp(op, node, _parse(tokens, level + 1))
     return node
 
 
 def _parse_term(tokens: list[_Token]) -> Expression:
-    tok = tokens.pop()
-    if tok.kind == "ident":
-        if tok.text == "not":
+    kind, text, pos = tokens.pop()
+    if kind == "ident":
+        if text == "not":
             return Not(_parse_term(tokens))
-        if tok.text in _BOOLEANS:
-            return Lit(_BOOLEANS[tok.text])
-        if tok.text.split(".", 1)[0] in _KEYWORDS:
-            raise ExprSyntaxError(f"unexpected keyword {tok.text!r}", tok.pos)
-        return Ref(tuple(tok.text.split(".")))
-    if tok.kind == "number":
-        return Lit(_number(tok))
-    if tok.kind == "string":
-        return Lit(tok.text)
-    if tok.kind == "lparen":
+        if text in _BOOLEANS:
+            return Lit(_BOOLEANS[text])
+        path = text.split(".")
+        if path[0] in _KEYWORDS:
+            raise ExprSyntaxError(f"unexpected keyword {text!r}", pos)
+        return Ref(tuple(path))
+    if kind == "number":
+        return Lit(_number(text, pos))
+    if kind == "string":
+        return Lit(text)
+    if kind == "lparen":
         node = _parse(tokens)
-        if _take(tokens, "rparen") is None:
+        if tokens[-1].kind != "rparen":
             raise ExprSyntaxError(f"expected rparen, found {tokens[-1].text or 'end of input'!r}", tokens[-1].pos)
+        tokens.pop()
         return node
-    raise ExprSyntaxError(f"unexpected token {tok.text or 'end of input'!r}", tok.pos)
+    raise ExprSyntaxError(f"unexpected token {text or 'end of input'!r}", pos)
 
 
 def parse_expr(text: str) -> Expression:
@@ -229,7 +234,7 @@ def parse_expr(text: str) -> Expression:
     """
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
-    tokens = _tokenize(text)[::-1]
+    tokens = _tokenize(text)
     try:
         node = _parse(tokens)
     except RecursionError:

@@ -17,15 +17,27 @@ the attributes it names, or a small codec for an irregular key: the store
 ``scope``, an effect's ``target``, an insert's ``assignments``, the
 ``action`` that picks a store action's table, and the ``behaviors`` and
 ``start_inputs`` maps. The rows follow the fields of the element's class,
-and each table compiles into one reader and one writer, so each key of
+and each table compiles into two readers and one writer, so each key of
 each element is written once, in its table.
 
 Reading is strict and coerces nothing. A value of the wrong type, a
 missing required key or an unknown key is a :class:`ParseError`; an absent
-optional key takes its default. ``_Reader.build`` turns a model error into
-a diagnostic and builds no element one of whose fields failed, so each
-fault gives one diagnostic, and a document that parses is written back
-with the same values.
+optional key takes its default. A document is read in one of two passes:
+
+- The fast pass (``_Element.fast``) tests each key in place and builds the
+  diagram. It records no diagnostic: at the first thing it does not accept,
+  it gives up on the whole document. It parses each distinct expression
+  text once per document (``_Exprs``, a memo that lives for one call).
+- The diagnostic pass (``_Element.read``, through the typed readers of
+  ``_Reader``) runs only on a document the fast pass gave up on, and
+  reports every fault it finds. ``_Reader.build`` turns a model error into
+  a diagnostic and builds no element one of whose fields failed, so each
+  fault gives one diagnostic.
+
+Whenever the fast pass accepts a document, the diagnostic pass accepts it
+too and builds an equal diagram, so a valid document pays for no
+diagnostics, and a document that parses is written back with the same
+values.
 """
 
 from __future__ import annotations
@@ -260,6 +272,30 @@ class _Reader:
             return None
 
 
+class _Refused(Exception):
+    """Raised by the fast pass at the first thing it does not accept."""
+
+
+# what makes the fast pass give up on a document and leave it to the reader:
+# a value it does not accept, a model or expression error, or a document
+# deep enough to exhaust the stack
+_GIVE_UP = (_Refused, model.ModelError, ExprError, RecursionError)
+
+
+class _Exprs(dict):
+    """Expression text -> its tree, for one document, so the fast pass parses
+    each distinct text once; ``None``, an absent optional expression, reads
+    as ``None``. Elements may share a tree: expression nodes are frozen
+    dataclasses, and nothing compares them by identity."""
+
+    def __init__(self) -> None:
+        super().__init__({None: None})
+
+    def __missing__(self, text: str) -> Expression:
+        tree = self[text] = parse_expr(text)
+        return tree
+
+
 def parse_diagram(text: str) -> model.Diagram:
     """Parse canonical JSON into a :class:`~bpdmn.model.Diagram`.
 
@@ -288,6 +324,16 @@ def _parse(text: str) -> model.Diagram:
             quoted = json.dumps(bad)
             span = _span_of(text, quoted[1:-1])
             raise ParseError([ParseDiagnostic(span, f"string {quoted} holds a lone surrogate")])
+    try:
+        return _DOCUMENT.fast(_Exprs(), data, 0)
+    except _GIVE_UP:
+        pass  # the reader says why, or finds the document valid after all
+    return _read(text, data)
+
+
+def _read(text: str, data: object) -> model.Diagram:
+    """The diagram of *data*, decoded from *text*, read by the typed readers
+    of :class:`_Reader`, which report every fault they find."""
     reader = _Reader(text)
     if reader.element(data, "document", _DOCUMENT.names) is None:
         raise ParseError(reader.errors)
@@ -338,21 +384,47 @@ class _Kind(NamedTuple):
     """How a key's value is read, by ``read(reader, data, key, where)`` or,
     with ``arg``, ``read(reader, data, key, where, arg)``, and written, by
     ``write(value)`` (as it is when ``None``). A list of elements of class
-    ``of`` is read with ``_TABLES[of].read`` as its ``arg``."""
+    ``of`` is read with ``_TABLES[of].read`` as its ``arg``.
+
+    The fast pass accepts a scalar value when ``check``, the source of a
+    condition on the value ``{0}``, holds; it reads any other value with
+    ``fast(exprs, value, depth)``, or a list of elements with
+    ``_TABLES[of].fast`` for each item."""
 
     read: Callable
     write: Callable | None = None
     of: type | None = None
     arg: object = _NONE
+    check: str | None = None
+    fast: Callable | None = None
 
 
-_STRING = _Kind(_Reader.string, arg=_DEFAULT)
-_OPTIONAL_STRING = _Kind(_Reader.optional_string)
-_FLAG = _Kind(_Reader.flag)
-_INTEGER = _Kind(_Reader.integer, arg=_DEFAULT)
-_EXPR = _Kind(_Reader.expr, print_expr)
-_OPTIONAL_EXPR = _Kind(_Reader.expr, print_expr, arg=True)
-_STRINGS = _Kind(_Reader.strings, sorted)
+_STR = "{0}.__class__ is str"
+_STR_OR_NONE = "({0} is None or {0}.__class__ is str)"
+_STRING = _Kind(_Reader.string, arg=_DEFAULT, check=_STR)
+_OPTIONAL_STRING = _Kind(_Reader.optional_string, check=_STR_OR_NONE)
+_FLAG = _Kind(_Reader.flag, check="{0}.__class__ is bool")
+_INTEGER = _Kind(_Reader.integer, arg=_DEFAULT, check="{0}.__class__ is int")
+_EXPR = _Kind(_Reader.expr, print_expr, check=_STR)
+_OPTIONAL_EXPR = _Kind(_Reader.expr, print_expr, arg=True, check=_STR_OR_NONE)
+
+
+def _fast_items(exprs: _Exprs, values: object, depth: int, fast: Callable) -> list:
+    """The list *values*, found *depth* lists deep, each item read by
+    ``fast(exprs, item, depth + 1)``."""
+    if values.__class__ is not list or depth == _MAX_NESTING:
+        raise _Refused
+    depth += 1
+    return [fast(exprs, item, depth) for item in values]
+
+
+def _fast_strings(_exprs: _Exprs, values: object, _depth: int) -> list[str]:
+    if values.__class__ is not list or any(value.__class__ is not str for value in values):
+        raise _Refused
+    return values
+
+
+_STRINGS = _Kind(_Reader.strings, sorted, fast=_fast_strings)
 
 
 def _items(cls: type, *order: str) -> _Kind:
@@ -472,6 +544,51 @@ class _Element:
         return _compile("read_fields", "reader, item, where", body, namespace)
 
     @cached_property
+    def fast(self) -> Callable:
+        """``fast(exprs, data, depth)``: the element *data*, found *depth*
+        lists deep, its expressions parsed through the memo *exprs*; raises
+        one of ``_GIVE_UP`` at the first thing it does not accept. Its scalar
+        keys are tested by one condition, and only a list, a map or an
+        irregular key costs a call."""
+        namespace = {"cls": self.cls, "names": self.names, "Refused": _Refused, "items": _fast_items}
+        checks = [f"get({self.tag[0]!r}) == {self.tag[1]!r}"] if self.tag else []
+        gets: list[str] = []
+        reads: list[str] = []
+        arguments = []
+        for i, key in enumerate(self.keys):
+            kind, name, default = key.kind, repr(key.name), key.default
+            absent = "" if default is _REQUIRED or default is None else ", f0" if default is _ID else f", {default!r}"
+            value = f"f{i}"
+            if kind.check is not None:
+                gets.append(f"{value} = get({name}{absent})")
+                checks.append(kind.check.format(value))
+                if kind.read is _Reader.expr:
+                    value = f"exprs[{value}]"
+            else:
+                if kind.of is None:
+                    namespace[f"fast{i}"] = kind.fast
+                    call = f"fast{i}(exprs, {{}}, depth)"
+                else:
+                    namespace[f"of{i}"] = _TABLES[kind.of]
+                    call = f"items(exprs, {{}}, depth, of{i}.fast)"
+                if default in ([], {}):  # an absent list or map reads as a new empty one
+                    reads.append(f"{value} = {call.format(f'data[{name}]')} if {name} in data else {default!r}")
+                else:
+                    reads.append(f"{value} = {call.format(f'get({name}{absent})')}")
+            arguments.append(("*" if len(key.fields) > 1 else "") + value)
+        body = [
+            "if data.__class__ is not dict or not names.issuperset(data):",
+            "    raise Refused",
+            "get = data.get",
+            *gets,
+            f"if not ({' and '.join(checks) or 'True'}):",
+            "    raise Refused",
+            *reads,
+            f"return cls({', '.join(arguments)})",
+        ]
+        return _compile("fast", "exprs, data, depth", body, namespace)
+
+    @cached_property
     def write(self) -> Callable:
         """``write(element)``: *element* as the object a document holds."""
         namespace: dict = {}
@@ -504,6 +621,13 @@ def _decode_scope(reader: _Reader, data: dict, key: str, where: str, default: st
     return reader.build(data.get("id"), model.Scope, kind, node if sep else None)
 
 
+def _fast_scope(_exprs: _Exprs, scope: object, _depth: int) -> model.Scope:
+    if scope.__class__ is not str:
+        raise _Refused
+    kind, sep, node = scope.partition(":")
+    return model.Scope(kind, node if sep else None)
+
+
 def _decode_target(reader: _Reader, data: dict, key: str, where: str) -> tuple[str, str]:
     target = reader.string(data, key, where)
     obj, dot, path = target.partition(".")
@@ -512,9 +636,22 @@ def _decode_target(reader: _Reader, data: dict, key: str, where: str) -> tuple[s
     return obj, path
 
 
+def _fast_target(_exprs: _Exprs, target: object, _depth: int) -> tuple[str, str]:
+    if target.__class__ is not str or "." not in target:
+        raise _Refused
+    obj, _, path = target.partition(".")
+    return obj, path
+
+
 def _decode_assignments(reader: _Reader, data: dict, key: str, where: str) -> dict:
     assignments = reader.entries(data, key, where)
     return {name: reader.expr(assignments, name, where) for name in assignments}
+
+
+def _fast_assignments(exprs: _Exprs, assignments: object, _depth: int) -> dict:
+    if assignments.__class__ is not dict or any(text.__class__ is not str for text in assignments.values()):
+        raise _Refused
+    return {name: exprs[text] for name, text in assignments.items()}
 
 
 def _decode_store_action(reader: _Reader, data: object, node_id: str):
@@ -526,6 +663,17 @@ def _decode_store_action(reader: _Reader, data: object, node_id: str):
     return table.read(reader, data, node_id)
 
 
+def _fast_store_actions(exprs: _Exprs, actions: object, depth: int) -> list:
+    return _fast_items(exprs, actions, depth, _fast_store_action)
+
+
+def _fast_store_action(exprs: _Exprs, data: object, depth: int):
+    action = data.get("action") if data.__class__ is dict else None
+    if action.__class__ is not str or action not in _ACTIONS:
+        raise _Refused
+    return _ACTIONS[action].fast(exprs, data, depth)
+
+
 def _decode_behaviors(reader: _Reader, data: dict, key: str, where: str) -> dict:
     out = {}
     for node_id, spec in reader.entries(data, key, where).items():
@@ -533,6 +681,13 @@ def _decode_behaviors(reader: _Reader, data: dict, key: str, where: str) -> dict
         if behavior is not None:
             out[node_id] = behavior
     return out
+
+
+def _fast_behaviors(exprs: _Exprs, behaviors: object, depth: int) -> dict:
+    if behaviors.__class__ is not dict:
+        raise _Refused
+    fast = _BEHAVIOR.fast
+    return {node_id: fast(exprs, spec, depth) for node_id, spec in behaviors.items()}
 
 
 def _decode_start_inputs(reader: _Reader, data: dict, key: str, where: str) -> dict:
@@ -545,26 +700,41 @@ def _decode_start_inputs(reader: _Reader, data: dict, key: str, where: str) -> d
     return out
 
 
+def _fast_start_inputs(_exprs: _Exprs, inputs: object, _depth: int) -> dict:
+    if inputs.__class__ is not dict or any(
+        bindings.__class__ is not dict or not all(map(is_scalar, bindings.values())) for bindings in inputs.values()
+    ):
+        raise _Refused
+    return inputs
+
+
 _SCOPE = _Kind(
     _decode_scope,
     lambda scope: "diagram" if scope.kind == "diagram" else f"sub_process:{scope.sub_process}",
     arg=_DEFAULT,
+    fast=_fast_scope,
 )
-_TARGET = _Kind(_decode_target, lambda target: f"{target[0]}.{target[1]}")
+_TARGET = _Kind(_decode_target, lambda target: f"{target[0]}.{target[1]}", fast=_fast_target)
 _ASSIGNMENTS = _Kind(
-    _decode_assignments, lambda assignments: {name: print_expr(e) for name, e in sorted(assignments.items())}
+    _decode_assignments,
+    lambda assignments: {name: print_expr(e) for name, e in sorted(assignments.items())},
+    fast=_fast_assignments,
 )
 _STORE_ACTIONS = _Kind(
     _Reader.items,
     lambda actions: [_TABLES[type(action)].write(action) for action in actions],
     arg=_decode_store_action,
+    fast=_fast_store_actions,
 )
 _BEHAVIORS = _Kind(
-    _decode_behaviors, lambda behaviors: {node: _BEHAVIOR.write(b) for node, b in sorted(behaviors.items())}
+    _decode_behaviors,
+    lambda behaviors: {node: _BEHAVIOR.write(b) for node, b in sorted(behaviors.items())},
+    fast=_fast_behaviors,
 )
 _START_INPUTS = _Kind(
     _decode_start_inputs,
     lambda inputs: {obj: dict(sorted(values.items())) for obj, values in sorted(inputs.items())},
+    fast=_fast_start_inputs,
 )
 
 _ATTACHMENTS = _items(model.ObjectAttachment, "object", "direction")

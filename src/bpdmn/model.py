@@ -363,48 +363,47 @@ class Diagram:
     start_inputs: dict[str, dict[str, Value]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._check_unique_ids()
-        self._check_references()
+        self._check_references(self._check_unique_ids())
 
     # -- construction checks
 
-    def _check_unique_ids(self) -> None:
+    def _check_unique_ids(self) -> list[list[Node]]:
+        """The nodes of each pool, sub-process children included, found in
+        the one walk of the pools that checks no identifier is used twice."""
         seen: set[str] = set()
 
-        def add(kind: str, ident: str) -> None:
-            if ident in seen:
-                raise ModelError(f"duplicate identifier {ident!r} ({kind})")
-            seen.add(ident)
+        def add(kind: str, idents: list[str]) -> None:
+            for ident in idents:
+                if ident in seen:
+                    raise ModelError(f"duplicate identifier {ident!r} ({kind})")
+                seen.add(ident)
 
-        add("diagram", self.id)
+        add("diagram", [self.id])
+        pool_nodes = []
         for pool in self.pools:
-            add("pool", pool.id)
-            for node in pool.iter_nodes():
-                add("node", node.id)
-            for flow in pool.sequence_flows:
-                add("sequence flow", flow.id)
-            for flow in pool.explicit_data_flows:
-                add("data flow", flow.id)
-        for store in self.stores:
-            add("store", store.id)
-        for obj in self.objects:
-            add("object", obj.id)
-        for mapping in self.mappings:
-            add("mapping", mapping.id)
-        for flow in self.message_flows:
-            add("message flow", flow.id)
+            nodes = list(pool.iter_nodes())
+            pool_nodes.append(nodes)
+            add("pool", [pool.id])
+            add("node", [node.id for node in nodes])
+            add("sequence flow", [flow.id for flow in pool.sequence_flows])
+            add("data flow", [flow.id for flow in pool.explicit_data_flows])
+        add("store", [store.id for store in self.stores])
+        add("object", [obj.id for obj in self.objects])
+        add("mapping", [mapping.id for mapping in self.mappings])
+        add("message flow", [flow.id for flow in self.message_flows])
+        return pool_nodes
 
-    def _check_references(self) -> None:
-        node_kinds = {n.id: n.kind for n in self.iter_nodes()}
+    def _check_references(self, pool_nodes: list[list[Node]]) -> None:
+        node_kinds = {node.id: node.kind for nodes in pool_nodes for node in nodes}
         stores = {s.id: s for s in self.stores}
         object_ids = {o.id for o in self.objects}
         pool_ids = {p.id for p in self.pools}
 
-        for pool in self.pools:
-            pool_nodes = {n.id for n in pool.iter_nodes()}
+        for pool, nodes in zip(self.pools, pool_nodes):
+            node_ids = {node.id for node in nodes}
             for flow in pool.sequence_flows:
                 for end in (flow.source, flow.target):
-                    if end not in pool_nodes:
+                    if end not in node_ids:
                         raise ModelError(
                             f"sequence flow {flow.id}: endpoint {end!r} is not a node of pool {pool.id}"
                         )
@@ -420,7 +419,7 @@ class Diagram:
                         raise ModelError(f"data flow {flow.id}: unknown endpoint {end!r}")
                 if flow.object not in object_ids:
                     raise ModelError(f"data flow {flow.id}: unknown object {flow.object!r}")
-            for node in pool.iter_nodes():
+            for node in nodes:
                 for sid in node.local_stores:
                     if sid not in stores:
                         raise ModelError(f"node {node.id}: unknown local store {sid!r}")

@@ -7,6 +7,7 @@ import pytest
 
 from bpdmn import validator
 from bpdmn.codegen_xpdl import GenerationError, to_xpdl
+from bpdmn.expr import parse_expr
 from bpdmn.format import parse_diagram
 from bpdmn.model import Diagram, Node, Pool, SequenceFlow
 
@@ -140,6 +141,33 @@ def test_gateways_and_events_become_routes_and_events():
     )
     waits = ET.fromstring(to_xpdl(Diagram("d", pools=[pool]))[0])
     assert waits.find(".//Activity[@Id='m1']/Event/IntermediateEvent").attrib == {"Trigger": "Message"}
+
+
+def test_what_a_gateway_or_event_loses_is_named_in_one_warning_per_node():
+    _, warnings = to_xpdl(load("travel.bpdmn.json"))
+    assert warnings == [
+        "end-event n_end of pool travel_agency: its data inputs plan left out of the XPDL",
+        "start-event-message n_start of pool travel_agency: its data outputs input left out of the XPDL",
+    ]
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[
+            Node("s", "S", "start_event_none"),
+            Node("g", "G", "gateway_exclusive_data", condition=parse_expr("o.v = 1")),
+            Node("a", "A", "task"),
+            Node("b", "B", "task"),
+            Node("e", "E", "end_event"),
+        ],
+        sequence_flows=[
+            SequenceFlow("f1", "s", "g"),
+            SequenceFlow("f2", "g", "a", guard=parse_expr("true")),
+            SequenceFlow("f3", "g", "b"),
+            SequenceFlow("f4", "a", "e"),
+            SequenceFlow("f5", "b", "e"),
+        ],
+    )
+    assert to_xpdl(Diagram("d", pools=[pool]))[1] == ["gateway-exclusive-data g of pool p: its condition left out of the XPDL"]
 
 
 def test_one_workflow_process_per_modeled_pool(eco_xpdl):

@@ -629,3 +629,110 @@ def test_escaped_surrogate_pair_round_trips():
     canonical = serialize_diagram(parse_diagram(text))
     assert '"smile \U0001f600"' in canonical
     assert serialize_diagram(parse_diagram(canonical)) == canonical
+
+
+# ---------------------------------------------------------------------------
+# The two passes: the fast pass builds a diagram without diagnostics or gives
+# up, and the diagnostic reader runs only on a document it gave up on.
+
+
+def _passes(text: str) -> tuple[model.Diagram | None, model.Diagram | None]:
+    """What the fast pass and the diagnostic reader each make of the JSON
+    document *text*: its diagram, or ``None`` when the pass refuses it."""
+    data = json.loads(text)
+    try:
+        fast = fmt._DOCUMENT.fast(fmt._Exprs(), data, 0)
+    except fmt._GIVE_UP:
+        fast = None
+    try:
+        read = fmt._read(text, data)
+    except ParseError:
+        read = None
+    return fast, read
+
+
+def _assert_passes_agree(text: str) -> None:
+    """A document the fast pass accepts, the reader accepts as an equal
+    diagram; a document the reader refuses, the fast pass refuses."""
+    fast, read = _passes(text)
+    if fast is not None:
+        assert read == fast, text
+    if read is None:
+        assert fast is None, text
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_fast_pass_accepts_only_what_the_reader_accepts_alike(seed):
+    doc = json.loads(serialize_diagram(random_diagram(seed)))
+    _assert_passes_agree(json.dumps(doc))
+    for path, value in _mutations(doc):
+        _assert_passes_agree(json.dumps(_mutant(doc, path, value)))
+
+
+@pytest.mark.parametrize("name", FUZZ_DOCUMENTS)
+def test_the_fast_pass_agrees_with_the_reader_on_every_mutant(name):
+    doc, mutations = _fuzz_cases(name)
+    assert None not in _passes(json.dumps(doc))
+    for path, value in mutations:
+        _assert_passes_agree(json.dumps(_mutant(doc, path, value)))
+
+
+def test_the_fast_pass_agrees_with_the_reader_on_fuzz_inputs():
+    for seed in range(300):
+        text = fuzz_input(seed)
+        try:
+            json.loads(text)
+        except ValueError:
+            continue  # refused before either pass runs
+        _assert_passes_agree(text)
+
+
+# (path to the holder, list-valued key) of the lists a null must not empty
+NULL_LISTS = [(("pools", 0, "sequence_flows", 0), "attachments"), (("pools", 0), "sequence_flows"), ((), "objects")]
+
+
+@pytest.mark.parametrize("path, key", NULL_LISTS, ids=[key for _, key in NULL_LISTS])
+def test_a_null_list_is_refused_by_both_passes_not_read_as_absent(path, key):
+    doc = _document()
+    holder = doc
+    for step in path:
+        holder = holder[step]
+    holder[key] = None
+    text = json.dumps(doc)
+    assert _passes(text) == (None, None)
+    with pytest.raises(ParseError, match=f"'{key}' of .* must be a list"):
+        parse_diagram(text)
+
+
+def _same_guard_document(guard: str) -> str:
+    """`_document()` with a second flow, and *guard* on both flows."""
+    doc = _document()
+    pool = doc["pools"][0]
+    pool["nodes"].append({"id": "t", "name": "t", "kind": "task"})
+    pool["sequence_flows"][0]["guard"] = guard
+    pool["sequence_flows"].append({"id": "f2", "source": "sp", "target": "t", "guard": guard})
+    return json.dumps(doc, indent=2)
+
+
+def test_each_expression_text_is_parsed_once_per_document(monkeypatch):
+    parse_expr, parsed = fmt.parse_expr, []
+    monkeypatch.setattr(fmt, "parse_expr", lambda text: parsed.append(text) or parse_expr(text))
+    text = _same_guard_document("o.v = 1")
+    diagram = parse_diagram(text)
+    assert sorted(parsed) == ["1", "o.v = 1"]
+    first, second = diagram.pools[0].sequence_flows
+    assert first.guard == second.guard == parse_expr("o.v = 1")
+    # nothing parsed outlives the call: a second parse parses each text again
+    parse_diagram(text)
+    assert sorted(parsed) == ["1", "1", "o.v = 1", "o.v = 1"]
+
+
+def test_a_bad_expression_on_two_flows_gives_two_located_diagnostics():
+    with pytest.raises(ParseError) as info:
+        parse_diagram(_same_guard_document("o.v = = 1"))
+    diagnostics = info.value.diagnostics
+    assert [d.message.split(":")[0] for d in diagnostics] == [
+        "bad expression in guard of flow f",
+        "bad expression in guard of flow f2",
+    ]
+    assert all(d.span.line > 1 for d in diagnostics)
