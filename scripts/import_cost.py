@@ -8,11 +8,13 @@ and cumulative import time. The first line is the interpreter's own baseline,
 ``python -X importtime -c pass``. ``bpdmn.cli`` runs as ``__main__``, so it
 is compiled outside the import timer and shows only in the wall time.
 
-The last line is a cost ``-X importtime`` cannot see: the schema readers of
-``bpdmn.format`` are compiled on their first call, not on import. It gives,
-as medians over fresh processes, the time ``format._compile`` takes while
-one ``parse_diagram`` reads MODEL, and the functions and source lines it
-compiles (for a valid MODEL, the readers a valid document uses).
+The last line is a cost ``-X importtime`` cannot see: ``bpdmn.format``
+compiles the fast pass of each schema table (and its writer, when a diagram
+is serialized) on first use, not on import. It gives, as medians over fresh
+processes, the time ``format._compile`` takes while one ``parse_diagram``
+reads MODEL, and the functions and source lines it compiles: the fast pass
+of each table the parse reaches, whether MODEL is valid or refused (the
+diagnostic pass a refused MODEL takes compiles nothing).
 
 The script runs the ``bpdmn`` of the checkout it sits in; stdlib only::
 
@@ -110,8 +112,8 @@ def profile(args: list[str]) -> tuple[float, dict[str, tuple[float, float]]]:
 
 
 def compile_cost(model: str) -> tuple[float, int, int]:
-    """Median ms, functions and lines of the schema readers one parse of
-    *model* compiles, over RUNS fresh processes."""
+    """Median ms, functions and lines of the fast pass one parse of *model*
+    compiles, over RUNS fresh processes."""
     runs = []
     for _ in range(RUNS):
         proc = _python(["-c", COMPILE_PROBE, model])
@@ -140,7 +142,7 @@ def main() -> None:
             print(f"  {name:24s} {self_ms:9.2f} {cumulative_ms:14.2f}")
 
     ms, functions, lines = compile_cost(model)
-    print(f"\n== schema readers one parse compiles: {ms:.2f} ms, {functions} functions, {lines} lines")
+    print(f"\n== fast pass one parse compiles: {ms:.2f} ms, {functions} functions, {lines} lines")
 
 
 if __name__ == "__main__":

@@ -10,29 +10,30 @@ trailing newline, so golden-file comparisons stay byte-stable.
 The schema is one table per element type (``_TABLES``; ``_DOCUMENT`` is the
 document's). A row names a key and gives its kind, its default (the value
 an absent key reads as) and whether the writer leaves the key out when it
-holds that default. A kind is one of the typed readers of ``_Reader``
-(``string``, ``optional_string``, ``flag``, ``integer``, ``expr``,
-``strings``), a list of the elements of another table, written sorted by
-the attributes it names, or a small codec for an irregular key: the store
-``scope``, an effect's ``target``, an insert's ``assignments``, the
-``action`` that picks a store action's table, and the ``behaviors`` and
-``start_inputs`` maps. The rows follow the fields of the element's class,
-and each table compiles into two readers and one writer, so each key of
-each element is written once, in its table.
+holds that default. A kind (``_Kind``) is a scalar one, which states once
+the condition a value must meet (a string, an optional string, a boolean,
+an integer, an expression, a list of strings), a list of the elements of
+another table, written sorted by the attributes it names, or a small codec
+for an irregular key: the store ``scope``, an effect's ``target``, an
+insert's ``assignments``, the ``action`` that picks a store action's table,
+and the ``behaviors`` and ``start_inputs`` maps. The rows follow the fields
+of the element's class, so each key of each element is written once, in
+its table.
 
 Reading is strict and coerces nothing. A value of the wrong type, a
 missing required key or an unknown key is a :class:`ParseError`; an absent
 optional key takes its default. A document is read in one of two passes:
 
-- The fast pass (``_Element.fast``) tests each key in place and builds the
+- The fast pass (``_Element.fast``, compiled from each table like the
+  writer, ``_Element.write``) tests each key in place and builds the
   diagram. It records no diagnostic: at the first thing it does not accept,
   it gives up on the whole document. It parses each distinct expression
   text once per document (``_Exprs``, a memo that lives for one call).
-- The diagnostic pass (``_Element.read``, through the typed readers of
-  ``_Reader``) runs only on a document the fast pass gave up on, and
-  reports every fault it finds. ``_Reader.build`` turns a model error into
-  a diagnostic and builds no element one of whose fields failed, so each
-  fault gives one diagnostic.
+- The diagnostic pass (``_Element.read``, one loop over a table's rows
+  through ``_Reader``) runs only on a document the fast pass gave up on,
+  and reports every fault it finds. ``_Reader.build`` turns a model error
+  into a diagnostic and builds no element one of whose fields failed, so
+  each fault gives one diagnostic.
 
 Whenever the fast pass accepts a document, the diagnostic pass accepts it
 too and builds an equal diagram, so a valid document pays for no
@@ -53,7 +54,7 @@ from typing import Callable, NamedTuple
 from json.encoder import encode_basestring, encode_basestring_ascii
 
 from . import model
-from .expr import ExprError, Expression, Value, parse_expr, print_expr
+from .expr import ExprError, Expression, parse_expr, print_expr
 
 FORMAT_VERSION = "1.0"
 
@@ -122,10 +123,10 @@ def decode_json(text: str) -> object:
 
 
 class _Reader:
-    """The typed readers every element is read with. A wrong value records a
-    diagnostic and reads as a stand-in, so one pass reports every error; an
-    element one of whose own fields failed is not built, so a fault is
-    reported once and not again through the stand-in."""
+    """What the diagnostic pass reads values and elements with. A wrong value
+    records a diagnostic and reads as a stand-in, so one pass reports every
+    error; an element one of whose own fields failed is not built, so a
+    fault is reported once and not again through the stand-in."""
 
     def __init__(self, text: str) -> None:
         self.text = text
@@ -156,75 +157,22 @@ class _Reader:
                 self.fail(f"unknown key {key!r} in {what}", near=key)
         return data
 
-    def string(self, data: dict, key: str, where: str, default: str | None = None) -> str:
-        """The string under *key*, *default* when it is absent; required without one."""
+    def value(self, data: dict, key: str, where: str, kind: _Kind, default: object):
+        """The value under *key*, *default* when it is absent, which the scalar
+        *kind* must accept; an expression kind's text reads as its tree. A
+        value the kind refuses reads as *default*, or as ``""`` when that is
+        ``None``, so an id that failed still prints."""
         value = data.get(key, default)
-        if isinstance(value, str):
-            return value
-        self._wrong(data, key, where, "a string")
-        return default or ""
-
-    def optional_string(self, data: dict, key: str, where: str) -> str | None:
-        """The string under *key*, ``None`` when the key is absent or null."""
-        value = data.get(key)
-        if value is None or isinstance(value, str):
-            return value
-        self._wrong(data, key, where, "a string or null")
-        return None
-
-    def flag(self, data: dict, key: str, where: str) -> bool:
-        """The boolean under *key*, false when the key is absent."""
-        value = data.get(key, False)
-        if isinstance(value, bool):
-            return value
-        self._wrong(data, key, where, "a boolean")
-        return False
-
-    def integer(self, data: dict, key: str, where: str, default: int) -> int:
-        """The integer, not a boolean, under *key*, *default* when it is absent."""
-        value = data.get(key, default)
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-        self._wrong(data, key, where, "an integer")
-        return default
-
-    def scalar(self, data: dict, key: str, where: str) -> Value:
-        """The value under *key*, which :func:`is_scalar` must accept."""
-        value = data[key]
-        if is_scalar(value):
-            return value
-        self._wrong(data, key, where, "a string, number, boolean or null")
-        return None
-
-    def expr(self, data: dict, key: str, where: str, optional: bool = False) -> Expression | None:
-        """The expression under *key*; if *optional*, ``None`` when absent or null."""
-        text = data.get(key)
-        if text is None and optional:
-            return None
-        if not isinstance(text, str):
-            self._wrong(data, key, where, "an expression string")
-            return None
-        try:
-            return parse_expr(text)
-        except ExprError as exc:
-            self.fail(f"bad expression in {where}: {exc}", near=text)
-            return None
-
-    def list_of(self, data: dict, key: str, where: str) -> list:
-        """The list under *key*, empty when the key is absent."""
-        value = data.get(key, [])
-        if isinstance(value, list):
-            return value
-        self._wrong(data, key, where, "a list")
-        return []
-
-    def strings(self, data: dict, key: str, where: str) -> list[str]:
-        """The list of strings under *key*, empty when the key is absent."""
-        values = data.get(key, [])
-        if isinstance(values, list) and all(isinstance(v, str) for v in values):
-            return values
-        self._wrong(data, key, where, "a list of strings")
-        return []
+        if not kind.accepts(value):
+            self._wrong(data, key, where, kind.expected)
+            return "" if default is None else default
+        if kind.expr and value is not None:
+            try:
+                return parse_expr(value)
+            except ExprError as exc:
+                self.fail(f"bad expression in {where}: {exc}", near=value)
+                return None
+        return value
 
     def entries(self, data: dict, key: str, where: str) -> dict:
         """The object under *key*, empty when the key is absent."""
@@ -244,7 +192,10 @@ class _Reader:
             self.fail("document nested too deeply", near=key)
             return []
         self.depth += 1
-        values = self.list_of(data, key, where)
+        values = data[key]
+        if not isinstance(values, list):
+            self._wrong(data, key, where, "a list")
+            values = []
         faulty = self.faulty  # the enclosing element's, which its items reset
         out = []
         for item in values:
@@ -376,37 +327,51 @@ def _unencodable_string(data: object) -> str | None:
 
 _REQUIRED = object()  # the default of a key that must be present
 _ID = object()  # the default of a name: the element's id
-_DEFAULT = object()  # a reader's last argument is the key's default
-_NONE = object()  # a reader takes no last argument
 
 
 class _Kind(NamedTuple):
-    """How a key's value is read, by ``read(reader, data, key, where)`` or,
-    with ``arg``, ``read(reader, data, key, where, arg)``, and written, by
-    ``write(value)`` (as it is when ``None``). A list of elements of class
-    ``of`` is read with ``_TABLES[of].read`` as its ``arg``.
+    """How a key's value is read, and written by ``write(value)`` (as it is
+    when ``None``).
 
-    The fast pass accepts a scalar value when ``check``, the source of a
-    condition on the value ``{0}``, holds; it reads any other value with
-    ``fast(exprs, value, depth)``, or a list of elements with
-    ``_TABLES[of].fast`` for each item."""
+    A scalar kind accepts a value when ``check``, the source of a condition
+    on the value ``{0}``, holds: the fast pass tests the condition inline,
+    and the diagnostic pass by ``accepts``, the predicate made from the same
+    source, saying the value must be ``expected`` when it fails. The value
+    of an ``expr`` kind is the text of an expression, read as its tree. A
+    list of elements of class ``of`` is read item by item with the table of
+    ``of``. An irregular key is read by its decoder, ``read(reader, data,
+    key, where, default)``, in the diagnostic pass, and by ``fast(exprs,
+    value, depth)`` in the fast pass."""
 
-    read: Callable
     write: Callable | None = None
-    of: type | None = None
-    arg: object = _NONE
     check: str | None = None
+    accepts: Callable | None = None
+    expected: str = ""
+    expr: bool = False
+    of: type | None = None
+    read: Callable | None = None
     fast: Callable | None = None
+
+
+def _scalar(check: str, expected: str, write: Callable | None = None, expr: bool = False) -> _Kind:
+    """The scalar kind whose values the condition *check* accepts."""
+    return _Kind(write, check, eval("lambda value: " + check.format("value")), expected, expr)
 
 
 _STR = "{0}.__class__ is str"
 _STR_OR_NONE = "({0} is None or {0}.__class__ is str)"
-_STRING = _Kind(_Reader.string, arg=_DEFAULT, check=_STR)
-_OPTIONAL_STRING = _Kind(_Reader.optional_string, check=_STR_OR_NONE)
-_FLAG = _Kind(_Reader.flag, check="{0}.__class__ is bool")
-_INTEGER = _Kind(_Reader.integer, arg=_DEFAULT, check="{0}.__class__ is int")
-_EXPR = _Kind(_Reader.expr, print_expr, check=_STR)
-_OPTIONAL_EXPR = _Kind(_Reader.expr, print_expr, arg=True, check=_STR_OR_NONE)
+_STRING = _scalar(_STR, "a string")
+_OPTIONAL_STRING = _scalar(_STR_OR_NONE, "a string or null")
+_FLAG = _scalar("{0}.__class__ is bool", "a boolean")
+_INTEGER = _scalar("{0}.__class__ is int", "an integer")
+_EXPR = _scalar(_STR, "an expression string", print_expr, expr=True)
+_OPTIONAL_EXPR = _scalar(_STR_OR_NONE, "an expression string", print_expr, expr=True)
+# an empty list, as most nodes hold, is accepted without making a generator
+_STRINGS = _scalar(
+    "({0}.__class__ is list and (not {0} or all(v.__class__ is str for v in {0})))", "a list of strings", sorted
+)
+# the value of one variable of a start input, which the fast pass tests in its codec
+_START_VALUE = _Kind(accepts=is_scalar, expected="a string, number, boolean or null")
 
 
 def _fast_items(exprs: _Exprs, values: object, depth: int, fast: Callable) -> list:
@@ -416,15 +381,6 @@ def _fast_items(exprs: _Exprs, values: object, depth: int, fast: Callable) -> li
         raise _Refused
     depth += 1
     return [fast(exprs, item, depth) for item in values]
-
-
-def _fast_strings(_exprs: _Exprs, values: object, _depth: int) -> list[str]:
-    if values.__class__ is not list or any(value.__class__ is not str for value in values):
-        raise _Refused
-    return values
-
-
-_STRINGS = _Kind(_Reader.strings, sorted, fast=_fast_strings)
 
 
 def _items(cls: type, *order: str) -> _Kind:
@@ -437,7 +393,7 @@ def _items(cls: type, *order: str) -> _Kind:
             return []
         return list(map(_TABLES[cls].write, sorted(values, key=by) if by else values))
 
-    return _Kind(_Reader.items, write, cls)
+    return _Kind(write, of=cls)
 
 
 class _Key(NamedTuple):
@@ -460,11 +416,6 @@ class _Key(NamedTuple):
         return self.fills or (self.name,)
 
 
-def _fstring(template: str) -> str:
-    """Source of an f-string for *template*, whose ``{id}`` is ``f0``."""
-    return "f" + repr(template.replace("{id}", "{f0}"))
-
-
 def _compile(name: str, params: str, body: list[str], namespace: dict) -> Callable:
     """The function ``name(params)`` with the source lines *body*, whose free
     names are looked up in *namespace*."""
@@ -479,9 +430,11 @@ class _Element:
     (``{id}``: that field; ``None``: what it calls the element); its keys;
     and a constant key written first (``tag``).
 
-    Its reader and writer are compiled from the table on first use, as
-    :mod:`dataclasses` compiles ``__init__``, so an element costs what a
-    hand-written reader or writer costs and not a loop over its keys."""
+    Its fast pass and its writer are compiled from the table on first use,
+    as :mod:`dataclasses` compiles ``__init__``, so an element costs what a
+    hand-written reader or writer costs and not a loop over its keys. The
+    diagnostic pass, which runs only on a refused document, reads the rows
+    as they are."""
 
     def __init__(self, cls: type, what: str, name: str | None, *keys: _Key, tag=None) -> None:
         self.cls = cls
@@ -491,57 +444,45 @@ class _Element:
         self.tag = tag
         self.names = {key.name for key in keys} | ({tag[0]} if tag else set())
 
-    def _reads(self, namespace: dict) -> list[str]:
-        """Source lines reading each key of ``item`` into ``f0``, ``f1``, ..."""
-        lines = ["at = what"]
+    def read(self, reader: _Reader, data: object, where: str):
+        """The element *data*, found in the list of *where*, or ``None`` with
+        the reason recorded. A model error is located at the element's first
+        field when that is a string (its id or name), else at *where*."""
+        if reader.element(data, self.what.format(where=where), self.names) is None:
+            return None
+        fields = self.read_fields(reader, data, where)
+        return reader.build(fields[0] if isinstance(fields[0], str) else where, self.cls, *fields)
+
+    def read_fields(self, reader: _Reader, item: dict, where: str) -> list:
+        """The fields of the element *item*, an object whose keys are already
+        checked, in its class's order: each key read as its kind says."""
+        at = self.what.format(where=where)
+        first = None  # the value of the first key, once read
+        fields: list = []
         for i, key in enumerate(self.keys):
-            kind = key.kind
-            namespace[f"read{i}"] = kind.read
-            if kind.of is not None:
-                namespace[f"of{i}"] = _TABLES[kind.of]
-                arg = f", of{i}.read"
-            elif key.default is _ID:
-                arg = ", f0"
-            elif kind.arg is _NONE:
-                arg = ""
+            kind, default = key.kind, key.default
+            if default is _REQUIRED:
+                default = None
+            elif default is _ID:
+                default = first
+            elif default.__class__ is list:
+                default = []  # the element's own list
+            here = at if key.where is None else key.where.format(where=where, id=first)
+            if kind.accepts is not None:
+                value = reader.value(item, key.name, here, kind, default)
+            elif kind.of is not None:
+                value = reader.items(item, key.name, here, _TABLES[kind.of].read)
             else:
-                default = None if key.default is _REQUIRED else key.default
-                namespace[f"arg{i}"] = default if kind.arg is _DEFAULT else kind.arg
-                arg = f", arg{i}"
-            at = "at" if key.where is None else _fstring(key.where)
-            lines.append(f"f{i} = read{i}(reader, item, {key.name!r}, {at}{arg})")
-            if i == 0 and self.name is not None:
-                lines.append(f"at = {_fstring(self.name)}")
-        return lines
-
-    def _arguments(self) -> str:
-        """Source of the fields ``f0``, ``f1``, ... as arguments of the class."""
-        return ", ".join(("*" if len(key.fields) > 1 else "") + f"f{i}" for i, key in enumerate(self.keys))
-
-    @cached_property
-    def read(self) -> Callable:
-        """``read(reader, data, where)``: the element *data*, found in the
-        list of *where*, or ``None`` with the reason recorded. A model error
-        is located at the element's first field when that is a string (its
-        id or name), else at *where*."""
-        namespace = {"cls": self.cls, "names": self.names}
-        body = [
-            f"what = {_fstring(self.what)}",
-            "item = reader.element(data, what, names)",
-            "if item is None:",
-            "    return None",
-            *self._reads(namespace),
-            f"return reader.build(f0 if isinstance(f0, str) else where, cls, {self._arguments()})",
-        ]
-        return _compile("read", "reader, data, where", body, namespace)
-
-    @cached_property
-    def read_fields(self) -> Callable:
-        """``read_fields(reader, item, where)``: the fields of the element *item*,
-        an object whose keys are already checked, in its class's order."""
-        namespace: dict = {}
-        body = [f"what = {_fstring(self.what)}", *self._reads(namespace), f"return [{self._arguments()}]"]
-        return _compile("read_fields", "reader, item, where", body, namespace)
+                value = kind.read(reader, item, key.name, here, default)
+            if len(key.fields) > 1:
+                fields += value
+            else:
+                fields.append(value)
+            if i == 0:
+                first = value
+                if self.name is not None:
+                    at = self.name.format(id=value)
+        return fields
 
     @cached_property
     def fast(self) -> Callable:
@@ -562,7 +503,7 @@ class _Element:
             if kind.check is not None:
                 gets.append(f"{value} = get({name}{absent})")
                 checks.append(kind.check.format(value))
-                if kind.read is _Reader.expr:
+                if kind.expr:
                     value = f"exprs[{value}]"
             else:
                 if kind.of is None:
@@ -616,7 +557,7 @@ class _Element:
 
 
 def _decode_scope(reader: _Reader, data: dict, key: str, where: str, default: str) -> model.Scope | None:
-    kind, sep, node = reader.string(data, key, where, default).partition(":")
+    kind, sep, node = reader.value(data, key, where, _STRING, default).partition(":")
     # a bad scope is located at the store's id, which is read before it
     return reader.build(data.get("id"), model.Scope, kind, node if sep else None)
 
@@ -628,8 +569,8 @@ def _fast_scope(_exprs: _Exprs, scope: object, _depth: int) -> model.Scope:
     return model.Scope(kind, node if sep else None)
 
 
-def _decode_target(reader: _Reader, data: dict, key: str, where: str) -> tuple[str, str]:
-    target = reader.string(data, key, where)
+def _decode_target(reader: _Reader, data: dict, key: str, where: str, default: str | None) -> tuple[str, str]:
+    target = reader.value(data, key, where, _STRING, default)
     obj, dot, path = target.partition(".")
     if not dot and not reader.faulty:
         reader.fail(f"effect target {target!r} must be object.path", near=target)
@@ -643,9 +584,9 @@ def _fast_target(_exprs: _Exprs, target: object, _depth: int) -> tuple[str, str]
     return obj, path
 
 
-def _decode_assignments(reader: _Reader, data: dict, key: str, where: str) -> dict:
+def _decode_assignments(reader: _Reader, data: dict, key: str, where: str, _default: dict) -> dict:
     assignments = reader.entries(data, key, where)
-    return {name: reader.expr(assignments, name, where) for name in assignments}
+    return {name: reader.value(assignments, name, where, _EXPR, None) for name in assignments}
 
 
 def _fast_assignments(exprs: _Exprs, assignments: object, _depth: int) -> dict:
@@ -663,10 +604,6 @@ def _decode_store_action(reader: _Reader, data: object, node_id: str):
     return table.read(reader, data, node_id)
 
 
-def _fast_store_actions(exprs: _Exprs, actions: object, depth: int) -> list:
-    return _fast_items(exprs, actions, depth, _fast_store_action)
-
-
 def _fast_store_action(exprs: _Exprs, data: object, depth: int):
     action = data.get("action") if data.__class__ is dict else None
     if action.__class__ is not str or action not in _ACTIONS:
@@ -674,7 +611,7 @@ def _fast_store_action(exprs: _Exprs, data: object, depth: int):
     return _ACTIONS[action].fast(exprs, data, depth)
 
 
-def _decode_behaviors(reader: _Reader, data: dict, key: str, where: str) -> dict:
+def _decode_behaviors(reader: _Reader, data: dict, key: str, where: str, _default: dict) -> dict:
     out = {}
     for node_id, spec in reader.entries(data, key, where).items():
         behavior = _BEHAVIOR.read(reader, spec, node_id)
@@ -690,13 +627,13 @@ def _fast_behaviors(exprs: _Exprs, behaviors: object, depth: int) -> dict:
     return {node_id: fast(exprs, spec, depth) for node_id, spec in behaviors.items()}
 
 
-def _decode_start_inputs(reader: _Reader, data: dict, key: str, where: str) -> dict:
+def _decode_start_inputs(reader: _Reader, data: dict, key: str, where: str, _default: dict) -> dict:
     inputs = reader.entries(data, key, where)
     out = {}
     for obj_id in inputs:
         bindings = reader.entries(inputs, obj_id, "start inputs")
         at = f"start inputs of {obj_id}"
-        out[obj_id] = {var: reader.scalar(bindings, var, at) for var in bindings}
+        out[obj_id] = {var: reader.value(bindings, var, at, _START_VALUE, None) for var in bindings}
     return out
 
 
@@ -709,31 +646,29 @@ def _fast_start_inputs(_exprs: _Exprs, inputs: object, _depth: int) -> dict:
 
 
 _SCOPE = _Kind(
-    _decode_scope,
     lambda scope: "diagram" if scope.kind == "diagram" else f"sub_process:{scope.sub_process}",
-    arg=_DEFAULT,
+    read=_decode_scope,
     fast=_fast_scope,
 )
-_TARGET = _Kind(_decode_target, lambda target: f"{target[0]}.{target[1]}", fast=_fast_target)
+_TARGET = _Kind(lambda target: f"{target[0]}.{target[1]}", read=_decode_target, fast=_fast_target)
 _ASSIGNMENTS = _Kind(
-    _decode_assignments,
     lambda assignments: {name: print_expr(e) for name, e in sorted(assignments.items())},
+    read=_decode_assignments,
     fast=_fast_assignments,
 )
 _STORE_ACTIONS = _Kind(
-    _Reader.items,
     lambda actions: [_TABLES[type(action)].write(action) for action in actions],
-    arg=_decode_store_action,
-    fast=_fast_store_actions,
+    read=lambda reader, data, key, where, _default: reader.items(data, key, where, _decode_store_action),
+    fast=lambda exprs, actions, depth: _fast_items(exprs, actions, depth, _fast_store_action),
 )
 _BEHAVIORS = _Kind(
-    _decode_behaviors,
     lambda behaviors: {node: _BEHAVIOR.write(b) for node, b in sorted(behaviors.items())},
+    read=_decode_behaviors,
     fast=_fast_behaviors,
 )
 _START_INPUTS = _Kind(
-    _decode_start_inputs,
     lambda inputs: {obj: dict(sorted(values.items())) for obj, values in sorted(inputs.items())},
+    read=_decode_start_inputs,
     fast=_fast_start_inputs,
 )
 

@@ -1,6 +1,7 @@
 """What a fresh process loads: the CLI imports only ``format``, ``validator``
 and the layer of the subcommand it runs, and ``import bpdmn`` loads the
-other layers on first attribute access."""
+other layers on first attribute access. Parsing a document compiles only the
+fast pass of the schema tables it reaches, even when the document is refused."""
 
 from __future__ import annotations
 
@@ -96,3 +97,28 @@ print(json.dumps([before, names, missing]))
     assert set(before) == BASE - {"bpdmn.cli"}
     assert names == ["run", "analyze", "to_dot", "to_bpel", "to_xpdl"]
     assert missing == "module 'bpdmn' has no attribute 'nope'"
+
+
+# prints [refused, names of the functions format._compile builds] after
+# parsing the model argv[1] with its first node's id made a number
+REFUSED_PROBE = """
+import json, sys
+from bpdmn import format
+compiled, compile_ = [], format._compile
+format._compile = lambda name, *args: compiled.append(name) or compile_(name, *args)
+with open(sys.argv[1], encoding="utf-8") as model:
+    doc = json.load(model)
+doc["pools"][0]["nodes"][0]["id"] = 5
+try:
+    format.parse_diagram(json.dumps(doc))
+    refused = False
+except format.ParseError:
+    refused = True
+print(json.dumps([refused, compiled]))
+"""
+
+
+def test_parsing_a_refused_document_compiles_only_the_fast_pass():
+    refused, compiled = _python(REFUSED_PROBE, str(FIXTURES / "eco.bpdmn.json"))
+    assert refused
+    assert compiled and set(compiled) == {"fast"}

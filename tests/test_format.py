@@ -568,6 +568,16 @@ def test_mutations_cover_every_key_the_parser_reads(monkeypatch):
         mutated |= {path[-1] for path, _ in mutations}
     assert read and read <= mutated, sorted(read - mutated)
 
+    # the fast pass refuses a Logged object, so the keys it reads are taken
+    # from the source of each table's fast pass, compiled afresh
+    source: list[str] = []
+    compile_ = fmt._compile
+    monkeypatch.setattr(fmt, "_compile", lambda *args: source.extend(args[2]) or compile_(*args))
+    for table in fmt._TABLES.values():
+        fmt._Element.fast.func(table)
+    fast_read = set(re.findall(r"(?:get\(|data\[)'([^']+)'", "\n".join(source)))
+    assert fast_read and fast_read <= mutated, sorted(fast_read - mutated)
+
 
 @pytest.mark.parametrize("name", FUZZ_DOCUMENTS)
 def test_every_mutant_is_refused_or_parses_to_a_fixpoint(name, tmp_path):
