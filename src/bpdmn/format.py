@@ -10,15 +10,21 @@ trailing newline, so golden-file comparisons stay byte-stable.
 The schema is one table per element type (``_TABLES``; ``_DOCUMENT`` is the
 document's). A row names a key and gives its kind, its default (the value
 an absent key reads as) and whether the writer leaves the key out when it
-holds that default. A kind (``_Kind``) is a scalar one, which states once
-the condition a value must meet (a string, an optional string, a boolean,
-an integer, an expression, a list of strings), a list of the elements of
-another table, written sorted by the attributes it names, or a small codec
-for an irregular key: the store ``scope``, an effect's ``target``, an
-insert's ``assignments``, the ``action`` that picks a store action's table,
-and the ``behaviors`` and ``start_inputs`` maps. The rows follow the fields
-of the element's class, so each key of each element is written once, in
-its table.
+holds that default. A kind (``_Kind``) gives a key one of three shapes:
+
+- a scalar, which states once the condition a value must meet (a string,
+  an optional string, a boolean, an integer, an expression, a list of
+  strings, a start input's value) and may convert it, as the store
+  ``scope`` and an effect's ``target`` are converted from their text;
+- a list of the elements of another table, written sorted by the
+  attributes it names; the ``store_actions`` are the one list whose items
+  have two tables, and ``_StoreAction`` chooses each item's table by its
+  ``action``;
+- a map from names to values of one kind or elements of one table: an
+  insert's ``assignments``, the ``behaviors`` and the ``start_inputs``.
+
+The rows follow the fields of the element's class, so each key of each
+element is written once, in its table.
 
 Reading is strict and coerces nothing. A value of the wrong type, a
 missing required key or an unknown key is a :class:`ParseError`; an absent
@@ -157,15 +163,27 @@ class _Reader:
                 self.fail(f"unknown key {key!r} in {what}", near=key)
         return data
 
-    def value(self, data: dict, key: str, where: str, kind: _Kind, default: object):
+    def value(self, data: dict, key: str, where: str, kind: _Kind, default: object, near: str | None = None):
         """The value under *key*, *default* when it is absent, which the scalar
         *kind* must accept; an expression kind's text reads as its tree. A
         value the kind refuses reads as *default*, or as ``""`` when that is
-        ``None``, so an id that failed still prints."""
+        ``None``, so an id that failed still prints.
+
+        A value the kind's ``convert`` refuses reads as ``None``; its model
+        error is recorded at *near*, or at the value, unless a field of the
+        element failed already. The element is still built, so a fault of
+        the element that holds it is still reported."""
         value = data.get(key, default)
         if not kind.accepts(value):
             self._wrong(data, key, where, kind.expected)
             return "" if default is None else default
+        if kind.convert is not None:
+            try:
+                return kind.convert(value)
+            except model.ModelError as exc:
+                if not self.faulty:
+                    self.fail(str(exc), near=value if near is None else near)
+                return None
         if kind.expr and value is not None:
             try:
                 return parse_expr(value)
@@ -174,13 +192,28 @@ class _Reader:
                 return None
         return value
 
-    def entries(self, data: dict, key: str, where: str) -> dict:
-        """The object under *key*, empty when the key is absent."""
-        value = data.get(key, {})
-        if isinstance(value, dict):
-            return value
-        self._wrong(data, key, where, "an object")
-        return {}
+    def map(self, data: dict, key: str, where: str, kind: _Kind) -> dict:
+        """The object under *key*, empty when the key is absent, each of its
+        values read as the map *kind* says. Diagnostics call the map *where*
+        or ``kind.where``; a value that is an element is named after its name
+        in the map, and left out when it fails."""
+        entries = data.get(key, {})
+        if not isinstance(entries, dict):
+            self._wrong(data, key, where, "an object")
+            return {}
+        values, out = kind.values, {}
+        at = where if kind.where is None else kind.where.format(key=key)
+        for name, value in entries.items():
+            if isinstance(values, type):
+                value = _TABLES[values].read(self, value, name)
+                if value is None:
+                    continue
+            elif values.values is not None:
+                value = self.map(entries, name, at, values)
+            else:
+                value = self.value(entries, name, at, values, None)
+            out[name] = value
+        return out
 
     def items(self, data: dict, key: str, where: str, read) -> list:
         """The list under *key*, each item read by ``read(reader, item, where)``
@@ -331,26 +364,31 @@ _ID = object()  # the default of a name: the element's id
 
 class _Kind(NamedTuple):
     """How a key's value is read, and written by ``write(value)`` (as it is
-    when ``None``).
+    when ``None``). A kind has one of three shapes:
 
-    A scalar kind accepts a value when ``check``, the source of a condition
-    on the value ``{0}``, holds: the fast pass tests the condition inline,
-    and the diagnostic pass by ``accepts``, the predicate made from the same
-    source, saying the value must be ``expected`` when it fails. The value
-    of an ``expr`` kind is the text of an expression, read as its tree. A
-    list of elements of class ``of`` is read item by item with the table of
-    ``of``. An irregular key is read by its decoder, ``read(reader, data,
-    key, where, default)``, in the diagnostic pass, and by ``fast(exprs,
-    value, depth)`` in the fast pass."""
+    - A scalar accepts a value when ``check``, the source of a condition on
+      the value ``{0}``, holds: the fast pass tests the condition inline,
+      and the diagnostic pass by ``accepts``, the predicate made from the
+      same source, saying the value must be ``expected`` when it fails. The
+      value of an ``expr`` kind is the text of an expression, read as its
+      tree; a value with a ``convert`` reads as ``convert(value)``, which
+      raises a model error on a value it does not take.
+    - A list of elements of class ``of`` is read item by item with the table
+      of ``of``; for the store actions, ``of`` is ``_StoreAction``, which
+      chooses each item's table by its ``action``.
+    - A map's ``values`` are each of that kind, or each an element of that
+      class; its diagnostics call it ``where`` (``{key}``: its key), when
+      not what they call the element that holds it."""
 
     write: Callable | None = None
     check: str | None = None
     accepts: Callable | None = None
     expected: str = ""
     expr: bool = False
+    convert: Callable | None = None
     of: type | None = None
-    read: Callable | None = None
-    fast: Callable | None = None
+    values: _Kind | type | None = None
+    where: str | None = None
 
 
 def _scalar(check: str, expected: str, write: Callable | None = None, expr: bool = False) -> _Kind:
@@ -370,8 +408,7 @@ _OPTIONAL_EXPR = _scalar(_STR_OR_NONE, "an expression string", print_expr, expr=
 _STRINGS = _scalar(
     "({0}.__class__ is list and (not {0} or all(v.__class__ is str for v in {0})))", "a list of strings", sorted
 )
-# the value of one variable of a start input, which the fast pass tests in its codec
-_START_VALUE = _Kind(accepts=is_scalar, expected="a string, number, boolean or null")
+_START_VALUE = _scalar("is_scalar({0})", "a string, number, boolean or null")
 
 
 def _fast_items(exprs: _Exprs, values: object, depth: int, fast: Callable) -> list:
@@ -383,6 +420,22 @@ def _fast_items(exprs: _Exprs, values: object, depth: int, fast: Callable) -> li
     return [fast(exprs, item, depth) for item in values]
 
 
+def _fast_map(exprs: _Exprs, entries: object, depth: int, kind: _Kind) -> dict:
+    """The object *entries*, found *depth* lists deep, each of its values
+    read as the map *kind* says."""
+    if entries.__class__ is not dict:
+        raise _Refused
+    values = kind.values
+    if isinstance(values, type):
+        fast = _TABLES[values].fast
+        return {name: fast(exprs, value, depth) for name, value in entries.items()}
+    if values.values is not None:
+        return {name: _fast_map(exprs, value, depth, values) for name, value in entries.items()}
+    if not all(map(values.accepts, entries.values())):
+        raise _Refused
+    return {name: exprs[text] for name, text in entries.items()} if values.expr else entries
+
+
 def _items(cls: type, *order: str) -> _Kind:
     """A list of elements of *cls*, written sorted by the attributes *order*,
     or in the list's own order when none are named."""
@@ -391,9 +444,21 @@ def _items(cls: type, *order: str) -> _Kind:
     def write(values: list) -> list[dict]:
         if not values:  # compiles no writer, as for EMPTY_DOCUMENT on import
             return []
-        return list(map(_TABLES[cls].write, sorted(values, key=by) if by else values))
+        return list(map(_TABLES.get(cls, cls).write, sorted(values, key=by) if by else values))
 
     return _Kind(write, of=cls)
+
+
+def _map(values: _Kind | type, where: str | None = None) -> _Kind:
+    """A map each of whose values is of the kind *values*, or an element of
+    the class *values*, written sorted by name; its diagnostics call it
+    *where* (``{key}``: its key), when not what they call its holder."""
+
+    def write(entries: dict) -> dict:
+        write = _TABLES[values].write if isinstance(values, type) else values.write
+        return {name: value if write is None else write(value) for name, value in sorted(entries.items())}
+
+    return _Kind(write, values=values, where=where)
 
 
 class _Key(NamedTuple):
@@ -468,14 +533,15 @@ class _Element:
             elif default.__class__ is list:
                 default = []  # the element's own list
             here = at if key.where is None else key.where.format(where=where, id=first)
-            if kind.accepts is not None:
-                value = reader.value(item, key.name, here, kind, default)
+            if kind.check is not None:
+                near = first if isinstance(first, str) else None  # as a model error of the element is
+                value = reader.value(item, key.name, here, kind, default, near)
             elif kind.of is not None:
-                value = reader.items(item, key.name, here, _TABLES[kind.of].read)
+                value = reader.items(item, key.name, here, _TABLES.get(kind.of, kind.of).read)
             else:
-                value = kind.read(reader, item, key.name, here, default)
+                value = reader.map(item, key.name, here, kind)
             if len(key.fields) > 1:
-                fields += value
+                fields += value or [None] * len(key.fields)  # a value that failed reads as "" or None
             else:
                 fields.append(value)
             if i == 0:
@@ -489,9 +555,10 @@ class _Element:
         """``fast(exprs, data, depth)``: the element *data*, found *depth*
         lists deep, its expressions parsed through the memo *exprs*; raises
         one of ``_GIVE_UP`` at the first thing it does not accept. Its scalar
-        keys are tested by one condition, and only a list, a map or an
-        irregular key costs a call."""
-        namespace = {"cls": self.cls, "names": self.names, "Refused": _Refused, "items": _fast_items}
+        keys are tested by one condition, and only a list, a map or a
+        converted value costs a call."""
+        namespace = {"cls": self.cls, "names": self.names, "Refused": _Refused}
+        namespace.update(items=_fast_items, entries=_fast_map)
         checks = [f"get({self.tag[0]!r}) == {self.tag[1]!r}"] if self.tag else []
         gets: list[str] = []
         reads: list[str] = []
@@ -505,12 +572,15 @@ class _Element:
                 checks.append(kind.check.format(value))
                 if kind.expr:
                     value = f"exprs[{value}]"
+                elif kind.convert is not None:
+                    namespace[f"convert{i}"] = kind.convert
+                    value = f"convert{i}({value})"
             else:
                 if kind.of is None:
-                    namespace[f"fast{i}"] = kind.fast
-                    call = f"fast{i}(exprs, {{}}, depth)"
+                    namespace[f"kind{i}"] = kind
+                    call = f"entries(exprs, {{}}, depth, kind{i})"
                 else:
-                    namespace[f"of{i}"] = _TABLES[kind.of]
+                    namespace[f"of{i}"] = _TABLES.get(kind.of, kind.of)
                     call = f"items(exprs, {{}}, depth, of{i}.fast)"
                 if default in ([], {}):  # an absent list or map reads as a new empty one
                     reads.append(f"{value} = {call.format(f'data[{name}]')} if {name} in data else {default!r}")
@@ -552,126 +622,54 @@ class _Element:
         return _compile("write", "element", body, namespace)
 
 
-# The irregular keys, each read by a decoder of its own and written by a
-# function of its kind.
-
-
-def _decode_scope(reader: _Reader, data: dict, key: str, where: str, default: str) -> model.Scope | None:
-    kind, sep, node = reader.value(data, key, where, _STRING, default).partition(":")
-    # a bad scope is located at the store's id, which is read before it
-    return reader.build(data.get("id"), model.Scope, kind, node if sep else None)
-
-
-def _fast_scope(_exprs: _Exprs, scope: object, _depth: int) -> model.Scope:
-    if scope.__class__ is not str:
-        raise _Refused
-    kind, sep, node = scope.partition(":")
+def _scope(text: str) -> model.Scope:
+    """The store scope written as *text*: ``diagram`` or ``sub_process:<node id>``."""
+    kind, sep, node = text.partition(":")
     return model.Scope(kind, node if sep else None)
 
 
-def _decode_target(reader: _Reader, data: dict, key: str, where: str, default: str | None) -> tuple[str, str]:
-    target = reader.value(data, key, where, _STRING, default)
-    obj, dot, path = target.partition(".")
-    if not dot and not reader.faulty:
-        reader.fail(f"effect target {target!r} must be object.path", near=target)
+def _target(text: str) -> tuple[str, str]:
+    """The object and path of the effect target written as *text*, ``object.path``."""
+    obj, dot, path = text.partition(".")
+    if not dot:
+        raise model.ModelError(f"effect target {text!r} must be object.path")
     return obj, path
 
 
-def _fast_target(_exprs: _Exprs, target: object, _depth: int) -> tuple[str, str]:
-    if target.__class__ is not str or "." not in target:
-        raise _Refused
-    obj, _, path = target.partition(".")
-    return obj, path
+class _StoreAction:
+    """A store action, the schema's one tagged union: both passes read it
+    with the table its ``action`` names, which ``table`` chooses, and it is
+    written with the table of its class."""
+
+    @staticmethod
+    def table(data: object) -> _Element | None:
+        action = data.get("action") if isinstance(data, dict) else None
+        return _ACTIONS.get(action) if isinstance(action, str) else None
+
+    @staticmethod
+    def read(reader: _Reader, data: object, where: str):
+        table = _StoreAction.table(data)
+        if table is None:
+            reader.fail(f'store action of {where} must be an object with "action" "insert" or "read"', near=where)
+            return None
+        return table.read(reader, data, where)
+
+    @staticmethod
+    def fast(exprs: _Exprs, data: object, depth: int):
+        table = _StoreAction.table(data)
+        if table is None:
+            raise _Refused
+        return table.fast(exprs, data, depth)
+
+    @staticmethod
+    def write(action) -> dict:
+        return _TABLES[type(action)].write(action)
 
 
-def _decode_assignments(reader: _Reader, data: dict, key: str, where: str, _default: dict) -> dict:
-    assignments = reader.entries(data, key, where)
-    return {name: reader.value(assignments, name, where, _EXPR, None) for name in assignments}
-
-
-def _fast_assignments(exprs: _Exprs, assignments: object, _depth: int) -> dict:
-    if assignments.__class__ is not dict or any(text.__class__ is not str for text in assignments.values()):
-        raise _Refused
-    return {name: exprs[text] for name, text in assignments.items()}
-
-
-def _decode_store_action(reader: _Reader, data: object, node_id: str):
-    action = data.get("action") if isinstance(data, dict) else None
-    table = _ACTIONS.get(action) if isinstance(action, str) else None
-    if table is None:
-        reader.fail(f'store action of {node_id} must be an object with "action" "insert" or "read"', near=node_id)
-        return None
-    return table.read(reader, data, node_id)
-
-
-def _fast_store_action(exprs: _Exprs, data: object, depth: int):
-    action = data.get("action") if data.__class__ is dict else None
-    if action.__class__ is not str or action not in _ACTIONS:
-        raise _Refused
-    return _ACTIONS[action].fast(exprs, data, depth)
-
-
-def _decode_behaviors(reader: _Reader, data: dict, key: str, where: str, _default: dict) -> dict:
-    out = {}
-    for node_id, spec in reader.entries(data, key, where).items():
-        behavior = _BEHAVIOR.read(reader, spec, node_id)
-        if behavior is not None:
-            out[node_id] = behavior
-    return out
-
-
-def _fast_behaviors(exprs: _Exprs, behaviors: object, depth: int) -> dict:
-    if behaviors.__class__ is not dict:
-        raise _Refused
-    fast = _BEHAVIOR.fast
-    return {node_id: fast(exprs, spec, depth) for node_id, spec in behaviors.items()}
-
-
-def _decode_start_inputs(reader: _Reader, data: dict, key: str, where: str, _default: dict) -> dict:
-    inputs = reader.entries(data, key, where)
-    out = {}
-    for obj_id in inputs:
-        bindings = reader.entries(inputs, obj_id, "start inputs")
-        at = f"start inputs of {obj_id}"
-        out[obj_id] = {var: reader.value(bindings, var, at, _START_VALUE, None) for var in bindings}
-    return out
-
-
-def _fast_start_inputs(_exprs: _Exprs, inputs: object, _depth: int) -> dict:
-    if inputs.__class__ is not dict or any(
-        bindings.__class__ is not dict or not all(map(is_scalar, bindings.values())) for bindings in inputs.values()
-    ):
-        raise _Refused
-    return inputs
-
-
-_SCOPE = _Kind(
-    lambda scope: "diagram" if scope.kind == "diagram" else f"sub_process:{scope.sub_process}",
-    read=_decode_scope,
-    fast=_fast_scope,
+_SCOPE = _STRING._replace(
+    write=lambda scope: "diagram" if scope.kind == "diagram" else f"sub_process:{scope.sub_process}", convert=_scope
 )
-_TARGET = _Kind(lambda target: f"{target[0]}.{target[1]}", read=_decode_target, fast=_fast_target)
-_ASSIGNMENTS = _Kind(
-    lambda assignments: {name: print_expr(e) for name, e in sorted(assignments.items())},
-    read=_decode_assignments,
-    fast=_fast_assignments,
-)
-_STORE_ACTIONS = _Kind(
-    lambda actions: [_TABLES[type(action)].write(action) for action in actions],
-    read=lambda reader, data, key, where, _default: reader.items(data, key, where, _decode_store_action),
-    fast=lambda exprs, actions, depth: _fast_items(exprs, actions, depth, _fast_store_action),
-)
-_BEHAVIORS = _Kind(
-    lambda behaviors: {node: _BEHAVIOR.write(b) for node, b in sorted(behaviors.items())},
-    read=_decode_behaviors,
-    fast=_fast_behaviors,
-)
-_START_INPUTS = _Kind(
-    lambda inputs: {obj: dict(sorted(values.items())) for obj, values in sorted(inputs.items())},
-    read=_decode_start_inputs,
-    fast=_fast_start_inputs,
-)
-
+_TARGET = _STRING._replace(write=lambda target: f"{target[0]}.{target[1]}", convert=_target)
 _ATTACHMENTS = _items(model.ObjectAttachment, "object", "direction")
 _VARIABLES = _items(model.Variable, "name")
 
@@ -685,8 +683,8 @@ _DOCUMENT = _Element(
     _Key("objects", _items(model.DataObject, "id")),
     _Key("mappings", _items(model.DataMapping, "id")),
     _Key("message_flows", _items(model.MessageFlow, "id")),
-    _Key("behaviors", _BEHAVIORS, {}, omit=True),
-    _Key("start_inputs", _START_INPUTS, {}, omit=True),
+    _Key("behaviors", _map(model.TaskBehavior), {}, omit=True),
+    _Key("start_inputs", _map(_map(_START_VALUE, "start inputs of {key}"), "start inputs"), {}, omit=True),
     tag=("bpdmn", FORMAT_VERSION),
 )
 _POOL = _Element(
@@ -810,7 +808,7 @@ _BEHAVIOR = _Element(
     "behavior of {where}",
     None,
     _Key("effects", _items(model.Effect), [], omit=True, where="{where}"),
-    _Key("store_actions", _STORE_ACTIONS, [], omit=True, where="{where}"),
+    _Key("store_actions", _items(_StoreAction), [], omit=True, where="{where}"),
     _Key("instances", _INTEGER, 1, omit=True),
 )
 _EFFECT = _Element(
@@ -826,7 +824,7 @@ _INSERT = _Element(
     None,
     _Key("store", _STRING),
     _Key("entity", _STRING),
-    _Key("assignments", _ASSIGNMENTS, {}),
+    _Key("assignments", _map(_EXPR), {}),
     tag=("action", "insert"),
 )
 _READ = _Element(

@@ -508,8 +508,7 @@ class Diagram:
         return self.index.objects.get(object_id)
 
     def is_black_box_pool(self, element_id: str) -> bool:
-        pool = self.index.pools.get(element_id)
-        return pool is not None and not pool.nodes
+        return element_id in self.index.black_boxes
 
 
 class NotFoundError(KeyError):
@@ -645,6 +644,7 @@ class DiagramIndex:
 
     def __init__(self, diagram: Diagram) -> None:
         self.pools: dict[str, Pool] = {p.id: p for p in diagram.pools}
+        self.black_boxes: set[str] = {p.id for p in diagram.pools if not p.nodes}  # pools without nodes
         self.pool_of: dict[str, Pool] = dict(self.pools)  # node or pool id -> pool
         self.nodes: dict[str, Node] = {}  # in iter_nodes order
         for pool in diagram.pools:
@@ -721,9 +721,13 @@ class DiagramIndex:
 
         self.message_in: dict[str, list[MessageFlow]] = {}  # endpoint id -> message flows
         self.message_out: dict[str, list[MessageFlow]] = {}
+        # flow id -> message flow to or from a black-box pool
+        self.external_flows: dict[str, MessageFlow] = {}
         for flow in diagram.message_flows:
             add(self.message_in, flow.target, flow)
             add(self.message_out, flow.source, flow)
+            if flow.source in self.black_boxes or flow.target in self.black_boxes:
+                self.external_flows[flow.id] = flow
             self.successors.setdefault(flow.source, set()).add(flow.target)
             for att in flow.attachments:
                 if att.direction == "input":

@@ -100,10 +100,7 @@ class _Facts:
             for node_id in self.accessors(store.id):
                 self.accessed.setdefault(node_id, set()).add(store.id)
         self.data_flows = [flow for pool in d.pools for flow in pool.explicit_data_flows]
-        self.black_boxes = {p.id for p in d.pools if not p.nodes}
-        self.black_box_flows = [
-            f for f in d.message_flows if f.source in self.black_boxes or f.target in self.black_boxes
-        ]
+        self.black_boxes, self.black_box_flows = index.black_boxes, index.external_flows.values()
 
     def accessors(self, store_id: str) -> set[str]:
         return self.readers.get(store_id, set()) | self.writers.get(store_id, set())

@@ -609,7 +609,7 @@ def _clone(state: ExecutionState) -> ExecutionState:
     """An independent copy of *state*."""
     clone = ExecutionState(
         tokens=dict(state.tokens),
-        stores={k: [dict(r) for r in v] for k, v in state.stores.items()},
+        stores={k: list(v) for k, v in state.stores.items()},  # a record is never changed once stored
         inbox={k: list(v) for k, v in state.inbox.items()},  # a message is never changed
         completed=set(state.completed),
         step_count=state.step_count,

@@ -77,13 +77,9 @@ def _only_on_external_messages(diagram: Diagram, object_id: str) -> bool:
     """True when the object has links and each one is carried by a message
     flow to or from a black-box pool (data received from or sent outside
     the modeled diagram)."""
-    links = [*diagram.index.sources.get(object_id, ()), *diagram.index.targets.get(object_id, ())]
-    external = {
-        flow.id
-        for flow in diagram.message_flows
-        if diagram.is_black_box_pool(flow.source) or diagram.is_black_box_pool(flow.target)
-    }
-    return bool(links) and all(link.via in external for link in links)
+    index = diagram.index
+    links = [*index.sources.get(object_id, ()), *index.targets.get(object_id, ())]
+    return bool(links) and all(link.via in index.external_flows for link in links)
 
 
 def _v1_sources_and_targets(diagram: Diagram) -> list[Diagnostic]:

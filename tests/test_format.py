@@ -398,6 +398,45 @@ def test_a_field_that_fails_to_read_gives_one_diagnostic(name, edit, message):
     assert [d.message for d in info.value.diagnostics] == [message]
 
 
+def _check_effect(doc: dict) -> dict:
+    return doc["behaviors"]["m_check"]["effects"][0]
+
+
+# (description, edit of eco's document, every expected diagnostic): a value
+# that fails to convert is reported only when no earlier field of its element
+# failed, is located at the value when the element has no string read before
+# it, and does not fail its element, so a fault of the enclosing one shows
+MANY_FAULTS = [
+    (
+        "store-icon-and-scope",
+        lambda d: d["stores"][0].update(icon=5, scope="bogus"),
+        ["109:21: 'icon' of store OracleDB must be a string"],
+    ),
+    (
+        "effect-target-and-instances",
+        lambda d: (_check_effect(d).update(target="nodot"), d["behaviors"]["m_check"].update(instances=0)),
+        [
+            "399:21: effect target 'nodot' must be object.path",
+            "10:17: behavior: instances must be at least 1, not 0",
+        ],
+    ),
+    (
+        "effect-target-and-unknown-id",
+        lambda d: _check_effect(d).update(id="zzz", target="nodot"),
+        ["3:3: unknown key 'id' in effect of m_check", "399:21: effect target 'nodot' must be object.path"],
+    ),
+]
+
+
+@pytest.mark.parametrize("edit, expected", [c[1:] for c in MANY_FAULTS], ids=[c[0] for c in MANY_FAULTS])
+def test_faults_in_two_fields_give_the_located_diagnostics(edit, expected):
+    doc = json.loads(fixture_text("eco.bpdmn.json"))
+    edit(doc)
+    with pytest.raises(ParseError) as info:
+        parse_diagram(json.dumps(doc, indent=2))
+    assert [str(d) for d in info.value.diagnostics] == expected
+
+
 # ---------------------------------------------------------------------------
 # Mutation fuzzing: every single-point change of a few valid documents
 
@@ -523,6 +562,19 @@ def _elements(table, data: dict):
         elif key.kind.of is not None and value:
             for item in value:
                 yield from _elements(fmt._TABLES[key.kind.of], item)
+
+
+def test_every_key_is_read_as_a_scalar_a_list_or_a_map():
+    """No key has a codec of its own: both passes read each one through the
+    generic code of its kind's shape."""
+    assert not {"read", "fast"} & set(fmt._Kind._fields)
+    kinds = [key.kind for table in fmt._TABLES.values() for key in table.keys]
+    while kinds:
+        kind = kinds.pop()
+        shapes = [kind.check is not None, kind.of is not None, kind.values is not None]
+        assert shapes.count(True) == 1, kind
+        if isinstance(kind.values, fmt._Kind):
+            kinds.append(kind.values)
 
 
 def test_every_key_document_holds_every_key_of_every_table():

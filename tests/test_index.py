@@ -439,6 +439,15 @@ def test_views_equal_scan_references(diagram):
             assert reaches(diagram, a, b) == ref_reaches(diagram, a, b), (a, b)
 
 
+@pytest.mark.parametrize("diagram", DIAGRAMS)
+def test_black_box_views_equal_scan_references(diagram):
+    black_boxes = [p.id for p in diagram.pools if not p.nodes]
+    ids = [n.id for n in diagram.iter_nodes()] + [p.id for p in diagram.pools] + ["no-such-element"]
+    assert [ident for ident in ids if diagram.is_black_box_pool(ident)] == black_boxes
+    external = [f for f in diagram.message_flows if f.source in black_boxes or f.target in black_boxes]
+    assert list(diagram.index.external_flows.items()) == [(f.id, f) for f in external]
+
+
 def test_views_hand_out_fresh_lists(travel):
     first = node_inputs(travel, "check_cc")
     first.clear()

@@ -173,6 +173,25 @@ def test_oracle_agrees_with_scheduler(name):
         assert frozenset(result.fired_nodes()) in oracle
 
 
+def test_an_insert_in_a_clone_leaves_the_store_lists_it_was_cloned_from(travel):
+    """A clone shares the records, which are never changed once stored, and
+    not the lists that hold them."""
+    from bpdmn.simulator import _clone
+
+    state = init(travel)
+    ready = enabled(state, travel)
+    while "archive" not in ready:
+        state, _ = step(state, travel, min(ready))
+        ready = enabled(state, travel)
+    old = {"__entity__": "Reservation", "Reservation.hotel": "Ritz"}
+    state.stores["arch_db"] = [old]
+    clone, _ = step(_clone(state), travel, "archive")
+    assert state.stores == {"arch_db": [old]}
+    assert state.stores["arch_db"][0] is old
+    assert clone.stores["arch_db"][0] is old
+    assert clone.stores["arch_db"][1]["Reservation.hotel"] == "Hilton"
+
+
 def test_shared_store_reader_waits_for_writer():
     diagram = load("handoff/shared_store.bpdmn.json")
     oracle = explore_interleavings(diagram)
