@@ -143,9 +143,12 @@ class _Reader:
     def fail(self, message: str, near: str | None = None) -> None:
         self.errors.append(ParseDiagnostic(_span_of(self.text, near), message))
 
-    def _wrong(self, data: dict, key: str, where: str, expected: str) -> None:
+    def _wrong(self, data: dict, key: str, where: str, expected: str, in_map: bool = False) -> None:
+        """Record that *key* of *data* is missing or not *expected*, located at
+        the element's id, or at *key* itself when *data* is a map (*in_map*),
+        whose entry named ``id`` is no id."""
         self.faulty = True
-        ident = data.get("id")
+        ident = None if in_map else data.get("id")
         near = ident if isinstance(ident, str) else None
         if key in data:
             self.fail(f"{key!r} of {where} must be {expected}", near=near or key)
@@ -163,11 +166,21 @@ class _Reader:
                 self.fail(f"unknown key {key!r} in {what}", near=key)
         return data
 
-    def value(self, data: dict, key: str, where: str, kind: _Kind, default: object, near: str | None = None):
-        """The value under *key*, *default* when it is absent, which the scalar
-        *kind* must accept; an expression kind's text reads as its tree. A
-        value the kind refuses reads as *default*, or as ``""`` when that is
-        ``None``, so an id that failed still prints.
+    def value(
+        self,
+        data: dict,
+        key: str,
+        where: str,
+        kind: _Kind,
+        default: object,
+        near: str | None = None,
+        in_map: bool = False,
+    ):
+        """The value under *key* of an element, or of a map when *in_map*,
+        *default* when it is absent, which the scalar *kind* must accept; an
+        expression kind's text reads as its tree. A value the kind refuses
+        reads as *default*, or as ``""`` when that is ``None``, so an id that
+        failed still prints.
 
         A value the kind's ``convert`` refuses reads as ``None``; its model
         error is recorded at *near*, or at the value, unless a field of the
@@ -175,7 +188,7 @@ class _Reader:
         the element that holds it is still reported."""
         value = data.get(key, default)
         if not kind.accepts(value):
-            self._wrong(data, key, where, kind.expected)
+            self._wrong(data, key, where, kind.expected, in_map)
             return "" if default is None else default
         if kind.convert is not None:
             try:
@@ -192,14 +205,15 @@ class _Reader:
                 return None
         return value
 
-    def map(self, data: dict, key: str, where: str, kind: _Kind) -> dict:
-        """The object under *key*, empty when the key is absent, each of its
-        values read as the map *kind* says. Diagnostics call the map *where*
-        or ``kind.where``; a value that is an element is named after its name
-        in the map, and left out when it fails."""
+    def map(self, data: dict, key: str, where: str, kind: _Kind, in_map: bool = False) -> dict:
+        """The object under *key* of an element, or of a map when *in_map*,
+        empty when the key is absent, each of its values read as the map
+        *kind* says. Diagnostics call the map *where* or ``kind.where``; a
+        value that is an element is named after its name in the map, and
+        left out when it fails."""
         entries = data.get(key, {})
         if not isinstance(entries, dict):
-            self._wrong(data, key, where, "an object")
+            self._wrong(data, key, where, "an object", in_map)
             return {}
         values, out = kind.values, {}
         at = where if kind.where is None else kind.where.format(key=key)
@@ -209,9 +223,9 @@ class _Reader:
                 if value is None:
                     continue
             elif values.values is not None:
-                value = self.map(entries, name, at, values)
+                value = self.map(entries, name, at, values, in_map=True)
             else:
-                value = self.value(entries, name, at, values, None)
+                value = self.value(entries, name, at, values, None, in_map=True)
             out[name] = value
         return out
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
-from .expr import Expression, Value
+from .expr import Expression, Value, expr_refs
 
 NODE_KINDS = {
     "task",
@@ -714,10 +714,18 @@ class DiagramIndex:
             if len(flows) > 1:  # most nodes have one, and the index is built on every call
                 flows.sort(key=lambda f: f.id)
 
+        # node id -> each store read of its behavior, in order, with the paths
+        # its filter names, sorted: what a firing extracts, and what the
+        # simulator's memo of the read compares
+        self.store_reads: dict[str, list[tuple[StoreRead, tuple[str, ...]]]] = {}
         for node_id, behavior in diagram.behaviors.items():
             for action in behavior.store_actions:
-                table = self.readers if isinstance(action, StoreRead) else self.writers
-                table.setdefault(action.store, set()).add(node_id)
+                if isinstance(action, StoreRead):
+                    self.readers.setdefault(action.store, set()).add(node_id)
+                    refs = () if action.filter is None else tuple(sorted(expr_refs(action.filter)))
+                    add(self.store_reads, node_id, (action, refs))
+                else:
+                    self.writers.setdefault(action.store, set()).add(node_id)
 
         self.message_in: dict[str, list[MessageFlow]] = {}  # endpoint id -> message flows
         self.message_out: dict[str, list[MessageFlow]] = {}
@@ -746,9 +754,15 @@ class DiagramIndex:
         self.mappings_to: dict[str, list[DataMapping]] = {}
         for mapping in sorted(diagram.mappings, key=lambda m: m.id):
             add(self.mappings_to, mapping.target_object, mapping)
+        self._mappings_into: dict[str, list[DataMapping]] = {}  # node id -> mappings_into, once asked
 
     def mappings_into(self, node_id: str) -> list[DataMapping]:
         """Mappings producing one of the node's inputs, sorted by id: the
-        order in which a firing applies them and a translator emits them."""
-        objects = dict.fromkeys(io.object for io in self.inputs.get(node_id, ()))
-        return sorted((m for obj in objects for m in self.mappings_to.get(obj, ())), key=lambda m: m.id)
+        order in which a firing applies them and a translator emits them.
+        Built on the first request and shared: callers only iterate it."""
+        mappings = self._mappings_into.get(node_id)
+        if mappings is None:
+            objects = dict.fromkeys(io.object for io in self.inputs.get(node_id, ()))
+            mappings = sorted((m for obj in objects for m in self.mappings_to.get(obj, ())), key=lambda m: m.id)
+            self._mappings_into[node_id] = mappings
+        return mappings

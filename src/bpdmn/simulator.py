@@ -22,8 +22,15 @@ supplies them. Only the start inputs can be overridden, by ``init`` and
 ``run``.
 
 The rule is written once, in ``_is_enabled``. ``enabled()`` applies it to the
-candidates of a state: targets of marked sequence flows and pending message
-starts. A run and the oracle do not apply it again to every candidate after
+candidates of a state: the nodes in ``state.marked`` and the pending message
+starts. ``state.marked`` maps a node to how many of its sequence flows in hold
+a token, and holds no node at 0. It is counted from ``state.tokens`` once, by
+``_count_marks``, and from then on kept by the only writers of tokens,
+``_add_token`` and the consume loop of ``step``. So a join holds when its
+count is the number of flows in, or above 0 for an exclusive merge, and no
+token or flow is scanned.
+
+A run and the oracle do not apply the rule again to every candidate after
 each firing, because of one fact: when a node X fires, no other enabled node
 becomes disabled unless it has a store-channel input. X takes tokens only
 from flows into X and removes only messages on flows into X; only X's entries
@@ -32,6 +39,26 @@ never removed; and only a store read's filter reads binding values, which X
 may rebind. So ``enabled(state, diagram, prior)`` keeps a candidate found in
 *prior*, the nodes enabled before the firing other than X, without a check,
 unless it has a store-channel input. ``step`` still checks the node it fires.
+
+A store read resumes from its memo in ``state.reads``, one per node and read
+of ``index.store_reads``: the value of each path its filter names, how many
+records it scanned, and the record it matched or ``None``. Three facts make
+that sound:
+
+- a record is only appended, by ``_run_behavior``, and never changed;
+- a filter reads only its record and the paths that ``expr_refs`` names,
+  which the index lists with each read;
+- ``eval_expr`` is deterministic.
+
+So while those values are the ones the memo saw, a match found earlier is
+still the first match, and with none, only the records appended since need a
+scan. The values are compared with their types, because 1, 1.0 and True are
+equal in Python but not to a filter. When one differs, or the memo scanned
+more records than the store holds, the scan starts from the first record.
+Enablement and ``step`` read through the same memo, so a firing takes the
+record that enablement found. The memo and the counts are caches of their
+state: ``_clone`` copies them, ``_freeze_state`` ignores them, and none
+outlives its run.
 
 The state carries ``env``, the bindings flattened to ``object.path`` names,
 kept up to date by ``_bind_object``; guards, effects, mappings, store inserts
@@ -55,6 +82,7 @@ from .model import (
     Diagram,
     Node,
     NodeIO,
+    SequenceFlow,
     StoreInsert,
     StoreRead,
     TaskBehavior,
@@ -110,6 +138,15 @@ class ExecutionState:
     # bindings flattened to "object.path" -> value, the names expressions read;
     # built here, then kept up to date by _bind_object
     env: dict[str, Value] = field(init=False, repr=False, compare=False)
+    # node id -> how many of its sequence flows in hold a token, for the nodes
+    # with one; counted from tokens by _count_marks, then kept by _add_token
+    # and step's consume loop
+    marked: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
+    # (node id, number of the read in index.store_reads) -> (snapshot of the
+    # paths its filter names, records scanned, record matched or None)
+    reads: dict[tuple[str, int], tuple[tuple, int, Record | None]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self.env = _env_of(self.bindings)
@@ -214,6 +251,7 @@ def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = No
         raise InitializationError("no start event: diagram has no nodes")
 
     state = ExecutionState()
+    _count_marks(state, diagram)
     internal_message_targets = diagram.index.message_in
 
     for pool in diagram.pools:
@@ -237,7 +275,7 @@ def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = No
                     _bind_object(state, [], 0, io.object, values)  # run() traces them at step 0
             state.completed.add(node.id)
             for flow in diagram.index.out_flows.get(node.id, ()):
-                state.tokens[flow.id] = state.tokens.get(flow.id, 0) + 1
+                _add_token(state, flow)
     return state
 
 
@@ -245,28 +283,66 @@ def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = No
 # Enablement
 
 
-def _store_read_available(state: ExecutionState, behavior: TaskBehavior | None, object_id: str) -> bool:
-    if behavior is not None:
-        for action in behavior.store_actions:
-            if isinstance(action, StoreRead) and action.object == object_id:
-                return _matching_record(state, action) is not None
+def _count_marks(state: ExecutionState, diagram: Diagram) -> None:
+    """Count ``state.marked`` from ``state.tokens`` unless it is counted: a
+    state may be built with tokens and no diagram. ``init``, ``enabled`` and
+    ``step`` call it before anything reads or writes the counts."""
+    if state.marked is not None:
+        return
+    marked: dict[str, int] = {}
+    flows = diagram.index.flows
+    for flow_id, count in state.tokens.items():
+        flow = flows.get(flow_id)
+        if flow is not None and count > 0:
+            marked[flow.target] = marked.get(flow.target, 0) + 1
+    state.marked = marked
+
+
+def _store_read_available(state: ExecutionState, diagram: Diagram, node_id: str, object_id: str) -> bool:
+    for number, (action, refs) in enumerate(diagram.index.store_reads.get(node_id, ())):
+        if action.object == object_id:
+            return _matching_record(state, (node_id, number), action, refs) is not None
     # no configured read: the extraction is conceptual, treat as available
     return True
 
 
-def _matching_record(state: ExecutionState, action: StoreRead) -> Record | None:
-    for record in state.stores.get(action.store, []):
-        if not record.get("__entity__") == action.entity:
+_ABSENT = object()  # an unbound path in a read's snapshot
+
+
+def _matching_record(
+    state: ExecutionState, key: tuple[str, int], action: StoreRead, refs: tuple[str, ...]
+) -> Record | None:
+    """The first record of *action*'s entity in its store that its filter
+    accepts, or ``None``. *refs* are the paths the filter names; the scan
+    resumes from the memo ``state.reads[key]`` while their values are those
+    it saw (see the module docstring)."""
+    records = state.stores.get(action.store, ())
+    env = state.env
+    # a value is tagged with its type: 1, 1.0 and True are equal in Python
+    # but not to a filter
+    snapshot = tuple((type(v), v) if (v := env.get(path, _ABSENT)) is not _ABSENT else v for path in refs)
+    start = 0
+    memo = state.reads.get(key)
+    if memo is not None and memo[0] == snapshot and memo[1] <= len(records):
+        if memo[2] is not None:
+            return memo[2]
+        start = memo[1]
+    entity, condition = action.entity, action.filter
+    for number in range(start, len(records)):
+        record = records[number]
+        if record.get("__entity__") != entity:
             continue
-        if action.filter is None:
-            return record
-        fields = _Overlay(record, state.env)
-        del fields["__entity__"]
-        try:
-            if eval_expr(action.filter, fields) is True:
-                return record
-        except ExprError:
-            continue
+        if condition is not None:
+            fields = _Overlay(record, env)
+            del fields["__entity__"]
+            try:
+                if eval_expr(condition, fields) is not True:
+                    continue
+            except ExprError:
+                continue
+        state.reads[key] = (snapshot, number + 1, record)
+        return record
+    state.reads[key] = (snapshot, len(records), None)
     return None
 
 
@@ -278,7 +354,7 @@ def _input_available(
     if io.channel == "message":
         return any(io.object in msg.objects for msg in state.inbox.get(io.via, ()))
     if io.channel == "store":
-        return _store_read_available(state, diagram.behaviors.get(node.id), io.object)
+        return _store_read_available(state, diagram, node.id, io.object)
     # sequence or explicit node-to-node channel: maybe producible by a mapping
     for mapping in diagram.index.mappings_to.get(io.object, ()):
         if mapping.id in visiting:
@@ -296,7 +372,8 @@ def _input_available(
 def _is_enabled(state: ExecutionState, diagram: Diagram, node: Node) -> bool:
     """The enablement rule for one node: its join holds and every required
     input is available. Store-channel inputs are tested last, so a store is
-    scanned only when everything else already holds."""
+    read only when everything else already holds. The caller has counted the
+    marks (``_count_marks``)."""
     incoming = diagram.index.in_flows.get(node.id, ())
     if not incoming:
         return node.id in state.pending_starts and any(
@@ -304,11 +381,8 @@ def _is_enabled(state: ExecutionState, diagram: Diagram, node: Node) -> bool:
         )
     if node.id in state.completed and node.kind in START_KINDS:
         return False
-    if node.kind == "gateway_exclusive_data":
-        has_tokens = any(state.tokens.get(f.id, 0) > 0 for f in incoming)
-    else:
-        has_tokens = all(state.tokens.get(f.id, 0) > 0 for f in incoming)
-    if not has_tokens:
+    marks = state.marked.get(node.id, 0)
+    if not (marks > 0 if node.kind == "gateway_exclusive_data" else marks == len(incoming)):
         return False
     inputs = diagram.index.inputs.get(node.id, ())
     for store_pass in (False, True):
@@ -325,19 +399,16 @@ def enabled(
 ) -> set[str]:
     """Nodes ready to fire under the join and data-availability conditions.
 
-    Only the targets of marked sequence flows and the pending message starts
-    are examined: a node with in-flows but no marked one fails either join,
-    and a node without in-flows fires only as a pending message start.
-    *prior* holds the nodes enabled before the last firing, less the fired
-    node; a candidate in it without a store-channel input is still enabled
-    (see the module docstring) and is not checked again.
+    Only the nodes in ``state.marked`` and the pending message starts are
+    examined: a node with in-flows but no marked one fails either join, and
+    a node without in-flows fires only as a pending message start. *prior*
+    holds the nodes enabled before the last firing, less the fired node; a
+    candidate in it without a store-channel input is still enabled (see the
+    module docstring) and is not checked again.
     """
+    _count_marks(state, diagram)
+    candidates = state.pending_starts.union(state.marked)
     index = diagram.index
-    candidates = set(state.pending_starts)
-    for flow_id, count in state.tokens.items():
-        flow = index.flows.get(flow_id)
-        if flow is not None and count > 0:
-            candidates.add(flow.target)
     nodes, store_fed = index.nodes, index.store_fed
     return {
         node_id
@@ -441,6 +512,15 @@ def _send_messages(
         # messages to black-box pools leave the modeled world
 
 
+def _add_token(state: ExecutionState, flow: SequenceFlow) -> None:
+    """Put a token on *flow*: with ``step``'s consume loop, the only writer
+    of ``state.tokens`` and ``state.marked`` once the marks are counted."""
+    count = state.tokens.get(flow.id, 0)
+    state.tokens[flow.id] = count + 1
+    if count == 0:
+        state.marked[flow.target] = state.marked.get(flow.target, 0) + 1
+
+
 def _emit_tokens(state: ExecutionState, diagram: Diagram, node: Node) -> None:
     outgoing = diagram.index.out_flows.get(node.id, ())
     if not outgoing:
@@ -458,20 +538,21 @@ def _emit_tokens(state: ExecutionState, diagram: Diagram, node: Node) -> None:
             except ExprError as exc:
                 raise SimulationError(f"guard of flow {flow.id}: {exc}") from exc
             if result is True:
-                state.tokens[flow.id] = state.tokens.get(flow.id, 0) + 1
+                _add_token(state, flow)
                 return
         if default is None:
             raise StuckGatewayError(f"gateway {node.id}: no true guard and no default flow")
-        state.tokens[default.id] = state.tokens.get(default.id, 0) + 1
+        _add_token(state, default)
         return
     for flow in outgoing:
-        state.tokens[flow.id] = state.tokens.get(flow.id, 0) + 1
+        _add_token(state, flow)
 
 
 def step(state: ExecutionState, diagram: Diagram, node_id: str) -> tuple[ExecutionState, Trace]:
     """Fire the node *node_id* and return the updated state together with
     the trace delta; :class:`SimulationError` if that node is not enabled."""
     node = diagram.index.nodes.get(node_id)
+    _count_marks(state, diagram)
     if node is None or not _is_enabled(state, diagram, node):
         raise SimulationError(f"node {node_id} is not enabled")
 
@@ -480,30 +561,32 @@ def step(state: ExecutionState, diagram: Diagram, node_id: str) -> tuple[Executi
     trace.append(NodeFired(current, node_id))
 
     # consume tokens: one from each marked flow in, or from the first for an
-    # exclusive merge; a flow whose count reaches 0 leaves ``state.tokens``
-    tokens, exclusive = state.tokens, node.kind == "gateway_exclusive_data"
+    # exclusive merge; a flow whose count reaches 0 leaves ``state.tokens``,
+    # and a node with no marked flow left leaves ``state.marked``
+    exclusive = node.kind == "gateway_exclusive_data"
     for flow in diagram.index.in_flows.get(node_id, ()):
-        count = tokens.get(flow.id, 0)
+        count = state.tokens.get(flow.id, 0)
         if count > 0:
             if count == 1:
-                del tokens[flow.id]
+                del state.tokens[flow.id]
+                if state.marked[node_id] == 1:
+                    del state.marked[node_id]
+                else:
+                    state.marked[node_id] -= 1
             else:
-                tokens[flow.id] = count - 1
+                state.tokens[flow.id] = count - 1
             if exclusive:
                 break
 
     _receive_messages(state, diagram, node, trace, current)
     state.pending_starts.discard(node_id)
 
-    behavior = diagram.behaviors.get(node_id)
     # pre-behavior store reads so effects can see extracted data
-    if behavior is not None:
-        for action in behavior.store_actions:
-            if isinstance(action, StoreRead):
-                record = _matching_record(state, action)
-                if record is not None:
-                    values = {n: record[n] for n in _variable_names(diagram, action.object) if n in record}
-                    _bind_object(state, trace, current, action.object, values)
+    for number, (action, refs) in enumerate(diagram.index.store_reads.get(node_id, ())):
+        record = _matching_record(state, (node_id, number), action, refs)
+        if record is not None:
+            values = {n: record[n] for n in _variable_names(diagram, action.object) if n in record}
+            _bind_object(state, trace, current, action.object, values)
 
     _apply_mappings(state, diagram, node, trace, current)
 
@@ -512,6 +595,7 @@ def step(state: ExecutionState, diagram: Diagram, node_id: str) -> tuple[Executi
         if io.optional and io.object not in state.bindings:
             _bind_object(state, trace, current, io.object, dict.fromkeys(_variable_names(diagram, io.object)))
 
+    behavior = diagram.behaviors.get(node_id)
     if behavior is not None:
         _run_behavior(state, node, behavior, trace, current)
 
@@ -619,6 +703,9 @@ def _clone(state: ExecutionState) -> ExecutionState:
     # by entry is slower and fragments the heap
     clone.bindings = {k: dict(v) for k, v in state.bindings.items()}
     clone.env = state.env.copy()
+    # their entries are ints and tuples, never changed in place
+    clone.marked = None if state.marked is None else state.marked.copy()
+    clone.reads = state.reads.copy()
     return clone
 
 

@@ -18,12 +18,12 @@ FIELDS = {"bindings", "env"}
 MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
 
 
-def _reaches_field(node: ast.expr) -> bool:
-    """True when *node* is ``<x>.bindings`` or ``<x>.env``, or is reached
-    from one by subscripts, attributes and calls (``state.bindings[o]``,
-    ``state.bindings.get(o, {})``)."""
+def _reaches_field(node: ast.expr, fields: set[str]) -> bool:
+    """True when *node* is ``<x>.<field>`` for one of *fields*, such as
+    ``<x>.bindings`` or ``<x>.env``, or is reached from one by subscripts,
+    attributes and calls (``state.bindings[o]``, ``state.bindings.get(o, {})``)."""
     while True:
-        if isinstance(node, ast.Attribute) and node.attr in FIELDS:
+        if isinstance(node, ast.Attribute) and node.attr in fields:
             return True
         if isinstance(node, (ast.Attribute, ast.Subscript)):
             node = node.value
@@ -33,17 +33,17 @@ def _reaches_field(node: ast.expr) -> bool:
             return False
 
 
-def _writes(scope: ast.AST) -> list[int]:
-    """Lines at which *scope* assigns, deletes or mutates in place a
-    ``bindings`` or ``env`` field, or something reached from one."""
+def _writes(scope: ast.AST, fields: set[str]) -> list[int]:
+    """Lines at which *scope* assigns, deletes or mutates in place one of
+    *fields*, or something reached from one."""
     lines = set()
     for node in ast.walk(scope):
         if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
-            target = node if isinstance(node, ast.Attribute) and node.attr in FIELDS else node.value
-            if _reaches_field(target):
+            target = node if isinstance(node, ast.Attribute) and node.attr in fields else node.value
+            if _reaches_field(target, fields):
                 lines.add(node.lineno)
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in MUTATORS and _reaches_field(node.func.value):
+            if node.func.attr in MUTATORS and _reaches_field(node.func.value, fields):
                 lines.add(node.lineno)
     return sorted(lines)
 
@@ -61,14 +61,14 @@ def _scopes(tree: ast.Module):
             yield (statement.name if isinstance(statement, functions) else "<module>"), statement
 
 
-def writers_outside(source: str, allowed: set[str]) -> list[str]:
-    """``where:line`` for each write to a binding field made outside the
-    *allowed* scopes (see :func:`_scopes`)."""
+def writers_outside(source: str, allowed: set[str], fields: set[str] = FIELDS) -> list[str]:
+    """``where:line`` for each write to one of *fields*, by default the
+    binding fields, made outside the *allowed* scopes (see :func:`_scopes`)."""
     return [
         f"{where}:{line}"
         for where, statement in _scopes(ast.parse(source))
         if where not in allowed
-        for line in _writes(statement)
+        for line in _writes(statement, fields)
     ]
 
 

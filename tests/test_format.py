@@ -437,6 +437,35 @@ def test_faults_in_two_fields_give_the_located_diagnostics(edit, expected):
     assert [str(d) for d in info.value.diagnostics] == expected
 
 
+# (description, map of eco's document to add the entries to, the diagnostic):
+# a map's entry named "id" is no element id, so a sibling's fault is located
+# at the sibling's own key, not at the first text match of the entry's value
+# ("Order_ID" first appears at 56:25, in a pool's attachment)
+MAP_FAULTS = [
+    (
+        "start-inputs",
+        lambda d: d["start_inputs"]["ECO_Request"],
+        {"zz": [1]},
+        "468:7: 'zz' of start inputs of ECO_Request must be a string, number, boolean or null",
+    ),
+    (
+        "insert-assignments",
+        lambda d: d["behaviors"]["t_submit"]["store_actions"][0]["assignments"],
+        {"zz": 5},
+        "457:13: 'zz' of insert of t_submit must be an expression string",
+    ),
+]
+
+
+@pytest.mark.parametrize("entries, wrong, expected", [c[1:] for c in MAP_FAULTS], ids=[c[0] for c in MAP_FAULTS])
+def test_a_map_value_is_located_at_its_key_not_at_an_entry_named_id(entries, wrong, expected):
+    doc = json.loads(fixture_text("eco.bpdmn.json"))
+    entries(doc).update({"id": "Order_ID", **wrong})
+    with pytest.raises(ParseError) as info:
+        parse_diagram(json.dumps(doc, indent=2))
+    assert [str(d) for d in info.value.diagnostics] == [expected]
+
+
 # ---------------------------------------------------------------------------
 # Mutation fuzzing: every single-point change of a few valid documents
 
