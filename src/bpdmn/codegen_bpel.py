@@ -3,13 +3,20 @@
 Stores and objects become ``variable`` elements, data mappings become
 ``assign`` blocks with one ``copy`` per rule, tasks with attachments become
 ``invoke`` activities, message start events become ``receive``. The control
-skeleton maps linear chains to ``sequence``, parallel gateway regions to
-``flow`` and data-based exclusive gateways to ``if``/``else``.
+skeleton maps linear chains to ``sequence`` and has one rule for gateways: a
+split becomes one structured activity, ``flow`` for a parallel split and
+``if``/``elseif``/``else`` for a data-based exclusive split, with one
+``sequence`` per branch, and what follows the split's join comes after it
+in the enclosing sequence. A merge or a plain join writes nothing.
 
 Partner links, port types and WSDL definitions are emitted as fixed
 placeholders; they carry no data semantics. Objects attached to message
 flows have no BPEL counterpart and are skipped with a warning, and so is any
 task or sub-process, at any depth, that the control skeleton does not reach.
+BPEL does not yet carry a sub-process's content (a sub-process is one
+``invoke``) or an unstructured region: a split's join is taken to be the
+first node every branch reaches, and nothing checks that the region is
+well structured.
 
 The text is written from the model in document order by :class:`XmlWriter`,
 the writer both translators share; no document tree is built.
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 from . import validator
 from .expr import Ref, print_expr
-from .model import START_KINDS, Diagram, Node, SequenceFlow, node_inputs, node_outputs
+from .model import START_KINDS, Diagram, Node, node_inputs, node_outputs
 
 PROCESS_NS = "http://example.org/bpel/generated"
 PLACEHOLDER_PARTNER_LINK = "partnerLinkPlaceholder"
@@ -143,8 +150,11 @@ def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
     for pool, starts in bodies:
         out.open("sequence", {"name": pool.name} if side_by_side else None)
         skeleton = _Skeleton(out, diagram, pool)
-        for start in starts:
-            skeleton.chain(start.id, None)
+        try:
+            for start in starts:
+                skeleton.chain(start.id, None)
+        except RecursionError:  # one Python frame per nested split
+            raise GenerationError(f"pool {pool.id}: splits nest too deeply for the BPEL control skeleton") from None
         out.close()
         for node in pool.iter_nodes():
             # every kind _write_node writes an activity for; a start heads a chain
@@ -274,7 +284,7 @@ def _write_node(out: XmlWriter, diagram: Diagram, start_sources: set[str], node:
             if outvar:
                 attrs["outputVariable"] = outvar
             out.leaf("invoke", attrs)
-    # start_event_none, end_event and gateways emit no standalone activity
+    # start_event_none and end_event emit no standalone activity
 
 
 def _reachable(diagram: Diagram, node_id: str) -> set[str]:
@@ -316,57 +326,33 @@ class _Skeleton:
         self.emitted: set[str] = set()
 
     def chain(self, start_id: str, stop_id: str | None) -> None:
-        """Write from *start_id* (inclusive) up to *stop_id* (exclusive)."""
+        """Write from *start_id* (inclusive) up to *stop_id* (exclusive): a
+        split and its branches, each walked up to the split's join, then on
+        from that join; any other gateway writes nothing."""
         diagram, out = self.diagram, self.out
         current: str | None = start_id
         while current is not None and current != stop_id and current not in self.emitted:
             self.emitted.add(current)
             node = diagram.node(current)
             nexts = diagram.index.out_flows.get(current, [])
-            if node.kind == "gateway_exclusive_data":
-                self.exclusive(node, nexts)
-                return
-            if node.kind == "gateway_parallel" and len(nexts) > 1:
-                heads = [f.target for f in nexts]
-                join = _find_join(diagram, heads)
-                out.open("flow", {"name": node.name or node.id})
-                for head in heads:
-                    self.branch(head, join)
-                out.close()
-                if join is not None and diagram.node(join).kind.startswith("gateway_"):
-                    self.emitted.add(join)  # the join gateway itself emits nothing
-                    nexts = diagram.index.out_flows.get(join, [])
-                else:
-                    current = join  # any other join is written after the flow
-                    continue
-            elif node.kind != "gateway_parallel":  # a parallel gateway that does not split writes nothing
+            exclusive = node.kind == "gateway_exclusive_data"
+            if not node.kind.startswith("gateway_"):
                 _write_node(out, diagram, self.start_sources, node)
+            elif len(nexts) > 1 or (exclusive and any(f.guard is not None for f in nexts)):
+                join = _find_join(diagram, [f.target for f in nexts]) if len(nexts) > 1 else None
+                out.open("if" if exclusive else "flow", {"name": node.name or node.id})
+                # an if takes the guarded flows in order, then the default: at most one (V7)
+                for n, flow in enumerate(sorted(nexts, key=lambda f: f.guard is None) if exclusive else nexts):
+                    if exclusive and n:
+                        out.open("elseif" if flow.guard is not None else "else")
+                    if exclusive and flow.guard is not None:
+                        out.leaf("condition", text=print_expr(flow.guard))
+                    out.open("sequence")
+                    self.chain(flow.target, join)
+                    out.close()
+                    if exclusive and n:
+                        out.close()
+                out.close()
+                current = join
+                continue
             current = nexts[0].target if nexts else None
-
-    def branch(self, head: str, stop_id: str | None) -> None:
-        self.out.open("sequence")
-        self.chain(head, stop_id)
-        self.out.close()
-
-    def exclusive(self, node: Node, outgoing: list[SequenceFlow]) -> None:
-        out = self.out
-        join = _find_join(self.diagram, [f.target for f in outgoing]) if len(outgoing) > 1 else None
-        if join is not None:
-            out.open("sequence")
-        out.open("if", {"name": node.name or node.id})
-        for n, flow in enumerate(f for f in outgoing if f.guard is not None):
-            if n:
-                out.open("elseif")
-            out.leaf("condition", text=print_expr(flow.guard))
-            self.branch(flow.target, join)
-            if n:
-                out.close()
-        for flow in outgoing:
-            if flow.guard is None:  # at most one: V7
-                out.open("else")
-                self.branch(flow.target, join)
-                out.close()
-        out.close()
-        if join is not None:
-            self.chain(join, None)
-            out.close()

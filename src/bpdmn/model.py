@@ -643,9 +643,8 @@ class DiagramIndex:
     """
 
     def __init__(self, diagram: Diagram) -> None:
-        self.pools: dict[str, Pool] = {p.id: p for p in diagram.pools}
         self.black_boxes: set[str] = {p.id for p in diagram.pools if not p.nodes}  # pools without nodes
-        self.pool_of: dict[str, Pool] = dict(self.pools)  # node or pool id -> pool
+        self.pool_of: dict[str, Pool] = {p.id: p for p in diagram.pools}  # node or pool id -> pool
         self.nodes: dict[str, Node] = {}  # in iter_nodes order
         for pool in diagram.pools:
             for node in pool.iter_nodes():

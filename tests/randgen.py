@@ -135,6 +135,64 @@ def random_diagram(seed: int) -> Diagram:
     )
 
 
+def random_regions(seed: int) -> Diagram:
+    """One pool of nested and sequenced sound regions, valid by construction.
+
+    A region is a task, a sequence of regions, a parallel split into two or
+    three branch regions closed by a parallel join, or an exclusive split
+    whose flows carry literal guards (``true``, ``false``) and one default,
+    closed by an exclusive merge. The pool's top level holds two exclusive
+    regions and two parallel regions, each pair in a row, and where a region
+    follows a join of its own kind that join splits it: one gateway joins
+    one region and splits the next.
+    """
+    rng = random.Random(seed)
+    nodes = {"s": Node("s", "Start", "start_event_none")}
+    flows: list[SequenceFlow] = []
+    open_joins: set[str] = set()  # joins that end a region and have no outgoing flow yet
+
+    def add(kind: str) -> str:
+        node_id = f"n{len(nodes)}"
+        nodes[node_id] = Node(node_id, f"{kind.split('_')[-1]} {node_id}", kind)
+        return node_id
+
+    def region(source: str, depth: int, shape: str | None = None, guard: str | None = None) -> str:
+        """Append a region after *source*, entered over a flow guarded by
+        *guard*; return the region's last node."""
+        shape = shape or rng.choice(("task", "sequence", "parallel", "exclusive") if depth < 3 else ("task",))
+        if shape == "sequence":
+            for _ in range(rng.randint(2, 3)):
+                source, guard = region(source, depth + 1, guard=guard), None
+            return source
+        kind = {"task": "task", "parallel": "gateway_parallel", "exclusive": "gateway_exclusive_data"}[shape]
+        if source in open_joins and nodes[source].kind == kind:
+            open_joins.discard(source)
+            split = source
+        else:
+            split = add(kind)
+            flows.append(SequenceFlow(f"f{len(flows)}", source, split, guard=parse_expr(guard) if guard else None))
+        if shape == "task":
+            return split
+        join = add(kind)
+        width = rng.randint(2, 3)
+        for k in range(width):
+            default = shape == "parallel" or k == width - 1
+            end = region(split, depth + 1, guard=None if default else rng.choice(("true", "false")))
+            flows.append(SequenceFlow(f"f{len(flows)}", end, join))
+        open_joins.add(join)
+        return join
+
+    last = "s"
+    pairs = ["exclusive", "parallel"]
+    rng.shuffle(pairs)
+    for shape in pairs:
+        for _ in range(2):
+            last = region(last, 1, shape)
+    end = add("end_event")
+    flows.append(SequenceFlow(f"f{len(flows)}", last, end))
+    return Diagram(f"regions{seed}", pools=[Pool("p", "Pool", list(nodes.values()), flows)])
+
+
 def fuzz_input(seed: int) -> str:
     """A hostile parser input: truncated JSON, wrong types, junk bytes."""
     rng = random.Random(seed)

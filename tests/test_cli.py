@@ -11,6 +11,10 @@ from pathlib import Path
 
 import pytest
 
+from bpdmn.expr import parse_expr
+from bpdmn.format import serialize_diagram
+from bpdmn.model import Diagram, Node, Pool, SequenceFlow
+
 from conftest import FIXTURES, fixture_text, run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -123,6 +127,24 @@ def test_simulate_set_refuses_an_object_no_message_start_produces():
     assert "error: bad --set 'plan.nosuch=1', no message start event produces 'plan'" in result.err
 
 
+def test_simulate_set_without_a_value_exits_2():
+    result = run_cli("simulate", fx("travel.bpdmn.json"), "--set", "novar")
+    assert (result.code, result.out) == (2, "")
+    assert result.err == "error: bad --set 'novar', expected OBJ.VAR=VALUE\n"
+
+
+def test_simulate_stuck_exclusive_gateway_exits_1(tmp_path):
+    # x has only false guards and no default flow: no branch can be taken
+    nodes = [Node("s", "s", "start_event_none"), Node("x", "x", "gateway_exclusive_data"), Node("e", "e", "end_event")]
+    flows = [SequenceFlow("f1", "s", "x"), SequenceFlow("f2", "x", "e", guard=parse_expr("false"))]
+    model = tmp_path / "stuck.bpdmn.json"
+    model.write_text(serialize_diagram(Diagram("stuck", pools=[Pool("p", "P", nodes, flows)])), encoding="utf-8")
+    assert run_cli("validate", str(model)).code == 0
+    result = run_cli("simulate", str(model))
+    assert (result.code, result.out) == (1, "")
+    assert result.err == "error: gateway x: no true guard and no default flow\n"
+
+
 def test_simulate_seeded_random_policy():
     args = ["simulate", fx("eco.bpdmn.json"), "--policy", "random", "--seed", "3", "--json"]
     first = run_cli(*args)
@@ -147,11 +169,25 @@ def test_patterns_invalid_model_exit_1():
     assert result.code == 1
 
 
+def test_patterns_without_a_model_or_matrix_exits_2():
+    result = run_cli("patterns")
+    assert (result.code, result.out) == (2, "")
+    assert result.err == "error: provide a model file or --matrix\n"
+
+
 def test_render_hide_data():
     result = run_cli("render", fx("travel.bpdmn.json"), "--hide-data")
     assert result.code == 0
     assert result.out.startswith('digraph "travel"')
     assert "cylinder" not in result.out
+
+
+def test_render_to_a_missing_directory_exits_2(tmp_path):
+    target = tmp_path / "missing" / "x.dot"
+    result = run_cli("render", fx("travel.bpdmn.json"), "-o", str(target))
+    assert (result.code, result.out) == (2, "")
+    assert result.err.startswith(f"error: cannot write {target}: ") and result.err.count("\n") == 1
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("command", [["validate"], ["translate", "--to", "xpdl"], ["render"]])

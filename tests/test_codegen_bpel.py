@@ -6,10 +6,14 @@ import pytest
 
 from bpdmn import validator
 from bpdmn.codegen_bpel import GenerationError, to_bpel
+from bpdmn.codegen_xpdl import to_xpdl
+from bpdmn.expr import parse_expr
 from bpdmn.format import serialize_diagram
-from bpdmn.model import Diagram, Node, Pool, SequenceFlow
+from bpdmn.model import DataObject, DataStore, Diagram, Entity, Node, Pool, SequenceFlow, Variable
+from bpdmn.simulator import run
 
 from conftest import load, run_cli
+from randgen import random_regions
 
 
 @pytest.fixture
@@ -112,16 +116,20 @@ def test_invalid_diagram_is_refused():
         to_bpel(load("validator/bad_v1.bpdmn.json"))
 
 
-def _pool_diagram(kinds: dict[str, str], edges: list[tuple[str, str]]) -> Diagram:
-    """One pool whose nodes are the endpoints of *edges*; a node not named in
-    *kinds* is a task."""
-    ids = list(dict.fromkeys(n for edge in edges for n in edge))
+def _pool_diagram(kinds: dict[str, str], edges: list[tuple[str, ...]]) -> Diagram:
+    """One pool whose nodes are the endpoints of *edges*, each ``(source,
+    target)`` or ``(source, target, guard)``; a node not named in *kinds* is
+    a task."""
+    ids = list(dict.fromkeys(n for edge in edges for n in edge[:2]))
     nodes = [Node(i, i, kinds.get(i, "task")) for i in ids]
-    flows = [SequenceFlow(f"f{k}", a, b) for k, (a, b) in enumerate(edges)]
+    flows = [
+        SequenceFlow(f"f{k}", a, b, guard=parse_expr(guard[0]) if guard else None)
+        for k, (a, b, *guard) in enumerate(edges)
+    ]
     return Diagram("diagram", pools=[Pool("p", "P", nodes, flows)])
 
 
-def _one_pool(kinds: dict[str, str], edges: list[tuple[str, str]]) -> Diagram:
+def _one_pool(kinds: dict[str, str], edges: list[tuple[str, ...]]) -> Diagram:
     """:func:`_pool_diagram`, which must validate clean."""
     diagram = _pool_diagram(kinds, edges)
     assert validator.validate(diagram) == []
@@ -212,3 +220,146 @@ def test_second_default_flow_of_an_exclusive_gateway_is_refused(tmp_path):
     result = run_cli("translate", str(model), "--to", "bpel")
     assert result.code == 1
     assert "Traceback" not in result.out + result.err
+
+
+EXCLUSIVE, PARALLEL = "gateway_exclusive_data", "gateway_parallel"
+
+
+def _body(diagram: Diagram) -> list[tuple[str, str | None]]:
+    """The tag and name of each activity of the pool's top-level sequence."""
+    xml, warnings = to_bpel(diagram)
+    assert warnings == []
+    return [(child.tag, child.get("name")) for child in ET.fromstring(xml).find("sequence")]
+
+
+def _translate(tmp_path, diagram: Diagram):
+    model = tmp_path / "model.bpdmn.json"
+    model.write_text(serialize_diagram(diagram), encoding="utf-8")
+    return run_cli("translate", str(model), "--to", "bpel")
+
+
+def _depth(element: ET.Element) -> int:
+    return 1 + max((_depth(child) for child in element), default=0)
+
+
+def test_exclusive_merge_writes_nothing_and_every_if_opens_with_its_condition():
+    diagram = _one_pool(
+        {"s": "start_event_none", "x": EXCLUSIVE, "m": EXCLUSIVE, "e": "end_event"},
+        [("s", "x"), ("x", "a", "true"), ("x", "b"), ("a", "m"), ("b", "m"), ("m", "d"), ("d", "e")],
+    )
+    assert _body(diagram) == [("if", "x"), ("invoke", "d")]
+    root = ET.fromstring(to_bpel(diagram)[0])
+    assert [el.get("name") for el in root.iter("if")] == ["x"]
+    if_el = root.find(".//if")
+    assert [child.tag for child in if_el] == ["condition", "sequence", "else"]
+    assert if_el.find("sequence/invoke").get("name") == "a"
+    assert if_el.find("else/sequence/invoke").get("name") == "b"
+
+
+def _diamonds(count: int) -> Diagram:
+    """*count* exclusive split/merge diamonds in a row."""
+    edges, kinds, previous = [], {"s": "start_event_none", "e": "end_event"}, "s"
+    for i in range(count):
+        x, m = f"x{i}", f"m{i}"
+        kinds[x] = kinds[m] = EXCLUSIVE
+        edges += [(previous, x), (x, f"a{i}", "true"), (x, f"b{i}"), (f"a{i}", m), (f"b{i}", m)]
+        previous = m
+    return _pool_diagram(kinds, [*edges, (previous, "e")])
+
+
+def test_sequential_diamonds_grow_the_output_linearly_at_a_fixed_depth(tmp_path):
+    results = [_translate(tmp_path, _diamonds(count)) for count in (100, 200)]
+    assert [result.code for result in results] == [0, 0]
+    assert [result.err for result in results] == ["", ""]
+    hundred, two_hundred = (result.out for result in results)
+    assert len(two_hundred) <= 2.1 * len(hundred)
+    assert _depth(ET.fromstring(two_hundred)) == _depth(ET.fromstring(hundred))
+
+
+def test_what_follows_a_parallel_join_comes_after_the_flow_not_inside_a_branch():
+    diagram = _one_pool(
+        {"s": "start_event_none", "g": PARALLEL, "x": EXCLUSIVE, "m": EXCLUSIVE, "j": PARALLEL, "e": "end_event"},
+        [
+            ("s", "g"), ("g", "x"), ("g", "c"), ("x", "a", "true"), ("x", "b"), ("a", "m"), ("b", "m"),
+            ("m", "j"), ("c", "j"), ("j", "d"), ("d", "e"),
+        ],
+    )
+    assert _body(diagram) == [("flow", "g"), ("invoke", "d")]
+    assert len(ET.fromstring(to_bpel(diagram)[0]).findall(".//invoke[@name='d']")) == 1
+
+
+def test_a_join_that_splits_again_writes_a_second_flow():
+    diagram = _one_pool(
+        {"s": "start_event_none", "g": PARALLEL, "j": PARALLEL, "k": PARALLEL, "e": "end_event"},
+        [("s", "g"), ("g", "a"), ("g", "b"), ("a", "j"), ("b", "j"), ("j", "c"), ("j", "d"), ("c", "k"), ("d", "k"), ("k", "e")],
+    )
+    assert _body(diagram) == [("flow", "g"), ("flow", "j")]
+    flows = ET.fromstring(to_bpel(diagram)[0]).findall(".//flow")
+    assert [{i.get("name") for i in flow.iter("invoke")} for flow in flows] == [{"a", "b"}, {"c", "d"}]
+
+
+def test_a_three_way_exclusive_split_writes_elseif():
+    diagram = _one_pool(
+        {"s": "start_event_none", "x": EXCLUSIVE, "m": EXCLUSIVE, "e": "end_event"},
+        [("s", "x"), ("x", "a", "false"), ("x", "b", "true"), ("x", "c"), ("a", "m"), ("b", "m"), ("c", "m"), ("m", "e")],
+    )
+    if_el = ET.fromstring(to_bpel(diagram)[0]).find(".//if")
+    assert [child.tag for child in if_el] == ["condition", "sequence", "elseif", "else"]
+    assert [(c.find("condition").text, c.find("sequence/invoke").get("name")) for c in if_el.iter("elseif")] == [("true", "b")]
+    assert if_el.find("else/sequence/invoke").get("name") == "c"
+
+
+def _nested_splits(depth: int, kind: str) -> Diagram:
+    """*depth* splits of *kind*, each into a task and the next split (the
+    innermost into a task and ``c``), each closed by a join of its own."""
+    guard = ("true",) if kind == EXCLUSIVE else ()
+    kinds = {"s": "start_event_none", "e": "end_event"}
+    edges = [("s", "g0"), ("j0", "e")]
+    for i in range(depth):
+        kinds[f"g{i}"] = kinds[f"j{i}"] = kind
+        inner, inner_exit = (f"g{i + 1}", f"j{i + 1}") if i + 1 < depth else ("c", "c")
+        edges += [(f"g{i}", f"t{i}", *guard), (f"g{i}", inner), (f"t{i}", f"j{i}"), (inner_exit, f"j{i}")]
+    return _pool_diagram(kinds, edges)
+
+
+@pytest.mark.parametrize("kind", [EXCLUSIVE, PARALLEL])
+def test_four_hundred_nested_splits_translate(tmp_path, kind):
+    result = _translate(tmp_path, _nested_splits(400, kind))
+    assert (result.code, result.err) == (0, "")
+    assert result.out.count("<invoke ") == 401
+
+
+def test_splits_nested_past_the_recursion_limit_are_refused_without_a_traceback(tmp_path):
+    result = _translate(tmp_path, _nested_splits(1200, PARALLEL))
+    assert result.code == 1
+    assert result.out == ""
+    assert result.err == "error: pool p: splits nest too deeply for the BPEL control skeleton\n"
+
+
+def test_variable_name_collision_is_refused():
+    # object s.E.f and field f of entity E of store s both map to one variable name
+    store = DataStore("s", "S", entities=[Entity("E", [Variable("f", "string")])])
+    diagram = Diagram("d", stores=[store], objects=[DataObject("s.E.f", "O")])
+    assert validator.validate(diagram) == []
+    with pytest.raises(GenerationError, match=r"variable name collision: object s\.E\.f and store s both map to 's\.E\.f'"):
+        to_bpel(diagram)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_sound_regions_validate_run_and_translate_whole(seed):
+    diagram = random_regions(seed)
+    assert validator.validate(diagram) == []
+    assert run(diagram).status == "completed"
+    xml, warnings = to_bpel(diagram)
+    assert warnings == []
+    root = ET.fromstring(xml)
+    names = [el.get("name") for el in root.iter()]
+    nodes = diagram.pools[0].nodes
+    for node in nodes:
+        if node.kind == "task":
+            assert names.count(node.name) == 1, node.id
+    for if_el in root.iter("if"):
+        assert if_el[0].tag == "condition"
+    xpdl, _ = to_xpdl(diagram)
+    named = {value for el in ET.fromstring(xpdl).iter() for value in el.attrib.values()}
+    assert {node.id for node in nodes} <= named

@@ -6,6 +6,7 @@ from bpdmn.model import Diagram, Node, Pool, SequenceFlow
 from bpdmn.simulator import (
     ExecutionState,
     InitializationError,
+    SimulationError,
     NodeFired,
     ObjectBound,
     check_data_gating,
@@ -468,3 +469,81 @@ def test_an_effect_on_instance_index_shadows_the_counter_for_its_instance():
     binds = [(e.variable, e.value) for e in run(diagram).trace if isinstance(e, ObjectBound) and e.object == "o"]
     # each instance starts from its own counter, and reads the effect once made
     assert binds == [("a", 1), ("b", "set"), ("a", 2), ("b", "set")]
+
+
+def _line(behavior=None, **diagram) -> Diagram:
+    """s -> t -> e in one pool, t running *behavior*."""
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[Node("s", "Start", "start_event_none"), Node("t", "T", "task"), Node("e", "End", "end_event")],
+        sequence_flows=[SequenceFlow("f1", "s", "t"), SequenceFlow("f2", "t", "e")],
+    )
+    return Diagram("d", pools=[pool], behaviors={"t": behavior} if behavior else {}, **diagram)
+
+
+def test_an_effect_whose_expression_raises_names_the_behavior():
+    from bpdmn.expr import parse_expr
+    from bpdmn.model import DataObject, Effect, TaskBehavior, Variable
+
+    behavior = TaskBehavior(effects=[Effect("o", "v", parse_expr("1 < 'a'"))])
+    diagram = _line(behavior, objects=[DataObject("o", "O", variables=[Variable("v", "number")])])
+    with pytest.raises(SimulationError, match="^behavior of t: "):
+        run(diagram)
+
+
+def test_an_insert_whose_assignment_raises_names_the_inserting_node():
+    from bpdmn.expr import parse_expr
+    from bpdmn.model import DataStore, Entity, StoreInsert, TaskBehavior, Variable
+
+    behavior = TaskBehavior(store_actions=[StoreInsert("st", "E", {"f": parse_expr("nosuch.x")})])
+    diagram = _line(behavior, stores=[DataStore("st", "St", entities=[Entity("E", [Variable("f", "number")])])])
+    with pytest.raises(SimulationError, match="^insert by t: "):
+        run(diagram)
+
+
+def test_a_flow_can_hold_two_tokens_and_gives_them_up_one_at_a_time():
+    # the exclusive merge m fires once per branch, so m -> t holds two tokens
+    kinds = {"s": "start_event_none", "g": "gateway_parallel", "m": "gateway_exclusive_data", "e": "end_event"}
+    edges = [("s", "g"), ("g", "a"), ("g", "b"), ("a", "m"), ("b", "m"), ("m", "t"), ("t", "e")]
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[Node(i, i, kinds.get(i, "task")) for i in dict.fromkeys(n for edge in edges for n in edge)],
+        sequence_flows=[SequenceFlow(f"{a}{b}", a, b) for a, b in edges],
+    )
+    diagram = Diagram("d", pools=[pool])
+    state = init(diagram)
+    for node_id in ("g", "a", "b", "m", "m"):  # init fires the start
+        state, _ = step(state, diagram, node_id)
+    assert state.tokens["mt"] == 2
+    state, _ = step(state, diagram, "t")
+    assert state.tokens["mt"] == 1
+    assert enabled(state, diagram) == {"t", "e"}
+
+
+def test_objects_mapped_to_each_other_with_neither_bound_do_not_enable_their_reader():
+    from bpdmn.expr import parse_expr
+    from bpdmn.model import CopyRule, DataMapping, DataObject, ObjectAttachment, Variable
+
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[Node("s", "Start", "start_event_none"), Node("t", "T", "task"), Node("e", "End", "end_event")],
+        sequence_flows=[
+            SequenceFlow("f1", "s", "t", attachments=[ObjectAttachment("a", "input"), ObjectAttachment("b", "input")]),
+            SequenceFlow("f2", "t", "e"),
+        ],
+    )
+    diagram = Diagram(
+        "d",
+        pools=[pool],
+        objects=[DataObject(o, o.upper(), variables=[Variable("v", "number")]) for o in ("a", "b")],
+        mappings=[
+            DataMapping("ab", "a", "b", [CopyRule(parse_expr("a.v"), "v")]),
+            DataMapping("ba", "b", "a", [CopyRule(parse_expr("b.v"), "v")]),
+        ],
+    )
+    state = init(diagram)  # the token is on f1, but neither input is there
+    assert state.tokens == {"f1": 1}
+    assert enabled(state, diagram) == set()

@@ -71,6 +71,14 @@ def test_validate_does_not_mutate(travel):
     assert before == after
 
 
+def test_v3_reports_a_copy_target_that_is_not_a_scalar_of_the_target():
+    diagram = load("validator/good_v3.bpdmn.json")
+    mapping = diagram.mappings[0]
+    diagram = replace(diagram, mappings=[replace(mapping, rules=[replace(mapping.rules[0], to="nope")])])
+    assert [(d.rule, d.element, d.message) for d in validate(diagram)] == [
+        ("V3", "m1", "copy target 'nope' does not resolve to a scalar of b")
+    ]
+
 # The recursive walks V4 and V8 used before they became iterative: the
 # reference the shared component walk must agree with.
 
