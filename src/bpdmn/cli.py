@@ -101,10 +101,9 @@ def simulate(args: argparse.Namespace) -> int:
     from . import simulator
 
     diagram = _load(args.model_file)
-    diagnostics = validator.validate(diagram)
-    if validator.has_errors(diagnostics):
-        sys.stderr.write("".join(f"{d}\n" for d in diagnostics))
-        return EXIT_MODEL
+    errors = validator.errors_text(diagram)
+    if errors is not None:
+        _fail(errors, EXIT_MODEL)
     start_inputs = {obj: dict(vals) for obj, vals in diagram.start_inputs.items()}
     produced = diagram.start_objects()
     for item in args.overrides:

@@ -7,11 +7,12 @@ rejects duplicate identifiers and dangling references (flow endpoints, and
 the objects, stores and entities that flows, mappings and behaviours name),
 while the softer well-formedness rules live in :mod:`bpdmn.validator`.
 
-Diagrams must not be mutated after construction: the derived views (lookups
-by id, flows into and out of a node, a node's inputs and outputs, an
-object's sources and targets, a store's readers and writers, reachability)
-are built once, on first use, into a :class:`DiagramIndex` cached on the
-diagram, and a mutation would leave them stale.
+Diagrams must not be mutated after construction, which would leave the
+derived views stale. The tables by id are built with the diagram, by the
+walk that checks its identifiers are unique. The other views (flows into and
+out of a node, a node's inputs and outputs, an object's sources and targets,
+a store's readers and writers, reachability) are built once, on first use,
+into a :class:`DiagramIndex` cached on the diagram, which reuses the tables.
 """
 
 from __future__ import annotations
@@ -139,11 +140,16 @@ class Pool:
 
     def iter_nodes(self):
         """Every node, sub-process children included, in pre-order."""
-        stack = self.nodes[::-1]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+        return _pre_order(self.nodes)
+
+
+def _pre_order(nodes: list[Node]):
+    """Each of *nodes* followed by its sub-process children, in pre-order."""
+    stack = nodes[::-1]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 @dataclass
@@ -363,73 +369,70 @@ class Diagram:
     start_inputs: dict[str, dict[str, Value]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._check_references(self._check_unique_ids())
+        """One walk checks the identifiers and builds the tables by id; the reference checks read them."""
+        seen: set[str] = {self.id}
 
-    # -- construction checks
+        def unique(kind: str, elements) -> dict:
+            """*elements* by id, each id checked against every id seen before."""
+            table = {}
+            for element in elements:
+                if element.id in seen:
+                    raise ModelError(f"duplicate identifier {element.id!r} ({kind})")
+                seen.add(element.id)
+                table[element.id] = element
+            return table
 
-    def _check_unique_ids(self) -> list[list[Node]]:
-        """The nodes of each pool, sub-process children included, found in
-        the one walk of the pools that checks no identifier is used twice."""
-        seen: set[str] = set()
-
-        def add(kind: str, idents: list[str]) -> None:
-            for ident in idents:
-                if ident in seen:
-                    raise ModelError(f"duplicate identifier {ident!r} ({kind})")
-                seen.add(ident)
-
-        add("diagram", [self.id])
-        pool_nodes = []
+        nodes: dict[str, Node] = {}  # in iter_nodes order
+        pool_of: dict[str, Pool] = {}  # node or pool id -> pool
+        flows: dict[str, SequenceFlow] = {}
+        members: list[dict[str, Node]] = []  # per pool, its nodes by id
+        produced: set[str] = set()  # the objects message starts output on sequence flows
         for pool in self.pools:
-            nodes = list(pool.iter_nodes())
-            pool_nodes.append(nodes)
-            add("pool", [pool.id])
-            add("node", [node.id for node in nodes])
-            add("sequence flow", [flow.id for flow in pool.sequence_flows])
-            add("data flow", [flow.id for flow in pool.explicit_data_flows])
-        add("store", [store.id for store in self.stores])
-        add("object", [obj.id for obj in self.objects])
-        add("mapping", [mapping.id for mapping in self.mappings])
-        add("message flow", [flow.id for flow in self.message_flows])
-        return pool_nodes
+            pool_of.update(unique("pool", [pool]))
+            pool_nodes = unique("node", pool.iter_nodes())
+            members.append(pool_nodes)
+            nodes.update(pool_nodes)
+            pool_of.update(dict.fromkeys(pool_nodes, pool))
+            flows.update(unique("sequence flow", pool.sequence_flows))
+            unique("data flow", pool.explicit_data_flows)
+            for flow in pool.sequence_flows:
+                source = pool_nodes.get(flow.source)
+                if source is not None and source.kind == "start_event_message":
+                    produced.update(att.object for att in flow.attachments if att.direction == "output")
+        stores = unique("store", self.stores)
+        objects = unique("object", self.objects)
+        unique("mapping", self.mappings)
+        unique("message flow", self.message_flows)
+        self._nodes, self._pool_of, self._flows, self._stores, self._objects = nodes, pool_of, flows, stores, objects
+        self._start_objects = frozenset(produced)
 
-    def _check_references(self, pool_nodes: list[list[Node]]) -> None:
-        node_kinds = {node.id: node.kind for nodes in pool_nodes for node in nodes}
-        stores = {s.id: s for s in self.stores}
-        object_ids = {o.id for o in self.objects}
-        pool_ids = {p.id for p in self.pools}
-
-        for pool, nodes in zip(self.pools, pool_nodes):
-            node_ids = {node.id for node in nodes}
+        for pool, pool_nodes in zip(self.pools, members):
             for flow in pool.sequence_flows:
                 for end in (flow.source, flow.target):
-                    if end not in node_ids:
-                        raise ModelError(
-                            f"sequence flow {flow.id}: endpoint {end!r} is not a node of pool {pool.id}"
-                        )
+                    if end not in pool_nodes:
+                        raise ModelError(f"sequence flow {flow.id}: endpoint {end!r} is not a node of pool {pool.id}")
                 for att in flow.attachments:
-                    if att.object not in object_ids:
+                    if att.object not in objects:
                         raise ModelError(f"flow {flow.id}: unknown object {att.object!r}")
             for flow in pool.explicit_data_flows:
-                ends_stores = [e for e in (flow.source, flow.target) if e in stores]
-                if len(ends_stores) == 2:
+                if flow.source in stores and flow.target in stores:
                     raise ModelError(f"data flow {flow.id}: both endpoints are stores")
                 for end in (flow.source, flow.target):
-                    if end not in node_kinds and end not in stores:
+                    if end not in nodes and end not in stores:
                         raise ModelError(f"data flow {flow.id}: unknown endpoint {end!r}")
-                if flow.object not in object_ids:
+                if flow.object not in objects:
                     raise ModelError(f"data flow {flow.id}: unknown object {flow.object!r}")
-            for node in nodes:
+            for node in pool_nodes.values():
                 for sid in node.local_stores:
                     if sid not in stores:
                         raise ModelError(f"node {node.id}: unknown local store {sid!r}")
 
         for flow in self.message_flows:
             for end in (flow.source, flow.target):
-                if end not in node_kinds and end not in pool_ids:
+                if end not in pool_of:
                     raise ModelError(f"message flow {flow.id}: unknown endpoint {end!r}")
             for att in flow.attachments:
-                if att.object not in object_ids:
+                if att.object not in objects:
                     raise ModelError(f"message flow {flow.id}: unknown object {att.object!r}")
 
         for obj in self.objects:
@@ -437,24 +440,24 @@ class Diagram:
                 raise ModelError(f"object {obj.id}: unknown origin store {obj.origin_store!r}")
 
         for mapping in self.mappings:
-            if mapping.source_object not in object_ids:
+            if mapping.source_object not in objects:
                 raise ModelError(f"mapping {mapping.id}: unknown source object")
-            if mapping.target_object not in object_ids:
+            if mapping.target_object not in objects:
                 raise ModelError(f"mapping {mapping.id}: unknown target object")
 
         for store in self.stores:
             scope = store.scope.sub_process
-            if scope is not None and scope not in node_kinds:
+            if scope is not None and scope not in nodes:
                 raise ModelError(f"store {store.id}: unknown scope node {scope!r}")
-            if scope is not None and node_kinds[scope] != "sub_process":
+            if scope is not None and nodes[scope].kind != "sub_process":
                 raise ModelError(f"store {store.id}: scope node {scope!r} is not a sub-process")
 
         for node_id, behavior in self.behaviors.items():
-            if node_id not in node_kinds:
+            if node_id not in nodes:
                 raise ModelError(f"behavior of {node_id}: unknown node")
             where = f"behavior of {node_id}"
             for effect in behavior.effects:
-                if effect.target_object not in object_ids:
+                if effect.target_object not in objects:
                     raise ModelError(f"{where}: unknown object {effect.target_object!r}")
             for action in behavior.store_actions:
                 store = stores.get(action.store)
@@ -462,26 +465,18 @@ class Diagram:
                     raise ModelError(f"{where}: unknown store {action.store!r}")
                 if all(entity.name != action.entity for entity in store.entities):
                     raise ModelError(f"{where}: unknown entity {action.entity!r} of store {store.id}")
-                if isinstance(action, StoreRead) and action.object not in object_ids:
+                if isinstance(action, StoreRead) and action.object not in objects:
                     raise ModelError(f"{where}: unknown object {action.object!r}")
-        produced = self.start_objects() if self.start_inputs else set()
         for object_id in self.start_inputs:
-            if object_id not in object_ids:
+            if object_id not in objects:
                 raise ModelError(f"start input {object_id}: unknown object")
             if object_id not in produced:
                 raise ModelError(f"start input {object_id}: no message start event produces it")
 
-    def start_objects(self) -> set[str]:
+    def start_objects(self) -> frozenset[str]:
         """The objects a start input can bind: those a message start event
-        outputs over a sequence flow. Read from the pools, not the index, so
-        that building a diagram does not build its index."""
-        out: set[str] = set()
-        for pool in self.pools:
-            starts = {n.id for n in pool.iter_nodes() if n.kind == "start_event_message"}
-            for flow in pool.sequence_flows:
-                if flow.source in starts:
-                    out.update(att.object for att in flow.attachments if att.direction == "output")
-        return out
+        outputs over a sequence flow, collected when the diagram is built."""
+        return self._start_objects
 
     # -- lookups
 
@@ -491,21 +486,21 @@ class Diagram:
         return DiagramIndex(self)
 
     def iter_nodes(self):
-        for pool in self.pools:
-            yield from pool.iter_nodes()
+        """Every node, pool by pool, each pool in pre-order."""
+        return iter(self._nodes.values())
 
     def node(self, node_id: str) -> Node | None:
-        return self.index.nodes.get(node_id)
+        return self._nodes.get(node_id)
 
     def pool_of(self, element_id: str) -> Pool | None:
         """Pool containing the node, or the pool itself for a pool id."""
-        return self.index.pool_of.get(element_id)
+        return self._pool_of.get(element_id)
 
     def store(self, store_id: str) -> DataStore | None:
-        return self.index.stores.get(store_id)
+        return self._stores.get(store_id)
 
     def object(self, object_id: str) -> DataObject | None:
-        return self.index.objects.get(object_id)
+        return self._objects.get(object_id)
 
     def is_black_box_pool(self, element_id: str) -> bool:
         return element_id in self.index.black_boxes
@@ -545,19 +540,17 @@ class ObjectLink:
 def object_sources(diagram: Diagram, object_id: str) -> list[ObjectLink]:
     """Every place *object_id* is produced: store extraction, activity output,
     message receipt, or message start event."""
-    index = diagram.index
-    if object_id not in index.objects:
+    if diagram.object(object_id) is None:
         raise NotFoundError(object_id)
-    return list(index.sources.get(object_id, ()))
+    return list(diagram.index.sources.get(object_id, ()))
 
 
 def object_targets(diagram: Diagram, object_id: str) -> list[ObjectLink]:
     """Every place *object_id* is consumed: store insertion, activity input,
     or message send. Symmetric to :func:`object_sources`."""
-    index = diagram.index
-    if object_id not in index.objects:
+    if diagram.object(object_id) is None:
         raise NotFoundError(object_id)
-    return list(index.targets.get(object_id, ()))
+    return list(diagram.index.targets.get(object_id, ()))
 
 
 def resolve_scope(diagram: Diagram, store_id: str) -> set[str]:
@@ -569,14 +562,7 @@ def resolve_scope(diagram: Diagram, store_id: str) -> set[str]:
         raise NotFoundError(store_id)
     if store.scope.kind == "diagram":
         return set(diagram.index.nodes)
-    root = diagram.node(store.scope.sub_process)
-    result = {root.id}
-    stack = list(root.children)
-    while stack:
-        n = stack.pop()
-        result.add(n.id)
-        stack.extend(n.children)
-    return result
+    return {node.id for node in _pre_order([diagram.node(store.scope.sub_process)])}
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +619,9 @@ def reaches(diagram: Diagram, source: str, target: str) -> bool:
 
 class DiagramIndex:
     """The derived views of one diagram, built in a single pass over its
-    pools, sequence flows, explicit data flows, behaviors and message flows.
+    pools' sequence flows and explicit data flows, its behaviors and its
+    message flows. The tables by id (``nodes``, ``pool_of``, ``flows``,
+    ``stores``, ``objects``) are the diagram's own, built with it.
 
     Per-key lists keep the order of a scan over pools in order (each pool's
     sequence flows, then its explicit data flows), then the message flows,
@@ -643,16 +631,12 @@ class DiagramIndex:
     """
 
     def __init__(self, diagram: Diagram) -> None:
-        self.black_boxes: set[str] = {p.id for p in diagram.pools if not p.nodes}  # pools without nodes
-        self.pool_of: dict[str, Pool] = {p.id: p for p in diagram.pools}  # node or pool id -> pool
-        self.nodes: dict[str, Node] = {}  # in iter_nodes order
-        for pool in diagram.pools:
-            for node in pool.iter_nodes():
-                self.nodes[node.id] = node
-                self.pool_of[node.id] = pool
-        self.stores: dict[str, DataStore] = {s.id: s for s in diagram.stores}
-        self.objects: dict[str, DataObject] = {o.id: o for o in diagram.objects}
-        self.flows: dict[str, SequenceFlow] = {}
+        self.nodes: dict[str, Node] = diagram._nodes  # in iter_nodes order
+        self.pool_of: dict[str, Pool] = diagram._pool_of  # node or pool id -> pool
+        self.stores: dict[str, DataStore] = diagram._stores
+        self.objects: dict[str, DataObject] = diagram._objects
+        self.flows: dict[str, SequenceFlow] = diagram._flows  # sequence flows
+        self.black_boxes: set[str] = set()  # pools without nodes
         self.in_flows: dict[str, list[SequenceFlow]] = {}  # node id -> sequence flows
         self.out_flows: dict[str, list[SequenceFlow]] = {}
         self.inputs: dict[str, list[NodeIO]] = {}  # endpoint id -> node_inputs
@@ -672,8 +656,9 @@ class DiagramIndex:
             table.setdefault(key, []).append(value)
 
         for pool in diagram.pools:
+            if not pool.nodes:
+                self.black_boxes.add(pool.id)
             for flow in pool.sequence_flows:
-                self.flows[flow.id] = flow
                 add(self.out_flows, flow.source, flow)
                 add(self.in_flows, flow.target, flow)
                 self.successors.setdefault(flow.source, set()).add(flow.target)
@@ -756,12 +741,26 @@ class DiagramIndex:
         self._mappings_into: dict[str, list[DataMapping]] = {}  # node id -> mappings_into, once asked
 
     def mappings_into(self, node_id: str) -> list[DataMapping]:
-        """Mappings producing one of the node's inputs, sorted by id: the
-        order in which a firing applies them and a translator emits them.
-        Built on the first request and shared: callers only iterate it."""
+        """Mappings producing one of the node's inputs, in dependency order
+        (:func:`_dependency_order`): the order in which a firing applies them
+        and a translator emits them. Built on the first request and shared:
+        callers only iterate it."""
         mappings = self._mappings_into.get(node_id)
         if mappings is None:
             objects = dict.fromkeys(io.object for io in self.inputs.get(node_id, ()))
-            mappings = sorted((m for obj in objects for m in self.mappings_to.get(obj, ())), key=lambda m: m.id)
+            mappings = _dependency_order([m for obj in objects for m in self.mappings_to.get(obj, ())])
             self._mappings_into[node_id] = mappings
         return mappings
+
+
+def _dependency_order(mappings: list[DataMapping]) -> list[DataMapping]:
+    """*mappings* in id order, except that each comes after every other one
+    that produces its source object, so a chain ``a -> b -> c`` is applied
+    from ``a``: the first by id whose source no mapping left produces goes
+    next, or the first left when a cycle leaves none."""
+    left, ordered = sorted(mappings, key=lambda m: m.id), []
+    while left:
+        free = (m for m in left if all(o is m or o.target_object != m.source_object for o in left))
+        ordered.append(next(free, left[0]))
+        left.remove(ordered[-1])
+    return ordered

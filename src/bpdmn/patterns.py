@@ -71,13 +71,11 @@ class _Facts:
         self.d = d
         self.index = index
         self.kinds: dict[str, list[Node]] = {}  # node kind -> nodes, in pre-order
-        self.pool_of: dict[str, str] = {}  # node id -> pool id
         # (node id, NodeIO) over every node's inputs and outputs
         self.inputs: list[tuple[str, NodeIO]] = []
         self.outputs: list[tuple[str, NodeIO]] = []
         for node_id, node in index.nodes.items():
             self.kinds.setdefault(node.kind, []).append(node)
-            self.pool_of[node_id] = index.pool_of[node_id].id
             self.inputs += [(node_id, io) for io in index.inputs.get(node_id, ())]
             self.outputs += [(node_id, io) for io in index.outputs.get(node_id, ())]
         self.tasks = self.kinds.get("task", [])
@@ -107,7 +105,8 @@ class _Facts:
 
     def pools(self, node_ids: set[str]) -> set[str]:
         """The pools holding any of the nodes."""
-        return {self.pool_of[n] for n in node_ids if n in self.pool_of}
+        pool_of = self.index.pool_of
+        return {pool_of[n].id for n in node_ids if n in pool_of}
 
 
 # ---------------------------------------------------------------------------

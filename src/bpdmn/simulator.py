@@ -247,35 +247,33 @@ def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = No
     """
     if start_inputs is None:
         start_inputs = diagram.start_inputs
-    if not any(True for _ in diagram.iter_nodes()):
+    index = diagram.index
+    if not index.nodes:
         raise InitializationError("no start event: diagram has no nodes")
 
     state = ExecutionState()
     _count_marks(state, diagram)
-    internal_message_targets = diagram.index.message_in
+    internal_message_targets = index.message_in
 
-    for pool in diagram.pools:
-        for node in pool.iter_nodes():
-            if node.kind not in START_KINDS:
+    for node in index.nodes.values():
+        if node.kind not in START_KINDS:
+            continue
+        if node.kind == "start_event_message":
+            outputs = [io for io in index.outputs.get(node.id, ()) if io.channel == "sequence"]
+            supplied = [io for io in outputs if io.object in start_inputs]
+            if node.id in internal_message_targets and not supplied:
+                state.pending_starts.add(node.id)
                 continue
-            if node.kind == "start_event_message":
-                outputs = [io for io in diagram.index.outputs.get(node.id, ()) if io.channel == "sequence"]
-                supplied = [io for io in outputs if io.object in start_inputs]
-                if node.id in internal_message_targets and not supplied:
-                    state.pending_starts.add(node.id)
-                    continue
-                missing = [io.object for io in outputs if not io.optional and io.object not in start_inputs]
-                if missing and node.id not in internal_message_targets:
-                    raise InitializationError(
-                        f"start event {node.id}: missing required start input for {missing}"
-                    )
-                for io in outputs:
-                    names = _variable_names(diagram, io.object)
-                    values = dict.fromkeys(names) | start_inputs.get(io.object, {})
-                    _bind_object(state, [], 0, io.object, values)  # run() traces them at step 0
-            state.completed.add(node.id)
-            for flow in diagram.index.out_flows.get(node.id, ()):
-                _add_token(state, flow)
+            missing = [io.object for io in outputs if not io.optional and io.object not in start_inputs]
+            if missing and node.id not in internal_message_targets:
+                raise InitializationError(f"start event {node.id}: missing required start input for {missing}")
+            for io in outputs:
+                names = _variable_names(diagram, io.object)
+                values = dict.fromkeys(names) | start_inputs.get(io.object, {})
+                _bind_object(state, [], 0, io.object, values)  # run() traces them at step 0
+        state.completed.add(node.id)
+        for flow in index.out_flows.get(node.id, ()):
+            _add_token(state, flow)
     return state
 
 

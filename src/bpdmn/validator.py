@@ -67,8 +67,8 @@ def has_errors(diagnostics: list[Diagnostic]) -> bool:
 
 
 def errors_text(diagram: Diagram) -> str | None:
-    """Why the diagram may not be translated or analyzed: its validation
-    errors joined into one message, or ``None`` when it has none."""
+    """Why the diagram may not be translated, analyzed or simulated: its
+    validation errors joined into one message, or ``None`` when it has none."""
     errors = [str(d) for d in validate(diagram) if d.is_error]
     return "diagram has validation errors: " + "; ".join(errors) if errors else None
 
@@ -234,8 +234,9 @@ def _v6_message_objects_cross_pool(diagram: Diagram) -> list[Diagnostic]:
 
 def _v7_pool_shape(diagram: Diagram) -> list[Diagnostic]:
     """V7: each (non-black-box) pool has at least one start and one end
-    event, and each exclusive gateway at most one unguarded (default)
-    outgoing flow; flow endpoint existence is enforced at construction."""
+    event, each exclusive gateway at most one unguarded (default) outgoing
+    flow, and only flows out of exclusive gateways carry a guard; flow
+    endpoint existence is enforced at construction."""
     out = []
     for pool in diagram.pools:
         if not pool.nodes:
@@ -249,6 +250,10 @@ def _v7_pool_shape(diagram: Diagram) -> list[Diagnostic]:
             if len(defaults) > 1:
                 message = f"exclusive gateway has more than one unguarded flow: {', '.join(defaults)}"
                 out.append(_error("V7", node.id, message))
+        for flow in pool.sequence_flows:
+            if flow.guard is not None and diagram.node(flow.source).kind != "gateway_exclusive_data":
+                message = f"guard on a flow out of {flow.source}, which is not an exclusive gateway"
+                out.append(_error("V7", flow.id, message))
         if not (kinds & model.START_KINDS):
             out.append(_error("V7", pool.id, "pool has no start event"))
         if "end_event" not in kinds:

@@ -145,6 +145,12 @@ def test_simulate_stuck_exclusive_gateway_exits_1(tmp_path):
     assert result.err == "error: gateway x: no true guard and no default flow\n"
 
 
+def test_simulate_refuses_an_invalid_model_with_one_error_line():
+    result = run_cli("simulate", fx("validator/bad_v1.bpdmn.json"))
+    assert (result.code, result.out) == (1, "")
+    assert result.err == "error: diagram has validation errors: V1 error o: object is never produced (no source)\n"
+
+
 def test_simulate_seeded_random_policy():
     args = ["simulate", fx("eco.bpdmn.json"), "--policy", "random", "--seed", "3", "--json"]
     first = run_cli(*args)

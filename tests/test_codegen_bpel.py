@@ -345,6 +345,38 @@ def test_variable_name_collision_is_refused():
         to_bpel(diagram)
 
 
+def test_both_translators_write_chained_mappings_in_the_order_a_firing_applies_them():
+    from test_simulator import _mapping_chain
+
+    diagram = _mapping_chain(("m1", "b", "c"), ("m2", "a", "b"))
+    bpel, _ = to_bpel(diagram)
+    assert [a.get("name") for a in ET.fromstring(bpel).iter("assign")] == ["m2", "m1"]
+    xpdl, _ = to_xpdl(diagram)
+    assert [a.get("Id") for a in ET.fromstring(xpdl).iter("Assignments")] == ["m2", "m1"]
+
+
+def test_record_variables_hold_no_value_so_no_rule_or_translator_names_them():
+    from bpdmn.model import ObjectAttachment
+
+    store = DataStore("st", "St", entities=[Entity("E", [Variable("addr", "record"), Variable("addr.city")])])
+    # info is a record: V8 does not look it up in the store, and no translator writes it
+    obj = DataObject("o", "O", variables=[Variable("E.info", "record"), Variable("E.addr.city")], origin_store="st")
+    handed_on = [ObjectAttachment("o", "output"), ObjectAttachment("o", "input")]
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[Node("s", "S", "start_event_message"), Node("t", "T", "task"), Node("e", "E", "end_event")],
+        sequence_flows=[SequenceFlow("f1", "s", "t", attachments=handed_on), SequenceFlow("f2", "t", "e")],
+    )
+    diagram = Diagram("d", pools=[pool], stores=[store], objects=[obj])
+    assert validator.validate(diagram) == []
+    bpel = ET.fromstring(to_bpel(diagram)[0])
+    assert [v.get("name") for v in bpel.find("variables") if v.get("name").startswith("st.")] == ["st.E.addr.city"]
+    xpdl = ET.fromstring(to_xpdl(diagram)[0])
+    assert [f.get("Id") for f in xpdl.iterfind("DataFields/DataField")] == ["st.E.addr.city"]
+    assert [p.text for p in xpdl.iter("ActualParameter")] == ["o.E.addr.city"]
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_sound_regions_validate_run_and_translate_whole(seed):
     diagram = random_regions(seed)

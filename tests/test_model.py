@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from bpdmn.model import (
@@ -10,8 +12,10 @@ from bpdmn.model import (
     ExplicitDataFlow,
     Generalization,
     LinkKind,
+    MessageFlow,
     ModelError,
     Node,
+    NotFoundError,
     ObjectAttachment,
     Pool,
     Scope,
@@ -75,6 +79,74 @@ def test_multi_instance_only_on_tasks():
 def test_unknown_attachment_direction_rejected():
     with pytest.raises(ModelError):
         ObjectAttachment("o", "sideways")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Variable("a..b"), "invalid variable name 'a..b'"),
+        (lambda: MessageFlow("m", "x", "x"), "message flow m: source equals target"),
+        (lambda: ExplicitDataFlow("d", "x", "x", "o"), "data flow d: source equals target"),
+        (lambda: Node("n", "N", "task", children=[Node("c", "C", "task")]), "only sub-processes may have children"),
+        (lambda: Node("n", "N", "task", local_stores=["st"]), "only sub-processes may declare local stores"),
+        (lambda: Entity("E", [Variable("f"), Variable("f")]), "entity E: duplicate field names"),
+        (lambda: Generalization("A", "A"), "A cannot generalize itself"),
+        (lambda: Scope("diagram", "n"), "diagram scope names no node"),
+        (lambda: Diagram("d", stores=[DataStore("st", "S", scope=Scope.of("nope"))]), "unknown scope node 'nope'"),
+    ],
+)
+def test_an_element_that_cannot_exist_is_refused_when_built(build, message):
+    with pytest.raises(ModelError, match=message):
+        build()
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ({"pools": [Pool("x", "X")], "objects": [DataObject("x", "O")]}, "duplicate identifier 'x' (object)"),
+        ({"pools": [Pool("p", "P", nodes=[Node("p", "N", "task")])]}, "duplicate identifier 'p' (node)"),
+        (
+            {"pools": [Pool("p", "P", nodes=[Node("sp", "SP", "sub_process", children=[Node("sp", "C", "task")])])]},
+            "duplicate identifier 'sp' (node)",
+        ),
+    ],
+)
+def test_duplicate_ids_are_named_with_the_kind_of_their_second_use(elements, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        Diagram("d", **elements)
+
+
+def test_a_sequence_flow_may_not_end_at_a_pool_or_at_a_node_of_another_pool():
+    other = Pool("q", "Q", nodes=[Node("b", "B", "task")])
+    for end in ("p", "b"):
+        pool = Pool("p", "P", nodes=[Node("a", "A", "task")], sequence_flows=[SequenceFlow("f", "a", end)])
+        with pytest.raises(ModelError, match=f"endpoint '{end}' is not a node of pool p"):
+            Diagram("d", pools=[pool, other])
+
+
+def test_the_id_tables_are_built_with_the_diagram_and_shared_by_its_index(travel):
+    assert "index" not in vars(travel)
+    assert travel.node("check_cc").name == "Check Credit Card"
+    assert travel.pool_of("check_cc").id == travel.pool_of("travel_agency").id == "travel_agency"
+    assert "index" not in vars(travel)  # a lookup by id does not build the index
+    index = travel.index
+    assert list(index.nodes) == [n.id for pool in travel.pools for n in pool.iter_nodes()]
+    assert list(travel.iter_nodes()) == list(index.nodes.values())
+    for node_id in index.nodes:
+        assert travel.node(node_id) is index.nodes[node_id]
+        assert travel.pool_of(node_id) is index.pool_of[node_id]
+    assert {s.id for s in travel.stores} == set(index.stores)
+    assert {o.id for o in travel.objects} == set(index.objects)
+
+
+def test_resolve_scope_of_an_unknown_store_raises_not_found():
+    with pytest.raises(NotFoundError):
+        resolve_scope(Diagram("d"), "nope")
+
+
+def test_start_objects_are_what_message_starts_output_on_sequence_flows(eco):
+    assert eco.start_objects() == {"ECO_Request"}
+    assert Diagram("d").start_objects() == set()
 
 
 def test_travel_object_sources_and_targets(travel):

@@ -547,3 +547,64 @@ def test_objects_mapped_to_each_other_with_neither_bound_do_not_enable_their_rea
     state = init(diagram)  # the token is on f1, but neither input is there
     assert state.tokens == {"f1": 1}
     assert enabled(state, diagram) == set()
+
+
+def _mapping_chain(*mappings: tuple[str, str, str]) -> Diagram:
+    """s (message start) -> t -> e; s -> t outputs a and inputs b and c, each
+    object holding a number x, and each (id, source, target) mapping copies x;
+    the start input is a.x = 1."""
+    from bpdmn.expr import parse_expr
+    from bpdmn.model import CopyRule, DataMapping, DataObject, ObjectAttachment, Variable
+
+    attachments = [ObjectAttachment("a", "output"), ObjectAttachment("b", "input"), ObjectAttachment("c", "input")]
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[Node("s", "S", "start_event_message"), Node("t", "T", "task"), Node("e", "E", "end_event")],
+        sequence_flows=[SequenceFlow("f1", "s", "t", attachments=attachments), SequenceFlow("f2", "t", "e")],
+    )
+    return Diagram(
+        "d",
+        pools=[pool],
+        objects=[DataObject(o, o.upper(), variables=[Variable("x", "number")]) for o in ("a", "b", "c")],
+        mappings=[DataMapping(m, src, dst, [CopyRule(parse_expr(f"{src}.x"), "x")]) for m, src, dst in mappings],
+        start_inputs={"a": {"x": 1}},
+    )
+
+
+def test_a_chain_of_mappings_into_one_node_fires_in_the_order_enablement_assumes():
+    from bpdmn.validator import validate
+
+    diagram = _mapping_chain(("m1", "b", "c"), ("m2", "a", "b"))
+    assert validate(diagram) == []
+    assert [m.id for m in diagram.index.mappings_into("t")] == ["m2", "m1"]
+    result = run(diagram)
+    assert result.status == "completed"
+    assert check_data_gating(result.trace, diagram) == []
+    assert result.state.bindings["c"] == {"x": 1}
+
+
+def test_mappings_into_a_node_keep_id_order_unless_chained_and_a_cycle_falls_back_to_it():
+    unchained = _mapping_chain(("m2", "a", "c"), ("m1", "a", "b"))
+    assert [m.id for m in unchained.index.mappings_into("t")] == ["m1", "m2"]
+    # m3 depends on no mapping; m1 and m2 produce each other's source
+    cycle = _mapping_chain(("m1", "b", "c"), ("m2", "c", "b"), ("m3", "a", "b"))
+    assert [m.id for m in cycle.index.mappings_into("t")] == ["m3", "m1", "m2"]
+    result = run(cycle)
+    assert result.status == "completed"
+    assert check_data_gating(result.trace, cycle) == []
+
+
+def test_a_start_event_with_a_flow_in_never_fires_again():
+    edges = [("s", "t"), ("t", "s"), ("t", "e")]
+    kinds = {"s": "start_event_none", "t": "task", "e": "end_event"}
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[Node(i, i, kind) for i, kind in kinds.items()],
+        sequence_flows=[SequenceFlow(f"{a}{b}", a, b) for a, b in edges],
+    )
+    result = run(Diagram("d", pools=[pool]))
+    assert result.status == "deadlocked"
+    assert result.fired_nodes() == {"t", "e"}
+    assert result.state.tokens == {"ts": 1}

@@ -6,8 +6,9 @@ from dataclasses import replace
 
 import pytest
 
+from bpdmn.expr import parse_expr
 from bpdmn.format import ParseError, parse_diagram
-from bpdmn.model import DataStore, Diagram, Entity, Generalization, Scope, Variable
+from bpdmn.model import DataStore, Diagram, Entity, Generalization, Node, Pool, Scope, SequenceFlow, Variable
 from bpdmn.validator import Severity, _v4_store_structure, has_errors, validate
 
 from conftest import FIXTURES, load
@@ -81,6 +82,45 @@ def test_v3_reports_a_copy_target_that_is_not_a_scalar_of_the_target():
 
 # The recursive walks V4 and V8 used before they became iterative: the
 # reference the shared component walk must agree with.
+
+
+def _guarded(kinds: dict[str, str], edges: list[tuple[str, str]], guarded: str) -> Diagram:
+    """One pool with *edges*, the flow named *guarded* carrying guard ``false``."""
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[Node(i, i, kinds.get(i, "task")) for i in dict.fromkeys(n for edge in edges for n in edge)],
+        sequence_flows=[
+            SequenceFlow(f"{a}{b}", a, b, guard=parse_expr("false") if f"{a}{b}" == guarded else None)
+            for a, b in edges
+        ],
+    )
+    return Diagram("d", pools=[pool])
+
+
+@pytest.mark.parametrize(
+    "kinds, edges, guarded, source",
+    [
+        ({"s": "start_event_none", "e": "end_event"}, [("s", "t"), ("t", "e")], "te", "t"),
+        (
+            {"s": "start_event_none", "g": "gateway_parallel", "j": "gateway_parallel", "e": "end_event"},
+            [("s", "g"), ("g", "a"), ("g", "b"), ("a", "j"), ("b", "j"), ("j", "e")],
+            "ga",
+            "g",
+        ),
+    ],
+)
+def test_v7_refuses_a_guard_on_a_flow_out_of_anything_but_an_exclusive_gateway(kinds, edges, guarded, source):
+    diagnostics = validate(_guarded(kinds, edges, guarded))
+    message = f"guard on a flow out of {source}, which is not an exclusive gateway"
+    assert [(d.rule, d.severity, d.element, d.message) for d in diagnostics] == [
+        ("V7", Severity.ERROR, guarded, message)
+    ]
+
+
+def test_v7_accepts_guards_out_of_an_exclusive_gateway():
+    kinds = {"s": "start_event_none", "x": "gateway_exclusive_data", "e": "end_event"}
+    assert validate(_guarded(kinds, [("s", "x"), ("x", "a"), ("x", "e"), ("a", "e")], "xa")) == []
 
 
 def _reference_has_cycle(edges: dict[str, list[str]]) -> bool:
