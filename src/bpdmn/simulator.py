@@ -69,12 +69,23 @@ entries whose misses read ``env``.
 
 The oracle's outcome for a path is ``completed`` less the start events
 ``init`` completed, which never fire: the nodes the path fired.
+
+The oracle keys a state by its tokens and its store and inbox sizes, as
+sorted tuples, and by two bit masks: ``done`` of the completed nodes and
+``bound`` of the bound objects. The masks ride on its stack and each firing
+updates them in O(changes), which three facts make exact: ``completed``
+grows only by the node ``step`` fires and the starts ``init`` completes;
+bindings only gain keys, all through ``_bind_object``, and ``_clone`` keeps
+their order; and within one search a bit stands for one id. So the key holds
+the same facts as a sorted one would, still without bound values or store
+contents. Its firings pass ``traced=False``: they build no trace event.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .expr import ExprError, Value, eval_expr
 from .model import (
@@ -270,7 +281,7 @@ def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = No
             for io in outputs:
                 names = _variable_names(diagram, io.object)
                 values = dict.fromkeys(names) | start_inputs.get(io.object, {})
-                _bind_object(state, [], 0, io.object, values)  # run() traces them at step 0
+                _bind_object(state, None, 0, io.object, values)  # run() traces them at step 0
         state.completed.add(node.id)
         for flow in index.out_flows.get(node.id, ()):
             _add_token(state, flow)
@@ -419,14 +430,18 @@ def enabled(
 # Firing
 
 
-def _bind_object(state: ExecutionState, trace: Trace, step: int, obj: str, values: dict[str, Value]) -> None:
+def _bind_object(
+    state: ExecutionState, trace: Trace | None, step: int, obj: str, values: dict[str, Value]
+) -> None:
     """Bind *obj*, then each path in *values*: the only writer of
-    ``state.bindings`` and ``state.env`` once a state exists."""
+    ``state.bindings`` and ``state.env`` once a state exists. With a *trace*,
+    each path is traced."""
     variables = state.bindings.setdefault(obj, {})
     for path, value in values.items():
         variables[path] = value
         state.env[f"{obj}.{path}"] = value
-        trace.append(ObjectBound(step, obj, path, value))
+        if trace is not None:
+            trace.append(ObjectBound(step, obj, path, value))
 
 
 def _variable_names(diagram: Diagram, obj: str) -> list[str]:
@@ -435,7 +450,7 @@ def _variable_names(diagram: Diagram, obj: str) -> list[str]:
 
 
 def _apply_mappings(
-    state: ExecutionState, diagram: Diagram, node: Node, trace: Trace, step: int
+    state: ExecutionState, diagram: Diagram, node: Node, trace: Trace | None, step: int
 ) -> None:
     for mapping in diagram.index.mappings_into(node.id):
         if mapping.source_object not in state.bindings:
@@ -448,7 +463,9 @@ def _apply_mappings(
             _bind_object(state, trace, step, mapping.target_object, {rule.to: value})
 
 
-def _run_behavior(state: ExecutionState, node: Node, behavior: TaskBehavior, trace: Trace, step: int) -> None:
+def _run_behavior(
+    state: ExecutionState, node: Node, behavior: TaskBehavior, trace: Trace | None, step: int
+) -> None:
     instances = behavior.instances if node.multi_instance else 1
     for index in range(1, instances + 1):
         env = _Overlay({"instance.index": index}, state.env)
@@ -470,18 +487,19 @@ def _run_behavior(state: ExecutionState, node: Node, behavior: TaskBehavior, tra
                 except ExprError as exc:
                     raise SimulationError(f"insert by {node.id}: {exc}") from exc
             state.stores.setdefault(action.store, []).append(record)
-            trace.append(
-                StoreChanged(
-                    step,
-                    action.store,
-                    action.entity,
-                    tuple((k, v) for k, v in sorted(record.items()) if k != "__entity__"),
+            if trace is not None:
+                trace.append(
+                    StoreChanged(
+                        step,
+                        action.store,
+                        action.entity,
+                        tuple((k, v) for k, v in sorted(record.items()) if k != "__entity__"),
+                    )
                 )
-            )
 
 
 def _receive_messages(
-    state: ExecutionState, diagram: Diagram, node: Node, trace: Trace, step: int
+    state: ExecutionState, diagram: Diagram, node: Node, trace: Trace | None, step: int
 ) -> None:
     """Take the oldest message of each flow into *node*, in the order they
     were sent. A step has one sender, which sends in the order of
@@ -491,20 +509,22 @@ def _receive_messages(
     queues.sort(key=lambda item: item[1][0].step)
     for flow_id, queue in queues:
         msg = queue.pop(0)
-        trace.append(MessageReceived(step, flow_id))
+        if trace is not None:
+            trace.append(MessageReceived(step, flow_id))
         for obj, variables in msg.objects.items():
             _bind_object(state, trace, step, obj, variables)
 
 
 def _send_messages(
-    state: ExecutionState, diagram: Diagram, node: Node, trace: Trace, step: int
+    state: ExecutionState, diagram: Diagram, node: Node, trace: Trace | None, step: int
 ) -> None:
     """Send a message on each flow out of *node*, carrying each object
     attached to the flow, whatever its direction: the target waits for the
     flow's ``input`` attachments."""
     for flow in diagram.index.message_out.get(node.id, ()):
         snapshot: Bindings = {att.object: dict(state.bindings.get(att.object, {})) for att in flow.attachments}
-        trace.append(MessageSent(step, flow.id))
+        if trace is not None:
+            trace.append(MessageSent(step, flow.id))
         if not diagram.is_black_box_pool(flow.target):
             state.inbox.setdefault(flow.id, []).append(Message(step, snapshot))
         # messages to black-box pools leave the modeled world
@@ -546,17 +566,21 @@ def _emit_tokens(state: ExecutionState, diagram: Diagram, node: Node) -> None:
         _add_token(state, flow)
 
 
-def step(state: ExecutionState, diagram: Diagram, node_id: str) -> tuple[ExecutionState, Trace]:
+def step(
+    state: ExecutionState, diagram: Diagram, node_id: str, *, traced: bool = True
+) -> tuple[ExecutionState, Trace]:
     """Fire the node *node_id* and return the updated state together with
-    the trace delta; :class:`SimulationError` if that node is not enabled."""
+    the trace delta; :class:`SimulationError` if that node is not enabled.
+
+    With ``traced=False`` the state changes alike, but no trace event is
+    built and the delta is ``[]``: the oracle reads states, not traces."""
     node = diagram.index.nodes.get(node_id)
     _count_marks(state, diagram)
     if node is None or not _is_enabled(state, diagram, node):
         raise SimulationError(f"node {node_id} is not enabled")
 
     current = state.step_count + 1
-    trace: Trace = []
-    trace.append(NodeFired(current, node_id))
+    trace: Trace | None = [NodeFired(current, node_id)] if traced else None
 
     # consume tokens: one from each marked flow in, or from the first for an
     # exclusive merge; a flow whose count reaches 0 leaves ``state.tokens``,
@@ -607,7 +631,7 @@ def step(state: ExecutionState, diagram: Diagram, node_id: str) -> tuple[Executi
 
     state.completed.add(node_id)
     state.step_count = current
-    return state, trace
+    return state, trace if traced else []
 
 
 def run(
@@ -677,13 +701,16 @@ def check_data_gating(trace: Trace, diagram: Diagram) -> list[str]:
     return violations
 
 
-def _freeze_state(state: ExecutionState):
+def _freeze_state(state: ExecutionState, done: int, bound: int):
+    """The oracle's key for *state*: its tokens, store and inbox sizes, and
+    the masks *done* of its completed nodes and *bound* of its bound objects
+    (see :func:`explore_interleavings`)."""
     return (
         tuple(sorted(state.tokens.items())),
-        tuple(sorted(state.bindings)),
+        bound,
         tuple(sorted((s, len(r)) for s, r in state.stores.items())),
         tuple(sorted((f, len(q)) for f, q in state.inbox.items() if q)),
-        tuple(sorted(state.completed)),
+        done,
     )
 
 
@@ -715,16 +742,32 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
     names of bound objects, store and inbox sizes and the completed set, but
     neither bound values nor the step count. So an outcome that depends on
     which values were bound, or on where ``max_steps`` cuts a path, can be
-    missed when another path reached the same key first."""
+    missed when another path reached the same key first.
+
+    The completed set and the bound names enter the key as the bit masks
+    ``done`` and ``bound`` (see the module docstring). A call gives an id
+    its bit when it first sees it. A firing adds to ``done`` the node it
+    fired, and to ``bound`` the objects it newly bound, which are the last
+    keys of ``bindings``. Firings are untraced: the search reads states, not
+    traces."""
     results: set[frozenset[str]] = set()
     seen: set = set()
-    # depth first with an explicit stack, so a path may be longer than the
-    # recursion limit; a frame holds a state, its enabled set and the choices
-    # not yet taken, smallest last so that pop() takes it first
-    stack: list[tuple[ExecutionState, set[str], list[str]]] = []
+    bits: dict[str, int] = {}  # node or object id -> its bit, in either mask
 
-    def visit(state: ExecutionState, prior: set[str] | frozenset[str]) -> None:
-        key = _freeze_state(state)
+    def bit(ident: str) -> int:
+        value = bits.get(ident)
+        if value is None:
+            value = bits[ident] = 1 << len(bits)
+        return value
+
+    # depth first with an explicit stack, so a path may be longer than the
+    # recursion limit; a frame holds a state, its enabled set, the choices
+    # not yet taken, smallest last so that pop() takes it first, and the
+    # state's two masks
+    stack: list[tuple[ExecutionState, set[str], list[str], int, int]] = []
+
+    def visit(state: ExecutionState, prior: set[str] | frozenset[str], done: int, bound: int) -> None:
+        key = _freeze_state(state, done, bound)
         if key in seen:
             return
         seen.add(key)
@@ -732,20 +775,28 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
         if not ready or state.step_count >= max_steps:
             results.add(frozenset(state.completed) - started)
             return
-        stack.append((state, ready, sorted(ready, reverse=True)))
+        stack.append((state, ready, sorted(ready, reverse=True), done, bound))
 
     start = init(diagram)
     started = frozenset(start.completed)
-    visit(start, frozenset())
+    done = bound = 0
+    for node_id in start.completed:
+        done |= bit(node_id)
+    for obj in start.bindings:
+        bound |= bit(obj)
+    visit(start, frozenset(), done, bound)
     while stack:
-        state, ready, choices = stack[-1]
+        state, ready, choices, done, bound = stack[-1]
         choice = choices.pop()
+        known = len(state.bindings)  # read first: the last child is this state
         if choices:
-            child, _ = step(_clone(state), diagram, choice)
+            child, _ = step(_clone(state), diagram, choice, traced=False)
         else:
             # nothing reads this state after its last firing: fire it in place,
             # so a path without choices keeps one state alive, not one per step
             stack.pop()
-            child, _ = step(state, diagram, choice)
-        visit(child, ready - {choice})
+            child, _ = step(state, diagram, choice, traced=False)
+        for obj in islice(reversed(child.bindings), len(child.bindings) - known):
+            bound |= bit(obj)
+        visit(child, ready - {choice}, done | bit(choice), bound)
     return results

@@ -5,6 +5,10 @@ flattened, so a statement that writes one of them and not the other leaves a
 state whose expressions read something else than its bindings say. Only
 ``_bind_object`` writes them once a state exists; ``ExecutionState.__post_init__``
 builds ``env`` and ``_clone`` copies both.
+
+``state.completed`` only grows, and only by one node at a time: the start
+events ``init`` completes and the node ``step`` fires. The oracle keeps a mask
+of it that relies on this.
 """
 
 from __future__ import annotations
@@ -12,10 +16,14 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+from bpdmn import simulator
+from conftest import load
+
 SIMULATOR = Path(__file__).resolve().parent.parent / "src" / "bpdmn" / "simulator.py"
 WRITERS = {"_bind_object", "_clone", "ExecutionState.__post_init__"}
 FIELDS = {"bindings", "env"}
-MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}
+MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}  # dict
+MUTATORS |= {"add", "discard", "remove"}  # set
 
 
 def _reaches_field(node: ast.expr, fields: set[str]) -> bool:
@@ -104,3 +112,34 @@ def test_writes_to_bindings_are_found():
         "State.__post_init__:14",
         "<module>:15",
     ]
+
+
+def test_only_init_and_step_complete_a_node():
+    """Each adds the one node it completes; ``_clone`` copies the set."""
+    source = SIMULATOR.read_text(encoding="utf-8")
+    assert writers_outside(source, {"init", "step"}, {"completed"}) == []
+    lines = source.splitlines()
+    writes = [where.split(":") for where in writers_outside(source, set(), {"completed"})]
+    assert [(where, lines[int(line) - 1].strip()) for where, line in writes] == [
+        ("init", "state.completed.add(node.id)"),
+        ("step", "state.completed.add(node_id)"),
+    ]
+    state = simulator.init(load("travel.bpdmn.json"))
+    clone = simulator._clone(state)
+    assert clone.completed == state.completed and clone.completed is not state.completed
+
+
+def test_writes_to_completed_are_found():
+    source = (
+        "def step(state):\n"  # 1
+        "    state.completed.add(n)\n"
+        "def fire(state, clone):\n"  # 3
+        "    state.completed.discard(x)\n"
+        "    state.completed.remove(x)\n"  # 5
+        "    state.completed |= {x}\n"
+        "    clone.completed = set()\n"  # 7
+        "    state.completed.update(xs)\n"
+        "    done = x in state.completed\n"  # 9
+        "    state.pending_starts.discard(x)\n"
+    )
+    assert writers_outside(source, {"step"}, {"completed"}) == ["fire:4", "fire:5", "fire:6", "fire:7", "fire:8"]

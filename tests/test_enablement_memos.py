@@ -172,8 +172,8 @@ def test_marked_counts_equal_a_recount_along_runs_and_oracle_paths(model, monkey
     checked = []
     step, enabled = simulator.step, simulator.enabled
 
-    def checked_step(state, diagram, node_id):
-        state, trace = step(state, diagram, node_id)
+    def checked_step(state, diagram, node_id, **options):
+        state, trace = step(state, diagram, node_id, **options)
         assert state.marked == _recount(state, diagram)
         checked.append(node_id)
         return state, trace

@@ -46,7 +46,7 @@ from bpdmn.model import (
 from bpdmn.render import to_dot
 
 from conftest import FIXTURES
-from randgen import random_diagram
+from randgen import random_diagram, random_regions
 
 FIXTURE_PATHS = sorted(p.relative_to(FIXTURES).as_posix() for p in FIXTURES.rglob("*.bpdmn.json"))
 RANDOM_SEEDS = range(60)
@@ -488,8 +488,8 @@ def test_enabled_equals_all_nodes_reference(diagram, monkeypatch):
         calls[0] += 1
         return ready
 
-    def step_counted(state, d, node_id):
-        result = original_step(state, d, node_id)
+    def step_counted(state, d, node_id, **options):
+        result = original_step(state, d, node_id, **options)
         calls[1] += 1
         return result
 
@@ -523,7 +523,7 @@ def test_step_accepts_exactly_the_enabled_nodes(diagram, monkeypatch):
     candidates = [n.id for n in diagram.iter_nodes()] + ["no-such-node"]
     checked = []
 
-    def step_checked(state, d, choose):
+    def step_checked(state, d, choose, **options):
         accepted = set()
         for node_id in candidates:
             try:
@@ -534,7 +534,7 @@ def test_step_accepts_exactly_the_enabled_nodes(diagram, monkeypatch):
             accepted.add(node_id)
         assert accepted == simulator.enabled(state, d), f"step {state.step_count}"
         checked.append(state.step_count)
-        return original_step(state, d, choose)
+        return original_step(state, d, choose, **options)
 
     monkeypatch.setattr(simulator, "step", step_checked)
     try:
@@ -550,14 +550,28 @@ def test_step_accepts_exactly_the_enabled_nodes(diagram, monkeypatch):
 # Iterative oracle
 
 
+def ref_key(state: simulator.ExecutionState) -> tuple:
+    """The oracle's state key as sorted tuples, rebuilt from the whole state:
+    tokens, the names of bound objects, store and inbox sizes and the
+    completed set."""
+    return (
+        tuple(sorted(state.tokens.items())),
+        tuple(sorted(state.bindings)),
+        tuple(sorted((s, len(r)) for s, r in state.stores.items())),
+        tuple(sorted((f, len(q)) for f, q in state.inbox.items() if q)),
+        tuple(sorted(state.completed)),
+    )
+
+
 def ref_explore(d: Diagram, max_steps: int = 50) -> set[frozenset[str]]:
     """The recursive depth-first search the oracle made before it kept its
-    own stack: one `enabled()` per new state, one `step()` per transition."""
+    own stack: one `enabled()` per new state, one `step()` per transition,
+    each state keyed by :func:`ref_key`."""
     results: set[frozenset[str]] = set()
     seen: set = set()
 
     def explore(state, fired: frozenset[str]) -> None:
-        key = (simulator._freeze_state(state), fired)
+        key = (ref_key(state), fired)
         if key in seen:
             return
         seen.add(key)
@@ -584,9 +598,9 @@ def test_oracle_equals_recursive_reference(diagram, monkeypatch):
         calls.append(("enabled", state.step_count))
         return original_enabled(state, d, prior)
 
-    def step_logged(state, d, choose):
+    def step_logged(state, d, choose, **options):
         calls.append(("step", state.step_count, choose))
-        return original_step(state, d, choose)
+        return original_step(state, d, choose, **options)
 
     monkeypatch.setattr(simulator, "enabled", enabled_logged)
     monkeypatch.setattr(simulator, "step", step_logged)
@@ -602,6 +616,83 @@ def test_oracle_equals_recursive_reference(diagram, monkeypatch):
         return result, list(calls)
 
     assert outcome(simulator.explore_interleavings) == outcome(ref_explore)
+
+
+def _branch_by_order() -> Diagram:
+    """``s -> w0 -> split (parallel)``, then ``gw (exclusive) -> p | q -> m
+    (exclusive merge) -> join`` beside ``c -> join``, and ``join -> e``. w0
+    sets o.v := 0 and c sets o.v := 1; gw goes to p while o.v = 0, else to
+    q. Once both branches reach the join, the two orders differ only in
+    which of p and q completed."""
+    kinds = {"s": "start_event_none", "w0": "task", "split": "gateway_parallel", "gw": "gateway_exclusive_data"}
+    kinds |= {"p": "task", "q": "task", "m": "gateway_exclusive_data", "c": "task"}
+    kinds |= {"join": "gateway_parallel", "e": "end_event"}
+    edges = [("s", "w0"), ("w0", "split"), ("split", "gw"), ("split", "c"), ("gw", "p"), ("gw", "q")]
+    edges += [("p", "m"), ("q", "m"), ("m", "join"), ("c", "join"), ("join", "e")]
+    flows = [SequenceFlow(f"f{k}", source, target) for k, (source, target) in enumerate(edges)]
+    flows[4].guard = parse_expr("o.v = 0")
+    return Diagram(
+        "branch_by_order",
+        pools=[Pool("P", "P", [Node(i, i, kind) for i, kind in kinds.items()], flows)],
+        objects=[DataObject("o", "o", variables=[Variable("v", "number")])],
+        behaviors={
+            "w0": TaskBehavior(effects=[Effect("o", "v", parse_expr("0"))]),
+            "c": TaskBehavior(effects=[Effect("o", "v", parse_expr("1"))]),
+        },
+    )
+
+
+def _read_after_write() -> Diagram:
+    """``s -> split (parallel) -> {w, r} -> join -> e``: w inserts a record
+    into store D, and r reads one into R, which is not among its inputs.
+    Once both fired, the two orders differ only in whether R is bound."""
+    kinds = {"s": "start_event_none", "split": "gateway_parallel", "w": "task", "r": "task"}
+    kinds |= {"join": "gateway_parallel", "e": "end_event"}
+    edges = [("s", "split"), ("split", "w"), ("split", "r"), ("w", "join"), ("r", "join"), ("join", "e")]
+    flows = [SequenceFlow(f"f{k}", source, target) for k, (source, target) in enumerate(edges)]
+    return Diagram(
+        "read_after_write",
+        pools=[Pool("P", "P", [Node(i, i, kind) for i, kind in kinds.items()], flows)],
+        stores=[DataStore("D", "D", entities=[Entity("E", [Variable("v", "number")])])],
+        objects=[DataObject("R", "R", variables=[Variable("E.v", "number")])],
+        behaviors={
+            "w": TaskBehavior(store_actions=[StoreInsert("D", "E", {"v": parse_expr("1")})]),
+            "r": TaskBehavior(store_actions=[StoreRead("D", "E", "R", None)]),
+        },
+    )
+
+
+@pytest.mark.parametrize(
+    "diagram",
+    DIAGRAMS
+    + [pytest.param(random_regions(seed), id=f"regions{seed}") for seed in range(30)]
+    + [
+        pytest.param(_branch_by_order(), id="branch-by-order"),
+        pytest.param(_read_after_write(), id="read-after-write"),
+    ],
+)
+def test_oracle_keys_are_equal_exactly_when_reference_keys_are(diagram, monkeypatch):
+    """The oracle keys a state by masks it carries along the path; along
+    every path of one search, two of its keys must be equal exactly when
+    the keys rebuilt from the whole state (:func:`ref_key`) are."""
+    original = simulator._freeze_state
+    references: dict = {}  # oracle key -> reference key
+    keys: dict = {}  # reference key -> oracle key
+
+    def freeze_checked(state, done, bound):
+        key, reference = original(state, done, bound), ref_key(state)
+        assert references.setdefault(key, reference) == reference, f"step {state.step_count}"
+        assert keys.setdefault(reference, key) == key, f"step {state.step_count}"
+        return key
+
+    monkeypatch.setattr(simulator, "_freeze_state", freeze_checked)
+    try:
+        simulator.explore_interleavings(diagram)
+    except simulator.InitializationError:
+        pytest.skip("the diagram cannot start without further start inputs")
+    except simulator.SimulationError:
+        pass  # a failing guard ends the exploration; earlier keys were checked
+    assert references
 
 
 def test_oracle_explores_a_chain_longer_than_the_recursion_limit():

@@ -2,7 +2,19 @@ from __future__ import annotations
 
 import pytest
 
-from bpdmn.model import Diagram, Node, Pool, SequenceFlow
+from bpdmn import validator
+from bpdmn.expr import parse_expr
+from bpdmn.model import (
+    DataObject,
+    Diagram,
+    Effect,
+    Node,
+    ObjectAttachment,
+    Pool,
+    SequenceFlow,
+    TaskBehavior,
+    Variable,
+)
 from bpdmn.simulator import (
     ExecutionState,
     InitializationError,
@@ -172,6 +184,66 @@ def test_oracle_agrees_with_scheduler(name):
         result = run(diagram, policy=policy, seed=seed)
         assert result.status == "completed"
         assert frozenset(result.fired_nodes()) in oracle
+
+
+def _race() -> Diagram:
+    """``s -> split (parallel) -> {a, b} -> join (parallel) -> gw
+    (exclusive)``; a sets ``o.v := 1`` and b sets ``o.v := 2``, each
+    outputting o to the join; ``join -> gw`` inputs o; gw goes to x when
+    ``o.v = 1`` and to y when ``o.v = 2``. Which of a and b fires last
+    decides the branch."""
+    kinds = {
+        "s": "start_event_none",
+        "split": "gateway_parallel",
+        "a": "task",
+        "b": "task",
+        "join": "gateway_parallel",
+        "gw": "gateway_exclusive_data",
+        "x": "task",
+        "y": "task",
+        "ex": "end_event",
+        "ey": "end_event",
+    }
+    out, into = [ObjectAttachment("o", "output")], [ObjectAttachment("o", "input")]
+    flows = [
+        SequenceFlow("f0", "s", "split"),
+        SequenceFlow("f1", "split", "a"),
+        SequenceFlow("f2", "split", "b"),
+        SequenceFlow("f3", "a", "join", list(out)),
+        SequenceFlow("f4", "b", "join", list(out)),
+        SequenceFlow("f5", "join", "gw", into),
+        SequenceFlow("f6", "gw", "x", guard=parse_expr("o.v = 1")),
+        SequenceFlow("f7", "gw", "y", guard=parse_expr("o.v = 2")),
+        SequenceFlow("f8", "x", "ex"),
+        SequenceFlow("f9", "y", "ey"),
+    ]
+    return Diagram(
+        "race",
+        pools=[Pool("p", "P", [Node(i, i, kind) for i, kind in kinds.items()], flows)],
+        objects=[DataObject("o", "o", variables=[Variable("v", "number")])],
+        behaviors={
+            "a": TaskBehavior(effects=[Effect("o", "v", parse_expr("1"))]),
+            "b": TaskBehavior(effects=[Effect("o", "v", parse_expr("2"))]),
+        },
+    )
+
+
+def test_the_race_is_valid_and_runs_reach_both_branches():
+    diagram = _race()
+    assert validator.validate(diagram) == []
+    both = {"split", "a", "b", "join", "gw"}
+    fired = {frozenset(run(diagram, policy="random", seed=k).fired_nodes()) for k in range(40)}
+    assert fired == {frozenset(both | {"x", "ex"}), frozenset(both | {"y", "ey"})}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the oracle's key holds the names of bound objects, not their values, so the state "
+    "after a then b merges with the one after b then a (ROADMAP item 1)",
+)
+def test_the_oracle_lists_both_outcomes_of_the_race():
+    both = {"split", "a", "b", "join", "gw"}
+    assert explore_interleavings(_race()) == {frozenset(both | {"x", "ex"}), frozenset(both | {"y", "ey"})}
 
 
 def test_an_insert_in_a_clone_leaves_the_store_lists_it_was_cloned_from(travel):
