@@ -8,13 +8,16 @@ and cumulative import time. The first line is the interpreter's own baseline,
 ``python -X importtime -c pass``. ``bpdmn.cli`` runs as ``__main__``, so it
 is compiled outside the import timer and shows only in the wall time.
 
-The last line is a cost ``-X importtime`` cannot see: ``bpdmn.format``
-compiles the fast pass of each schema table (and its writer, when a diagram
-is serialized) on first use, not on import. It gives, as medians over fresh
-processes, the time ``format._compile`` takes while one ``parse_diagram``
-reads MODEL, and the functions and source lines it compiles: the fast pass
+The last two lines are a cost ``-X importtime`` cannot see: ``bpdmn.format``
+compiles the fast pass and the writer of each schema table on first use,
+not on import (only the document's writer is compiled on import, for
+``EMPTY_DOCUMENT``). They give, as medians over fresh processes, the time
+``format._compile`` takes and the functions and source lines it compiles:
+first while one ``parse_diagram`` reads MODEL, which compiles the fast pass
 of each table the parse reaches, whether MODEL is valid or refused (the
-diagnostic pass a refused MODEL takes compiles nothing).
+diagnostic pass a refused MODEL takes compiles nothing); then while the
+first ``serialize_diagram`` writes the parsed MODEL, which compiles the
+writer of each other table it reaches (nothing when MODEL is refused).
 
 The script runs the ``bpdmn`` of the checkout it sits in; stdlib only::
 
@@ -40,7 +43,8 @@ ROOT = Path(__file__).resolve().parent.parent
 RUNS = 11
 
 # prints the ms, functions and source lines format._compile spends and
-# compiles while parse_diagram reads the model named by argv[1]
+# compiles while parse_diagram reads the model named by argv[1], then the
+# same for the first serialize_diagram of the parsed model
 COMPILE_PROBE = """
 import sys
 from time import perf_counter
@@ -58,9 +62,13 @@ format._compile = timed
 with open(sys.argv[1], encoding="utf-8") as model:
     text = model.read()
 try:
-    format.parse_diagram(text)
+    diagram = format.parse_diagram(text)
 except format.ParseError:
-    pass
+    diagram = None
+print(*spent)
+spent[:] = [0.0, 0, 0]
+if diagram is not None:
+    format.serialize_diagram(diagram)
 print(*spent)
 """
 COMMANDS = (
@@ -111,17 +119,20 @@ def profile(args: list[str]) -> tuple[float, dict[str, tuple[float, float]]]:
     return statistics.median(walls), modules
 
 
-def compile_cost(model: str) -> tuple[float, int, int]:
-    """Median ms, functions and lines of the fast pass one parse of *model*
-    compiles, over RUNS fresh processes."""
+def compile_cost(model: str) -> list[tuple[float, int, int]]:
+    """Median ms, functions and lines ``format._compile`` spends on one parse
+    of *model* and on its first serialize, over RUNS fresh processes."""
     runs = []
     for _ in range(RUNS):
         proc = _python(["-c", COMPILE_PROBE, model])
         if proc.returncode != 0:
             raise SystemExit(proc.stderr)
-        ms, functions, lines = proc.stdout.split()
-        runs.append((float(ms), int(functions), int(lines)))
-    return statistics.median(ms for ms, _, _ in runs), runs[0][1], runs[0][2]
+        stages = [line.split() for line in proc.stdout.splitlines()]
+        runs.append([(float(ms), int(functions), int(lines)) for ms, functions, lines in stages])
+    return [
+        (statistics.median(run[stage][0] for run in runs), runs[0][stage][1], runs[0][stage][2])
+        for stage in range(2)
+    ]
 
 
 def main() -> None:
@@ -141,8 +152,9 @@ def main() -> None:
             self_ms, cumulative_ms = modules[name]
             print(f"  {name:24s} {self_ms:9.2f} {cumulative_ms:14.2f}")
 
-    ms, functions, lines = compile_cost(model)
+    (ms, functions, lines), (write_ms, writers, write_lines) = compile_cost(model)
     print(f"\n== fast pass one parse compiles: {ms:.2f} ms, {functions} functions, {lines} lines")
+    print(f"== writers the first serialize compiles: {write_ms:.2f} ms, {writers} functions, {write_lines} lines")
 
 
 if __name__ == "__main__":

@@ -193,6 +193,17 @@ def render_cmd(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _step_count(text: str) -> int:
+    """*text* as a ``--max-steps`` value: an integer of at least 0."""
+    try:
+        steps = int(text)
+    except ValueError:
+        steps = -1
+    if steps < 0:
+        raise argparse.ArgumentTypeError(f"invalid non-negative integer value: {text!r}")
+    return steps
+
+
 @functools.cache
 def _parser(prog: str) -> argparse.ArgumentParser:
     """The argument parser, built once per program name."""
@@ -221,7 +232,7 @@ def _parser(prog: str) -> argparse.ArgumentParser:
     sub = command("simulate", simulate)
     sub.add_argument(
         "--max-steps",
-        type=int,
+        type=_step_count,
         default=1000,
         metavar="INTEGER",
         help="Fire at most this many nodes [default: 1000]; a run still going after them ends with "

@@ -26,6 +26,12 @@ holds that default. A kind (``_Kind``) gives a key one of three shapes:
 The rows follow the fields of the element's class, so each key of each
 element is written once, in its table.
 
+The writer (``_Element.write``) is compiled from each table on first use.
+It appends the element's text to a list of parts: key names encoded when
+it is compiled, strings through ``encode_basestring``, any other scalar
+through ``_scalar_text``, the one rule ``json_text`` also writes scalars
+by. ``serialize_diagram`` joins the parts; no tree of the document is built.
+
 Reading is strict and coerces nothing. A value of the wrong type, a
 missing required key or an unknown key is a :class:`ParseError`; an absent
 optional key takes its default. A document is read in one of two passes:
@@ -377,8 +383,7 @@ _ID = object()  # the default of a name: the element's id
 
 
 class _Kind(NamedTuple):
-    """How a key's value is read, and written by ``write(value)`` (as it is
-    when ``None``). A kind has one of three shapes:
+    """How a key's value is read and written. A kind has one of three shapes:
 
     - A scalar accepts a value when ``check``, the source of a condition on
       the value ``{0}``, holds: the fast pass tests the condition inline,
@@ -386,13 +391,18 @@ class _Kind(NamedTuple):
       same source, saying the value must be ``expected`` when it fails. The
       value of an ``expr`` kind is the text of an expression, read as its
       tree; a value with a ``convert`` reads as ``convert(value)``, which
-      raises a model error on a value it does not take.
+      raises a model error on a value it does not take. ``write``, when
+      set, converts the value back, and ``text`` is the source of the JSON
+      text of the value ``{0}``, its last line indented by ``{1}``.
     - A list of elements of class ``of`` is read item by item with the table
       of ``of``; for the store actions, ``of`` is ``_StoreAction``, which
       chooses each item's table by its ``action``.
     - A map's ``values`` are each of that kind, or each an element of that
       class; its diagnostics call it ``where`` (``{key}``: its key), when
-      not what they call the element that holds it."""
+      not what they call the element that holds it.
+
+    A list or a map is written by ``write(value, indent, parts)``, which
+    appends its text to *parts*, its closing bracket indented by *indent*."""
 
     write: Callable | None = None
     check: str | None = None
@@ -403,24 +413,32 @@ class _Kind(NamedTuple):
     of: type | None = None
     values: _Kind | type | None = None
     where: str | None = None
+    text: str = ""
 
 
-def _scalar(check: str, expected: str, write: Callable | None = None, expr: bool = False) -> _Kind:
-    """The scalar kind whose values the condition *check* accepts."""
-    return _Kind(write, check, eval("lambda value: " + check.format("value")), expected, expr)
+def _scalar(
+    check: str, expected: str, write: Callable | None = None, expr: bool = False, text: str = "scalar({0})"
+) -> _Kind:
+    """The scalar kind whose values the condition *check* accepts, written
+    as *text*: by default, as any JSON scalar is."""
+    return _Kind(write, check, eval("lambda value: " + check.format("value")), expected, expr, text=text)
 
 
 _STR = "{0}.__class__ is str"
 _STR_OR_NONE = "({0} is None or {0}.__class__ is str)"
-_STRING = _scalar(_STR, "a string")
+_STRING = _scalar(_STR, "a string", text="encode({0})")
 _OPTIONAL_STRING = _scalar(_STR_OR_NONE, "a string or null")
 _FLAG = _scalar("{0}.__class__ is bool", "a boolean")
 _INTEGER = _scalar("{0}.__class__ is int", "an integer")
-_EXPR = _scalar(_STR, "an expression string", print_expr, expr=True)
-_OPTIONAL_EXPR = _scalar(_STR_OR_NONE, "an expression string", print_expr, expr=True)
+_EXPR = _scalar(_STR, "an expression string", print_expr, expr=True, text=_STRING.text)
+# written only when not None, the default of each optional expression
+_OPTIONAL_EXPR = _scalar(_STR_OR_NONE, "an expression string", print_expr, expr=True, text=_STRING.text)
 # an empty list, as most nodes hold, is accepted without making a generator
 _STRINGS = _scalar(
-    "({0}.__class__ is list and (not {0} or all(v.__class__ is str for v in {0})))", "a list of strings", sorted
+    "({0}.__class__ is list and (not {0} or all(v.__class__ is str for v in {0})))",
+    "a list of strings",
+    sorted,
+    text="strings({0}, {1})",
 )
 _START_VALUE = _scalar("is_scalar({0})", "a string, number, boolean or null")
 
@@ -450,15 +468,28 @@ def _fast_map(exprs: _Exprs, entries: object, depth: int, kind: _Kind) -> dict:
     return {name: exprs[text] for name, text in entries.items()} if values.expr else entries
 
 
+def _strings_text(values: list[str], indent: str) -> str:
+    """The text of the list of strings *values*, its closing bracket indented by *indent*."""
+    inner = indent + "  "
+    return "[" + inner + ("," + inner).join(map(encode_basestring, values)) + indent + "]" if values else "[]"
+
+
 def _items(cls: type, *order: str) -> _Kind:
     """A list of elements of *cls*, written sorted by the attributes *order*,
     or in the list's own order when none are named."""
     by = attrgetter(*order) if order else None
 
-    def write(values: list) -> list[dict]:
+    def write(values: list, indent: str, parts: list[str]) -> None:
         if not values:  # compiles no writer, as for EMPTY_DOCUMENT on import
-            return []
-        return list(map(_TABLES.get(cls, cls).write, sorted(values, key=by) if by else values))
+            parts.append("[]")
+            return
+        write, inner = _TABLES.get(cls, cls).write, indent + "  "
+        lead, sep = "[" + inner, "," + inner
+        for value in sorted(values, key=by) if by else values:
+            parts.append(lead)
+            write(value, inner, parts)
+            lead = sep
+        parts.append(indent + "]")
 
     return _Kind(write, of=cls)
 
@@ -468,9 +499,16 @@ def _map(values: _Kind | type, where: str | None = None) -> _Kind:
     the class *values*, written sorted by name; its diagnostics call it
     *where* (``{key}``: its key), when not what they call its holder."""
 
-    def write(entries: dict) -> dict:
-        write = _TABLES[values].write if isinstance(values, type) else values.write
-        return {name: value if write is None else write(value) for name, value in sorted(entries.items())}
+    def write(entries: dict, indent: str, parts: list[str]) -> None:
+        inner, lead = indent + "  ", "{"
+        for name, value in sorted(entries.items()):
+            parts.append(lead + inner + encode_basestring(name) + ": ")
+            if isinstance(values, type) or values.check is None:  # elements or maps
+                (_TABLES[values] if isinstance(values, type) else values).write(value, inner, parts)
+            else:  # a scalar, written as any JSON scalar once converted
+                parts.append(_scalar_text(value if values.write is None else values.write(value)))
+            lead = ","
+        parts.append(indent + "}" if entries else "{}")
 
     return _Kind(write, values=values, where=where)
 
@@ -615,25 +653,46 @@ class _Element:
 
     @cached_property
     def write(self) -> Callable:
-        """``write(element)``: *element* as the object a document holds."""
-        namespace: dict = {}
-        # the keys up to the first one that may be left out start the dict
-        start = [f"{self.tag[0]!r}: {self.tag[1]!r}"] if self.tag else []
-        body: list[str] = []
+        """``write(element, indent, parts)``: appends to *parts* the text of
+        *element*, its closing brace indented by *indent* (a newline and
+        spaces). Key names are encoded here, once; each run of keys always
+        written is one f-string, and a key that may be left out at its
+        default costs one test."""
+        namespace = {"encode": encode_basestring, "scalar": _scalar_text, "strings": _strings_text}
+        # f-string source of what comes before the next key: the opening
+        # brace, a comma, or the variable lead while every key so far may
+        # have been left out
+        opening, comma = "{{{inner}", ",{inner}"
+        body, run, lead = ["inner = indent + '  '"], "", opening  # run: f-string source not yet appended
+        if self.tag:
+            namespace["tag"] = ": ".join(map(encode_basestring, self.tag))
+            run, lead = opening + "{tag}", comma
         for i, key in enumerate(self.keys):
-            namespace[f"write{i}"], namespace[f"omit{i}"] = key.kind.write, key.default
-            get = "(" + ", ".join(f"element.{field}" for field in key.fields) + ")"
-            value = "value" if key.omit else get
-            if key.kind.write is not None:
-                value = f"write{i}({value})"
+            kind, get = key.kind, ", ".join(f"element.{field}" for field in key.fields)
+            namespace.update({f"key{i}": encode_basestring(key.name) + ": ", f"write{i}": kind.write})
+            namespace[f"omit{i}"] = key.default
+            value = "value" if key.omit else get if len(key.fields) == 1 else f"({get})"
             if key.omit:
-                body += [f"value = {get}", f"if value != omit{i}:", f"    out[{key.name!r}] = {value}"]
-            elif body:
-                body.append(f"out[{key.name!r}] = {value}")
+                body += [f'parts.append(f"{run}")'] if run else []
+                body += ['lead = "{" + inner'] if lead == opening else []
+                run, lead = "", "{lead}" if lead == opening else lead
+            run += lead + "{key%d}" % i
+            if kind.check is not None:  # a scalar, written in place
+                run += "{" + kind.text.format(f"write{i}({value})" if kind.write else value, "inner") + "}"
+                lines = [f'parts.append(f"{run}")'] if key.omit else []
+            else:  # a list or a map, which appends its own text
+                lines = [f'parts.append(f"{run}")', f"write{i}({value}, inner, parts)"]
+            if key.omit:
+                lines += ['lead = "," + inner'] if lead != comma else []
+                body += [f"value = {get}", f"if value != omit{i}:", *("    " + line for line in lines)]
             else:
-                start.append(f"{key.name!r}: {value}")
-        body = ["out = {" + ", ".join(start) + "}", *body, "return out"]
-        return _compile("write", "element", body, namespace)
+                body, lead = body + lines, comma
+            run = "" if lines else run
+        if lead == comma:
+            body.append('parts.append(f"' + run + '{indent}}}")')
+        else:  # every key may have been left out
+            body.append('parts.append(indent + "}" if lead[0] == "," else "{}")')
+        return _compile("write", "element, indent, parts", body, namespace)
 
 
 def _scope(text: str) -> model.Scope:
@@ -676,8 +735,8 @@ class _StoreAction:
         return table.fast(exprs, data, depth)
 
     @staticmethod
-    def write(action) -> dict:
-        return _TABLES[type(action)].write(action)
+    def write(action, indent: str, parts: list[str]) -> None:
+        _TABLES[type(action)].write(action, indent, parts)
 
 
 _SCOPE = _STRING._replace(
@@ -886,10 +945,30 @@ _ACTIONS = {"insert": _INSERT, "read": _READ}
 def serialize_diagram(diagram: model.Diagram) -> str:
     """Canonical text: schema key order, elements sorted by id, two-space
     indentation, trailing newline."""
-    return json_text(_DOCUMENT.write(diagram), ensure_ascii=False) + "\n"
+    parts: list[str] = []
+    _DOCUMENT.write(diagram, "\n", parts)
+    return "".join(parts) + "\n"
 
 
-_INF = float("inf")
+# the text of a float that is not finite, by its repr
+_NOT_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _scalar_text(value: object, encode: Callable = encode_basestring) -> str:
+    """The JSON text of a scalar, as ``json.dumps`` writes it: a string
+    through *encode*, ``null``, ``true``, ``false``, or an int or a float by
+    its ``repr`` (``NaN``, ``Infinity``, ``-Infinity`` for one not finite).
+    Raises ``TypeError`` on anything else."""
+    if isinstance(value, str):
+        return encode(value)
+    if value is None or value.__class__ is bool:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _NOT_FINITE.get(text, text)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def json_text(value: object, ensure_ascii: bool) -> str:
@@ -904,9 +983,7 @@ def json_text(value: object, ensure_ascii: bool) -> str:
 
 
 def _write_json(value: object, encode, newline: str, parts: list[str]) -> None:
-    if isinstance(value, str):
-        parts.append(encode(value))
-    elif isinstance(value, dict):
+    if isinstance(value, dict):
         if not value:
             parts.append("{}")
             return
@@ -936,25 +1013,8 @@ def _write_json(value: object, encode, newline: str, parts: list[str]) -> None:
                 _write_json(item, encode, inner, parts)
             opening = "," + inner
         parts.append(newline + "]")
-    elif value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, int):
-        parts.append(int.__repr__(value))
-    elif isinstance(value, float):
-        if value != value:
-            parts.append("NaN")
-        elif value == _INF:
-            parts.append("Infinity")
-        elif value == -_INF:
-            parts.append("-Infinity")
-        else:
-            parts.append(float.__repr__(value))
     else:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        parts.append(_scalar_text(value, encode))
 
 
 # canonical serialization of a diagram with no elements

@@ -90,6 +90,12 @@ def test_simulate_step_limit_exit_4():
     assert result.code == 4
 
 
+def test_simulate_max_steps_0_fires_nothing_and_exits_4():
+    result = run_cli("simulate", fx("travel.bpdmn.json"), "--max-steps", "0", "--json")
+    assert result.code == 4
+    assert json.loads(result.out)["fired"] == []
+
+
 def test_simulate_set_override_changes_route():
     result = run_cli("simulate", fx("travel.bpdmn.json"), "--set", "input.cardNumber=00000000", "--json")
     payload = json.loads(result.out)
@@ -218,6 +224,7 @@ def test_non_string_document_id_exit_2(tmp_path, command):
         ["translate", fx("travel.bpdmn.json")],
         ["translate", fx("travel.bpdmn.json"), "--to", "wsdl"],
         ["simulate", fx("travel.bpdmn.json"), "--max-steps", "many"],
+        ["simulate", fx("travel.bpdmn.json"), "--max-steps", "-1"],
         ["simulate", fx("travel.bpdmn.json"), "--policy", "fifo"],
     ],
     ids=[
@@ -229,6 +236,7 @@ def test_non_string_document_id_exit_2(tmp_path, command):
         "no-target",
         "unknown-target",
         "non-integer",
+        "negative-max-steps",
         "unknown-policy",
     ],
 )

@@ -1,7 +1,8 @@
 """What a fresh process loads: the CLI imports only ``format``, ``validator``
 and the layer of the subcommand it runs, and ``import bpdmn`` loads the
 other layers on first attribute access. Parsing a document compiles only the
-fast pass of the schema tables it reaches, even when the document is refused."""
+fast pass of the schema tables it reaches, even when the document is refused,
+and a first serialize compiles one writer for each table it reaches."""
 
 from __future__ import annotations
 
@@ -122,3 +123,31 @@ def test_parsing_a_refused_document_compiles_only_the_fast_pass():
     refused, compiled = _python(REFUSED_PROBE, str(FIXTURES / "eco.bpdmn.json"))
     assert refused
     assert compiled and set(compiled) == {"fast"}
+
+
+# prints [what format._compile builds while a valid model, argv[1], is parsed,
+# what it builds while the diagram is first serialized, the number of tables
+# whose writer that serialize compiled, what a second serialize builds]
+SERIALIZE_PROBE = """
+import json, sys
+from bpdmn import format
+compiled, compile_ = [], format._compile
+format._compile = lambda name, *args: compiled.append(name) or compile_(name, *args)
+def writers():
+    return {cls for cls, table in format._TABLES.items() if "write" in vars(table)}
+with open(sys.argv[1], encoding="utf-8") as model:
+    diagram = format.parse_diagram(model.read())
+parsed, before = compiled[:], writers()
+format.serialize_diagram(diagram)
+written = compiled[len(parsed):]
+reached = len(writers() - before)
+format.serialize_diagram(diagram)
+print(json.dumps([parsed, written, reached, compiled[len(parsed) + len(written):]]))
+"""
+
+
+def test_a_first_serialize_compiles_one_writer_per_table_it_reaches():
+    parsed, written, reached, again = _python(SERIALIZE_PROBE, str(FIXTURES / "eco.bpdmn.json"))
+    assert parsed and set(parsed) == {"fast"}
+    assert set(written) == {"write"} and len(written) == reached
+    assert again == []

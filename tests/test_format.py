@@ -14,15 +14,21 @@ from bpdmn import format as fmt, model
 from bpdmn.format import EMPTY_DOCUMENT, ParseError, parse_diagram, serialize_diagram
 
 from conftest import FIXTURES, fixture_text, run_cli
-from randgen import fuzz_input, mutant as _mutant, mutations as _mutations, random_diagram
+from randgen import fuzz_input, mutant as _mutant, mutations as _mutations, random_diagram, random_regions
 
 ALL_FIXTURES = sorted(p.relative_to(FIXTURES) for p in FIXTURES.rglob("*.bpdmn.json"))
+
+
+def _dumps(text: str) -> str:
+    """*text* decoded and written again by ``json.dumps``, as canonical text."""
+    return json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
 
 
 @pytest.mark.parametrize("relpath", ALL_FIXTURES, ids=str)
 def test_every_fixture_round_trips(relpath):
     text = fixture_text(str(relpath))
     assert serialize_diagram(parse_diagram(text)) == text
+    assert text == _dumps(text)
 
 
 def test_canonical_output_shape(travel):
@@ -827,3 +833,370 @@ def test_a_bad_expression_on_two_flows_gives_two_located_diagnostics():
         "bad expression in guard of flow f2",
     ]
     assert all(d.span.line > 1 for d in diagnostics)
+
+
+# ---------------------------------------------------------------------------
+# The writer: its text is what json.dumps(indent=2) writes for the same data
+# (for the fixtures, see test_every_fixture_round_trips), and it reads back as
+# the diagram it was written from.
+
+
+def _unordered(value):
+    """*value* with each element a tuple of its compared fields and each
+    list sorted, so that diagrams differing only in the order of their lists,
+    which the writer sorts, compare equal."""
+    if dataclasses.is_dataclass(value):
+        fields = dataclasses.fields(value)
+        return (type(value).__name__, *(_unordered(getattr(value, f.name)) for f in fields if f.compare))
+    if isinstance(value, list):
+        return sorted(map(_unordered, value), key=repr)
+    if isinstance(value, dict):
+        return {name: _unordered(item) for name, item in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("generate", [random_diagram, random_regions], ids=lambda generate: generate.__name__)
+def test_a_written_random_diagram_is_json_dumps_text_and_reads_back_equal(generate):
+    for seed in range(200):
+        diagram = generate(seed)
+        text = serialize_diagram(diagram)
+        assert text == _dumps(text), seed
+        assert _unordered(parse_diagram(text)) == _unordered(diagram), seed
+
+
+# quotes, a backslash, control characters, U+2028 and text outside ASCII
+HOSTILE = "\u00dcn\u00efc\u00f8d\u00e9 \"q\" \\ \x01\t\n\x1f \u2028 \u20ac\U0001f600"
+
+
+def _every_key_diagram() -> model.Diagram:
+    """A diagram built in code that sets each optional key away from its
+    default, with names and start inputs at the edges of JSON text: start
+    inputs no document can hold (``NaN``, the infinities) among them."""
+    m, expr = model, fmt.parse_expr
+    nodes = [
+        m.Node("s", "Start", "start_event_message"),
+        m.Node("sp", HOSTILE, "sub_process", children=[m.Node("c", "C", "task")], local_stores=["st2", "st"]),
+        m.Node("g", "G", "gateway_exclusive_data", condition=expr("o.v = 1")),
+        m.Node("t", "T", "task", multi_instance=True),
+        m.Node("e", "E", "end_event"),
+    ]
+    flows = [
+        m.SequenceFlow("f1", "s", "sp", attachments=[m.ObjectAttachment("o", "output")]),
+        m.SequenceFlow("f2", "sp", "g"),
+        m.SequenceFlow("f3", "g", "t", [m.ObjectAttachment("o", "input", optional=True)], expr("o.v > 2.5")),
+        m.SequenceFlow("f4", "t", "e"),
+    ]
+    data_flows = [m.ExplicitDataFlow("d", "st", "t", "o", optional=True)]
+    store = m.DataStore(
+        "st",
+        "St",
+        icon="folder",
+        entities=[m.Entity("F"), m.Entity("E", [m.Variable("x", "number"), m.Variable("n")])],
+        relationships=[m.Relationship("r", "E", "F")],
+        generalizations=[m.Generalization("E", "F")],
+        scope=m.Scope.of("sp"),
+        collapsed=True,
+    )
+    objects = [
+        m.DataObject("o2", "O2", "document", "physical", [m.Variable("v")], "u", "new", "st"),
+        m.DataObject("o", "O", variables=[m.Variable("v", "number")]),
+    ]
+    behavior = m.TaskBehavior(
+        [m.Effect("o", "v", expr("not o.v"))],
+        [
+            m.StoreInsert("st", "E", {"x": expr("o.v"), "n": expr("'n'")}),
+            m.StoreRead("st", "E", "o2", filter=expr("x = 1")),
+        ],
+        instances=2,
+    )
+    inputs = {"a": -0.0, "b": 1e300, "c": float("nan"), "d": float("inf"), "e": float("-inf")}
+    inputs.update({"f": None, "g": True, "h": False, "i": 10**20, HOSTILE: HOSTILE})
+    return m.Diagram(
+        HOSTILE,
+        pools=[m.Pool("p", "P", nodes, flows, data_flows), m.Pool("q", "Q")],
+        stores=[m.DataStore("st2", "St2"), store],
+        objects=objects,
+        mappings=[m.DataMapping("m", "o", "o2", [m.CopyRule(expr("o.v"), "v"), m.CopyRule(expr("'a'"), "w")])],
+        message_flows=[m.MessageFlow("mf", "t", "q", [m.ObjectAttachment("o2", "output")])],
+        behaviors={"t": behavior, "c": m.TaskBehavior()},
+        start_inputs={"o": inputs},
+    )
+
+
+EVERY_KEY_TEXT = """\
+{
+  "bpdmn": "1.0",
+  "id": "\u00dcn\u00efc\u00f8d\u00e9 \\"q\\" \\\\ \\u0001\\t\\n\\u001f \u2028 \u20ac\U0001f600",
+  "pools": [
+    {
+      "id": "p",
+      "name": "P",
+      "nodes": [
+        {
+          "id": "e",
+          "name": "E",
+          "kind": "end_event"
+        },
+        {
+          "id": "g",
+          "name": "G",
+          "kind": "gateway_exclusive_data",
+          "condition": "o.v = 1"
+        },
+        {
+          "id": "s",
+          "name": "Start",
+          "kind": "start_event_message"
+        },
+        {
+          "id": "sp",
+          "name": "\u00dcn\u00efc\u00f8d\u00e9 \\"q\\" \\\\ \\u0001\\t\\n\\u001f \u2028 \u20ac\U0001f600",
+          "kind": "sub_process",
+          "children": [
+            {
+              "id": "c",
+              "name": "C",
+              "kind": "task"
+            }
+          ],
+          "local_stores": [
+            "st",
+            "st2"
+          ]
+        },
+        {
+          "id": "t",
+          "name": "T",
+          "kind": "task",
+          "multi_instance": true
+        }
+      ],
+      "sequence_flows": [
+        {
+          "id": "f1",
+          "source": "s",
+          "target": "sp",
+          "attachments": [
+            {
+              "object": "o",
+              "direction": "output"
+            }
+          ]
+        },
+        {
+          "id": "f2",
+          "source": "sp",
+          "target": "g"
+        },
+        {
+          "id": "f3",
+          "source": "g",
+          "target": "t",
+          "attachments": [
+            {
+              "object": "o",
+              "direction": "input",
+              "optional": true
+            }
+          ],
+          "guard": "o.v > 2.5"
+        },
+        {
+          "id": "f4",
+          "source": "t",
+          "target": "e"
+        }
+      ],
+      "explicit_data_flows": [
+        {
+          "id": "d",
+          "source": "st",
+          "target": "t",
+          "object": "o",
+          "optional": true
+        }
+      ]
+    },
+    {
+      "id": "q",
+      "name": "Q",
+      "nodes": [],
+      "sequence_flows": [],
+      "explicit_data_flows": []
+    }
+  ],
+  "stores": [
+    {
+      "id": "st",
+      "name": "St",
+      "icon": "folder",
+      "entities": [
+        {
+          "name": "E",
+          "fields": [
+            {
+              "name": "n",
+              "vtype": "string"
+            },
+            {
+              "name": "x",
+              "vtype": "number"
+            }
+          ]
+        },
+        {
+          "name": "F",
+          "fields": []
+        }
+      ],
+      "relationships": [
+        {
+          "name": "r",
+          "left": "E",
+          "right": "F"
+        }
+      ],
+      "generalizations": [
+        {
+          "parent": "E",
+          "child": "F"
+        }
+      ],
+      "scope": "sub_process:sp",
+      "collapsed": true
+    },
+    {
+      "id": "st2",
+      "name": "St2",
+      "icon": "database",
+      "entities": [],
+      "scope": "diagram"
+    }
+  ],
+  "objects": [
+    {
+      "id": "o",
+      "name": "O",
+      "stereotype": "generic",
+      "variables": [
+        {
+          "name": "v",
+          "vtype": "number"
+        }
+      ]
+    },
+    {
+      "id": "o2",
+      "name": "O2",
+      "stereotype": "document",
+      "physicality": "physical",
+      "variables": [
+        {
+          "name": "v",
+          "vtype": "string"
+        }
+      ],
+      "url": "u",
+      "state": "new",
+      "origin_store": "st"
+    }
+  ],
+  "mappings": [
+    {
+      "id": "m",
+      "source_object": "o",
+      "target_object": "o2",
+      "rules": [
+        {
+          "from": "o.v",
+          "to": "v"
+        },
+        {
+          "from": "'a'",
+          "to": "w"
+        }
+      ]
+    }
+  ],
+  "message_flows": [
+    {
+      "id": "mf",
+      "source": "t",
+      "target": "q",
+      "attachments": [
+        {
+          "object": "o2",
+          "direction": "output"
+        }
+      ]
+    }
+  ],
+  "behaviors": {
+    "c": {},
+    "t": {
+      "effects": [
+        {
+          "target": "o.v",
+          "expr": "not o.v"
+        }
+      ],
+      "store_actions": [
+        {
+          "action": "insert",
+          "store": "st",
+          "entity": "E",
+          "assignments": {
+            "n": "'n'",
+            "x": "o.v"
+          }
+        },
+        {
+          "action": "read",
+          "store": "st",
+          "entity": "E",
+          "object": "o2",
+          "filter": "x = 1"
+        }
+      ],
+      "instances": 2
+    }
+  },
+  "start_inputs": {
+    "o": {
+      "a": -0.0,
+      "b": 1e+300,
+      "c": NaN,
+      "d": Infinity,
+      "e": -Infinity,
+      "f": null,
+      "g": true,
+      "h": false,
+      "i": 100000000000000000000,
+      "\u00dcn\u00efc\u00f8d\u00e9 \\"q\\" \\\\ \\u0001\\t\\n\\u001f \u2028 \u20ac\U0001f600": "\u00dcn\u00efc\u00f8d\u00e9 \\"q\\" \\\\ \\u0001\\t\\n\\u001f \u2028 \u20ac\U0001f600"
+    }
+  }
+}
+"""
+
+
+def test_a_diagram_with_every_key_and_edge_values_is_written_as_its_golden_text():
+    text = serialize_diagram(_every_key_diagram())
+    assert text == EVERY_KEY_TEXT
+    assert text == _dumps(text)
+
+
+def test_serializing_takes_no_generic_json_writer(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the generic JSON writer ran")
+
+    monkeypatch.setattr(fmt, "json_text", refuse)
+    monkeypatch.setattr(fmt, "_write_json", refuse)
+    for relpath in ALL_FIXTURES:
+        text = fixture_text(str(relpath))
+        assert serialize_diagram(parse_diagram(text)) == text
+
+
+def test_a_value_outside_the_schema_type_is_a_type_error_not_a_refused_document():
+    diagram = model.Diagram("d", pools=[model.Pool("p", "P", [model.Node(5, "n", "task")])])
+    with pytest.raises(TypeError):
+        serialize_diagram(diagram)
