@@ -19,7 +19,11 @@ first node every branch reaches, and nothing checks that the region is
 well structured.
 
 The text is written from the model in document order by :class:`XmlWriter`,
-the writer both translators share; no document tree is built.
+the writer both translators share; no document tree is built. The
+``variables`` block, and each node's ``assign`` blocks with its activity,
+are each one run of text built at the writer's indentation
+(:meth:`XmlWriter.run`); only the skeleton's ``sequence``, ``flow`` and
+``if`` nesting is opened and closed element by element.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .model import START_KINDS, Diagram, Node, node_inputs, node_outputs
 PROCESS_NS = "http://example.org/bpel/generated"
 PLACEHOLDER_PARTNER_LINK = "partnerLinkPlaceholder"
 PLACEHOLDER_PORT_TYPE = "portTypePlaceholder"
+_PLACEHOLDER_LINK = f'partnerLink="{PLACEHOLDER_PARTNER_LINK}" portType="{PLACEHOLDER_PORT_TYPE}"'
 
 
 class GenerationError(Exception):
@@ -45,10 +50,16 @@ class XmlWriter:
     """An XML document written in document order: an XML declaration, then
     the elements with two-space indentation, then a final newline.
 
-    An element holds either children (:meth:`open`, then :meth:`close`) or
-    text (:meth:`leaf`), never both. A start tag stays open until the
+    An element holds either children or text, never both. :meth:`open` and
+    :meth:`close` write an element whose children follow one by one, and
+    :meth:`leaf` one without children. A start tag stays open until the
     element's first child arrives, so an element closed with no child is
     written ``<tag ... />``. Attributes keep their insertion order.
+
+    :meth:`run` appends a fixed-shape run of elements whose text the caller
+    built in one piece: each line starts with :attr:`indent`, values are
+    escaped with :func:`escape_attribute` and :func:`escape_text`, and an
+    element that may be empty is written by :func:`element`.
     """
 
     def __init__(self) -> None:
@@ -57,16 +68,19 @@ class XmlWriter:
         self.indent = "\n"  # the line break and indentation before a child
         self.childless = False  # the innermost open element has no child yet
 
+    def run(self, text: str) -> None:
+        """Append *text*, children of the innermost open element already
+        written at :attr:`indent`. An empty run adds no child."""
+        if text:
+            if self.childless:
+                self.parts.append(">")
+                self.childless = False
+            self.parts.append(text)
+
     def _start_tag(self, tag: str, attrs: dict[str, str] | None) -> None:
         """A child's start tag, less its closing ``>``, on a line of its own."""
-        parts = self.parts
-        if self.childless:
-            parts.append(">")
-            self.childless = False
-        parts.append(self.indent + "<" + tag)
-        if attrs:
-            for key, value in attrs.items():
-                parts.append(f' {key}="{_escape(value, _ATTRIBUTE_ESCAPES)}"')
+        written = "".join(f' {key}="{escape_attribute(value)}"' for key, value in attrs.items()) if attrs else ""
+        self.run(f"{self.indent}<{tag}{written}")
 
     def open(self, tag: str, attrs: dict[str, str] | None = None) -> None:
         """Start an element whose children follow, up to :meth:`close`."""
@@ -88,13 +102,10 @@ class XmlWriter:
     def leaf(self, tag: str, attrs: dict[str, str] | None = None, text: str = "") -> None:
         """Write an element without children, holding *text* if any."""
         self._start_tag(tag, attrs)
-        self.parts.append(f">{_escape(text, _TEXT_ESCAPES)}</{tag}>" if text else " />")
+        self.parts.append(f">{escape_text(text)}</{tag}>" if text else " />")
 
     def comment(self, text: str) -> None:
-        if self.childless:
-            self.parts.append(">")
-            self.childless = False
-        self.parts.append(f"{self.indent}<!--{text}-->")
+        self.run(f"{self.indent}<!--{text}-->")
 
     def text(self) -> str:
         """The document, once every element is closed. Raises
@@ -122,6 +133,25 @@ def _escape(text: str, escapes: tuple[tuple[str, str], ...]) -> str:
         if char in text:
             text = text.replace(char, reference)
     return text
+
+
+def element(indent: str, tag: str, attributes: str, children: str) -> str:
+    """An element of a run, at *indent*: its *attributes* already written,
+    each with its leading space, and its *children* already written at
+    *indent* plus two spaces; ``<tag ... />`` when it has none."""
+    if children:
+        return f"{indent}<{tag}{attributes}>{children}{indent}</{tag}>"
+    return f"{indent}<{tag}{attributes} />"
+
+
+def escape_attribute(value: str) -> str:
+    """*value* as written between an attribute's double quotes."""
+    return _escape(value, _ATTRIBUTE_ESCAPES)
+
+
+def escape_text(value: str) -> str:
+    """*value* as written as an element's text."""
+    return _escape(value, _TEXT_ESCAPES)
 
 
 def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
@@ -185,6 +215,7 @@ def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
 
 def _write_variables(out: XmlWriter, diagram: Diagram) -> None:
     out.open("variables")
+    i = out.indent
     names_seen: dict[str, str] = {}
 
     def claim(name: str, owner: str) -> None:
@@ -194,6 +225,7 @@ def _write_variables(out: XmlWriter, diagram: Diagram) -> None:
             )
         names_seen[name] = owner
 
+    lines = []
     for store in sorted(diagram.stores, key=lambda s: s.id):
         for entity in sorted(store.entities, key=lambda e: e.name):
             for fld in sorted(entity.fields, key=lambda f: f.name):
@@ -201,11 +233,14 @@ def _write_variables(out: XmlWriter, diagram: Diagram) -> None:
                     continue
                 name = f"{store.id}.{entity.name}.{fld.name}"
                 claim(name, f"store {store.id}")
-                out.comment(f" store-backed variable, element type {fld.vtype} ")
-                out.leaf("variable", {"name": name, "element": fld.vtype})
+                lines.append(
+                    f"{i}<!-- store-backed variable, element type {fld.vtype} -->"
+                    f'{i}<variable name="{escape_attribute(name)}" element="{escape_attribute(fld.vtype)}" />'
+                )
     for obj in sorted(diagram.objects, key=lambda o: o.id):
         claim(obj.id, f"object {obj.id}")
-        out.leaf("variable", {"name": obj.id, "messageType": obj.name})
+        lines.append(f'{i}<variable name="{escape_attribute(obj.id)}" messageType="{escape_attribute(obj.name)}" />')
+    out.run("".join(lines))
     out.close()
 
 
@@ -240,51 +275,53 @@ def _start_message_sources(diagram: Diagram, pool) -> set[str]:
     }
 
 
+def _attribute(key: str, value: str | None) -> str:
+    """The attribute *key* written with its leading space, or nothing
+    without a *value*."""
+    return f' {key}="{escape_attribute(value)}"' if value else ""
+
+
 def _write_node(out: XmlWriter, diagram: Diagram, start_sources: set[str], node: Node) -> None:
-    """One node: its mapping assigns, then its activity."""
+    """One node: its mapping assigns, then its activity, as one run."""
+    i = out.indent
+    lines = []
     for mapping in diagram.index.mappings_into(node.id):
-        out.open("assign", {"name": mapping.id})
+        source = escape_attribute(mapping.source_object)
+        target = escape_attribute(mapping.target_object)
+        copies = []
         for rule in mapping.rules:
-            out.open("copy")
             expr = rule.from_expr
             if isinstance(expr, Ref) and expr.path[0] == mapping.source_object:
-                out.leaf("from", {"variable": mapping.source_object, "part": ".".join(expr.path[1:])})
+                source_part = f'variable="{source}" part="{escape_attribute(".".join(expr.path[1:]))}"'
             else:
-                out.leaf("from", {"expression": print_expr(expr)})
-            out.leaf("to", {"variable": mapping.target_object, "part": rule.to})
-            out.close()
-        out.close()
+                source_part = f'expression="{escape_attribute(print_expr(expr))}"'
+            copies.append(
+                f"{i}  <copy>{i}    <from {source_part} />"
+                f'{i}    <to variable="{target}" part="{escape_attribute(rule.to)}" />{i}  </copy>'
+            )
+        lines.append(element(i, "assign", f' name="{escape_attribute(mapping.id)}"', "".join(copies)))
 
-    link = {"name": node.name, "partnerLink": PLACEHOLDER_PARTNER_LINK, "portType": PLACEHOLDER_PORT_TYPE}
+    link = f'name="{escape_attribute(node.name)}" {_PLACEHOLDER_LINK}'
     if node.kind == "start_event_message":
-        attrs = {**link, "operation": "receive", "createInstance": "yes"}
-        outvar = _pick_output_variable(diagram, node.id)
-        if outvar:
-            attrs["variable"] = outvar
-        out.leaf("receive", attrs)
+        variable = _attribute("variable", _pick_output_variable(diagram, node.id))
+        lines.append(f'{i}<receive {link} operation="receive" createInstance="yes"{variable} />')
     elif node.kind == "intermediate_message":
-        out.leaf("receive", {**link, "operation": "receive"})
+        lines.append(f'{i}<receive {link} operation="receive" />')
     elif node.kind in ("task", "sub_process"):
         # a reply answers the pool's start message, back to its sending participant
         if any(
             diagram.pool_of(flow.target).id in start_sources
             for flow in diagram.index.message_out.get(node.id, ())
         ):
-            attrs = {**link, "operation": "reply"}
-            outvar = _pick_output_variable(diagram, node.id)
-            if outvar:
-                attrs["variable"] = outvar
-            out.leaf("reply", attrs)
+            variable = _attribute("variable", _pick_output_variable(diagram, node.id))
+            lines.append(f'{i}<reply {link} operation="reply"{variable} />')
         else:
-            attrs = {**link, "operation": "execute"}
-            invar = _pick_input_variable(diagram, node.id)
-            outvar = _pick_output_variable(diagram, node.id)
-            if invar:
-                attrs["inputVariable"] = invar
-            if outvar:
-                attrs["outputVariable"] = outvar
-            out.leaf("invoke", attrs)
+            variables = _attribute("inputVariable", _pick_input_variable(diagram, node.id)) + _attribute(
+                "outputVariable", _pick_output_variable(diagram, node.id)
+            )
+            lines.append(f'{i}<invoke {link} operation="execute"{variables} />')
     # start_event_none and end_event emit no standalone activity
+    out.run("".join(lines))
 
 
 def _reachable(diagram: Diagram, node_id: str) -> set[str]:

@@ -20,27 +20,32 @@ input.
 Each task references a placeholder ``TaskApplication``; applications proper
 are outside the scope of the generated fragment. The text is written from the
 model in document order by :class:`bpdmn.codegen_bpel.XmlWriter`, the writer
-both translators share.
+both translators share. The package and its lists (``DataFields``,
+``DataObjects``, ``Messages``, each process's ``Activities`` and
+``Transitions``) are opened and closed on the writer; each fixed-shape block
+inside them, a store's ``DataField`` entries, a ``DataObject``, a
+``Message``, an ``Activity`` or a ``Transition``, is one run of text built
+whole at its indentation (:meth:`~bpdmn.codegen_bpel.XmlWriter.run`).
 """
 
 from __future__ import annotations
 
 from . import validator
 # GenerationError: one class for both translators, importable from either
-from .codegen_bpel import GenerationError, XmlWriter
+from .codegen_bpel import GenerationError, XmlWriter, element, escape_attribute, escape_text
 from .expr import print_expr
-from .model import DataStore, Diagram, Node, node_inputs, node_outputs
+from .model import DataStore, Diagram, MessageFlow, Node, SequenceFlow, node_inputs, node_outputs
 
 _BASIC_TYPES = {"string": "STRING", "number": "FLOAT", "boolean": "BOOLEAN"}
 # gateway and event kinds -> the Route, or the element inside an Event, that
-# their Activity holds, and its attributes
+# their Activity holds, with its attributes
 _ROUTES_AND_EVENTS = {
-    "gateway_exclusive_data": ("Route", {"GatewayType": "Exclusive"}),
-    "gateway_parallel": ("Route", {"GatewayType": "Parallel"}),
-    "start_event_none": ("StartEvent", {"Trigger": "None"}),
-    "start_event_message": ("StartEvent", {"Trigger": "Message"}),
-    "end_event": ("EndEvent", {"Result": "None"}),
-    "intermediate_message": ("IntermediateEvent", {"Trigger": "Message"}),
+    "gateway_exclusive_data": ("Route", 'GatewayType="Exclusive"'),
+    "gateway_parallel": ("Route", 'GatewayType="Parallel"'),
+    "start_event_none": ("StartEvent", 'Trigger="None"'),
+    "start_event_message": ("StartEvent", 'Trigger="Message"'),
+    "end_event": ("EndEvent", 'Result="None"'),
+    "intermediate_message": ("IntermediateEvent", 'Trigger="Message"'),
 }
 
 
@@ -67,30 +72,34 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
             scoped_stores.setdefault(store.scope.sub_process, []).append(store)
     if diagram_stores:
         out.open("DataFields")
-        for store in diagram_stores:
-            _write_store_fields(out, store)
+        out.run("".join(_store_fields(store, out.indent) for store in diagram_stores))
         out.close()
 
     if diagram.objects:
         out.open("DataObjects")
+        i = out.indent
         for obj in sorted(diagram.objects, key=lambda o: o.id):
-            out.open("DataObject", {"Id": obj.id, "Name": obj.name})
-            out.open("DataFields")
-            for var in sorted(obj.variables, key=lambda v: v.name):
-                if var.vtype != "record":
-                    out.leaf("DataField", {"Id": var.name})
-            out.close()
-            out.close()
+            fields = "".join(
+                f'{i}    <DataField Id="{escape_attribute(var.name)}" />'
+                for var in sorted(obj.variables, key=lambda v: v.name)
+                if var.vtype != "record"
+            )
+            out.run(
+                f'{i}<DataObject Id="{escape_attribute(obj.id)}" Name="{escape_attribute(obj.name)}">'
+                f'{element(i + "  ", "DataFields", "", fields)}{i}</DataObject>'
+            )
         out.close()
 
     if diagram.message_flows:
         out.open("Messages")
+        i = out.indent
         for flow in sorted(diagram.message_flows, key=lambda f: f.id):
-            out.open("Message", {"Id": flow.id, "From": flow.source, "To": flow.target})
             # a message carries every attached object, whatever its direction
-            for obj in sorted({att.object for att in flow.attachments}):
-                out.leaf("DataObject", {"Id": obj})
-            out.close()
+            objects = "".join(
+                f'{i}  <DataObject Id="{escape_attribute(obj)}" />'
+                for obj in sorted({att.object for att in flow.attachments})
+            )
+            out.run(element(i, "Message", _flow_attributes(flow), objects))
         out.close()
 
     out.open("WorkflowProcesses")
@@ -99,11 +108,12 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
             continue  # black-box pools stay opaque
         out.open("WorkflowProcess", {"Id": pool.id, "Name": pool.name})
         out.open("Activities")
+        i = out.indent
         for node in sorted(pool.iter_nodes(), key=lambda n: n.id):
             if node.kind in ("task", "sub_process"):
-                _write_activity(out, diagram, node, scoped_stores)
+                out.run(_activity(diagram, node, scoped_stores, i))
             else:
-                _write_route_or_event(out, node)
+                out.run(_route_or_event(node, i))
                 left_out = _left_out(diagram, node)
                 if left_out:
                     warnings.append(
@@ -112,11 +122,14 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
                     )
         out.close()
         out.open("Transitions")
+        i = out.indent
         for flow in sorted(pool.sequence_flows, key=lambda f: f.id):
-            out.open("Transition", {"Id": flow.id, "From": flow.source, "To": flow.target})
-            if flow.guard is not None:
-                out.leaf("Condition", {"Type": "CONDITION"}, print_expr(flow.guard))
-            out.close()
+            condition = (
+                f'{i}  <Condition Type="CONDITION">{escape_text(print_expr(flow.guard))}</Condition>'
+                if flow.guard is not None
+                else ""
+            )
+            out.run(element(i, "Transition", _flow_attributes(flow), condition))
         out.close()
         out.close()
     out.close()
@@ -124,28 +137,36 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
     return out.text(), warnings
 
 
-def _write_store_fields(out: XmlWriter, store: DataStore) -> None:
+def _flow_attributes(flow: MessageFlow | SequenceFlow) -> str:
+    """The ``Id``, ``From`` and ``To`` attributes of a ``Message`` or ``Transition``."""
+    return (
+        f' Id="{escape_attribute(flow.id)}"'
+        f' From="{escape_attribute(flow.source)}" To="{escape_attribute(flow.target)}"'
+    )
+
+
+def _store_fields(store: DataStore, i: str) -> str:
+    """A ``DataField`` at indentation *i* for each field of *store*."""
+    store_id = escape_attribute(store.id)
+    fields = []
     for entity in sorted(store.entities, key=lambda e: e.name):
+        entity_name = escape_attribute(entity.name)
         for fld in sorted(entity.fields, key=lambda f: f.name):
             if fld.vtype == "record":
                 continue  # record leaves appear as their own dotted fields
-            out.open("DataField", {"Id": f"{store.id}.{entity.name}.{fld.name}", "Name": fld.name})
-            out.open("DataType")
-            out.leaf("BasicType", {"Type": _BASIC_TYPES[fld.vtype]})
-            out.close()
-            out.close()
+            name = escape_attribute(fld.name)
+            fields.append(
+                f'{i}<DataField Id="{store_id}.{entity_name}.{name}" Name="{name}">'
+                f'{i}  <DataType>{i}    <BasicType Type="{_BASIC_TYPES[fld.vtype]}" />{i}  </DataType>{i}</DataField>'
+            )
+    return "".join(fields)
 
 
-def _write_route_or_event(out: XmlWriter, node: Node) -> None:
+def _route_or_event(node: Node, i: str) -> str:
     tag, attrs = _ROUTES_AND_EVENTS[node.kind]
-    out.open("Activity", {"Id": node.id, "Name": node.name})
-    if tag == "Route":
-        out.leaf(tag, attrs)
-    else:
-        out.open("Event")
-        out.leaf(tag, attrs)
-        out.close()
-    out.close()
+    inner = f"<{tag} {attrs} />" if tag == "Route" else f"<Event>{i}    <{tag} {attrs} />{i}  </Event>"
+    activity = f'<Activity Id="{escape_attribute(node.id)}" Name="{escape_attribute(node.name)}">'
+    return f"{i}{activity}{i}  {inner}{i}</Activity>"
 
 
 def _left_out(diagram: Diagram, node: Node) -> list[str]:
@@ -159,67 +180,48 @@ def _left_out(diagram: Diagram, node: Node) -> list[str]:
     return left_out
 
 
-def _actual_parameters(diagram: Diagram, node_id: str) -> list[str]:
-    params = []
-    for io in sorted(node_inputs(diagram, node_id), key=lambda io: (io.object, io.via)):
-        obj = diagram.object(io.object)
-        for var in sorted(obj.variables, key=lambda v: v.name):
-            if var.vtype == "record":
-                continue
-            params.append(f"{obj.id}.{var.name}")
-    return params
-
-
-def _write_activity(
-    out: XmlWriter, diagram: Diagram, node: Node, scoped_stores: dict[str, list[DataStore]]
-) -> None:
-    out.open("Activity", {"Id": node.id, "Name": node.name})
+def _activity(diagram: Diagram, node: Node, scoped_stores: dict[str, list[DataStore]], i: str) -> str:
+    """The ``Activity`` of task or sub-process *node* at indentation *i*."""
+    node_id = escape_attribute(node.id)
+    lines = [f'{i}<Activity Id="{node_id}" Name="{escape_attribute(node.name)}">']
 
     stores = scoped_stores.get(node.id)
     if stores:
         # stores scoped to this sub-process declare their fields locally
-        out.open("DataFields")
-        for store in stores:
-            _write_store_fields(out, store)
-        out.close()
+        fields = "".join(_store_fields(store, i + "    ") for store in stores)
+        lines.append(element(i + "  ", "DataFields", "", fields))
 
     inputs = sorted({io.object for io in node_inputs(diagram, node.id)})
-    outputs = sorted({io.object for io in node_outputs(diagram, node.id) if io.channel != "store"})
-    store_outputs = sorted(
-        {io.object for io in node_outputs(diagram, node.id) if io.channel == "store"}
-        - set(outputs)
-    )
+    produced = node_outputs(diagram, node.id)
+    outputs = sorted({io.object for io in produced if io.channel != "store"})
+    store_outputs = sorted({io.object for io in produced if io.channel == "store"} - set(outputs))
     for sets, one_set, item, objects in (
         ("InputSets", "InputSet", "Input", inputs),
         ("OutputSets", "OutputSet", "Output", outputs + store_outputs),
     ):
         if objects:
-            out.open(sets)
-            out.open(one_set)
-            for obj in objects:
-                out.leaf(item, {"ArtifactId": obj})
-            out.close()
-            out.close()
+            items = "".join(f'{i}      <{item} ArtifactId="{escape_attribute(obj)}" />' for obj in objects)
+            lines.append(f"{i}  <{sets}>{i}    <{one_set}>{items}{i}    </{one_set}>{i}  </{sets}>")
 
-    out.open("Implementation")
-    out.open("Task")
-    out.open("TaskApplication", {"Id": f"{node.id}_application"})
-    params = _actual_parameters(diagram, node.id)
+    # each input object's variables once, whatever the channels it comes over
+    params = "".join(
+        f"{i}          <ActualParameter>{escape_text(obj)}.{escape_text(var.name)}</ActualParameter>"
+        for obj in inputs
+        for var in sorted(diagram.object(obj).variables, key=lambda v: v.name)
+        if var.vtype != "record"
+    )
     if params:
-        out.open("ActualParameters")
-        for param in params:
-            out.leaf("ActualParameter", text=param)
-        out.close()
-    out.close()
-    out.close()
-    out.close()
+        params = f"{i}        <ActualParameters>{params}{i}        </ActualParameters>"
+    application = element(i + "      ", "TaskApplication", f' Id="{node_id}_application"', params)
+    lines.append(f"{i}  <Implementation>{i}    <Task>{application}{i}    </Task>{i}  </Implementation>")
 
     for mapping in diagram.index.mappings_into(node.id):
-        out.open("Assignments", {"Id": mapping.id})
-        for rule in mapping.rules:
-            out.open("Assignment")
-            out.leaf("Target", text=f"{mapping.target_object}.{rule.to}")
-            out.leaf("Expression", text=print_expr(rule.from_expr))
-            out.close()
-        out.close()
-    out.close()
+        target = escape_text(mapping.target_object)
+        rules = "".join(
+            f"{i}    <Assignment>{i}      <Target>{target}.{escape_text(rule.to)}</Target>"
+            f"{i}      <Expression>{escape_text(print_expr(rule.from_expr))}</Expression>{i}    </Assignment>"
+            for rule in mapping.rules
+        )
+        lines.append(element(i + "  ", "Assignments", f' Id="{escape_attribute(mapping.id)}"', rules))
+    lines.append(f"{i}</Activity>")
+    return "".join(lines)

@@ -7,11 +7,24 @@ import pytest
 
 from bpdmn import validator
 from bpdmn.codegen_xpdl import GenerationError, to_xpdl
-from bpdmn.expr import parse_expr
+from bpdmn.expr import parse_expr, print_expr
 from bpdmn.format import parse_diagram
-from bpdmn.model import Diagram, Node, Pool, SequenceFlow
+from bpdmn.model import (
+    DataObject,
+    DataStore,
+    Diagram,
+    Entity,
+    ExplicitDataFlow,
+    Node,
+    ObjectAttachment,
+    Pool,
+    SequenceFlow,
+    Variable,
+    node_inputs,
+)
 
 from conftest import fixture_text, load
+from randgen import random_diagram, random_regions
 from test_fixtures import PATHS, expected_diagnostics
 
 # the fixtures with no validation error, which to_xpdl translates
@@ -202,3 +215,95 @@ def test_both_translators_raise_one_error_class():
     from bpdmn import codegen_bpel
 
     assert GenerationError is codegen_bpel.GenerationError
+
+
+def test_an_object_read_over_two_channels_is_one_set_of_parameters():
+    # t reads o over the flow from a and again from the store, b from the store only
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[Node("s", "S", "start_event_none"), Node("a", "A", "task"), Node("t", "T", "task"), Node("e", "E", "end_event")],
+        sequence_flows=[
+            SequenceFlow("f1", "s", "a"),
+            SequenceFlow("f2", "a", "t", [ObjectAttachment("o", "input")]),
+            SequenceFlow("f3", "t", "e"),
+        ],
+        explicit_data_flows=[ExplicitDataFlow("ef1", "st", "t", "o"), ExplicitDataFlow("ef2", "st", "t", "b")],
+    )
+    diagram = Diagram(
+        "d",
+        pools=[pool],
+        stores=[DataStore("st", "Store", entities=[Entity("E", [Variable("f", "string")])])],
+        objects=[
+            DataObject("o", "O", variables=[Variable("w", "string"), Variable("r", "record"), Variable("v", "number")]),
+            DataObject("b", "B", variables=[Variable("x", "string")]),
+        ],
+    )
+    assert validator.validate(diagram) == []
+    activity = ET.fromstring(to_xpdl(diagram)[0]).find(".//Activity[@Id='t']")
+    assert [i.get("ArtifactId") for i in activity.iter("Input")] == ["b", "o"]
+    assert [p.text for p in activity.iter("ActualParameter")] == ["b.x", "o.v", "o.w"]
+
+
+def _content_cases() -> list:
+    """Every translatable fixture, and the valid ones of ``random_diagram``
+    seeds 0-199 (170 reads an object over two channels) and of
+    ``random_regions`` seeds 0-39."""
+    cases = [(relpath, load(relpath)) for relpath in TRANSLATABLE]
+    cases += [(f"random{seed}", random_diagram(seed)) for seed in range(200)]
+    cases += [(f"regions{seed}", random_regions(seed)) for seed in range(40)]
+    return [pytest.param(d, id=name) for name, d in cases if not validator.has_errors(validator.validate(d))]
+
+
+@pytest.mark.parametrize("diagram", _content_cases())
+def test_xpdl_holds_every_node_flow_and_assignment(diagram):
+    """Read back with ElementTree: each node of a modeled pool is one
+    Activity, each sequence flow one Transition with its guard as its
+    Condition, each rule of a mapping into a node one Assignment of that
+    node's Activity, and each input object's variables one set of actual
+    parameters."""
+    text, warnings = to_xpdl(diagram)
+    root = ET.fromstring(text)
+    processes = {p.get("Id"): p for p in root.iterfind("WorkflowProcesses/WorkflowProcess")}
+    assert sorted(processes) == sorted(pool.id for pool in diagram.pools if pool.nodes)
+    for pool in diagram.pools:
+        if not pool.nodes:
+            continue
+        process = processes[pool.id]
+        activities = {}
+        for activity in process.iterfind("Activities/Activity"):
+            assert activities.setdefault(activity.get("Id"), activity) is activity, activity.get("Id")
+        assert sorted(activities) == sorted(node.id for node in pool.iter_nodes())
+        transitions = process.findall("Transitions/Transition")
+        assert sorted((t.get("Id"), t.get("From"), t.get("To")) for t in transitions) == sorted(
+            (flow.id, flow.source, flow.target) for flow in pool.sequence_flows
+        )
+        guards = {flow.id: flow.guard for flow in pool.sequence_flows}
+        for transition in transitions:
+            guard = guards[transition.get("Id")]
+            assert [c.text for c in transition.findall("Condition")] == ([] if guard is None else [print_expr(guard)])
+        for node in pool.iter_nodes():
+            activity = activities[node.id]
+            mappings = diagram.index.mappings_into(node.id)
+            if node.kind not in ("task", "sub_process"):
+                # a route or an event holds no Assignments: its warning names the objects mapped into it
+                assert activity.find("Assignments") is None
+                if mappings:
+                    (warning,) = [w for w in warnings if f" {node.id} of pool {pool.id}: " in w]
+                    assert all(m.target_object in warning for m in mappings)
+                continue
+            assignments = [
+                (block.get("Id"), a.findtext("Target"), a.findtext("Expression"))
+                for block in activity.findall("Assignments")
+                for a in block.findall("Assignment")
+            ]
+            assert assignments == [
+                (m.id, f"{m.target_object}.{rule.to}", print_expr(rule.from_expr)) for m in mappings for rule in m.rules
+            ]
+            objects = sorted({io.object for io in node_inputs(diagram, node.id)})
+            assert [p.text for p in activity.iter("ActualParameter")] == [
+                f"{obj}.{var.name}"
+                for obj in objects
+                for var in sorted(diagram.object(obj).variables, key=lambda v: v.name)
+                if var.vtype != "record"
+            ]

@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 from bpdmn import codegen_bpel, codegen_xpdl, validator
-from bpdmn.codegen_bpel import GenerationError, XmlWriter
-from bpdmn.expr import parse_expr, print_expr
+from bpdmn.codegen_bpel import GenerationError, XmlWriter, element
+from bpdmn.expr import BoolOp, Cmp, Lit, Ref, print_expr
 from bpdmn.format import ParseError
 from bpdmn.model import (
     CopyRule,
@@ -22,9 +22,11 @@ from bpdmn.model import (
     DataStore,
     Diagram,
     Entity,
+    MessageFlow,
     Node,
     ObjectAttachment,
     Pool,
+    Scope,
     SequenceFlow,
     Variable,
 )
@@ -53,42 +55,74 @@ ODD = "&<>\"'\n\t\r é"
 
 
 def hostile_diagram() -> Diagram:
-    """A valid diagram whose ids, names, guard and mapping expressions all
-    hold ``ODD``; its BPEL has the store-field comment, a condition and an
-    expression attribute, its XPDL a condition and an expression text."""
-    literal = "'" + ODD.replace("'", "\\'") + "'"
-    s, t1, x, t2, t3, e = (prefix + ODD for prefix in ("s", "t1", "x", "t2", "t3", "e"))
+    """A valid diagram whose every id, name, variable name and expression
+    holds ``ODD``. Its BPEL has the store-field comment, a flow of two pools,
+    a condition, copies from a variable part and from an expression, and an
+    invoke, a receive starting the second pool, a reply and a receive of an
+    intermediate message event. Its XPDL has a condition, assignment targets
+    and expressions, actual parameters, a message carrying an object, and a
+    sub-process declaring the fields of the store scoped to it."""
+    s, t1, w, x, t2, t3, sp, e, ms, r, me = (
+        prefix + ODD for prefix in ("s", "t1", "w", "x", "t2", "t3", "sp", "e", "ms", "r", "me")
+    )
+    a, b, c, vs, vn, vt = (prefix + ODD for prefix in ("A", "B", "C", "s", "n", "t"))
+    # the parser reads no such identifier: the expressions are built, not parsed
+    guard = BoolOp("and", Cmp("=", Ref((a, vs)), Lit(ODD)), Cmp(">", Ref((a, vn)), Lit(1)))
     nodes = [
         Node(s, "start " + ODD, "start_event_none"),
         Node(t1, "task one " + ODD, "task"),
+        Node(w, "wait " + ODD, "intermediate_message"),
         Node(x, "split " + ODD, "gateway_exclusive_data"),
         Node(t2, "task two " + ODD, "task"),
         Node(t3, "task three " + ODD, "task"),
+        Node(sp, "block " + ODD, "sub_process"),
         Node(e, "end " + ODD, "end_event"),
     ]
-    guard = parse_expr(f"A.s = {literal} and A.n > 1")
     flows = [
         SequenceFlow("f1" + ODD, s, t1),
-        SequenceFlow("f2" + ODD, t1, x, [ObjectAttachment("A", "output")]),
-        SequenceFlow("f3" + ODD, x, t2, [ObjectAttachment("B", "input")], guard=guard),
-        SequenceFlow("f4" + ODD, x, t3),
-        SequenceFlow("f5" + ODD, t2, e),
-        SequenceFlow("f6" + ODD, t3, e),
+        SequenceFlow("f2" + ODD, t1, w, [ObjectAttachment(a, "output")]),
+        SequenceFlow("f3" + ODD, w, x),
+        SequenceFlow("f4" + ODD, x, t2, [ObjectAttachment(b, "input")], guard=guard),
+        SequenceFlow("f5" + ODD, x, t3),
+        SequenceFlow("f6" + ODD, t2, sp),
+        SequenceFlow("f7" + ODD, t3, sp),
+        SequenceFlow("f8" + ODD, sp, e),
+    ]
+    # the second pool answers the first: started by t1's message, it replies to w
+    answer = [
+        Node(ms, "request " + ODD, "start_event_message"),
+        Node(r, "answer " + ODD, "task"),
+        Node(me, "end " + ODD, "end_event"),
+    ]
+    answer_flows = [
+        SequenceFlow("g1" + ODD, ms, r, [ObjectAttachment(c, "output")]),
+        SequenceFlow("g2" + ODD, r, me, [ObjectAttachment(c, "output")]),
     ]
     objects = [
-        DataObject("A", "object " + ODD, variables=[Variable("s", "string"), Variable("n", "number")]),
-        DataObject("B", "object " + ODD, variables=[Variable("s", "string"), Variable("t", "string")]),
+        DataObject(a, "object " + ODD, variables=[Variable(vs, "string"), Variable(vn, "number")]),
+        DataObject(b, "object " + ODD, variables=[Variable(vs, "string"), Variable(vt, "string")]),
+        DataObject(c, "object " + ODD, variables=[Variable(vs, "string")]),
     ]
-    mapping = DataMapping(
-        "m" + ODD, "A", "B", [CopyRule(parse_expr("A.s"), "s"), CopyRule(parse_expr(literal), "t")]
-    )
-    store = DataStore("st" + ODD, "store " + ODD, entities=[Entity("E" + ODD, [Variable("v", "number")])])
+    mapping = DataMapping("m" + ODD, a, b, [CopyRule(Ref((a, vs)), vs), CopyRule(Lit(ODD), vt)])
+    stores = [
+        DataStore("st" + ODD, "store " + ODD, entities=[Entity("E" + ODD, [Variable("v" + ODD, "number")])]),
+        DataStore(
+            "ls" + ODD,
+            "local " + ODD,
+            entities=[Entity("L" + ODD, [Variable("u" + ODD, "string")])],
+            scope=Scope("sub_process", sp),
+        ),
+    ]
     return Diagram(
         "d" + ODD,
-        pools=[Pool("p" + ODD, "pool " + ODD, nodes, flows)],
-        stores=[store],
+        pools=[Pool("p" + ODD, "pool " + ODD, nodes, flows), Pool("q" + ODD, "pool " + ODD, answer, answer_flows)],
+        stores=stores,
         objects=objects,
         mappings=[mapping],
+        message_flows=[
+            MessageFlow("mf1" + ODD, t1, ms, [ObjectAttachment(c, "output")]),
+            MessageFlow("mf2" + ODD, r, w),
+        ],
     )
 
 
@@ -129,21 +163,107 @@ def test_random_diagram_text_equals_elementtree(seed):
 
 def _written_model_strings(diagram: Diagram) -> set[str]:
     """The strings of the hostile diagram a translator writes as an attribute
-    value or element text: ids, names and printed expressions, and the two
-    strings composed of them (a store field's variable, a task's application)."""
-    (pool,), (mapping,), (store,) = diagram.pools, diagram.mappings, diagram.stores
+    value or element text: ids, names, variable names and printed
+    expressions, and the strings composed of them (a store field's variable,
+    a task's application, an object's parameter, an assignment's target)."""
+    nodes = [node for pool in diagram.pools for node in pool.iter_nodes()]
+    flows = [flow for pool in diagram.pools for flow in pool.sequence_flows]
     return {
         diagram.id,
-        pool.id,
-        pool.name,
-        mapping.id,
-        *(string for node in pool.nodes for string in (node.id, node.name, f"{node.id}_application")),
-        *(flow.id for flow in pool.sequence_flows),
-        *(print_expr(flow.guard) for flow in pool.sequence_flows if flow.guard is not None),
-        *(print_expr(rule.from_expr) for rule in mapping.rules),
-        *(obj.name for obj in diagram.objects),
-        *(f"{store.id}.{entity.name}.{fld.name}" for entity in store.entities for fld in entity.fields),
+        *(string for pool in diagram.pools for string in (pool.id, pool.name)),
+        *(string for node in nodes for string in (node.id, node.name, f"{node.id}_application")),
+        *(flow.id for flow in (*flows, *diagram.message_flows)),
+        *(print_expr(flow.guard) for flow in flows if flow.guard is not None),
+        *(string for obj in diagram.objects for string in (obj.id, obj.name)),
+        *(string for obj in diagram.objects for var in obj.variables for string in (var.name, f"{obj.id}.{var.name}")),
+        *(mapping.id for mapping in diagram.mappings),
+        *(print_expr(rule.from_expr) for mapping in diagram.mappings for rule in mapping.rules),
+        *(f"{mapping.target_object}.{rule.to}" for mapping in diagram.mappings for rule in mapping.rules),
+        *(
+            string
+            for store in diagram.stores
+            for entity in store.entities
+            for fld in entity.fields
+            for string in (fld.name, f"{store.id}.{entity.name}.{fld.name}")
+        ),
     }
+
+
+# where the hostile diagram's strings land, as the element's path of up to
+# three tags, then @attribute, or nothing for element text: every place either
+# translator writes a string of the model
+HOSTILE_SITES = {
+    codegen_bpel.to_bpel: {
+        "process@name",
+        "process/variables/variable@name",
+        "process/variables/variable@messageType",
+        "process/flow/sequence@name",
+        "flow/sequence/invoke@name",
+        "flow/sequence/invoke@outputVariable",
+        "flow/sequence/receive@name",
+        "flow/sequence/receive@variable",
+        "flow/sequence/reply@name",
+        "flow/sequence/reply@variable",
+        "flow/sequence/if@name",
+        "sequence/if/condition",
+        "if/sequence/assign@name",
+        "assign/copy/from@variable",
+        "assign/copy/from@part",
+        "assign/copy/from@expression",
+        "assign/copy/to@variable",
+        "assign/copy/to@part",
+        "if/sequence/invoke@name",
+        "if/sequence/invoke@inputVariable",
+        "else/sequence/invoke@name",
+    },
+    codegen_xpdl.to_xpdl: {
+        "Package@Id",
+        "Package@Name",
+        "Package/DataFields/DataField@Id",
+        "Package/DataFields/DataField@Name",
+        "Package/DataObjects/DataObject@Id",
+        "Package/DataObjects/DataObject@Name",
+        "DataObject/DataFields/DataField@Id",
+        "Package/Messages/Message@Id",
+        "Package/Messages/Message@From",
+        "Package/Messages/Message@To",
+        "Messages/Message/DataObject@Id",
+        "Package/WorkflowProcesses/WorkflowProcess@Id",
+        "Package/WorkflowProcesses/WorkflowProcess@Name",
+        "WorkflowProcess/Activities/Activity@Id",
+        "WorkflowProcess/Activities/Activity@Name",
+        "Activity/DataFields/DataField@Id",
+        "Activity/DataFields/DataField@Name",
+        "InputSets/InputSet/Input@ArtifactId",
+        "OutputSets/OutputSet/Output@ArtifactId",
+        "Implementation/Task/TaskApplication@Id",
+        "TaskApplication/ActualParameters/ActualParameter",
+        "Activities/Activity/Assignments@Id",
+        "Assignments/Assignment/Target",
+        "Assignments/Assignment/Expression",
+        "WorkflowProcess/Transitions/Transition@Id",
+        "WorkflowProcess/Transitions/Transition@From",
+        "WorkflowProcess/Transitions/Transition@To",
+        "Transitions/Transition/Condition",
+    },
+}
+
+
+def _sites_holding(root: ET.Element, mark: str) -> set[str]:
+    """The places in *root*, keyed as in ``HOSTILE_SITES``, whose attribute
+    value or text holds *mark*."""
+    sites = set()
+
+    def walk(el: ET.Element, path: str) -> None:
+        sites.update(f"{path}@{key}" for key, value in el.attrib.items() if mark in value)
+        if el.text and mark in el.text:
+            sites.add(path)
+        for child in el:
+            if child.tag is not ET.Comment:
+                walk(child, "/".join([*path.split("/")[-2:], child.tag]))
+
+    walk(root, root.tag)
+    return sites
 
 
 def test_escaped_text_equals_elementtree():
@@ -159,6 +279,7 @@ def test_escaped_text_equals_elementtree():
         root = read_back(text)
         written = [value for el in root.iter() for value in (el.text, *el.attrib.values()) if value and "é" in value]
         assert written and set(written) <= model_strings
+        assert _sites_holding(root, "é") == HOSTILE_SITES[translate]
     bpel, _ = codegen_bpel.to_bpel(diagram)
     assert "<!-- store-backed variable, element type number -->" in bpel
 
@@ -171,8 +292,16 @@ def test_an_element_without_children_or_text_is_self_closing():
     out.comment(" c ")
     out.leaf("d", text="t")
     out.leaf("e", {"k": ""}, "")
+    out.open("f")
+    out.run("")  # an empty run adds no child
     out.close()
-    assert out.text() == '<?xml version="1.0" encoding="UTF-8"?>\n<a k="v">\n  <b />\n  <!-- c -->\n  <d>t</d>\n  <e k="" />\n</a>\n'
+    i = out.indent
+    out.run(element(i, "g", ' k="v"', "") + element(i, "h", "", element(i + "  ", "j", "", "")))
+    out.close()
+    assert out.text() == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n<a k="v">\n  <b />\n  <!-- c -->\n  <d>t</d>\n  <e k="" />\n'
+        '  <f />\n  <g k="v" />\n  <h>\n    <j />\n  </h>\n</a>\n'
+    )
 
 
 NOT_IN_XML = [*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF]
