@@ -70,7 +70,7 @@ def validate(args: argparse.Namespace) -> int:
             {"rule": d.rule, "severity": d.severity.value, "element": d.element, "message": d.message}
             for d in diagnostics
         ]
-        sys.stdout.write(fmt.json_text(rows, ensure_ascii=True) + "\n")
+        sys.stdout.write(fmt.json_text(rows) + "\n")
     else:
         sys.stdout.write("".join(f"{d}\n" for d in diagnostics) if diagnostics else "ok\n")
     return EXIT_MODEL if validator.has_errors(diagnostics) else EXIT_OK
@@ -143,7 +143,7 @@ def simulate(args: argparse.Namespace) -> int:
             "fired": sorted(result.fired_nodes()),
             "trace": [str(e) for e in result.trace],
         }
-        sys.stdout.write(fmt.json_text(run, ensure_ascii=True) + "\n")
+        sys.stdout.write(fmt.json_text(run) + "\n")
     else:
         sys.stdout.write(f"{simulator.render_trace(result.trace)}status: {result.status}\n")
     if result.status == "deadlocked":
@@ -163,7 +163,7 @@ def patterns_cmd(args: argparse.Namespace) -> int:
                 key: {"bpmn": a.value, "bpdmn": b.value}
                 for key, (a, b) in patterns.capability_matrix().items()
             }
-            sys.stdout.write(fmt.json_text(matrix, ensure_ascii=True) + "\n")
+            sys.stdout.write(fmt.json_text(matrix) + "\n")
         else:
             sys.stdout.write(patterns.render_matrix())
         if args.model_file is None:
@@ -175,9 +175,9 @@ def patterns_cmd(args: argparse.Namespace) -> int:
         report = patterns.analyze(diagram)
     except patterns.InvalidDiagramError as exc:
         _fail(str(exc), EXIT_MODEL)
-    found = {key: ids for key, ids in sorted(report.ids.items()) if ids}
+    found = {key: ids for key, ids in sorted(report.instances.items()) if ids}
     if args.as_json:
-        sys.stdout.write(fmt.json_text(found, ensure_ascii=True) + "\n")
+        sys.stdout.write(fmt.json_text(found) + "\n")
     else:
         for key, ids in found.items():
             shown = ", ".join("{" + ", ".join(w) + "}" for w in ids)

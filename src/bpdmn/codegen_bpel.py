@@ -51,15 +51,15 @@ class XmlWriter:
     the elements with two-space indentation, then a final newline.
 
     An element holds either children or text, never both. :meth:`open` and
-    :meth:`close` write an element whose children follow one by one, and
-    :meth:`leaf` one without children. A start tag stays open until the
-    element's first child arrives, so an element closed with no child is
-    written ``<tag ... />``. Attributes keep their insertion order.
+    :meth:`close` write an element whose children follow one by one. A start
+    tag stays open until the element's first child arrives, so an element
+    closed with no child is written ``<tag ... />``.
 
     :meth:`run` appends a fixed-shape run of elements whose text the caller
     built in one piece: each line starts with :attr:`indent`, values are
     escaped with :func:`escape_attribute` and :func:`escape_text`, and an
-    element that may be empty is written by :func:`element`.
+    element that may be empty is written by :func:`element`. :meth:`open`
+    takes its attributes written the same way, each with its leading space.
     """
 
     def __init__(self) -> None:
@@ -77,14 +77,10 @@ class XmlWriter:
                 self.childless = False
             self.parts.append(text)
 
-    def _start_tag(self, tag: str, attrs: dict[str, str] | None) -> None:
-        """A child's start tag, less its closing ``>``, on a line of its own."""
-        written = "".join(f' {key}="{escape_attribute(value)}"' for key, value in attrs.items()) if attrs else ""
-        self.run(f"{self.indent}<{tag}{written}")
-
-    def open(self, tag: str, attrs: dict[str, str] | None = None) -> None:
-        """Start an element whose children follow, up to :meth:`close`."""
-        self._start_tag(tag, attrs)
+    def open(self, tag: str, attributes: str = "") -> None:
+        """Start an element whose children follow, up to :meth:`close`, with
+        *attributes* already written, each with its leading space."""
+        self.run(f"{self.indent}<{tag}{attributes}")
         self.open_tags.append(tag)
         self.indent += "  "
         self.childless = True
@@ -98,14 +94,6 @@ class XmlWriter:
             self.childless = False
         else:
             self.parts.append(f"{self.indent}</{tag}>")
-
-    def leaf(self, tag: str, attrs: dict[str, str] | None = None, text: str = "") -> None:
-        """Write an element without children, holding *text* if any."""
-        self._start_tag(tag, attrs)
-        self.parts.append(f">{escape_text(text)}</{tag}>" if text else " />")
-
-    def comment(self, text: str) -> None:
-        self.run(f"{self.indent}<!--{text}-->")
 
     def text(self) -> str:
         """The document, once every element is closed. Raises
@@ -172,13 +160,13 @@ def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
             bodies.append((pool, starts))
 
     out = XmlWriter()
-    out.open("process", {"name": diagram.id, "targetNamespace": PROCESS_NS})
+    out.open("process", f' name="{escape_attribute(diagram.id)}" targetNamespace="{PROCESS_NS}"')
     _write_variables(out, diagram)
     side_by_side = len(bodies) > 1  # in a flow, each body named by its pool
     if side_by_side:
-        out.open("flow", {"name": "pools"})
+        out.open("flow", ' name="pools"')
     for pool, starts in bodies:
-        out.open("sequence", {"name": pool.name} if side_by_side else None)
+        out.open("sequence", f' name="{escape_attribute(pool.name)}"' if side_by_side else "")
         skeleton = _Skeleton(out, diagram, pool)
         try:
             for start in starts:
@@ -377,13 +365,13 @@ class _Skeleton:
                 _write_node(out, diagram, self.start_sources, node)
             elif len(nexts) > 1 or (exclusive and any(f.guard is not None for f in nexts)):
                 join = _find_join(diagram, [f.target for f in nexts]) if len(nexts) > 1 else None
-                out.open("if" if exclusive else "flow", {"name": node.name or node.id})
+                out.open("if" if exclusive else "flow", f' name="{escape_attribute(node.name or node.id)}"')
                 # an if takes the guarded flows in order, then the default: at most one (V7)
                 for n, flow in enumerate(sorted(nexts, key=lambda f: f.guard is None) if exclusive else nexts):
                     if exclusive and n:
                         out.open("elseif" if flow.guard is not None else "else")
                     if exclusive and flow.guard is not None:
-                        out.leaf("condition", text=print_expr(flow.guard))
+                        out.run(f"{out.indent}<condition>{escape_text(print_expr(flow.guard))}</condition>")
                     out.open("sequence")
                     self.chain(flow.target, join)
                     out.close()

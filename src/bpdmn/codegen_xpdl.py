@@ -8,8 +8,8 @@ the objects attached to a message flow map to its ``Message`` element. Each
 gateway is an ``Activity`` holding a ``Route`` and each event one holding an
 ``Event``, so every ``Transition`` names activities of its process.
 
-A data-based gateway's condition, and the data inputs and outputs of
-gateways and events, have no place in the package: they are left out with
+A data-based gateway's condition, and the data inputs, outputs and mappings
+of gateways and events, have no place in the package: they are left out with
 one warning per node, naming what it loses. Some of the model is left out
 without a warning: task behaviours (effects, store actions, instances) and
 the multi-instance flag; a store's relationships, generalizations, icon and
@@ -61,7 +61,8 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
     warnings: list[str] = []
 
     out = XmlWriter()
-    out.open("Package", {"Id": diagram.id, "Name": diagram.id})
+    package_id = escape_attribute(diagram.id)
+    out.open("Package", f' Id="{package_id}" Name="{package_id}"')
 
     diagram_stores: list[DataStore] = []
     scoped_stores: dict[str, list[DataStore]] = {}
@@ -106,7 +107,7 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
     for pool in sorted(diagram.pools, key=lambda p: p.id):
         if not pool.nodes:
             continue  # black-box pools stay opaque
-        out.open("WorkflowProcess", {"Id": pool.id, "Name": pool.name})
+        out.open("WorkflowProcess", f' Id="{escape_attribute(pool.id)}" Name="{escape_attribute(pool.name)}"')
         out.open("Activities")
         i = out.indent
         for node in sorted(pool.iter_nodes(), key=lambda n: n.id):
@@ -171,12 +172,16 @@ def _route_or_event(node: Node, i: str) -> str:
 
 def _left_out(diagram: Diagram, node: Node) -> list[str]:
     """What the Activity of gateway or event *node* cannot hold: its
-    condition, and the objects it takes or gives."""
+    condition, the objects it takes or gives, and the mappings into it,
+    since only a task's Activity holds ``Assignments``."""
     left_out = ["its condition"] if node.condition is not None else []
     for what, links in (("inputs", node_inputs), ("outputs", node_outputs)):
         objects = sorted({io.object for io in links(diagram, node.id)})
         if objects:
             left_out.append(f"its data {what} {', '.join(objects)}")
+    mappings = sorted(mapping.id for mapping in diagram.index.mappings_into(node.id))
+    if mappings:
+        left_out.append(f"its data mappings {', '.join(mappings)}")
     return left_out
 
 

@@ -971,18 +971,18 @@ def _scalar_text(value: object, encode: Callable = encode_basestring) -> str:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def json_text(value: object, ensure_ascii: bool) -> str:
-    """*value* as ``json.dumps(value, indent=2, ensure_ascii=ensure_ascii)``
-    writes it, in one recursive pass (with ``indent`` set, ``json.dumps``
+def json_text(value: object) -> str:
+    """*value* as ``json.dumps(value, indent=2)`` writes it, non-ASCII text
+    escaped, in one recursive pass (with ``indent`` set, ``json.dumps``
     takes its pure-Python encoder). Takes dicts with string keys, lists,
     tuples, strings, ints, floats, bools and ``None``; raises ``TypeError``
     on anything else."""
     parts: list[str] = []
-    _write_json(value, encode_basestring_ascii if ensure_ascii else encode_basestring, "\n", parts)
+    _write_json(value, "\n", parts)
     return "".join(parts)
 
 
-def _write_json(value: object, encode, newline: str, parts: list[str]) -> None:
+def _write_json(value: object, newline: str, parts: list[str]) -> None:
     if isinstance(value, dict):
         if not value:
             parts.append("{}")
@@ -991,12 +991,12 @@ def _write_json(value: object, encode, newline: str, parts: list[str]) -> None:
         opening = "{" + inner
         for key, item in value.items():
             parts.append(opening)
-            parts.append(encode(key))
+            parts.append(encode_basestring_ascii(key))
             parts.append(": ")
             if isinstance(item, str):
-                parts.append(encode(item))
+                parts.append(encode_basestring_ascii(item))
             else:
-                _write_json(item, encode, inner, parts)
+                _write_json(item, inner, parts)
             opening = "," + inner
         parts.append(newline + "}")
     elif isinstance(value, (list, tuple)):
@@ -1008,13 +1008,13 @@ def _write_json(value: object, encode, newline: str, parts: list[str]) -> None:
         for item in value:
             parts.append(opening)
             if isinstance(item, str):
-                parts.append(encode(item))
+                parts.append(encode_basestring_ascii(item))
             else:
-                _write_json(item, encode, inner, parts)
+                _write_json(item, inner, parts)
             opening = "," + inner
         parts.append(newline + "]")
     else:
-        parts.append(_scalar_text(value, encode))
+        parts.append(_scalar_text(value, encode_basestring_ascii))
 
 
 # canonical serialization of a diagram with no elements

@@ -46,11 +46,10 @@ Witness = frozenset[str]
 
 @dataclass
 class PatternReport:
-    instances: dict[str, list[Witness]]
-    # each witness's element ids, sorted, in the order of ``instances``
-    ids: dict[str, list[list[str]]]
+    # pattern key -> its witnesses, each as its sorted element ids, sorted
+    instances: dict[str, list[tuple[str, ...]]]
 
-    def witnesses(self, key: str) -> list[Witness]:
+    def witnesses(self, key: str) -> list[tuple[str, ...]]:
         return self.instances.get(key, [])
 
 
@@ -529,15 +528,12 @@ def analyze(diagram: Diagram) -> PatternReport:
     if problem is not None:
         raise InvalidDiagramError(problem)
     facts = _Facts(diagram)
-    instances: dict[str, list[Witness]] = {}
-    ids: dict[str, list[list[str]]] = {}
+    instances: dict[str, list[tuple[str, ...]]] = {}
     for pattern in PATTERNS:
-        # deduplicated, each witness sorted once, in order of its sorted ids
-        listed = {w: sorted(w) for w in pattern.detector(facts)} if pattern.detector else {}
-        order = sorted(listed, key=listed.__getitem__)
-        instances[pattern.key] = order
-        ids[pattern.key] = [listed[w] for w in order]
-    return PatternReport(instances=instances, ids=ids)
+        # deduplicated, then each witness sorted once
+        found = set(pattern.detector(facts)) if pattern.detector else ()
+        instances[pattern.key] = sorted(tuple(sorted(w)) for w in found)
+    return PatternReport(instances=instances)
 
 
 def detector_doc(key: str) -> str:

@@ -21,11 +21,20 @@ A node's effects, store actions and instance count are its behaviour in
 supplies them. Only the start inputs can be overridden, by ``init`` and
 ``run``.
 
+Only ``init`` and ``_clone`` build an ``ExecutionState``: ``ExecutionState()``
+takes no argument and is the empty state, which ``init`` fills through the
+writers a firing uses. Each field has its few writers, and a field derived
+from another is kept by the writers of its source, so nothing recounts it:
+``tokens`` and ``marked`` by ``_add_token`` and the consume loop of ``step``;
+``bindings`` and ``env`` by ``_bind_object``; ``completed`` and
+``pending_starts`` by ``init`` and ``step``; ``stores`` by ``_run_behavior``;
+``inbox`` by ``_send_messages`` and ``_receive_messages``; ``step_count`` by
+``step``; ``reads`` by ``_matching_record``. ``_clone`` copies them all.
+
 The rule is written once, in ``_is_enabled``. ``enabled()`` applies it to the
 candidates of a state: the nodes in ``state.marked`` and the pending message
 starts. ``state.marked`` maps a node to how many of its sequence flows in hold
-a token, and holds no node at 0. It is counted from ``state.tokens`` once, by
-``_count_marks``, and from then on kept by the only writers of tokens,
+a token, and holds no node at 0. It is kept by the only writers of tokens,
 ``_add_token`` and the consume loop of ``step``. So a join holds when its
 count is the number of flows in, or above 0 for an exclusive merge, and no
 token or flow is scanned.
@@ -61,7 +70,7 @@ state: ``_clone`` copies them, ``_freeze_state`` ignores them, and none
 outlives its run.
 
 The state carries ``env``, the bindings flattened to ``object.path`` names,
-kept up to date by ``_bind_object``; guards, effects, mappings, store inserts
+kept by ``_bind_object``; guards, effects, mappings, store inserts
 and store filters evaluate against it, so no environment is rebuilt per
 evaluation. A store filter reads a record's fields, and effects and inserts
 read ``instance.index``, through an ``_Overlay``: a ``dict`` of those few
@@ -139,28 +148,27 @@ class Message:
 
 @dataclass
 class ExecutionState:
-    tokens: dict[str, int] = field(default_factory=dict)  # sequence flow id -> count
-    bindings: Bindings = field(default_factory=dict)
-    stores: dict[str, list[Record]] = field(default_factory=dict)  # records as Entity.field maps
-    inbox: dict[str, list[Message]] = field(default_factory=dict)  # message flow id -> queue, oldest first
-    completed: set[str] = field(default_factory=set)
-    step_count: int = 0
-    pending_starts: set[str] = field(default_factory=set)  # message starts awaiting a message
+    """A run's state. Only ``init`` and ``_clone`` build one, and only the
+    writers the module docstring names change a field."""
+
+    tokens: dict[str, int] = field(default_factory=dict, init=False)  # sequence flow id -> count
+    bindings: Bindings = field(default_factory=dict, init=False)
+    stores: dict[str, list[Record]] = field(default_factory=dict, init=False)  # records as Entity.field maps
+    inbox: dict[str, list[Message]] = field(default_factory=dict, init=False)  # message flow id -> queue, oldest first
+    completed: set[str] = field(default_factory=set, init=False)
+    step_count: int = field(default=0, init=False)
+    pending_starts: set[str] = field(default_factory=set, init=False)  # message starts awaiting a message
     # bindings flattened to "object.path" -> value, the names expressions read;
-    # built here, then kept up to date by _bind_object
-    env: dict[str, Value] = field(init=False, repr=False, compare=False)
+    # kept by _bind_object
+    env: dict[str, Value] = field(default_factory=dict, init=False, repr=False, compare=False)
     # node id -> how many of its sequence flows in hold a token, for the nodes
-    # with one; counted from tokens by _count_marks, then kept by _add_token
-    # and step's consume loop
-    marked: dict[str, int] | None = field(default=None, init=False, repr=False, compare=False)
+    # with one; kept by _add_token and step's consume loop
+    marked: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
     # (node id, number of the read in index.store_reads) -> (snapshot of the
     # paths its filter names, records scanned, record matched or None)
     reads: dict[tuple[str, int], tuple[tuple, int, Record | None]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    def __post_init__(self) -> None:
-        self.env = _env_of(self.bindings)
 
     def token_total(self) -> int:
         return sum(self.tokens.values())
@@ -242,14 +250,6 @@ def render_trace(trace: Trace) -> str:
 # Initialization
 
 
-def _env_of(bindings: Bindings) -> dict[str, Value]:
-    env: dict[str, Value] = {}
-    for obj, variables in bindings.items():
-        for path, value in variables.items():
-            env[f"{obj}.{path}"] = value
-    return env
-
-
 def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = None) -> ExecutionState:
     """Build the initial state: tokens on the outgoing flows of ready start
     events, message-start objects bound from *start_inputs* (by default the
@@ -263,7 +263,6 @@ def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = No
         raise InitializationError("no start event: diagram has no nodes")
 
     state = ExecutionState()
-    _count_marks(state, diagram)
     internal_message_targets = index.message_in
 
     for node in index.nodes.values():
@@ -290,21 +289,6 @@ def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = No
 
 # ---------------------------------------------------------------------------
 # Enablement
-
-
-def _count_marks(state: ExecutionState, diagram: Diagram) -> None:
-    """Count ``state.marked`` from ``state.tokens`` unless it is counted: a
-    state may be built with tokens and no diagram. ``init``, ``enabled`` and
-    ``step`` call it before anything reads or writes the counts."""
-    if state.marked is not None:
-        return
-    marked: dict[str, int] = {}
-    flows = diagram.index.flows
-    for flow_id, count in state.tokens.items():
-        flow = flows.get(flow_id)
-        if flow is not None and count > 0:
-            marked[flow.target] = marked.get(flow.target, 0) + 1
-    state.marked = marked
 
 
 def _store_read_available(state: ExecutionState, diagram: Diagram, node_id: str, object_id: str) -> bool:
@@ -381,8 +365,7 @@ def _input_available(
 def _is_enabled(state: ExecutionState, diagram: Diagram, node: Node) -> bool:
     """The enablement rule for one node: its join holds and every required
     input is available. Store-channel inputs are tested last, so a store is
-    read only when everything else already holds. The caller has counted the
-    marks (``_count_marks``)."""
+    read only when everything else already holds."""
     incoming = diagram.index.in_flows.get(node.id, ())
     if not incoming:
         return node.id in state.pending_starts and any(
@@ -415,7 +398,6 @@ def enabled(
     candidate in it without a store-channel input is still enabled (see the
     module docstring) and is not checked again.
     """
-    _count_marks(state, diagram)
     candidates = state.pending_starts.union(state.marked)
     index = diagram.index
     nodes, store_fed = index.nodes, index.store_fed
@@ -433,9 +415,9 @@ def enabled(
 def _bind_object(
     state: ExecutionState, trace: Trace | None, step: int, obj: str, values: dict[str, Value]
 ) -> None:
-    """Bind *obj*, then each path in *values*: the only writer of
-    ``state.bindings`` and ``state.env`` once a state exists. With a *trace*,
-    each path is traced."""
+    """Bind *obj*, then each path in *values*: with ``_clone``, the only
+    writer of ``state.bindings`` and ``state.env``. With a *trace*, each path
+    is traced."""
     variables = state.bindings.setdefault(obj, {})
     for path, value in values.items():
         variables[path] = value
@@ -531,8 +513,8 @@ def _send_messages(
 
 
 def _add_token(state: ExecutionState, flow: SequenceFlow) -> None:
-    """Put a token on *flow*: with ``step``'s consume loop, the only writer
-    of ``state.tokens`` and ``state.marked`` once the marks are counted."""
+    """Put a token on *flow*: with ``step``'s consume loop and ``_clone``,
+    the only writer of ``state.tokens`` and ``state.marked``."""
     count = state.tokens.get(flow.id, 0)
     state.tokens[flow.id] = count + 1
     if count == 0:
@@ -575,7 +557,6 @@ def step(
     With ``traced=False`` the state changes alike, but no trace event is
     built and the delta is ``[]``: the oracle reads states, not traces."""
     node = diagram.index.nodes.get(node_id)
-    _count_marks(state, diagram)
     if node is None or not _is_enabled(state, diagram, node):
         raise SimulationError(f"node {node_id} is not enabled")
 
@@ -715,21 +696,21 @@ def _freeze_state(state: ExecutionState, done: int, bound: int):
 
 
 def _clone(state: ExecutionState) -> ExecutionState:
-    """An independent copy of *state*."""
-    clone = ExecutionState(
-        tokens=dict(state.tokens),
-        stores={k: list(v) for k, v in state.stores.items()},  # a record is never changed once stored
-        inbox={k: list(v) for k, v in state.inbox.items()},  # a message is never changed
-        completed=set(state.completed),
-        step_count=state.step_count,
-        pending_starts=set(state.pending_starts),
-    )
+    """An independent copy of *state*, made without the empty containers
+    ``ExecutionState()`` would build only to drop them."""
+    clone = ExecutionState.__new__(ExecutionState)
+    clone.tokens = state.tokens.copy()
+    clone.bindings = {k: v.copy() for k, v in state.bindings.items()}
+    clone.stores = {k: v.copy() for k, v in state.stores.items()}  # a record is never changed once stored
+    clone.inbox = {k: v.copy() for k, v in state.inbox.items()}  # a message is never changed
+    clone.completed = state.completed.copy()
+    clone.step_count = state.step_count
+    clone.pending_starts = state.pending_starts.copy()
     # the environment is copied whole: rebuilding it from the bindings entry
     # by entry is slower and fragments the heap
-    clone.bindings = {k: dict(v) for k, v in state.bindings.items()}
     clone.env = state.env.copy()
     # their entries are ints and tuples, never changed in place
-    clone.marked = None if state.marked is None else state.marked.copy()
+    clone.marked = state.marked.copy()
     clone.reads = state.reads.copy()
     return clone
 

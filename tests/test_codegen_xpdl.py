@@ -286,11 +286,12 @@ def test_xpdl_holds_every_node_flow_and_assignment(diagram):
             activity = activities[node.id]
             mappings = diagram.index.mappings_into(node.id)
             if node.kind not in ("task", "sub_process"):
-                # a route or an event holds no Assignments: its warning names the objects mapped into it
+                # a route or an event holds no Assignments: its warning names
+                # each mapping into it and the object it maps
                 assert activity.find("Assignments") is None
                 if mappings:
                     (warning,) = [w for w in warnings if f" {node.id} of pool {pool.id}: " in w]
-                    assert all(m.target_object in warning for m in mappings)
+                    assert all(m.target_object in warning and m.id in warning for m in mappings)
                 continue
             assignments = [
                 (block.get("Id"), a.findtext("Target"), a.findtext("Expression"))

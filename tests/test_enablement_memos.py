@@ -10,7 +10,6 @@ every state that runs and the oracle reach.
 
 from __future__ import annotations
 
-import ast
 import contextlib
 
 import pytest
@@ -22,9 +21,8 @@ from bpdmn.format import parse_diagram
 from bpdmn.model import DataObject, DataStore, Diagram, Entity, Node, Pool, StoreRead, TaskBehavior, Variable
 from bpdmn.simulator import ExecutionState, SimulationError, _bind_object, _matching_record
 
-from conftest import FIXTURES
+from conftest import FIXTURES, built_state
 from randgen import random_diagram
-from test_binding_writers import SIMULATOR, writers_outside
 
 # ---------------------------------------------------------------------------
 # Store reads resume from a memo
@@ -106,7 +104,7 @@ def test_a_memoized_store_read_returns_the_first_match_of_a_full_scan(operations
     """Inserts of either entity and rebinds of the paths the filters name,
     o.v and o.w, unbound at first, in any order; after each operation marked
     to look, and at the end, every read returns the record a full scan does."""
-    state = ExecutionState(stores={"st": []})
+    state = built_state(_readers(), stores={"st": []})
 
     def look() -> None:
         for key, action, refs in READS:
@@ -128,7 +126,8 @@ def test_a_read_evaluates_only_what_changed(monkeypatch):
     calls = []
     monkeypatch.setattr(simulator, "eval_expr", lambda e, env: calls.append(e) or eval_expr(e, env))
     key, action, refs = next(read for read in READS if read[1].filter == parse_expr("Rec.slot = o.v"))
-    state = ExecutionState(
+    state = built_state(
+        _readers(),
         bindings={"o": {"v": 2}},
         stores={"st": [{"__entity__": "Rec", "Rec.slot": slot} for slot in (0, 1, 3)]},
     )
@@ -197,48 +196,3 @@ def test_marked_counts_equal_a_recount_along_runs_and_oracle_paths(model, monkey
     with contextlib.suppress(SimulationError):
         simulator.init(diagram)
         assert checked  # a diagram that starts was checked
-
-
-def test_only_add_token_and_the_consume_loop_write_tokens_and_marks():
-    """``_count_marks`` counts the marks and ``_clone`` copies both fields,
-    as ``__post_init__`` builds ``env`` and ``_clone`` copies the bindings;
-    apart from them, ``_add_token`` and the loop of ``step`` that consumes
-    tokens are the only writers."""
-    source = SIMULATOR.read_text(encoding="utf-8")
-    fields = {"tokens", "marked"}
-    assert writers_outside(source, {"_add_token", "step", "_count_marks", "_clone"}, fields) == []
-    in_step = writers_outside(source, {"_add_token", "_count_marks", "_clone"}, fields)
-    step = next(s for s in ast.parse(source).body if isinstance(s, ast.FunctionDef) and s.name == "step")
-    loop = next(n for n in ast.walk(step) if isinstance(n, ast.For) and "in_flows" in ast.unparse(n.iter))
-    lines = [int(where.removeprefix("step:")) for where in in_step]
-    assert lines and all(loop.lineno <= line <= loop.end_lineno for line in lines)
-
-
-def aliases(source: str) -> list[int]:
-    """Lines at which *source* binds a name to a ``tokens`` or ``marked``
-    attribute, alone or in a tuple."""
-    lines = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) and node.value is not None:
-            values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
-            if any(isinstance(v, ast.Attribute) and v.attr in {"tokens", "marked"} for v in values):
-                lines.append(node.lineno)
-    return lines
-
-
-def test_no_other_name_holds_the_tokens_or_the_marks():
-    """A write through a name bound to ``state.tokens`` or ``state.marked``
-    would escape the test above, so no name is bound to either."""
-    assert aliases(SIMULATOR.read_text(encoding="utf-8")) == []
-
-
-def test_aliases_are_found():
-    source = (
-        "def f(state):\n"  # 1
-        "    tokens, n = state.tokens, 1\n"
-        "    marked = state.marked\n"  # 3
-        "    c = state.tokens.get(k)\n"
-        "    if (m := state.marked):\n"  # 5
-        "        pass\n"
-    )
-    assert aliases(source) == [2, 3, 5]

@@ -30,7 +30,7 @@ from bpdmn.simulator import (
     step,
 )
 
-from conftest import load
+from conftest import built_state, load
 
 CHECKS = {"check_hotel", "check_car", "check_flight"}
 
@@ -352,7 +352,6 @@ def test_state_built_from_bindings_is_seen_by_guards_and_filters():
         TaskBehavior,
         Variable,
     )
-    from bpdmn.simulator import ExecutionState
 
     pool = Pool(
         "p",
@@ -382,10 +381,8 @@ def test_state_built_from_bindings_is_seen_by_guards_and_filters():
         behaviors={"r": TaskBehavior(store_actions=[StoreRead("st", "E", "Y", parse_expr("E.v = X.v"))])},
     )
     for value, matches, route in [(2, True, "f_two"), (3, False, "f_else")]:
-        state = ExecutionState(
-            tokens={"fr": 1, "fg": 1},
-            bindings={"X": {"v": value}},
-            stores={"st": [{"__entity__": "E", "E.v": 2}]},
+        state = built_state(
+            diagram, ("fr", "fg"), bindings={"X": {"v": value}}, stores={"st": [{"__entity__": "E", "E.v": 2}]}
         )
         assert ("r" in enabled(state, diagram)) is matches
         state, _ = step(state, diagram, "gw")
@@ -488,10 +485,11 @@ def _store_reader(filter_text: str) -> Diagram:
     )
 
 
-def _reader_state(*records: dict) -> ExecutionState:
+def _reader_state(diagram: Diagram, *records: dict) -> ExecutionState:
     """A token before r, o.v bound to 2, and *records* of entity Rec in st."""
-    return ExecutionState(
-        tokens={"fr": 1},
+    return built_state(
+        diagram,
+        ("fr",),
         bindings={"o": {"v": 2}},
         stores={"st": [{"__entity__": "Rec", **record} for record in records]},
     )
@@ -500,7 +498,7 @@ def _reader_state(*records: dict) -> ExecutionState:
 def test_a_filter_reads_record_fields_over_bindings_and_takes_the_first_match():
     diagram = _store_reader("Rec.slot = o.v")
     state = _reader_state(
-        {"Rec.slot": 1, "Rec.val": "a"}, {"Rec.slot": 2, "Rec.val": "b"}, {"Rec.slot": 2, "Rec.val": "c"}
+        diagram, {"Rec.slot": 1, "Rec.val": "a"}, {"Rec.slot": 2, "Rec.val": "b"}, {"Rec.slot": 2, "Rec.val": "c"}
     )
     assert enabled(state, diagram) == {"r"}
     state, _ = step(state, diagram, "r")
@@ -510,15 +508,16 @@ def test_a_filter_reads_record_fields_over_bindings_and_takes_the_first_match():
 def test_a_filter_on_an_unbound_path_skips_the_record():
     # the first record has no Rec.val, so the filter cannot read it there
     diagram = _store_reader("Rec.val = 'c' or Rec.slot = o.v")
-    state = _reader_state({"Rec.slot": 2}, {"Rec.slot": 3, "Rec.val": "c"})
+    state = _reader_state(diagram, {"Rec.slot": 2}, {"Rec.slot": 3, "Rec.val": "c"})
     state, _ = step(state, diagram, "r")
     assert state.bindings["x"] == {"Rec.slot": 3, "Rec.val": "c"}
-    assert "r" not in enabled(_reader_state({"Rec.slot": 2}), _store_reader("Rec.val = 'c'"))
+    other = _store_reader("Rec.val = 'c'")
+    assert "r" not in enabled(_reader_state(other, {"Rec.slot": 2}), other)
 
 
 def test_a_filter_never_sees_the_entity_key():
     diagram = _store_reader("__entity__ = 'Rec'")
-    assert "r" not in enabled(_reader_state({"Rec.slot": 2, "Rec.val": "b"}), diagram)
+    assert "r" not in enabled(_reader_state(diagram, {"Rec.slot": 2, "Rec.val": "b"}), diagram)
 
 
 def test_an_effect_on_instance_index_shadows_the_counter_for_its_instance():

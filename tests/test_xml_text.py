@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from bpdmn import codegen_bpel, codegen_xpdl, validator
-from bpdmn.codegen_bpel import GenerationError, XmlWriter, element
+from bpdmn.codegen_bpel import GenerationError, XmlWriter, element, escape_attribute, escape_text
 from bpdmn.expr import BoolOp, Cmp, Lit, Ref, print_expr
 from bpdmn.format import ParseError
 from bpdmn.model import (
@@ -286,20 +286,20 @@ def test_escaped_text_equals_elementtree():
 
 def test_an_element_without_children_or_text_is_self_closing():
     out = XmlWriter()
-    out.open("a", {"k": "v"})
+    out.open("a", ' k="v"')
     out.open("b")
     out.close()
-    out.comment(" c ")
-    out.leaf("d", text="t")
-    out.leaf("e", {"k": ""}, "")
+    i = out.indent
+    out.run(f"{i}<d>t</d>")
+    out.open("e", ' k=""')
+    out.close()
     out.open("f")
     out.run("")  # an empty run adds no child
     out.close()
-    i = out.indent
     out.run(element(i, "g", ' k="v"', "") + element(i, "h", "", element(i + "  ", "j", "", "")))
     out.close()
     assert out.text() == (
-        '<?xml version="1.0" encoding="UTF-8"?>\n<a k="v">\n  <b />\n  <!-- c -->\n  <d>t</d>\n  <e k="" />\n'
+        '<?xml version="1.0" encoding="UTF-8"?>\n<a k="v">\n  <b />\n  <d>t</d>\n  <e k="" />\n'
         '  <f />\n  <g k="v" />\n  <h>\n    <j />\n  </h>\n</a>\n'
     )
 
@@ -313,9 +313,10 @@ def test_a_character_xml_cannot_carry_is_refused(code, place):
     out = XmlWriter()
     out.open("process")
     if place == "attribute":
-        out.leaf("step", {"name": f"bad{chr(code)}name"})
+        out.open("step", f' name="{escape_attribute(f"bad{chr(code)}name")}"')
+        out.close()
     else:
-        out.leaf("step", {"name": "ok"}, f"bad{chr(code)}name")
+        out.run(f'{out.indent}<step name="ok">{escape_text(f"bad{chr(code)}name")}</step>')
     out.close()
     with pytest.raises(GenerationError, match=rf"U\+{code:04X} \(output line 3: '<step "):
         out.text()
@@ -323,10 +324,11 @@ def test_a_character_xml_cannot_carry_is_refused(code, place):
 
 @pytest.mark.parametrize("code", [0x9, 0xA, 0xD, 0x20, 0xD7FF, 0xE000, 0xFFFD, 0x10000], ids=lambda c: f"U+{c:04X}")
 def test_a_character_xml_carries_is_written(code):
+    value = f"a{chr(code)}b"
     out = XmlWriter()
-    out.leaf("process", {"name": f"a{chr(code)}b"}, f"a{chr(code)}b")
+    out.run(f'{out.indent}<process name="{escape_attribute(value)}">{escape_text(value)}</process>')
     root = ET.fromstring(out.text().encode("utf-8"))
-    assert root.get("name") == root.text == f"a{chr(code)}b"
+    assert root.get("name") == root.text == value
 
 
 def test_the_package_does_not_import_elementtree():
