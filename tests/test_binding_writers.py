@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
@@ -97,11 +98,14 @@ def _aliases(scope: ast.AST, fields: set[str]) -> set[str]:
 def _writes(scope: ast.AST, fields: set[str]) -> list[int]:
     """Lines at which *scope* assigns, deletes or mutates in place one of
     *fields*, or something reached from one, directly or through a name
-    bound to it."""
+    bound to it (``alias |= {x}`` mutates a set, list or dict in place)."""
     aliases = _aliases(scope, fields)
     lines = set()
     for node in ast.walk(scope):
-        if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        if isinstance(node, ast.AugAssign) and isinstance(node.target, ast.Name):
+            if node.target.id in aliases:
+                lines.add(node.lineno)
+        elif isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, (ast.Store, ast.Del)):
             target = node if isinstance(node, ast.Attribute) and node.attr in fields else node.value
             if _reaches_field(target, fields, aliases):
                 lines.add(node.lineno)
@@ -172,8 +176,7 @@ def test_only_init_and_clone_build_a_state():
         if isinstance(node, ast.Call) and "ExecutionState" in {getattr(n, "id", None) for n in ast.walk(node.func)}
     ]
     assert builds == [("init", "ExecutionState()"), ("_clone", "ExecutionState.__new__(ExecutionState)")]
-    with pytest.raises(TypeError):
-        simulator.ExecutionState(tokens={"f": 1})
+    assert not inspect.signature(simulator.ExecutionState).parameters
     empty = simulator.ExecutionState()
     assert all(not getattr(empty, f.name) for f in dataclasses.fields(empty))
 
@@ -237,8 +240,17 @@ def test_writes_to_completed_are_found():
         "    state.completed.update(xs)\n"
         "    done = x in state.completed\n"  # 9
         "    state.pending_starts.discard(x)\n"
+        "    done = state.completed\n"  # 11
+        "    done |= {x}\n"
     )
-    assert writers_outside(source, {"step"}, {"completed"}) == ["fire:4", "fire:5", "fire:6", "fire:7", "fire:8"]
+    assert writers_outside(source, {"step"}, {"completed"}) == [
+        "fire:4",
+        "fire:5",
+        "fire:6",
+        "fire:7",
+        "fire:8",
+        "fire:12",
+    ]
 
 
 def test_list_mutators_and_writes_through_aliases_are_found():
@@ -267,7 +279,12 @@ def test_list_mutators_and_writes_through_aliases_are_found():
         "    copied = list(state.stores)\n"
         "    copied.append(r)\n"  # 23
         "    records = []\n"
+        "    records = state.stores[s]\n"  # 25
+        "    records += [r]\n"
+        "    for q in state.inbox.values():\n"  # 27
+        "        q += [m]\n"
+        "    n -= 1\n"  # 29
     )
     assert writers_outside(source, {"_receive_messages"}, {"stores", "inbox", "step_count"}) == [
-        f"fire:{line}" for line in (5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19)
+        f"fire:{line}" for line in (5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 26, 28)
     ]

@@ -10,6 +10,7 @@ every state that runs and the oracle reach.
 
 from __future__ import annotations
 
+import ast
 import contextlib
 
 import pytest
@@ -23,6 +24,7 @@ from bpdmn.simulator import ExecutionState, SimulationError, _bind_object, _matc
 
 from conftest import FIXTURES, built_state
 from randgen import random_diagram
+from test_binding_writers import SIMULATOR
 
 # ---------------------------------------------------------------------------
 # Store reads resume from a memo
@@ -196,3 +198,33 @@ def test_marked_counts_equal_a_recount_along_runs_and_oracle_paths(model, monkey
     with contextlib.suppress(SimulationError):
         simulator.init(diagram)
         assert checked  # a diagram that starts was checked
+
+
+def aliases(source: str) -> list[int]:
+    """Lines at which *source* binds a name to a ``tokens`` or ``marked``
+    attribute, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) and node.value is not None:
+            values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+            if any(isinstance(v, ast.Attribute) and v.attr in {"tokens", "marked"} for v in values):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_other_name_holds_the_tokens_or_the_marks():
+    """The writers of ``tokens`` and ``marked`` write them through the state,
+    so no name, even inside a writer, is bound to either."""
+    assert aliases(SIMULATOR.read_text(encoding="utf-8")) == []
+
+
+def test_aliases_are_found():
+    source = (
+        "def f(state):\n"  # 1
+        "    tokens, n = state.tokens, 1\n"
+        "    marked = state.marked\n"  # 3
+        "    c = state.tokens.get(k)\n"
+        "    if (m := state.marked):\n"  # 5
+        "        pass\n"
+    )
+    assert aliases(source) == [2, 3, 5]
