@@ -10,14 +10,13 @@ is compiled outside the import timer and shows only in the wall time.
 
 The last two lines are a cost ``-X importtime`` cannot see: ``bpdmn.format``
 compiles the fast pass and the writer of each schema table on first use,
-not on import (only the document's writer is compiled on import, for
-``EMPTY_DOCUMENT``). They give, as medians over fresh processes, the time
+not on import. They give, as medians over fresh processes, the time
 ``format._compile`` takes and the functions and source lines it compiles:
 first while one ``parse_diagram`` reads MODEL, which compiles the fast pass
 of each table the parse reaches, whether MODEL is valid or refused (the
 diagnostic pass a refused MODEL takes compiles nothing); then while the
 first ``serialize_diagram`` writes the parsed MODEL, which compiles the
-writer of each other table it reaches (nothing when MODEL is refused).
+writer of each table it reaches (nothing when MODEL is refused).
 
 The script runs the ``bpdmn`` of the checkout it sits in; stdlib only::
 

@@ -157,16 +157,18 @@ def patterns_cmd(args: argparse.Namespace) -> int:
     """Report which capability-matrix rows a model exercises."""
     from . import patterns
 
+    matrix = None  # with --json, written with the instances as one document
     if args.show_matrix:
         if args.as_json:
             matrix = {
                 key: {"bpmn": a.value, "bpdmn": b.value}
                 for key, (a, b) in patterns.capability_matrix().items()
             }
-            sys.stdout.write(fmt.json_text(matrix) + "\n")
         else:
             sys.stdout.write(patterns.render_matrix())
         if args.model_file is None:
+            if matrix is not None:
+                sys.stdout.write(fmt.json_text(matrix) + "\n")
             return EXIT_OK
     if args.model_file is None:
         _fail("provide a model file or --matrix", EXIT_IO)
@@ -177,7 +179,8 @@ def patterns_cmd(args: argparse.Namespace) -> int:
         _fail(str(exc), EXIT_MODEL)
     found = {key: ids for key, ids in sorted(report.instances.items()) if ids}
     if args.as_json:
-        sys.stdout.write(fmt.json_text(found) + "\n")
+        document = found if matrix is None else {"matrix": matrix, "instances": found}
+        sys.stdout.write(fmt.json_text(document) + "\n")
     else:
         for key, ids in found.items():
             shown = ", ".join("{" + ", ".join(w) + "}" for w in ids)

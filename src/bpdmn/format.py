@@ -480,7 +480,7 @@ def _items(cls: type, *order: str) -> _Kind:
     by = attrgetter(*order) if order else None
 
     def write(values: list, indent: str, parts: list[str]) -> None:
-        if not values:  # compiles no writer, as for EMPTY_DOCUMENT on import
+        if not values:  # and compiles no writer for cls
             parts.append("[]")
             return
         write, inner = _TABLES.get(cls, cls).write, indent + "  "
@@ -1015,7 +1015,3 @@ def _write_json(value: object, newline: str, parts: list[str]) -> None:
         parts.append(newline + "]")
     else:
         parts.append(_scalar_text(value, encode_basestring_ascii))
-
-
-# canonical serialization of a diagram with no elements
-EMPTY_DOCUMENT = serialize_diagram(model.Diagram("diagram"))

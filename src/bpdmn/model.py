@@ -199,10 +199,6 @@ class Scope:
     def diagram(cls) -> Scope:
         return cls("diagram")
 
-    @classmethod
-    def of(cls, node_id: str) -> Scope:
-        return cls("sub_process", node_id)
-
 
 @dataclass
 class DataStore:
@@ -289,6 +285,9 @@ class DataObject:
     origin_store: str | None = None
 
     def __post_init__(self) -> None:
+        # a path names its object by the text before its first dot
+        if "." in self.id:
+            raise ModelError(f"object {self.id}: an object id may not contain '.'")
         if self.physicality not in ("digital", "physical"):
             raise ModelError(f"object {self.id}: invalid physicality {self.physicality!r}")
 
@@ -382,7 +381,7 @@ class Diagram:
                 table[element.id] = element
             return table
 
-        nodes: dict[str, Node] = {}  # in iter_nodes order
+        nodes: dict[str, Node] = {}  # pool by pool, each pool in pre-order
         pool_of: dict[str, Pool] = {}  # node or pool id -> pool
         flows: dict[str, SequenceFlow] = {}
         members: list[dict[str, Node]] = []  # per pool, its nodes by id
@@ -485,10 +484,6 @@ class Diagram:
         """The derived views, built on first use; see :class:`DiagramIndex`."""
         return DiagramIndex(self)
 
-    def iter_nodes(self):
-        """Every node, pool by pool, each pool in pre-order."""
-        return iter(self._nodes.values())
-
     def node(self, node_id: str) -> Node | None:
         return self._nodes.get(node_id)
 
@@ -501,13 +496,6 @@ class Diagram:
 
     def object(self, object_id: str) -> DataObject | None:
         return self._objects.get(object_id)
-
-    def is_black_box_pool(self, element_id: str) -> bool:
-        return element_id in self.index.black_boxes
-
-
-class NotFoundError(KeyError):
-    """Raised when an operation references an element missing from a diagram."""
 
 
 # ---------------------------------------------------------------------------
@@ -537,31 +525,14 @@ class ObjectLink:
     via: str
 
 
-def object_sources(diagram: Diagram, object_id: str) -> list[ObjectLink]:
-    """Every place *object_id* is produced: store extraction, activity output,
-    message receipt, or message start event."""
-    if diagram.object(object_id) is None:
-        raise NotFoundError(object_id)
-    return list(diagram.index.sources.get(object_id, ()))
-
-
-def object_targets(diagram: Diagram, object_id: str) -> list[ObjectLink]:
-    """Every place *object_id* is consumed: store insertion, activity input,
-    or message send. Symmetric to :func:`object_sources`."""
-    if diagram.object(object_id) is None:
-        raise NotFoundError(object_id)
-    return list(diagram.index.targets.get(object_id, ()))
-
-
 def resolve_scope(diagram: Diagram, store_id: str) -> set[str]:
     """Node ids permitted to read/write the store: all nodes for a
     diagram-scoped store, the sub-process subtree (including the sub-process
     node itself) otherwise."""
-    store = diagram.store(store_id)
-    if store is None:
-        raise NotFoundError(store_id)
+    index = diagram.index
+    store = index.stores[store_id]
     if store.scope.kind == "diagram":
-        return set(diagram.index.nodes)
+        return set(index.nodes)
     return {node.id for node in _pre_order([diagram.node(store.scope.sub_process)])}
 
 
@@ -585,16 +556,6 @@ def node_inputs(diagram: Diagram, node_id: str) -> list[NodeIO]:
 def node_outputs(diagram: Diagram, node_id: str) -> list[NodeIO]:
     """Objects produced or emitted by a node."""
     return list(diagram.index.outputs.get(node_id, ()))
-
-
-def store_readers(diagram: Diagram, store_id: str) -> set[str]:
-    """Nodes extracting objects from the store (explicit flows and behaviors)."""
-    return set(diagram.index.readers.get(store_id, ()))
-
-
-def store_writers(diagram: Diagram, store_id: str) -> set[str]:
-    """Nodes inserting objects into the store (explicit flows and behaviors)."""
-    return set(diagram.index.writers.get(store_id, ()))
 
 
 def reaches(diagram: Diagram, source: str, target: str) -> bool:
@@ -627,11 +588,12 @@ class DiagramIndex:
     sequence flows, then its explicit data flows), then the message flows,
     except ``in_flows`` and ``out_flows``, which are in flow-id order: the
     order in which a firing consumes and emits tokens and BPEL takes
-    branches. The lists are shared: the public view functions hand out copies.
+    branches. The lists are shared: :func:`node_inputs` and
+    :func:`node_outputs` hand out copies, and other readers only iterate them.
     """
 
     def __init__(self, diagram: Diagram) -> None:
-        self.nodes: dict[str, Node] = diagram._nodes  # in iter_nodes order
+        self.nodes: dict[str, Node] = diagram._nodes  # pool by pool, each pool in pre-order
         self.pool_of: dict[str, Pool] = diagram._pool_of  # node or pool id -> pool
         self.stores: dict[str, DataStore] = diagram._stores
         self.objects: dict[str, DataObject] = diagram._objects
@@ -641,7 +603,10 @@ class DiagramIndex:
         self.out_flows: dict[str, list[SequenceFlow]] = {}
         self.inputs: dict[str, list[NodeIO]] = {}  # endpoint id -> node_inputs
         self.outputs: dict[str, list[NodeIO]] = {}
-        self.sources: dict[str, list[ObjectLink]] = {}  # object id -> object_sources
+        # object id -> where it is produced (store extraction, activity output,
+        # message receipt or start) / consumed (store insertion, activity
+        # input or message send)
+        self.sources: dict[str, list[ObjectLink]] = {}
         self.targets: dict[str, list[ObjectLink]] = {}
         self.successors: dict[str, set[str]] = {}  # reaches adjacency
         # store id -> nodes extracting from it / inserting into it, over
@@ -729,7 +694,7 @@ class DiagramIndex:
                     add(outputs, flow.source, NodeIO(att.object, False, flow.id, "message"))
                     add(targets, att.object, ObjectLink(LinkKind.MESSAGE_SEND, flow.source, flow.id))
 
-        # object id -> nodes taking it as an input, in iter_nodes order
+        # object id -> nodes taking it as an input, in the order of ``nodes``
         self.consumers: dict[str, list[str]] = {}
         for node_id in self.nodes:
             for obj in dict.fromkeys(io.object for io in inputs.get(node_id, ())):

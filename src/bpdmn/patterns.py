@@ -46,11 +46,8 @@ Witness = frozenset[str]
 
 @dataclass
 class PatternReport:
-    # pattern key -> its witnesses, each as its sorted element ids, sorted
+    # pattern key -> each witness found, as its sorted element ids, sorted
     instances: dict[str, list[tuple[str, ...]]]
-
-    def witnesses(self, key: str) -> list[tuple[str, ...]]:
-        return self.instances.get(key, [])
 
 
 class InvalidDiagramError(ValueError):
@@ -509,9 +506,6 @@ PATTERNS: list[Pattern] = [
     Pattern("process_data_store", "Process Data Store", "additional requirements", _U, _d_process_data_store),
 ]
 
-UNSUPPORTED_KEYS = {p.key for p in PATTERNS if p.detector is None}
-
-
 def capability_matrix() -> dict[str, tuple[Support, Support]]:
     """The static 44-row matrix: pattern key -> (BPMN, BPDMN) support."""
     return {p.key: (p.bpmn, p.bpdmn) for p in PATTERNS}
@@ -534,12 +528,6 @@ def analyze(diagram: Diagram) -> PatternReport:
         found = set(pattern.detector(facts)) if pattern.detector else ()
         instances[pattern.key] = sorted(tuple(sorted(w)) for w in found)
     return PatternReport(instances=instances)
-
-
-def detector_doc(key: str) -> str:
-    """One-sentence predicate description for a supported pattern."""
-    func = next((p.detector for p in PATTERNS if p.key == key), None)
-    return (func.__doc__ or "").strip() if func else "not supported; no detector"
 
 
 def render_matrix() -> str:

@@ -507,7 +507,7 @@ def _send_messages(
         snapshot: Bindings = {att.object: dict(state.bindings.get(att.object, {})) for att in flow.attachments}
         if trace is not None:
             trace.append(MessageSent(step, flow.id))
-        if not diagram.is_black_box_pool(flow.target):
+        if flow.target not in diagram.index.black_boxes:
             state.inbox.setdefault(flow.id, []).append(Message(step, snapshot))
         # messages to black-box pools leave the modeled world
 

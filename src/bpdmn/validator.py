@@ -15,7 +15,6 @@ from . import model
 from .expr import expr_refs
 from .model import (
     Diagram,
-    object_sources,
     reaches,
     resolve_scope,
     strong_components,
@@ -86,10 +85,9 @@ def _v1_sources_and_targets(diagram: Diagram) -> list[Diagnostic]:
     """V1: every used object is produced somewhere and consumed somewhere."""
     out = []
     index = diagram.index
-    mapping_targets = {m.target_object for m in diagram.mappings}
     mapping_sources = {m.source_object for m in diagram.mappings}
-    for object_id in sorted(set(index.sources) | set(index.targets) | mapping_targets | mapping_sources):
-        has_source = bool(index.sources.get(object_id)) or object_id in mapping_targets
+    for object_id in sorted({*index.sources, *index.targets, *index.mappings_to, *mapping_sources}):
+        has_source = bool(index.sources.get(object_id)) or object_id in index.mappings_to
         has_target = (
             bool(index.targets.get(object_id))
             or object_id in mapping_sources
@@ -124,16 +122,16 @@ def _v3_mappings(diagram: Diagram) -> list[Diagnostic]:
     """V3: mappings connect a produced object to a consumed one on a
     connected path, and every copy-rule path resolves."""
     out = []
-    mapping_targets = {m.target_object for m in diagram.mappings}
+    index = diagram.index
     for mapping in diagram.mappings:
         source = diagram.object(mapping.source_object)
         target = diagram.object(mapping.target_object)
-        producers = [link.element for link in object_sources(diagram, source.id)]
-        if not producers and source.id not in mapping_targets:
+        producers = [link.element for link in index.sources.get(source.id, ())]
+        if not producers and source.id not in index.mappings_to:
             out.append(
                 _error("V3", mapping.id, f"source object {source.id} is never produced")
             )
-        consumers = diagram.index.consumers.get(target.id, [])
+        consumers = index.consumers.get(target.id, [])
         if not consumers:
             out.append(
                 _error("V3", mapping.id, f"target object {target.id} is not an input of any node")

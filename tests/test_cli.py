@@ -170,6 +170,17 @@ def test_patterns_matrix():
     assert "BPMN  BPDMN" in result.out
 
 
+def test_patterns_matrix_json_on_a_model_is_one_document():
+    result = run_cli("patterns", fx("travel.bpdmn.json"), "--matrix", "--json")
+    assert result.code == 0
+    document = json.loads(result.out)
+    assert list(document) == ["matrix", "instances"]
+    assert document["matrix"] == json.loads(run_cli("patterns", "--matrix", "--json").out)
+    assert document["instances"] == json.loads(run_cli("patterns", fx("travel.bpdmn.json"), "--json").out)
+    invalid = run_cli("patterns", fx("validator/bad_v1.bpdmn.json"), "--matrix", "--json")
+    assert (invalid.code, invalid.out) == (1, "")
+
+
 def test_patterns_on_model():
     result = run_cli("patterns", fx("patterns/p40.bpdmn.json"))
     assert result.code == 0

@@ -337,11 +337,16 @@ def test_splits_nested_past_the_recursion_limit_are_refused_without_a_traceback(
 
 
 def test_variable_name_collision_is_refused():
-    # object s.E.f and field f of entity E of store s both map to one variable name
-    store = DataStore("s", "S", entities=[Entity("E", [Variable("f", "string")])])
-    diagram = Diagram("d", stores=[store], objects=[DataObject("s.E.f", "O")])
+    # field f of entity E.x of store s and field f of entity x of store s.E
+    # both map to one variable name; an object id, which holds no dot, cannot
+    # take a store variable's name
+    stores = [
+        DataStore("s", "S", entities=[Entity("E.x", [Variable("f", "string")])]),
+        DataStore("s.E", "S2", entities=[Entity("x", [Variable("f", "string")])]),
+    ]
+    diagram = Diagram("d", stores=stores)
     assert validator.validate(diagram) == []
-    with pytest.raises(GenerationError, match=r"variable name collision: object s\.E\.f and store s both map to 's\.E\.f'"):
+    with pytest.raises(GenerationError, match=r"variable name collision: store s\.E and store s both map to 's\.E\.x\.f'"):
         to_bpel(diagram)
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bpdmn import format as fmt, model
-from bpdmn.format import EMPTY_DOCUMENT, ParseError, parse_diagram, serialize_diagram
+from bpdmn.format import ParseError, parse_diagram, serialize_diagram
 
 from conftest import FIXTURES, fixture_text, run_cli
 from randgen import fuzz_input, mutant as _mutant, mutations as _mutations, random_diagram, random_regions
@@ -47,10 +47,21 @@ def test_mapping_rule_order_is_preserved(travel):
     assert [r["to"] for r in dm1["rules"]] == ["cardNumber", "cardType"]
 
 
-def test_empty_document_constant_round_trips():
-    d = parse_diagram(EMPTY_DOCUMENT)
+def test_empty_document_round_trips():
+    text = serialize_diagram(model.Diagram("diagram"))
+    d = parse_diagram(text)
     assert not d.pools and not d.objects
-    assert serialize_diagram(d) == EMPTY_DOCUMENT
+    assert serialize_diagram(d) == text
+
+
+def test_an_object_id_with_a_dot_is_refused_where_it_is_declared():
+    document = json.loads(serialize_diagram(model.Diagram("diagram")))
+    document["objects"] = [{"id": "a.b", "name": "AB"}]
+    with pytest.raises(ParseError) as err:
+        parse_diagram(json.dumps(document, indent=2))
+    (diag,) = err.value.diagnostics
+    assert diag.message == "object a.b: an object id may not contain '.'"
+    assert diag.span.line == json.dumps(document, indent=2).splitlines().index('      "id": "a.b",') + 1
 
 
 def test_malformed_json_reports_position():
@@ -67,7 +78,7 @@ def test_missing_version_is_an_error():
 
 
 def test_unknown_key_strict_vs_lenient():
-    text = json.loads(EMPTY_DOCUMENT)
+    text = json.loads(serialize_diagram(model.Diagram("diagram")))
     text["mystery"] = 1
     raw = json.dumps(text)
     with pytest.raises(ParseError, match="unknown key 'mystery'"):
@@ -894,7 +905,7 @@ def _every_key_diagram() -> model.Diagram:
         entities=[m.Entity("F"), m.Entity("E", [m.Variable("x", "number"), m.Variable("n")])],
         relationships=[m.Relationship("r", "E", "F")],
         generalizations=[m.Generalization("E", "F")],
-        scope=m.Scope.of("sp"),
+        scope=m.Scope("sub_process", "sp"),
         collapsed=True,
     )
     objects = [

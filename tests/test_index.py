@@ -26,7 +26,6 @@ from bpdmn.model import (
     MessageFlow,
     Node,
     NodeIO,
-    NotFoundError,
     ObjectAttachment,
     ObjectLink,
     Pool,
@@ -37,11 +36,7 @@ from bpdmn.model import (
     Variable,
     node_inputs,
     node_outputs,
-    object_sources,
-    object_targets,
     reaches,
-    store_readers,
-    store_writers,
 )
 from bpdmn.render import to_dot
 
@@ -180,8 +175,12 @@ DIAGRAMS = (
 # Scan-based references
 
 
+def ref_nodes(d: Diagram) -> list[Node]:
+    return [n for pool in d.pools for n in pool.iter_nodes()]
+
+
 def ref_node(d: Diagram, node_id: str):
-    for n in d.iter_nodes():
+    for n in ref_nodes(d):
         if n.id == node_id:
             return n
     return None
@@ -339,6 +338,7 @@ def ref_reaches(d: Diagram, source: str, target: str) -> bool:
 
 
 def ref_only_on_external_messages(d: Diagram, object_id: str) -> bool:
+    black_boxes = {p.id for p in d.pools if not p.nodes}
     appearances = 0
     external = 0
     for pool in d.pools:
@@ -352,14 +352,14 @@ def ref_only_on_external_messages(d: Diagram, object_id: str) -> bool:
             if att.object != object_id:
                 continue
             appearances += 1
-            if d.is_black_box_pool(flow.source) or d.is_black_box_pool(flow.target):
+            if flow.source in black_boxes or flow.target in black_boxes:
                 external += 1
     return appearances > 0 and appearances == external
 
 
 def ref_consumers(d: Diagram, object_id: str) -> list[str]:
     return [
-        n.id for n in d.iter_nodes() if any(io.object == object_id for io in ref_node_inputs(d, n.id))
+        n.id for n in ref_nodes(d) if any(io.object == object_id for io in ref_node_inputs(d, n.id))
     ]
 
 
@@ -371,7 +371,7 @@ def ref_mappings_into(d: Diagram, node_id: str) -> list:
 def ref_enabled(state, d: Diagram) -> set[str]:
     """The enablement rule applied to every node of the diagram."""
     ready = set()
-    for node in d.iter_nodes():
+    for node in ref_nodes(d):
         incoming = [f for p in d.pools for f in p.sequence_flows if f.target == node.id]
         if not incoming:
             if node.id in state.pending_starts:
@@ -398,7 +398,7 @@ def ref_enabled(state, d: Diagram) -> set[str]:
 
 @pytest.mark.parametrize("diagram", DIAGRAMS)
 def test_views_equal_scan_references(diagram):
-    node_ids = [n.id for n in diagram.iter_nodes()]
+    node_ids = [n.id for n in ref_nodes(diagram)]
     pool_ids = [p.id for p in diagram.pools]
     store_ids = [s.id for s in diagram.stores]
     object_ids = [o.id for o in diagram.objects]
@@ -420,19 +420,17 @@ def test_views_equal_scan_references(diagram):
         fed = any(io.channel == "store" for io in ref_node_inputs(diagram, ident))
         assert (ident in diagram.index.store_fed) == fed
     for object_id in object_ids:
-        assert object_sources(diagram, object_id) == ref_object_sources(diagram, object_id)
-        assert object_targets(diagram, object_id) == ref_object_targets(diagram, object_id)
+        assert diagram.index.sources.get(object_id, []) == ref_object_sources(diagram, object_id)
+        assert diagram.index.targets.get(object_id, []) == ref_object_targets(diagram, object_id)
         assert diagram.index.consumers.get(object_id, []) == ref_consumers(diagram, object_id)
         assert validator._only_on_external_messages(diagram, object_id) == ref_only_on_external_messages(
             diagram, object_id
         )
     for store_id in [*store_ids, "no-such-element"]:
-        assert store_readers(diagram, store_id) == ref_store_accessors(diagram, store_id, StoreRead, True)
-        assert store_writers(diagram, store_id) == ref_store_accessors(diagram, store_id, StoreInsert, False)
-    with pytest.raises(NotFoundError):
-        object_sources(diagram, "no-such-element")
-    with pytest.raises(NotFoundError):
-        object_targets(diagram, "no-such-element")
+        readers = diagram.index.readers.get(store_id, set())
+        writers = diagram.index.writers.get(store_id, set())
+        assert readers == ref_store_accessors(diagram, store_id, StoreRead, True)
+        assert writers == ref_store_accessors(diagram, store_id, StoreInsert, False)
     graph = node_ids + pool_ids + store_ids
     for a in graph:
         for b in graph:
@@ -442,8 +440,8 @@ def test_views_equal_scan_references(diagram):
 @pytest.mark.parametrize("diagram", DIAGRAMS)
 def test_black_box_views_equal_scan_references(diagram):
     black_boxes = [p.id for p in diagram.pools if not p.nodes]
-    ids = [n.id for n in diagram.iter_nodes()] + [p.id for p in diagram.pools] + ["no-such-element"]
-    assert [ident for ident in ids if diagram.is_black_box_pool(ident)] == black_boxes
+    ids = [n.id for n in ref_nodes(diagram)] + [p.id for p in diagram.pools] + ["no-such-element"]
+    assert [ident for ident in ids if ident in diagram.index.black_boxes] == black_boxes
     external = [f for f in diagram.message_flows if f.source in black_boxes or f.target in black_boxes]
     assert list(diagram.index.external_flows.items()) == [(f.id, f) for f in external]
 
@@ -452,9 +450,6 @@ def test_views_hand_out_fresh_lists(travel):
     first = node_inputs(travel, "check_cc")
     first.clear()
     assert node_inputs(travel, "check_cc") == ref_node_inputs(travel, "check_cc") != []
-    sources = object_sources(travel, "input")
-    sources.clear()
-    assert object_sources(travel, "input") == ref_object_sources(travel, "input") != []
 
 
 def test_index_is_built_on_first_use_only():
@@ -520,7 +515,7 @@ def test_step_accepts_exactly_the_enabled_nodes(diagram, monkeypatch):
     """`step(state, diagram, X)` checks only X; at every transition of the
     oracle it must accept exactly the nodes `enabled()` returns."""
     original_step = simulator.step
-    candidates = [n.id for n in diagram.iter_nodes()] + ["no-such-node"]
+    candidates = [n.id for n in ref_nodes(diagram)] + ["no-such-node"]
     checked = []
 
     def step_checked(state, d, choose, **options):

@@ -4,10 +4,14 @@ import re
 
 import pytest
 
+from bpdmn.expr import parse_expr
 from bpdmn.model import (
+    CopyRule,
+    DataMapping,
     DataObject,
     DataStore,
     Diagram,
+    Effect,
     Entity,
     ExplicitDataFlow,
     Generalization,
@@ -15,20 +19,16 @@ from bpdmn.model import (
     MessageFlow,
     ModelError,
     Node,
-    NotFoundError,
     ObjectAttachment,
     Pool,
     Scope,
     SequenceFlow,
+    TaskBehavior,
     Variable,
     node_inputs,
     node_outputs,
-    object_sources,
-    object_targets,
     reaches,
     resolve_scope,
-    store_readers,
-    store_writers,
 )
 
 from conftest import load
@@ -92,11 +92,73 @@ def test_unknown_attachment_direction_rejected():
         (lambda: Entity("E", [Variable("f"), Variable("f")]), "entity E: duplicate field names"),
         (lambda: Generalization("A", "A"), "A cannot generalize itself"),
         (lambda: Scope("diagram", "n"), "diagram scope names no node"),
-        (lambda: Diagram("d", stores=[DataStore("st", "S", scope=Scope.of("nope"))]), "unknown scope node 'nope'"),
+        (
+            lambda: Diagram("d", stores=[DataStore("st", "S", scope=Scope("sub_process", "nope"))]),
+            "unknown scope node 'nope'",
+        ),
     ],
 )
 def test_an_element_that_cannot_exist_is_refused_when_built(build, message):
     with pytest.raises(ModelError, match=message):
+        build()
+
+
+def _gateway(objects, outputs, inputs, guard, *, mappings=(), effects=()) -> Diagram:
+    """s -> t1 -> g, then g -> e1 when *guard* holds, else g -> e2: t1
+    outputs the objects *outputs*, and both flows out of g take *inputs*."""
+    taken = [ObjectAttachment(o, "input") for o in inputs]
+    nodes = [
+        Node("s", "S", "start_event_none"),
+        Node("t1", "T1", "task"),
+        Node("g", "G", "gateway_exclusive_data"),
+        Node("e1", "E1", "end_event"),
+        Node("e2", "E2", "end_event"),
+    ]
+    flows = [
+        SequenceFlow("f1", "s", "t1"),
+        SequenceFlow("f2", "t1", "g", [ObjectAttachment(o, "output") for o in outputs]),
+        SequenceFlow("f3", "g", "e1", taken, parse_expr(guard)),
+        SequenceFlow("f4", "g", "e2", list(taken)),
+    ]
+    behaviors = {"t1": TaskBehavior([Effect(o, path, parse_expr(e)) for o, path, e in effects])}
+    return Diagram("d", [Pool("p", "P", nodes, flows)], objects=objects, mappings=list(mappings), behaviors=behaviors)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        # a with variable b.c and a.b with variable c both bind the path a.b.c
+        lambda: _gateway(
+            [
+                DataObject("a", "A", variables=[Variable("b.c", "number")]),
+                DataObject("a.b", "AB", variables=[Variable("c", "number")]),
+            ],
+            ["a", "a.b"],
+            ["a", "a.b"],
+            "a.b.c = 1",
+            effects=[("a", "b.c", "1"), ("a.b", "c", "2")],
+        ),
+        # a copy rule can name no variable of a.b: a.b.c is variable b.c of a
+        lambda: _gateway(
+            [DataObject("a.b", "AB", variables=[Variable("c")]), DataObject("b", "B", variables=[Variable("y")])],
+            ["a.b"],
+            ["b"],
+            "b.y = 'x'",
+            mappings=[DataMapping("m1", "a.b", "b", [CopyRule(parse_expr("a.b.c"), "y")])],
+        ),
+        # an effect on a.b is written as the target a.b.c, which reads back as object a
+        lambda: _gateway(
+            [DataObject("a.b", "AB", variables=[Variable("c")])],
+            ["a.b"],
+            ["a.b"],
+            "a.b.c = 'x'",
+            effects=[("a.b", "c", "'x'")],
+        ),
+    ],
+    ids=["shared-path", "copy-source", "effect-target"],
+)
+def test_an_object_id_with_a_dot_is_refused(build):
+    with pytest.raises(ModelError, match=r"object a\.b: an object id may not contain '\.'"):
         build()
 
 
@@ -131,7 +193,6 @@ def test_the_id_tables_are_built_with_the_diagram_and_shared_by_its_index(travel
     assert "index" not in vars(travel)  # a lookup by id does not build the index
     index = travel.index
     assert list(index.nodes) == [n.id for pool in travel.pools for n in pool.iter_nodes()]
-    assert list(travel.iter_nodes()) == list(index.nodes.values())
     for node_id in index.nodes:
         assert travel.node(node_id) is index.nodes[node_id]
         assert travel.pool_of(node_id) is index.pool_of[node_id]
@@ -139,8 +200,8 @@ def test_the_id_tables_are_built_with_the_diagram_and_shared_by_its_index(travel
     assert {o.id for o in travel.objects} == set(index.objects)
 
 
-def test_resolve_scope_of_an_unknown_store_raises_not_found():
-    with pytest.raises(NotFoundError):
+def test_resolve_scope_of_an_unknown_store_raises_key_error():
+    with pytest.raises(KeyError):
         resolve_scope(Diagram("d"), "nope")
 
 
@@ -150,18 +211,19 @@ def test_start_objects_are_what_message_starts_output_on_sequence_flows(eco):
 
 
 def test_travel_object_sources_and_targets(travel):
-    src = object_sources(travel, "input")
+    index = travel.index
+    src = index.sources["input"]
     assert {(l.kind, l.element) for l in src} == {(LinkKind.MESSAGE_START, "n_start")}
-    tgt = object_targets(travel, "input")
+    tgt = index.targets["input"]
     assert {(l.kind, l.element) for l in tgt} == {(LinkKind.ACTIVITY_INPUT, "check_cc")}
-    assert {(l.kind, l.element) for l in object_targets(travel, "plan")} == {
+    assert {(l.kind, l.element) for l in index.targets["plan"]} == {
         (LinkKind.STORE_INSERTION, "arch_db"),
         (LinkKind.ACTIVITY_INPUT, "n_end"),
     }
 
 
 def test_eco_store_extraction_is_a_source(eco):
-    src = object_sources(eco, "ECO_Data")
+    src = eco.index.sources["ECO_Data"]
     assert {(l.kind, l.element) for l in src} == {(LinkKind.STORE_EXTRACTION, "OracleDB")}
 
 
@@ -179,8 +241,8 @@ def test_node_outputs(travel):
 
 
 def test_store_readers_and_writers(eco):
-    assert store_readers(eco, "OracleDB") == {"m_check"}
-    assert store_writers(eco, "OracleDB") == {"t_submit"}
+    assert eco.index.readers["OracleDB"] == {"m_check"}
+    assert eco.index.writers["OracleDB"] == {"t_submit"}
 
 
 def test_reaches_follows_all_flow_kinds(eco):
@@ -198,7 +260,7 @@ def test_resolve_scope_diagram_and_sub_process():
         pools=[pool],
         stores=[
             DataStore("global", "G"),
-            DataStore("local", "L", scope=Scope.of("sp")),
+            DataStore("local", "L", scope=Scope("sub_process", "sp")),
         ],
     )
     assert resolve_scope(d, "global") == {"sp", "inner", "outside"}
@@ -208,7 +270,7 @@ def test_resolve_scope_diagram_and_sub_process():
 def test_store_scope_must_name_a_sub_process():
     pool = Pool("p", "P", nodes=[Node("s", "S", "start_event_none"), Node("e", "E", "end_event")])
     with pytest.raises(ModelError, match="scope node 'e' is not a sub-process"):
-        Diagram("d", pools=[pool], stores=[DataStore("st", "S", scope=Scope.of("e"))])
+        Diagram("d", pools=[pool], stores=[DataStore("st", "S", scope=Scope("sub_process", "e"))])
 
 
 def test_qualified_field_names_include_generalization():
@@ -230,15 +292,14 @@ def test_qualified_field_names_include_generalization():
 
 def test_black_box_pool_detection(travel):
     d = Diagram("d", pools=[Pool("env", "Env"), Pool("full", "F", nodes=[Node("t", "T", "task")])])
-    assert d.is_black_box_pool("env")
-    assert not d.is_black_box_pool("full")
-    assert not travel.is_black_box_pool("travel_agency")
+    assert d.index.black_boxes == {"env"}
+    assert "travel_agency" not in travel.index.black_boxes
 
 
 def test_iter_nodes_covers_sub_process_children():
     sub = Node("sp", "SP", "sub_process", children=[Node("inner", "I", "task")])
     d = Diagram("d", pools=[Pool("p", "P", nodes=[sub])])
-    assert {n.id for n in d.iter_nodes()} == {"sp", "inner"}
+    assert {n.id for n in d.pools[0].iter_nodes()} == set(d.index.nodes) == {"sp", "inner"}
 
 
 def test_iter_nodes_is_pre_order_through_nested_sub_processes():
@@ -249,7 +310,7 @@ def test_iter_nodes_is_pre_order_through_nested_sub_processes():
     pool = Pool("p", "P", nodes=[Node("a", "A", "task"), outer, Node("e", "E", "task")])
     order = ["a", "sp1", "b", "sp2", "c", "d", "e"]
     assert [n.id for n in pool.iter_nodes()] == order
-    assert [n.id for n in Diagram("diag", pools=[pool]).iter_nodes()] == order
+    assert list(Diagram("diag", pools=[pool]).index.nodes) == order
 
 
 def test_travel_fixture_is_loaded(travel):

@@ -6,18 +6,17 @@ import pytest
 
 from bpdmn.patterns import (
     PATTERNS,
-    UNSUPPORTED_KEYS,
     InvalidDiagramError,
     Support,
     analyze,
     capability_matrix,
-    detector_doc,
     render_matrix,
 )
 
 from conftest import FIXTURES, load
 
 PATTERN_FIXTURES = sorted(Path(FIXTURES, "patterns").glob("*.bpdmn.json"))
+NO_DETECTOR = {p.key for p in PATTERNS if p.detector is None}
 
 
 def _key_of(path: Path) -> str:
@@ -41,9 +40,9 @@ def test_matrix_totals():
     assert bpmn_partial == {"4", "29", "32", "33", "explicit_data_flow", "data_control_flow"}
 
 
-def test_unsupported_keys_constant_matches_matrix():
+def test_patterns_without_a_detector_are_the_unsupported_rows():
     matrix = capability_matrix()
-    assert UNSUPPORTED_KEYS == {
+    assert NO_DETECTOR == {
         k for k, (_, b) in matrix.items() if b is Support.UNSUPPORTED
     }
 
@@ -52,7 +51,7 @@ def test_unsupported_keys_constant_matches_matrix():
 def test_each_exemplar_yields_its_pattern(path):
     key = _key_of(path)
     report = analyze(load(f"patterns/{path.name}"))
-    assert report.witnesses(key), f"no instance of pattern {key}"
+    assert report.instances[key], f"no instance of pattern {key}"
 
 
 def test_empty_diagram_yields_nothing():
@@ -63,8 +62,8 @@ def test_empty_diagram_yields_nothing():
 def test_unsupported_patterns_never_report(travel, eco):
     for d in (travel, eco):
         report = analyze(d)
-        for key in UNSUPPORTED_KEYS:
-            assert report.witnesses(key) == []
+        for key in NO_DETECTOR:
+            assert report.instances[key] == []
 
 
 def test_analyze_rejects_invalid_diagrams():
@@ -75,30 +74,30 @@ def test_analyze_rejects_invalid_diagrams():
 def test_travel_exercises_expected_rows(travel):
     report = analyze(travel)
     for key in ("1", "9", "27", "28", "32", "33", "34", "36", "40", "structure"):
-        assert report.witnesses(key), f"travel should exercise pattern {key}"
-    assert ("f03", "gw") in report.witnesses("40")
+        assert report.instances[key], f"travel should exercise pattern {key}"
+    assert ("f03", "gw") in report.instances["40"]
 
 
 def test_eco_exercises_store_and_message_rows(eco):
     report = analyze(eco)
     for key in ("7", "14", "21", "30", "32", "38", "process_data_store"):
-        assert report.witnesses(key), f"eco should exercise pattern {key}"
+        assert report.instances[key], f"eco should exercise pattern {key}"
 
 
 def test_witnesses_are_deduplicated_and_sorted(travel):
     report = analyze(travel)
-    for witnesses in report.instances.values():
-        assert len(witnesses) == len(set(witnesses))
-        assert witnesses == sorted(witnesses)
-        assert all(isinstance(w, tuple) and list(w) == sorted(w) for w in witnesses)
+    for found in report.instances.values():
+        assert len(found) == len(set(found))
+        assert found == sorted(found)
+        assert all(isinstance(w, tuple) and list(w) == sorted(w) for w in found)
 
 
-def test_detector_doc_is_one_sentence():
+def test_each_detector_documents_its_predicate_in_one_sentence():
     for pattern in PATTERNS:
-        if pattern.key in UNSUPPORTED_KEYS:
+        if pattern.detector is None:
             continue
-        doc = detector_doc(pattern.key)
-        assert doc and doc.strip().endswith(".")
+        doc = (pattern.detector.__doc__ or "").strip()
+        assert doc and doc.endswith(".")
 
 
 def test_render_matrix_layout():
