@@ -8,15 +8,21 @@ and cumulative import time. The first line is the interpreter's own baseline,
 ``python -X importtime -c pass``. ``bpdmn.cli`` runs as ``__main__``, so it
 is compiled outside the import timer and shows only in the wall time.
 
-The last two lines are a cost ``-X importtime`` cannot see: ``bpdmn.format``
-compiles the fast pass and the writer of each schema table on first use,
-not on import. They give, as medians over fresh processes, the time
-``format._compile`` takes and the functions and source lines it compiles:
-first while one ``parse_diagram`` reads MODEL, which compiles the fast pass
-of each table the parse reaches, whether MODEL is valid or refused (the
-diagnostic pass a refused MODEL takes compiles nothing); then while the
-first ``serialize_diagram`` writes the parsed MODEL, which compiles the
-writer of each table it reaches (nothing when MODEL is refused).
+The last three lines split out costs that ``-X importtime`` folds into the
+import of a module, or cannot see, each a median over fresh processes:
+
+- Class creation: the time ``dataclasses`` (``dataclasses._process_class``)
+  and ``collections.namedtuple`` (which ``typing.NamedTuple`` calls) spend
+  building classes during one cold ``bpdmn validate MODEL``, with how many
+  classes each builds: package classes and those of any module it loads.
+- Compiling: ``bpdmn.format`` compiles the fast pass and the writer of each
+  schema table on first use, not on import. The two lines give the time
+  ``format._compile`` takes and the functions and source lines it compiles:
+  first while one ``parse_diagram`` reads MODEL, which compiles the fast pass
+  of each table the parse reaches, whether MODEL is valid or refused (the
+  diagnostic pass a refused MODEL takes compiles nothing); then while the
+  first ``serialize_diagram`` writes the parsed MODEL, which compiles the
+  writer of each table it reaches (nothing when MODEL is refused).
 
 The script runs the ``bpdmn`` of the checkout it sits in; stdlib only::
 
@@ -68,6 +74,31 @@ print(*spent)
 spent[:] = [0.0, 0, 0]
 if diagram is not None:
     format.serialize_diagram(diagram)
+print(*spent)
+"""
+# prints the ms spent building classes, then the dataclasses and the named
+# tuples built, during one ``bpdmn validate`` of the model named by argv[1]
+CLASS_PROBE = """
+import collections, contextlib, dataclasses, os, sys
+from time import perf_counter
+spent = [0.0, 0, 0]
+def timed(build, kind):
+    def wrapper(*args, **kwargs):
+        start = perf_counter()
+        try:
+            return build(*args, **kwargs)
+        finally:
+            spent[0] += (perf_counter() - start) * 1e3
+            spent[kind] += 1
+    return wrapper
+dataclasses._process_class = timed(dataclasses._process_class, 1)
+collections.namedtuple = timed(collections.namedtuple, 2)
+from bpdmn import cli
+with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+    try:
+        cli.main(["validate", sys.argv[1]])
+    except SystemExit:
+        pass
 print(*spent)
 """
 COMMANDS = (
@@ -134,6 +165,20 @@ def compile_cost(model: str) -> list[tuple[float, int, int]]:
     ]
 
 
+def class_cost(model: str) -> tuple[float, int, int]:
+    """Median ms spent building classes during one cold ``validate`` of
+    *model*, over RUNS fresh processes, with the dataclasses and the named
+    tuples built."""
+    runs = []
+    for _ in range(RUNS):
+        proc = _python(["-c", CLASS_PROBE, model])
+        if proc.returncode != 0:
+            raise SystemExit(proc.stderr)
+        ms, dataclasses, namedtuples = proc.stdout.split()
+        runs.append((float(ms), int(dataclasses), int(namedtuples)))
+    return statistics.median(ms for ms, _, _ in runs), runs[0][1], runs[0][2]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("model", nargs="?", default=str(ROOT / "fixtures" / "travel.bpdmn.json"))
@@ -151,8 +196,10 @@ def main() -> None:
             self_ms, cumulative_ms = modules[name]
             print(f"  {name:24s} {self_ms:9.2f} {cumulative_ms:14.2f}")
 
+    ms, dataclasses, namedtuples = class_cost(model)
+    print(f"\n== classes a cold validate builds: {ms:.2f} ms, {dataclasses} dataclasses, {namedtuples} named tuples")
     (ms, functions, lines), (write_ms, writers, write_lines) = compile_cost(model)
-    print(f"\n== fast pass one parse compiles: {ms:.2f} ms, {functions} functions, {lines} lines")
+    print(f"== fast pass one parse compiles: {ms:.2f} ms, {functions} functions, {lines} lines")
     print(f"== writers the first serialize compiles: {write_ms:.2f} ms, {writers} functions, {write_lines} lines")
 
 

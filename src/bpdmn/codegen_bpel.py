@@ -28,6 +28,8 @@ are each one run of text built at the writer's indentation
 
 from __future__ import annotations
 
+import re
+
 from . import validator
 from .expr import Ref, print_expr
 from .model import START_KINDS, Diagram, Node, node_inputs, node_outputs
@@ -116,7 +118,13 @@ _TEXT_ESCAPES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ("\r", "&#13;"))
 _ATTRIBUTE_ESCAPES = (*_TEXT_ESCAPES, ('"', "&quot;"), ("\n", "&#10;"), ("\t", "&#09;"))
 
 
+# any character either table escapes: most names hold none and are written as they are
+_SPECIAL = re.compile(f"[{re.escape(''.join(char for char, _ in _ATTRIBUTE_ESCAPES))}]")
+
+
 def _escape(text: str, escapes: tuple[tuple[str, str], ...]) -> str:
+    if _SPECIAL.search(text) is None:
+        return text
     for char, reference in escapes:
         if char in text:
             text = text.replace(char, reference)
@@ -204,15 +212,7 @@ def to_bpel(diagram: Diagram) -> tuple[str, list[str]]:
 def _write_variables(out: XmlWriter, diagram: Diagram) -> None:
     out.open("variables")
     i = out.indent
-    names_seen: dict[str, str] = {}
-
-    def claim(name: str, owner: str) -> None:
-        if name in names_seen:
-            raise GenerationError(
-                f"variable name collision: {owner} and {names_seen[name]} both map to {name!r}"
-            )
-        names_seen[name] = owner
-
+    # no store id, entity name or object id holds a dot, so no two names meet
     lines = []
     for store in sorted(diagram.stores, key=lambda s: s.id):
         for entity in sorted(store.entities, key=lambda e: e.name):
@@ -220,13 +220,11 @@ def _write_variables(out: XmlWriter, diagram: Diagram) -> None:
                 if fld.vtype == "record":
                     continue
                 name = f"{store.id}.{entity.name}.{fld.name}"
-                claim(name, f"store {store.id}")
                 lines.append(
                     f"{i}<!-- store-backed variable, element type {fld.vtype} -->"
                     f'{i}<variable name="{escape_attribute(name)}" element="{escape_attribute(fld.vtype)}" />'
                 )
     for obj in sorted(diagram.objects, key=lambda o: o.id):
-        claim(obj.id, f"object {obj.id}")
         lines.append(f'{i}<variable name="{escape_attribute(obj.id)}" messageType="{escape_attribute(obj.name)}" />')
     out.run("".join(lines))
     out.close()

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
 Value = str | int | float | bool | None
@@ -91,8 +90,7 @@ class ExprTypeError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
-class Ref:
+class Ref(NamedTuple):
     path: tuple[str, ...]
 
     @property
@@ -100,30 +98,28 @@ class Ref:
         return ".".join(self.path)
 
 
-@dataclass(frozen=True)
-class Lit:
+class Lit(NamedTuple):
     value: Value
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(NamedTuple):
     op: str  # a key of _RELOPS
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
-class BoolOp:
+class BoolOp(NamedTuple):
     op: str  # a key of _CONNECTIVES
     left: Expression
     right: Expression
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(NamedTuple):
     operand: Expression
 
 
+# The nodes are tuples: they compare and hash by value, so elements may share
+# a tree. Cmp and BoolOp have one shape, but no operator is both.
 Expression = Ref | Lit | Cmp | BoolOp | Not
 
 
@@ -235,6 +231,8 @@ def parse_expr(text: str) -> Expression:
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     tokens = _tokenize(text)
+    if len(tokens) == 2:  # one token and eof: a lone term, which the ladder would only pass down
+        return _parse_term(tokens)
     try:
         node = _parse(tokens)
     except RecursionError:

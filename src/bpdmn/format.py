@@ -59,7 +59,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import Callable, NamedTuple
@@ -75,8 +74,7 @@ FORMAT_VERSION = "1.0"
 _MAX_NESTING = 100
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(NamedTuple):
     line: int  # >= 1
     column: int  # >= 1
 
@@ -84,8 +82,7 @@ class SourceSpan:
         return f"{self.line}:{self.column}"
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     span: SourceSpan
     message: str
 
@@ -289,8 +286,8 @@ _GIVE_UP = (_Refused, model.ModelError, ExprError, RecursionError)
 class _Exprs(dict):
     """Expression text -> its tree, for one document, so the fast pass parses
     each distinct text once; ``None``, an absent optional expression, reads
-    as ``None``. Elements may share a tree: expression nodes are frozen
-    dataclasses, and nothing compares them by identity."""
+    as ``None``. Elements may share a tree: expression nodes are tuples,
+    and nothing compares them by identity."""
 
     def __init__(self) -> None:
         super().__init__({None: None})

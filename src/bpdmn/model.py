@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 from .expr import Expression, Value, expr_refs
 
@@ -44,20 +45,24 @@ class ModelError(Exception):
     """Structural violation detected while building a diagram."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Variable:
+    """A named, typed field of a data object or a store entity."""
+
     name: str  # dot-qualified path allowed, e.g. "Device.deviceID"
     vtype: str = "string"
 
     def __post_init__(self) -> None:
-        if not self.name or any(not seg for seg in self.name.split(".")):
+        if "" in self.name.split("."):
             raise ModelError(f"invalid variable name {self.name!r}")
         if self.vtype not in VTYPES:
             raise ModelError(f"invalid variable type {self.vtype!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class ObjectAttachment:
+    """A data object carried by a sequence or message flow, into or out of its endpoint."""
+
     object: str  # object id
     direction: str  # 'input' | 'output'
     optional: bool = False
@@ -67,8 +72,10 @@ class ObjectAttachment:
             raise ModelError(f"invalid attachment direction {self.direction!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SequenceFlow:
+    """A control-flow edge between two nodes of one pool, optionally guarded."""
+
     id: str
     source: str
     target: str
@@ -80,8 +87,10 @@ class SequenceFlow:
             raise ModelError(f"flow {self.id}: source equals target")
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageFlow:
+    """A message between nodes of two pools, or a node and a black-box pool."""
+
     id: str
     source: str  # node id, or pool id for a black-box pool
     target: str
@@ -92,7 +101,7 @@ class MessageFlow:
             raise ModelError(f"message flow {self.id}: source equals target")
 
 
-@dataclass
+@dataclass(slots=True)
 class ExplicitDataFlow:
     """Dashed-line data connector between a store and a node or two nodes."""
 
@@ -107,8 +116,10 @@ class ExplicitDataFlow:
             raise ModelError(f"data flow {self.id}: source equals target")
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
+    """A task, sub-process, gateway or event of a pool."""
+
     id: str
     name: str
     kind: str
@@ -130,8 +141,10 @@ class Node:
             raise ModelError(f"node {self.id}: multi-instance marker allowed only on tasks")
 
 
-@dataclass
+@dataclass(slots=True)
 class Pool:
+    """A participant: its nodes, sequence flows and explicit data flows."""
+
     id: str
     name: str
     nodes: list[Node] = field(default_factory=list)
@@ -152,26 +165,35 @@ def _pre_order(nodes: list[Node]):
         stack.extend(reversed(node.children))
 
 
-@dataclass
+@dataclass(slots=True)
 class Entity:
+    """An entity of a data store's internal structure, with its fields."""
+
     name: str
     fields: list[Variable] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        # a store field's BPEL variable is named store.entity.field
+        if "." in self.name:
+            raise ModelError(f"entity {self.name}: an entity name may not contain '.'")
         names = [f.name for f in self.fields]
         if len(names) != len(set(names)):
             raise ModelError(f"entity {self.name}: duplicate field names")
 
 
-@dataclass
+@dataclass(slots=True)
 class Relationship:
+    """A named relationship between two entities of a store."""
+
     name: str
     left: str  # entity name
     right: str
 
 
-@dataclass
+@dataclass(slots=True)
 class Generalization:
+    """An is-a link: the child entity inherits the parent's fields."""
+
     parent: str  # entity name
     child: str
 
@@ -180,7 +202,7 @@ class Generalization:
             raise ModelError(f"generalization: {self.parent} cannot generalize itself")
 
 
-@dataclass
+@dataclass(slots=True)
 class Scope:
     """Store visibility: the whole diagram, or one sub-process subtree."""
 
@@ -200,8 +222,10 @@ class Scope:
         return cls("diagram")
 
 
-@dataclass
+@dataclass(slots=True)
 class DataStore:
+    """A persistent data store with ER-style internal structure."""
+
     id: str
     name: str
     icon: str = "database"  # 'database' | 'warehouse' | 'folder' | custom label
@@ -210,6 +234,11 @@ class DataStore:
     generalizations: list[Generalization] = field(default_factory=list)
     scope: Scope = field(default_factory=Scope.diagram)
     collapsed: bool = False
+
+    def __post_init__(self) -> None:
+        # a store field's BPEL variable is named store.entity.field
+        if "." in self.id:
+            raise ModelError(f"store {self.id}: a store id may not contain '.'")
 
     def qualified_field_names(self) -> set[str]:
         """All ``Entity.field`` names, including fields inherited through
@@ -273,8 +302,10 @@ def strong_components(edges: dict[str, list[str]]) -> list[list[str]]:
     return components
 
 
-@dataclass
+@dataclass(slots=True)
 class DataObject:
+    """A structured data object that flows between nodes."""
+
     id: str
     name: str
     stereotype: str = "generic"  # known kind or custom label
@@ -295,14 +326,18 @@ class DataObject:
         return {v.name for v in self.variables}
 
 
-@dataclass
+@dataclass(slots=True)
 class CopyRule:
+    """One rule of a data mapping: a target variable and the expression it copies."""
+
     from_expr: Expression
     to: str  # variable path in the target object
 
 
-@dataclass
+@dataclass(slots=True)
 class DataMapping:
+    """Copy rules that produce a target object from a source object."""
+
     id: str
     source_object: str
     target_object: str
@@ -317,7 +352,7 @@ class DataMapping:
 # Task behaviors (simulation configuration carried alongside the diagram)
 
 
-@dataclass
+@dataclass(slots=True)
 class Effect:
     """Assignment ``object.path := expression`` run when a task fires."""
 
@@ -326,23 +361,29 @@ class Effect:
     expr: Expression
 
 
-@dataclass
+@dataclass(slots=True)
 class StoreInsert:
+    """A task's insertion of one record into a store entity."""
+
     store: str
     entity: str
     assignments: dict[str, Expression]  # field name -> expression
 
 
-@dataclass
+@dataclass(slots=True)
 class StoreRead:
+    """A task's extraction of a store record, filtered, into an object."""
+
     store: str
     entity: str
     object: str  # object to bind the record into
     filter: Expression | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class TaskBehavior:
+    """What a task does when it fires: effects, store actions, instances."""
+
     effects: list[Effect] = field(default_factory=list)
     store_actions: list[StoreInsert | StoreRead] = field(default_factory=list)
     instances: int = 1  # >1 only for multi-instance tasks
@@ -358,6 +399,8 @@ class TaskBehavior:
 
 @dataclass
 class Diagram:
+    """A whole model: pools, stores, objects, mappings, message flows and simulation configuration."""
+
     id: str
     pools: list[Pool] = field(default_factory=list)
     stores: list[DataStore] = field(default_factory=list)
@@ -512,8 +555,7 @@ class LinkKind(str, Enum):
     MESSAGE_SEND = "message_send"
 
 
-@dataclass(frozen=True)
-class ObjectLink:
+class ObjectLink(NamedTuple):
     """One place an object is produced or consumed.
 
     ``element`` is the producing/consuming node or store; ``via`` is the
@@ -540,8 +582,7 @@ def resolve_scope(diagram: Diagram, store_id: str) -> set[str]:
 # Derived views used by the validator, pattern analyzer and simulator
 
 
-@dataclass(frozen=True)
-class NodeIO:
+class NodeIO(NamedTuple):
     object: str
     optional: bool
     via: str  # flow id

@@ -46,6 +46,8 @@ Witness = frozenset[str]
 
 @dataclass
 class PatternReport:
+    """The instances :func:`analyze` found of each pattern."""
+
     # pattern key -> each witness found, as its sorted element ids, sorted
     instances: dict[str, list[tuple[str, ...]]]
 

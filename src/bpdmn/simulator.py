@@ -142,6 +142,8 @@ class _Overlay(dict):
 
 @dataclass
 class Message:
+    """A message in an inbox: what it carries and when it was sent."""
+
     step: int  # the step that sent it
     objects: Bindings  # snapshot of the attached objects
 
@@ -177,8 +179,11 @@ class ExecutionState:
 # ---------------------------------------------------------------------------
 # Trace
 
+# The events stay dataclasses: MessageSent and MessageReceived have one
+# shape, and as tuples they would compare equal.
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class NodeFired:
     step: int
     node: str
@@ -187,7 +192,7 @@ class NodeFired:
         return f"step {self.step}: fired {self.node}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObjectBound:
     step: int
     object: str
@@ -198,7 +203,7 @@ class ObjectBound:
         return f"step {self.step}: bound {self.object}.{self.variable} = {self.value!r}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoreChanged:
     step: int
     store: str
@@ -210,7 +215,7 @@ class StoreChanged:
         return f"step {self.step}: store {self.store} += {self.entity}({fields})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageSent:
     step: int
     flow: str
@@ -219,7 +224,7 @@ class MessageSent:
         return f"step {self.step}: message sent on {self.flow}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MessageReceived:
     step: int
     flow: str
@@ -234,6 +239,8 @@ Trace = list[TraceEvent]
 
 @dataclass
 class RunResult:
+    """How a run ended: its trace, its status and its final state."""
+
     trace: Trace
     status: str  # 'completed' | 'deadlocked' | 'step_limit'
     state: ExecutionState

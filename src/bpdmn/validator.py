@@ -8,8 +8,8 @@ cosmetic rule (V9) is a warning. The validator never mutates its input.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import model
 from .expr import expr_refs
@@ -26,8 +26,7 @@ class Severity(str, Enum):
     WARNING = "warning"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     rule: str
     severity: Severity
     element: str

@@ -8,8 +8,8 @@ from bpdmn import validator
 from bpdmn.codegen_bpel import GenerationError, to_bpel
 from bpdmn.codegen_xpdl import to_xpdl
 from bpdmn.expr import parse_expr
-from bpdmn.format import serialize_diagram
-from bpdmn.model import DataObject, DataStore, Diagram, Entity, Node, Pool, SequenceFlow, Variable
+from bpdmn.format import ParseError, parse_diagram, serialize_diagram
+from bpdmn.model import DataObject, DataStore, Diagram, Entity, ModelError, Node, Pool, SequenceFlow, Variable
 from bpdmn.simulator import run
 
 from conftest import load, run_cli
@@ -338,16 +338,26 @@ def test_splits_nested_past_the_recursion_limit_are_refused_without_a_traceback(
 
 def test_variable_name_collision_is_refused():
     # field f of entity E.x of store s and field f of entity x of store s.E
-    # both map to one variable name; an object id, which holds no dot, cannot
-    # take a store variable's name
+    # would both map to the variable 's.E.x.f', so a store id and an entity
+    # name, like an object id, may hold no dot: built in code and read from
+    # text, the model is refused before any translator sees it
+    with pytest.raises(ModelError, match=r"entity E\.x: an entity name may not contain '\.'"):
+        Entity("E.x", [Variable("f", "string")])
+    with pytest.raises(ModelError, match=r"store s\.E: a store id may not contain '\.'"):
+        DataStore("s.E", "S2", entities=[Entity("x", [Variable("f", "string")])])
     stores = [
-        DataStore("s", "S", entities=[Entity("E.x", [Variable("f", "string")])]),
-        DataStore("s.E", "S2", entities=[Entity("x", [Variable("f", "string")])]),
+        DataStore("s", "S", entities=[Entity("Ex", [Variable("f", "string")])]),
+        DataStore("sE", "S2", entities=[Entity("x", [Variable("f", "string")])]),
     ]
-    diagram = Diagram("d", stores=stores)
-    assert validator.validate(diagram) == []
-    with pytest.raises(GenerationError, match=r"variable name collision: store s\.E and store s both map to 's\.E\.x\.f'"):
-        to_bpel(diagram)
+    text = serialize_diagram(Diagram("d", stores=stores))
+    for old, new, message in (
+        ('"name": "Ex"', '"name": "E.x"', "entity E.x: an entity name may not contain '.'"),
+        ('"id": "sE"', '"id": "s.E"', "store s.E: a store id may not contain '.'"),
+    ):
+        assert text.count(old) == 1
+        with pytest.raises(ParseError) as err:
+            parse_diagram(text.replace(old, new))
+        assert [d.message for d in err.value.diagnostics] == [message]
 
 
 def test_both_translators_write_chained_mappings_in_the_order_a_firing_applies_them():

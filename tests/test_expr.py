@@ -21,6 +21,8 @@ from bpdmn.expr import (
     _CONNECTIVES,
     _RELOPS,
     _chain,
+    _parse,
+    _tokenize,
     eval_expr,
     expr_refs,
     parse_expr,
@@ -433,6 +435,37 @@ def test_tokens_and_trees_match_the_reference(text):
         pass
     assume(all(_readable(t.text) for t in tokens if t.kind == "number"))
     assert _outcome(parse_expr, text) == expected
+
+
+# single tokens of each kind, and words the tokenizer or the term parser refuses
+_TOKEN_TEXTS = [
+    "a", "b.c", "x_1", "not", "and", "or", "true", "false", "true.x", "a.and", "a.", "9..",
+    "1", "-2", "1.5", "1e5", "1e999", "''", "'s'", "'it\\'s'", "'", "(", ")", "=", "≠", ">=", "#",
+]
+
+
+def _ladder(text: str):
+    """``parse_expr`` with every text, a lone term too, read through the
+    precedence ladder: tokens, then ``_parse``, then the trailing-input check."""
+    if not text or not text.strip():
+        raise ExprSyntaxError("empty expression", 0)
+    tokens = _tokenize(text)
+    node = _parse(tokens)
+    if tokens[-1].kind != "eof":
+        raise ExprSyntaxError(f"trailing input {tokens[-1].text!r}", tokens[-1].pos)
+    return node
+
+
+@settings(max_examples=500)
+@given(st.lists(st.sampled_from(_TOKEN_TEXTS), min_size=1, max_size=3).map(" ".join))
+def test_a_lone_term_parses_as_through_the_precedence_ladder(text):
+    assert _outcome(parse_expr, text) == _outcome(_ladder, text)
+
+
+def test_a_comparison_and_a_connective_never_compare_equal():
+    # expression nodes are tuples, and Cmp and BoolOp have one shape
+    assert Cmp("=", Ref(("a",)), Lit(1)) == Cmp("=", Ref(("a",)), Lit(1))
+    assert set(_RELOPS).isdisjoint(_CONNECTIVES)
 
 
 @settings(max_examples=500)

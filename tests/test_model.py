@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import pytest
 
+from bpdmn import expr, format as fmt, model, validator
 from bpdmn.expr import parse_expr
 from bpdmn.model import (
     CopyRule,
@@ -318,3 +320,37 @@ def test_travel_fixture_is_loaded(travel):
     assert travel.node("check_cc").name == "Check Credit Card"
     assert travel.pool_of("archive").id == "travel_agency"
     assert load("eco.bpdmn.json").store("OracleDB").name == "OracleDB"
+
+
+# the immutable records, which are tuples: each keeps the fields, field order
+# and repr it had as a frozen dataclass
+RECORDS = [
+    (expr.Ref, ("path",)),
+    (expr.Lit, ("value",)),
+    (expr.Cmp, ("op", "left", "right")),
+    (expr.BoolOp, ("op", "left", "right")),
+    (expr.Not, ("operand",)),
+    (model.NodeIO, ("object", "optional", "via", "channel")),
+    (model.ObjectLink, ("kind", "element", "via")),
+    (fmt.SourceSpan, ("line", "column")),
+    (fmt.ParseDiagnostic, ("span", "message")),
+    (validator.Diagnostic, ("rule", "severity", "element", "message")),
+]
+
+
+@pytest.mark.parametrize("cls, fields", RECORDS, ids=[cls.__name__ for cls, _ in RECORDS])
+def test_a_record_is_built_by_position_or_by_keyword(cls, fields):
+    assert cls._fields == fields
+    values = [f"{name}-value" for name in fields]
+    record = cls(*values)
+    assert record == cls(**dict(zip(fields, values))) == tuple(values)
+    assert [getattr(record, name) for name in fields] == values
+    assert repr(record) == f"{cls.__name__}({', '.join(f'{n}={v!r}' for n, v in zip(fields, values))})"
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], None)
+
+
+def test_every_element_class_but_the_diagram_has_slots():
+    classes = [c for c in vars(model).values() if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    assert [c.__name__ for c in classes if "__slots__" not in vars(c)] == ["Diagram"]
+    assert not hasattr(Variable("x"), "__dict__")

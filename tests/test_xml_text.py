@@ -284,6 +284,22 @@ def test_escaped_text_equals_elementtree():
     assert "<!-- store-backed variable, element type number -->" in bpel
 
 
+def _replace_chain(value: str, escapes: tuple[tuple[str, str], ...]) -> str:
+    for char, reference in escapes:
+        value = value.replace(char, reference)
+    return value
+
+
+@pytest.mark.parametrize(
+    "value", [*(f"a{char}b" for char, _ in codegen_bpel._ATTRIBUTE_ESCAPES), ODD, "t001", ""], ids=repr
+)
+def test_escaping_writes_what_the_replace_chain_of_its_table_writes(value):
+    assert escape_attribute(value) == _replace_chain(value, codegen_bpel._ATTRIBUTE_ESCAPES)
+    assert escape_text(value) == _replace_chain(value, codegen_bpel._TEXT_ESCAPES)
+    if value.isalnum():  # nothing to escape: the string itself comes back
+        assert escape_attribute(value) is value and escape_text(value) is value
+
+
 def test_an_element_without_children_or_text_is_self_closing():
     out = XmlWriter()
     out.open("a", ' k="v"')
