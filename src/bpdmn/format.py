@@ -261,8 +261,8 @@ class _Reader:
         """``cls(*fields)``; ``None`` when a field of the element failed to
         read or build, or with the model error recorded near *near*. The
         fields come in the order the class declares them, which is the order
-        of the schema's keys: a dataclass takes arguments by position faster
-        than by keyword."""
+        of the schema's keys: a class takes arguments by position faster than
+        by keyword."""
         if self.faulty:
             return None
         try:

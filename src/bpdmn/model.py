@@ -13,11 +13,17 @@ walk that checks its identifiers are unique. The other views (flows into and
 out of a node, a node's inputs and outputs, an object's sources and targets,
 a store's readers and writers, reachability) are built once, on first use,
 into a :class:`DiagramIndex` cached on the diagram, which reuses the tables.
+
+The element classes are written out by hand, not declared with
+:mod:`dataclasses`: every command builds a model, and loading that module
+(with :mod:`inspect`) and generating the methods of each class was a large
+share of a cold call. They share one base class, ``_Record``; only
+:class:`Diagram` keeps a ``__dict__``, for its tables by id and its cached
+index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -45,111 +51,160 @@ class ModelError(Exception):
     """Structural violation detected while building a diagram."""
 
 
-@dataclass(slots=True)
-class Variable:
+class _Record:
+    """What every element class shares, as :mod:`dataclasses` would generate
+    it for a class with equality that is not frozen: an element equals one of
+    the same class whose fields are equal, in order; its repr is
+    ``Class(field=value, ...)``; and it has no hash. A subclass lists its
+    fields once, in order, as ``__slots__ = _fields = (...)`` (``_fields``,
+    as the package's named tuples call it), and assigns them in a plain
+    ``__init__`` that also checks them."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    __hash__ = None  # an element can change, so equal elements could hash apart
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        fields = self._fields
+        return tuple(getattr(self, name) for name in fields) == tuple(getattr(other, name) for name in fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Variable(_Record):
     """A named, typed field of a data object or a store entity."""
 
-    name: str  # dot-qualified path allowed, e.g. "Device.deviceID"
-    vtype: str = "string"
+    __slots__ = _fields = ("name", "vtype")
 
-    def __post_init__(self) -> None:
-        if "" in self.name.split("."):
-            raise ModelError(f"invalid variable name {self.name!r}")
-        if self.vtype not in VTYPES:
-            raise ModelError(f"invalid variable type {self.vtype!r}")
+    def __init__(self, name: str, vtype: str = "string") -> None:
+        if "" in name.split("."):
+            raise ModelError(f"invalid variable name {name!r}")
+        if vtype not in VTYPES:
+            raise ModelError(f"invalid variable type {vtype!r}")
+        self.name = name  # dot-qualified path allowed, e.g. "Device.deviceID"
+        self.vtype = vtype
 
 
-@dataclass(slots=True)
-class ObjectAttachment:
+class ObjectAttachment(_Record):
     """A data object carried by a sequence or message flow, into or out of its endpoint."""
 
-    object: str  # object id
-    direction: str  # 'input' | 'output'
-    optional: bool = False
+    __slots__ = _fields = ("object", "direction", "optional")
 
-    def __post_init__(self) -> None:
-        if self.direction not in ("input", "output"):
-            raise ModelError(f"invalid attachment direction {self.direction!r}")
+    def __init__(self, object: str, direction: str, optional: bool = False) -> None:
+        if direction not in ("input", "output"):
+            raise ModelError(f"invalid attachment direction {direction!r}")
+        self.object = object  # object id
+        self.direction = direction  # 'input' | 'output'
+        self.optional = optional
 
 
-@dataclass(slots=True)
-class SequenceFlow:
+class SequenceFlow(_Record):
     """A control-flow edge between two nodes of one pool, optionally guarded."""
 
-    id: str
-    source: str
-    target: str
-    attachments: list[ObjectAttachment] = field(default_factory=list)
-    guard: Expression | None = None
+    __slots__ = _fields = ("id", "source", "target", "attachments", "guard")
 
-    def __post_init__(self) -> None:
-        if self.source == self.target:
-            raise ModelError(f"flow {self.id}: source equals target")
+    def __init__(
+        self,
+        id: str,
+        source: str,
+        target: str,
+        attachments: list[ObjectAttachment] | None = None,
+        guard: Expression | None = None,
+    ) -> None:
+        if source == target:
+            raise ModelError(f"flow {id}: source equals target")
+        self.id = id
+        self.source = source
+        self.target = target
+        self.attachments = [] if attachments is None else attachments
+        self.guard = guard
 
 
-@dataclass(slots=True)
-class MessageFlow:
+class MessageFlow(_Record):
     """A message between nodes of two pools, or a node and a black-box pool."""
 
-    id: str
-    source: str  # node id, or pool id for a black-box pool
-    target: str
-    attachments: list[ObjectAttachment] = field(default_factory=list)
+    __slots__ = _fields = ("id", "source", "target", "attachments")
 
-    def __post_init__(self) -> None:
-        if self.source == self.target:
-            raise ModelError(f"message flow {self.id}: source equals target")
+    def __init__(self, id: str, source: str, target: str, attachments: list[ObjectAttachment] | None = None) -> None:
+        if source == target:
+            raise ModelError(f"message flow {id}: source equals target")
+        self.id = id
+        self.source = source  # node id, or pool id for a black-box pool
+        self.target = target
+        self.attachments = [] if attachments is None else attachments
 
 
-@dataclass(slots=True)
-class ExplicitDataFlow:
+class ExplicitDataFlow(_Record):
     """Dashed-line data connector between a store and a node or two nodes."""
 
-    id: str
-    source: str  # node id or store id
-    target: str  # node id or store id
-    object: str
-    optional: bool = False
+    __slots__ = _fields = ("id", "source", "target", "object", "optional")
 
-    def __post_init__(self) -> None:
-        if self.source == self.target:
-            raise ModelError(f"data flow {self.id}: source equals target")
+    def __init__(self, id: str, source: str, target: str, object: str, optional: bool = False) -> None:
+        if source == target:
+            raise ModelError(f"data flow {id}: source equals target")
+        self.id = id
+        self.source = source  # node id or store id
+        self.target = target  # node id or store id
+        self.object = object
+        self.optional = optional
 
 
-@dataclass(slots=True)
-class Node:
+class Node(_Record):
     """A task, sub-process, gateway or event of a pool."""
 
-    id: str
-    name: str
-    kind: str
-    children: list[Node] = field(default_factory=list)
-    local_stores: list[str] = field(default_factory=list)
-    condition: Expression | None = None
-    multi_instance: bool = False
+    __slots__ = _fields = ("id", "name", "kind", "children", "local_stores", "condition", "multi_instance")
 
-    def __post_init__(self) -> None:
-        if self.kind not in NODE_KINDS:
-            raise ModelError(f"node {self.id}: unknown kind {self.kind!r}")
-        if self.children and self.kind != "sub_process":
-            raise ModelError(f"node {self.id}: only sub-processes may have children")
-        if self.local_stores and self.kind != "sub_process":
-            raise ModelError(f"node {self.id}: only sub-processes may declare local stores")
-        if self.condition is not None and self.kind != "gateway_exclusive_data":
-            raise ModelError(f"node {self.id}: condition allowed only on data-based gateways")
-        if self.multi_instance and self.kind != "task":
-            raise ModelError(f"node {self.id}: multi-instance marker allowed only on tasks")
+    def __init__(
+        self,
+        id: str,
+        name: str,
+        kind: str,
+        children: list[Node] | None = None,
+        local_stores: list[str] | None = None,
+        condition: Expression | None = None,
+        multi_instance: bool = False,
+    ) -> None:
+        if kind not in NODE_KINDS:
+            raise ModelError(f"node {id}: unknown kind {kind!r}")
+        if children and kind != "sub_process":
+            raise ModelError(f"node {id}: only sub-processes may have children")
+        if local_stores and kind != "sub_process":
+            raise ModelError(f"node {id}: only sub-processes may declare local stores")
+        if condition is not None and kind != "gateway_exclusive_data":
+            raise ModelError(f"node {id}: condition allowed only on data-based gateways")
+        if multi_instance and kind != "task":
+            raise ModelError(f"node {id}: multi-instance marker allowed only on tasks")
+        self.id = id
+        self.name = name
+        self.kind = kind
+        self.children = [] if children is None else children
+        self.local_stores = [] if local_stores is None else local_stores
+        self.condition = condition
+        self.multi_instance = multi_instance
 
 
-@dataclass(slots=True)
-class Pool:
+class Pool(_Record):
     """A participant: its nodes, sequence flows and explicit data flows."""
 
-    id: str
-    name: str
-    nodes: list[Node] = field(default_factory=list)
-    sequence_flows: list[SequenceFlow] = field(default_factory=list)
-    explicit_data_flows: list[ExplicitDataFlow] = field(default_factory=list)
+    __slots__ = _fields = ("id", "name", "nodes", "sequence_flows", "explicit_data_flows")
+
+    def __init__(
+        self,
+        id: str,
+        name: str,
+        nodes: list[Node] | None = None,
+        sequence_flows: list[SequenceFlow] | None = None,
+        explicit_data_flows: list[ExplicitDataFlow] | None = None,
+    ) -> None:
+        self.id = id
+        self.name = name
+        self.nodes = [] if nodes is None else nodes
+        self.sequence_flows = [] if sequence_flows is None else sequence_flows
+        self.explicit_data_flows = [] if explicit_data_flows is None else explicit_data_flows
 
     def iter_nodes(self):
         """Every node, sub-process children included, in pre-order."""
@@ -165,80 +220,103 @@ def _pre_order(nodes: list[Node]):
         stack.extend(reversed(node.children))
 
 
-@dataclass(slots=True)
-class Entity:
+class Entity(_Record):
     """An entity of a data store's internal structure, with its fields."""
 
-    name: str
-    fields: list[Variable] = field(default_factory=list)
+    __slots__ = _fields = ("name", "fields")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, fields: list[Variable] | None = None) -> None:
         # a store field's BPEL variable is named store.entity.field
-        if "." in self.name:
-            raise ModelError(f"entity {self.name}: an entity name may not contain '.'")
-        names = [f.name for f in self.fields]
+        if "." in name:
+            raise ModelError(f"entity {name}: an entity name may not contain '.'")
+        if fields is None:
+            fields = []
+        names = [f.name for f in fields]
         if len(names) != len(set(names)):
-            raise ModelError(f"entity {self.name}: duplicate field names")
+            raise ModelError(f"entity {name}: duplicate field names")
+        self.name = name
+        self.fields = fields
 
 
-@dataclass(slots=True)
-class Relationship:
+class Relationship(_Record):
     """A named relationship between two entities of a store."""
 
-    name: str
-    left: str  # entity name
-    right: str
+    __slots__ = _fields = ("name", "left", "right")
+
+    def __init__(self, name: str, left: str, right: str) -> None:
+        self.name = name
+        self.left = left  # entity name
+        self.right = right
 
 
-@dataclass(slots=True)
-class Generalization:
+class Generalization(_Record):
     """An is-a link: the child entity inherits the parent's fields."""
 
-    parent: str  # entity name
-    child: str
+    __slots__ = _fields = ("parent", "child")
 
-    def __post_init__(self) -> None:
-        if self.parent == self.child:
-            raise ModelError(f"generalization: {self.parent} cannot generalize itself")
+    def __init__(self, parent: str, child: str) -> None:
+        if parent == child:
+            raise ModelError(f"generalization: {parent} cannot generalize itself")
+        self.parent = parent  # entity name
+        self.child = child
 
 
-@dataclass(slots=True)
-class Scope:
+class Scope(_Record):
     """Store visibility: the whole diagram, or one sub-process subtree."""
 
-    kind: str  # 'diagram' | 'sub_process'
-    sub_process: str | None = None
+    __slots__ = _fields = ("kind", "sub_process")
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("diagram", "sub_process"):
-            raise ModelError(f"invalid scope kind {self.kind!r}")
-        if self.kind == "sub_process" and not self.sub_process:
+    def __init__(self, kind: str, sub_process: str | None = None) -> None:
+        if kind not in ("diagram", "sub_process"):
+            raise ModelError(f"invalid scope kind {kind!r}")
+        if kind == "sub_process" and not sub_process:
             raise ModelError("sub-process scope requires a node id")
-        if self.kind == "diagram" and self.sub_process is not None:
+        if kind == "diagram" and sub_process is not None:
             raise ModelError("diagram scope names no node")
+        self.kind = kind  # 'diagram' | 'sub_process'
+        self.sub_process = sub_process
 
     @classmethod
     def diagram(cls) -> Scope:
         return cls("diagram")
 
 
-@dataclass(slots=True)
-class DataStore:
+class DataStore(_Record):
     """A persistent data store with ER-style internal structure."""
 
-    id: str
-    name: str
-    icon: str = "database"  # 'database' | 'warehouse' | 'folder' | custom label
-    entities: list[Entity] = field(default_factory=list)
-    relationships: list[Relationship] = field(default_factory=list)
-    generalizations: list[Generalization] = field(default_factory=list)
-    scope: Scope = field(default_factory=Scope.diagram)
-    collapsed: bool = False
+    __slots__ = _fields = (
+        "id",
+        "name",
+        "icon",
+        "entities",
+        "relationships",
+        "generalizations",
+        "scope",
+        "collapsed",
+    )
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        id: str,
+        name: str,
+        icon: str = "database",
+        entities: list[Entity] | None = None,
+        relationships: list[Relationship] | None = None,
+        generalizations: list[Generalization] | None = None,
+        scope: Scope | None = None,
+        collapsed: bool = False,
+    ) -> None:
         # a store field's BPEL variable is named store.entity.field
-        if "." in self.id:
-            raise ModelError(f"store {self.id}: a store id may not contain '.'")
+        if "." in id:
+            raise ModelError(f"store {id}: a store id may not contain '.'")
+        self.id = id
+        self.name = name
+        self.icon = icon  # 'database' | 'warehouse' | 'folder' | custom label
+        self.entities = [] if entities is None else entities
+        self.relationships = [] if relationships is None else relationships
+        self.generalizations = [] if generalizations is None else generalizations
+        self.scope = Scope.diagram() if scope is None else scope
+        self.collapsed = collapsed
 
     def qualified_field_names(self) -> set[str]:
         """All ``Entity.field`` names, including fields inherited through
@@ -302,116 +380,153 @@ def strong_components(edges: dict[str, list[str]]) -> list[list[str]]:
     return components
 
 
-@dataclass(slots=True)
-class DataObject:
+class DataObject(_Record):
     """A structured data object that flows between nodes."""
 
-    id: str
-    name: str
-    stereotype: str = "generic"  # known kind or custom label
-    physicality: str = "digital"  # 'digital' | 'physical'
-    variables: list[Variable] = field(default_factory=list)
-    url: str | None = None
-    state: str | None = None  # inert BPMN 1.2 object state, kept for compatibility
-    origin_store: str | None = None
+    __slots__ = _fields = ("id", "name", "stereotype", "physicality", "variables", "url", "state", "origin_store")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        id: str,
+        name: str,
+        stereotype: str = "generic",
+        physicality: str = "digital",
+        variables: list[Variable] | None = None,
+        url: str | None = None,
+        state: str | None = None,
+        origin_store: str | None = None,
+    ) -> None:
         # a path names its object by the text before its first dot
-        if "." in self.id:
-            raise ModelError(f"object {self.id}: an object id may not contain '.'")
-        if self.physicality not in ("digital", "physical"):
-            raise ModelError(f"object {self.id}: invalid physicality {self.physicality!r}")
+        if "." in id:
+            raise ModelError(f"object {id}: an object id may not contain '.'")
+        if physicality not in ("digital", "physical"):
+            raise ModelError(f"object {id}: invalid physicality {physicality!r}")
+        self.id = id
+        self.name = name
+        self.stereotype = stereotype  # known kind or custom label
+        self.physicality = physicality  # 'digital' | 'physical'
+        self.variables = [] if variables is None else variables
+        self.url = url
+        self.state = state  # inert BPMN 1.2 object state, kept for compatibility
+        self.origin_store = origin_store
 
     def variable_names(self) -> set[str]:
         return {v.name for v in self.variables}
 
 
-@dataclass(slots=True)
-class CopyRule:
+class CopyRule(_Record):
     """One rule of a data mapping: a target variable and the expression it copies."""
 
-    from_expr: Expression
-    to: str  # variable path in the target object
+    __slots__ = _fields = ("from_expr", "to")
+
+    def __init__(self, from_expr: Expression, to: str) -> None:
+        self.from_expr = from_expr
+        self.to = to  # variable path in the target object
 
 
-@dataclass(slots=True)
-class DataMapping:
+class DataMapping(_Record):
     """Copy rules that produce a target object from a source object."""
 
-    id: str
-    source_object: str
-    target_object: str
-    rules: list[CopyRule] = field(default_factory=list)
+    __slots__ = _fields = ("id", "source_object", "target_object", "rules")
 
-    def __post_init__(self) -> None:
-        if not self.rules:
-            raise ModelError(f"mapping {self.id}: rules must be non-empty")
+    def __init__(self, id: str, source_object: str, target_object: str, rules: list[CopyRule] | None = None) -> None:
+        if not rules:
+            raise ModelError(f"mapping {id}: rules must be non-empty")
+        self.id = id
+        self.source_object = source_object
+        self.target_object = target_object
+        self.rules = rules
 
 
 # ---------------------------------------------------------------------------
 # Task behaviors (simulation configuration carried alongside the diagram)
 
 
-@dataclass(slots=True)
-class Effect:
+class Effect(_Record):
     """Assignment ``object.path := expression`` run when a task fires."""
 
-    target_object: str
-    target_path: str
-    expr: Expression
+    __slots__ = _fields = ("target_object", "target_path", "expr")
+
+    def __init__(self, target_object: str, target_path: str, expr: Expression) -> None:
+        self.target_object = target_object
+        self.target_path = target_path
+        self.expr = expr
 
 
-@dataclass(slots=True)
-class StoreInsert:
+class StoreInsert(_Record):
     """A task's insertion of one record into a store entity."""
 
-    store: str
-    entity: str
-    assignments: dict[str, Expression]  # field name -> expression
+    __slots__ = _fields = ("store", "entity", "assignments")
+
+    def __init__(self, store: str, entity: str, assignments: dict[str, Expression]) -> None:
+        self.store = store
+        self.entity = entity
+        self.assignments = assignments  # field name -> expression
 
 
-@dataclass(slots=True)
-class StoreRead:
+class StoreRead(_Record):
     """A task's extraction of a store record, filtered, into an object."""
 
-    store: str
-    entity: str
-    object: str  # object to bind the record into
-    filter: Expression | None = None
+    __slots__ = _fields = ("store", "entity", "object", "filter")
+
+    def __init__(self, store: str, entity: str, object: str, filter: Expression | None = None) -> None:
+        self.store = store
+        self.entity = entity
+        self.object = object  # object to bind the record into
+        self.filter = filter
 
 
-@dataclass(slots=True)
-class TaskBehavior:
+class TaskBehavior(_Record):
     """What a task does when it fires: effects, store actions, instances."""
 
-    effects: list[Effect] = field(default_factory=list)
-    store_actions: list[StoreInsert | StoreRead] = field(default_factory=list)
-    instances: int = 1  # >1 only for multi-instance tasks
+    __slots__ = _fields = ("effects", "store_actions", "instances")
 
-    def __post_init__(self) -> None:
-        if self.instances < 1:
-            raise ModelError(f"behavior: instances must be at least 1, not {self.instances}")
+    def __init__(
+        self,
+        effects: list[Effect] | None = None,
+        store_actions: list[StoreInsert | StoreRead] | None = None,
+        instances: int = 1,
+    ) -> None:
+        if instances < 1:
+            raise ModelError(f"behavior: instances must be at least 1, not {instances}")
+        self.effects = [] if effects is None else effects
+        self.store_actions = [] if store_actions is None else store_actions
+        self.instances = instances  # >1 only for multi-instance tasks
 
 
 # ---------------------------------------------------------------------------
 # Diagram
 
 
-@dataclass
-class Diagram:
-    """A whole model: pools, stores, objects, mappings, message flows and simulation configuration."""
+class Diagram(_Record):
+    """A whole model: pools, stores, objects, mappings, message flows and
+    simulation configuration. Unlike the other element classes it has a
+    ``__dict__``, which holds its tables by id and the cached ``index``."""
 
-    id: str
-    pools: list[Pool] = field(default_factory=list)
-    stores: list[DataStore] = field(default_factory=list)
-    objects: list[DataObject] = field(default_factory=list)
-    mappings: list[DataMapping] = field(default_factory=list)
-    message_flows: list[MessageFlow] = field(default_factory=list)
-    behaviors: dict[str, TaskBehavior] = field(default_factory=dict)
-    start_inputs: dict[str, dict[str, Value]] = field(default_factory=dict)
+    _fields = ("id", "pools", "stores", "objects", "mappings", "message_flows", "behaviors", "start_inputs")
 
-    def __post_init__(self) -> None:
-        """One walk checks the identifiers and builds the tables by id; the reference checks read them."""
+    def __init__(
+        self,
+        id: str,
+        pools: list[Pool] | None = None,
+        stores: list[DataStore] | None = None,
+        objects: list[DataObject] | None = None,
+        mappings: list[DataMapping] | None = None,
+        message_flows: list[MessageFlow] | None = None,
+        behaviors: dict[str, TaskBehavior] | None = None,
+        start_inputs: dict[str, dict[str, Value]] | None = None,
+    ) -> None:
+        self.id = id
+        self.pools = [] if pools is None else pools
+        self.stores = [] if stores is None else stores
+        self.objects = [] if objects is None else objects
+        self.mappings = [] if mappings is None else mappings
+        self.message_flows = [] if message_flows is None else message_flows
+        self.behaviors = {} if behaviors is None else behaviors
+        self.start_inputs = {} if start_inputs is None else start_inputs
+
+        # one walk checks the identifiers and builds the tables by id; the
+        # reference checks read them
         seen: set[str] = {self.id}
 
         def unique(kind: str, elements) -> dict:

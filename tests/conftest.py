@@ -23,6 +23,11 @@ def fixture_text(relpath: str) -> str:
     return (FIXTURES / relpath).read_text(encoding="utf-8")
 
 
+def replace(element, **changes):
+    """A new model element of *element*'s class, with its fields but for *changes*."""
+    return type(element)(**{name: getattr(element, name) for name in element._fields} | changes)
+
+
 def built_state(
     diagram: Diagram,
     tokens: tuple[str, ...] = (),

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
@@ -590,7 +589,7 @@ def _fuzz_cases(name: str) -> tuple[dict, list]:
 def test_table_keys_fill_the_fields_of_their_class_in_order(cls):
     """`_Reader.build` passes the fields by position, in the table's order."""
     table = fmt._TABLES[cls]
-    assert [f for key in table.keys for f in key.fields] == [f.name for f in dataclasses.fields(cls)]
+    assert [f for key in table.keys for f in key.fields] == list(cls._fields)
 
 
 def _elements(table, data: dict):
@@ -856,9 +855,8 @@ def _unordered(value):
     """*value* with each element a tuple of its compared fields and each
     list sorted, so that diagrams differing only in the order of their lists,
     which the writer sorts, compare equal."""
-    if dataclasses.is_dataclass(value):
-        fields = dataclasses.fields(value)
-        return (type(value).__name__, *(_unordered(getattr(value, f.name)) for f in fields if f.compare))
+    if hasattr(value, "_fields") and not isinstance(value, tuple):  # a model element, not an expression
+        return (type(value).__name__, *(_unordered(getattr(value, name)) for name in value._fields))
     if isinstance(value, list):
         return sorted(map(_unordered, value), key=repr)
     if isinstance(value, dict):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
-import dataclasses
+import inspect
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +27,11 @@ from bpdmn.model import (
     Node,
     ObjectAttachment,
     Pool,
+    Relationship,
     Scope,
     SequenceFlow,
+    StoreInsert,
+    StoreRead,
     TaskBehavior,
     Variable,
     node_inputs,
@@ -33,7 +40,9 @@ from bpdmn.model import (
     resolve_scope,
 )
 
-from conftest import load
+from conftest import FIXTURES, load
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_duplicate_ids_rejected():
@@ -350,7 +359,119 @@ def test_a_record_is_built_by_position_or_by_keyword(cls, fields):
         setattr(record, fields[0], None)
 
 
+def _element_classes() -> list[type]:
+    """The model's element classes: those listing their ``_fields``, which
+    are not the named tuples."""
+    return [
+        c for c in vars(model).values() if isinstance(c, type) and hasattr(c, "_fields") and not issubclass(c, tuple)
+    ]
+
+
 def test_every_element_class_but_the_diagram_has_slots():
-    classes = [c for c in vars(model).values() if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    classes = _element_classes()
     assert [c.__name__ for c in classes if "__slots__" not in vars(c)] == ["Diagram"]
     assert not hasattr(Variable("x"), "__dict__")
+
+
+# for each element class, a value of each of its fields, in order, which no
+# default equals
+ELEMENTS = {
+    Variable: ("x", "number"),
+    ObjectAttachment: ("o", "input", True),
+    SequenceFlow: ("f", "a", "b", [ObjectAttachment("o", "input")], parse_expr("o.v = 1")),
+    MessageFlow: ("m", "a", "b", [ObjectAttachment("o", "output")]),
+    ExplicitDataFlow: ("d", "st", "t", "o", True),
+    Node: ("sp", "SP", "sub_process", [Node("t", "T", "task")], ["st"], None, False),
+    Pool: ("p", "P", [Node("t", "T", "task")], [SequenceFlow("f", "a", "b")], [ExplicitDataFlow("d", "a", "b", "o")]),
+    Entity: ("E", [Variable("f")]),
+    Relationship: ("r", "E", "F"),
+    Generalization: ("E", "F"),
+    Scope: ("sub_process", "sp"),
+    DataStore: (
+        "st",
+        "St",
+        "folder",
+        [Entity("E")],
+        [Relationship("r", "E", "F")],
+        [Generalization("E", "F")],
+        Scope("sub_process", "sp"),
+        True,
+    ),
+    DataObject: ("o", "O", "form", "physical", [Variable("v")], "http://o", "filled", "st"),
+    CopyRule: (parse_expr("a.v"), "v"),
+    DataMapping: ("m", "a", "b", [CopyRule(parse_expr("a.v"), "v")]),
+    Effect: ("o", "v", parse_expr("1")),
+    StoreInsert: ("st", "E", {"f": parse_expr("1")}),
+    StoreRead: ("st", "E", "o", parse_expr("E.f = 1")),
+    TaskBehavior: ([Effect("o", "v", parse_expr("1"))], [StoreRead("st", "E", "o")], 2),
+    Diagram: ("d", [Pool("p", "P")], [], [], [], [], {}, {}),
+}
+
+
+def test_the_record_semantics_cover_every_element_class():
+    assert set(ELEMENTS) == set(_element_classes())
+
+
+@pytest.mark.parametrize("cls", ELEMENTS, ids=lambda cls: cls.__name__)
+def test_an_element_is_a_mutable_record_of_its_fields(cls):
+    values = ELEMENTS[cls]
+    element = cls(*values)
+    assert len(cls._fields) == len(values)
+    assert [getattr(element, name) for name in cls._fields] == list(values)
+    assert element == cls(**dict(zip(cls._fields, values)))
+    changed = cls(*values)
+    setattr(changed, cls._fields[-1], "other")
+    assert element != changed
+    assert element != tuple(values)
+    with pytest.raises(TypeError):
+        hash(element)
+    fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, values))
+    assert repr(element) == f"{cls.__name__}({fields})"
+    assert hasattr(element, "__dict__") == (cls is Diagram)
+
+
+def test_elements_of_two_classes_with_equal_fields_differ():
+    relationship, effect = Relationship("a", "b", "c"), Effect("a", "b", "c")
+    assert [getattr(relationship, f) for f in relationship._fields] == [getattr(effect, f) for f in effect._fields]
+    assert relationship != effect
+    assert not relationship == effect
+
+
+def test_an_element_repr_is_the_one_a_dataclass_gave():
+    assert repr(Variable("x")) == "Variable(name='x', vtype='string')"
+    sub = Node("sp", "SP", "sub_process", children=[Node("t", "T", "task", multi_instance=True)], local_stores=["st"])
+    assert repr(sub) == (
+        "Node(id='sp', name='SP', kind='sub_process', children=[Node(id='t', name='T', kind='task', "
+        "children=[], local_stores=[], condition=None, multi_instance=True)], local_stores=['st'], "
+        "condition=None, multi_instance=False)"
+    )
+
+
+# neither a mapping's rules nor the node of a sub-process scope, the scope
+# ELEMENTS holds, may be omitted
+@pytest.mark.parametrize("cls", [c for c in ELEMENTS if c not in (DataMapping, Scope)], ids=lambda cls: cls.__name__)
+def test_each_element_gets_its_own_default_of_an_omitted_list_or_map(cls):
+    required = sum(p.default is p.empty for p in inspect.signature(cls).parameters.values())
+    first, second = cls(*ELEMENTS[cls][:required]), cls(*ELEMENTS[cls][:required])
+    assert first == second
+    for name in cls._fields[required:]:
+        value = getattr(first, name)
+        if not isinstance(value, (str, int, type(None))):  # bool is an int
+            assert value is not getattr(second, name), name
+
+
+def test_a_cold_validate_loads_neither_dataclasses_nor_inspect():
+    probe = (
+        "import atexit, runpy, sys\n"
+        "atexit.register(lambda: print(sorted({'dataclasses', 'inspect'} & set(sys.modules))))\n"
+        "runpy.run_module('bpdmn.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, "validate", str(FIXTURES / "travel.bpdmn.json")],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["ok", "[]"]

@@ -30,7 +30,7 @@ from bpdmn.simulator import (
     step,
 )
 
-from conftest import built_state, load
+from conftest import built_state, load, replace
 
 CHECKS = {"check_hotel", "check_car", "check_flight"}
 
@@ -273,15 +273,13 @@ def test_shared_store_reader_waits_for_writer():
 
 
 def test_multi_instance_behavior_runs_n_times():
-    import dataclasses
-
     from bpdmn.expr import parse_expr
     from bpdmn.model import Effect, TaskBehavior
 
     behaviors = {
         "t1": TaskBehavior(effects=[Effect("o", "v", parse_expr("instance.index"))], instances=3)
     }
-    diagram = dataclasses.replace(load("patterns/p13.bpdmn.json"), behaviors=behaviors)
+    diagram = replace(load("patterns/p13.bpdmn.json"), behaviors=behaviors)
     result = run(diagram)
     binds = [e for e in result.trace if isinstance(e, ObjectBound) and e.object == "o"]
     assert [e.value for e in binds] == [1, 2, 3]
@@ -521,8 +519,6 @@ def test_a_filter_never_sees_the_entity_key():
 
 
 def test_an_effect_on_instance_index_shadows_the_counter_for_its_instance():
-    import dataclasses
-
     from bpdmn.expr import parse_expr
     from bpdmn.model import DataObject, Effect, TaskBehavior, Variable
 
@@ -532,7 +528,7 @@ def test_an_effect_on_instance_index_shadows_the_counter_for_its_instance():
         Effect("o", "b", parse_expr("instance.index")),
     ]
     p13 = load("patterns/p13.bpdmn.json")
-    diagram = dataclasses.replace(
+    diagram = replace(
         p13,
         objects=[*p13.objects, DataObject("instance", "Instance", variables=[Variable("index", "string")])],
         behaviors={"t1": TaskBehavior(effects=effects, instances=2)},

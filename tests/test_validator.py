@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -11,7 +10,7 @@ from bpdmn.format import ParseError, parse_diagram
 from bpdmn.model import DataStore, Diagram, Entity, Generalization, Node, Pool, Scope, SequenceFlow, Variable
 from bpdmn.validator import Severity, _v4_store_structure, has_errors, validate
 
-from conftest import FIXTURES, load
+from conftest import FIXTURES, load, replace
 
 RULES = [f"V{i}" for i in range(1, 10)]
 
