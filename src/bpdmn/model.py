@@ -24,7 +24,6 @@ index.
 
 from __future__ import annotations
 
-from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
@@ -660,16 +659,6 @@ class Diagram(_Record):
 # Provenance / consumption records
 
 
-class LinkKind(str, Enum):
-    STORE_EXTRACTION = "store_extraction"
-    ACTIVITY_OUTPUT = "activity_output"
-    MESSAGE_RECEIPT = "message_receipt"
-    MESSAGE_START = "message_start"
-    STORE_INSERTION = "store_insertion"
-    ACTIVITY_INPUT = "activity_input"
-    MESSAGE_SEND = "message_send"
-
-
 class ObjectLink(NamedTuple):
     """One place an object is produced or consumed.
 
@@ -677,7 +666,6 @@ class ObjectLink(NamedTuple):
     flow carrying the object.
     """
 
-    kind: LinkKind
     element: str
     via: str
 
@@ -783,18 +771,13 @@ class DiagramIndex:
                 add(self.out_flows, flow.source, flow)
                 add(self.in_flows, flow.target, flow)
                 self.successors.setdefault(flow.source, set()).add(flow.target)
-                produced = (
-                    LinkKind.MESSAGE_START
-                    if self.nodes[flow.source].kind == "start_event_message"
-                    else LinkKind.ACTIVITY_OUTPUT
-                )
                 for att in flow.attachments:
                     if att.direction == "input":
                         add(inputs, flow.target, NodeIO(att.object, att.optional, flow.id, "sequence"))
-                        add(targets, att.object, ObjectLink(LinkKind.ACTIVITY_INPUT, flow.target, flow.id))
+                        add(targets, att.object, ObjectLink(flow.target, flow.id))
                     else:
                         add(outputs, flow.source, NodeIO(att.object, False, flow.id, "sequence"))
-                        add(sources, att.object, ObjectLink(produced, flow.source, flow.id))
+                        add(sources, att.object, ObjectLink(flow.source, flow.id))
             for flow in pool.explicit_data_flows:
                 self.successors.setdefault(flow.source, set()).add(flow.target)
                 from_store = flow.source in stores
@@ -803,18 +786,18 @@ class DiagramIndex:
                 out_channel = "store" if to_store else "explicit"
                 add(inputs, flow.target, NodeIO(flow.object, flow.optional, flow.id, in_channel))
                 add(outputs, flow.source, NodeIO(flow.object, False, flow.id, out_channel))
+                # a flow has at most one store end; its source produces the
+                # object unless the flow feeds a store, and its target consumes
+                # it unless the flow comes from a store
                 if from_store:
                     self.readers.setdefault(flow.source, set()).add(flow.target)
                     self.store_fed.add(flow.target)
-                    add(sources, flow.object, ObjectLink(LinkKind.STORE_EXTRACTION, flow.source, flow.id))
-                elif not to_store:
-                    # node-to-node transfer: produced by the source node
-                    add(sources, flow.object, ObjectLink(LinkKind.ACTIVITY_OUTPUT, flow.source, flow.id))
+                else:
+                    add(targets, flow.object, ObjectLink(flow.target, flow.id))
                 if to_store:
                     self.writers.setdefault(flow.target, set()).add(flow.source)
-                    add(targets, flow.object, ObjectLink(LinkKind.STORE_INSERTION, flow.target, flow.id))
-                elif not from_store:
-                    add(targets, flow.object, ObjectLink(LinkKind.ACTIVITY_INPUT, flow.target, flow.id))
+                else:
+                    add(sources, flow.object, ObjectLink(flow.source, flow.id))
         for flows in (*self.in_flows.values(), *self.out_flows.values()):
             if len(flows) > 1:  # most nodes have one, and the index is built on every call
                 flows.sort(key=lambda f: f.id)
@@ -845,10 +828,14 @@ class DiagramIndex:
             for att in flow.attachments:
                 if att.direction == "input":
                     add(inputs, flow.target, NodeIO(att.object, att.optional, flow.id, "message"))
-                    add(sources, att.object, ObjectLink(LinkKind.MESSAGE_RECEIPT, flow.target, flow.id))
+                    add(sources, att.object, ObjectLink(flow.target, flow.id))
                 else:
                     add(outputs, flow.source, NodeIO(att.object, False, flow.id, "message"))
-                    add(targets, att.object, ObjectLink(LinkKind.MESSAGE_SEND, flow.source, flow.id))
+                    add(targets, att.object, ObjectLink(flow.source, flow.id))
+        # the message start events a message flow feeds
+        self.message_starts: frozenset[str] = frozenset(
+            n for n in self.message_in if n in self.nodes and self.nodes[n].kind == "start_event_message"
+        )
 
         # object id -> nodes taking it as an input, in the order of ``nodes``
         self.consumers: dict[str, list[str]] = {}

@@ -26,10 +26,15 @@ takes no argument and is the empty state, which ``init`` fills through the
 writers a firing uses. Each field has its few writers, and a field derived
 from another is kept by the writers of its source, so nothing recounts it:
 ``tokens`` and ``marked`` by ``_add_token`` and the consume loop of ``step``;
-``bindings`` and ``env`` by ``_bind_object``; ``completed`` and
-``pending_starts`` by ``init`` and ``step``; ``stores`` by ``_run_behavior``;
-``inbox`` by ``_send_messages`` and ``_receive_messages``; ``step_count`` by
-``step``; ``reads`` by ``_matching_record``. ``_clone`` copies them all.
+``bindings`` by ``_bind_object``; ``completed`` by ``init`` and ``step``;
+``stores`` by ``_run_behavior``; ``inbox`` by ``_send_messages`` and
+``_receive_messages``; ``step_count`` by ``step``; ``reads`` by
+``_matching_record``. ``_clone`` copies them all.
+
+A message start event that a message flow feeds is listed in
+``index.message_starts``. It is *pending* while it is not in ``completed``:
+``init`` completes it only when a start input supplies one of its outputs,
+and otherwise it waits for its message and completes when it fires.
 
 The rule is written once, in ``_is_enabled``. ``enabled()`` applies it to the
 candidates of a state: the nodes in ``state.marked`` and the pending message
@@ -42,12 +47,12 @@ token or flow is scanned.
 A run and the oracle do not apply the rule again to every candidate after
 each firing, because of one fact: when a node X fires, no other enabled node
 becomes disabled unless it has a store-channel input. X takes tokens only
-from flows into X and removes only messages on flows into X; only X's entries
-in ``pending_starts`` and ``completed`` change; bindings and store records are
-never removed; and only a store read's filter reads binding values, which X
-may rebind. So ``enabled(state, diagram, prior)`` keeps a candidate found in
-*prior*, the nodes enabled before the firing other than X, without a check,
-unless it has a store-channel input. ``step`` still checks the node it fires.
+from flows into X and removes only messages on flows into X; only X's entry
+in ``completed`` changes; bindings and store records are never removed; and
+only a store read's filter reads binding values, which X may rebind. So
+``enabled(state, diagram, prior)`` keeps a candidate found in *prior*, the
+nodes enabled before the firing other than X, without a check, unless it has
+a store-channel input. ``step`` still checks the node it fires.
 
 A store read resumes from its memo in ``state.reads``, one per node and read
 of ``index.store_reads``: the value of each path its filter names, how many
@@ -69,12 +74,13 @@ record that enablement found. The memo and the counts are caches of their
 state: ``_clone`` copies them, ``_freeze_state`` ignores them, and none
 outlives its run.
 
-The state carries ``env``, the bindings flattened to ``object.path`` names,
-kept by ``_bind_object``; guards, effects, mappings, store inserts
-and store filters evaluate against it, so no environment is rebuilt per
-evaluation. A store filter reads a record's fields, and effects and inserts
-read ``instance.index``, through an ``_Overlay``: a ``dict`` of those few
-entries whose misses read ``env``.
+``bindings`` is the one store of bound values. Guards, mappings, effects,
+store inserts and store filters read ``object.path`` names through an
+``_Env``: a ``dict`` of a few entries of its own (a record's fields for a
+filter, ``instance.index`` for effects and inserts) whose misses read
+``bindings[object][path]``, the name split at its first dot, since an object
+id holds none. So no environment is built from the bindings or kept beside
+them.
 
 The oracle's outcome for a path is ``completed`` less the start events
 ``init`` completed, which never fire: the nodes the path fired.
@@ -126,18 +132,23 @@ Record = dict[str, Value]
 Bindings = dict[str, dict[str, Value]]  # object id -> variable path -> value
 
 
-class _Overlay(dict):
-    """Its own entries over *outer*: ``[]`` on a key it lacks reads *outer*,
-    and raises :class:`KeyError` when *outer* lacks it too."""
+class _Env(dict):
+    """The names an expression reads: its own *entries* over the bound
+    values. ``[]`` on a name it lacks reads ``objects[object][path]``, the
+    name split at its first dot, and raises :class:`KeyError` when that is
+    unbound or the name has no dot."""
 
-    __slots__ = ("outer",)
+    __slots__ = ("objects",)
 
-    def __init__(self, entries: dict[str, Value], outer: dict[str, Value]) -> None:
+    def __init__(self, entries: dict[str, Value], objects: Bindings) -> None:
         super().__init__(entries)
-        self.outer = outer
+        self.objects = objects
 
-    def __missing__(self, key: str) -> Value:
-        return self.outer[key]
+    def __missing__(self, name: str) -> Value:
+        obj, dot, path = name.partition(".")
+        if not dot:
+            raise KeyError(name)
+        return self.objects[obj][path]
 
 
 @dataclass
@@ -159,10 +170,6 @@ class ExecutionState:
     inbox: dict[str, list[Message]] = field(default_factory=dict, init=False)  # message flow id -> queue, oldest first
     completed: set[str] = field(default_factory=set, init=False)
     step_count: int = field(default=0, init=False)
-    pending_starts: set[str] = field(default_factory=set, init=False)  # message starts awaiting a message
-    # bindings flattened to "object.path" -> value, the names expressions read;
-    # kept by _bind_object
-    env: dict[str, Value] = field(default_factory=dict, init=False, repr=False, compare=False)
     # node id -> how many of its sequence flows in hold a token, for the nodes
     # with one; kept by _add_token and step's consume loop
     marked: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -171,9 +178,6 @@ class ExecutionState:
     reads: dict[tuple[str, int], tuple[tuple, int, Record | None]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-
-    def token_total(self) -> int:
-        return sum(self.tokens.values())
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +264,21 @@ def render_trace(trace: Trace) -> str:
 def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = None) -> ExecutionState:
     """Build the initial state: tokens on the outgoing flows of ready start
     events, message-start objects bound from *start_inputs* (by default the
-    diagram's). Message starts fed by an internal message flow stay pending
-    until the message arrives.
+    diagram's), each of which a message start event must produce. A message
+    start that a message flow feeds and no start input supplies stays
+    pending until its message arrives.
     """
     if start_inputs is None:
         start_inputs = diagram.start_inputs
     index = diagram.index
     if not index.nodes:
         raise InitializationError("no start event: diagram has no nodes")
+    for object_id in start_inputs:
+        if object_id not in diagram.start_objects():
+            raise InitializationError(f"start input {object_id}: no message start event produces it")
 
     state = ExecutionState()
-    internal_message_targets = index.message_in
+    message_starts = index.message_starts
 
     for node in index.nodes.values():
         if node.kind not in START_KINDS:
@@ -278,11 +286,10 @@ def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = No
         if node.kind == "start_event_message":
             outputs = [io for io in index.outputs.get(node.id, ()) if io.channel == "sequence"]
             supplied = [io for io in outputs if io.object in start_inputs]
-            if node.id in internal_message_targets and not supplied:
-                state.pending_starts.add(node.id)
-                continue
+            if node.id in message_starts and not supplied:
+                continue  # pending
             missing = [io.object for io in outputs if not io.optional and io.object not in start_inputs]
-            if missing and node.id not in internal_message_targets:
+            if missing and node.id not in message_starts:
                 raise InitializationError(f"start event {node.id}: missing required start input for {missing}")
             for io in outputs:
                 names = _variable_names(diagram, io.object)
@@ -317,10 +324,13 @@ def _matching_record(
     resumes from the memo ``state.reads[key]`` while their values are those
     it saw (see the module docstring)."""
     records = state.stores.get(action.store, ())
-    env = state.env
+    bindings = state.bindings
     # a value is tagged with its type: 1, 1.0 and True are equal in Python
     # but not to a filter
-    snapshot = tuple((type(v), v) if (v := env.get(path, _ABSENT)) is not _ABSENT else v for path in refs)
+    snapshot = tuple(
+        (type(v), v) if (v := bindings.get(obj, {}).get(path, _ABSENT)) is not _ABSENT else v
+        for obj, _, path in (ref.partition(".") for ref in refs)
+    )
     start = 0
     memo = state.reads.get(key)
     if memo is not None and memo[0] == snapshot and memo[1] <= len(records):
@@ -333,7 +343,7 @@ def _matching_record(
         if record.get("__entity__") != entity:
             continue
         if condition is not None:
-            fields = _Overlay(record, env)
+            fields = _Env(record, bindings)
             del fields["__entity__"]
             try:
                 if eval_expr(condition, fields) is not True:
@@ -373,17 +383,16 @@ def _is_enabled(state: ExecutionState, diagram: Diagram, node: Node) -> bool:
     """The enablement rule for one node: its join holds and every required
     input is available. Store-channel inputs are tested last, so a store is
     read only when everything else already holds."""
-    incoming = diagram.index.in_flows.get(node.id, ())
-    if not incoming:
-        return node.id in state.pending_starts and any(
-            state.inbox.get(f.id) for f in diagram.index.message_in.get(node.id, ())
-        )
     if node.id in state.completed and node.kind in START_KINDS:
         return False
+    index = diagram.index
+    incoming = index.in_flows.get(node.id, ())
+    if not incoming:  # only a pending message start, once its message waits
+        return node.id in index.message_starts and any(state.inbox.get(f.id) for f in index.message_in.get(node.id, ()))
     marks = state.marked.get(node.id, 0)
     if not (marks > 0 if node.kind == "gateway_exclusive_data" else marks == len(incoming)):
         return False
-    inputs = diagram.index.inputs.get(node.id, ())
+    inputs = index.inputs.get(node.id, ())
     for store_pass in (False, True):
         for io in inputs:
             if (io.channel == "store") is not store_pass or io.optional:
@@ -405,8 +414,8 @@ def enabled(
     candidate in it without a store-channel input is still enabled (see the
     module docstring) and is not checked again.
     """
-    candidates = state.pending_starts.union(state.marked)
     index = diagram.index
+    candidates = (index.message_starts - state.completed).union(state.marked)
     nodes, store_fed = index.nodes, index.store_fed
     return {
         node_id
@@ -423,12 +432,10 @@ def _bind_object(
     state: ExecutionState, trace: Trace | None, step: int, obj: str, values: dict[str, Value]
 ) -> None:
     """Bind *obj*, then each path in *values*: with ``_clone``, the only
-    writer of ``state.bindings`` and ``state.env``. With a *trace*, each path
-    is traced."""
+    writer of ``state.bindings``. With a *trace*, each path is traced."""
     variables = state.bindings.setdefault(obj, {})
     for path, value in values.items():
         variables[path] = value
-        state.env[f"{obj}.{path}"] = value
         if trace is not None:
             trace.append(ObjectBound(step, obj, path, value))
 
@@ -444,9 +451,10 @@ def _apply_mappings(
     for mapping in diagram.index.mappings_into(node.id):
         if mapping.source_object not in state.bindings:
             continue
+        env = _Env({}, state.bindings)
         for rule in mapping.rules:
             try:
-                value = eval_expr(rule.from_expr, state.env)
+                value = eval_expr(rule.from_expr, env)
             except ExprError as exc:
                 raise SimulationError(f"mapping {mapping.id}: {exc}") from exc
             _bind_object(state, trace, step, mapping.target_object, {rule.to: value})
@@ -457,7 +465,7 @@ def _run_behavior(
 ) -> None:
     instances = behavior.instances if node.multi_instance else 1
     for index in range(1, instances + 1):
-        env = _Overlay({"instance.index": index}, state.env)
+        env = _Env({"instance.index": index}, state.bindings)
         for effect in behavior.effects:
             try:
                 value = eval_expr(effect.expr, env)
@@ -533,7 +541,7 @@ def _emit_tokens(state: ExecutionState, diagram: Diagram, node: Node) -> None:
     if not outgoing:
         return
     if node.kind == "gateway_exclusive_data":
-        env = state.env
+        env = _Env({}, state.bindings)
         default = None
         for flow in outgoing:
             if flow.guard is None:
@@ -589,7 +597,6 @@ def step(
                 break
 
     _receive_messages(state, diagram, node, trace, current)
-    state.pending_starts.discard(node_id)
 
     # pre-behavior store reads so effects can see extracted data
     for number, (action, refs) in enumerate(diagram.index.store_reads.get(node_id, ())):
@@ -655,7 +662,7 @@ def run(
         ready = enabled(state, diagram, ready - {choice})
     if ready:
         status = "step_limit"
-    elif state.token_total() > 0:
+    elif state.tokens:  # a flow leaves it when its count reaches 0
         status = "deadlocked"
     else:
         status = "completed"
@@ -712,10 +719,6 @@ def _clone(state: ExecutionState) -> ExecutionState:
     clone.inbox = {k: v.copy() for k, v in state.inbox.items()}  # a message is never changed
     clone.completed = state.completed.copy()
     clone.step_count = state.step_count
-    clone.pending_starts = state.pending_starts.copy()
-    # the environment is copied whole: rebuilding it from the bindings entry
-    # by entry is slower and fragments the heap
-    clone.env = state.env.copy()
     # their entries are ints and tuples, never changed in place
     clone.marked = state.marked.copy()
     clone.reads = state.reads.copy()

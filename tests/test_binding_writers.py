@@ -1,11 +1,10 @@
 """Each field of a simulator state has its few writers.
 
 Only ``init`` and ``_clone`` build an ``ExecutionState``, and only the
-functions ``FIELD_WRITERS`` names write each of its fields. Two pairs of
-fields hold one fact twice: ``tokens`` and ``marked``, which counts the flows
-into a node that hold a token, and ``bindings`` and ``env``, one nested and
-one flattened. So a statement that writes one field of a pair and not the
-other leaves a state that contradicts itself. ``completed`` only grows, and
+functions ``FIELD_WRITERS`` names write each of its fields. One pair of
+fields holds one fact twice: ``tokens`` and ``marked``, which counts the flows
+into a node that hold a token. So a statement that writes one of them and not
+the other leaves a state that contradicts itself. ``completed`` only grows, and
 only by one node at a time: the start events ``init`` completes and the node
 ``step`` fires. The oracle keeps a mask of it that relies on this. Anything
 kept in step with a state, such as a key of it updated per firing, has to be
@@ -32,9 +31,7 @@ FIELD_WRITERS = {
     "tokens": {"_add_token", "step", "_clone"},
     "marked": {"_add_token", "step", "_clone"},
     "bindings": {"_bind_object", "_clone"},
-    "env": {"_bind_object", "_clone"},
     "completed": {"init", "step", "_clone"},
-    "pending_starts": {"init", "step", "_clone"},
     "stores": {"_run_behavior", "_clone"},
     "inbox": {"_send_messages", "_receive_messages", "_clone"},
     "step_count": {"step", "_clone"},

@@ -77,7 +77,8 @@ def full_scan(state: ExecutionState, action: StoreRead) -> dict | None:
             continue
         if action.filter is None:
             return record
-        fields = {**state.env, **record}
+        fields = {f"{obj}.{path}": value for obj, paths in state.bindings.items() for path, value in paths.items()}
+        fields |= record
         del fields["__entity__"]
         try:
             if eval_expr(action.filter, fields) is True:

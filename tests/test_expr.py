@@ -28,7 +28,7 @@ from bpdmn.expr import (
     parse_expr,
     print_expr,
 )
-from bpdmn.simulator import _Overlay
+from bpdmn.simulator import _Env
 
 
 def test_parse_simple_comparison():
@@ -600,8 +600,13 @@ def test_eval_matches_the_reference_on_a_dict(e, data):
 @given(_exprs(), st.data())
 def test_eval_matches_the_reference_on_an_overlay(e, data):
     env = _environment(e, data)
-    own = {path for path in env if data.draw(st.booleans())}
-    overlay = _Overlay({p: v for p, v in env.items() if p in own}, {p: v for p, v in env.items() if p not in own})
+    own = {path for path in env if data.draw(st.booleans()) or "." not in path}
+    bindings = {}
+    for path, value in env.items():
+        if path not in own:
+            obj, _, variable = path.partition(".")
+            bindings.setdefault(obj, {})[variable] = value
+    overlay = _Env({p: v for p, v in env.items() if p in own}, bindings)
     assert _evaluated(eval_expr, e, overlay) == _evaluated(ref_eval_expr, e, env)
 
 

@@ -22,7 +22,6 @@ from bpdmn.model import (
     Effect,
     Entity,
     ExplicitDataFlow,
-    LinkKind,
     MessageFlow,
     Node,
     NodeIO,
@@ -260,22 +259,16 @@ def ref_object_sources(d: Diagram, object_id: str) -> list[ObjectLink]:
             for att in flow.attachments:
                 if att.object != object_id or att.direction != "output":
                     continue
-                src = ref_node(d, flow.source)
-                if src is not None and src.kind == "start_event_message":
-                    out.append(ObjectLink(LinkKind.MESSAGE_START, flow.source, flow.id))
-                else:
-                    out.append(ObjectLink(LinkKind.ACTIVITY_OUTPUT, flow.source, flow.id))
+                out.append(ObjectLink(flow.source, flow.id))
         for flow in pool.explicit_data_flows:
             if flow.object != object_id:
                 continue
-            if flow.source in store_ids:
-                out.append(ObjectLink(LinkKind.STORE_EXTRACTION, flow.source, flow.id))
-            elif flow.target not in store_ids:
-                out.append(ObjectLink(LinkKind.ACTIVITY_OUTPUT, flow.source, flow.id))
+            if flow.source in store_ids or flow.target not in store_ids:
+                out.append(ObjectLink(flow.source, flow.id))
     for flow in d.message_flows:
         for att in flow.attachments:
             if att.object == object_id and att.direction == "input":
-                out.append(ObjectLink(LinkKind.MESSAGE_RECEIPT, flow.target, flow.id))
+                out.append(ObjectLink(flow.target, flow.id))
     return out
 
 
@@ -286,18 +279,16 @@ def ref_object_targets(d: Diagram, object_id: str) -> list[ObjectLink]:
         for flow in pool.sequence_flows:
             for att in flow.attachments:
                 if att.object == object_id and att.direction == "input":
-                    out.append(ObjectLink(LinkKind.ACTIVITY_INPUT, flow.target, flow.id))
+                    out.append(ObjectLink(flow.target, flow.id))
         for flow in pool.explicit_data_flows:
             if flow.object != object_id:
                 continue
-            if flow.target in store_ids:
-                out.append(ObjectLink(LinkKind.STORE_INSERTION, flow.target, flow.id))
-            elif flow.source not in store_ids:
-                out.append(ObjectLink(LinkKind.ACTIVITY_INPUT, flow.target, flow.id))
+            if flow.target in store_ids or flow.source not in store_ids:
+                out.append(ObjectLink(flow.target, flow.id))
     for flow in d.message_flows:
         for att in flow.attachments:
             if att.object == object_id and att.direction == "output":
-                out.append(ObjectLink(LinkKind.MESSAGE_SEND, flow.source, flow.id))
+                out.append(ObjectLink(flow.source, flow.id))
     return out
 
 
@@ -374,10 +365,10 @@ def ref_enabled(state, d: Diagram) -> set[str]:
     for node in ref_nodes(d):
         incoming = [f for p in d.pools for f in p.sequence_flows if f.target == node.id]
         if not incoming:
-            if node.id in state.pending_starts:
-                flow_ids = {f.id for f in d.message_flows if f.target == node.id}
-                if any(state.inbox.get(f) for f in flow_ids):
-                    ready.add(node.id)
+            flow_ids = {f.id for f in d.message_flows if f.target == node.id}
+            pending = node.kind == "start_event_message" and flow_ids and node.id not in state.completed
+            if pending and any(state.inbox.get(f) for f in flow_ids):
+                ready.add(node.id)
             continue
         if node.id in state.completed and node.kind in ("start_event_none", "start_event_message"):
             continue

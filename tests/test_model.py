@@ -21,11 +21,11 @@ from bpdmn.model import (
     Entity,
     ExplicitDataFlow,
     Generalization,
-    LinkKind,
     MessageFlow,
     ModelError,
     Node,
     ObjectAttachment,
+    ObjectLink,
     Pool,
     Relationship,
     Scope,
@@ -223,19 +223,13 @@ def test_start_objects_are_what_message_starts_output_on_sequence_flows(eco):
 
 def test_travel_object_sources_and_targets(travel):
     index = travel.index
-    src = index.sources["input"]
-    assert {(l.kind, l.element) for l in src} == {(LinkKind.MESSAGE_START, "n_start")}
-    tgt = index.targets["input"]
-    assert {(l.kind, l.element) for l in tgt} == {(LinkKind.ACTIVITY_INPUT, "check_cc")}
-    assert {(l.kind, l.element) for l in index.targets["plan"]} == {
-        (LinkKind.STORE_INSERTION, "arch_db"),
-        (LinkKind.ACTIVITY_INPUT, "n_end"),
-    }
+    assert index.sources["input"] == [ObjectLink("n_start", "f01")]
+    assert index.targets["input"] == [ObjectLink("check_cc", "f01")]
+    assert set(index.targets["plan"]) == {ObjectLink("arch_db", "ef1"), ObjectLink("n_end", "f11")}
 
 
 def test_eco_store_extraction_is_a_source(eco):
-    src = eco.index.sources["ECO_Data"]
-    assert {(l.kind, l.element) for l in src} == {(LinkKind.STORE_EXTRACTION, "OracleDB")}
+    assert eco.index.sources["ECO_Data"] == [ObjectLink("OracleDB", "ef_read")]
 
 
 def test_node_inputs_channels(eco):
@@ -340,7 +334,7 @@ RECORDS = [
     (expr.BoolOp, ("op", "left", "right")),
     (expr.Not, ("operand",)),
     (model.NodeIO, ("object", "optional", "via", "channel")),
-    (model.ObjectLink, ("kind", "element", "via")),
+    (model.ObjectLink, ("element", "via")),
     (fmt.SourceSpan, ("line", "column")),
     (fmt.ParseDiagnostic, ("span", "message")),
     (validator.Diagnostic, ("rule", "severity", "element", "message")),

@@ -86,7 +86,7 @@ def test_eco_failure_ends_without_process(eco):
 
 def test_eco_message_start_waits_for_order(eco):
     state = init(eco)
-    assert "m_start" in state.pending_starts
+    assert "m_start" not in state.completed
     assert "m_start" not in enabled(state, eco)
 
 
@@ -103,7 +103,7 @@ def test_deadlock_detected():
     result = run(load("deadlock.bpdmn.json"))
     assert result.status == "deadlocked"
     assert result.fired_nodes() == set()
-    assert result.state.token_total() > 0
+    assert result.state.tokens
 
 
 def test_step_limit_status(travel):
@@ -132,6 +132,18 @@ def test_no_nodes_raises():
 def test_missing_start_inputs_raise(travel):
     with pytest.raises(InitializationError, match="missing required start input"):
         init(travel, {})
+
+
+@pytest.mark.parametrize("obj", ["nope", "plan"])
+def test_a_start_input_no_message_start_produces_is_refused(travel, obj):
+    """An unknown object, and one a task produces, are refused as start
+    inputs, as a document's ``start_inputs`` refuse them."""
+    start_inputs = {**travel.start_inputs, obj: {"a": 1}}
+    message = f"start input {obj}: no message start event produces it"
+    with pytest.raises(InitializationError, match=message):
+        init(travel, start_inputs)
+    with pytest.raises(InitializationError, match=message):
+        run(travel, start_inputs=start_inputs)
 
 
 def test_startless_pool_deadlocks_immediately():

@@ -27,11 +27,9 @@ def _facts(state: simulator.ExecutionState) -> tuple:
     return (
         state.tokens,
         state.bindings,
-        state.env,
         state.stores,
         state.inbox,
         state.completed,
-        state.pending_starts,
         state.step_count,
     )
 
