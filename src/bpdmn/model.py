@@ -447,6 +447,9 @@ class Effect(_Record):
     __slots__ = _fields = ("target_object", "target_path", "expr")
 
     def __init__(self, target_object: str, target_path: str, expr: Expression) -> None:
+        # None is the parser's stand-in for a target text it refused already
+        if target_path is not None and "" in target_path.split("."):
+            raise ModelError(f"effect on {target_object}: invalid target path {target_path!r}")
         self.target_object = target_object
         self.target_path = target_path
         self.expr = expr
@@ -847,6 +850,8 @@ class DiagramIndex:
         for mapping in sorted(diagram.mappings, key=lambda m: m.id):
             add(self.mappings_to, mapping.target_object, mapping)
         self._mappings_into: dict[str, list[DataMapping]] = {}  # node id -> mappings_into, once asked
+        self._behaviors = diagram.behaviors
+        self._footprints: dict[str, tuple[frozenset[str], ...]] = {}  # node id -> footprint, once asked
 
     def mappings_into(self, node_id: str) -> list[DataMapping]:
         """Mappings producing one of the node's inputs, in dependency order
@@ -859,6 +864,67 @@ class DiagramIndex:
             mappings = _dependency_order([m for obj in objects for m in self.mappings_to.get(obj, ())])
             self._mappings_into[node_id] = mappings
         return mappings
+
+    def footprint(self, node_id: str) -> tuple[frozenset[str], ...]:
+        """What a firing of the node can touch besides its own entry in the
+        completed set, built on the first request: the ids of the flows, the
+        objects read, the objects written, the stores read and the stores
+        inserted into. A plain tuple, since a named tuple class would be built
+        at every import of the module, and most commands never ask.
+
+        - Flows: its sequence and message flows, in and out.
+        - Objects read: its inputs, the sources of the mappings into it and
+          the objects their rules name, the objects named by its guards,
+          effects, inserts and store filters, and the attachments of the
+          message flows it sends on.
+        - Objects written: its non-store outputs, its optional inputs (bound
+          to null when absent), the targets of the mappings into it, its
+          effect targets, the objects its store reads bind, and the
+          attachments of the message flows it receives on.
+        - Stores: those its behaviour reads from and inserts into.
+
+        A name an expression reads is ``object.path``; its object is the part
+        before the first dot."""
+        footprint = self._footprints.get(node_id)
+        if footprint is not None:
+            return footprint
+        inputs = self.inputs.get(node_id, ())
+        tables = (self.in_flows, self.out_flows, self.message_in, self.message_out)
+        flows = {f.id for table in tables for f in table.get(node_id, ())}
+        reads = {io.object for io in inputs}
+        writes = {io.object for io in inputs if io.optional}
+        writes.update(io.object for io in self.outputs.get(node_id, ()) if io.channel != "store")
+        expressions = [f.guard for f in self.out_flows.get(node_id, ()) if f.guard is not None]
+        for mapping in self.mappings_into(node_id):
+            reads.add(mapping.source_object)
+            writes.add(mapping.target_object)
+            expressions += (rule.from_expr for rule in mapping.rules)
+        reads.update(att.object for f in self.message_out.get(node_id, ()) for att in f.attachments)
+        writes.update(att.object for f in self.message_in.get(node_id, ()) for att in f.attachments)
+        store_reads, inserts = set(), set()
+        behavior = self._behaviors.get(node_id)
+        if behavior is not None:
+            for effect in behavior.effects:
+                writes.add(effect.target_object)
+                expressions.append(effect.expr)
+            for action in behavior.store_actions:
+                if isinstance(action, StoreRead):
+                    store_reads.add(action.store)
+                    writes.add(action.object)
+                    if action.filter is not None:
+                        expressions.append(action.filter)
+                else:
+                    inserts.add(action.store)
+                    expressions += action.assignments.values()
+        reads.update(ref.partition(".")[0] for e in expressions for ref in expr_refs(e))
+        footprint = self._footprints[node_id] = (
+            frozenset(flows),
+            frozenset(reads),
+            frozenset(writes),
+            frozenset(store_reads),
+            frozenset(inserts),
+        )
+        return footprint
 
 
 def _dependency_order(mappings: list[DataMapping]) -> list[DataMapping]:

@@ -94,6 +94,25 @@ bindings only gain keys, all through ``_bind_object``, and ``_clone`` keeps
 their order; and within one search a bit stands for one id. So the key holds
 the same facts as a sorted one would, still without bound values or store
 contents. Its firings pass ``traced=False``: they build no trace event.
+
+The oracle prunes with sleep sets (Godefroid 1996, ch. 5), which cut
+firings, not states. Two distinct nodes are independent (``_independent``)
+when their footprints (``index.footprint``) share no sequence or message
+flow, neither writes an object the other reads or writes, and neither
+inserts into a store the other reads. A state on the search's stack does
+not fire the nodes asleep in it: those it has fired already, and those
+asleep in its parent that are independent of the firing that led to it.
+That is sound for the key above. Where two independent nodes are both
+enabled, each stays enabled after the other fires: neither takes the
+other's tokens or messages, bindings and records are only added, and
+neither adds a record or a binding that the other's store filter reads.
+Both orders reach one key: tokens change only on their own flows, the
+completed set and the bound names grow by union, and inbox and store sizes
+grow on distinct queues, or by appends to one store, whose order the key
+does not hold. So firing an asleep node reaches the key that firing it
+before the commuting firings reached, and the search visits the same states
+in the same order as one without sleep sets. A key with store contents
+(ROADMAP item 1) would make two inserts into one store dependent.
 """
 
 from __future__ import annotations
@@ -709,6 +728,28 @@ def _freeze_state(state: ExecutionState, done: int, bound: int):
     )
 
 
+def _independent(diagram: Diagram, a: str, b: str) -> bool:
+    """Whether firing node *a* then node *b* reaches the same key of
+    :func:`_freeze_state` as *b* then *a*, from any state where both are
+    enabled, with each still enabled after the other: their footprints
+    (:meth:`~bpdmn.model.DiagramIndex.footprint`) share no flow, neither
+    writes an object the other reads or writes, and neither inserts into a
+    store the other reads. Two inserts into one store are independent,
+    because the key holds store sizes, not store contents."""
+    index = diagram.index
+    flows_a, reads_a, writes_a, store_reads_a, inserts_a = index.footprint(a)
+    flows_b, reads_b, writes_b, store_reads_b, inserts_b = index.footprint(b)
+    return (
+        a != b
+        and flows_a.isdisjoint(flows_b)
+        and writes_a.isdisjoint(reads_b)
+        and writes_a.isdisjoint(writes_b)
+        and writes_b.isdisjoint(reads_a)
+        and inserts_a.isdisjoint(store_reads_b)
+        and inserts_b.isdisjoint(store_reads_a)
+    )
+
+
 def _clone(state: ExecutionState) -> ExecutionState:
     """An independent copy of *state*, made without the empty containers
     ``ExecutionState()`` would build only to drop them."""
@@ -726,8 +767,8 @@ def _clone(state: ExecutionState) -> ExecutionState:
 
 
 def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozenset[str]]:
-    """Brute-force oracle: the set of fired-node sets over the firing orders
-    from the diagram's start inputs, for desk-scale diagrams.
+    """The oracle: the set of fired-node sets over the firing orders from
+    the diagram's start inputs, for desk-scale diagrams.
 
     States are merged by :func:`_freeze_state`, which compares tokens, the
     names of bound objects, store and inbox sizes and the completed set, but
@@ -740,7 +781,16 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
     its bit when it first sees it. A firing adds to ``done`` the node it
     fired, and to ``bound`` the objects it newly bound, which are the last
     keys of ``bindings``. Firings are untraced: the search reads states, not
-    traces."""
+    traces.
+
+    The search prunes with sleep sets (Godefroid 1996, ch. 5). Each state
+    on the stack keeps the enabled nodes it must not fire: those fired from
+    it already, and those asleep in its parent that commute
+    (:func:`_independent`) with the firing that led to it. Firing such a
+    node reaches a key the search has already seen, so the search fires only
+    the others, visits the same states in the same order and finds the same
+    outcomes. A state whose enabled nodes are all asleep is neither expanded
+    nor an outcome."""
     results: set[frozenset[str]] = set()
     seen: set = set()
     bits: dict[str, int] = {}  # node or object id -> its bit, in either mask
@@ -753,11 +803,13 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
 
     # depth first with an explicit stack, so a path may be longer than the
     # recursion limit; a frame holds a state, its enabled set, the choices
-    # not yet taken, smallest last so that pop() takes it first, and the
-    # state's two masks
-    stack: list[tuple[ExecutionState, set[str], list[str], int, int]] = []
+    # not yet taken, smallest last so that pop() takes it first, the state's
+    # two masks and its sleep set
+    stack: list[tuple[ExecutionState, set[str], list[str], int, int, set[str]]] = []
 
-    def visit(state: ExecutionState, prior: set[str] | frozenset[str], done: int, bound: int) -> None:
+    def visit(
+        state: ExecutionState, prior: set[str] | frozenset[str], done: int, bound: int, asleep: set[str], fired: str
+    ) -> None:
         key = _freeze_state(state, done, bound)
         if key in seen:
             return
@@ -766,7 +818,16 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
         if not ready or state.step_count >= max_steps:
             results.add(frozenset(state.completed) - started)
             return
-        stack.append((state, ready, sorted(ready, reverse=True), done, bound))
+        # asleep here: the nodes asleep in the parent, *asleep*, that commute
+        # with *fired*, the firing that led here; built only for a state that
+        # is expanded
+        if asleep:
+            asleep = {node_id for node_id in asleep if _independent(diagram, node_id, fired)}
+            choices = sorted(ready - asleep, reverse=True)
+        else:  # a new set: the parent adds to its own
+            asleep, choices = set(), sorted(ready, reverse=True)
+        if choices:
+            stack.append((state, ready, choices, done, bound, asleep))
 
     start = init(diagram)
     started = frozenset(start.completed)
@@ -775,9 +836,9 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
         done |= bit(node_id)
     for obj in start.bindings:
         bound |= bit(obj)
-    visit(start, frozenset(), done, bound)
+    visit(start, frozenset(), done, bound, set(), "")
     while stack:
-        state, ready, choices, done, bound = stack[-1]
+        state, ready, choices, done, bound, asleep = stack[-1]
         choice = choices.pop()
         known = len(state.bindings)  # read first: the last child is this state
         if choices:
@@ -789,5 +850,7 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
             child, _ = step(state, diagram, choice, traced=False)
         for obj in islice(reversed(child.bindings), len(child.bindings) - known):
             bound |= bit(obj)
-        visit(child, ready - {choice}, done | bit(choice), bound)
+        visit(child, ready - {choice}, done | bit(choice), bound, asleep, choice)
+        if choices:
+            asleep.add(choice)  # explored: asleep in the later siblings
     return results

@@ -296,6 +296,18 @@ BAD_VALUES = [
         lambda d: d["behaviors"]["sp"]["effects"].append({"target": "nosuch.v", "expr": "1"}),
         "behavior of sp: unknown object 'nosuch'",
     ),
+    # validated clean, then failed the run at a later node: an empty path
+    # segment is refused as in a variable name
+    (
+        "effect-target-empty-path",
+        lambda d: d["behaviors"]["sp"]["effects"].append({"target": "o.", "expr": "1"}),
+        "effect on o: invalid target path ''",
+    ),
+    (
+        "effect-target-empty-segment",
+        lambda d: d["behaviors"]["sp"]["effects"].append({"target": "o.v..w", "expr": "1"}),
+        "effect on o: invalid target path 'v..w'",
+    ),
     (
         "store-action-unknown-store",
         lambda d: d["behaviors"]["sp"]["store_actions"].append(

@@ -19,6 +19,7 @@ from bpdmn.model import (
     DataObject,
     DataStore,
     Diagram,
+    DiagramIndex,
     Effect,
     Entity,
     ExplicitDataFlow,
@@ -575,8 +576,10 @@ def ref_explore(d: Diagram, max_steps: int = 50) -> set[frozenset[str]]:
 
 @pytest.mark.parametrize("diagram", DIAGRAMS)
 def test_oracle_equals_recursive_reference(diagram, monkeypatch):
-    """Same outcome set, and the same `enabled()` and `step()` calls in the
-    same order, so the oracle's state and transition counts are unchanged."""
+    """Same outcome set and the same `enabled()` calls in the same order, so
+    the oracle's state count is unchanged. Its `step()` calls are those of
+    the reference less some that lead, in the reference, to a key it had
+    already seen: the firings its sleep sets prune."""
     calls: list = []
     original_enabled, original_step = simulator.enabled, simulator.step
 
@@ -601,7 +604,27 @@ def test_oracle_equals_recursive_reference(diagram, monkeypatch):
             result = repr(exc)  # a failing guard ends both searches alike
         return result, list(calls)
 
-    assert outcome(simulator.explore_interleavings) == outcome(ref_explore)
+    (result, calls_made), (expected, reference) = outcome(simulator.explore_interleavings), outcome(ref_explore)
+    assert result == expected
+    assert [c for c in calls_made if c[0] == "enabled"] == [c for c in reference if c[0] == "enabled"]
+    assert steps_into_seen_keys_omitted(calls_made, reference)
+
+
+def steps_into_seen_keys_omitted(calls: list, reference: list) -> bool:
+    """Whether *calls* is a subsequence of *reference* whose omitted entries
+    are all `step()` calls into a key the reference had already seen: calls
+    that the reference does not follow with an `enabled()` call. Between two
+    `enabled()` calls the search only backtracks, so no two steps there are
+    alike and the first match is the right one."""
+    position = 0
+    for number, call in enumerate(reference):
+        if position < len(calls) and calls[position] == call:
+            position += 1
+            continue
+        after = reference[number + 1] if number + 1 < len(reference) else None
+        if call[0] != "step" or (after is not None and after[0] == "enabled"):
+            return False
+    return position == len(calls)
 
 
 def _branch_by_order() -> Diagram:
@@ -681,9 +704,14 @@ def test_oracle_keys_are_equal_exactly_when_reference_keys_are(diagram, monkeypa
     assert references
 
 
-def test_oracle_explores_a_chain_longer_than_the_recursion_limit():
+def test_oracle_explores_a_chain_longer_than_the_recursion_limit(monkeypatch):
+    """It also builds no footprint: with one enabled node per state, no
+    sleep set fills."""
     import sys
 
+    asked = []
+    original = DiagramIndex.footprint
+    monkeypatch.setattr(DiagramIndex, "footprint", lambda index, node_id: asked.append(node_id) or original(index, node_id))
     n = sys.getrecursionlimit() + 200
     tasks = [f"t{i}" for i in range(n)]
     order = ["s", *tasks, "e"]
@@ -696,3 +724,4 @@ def test_oracle_explores_a_chain_longer_than_the_recursion_limit():
     diagram = Diagram("chain", pools=[pool])
     # the start event fires in `init`, outside the search
     assert simulator.explore_interleavings(diagram, max_steps=n + 1) == {frozenset(order[1:])}
+    assert asked == []

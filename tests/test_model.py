@@ -96,6 +96,9 @@ def test_unknown_attachment_direction_rejected():
     "build, message",
     [
         (lambda: Variable("a..b"), "invalid variable name 'a..b'"),
+        (lambda: Effect("o", "", parse_expr("1")), "effect on o: invalid target path ''"),
+        (lambda: Effect("o", "a..b", parse_expr("1")), "effect on o: invalid target path 'a..b'"),
+        (lambda: Effect("o", "a.", parse_expr("1")), "effect on o: invalid target path 'a.'"),
         (lambda: MessageFlow("m", "x", "x"), "message flow m: source equals target"),
         (lambda: ExplicitDataFlow("d", "x", "x", "o"), "data flow d: source equals target"),
         (lambda: Node("n", "N", "task", children=[Node("c", "C", "task")]), "only sub-processes may have children"),

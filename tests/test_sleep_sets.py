@@ -1,0 +1,193 @@
+"""The oracle's sleep sets against the search without them.
+
+``explore_interleavings`` fires no node of a state's sleep set, since such a
+firing reaches a key the search has already seen. So it must visit the same
+new keys in the same order as the reference search of ``tests/test_index.py``
+(``ref_explore``), which fires every enabled node, and find the same
+outcomes. The inline diagrams pin the independence rule, ``_independent``,
+on the cases it must get right.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from bpdmn import simulator
+from bpdmn.expr import parse_expr
+from bpdmn.format import parse_diagram
+from bpdmn.model import (
+    DataObject,
+    DataStore,
+    Diagram,
+    Entity,
+    MessageFlow,
+    Node,
+    Pool,
+    SequenceFlow,
+    StoreInsert,
+    StoreRead,
+    TaskBehavior,
+    Variable,
+)
+
+from conftest import FIXTURES
+from randgen import random_diagram, random_regions
+from test_index import FIXTURE_PATHS, ref_explore, ref_key
+from test_simulator import _race
+
+FAMILIES = {
+    "fixtures": lambda: [(path, parse_diagram((FIXTURES / path).read_text(encoding="utf-8"))) for path in FIXTURE_PATHS],
+    "random_diagram": lambda: [(f"random{seed}", random_diagram(seed)) for seed in range(500)],
+    "random_regions": lambda: [(f"regions{seed}", random_regions(seed)) for seed in range(200)],
+}
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """``searched(explore, diagram, max_steps)``: the outcome set of the
+    search *explore*, or the repr of the ``SimulationError`` that ended it;
+    the reference key of each new state, in the order found (one
+    ``enabled()`` call per new state); and the number of ``step()`` calls."""
+    keys: list = []
+    steps = [0]
+    original_enabled, original_step = simulator.enabled, simulator.step
+
+    def enabled_logged(state, d, prior=frozenset()):
+        keys.append(ref_key(state))
+        return original_enabled(state, d, prior)
+
+    def step_counted(state, d, choose, **options):
+        steps[0] += 1
+        return original_step(state, d, choose, **options)
+
+    monkeypatch.setattr(simulator, "enabled", enabled_logged)
+    monkeypatch.setattr(simulator, "step", step_counted)
+
+    def search(explore, diagram: Diagram, max_steps: int = 50):
+        keys.clear()
+        steps[0] = 0
+        try:
+            result = explore(diagram, max_steps)
+        except simulator.SimulationError as exc:
+            result = repr(exc)
+        return result, list(keys), steps[0]
+
+    return search
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_oracle_finds_the_outcomes_and_new_keys_of_the_reference(family, searched):
+    differing = []
+    for name, diagram in FAMILIES[family]():
+        for max_steps in (3, 10, 50):
+            result, keys, steps = searched(simulator.explore_interleavings, diagram, max_steps)
+            expected, reference_keys, reference_steps = searched(ref_explore, diagram, max_steps)
+            if (result, keys) != (expected, reference_keys) or steps > reference_steps:
+                differing.append((name, max_steps))
+    assert differing == []
+
+
+def _pair(behaviors: dict[str, TaskBehavior], **diagram_parts) -> Diagram:
+    """``s -> split (parallel) -> {a, b} -> join (parallel) -> e``, with the
+    behaviours *behaviors*."""
+    kinds = {"s": "start_event_none", "split": "gateway_parallel", "a": "task", "b": "task"}
+    kinds |= {"join": "gateway_parallel", "e": "end_event"}
+    edges = [("s", "split"), ("split", "a"), ("split", "b"), ("a", "join"), ("b", "join"), ("join", "e")]
+    flows = [SequenceFlow(f"f{k}", source, target) for k, (source, target) in enumerate(edges)]
+    pool = Pool("P", "P", [Node(i, i, kind) for i, kind in kinds.items()], flows)
+    return Diagram("pair", pools=[pool], behaviors=behaviors, **diagram_parts)
+
+
+def _keys_of_both_orders(diagram: Diagram, before: list[str], x: str, y: str) -> tuple:
+    """The reference keys after firing *before* then x and y, and after
+    *before* then y and x; x and y must both be enabled after *before*."""
+    state = simulator.init(diagram)
+    for node in before:
+        state, _ = simulator.step(state, diagram, node)
+    assert {x, y} <= simulator.enabled(state, diagram)
+    keys = []
+    for order in ((x, y), (y, x)):
+        fired = simulator._clone(state)
+        for node in order:
+            fired, _ = simulator.step(fired, diagram, node)
+        keys.append(ref_key(fired))
+    return tuple(keys)
+
+
+STORE = DataStore("D", "D", entities=[Entity("E", [Variable("v", "number")])])
+
+
+def test_two_inserts_into_one_store_are_independent(searched):
+    """The key holds store sizes, not contents, so a then b and b then a
+    reach one key, and the oracle fires the pair in one order only."""
+    insert = TaskBehavior(store_actions=[StoreInsert("D", "E", {"v": parse_expr("1")})])
+    diagram = _pair({"a": insert, "b": insert}, stores=[STORE])
+    assert simulator._independent(diagram, "a", "b")
+    result, keys, steps = searched(simulator.explore_interleavings, diagram)
+    expected, reference_keys, reference_steps = searched(ref_explore, diagram)
+    assert (result, keys) == (expected, reference_keys)
+    assert steps < reference_steps
+
+
+def test_an_insert_and_a_filtered_read_of_its_store_are_dependent(searched):
+    """Whether the read finds a record, and binds R, depends on whether the
+    insert came first."""
+    diagram = _pair(
+        {
+            "a": TaskBehavior(store_actions=[StoreInsert("D", "E", {"v": parse_expr("1")})]),
+            "b": TaskBehavior(store_actions=[StoreRead("D", "E", "R", parse_expr("E.v = 1"))]),
+        },
+        stores=[STORE],
+        objects=[DataObject("R", "R", variables=[Variable("E.v", "number")])],
+    )
+    assert not simulator._independent(diagram, "a", "b")
+    assert not simulator._independent(diagram, "b", "a")
+    a_first, b_first = _keys_of_both_orders(diagram, ["split"], "a", "b")
+    assert a_first != b_first
+    assert searched(simulator.explore_interleavings, diagram)[:2] == searched(ref_explore, diagram)[:2]
+
+
+def test_two_effects_on_one_object_are_dependent():
+    """The race's a and b both set ``o.v``; which fires last decides the
+    branch, so both orders are fired (the key still merges them: see the
+    strict xfail ``test_the_oracle_lists_both_outcomes_of_the_race``)."""
+    diagram = _race()
+    assert not simulator._independent(diagram, "a", "b")
+
+
+def test_a_node_and_the_exclusive_merge_its_flow_enters_are_dependent(searched):
+    """``s -> split (parallel) -> {a, b} -> m (exclusive merge) -> e``. Once
+    b has fired, m and a are both enabled; m takes its token from its first
+    marked flow in, so a then m leaves a token on another flow than m then a."""
+    kinds = {"s": "start_event_none", "split": "gateway_parallel", "a": "task", "b": "task"}
+    kinds |= {"m": "gateway_exclusive_data", "e": "end_event"}
+    edges = [("s", "split"), ("split", "a"), ("split", "b"), ("a", "m"), ("b", "m"), ("m", "e")]
+    flows = [SequenceFlow(f"f{k}", source, target) for k, (source, target) in enumerate(edges)]
+    diagram = Diagram("merge", pools=[Pool("P", "P", [Node(i, i, kind) for i, kind in kinds.items()], flows)])
+    assert not simulator._independent(diagram, "a", "m")
+    a_first, m_first = _keys_of_both_orders(diagram, ["split", "b"], "a", "m")
+    assert a_first != m_first
+    assert searched(simulator.explore_interleavings, diagram)[:2] == searched(ref_explore, diagram)[:2]
+
+
+def test_a_send_and_a_receive_on_one_message_flow_are_dependent(searched):
+    """a sends on mf to r, which a token alone enables: r then a leaves the
+    message waiting, a then r takes it."""
+    sender = Pool(
+        "P1",
+        "P1",
+        [Node("s1", "s1", "start_event_none"), Node("a", "a", "task"), Node("e1", "e1", "end_event")],
+        [SequenceFlow("f1", "s1", "a"), SequenceFlow("f2", "a", "e1")],
+    )
+    receiver = Pool(
+        "P2",
+        "P2",
+        [Node("s2", "s2", "start_event_none"), Node("r", "r", "task"), Node("e2", "e2", "end_event")],
+        [SequenceFlow("f3", "s2", "r"), SequenceFlow("f4", "r", "e2")],
+    )
+    diagram = Diagram("message", pools=[sender, receiver], message_flows=[MessageFlow("mf", "a", "r")])
+    assert not simulator._independent(diagram, "a", "r")
+    a_first, r_first = _keys_of_both_orders(diagram, [], "a", "r")
+    assert a_first != r_first
+    assert searched(simulator.explore_interleavings, diagram)[:2] == searched(ref_explore, diagram)[:2]
+
