@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from . import __version__, format as fmt, validator
+from . import __version__, format as fmt, model, validator
 
 EXIT_OK = 0
 EXIT_MODEL = 1
@@ -111,6 +111,8 @@ def simulate(args: argparse.Namespace) -> int:
         obj, dot, var = key.partition(".")
         if not sep or not dot:
             _fail(f"bad --set {item!r}, expected OBJ.VAR=VALUE", EXIT_IO)
+        if not model.is_variable_path(var):
+            _fail(f"bad --set {item!r}, VAR must be names joined by '.', none empty", EXIT_IO)
         try:
             value = fmt.decode_json(raw)
         except json.JSONDecodeError:

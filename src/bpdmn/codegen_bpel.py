@@ -118,8 +118,9 @@ _TEXT_ESCAPES = (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ("\r", "&#13;"))
 _ATTRIBUTE_ESCAPES = (*_TEXT_ESCAPES, ('"', "&quot;"), ("\n", "&#10;"), ("\t", "&#09;"))
 
 
-# any character either table escapes: most names hold none and are written as they are
-_SPECIAL = re.compile(f"[{re.escape(''.join(char for char, _ in _ATTRIBUTE_ESCAPES))}]")
+# the characters either table escapes: most names hold none and are written as they are
+_SPECIAL_CHARS = "".join(char for char, _ in _ATTRIBUTE_ESCAPES)
+_SPECIAL = re.compile(f"[{re.escape(_SPECIAL_CHARS)}]")
 
 
 def _escape(text: str, escapes: tuple[tuple[str, str], ...]) -> str:
@@ -143,6 +144,15 @@ def element(indent: str, tag: str, attributes: str, children: str) -> str:
 def escape_attribute(value: str) -> str:
     """*value* as written between an attribute's double quotes."""
     return _escape(value, _ATTRIBUTE_ESCAPES)
+
+
+def escape_attributes(texts: list[str]) -> dict[str, str]:
+    """Each of *texts* -> :func:`escape_attribute` of it. Most models' ids and
+    names hold no character to escape, which one search over them all shows."""
+    joined = "".join(texts)
+    if not any(map(joined.__contains__, _SPECIAL_CHARS)):  # one scan per character, in C: faster than _SPECIAL
+        return {text: text for text in texts}
+    return {text: escape_attribute(text) for text in texts}
 
 
 def escape_text(value: str) -> str:

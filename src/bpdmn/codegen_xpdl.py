@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from . import validator
 # GenerationError: one class for both translators, importable from either
-from .codegen_bpel import GenerationError, XmlWriter, element, escape_attribute, escape_text
+from .codegen_bpel import GenerationError, XmlWriter, element, escape_attribute, escape_attributes, escape_text
 from .expr import print_expr
 from .model import DataStore, Diagram, MessageFlow, Node, SequenceFlow, node_inputs, node_outputs
 
@@ -59,9 +59,10 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
     if problem is not None:
         raise GenerationError(problem)
     warnings: list[str] = []
+    escaped = _escaped_ids(diagram)
 
     out = XmlWriter()
-    package_id = escape_attribute(diagram.id)
+    package_id = escaped[diagram.id]
     out.open("Package", f' Id="{package_id}" Name="{package_id}"')
 
     diagram_stores: list[DataStore] = []
@@ -86,7 +87,7 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
                 if var.vtype != "record"
             )
             out.run(
-                f'{i}<DataObject Id="{escape_attribute(obj.id)}" Name="{escape_attribute(obj.name)}">'
+                f'{i}<DataObject Id="{escaped[obj.id]}" Name="{escape_attribute(obj.name)}">'
                 f'{element(i + "  ", "DataFields", "", fields)}{i}</DataObject>'
             )
         out.close()
@@ -97,24 +98,23 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
         for flow in sorted(diagram.message_flows, key=lambda f: f.id):
             # a message carries every attached object, whatever its direction
             objects = "".join(
-                f'{i}  <DataObject Id="{escape_attribute(obj)}" />'
-                for obj in sorted({att.object for att in flow.attachments})
+                f'{i}  <DataObject Id="{escaped[obj]}" />' for obj in sorted({att.object for att in flow.attachments})
             )
-            out.run(element(i, "Message", _flow_attributes(flow), objects))
+            out.run(element(i, "Message", _flow_attributes(flow, escaped), objects))
         out.close()
 
     out.open("WorkflowProcesses")
     for pool in sorted(diagram.pools, key=lambda p: p.id):
         if not pool.nodes:
             continue  # black-box pools stay opaque
-        out.open("WorkflowProcess", f' Id="{escape_attribute(pool.id)}" Name="{escape_attribute(pool.name)}"')
+        out.open("WorkflowProcess", f' Id="{escaped[pool.id]}" Name="{escape_attribute(pool.name)}"')
         out.open("Activities")
         i = out.indent
         for node in sorted(pool.iter_nodes(), key=lambda n: n.id):
             if node.kind in ("task", "sub_process"):
-                out.run(_activity(diagram, node, scoped_stores, i))
+                out.run(_activity(diagram, node, scoped_stores, escaped, i))
             else:
-                out.run(_route_or_event(node, i))
+                out.run(_route_or_event(node, escaped, i))
                 left_out = _left_out(diagram, node)
                 if left_out:
                     warnings.append(
@@ -130,7 +130,7 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
                 if flow.guard is not None
                 else ""
             )
-            out.run(element(i, "Transition", _flow_attributes(flow), condition))
+            out.run(element(i, "Transition", _flow_attributes(flow, escaped), condition))
         out.close()
         out.close()
     out.close()
@@ -138,12 +138,23 @@ def to_xpdl(diagram: Diagram) -> tuple[str, list[str]]:
     return out.text(), warnings
 
 
-def _flow_attributes(flow: MessageFlow | SequenceFlow) -> str:
+def _escaped_ids(diagram: Diagram) -> dict[str, str]:
+    """The id of the diagram and of each of its pools, nodes, sequence and
+    message flows, objects and mappings, escaped once for an attribute
+    value: a node id is written in its ``Activity`` and in each
+    ``Transition`` that names it, an object id in each ``DataObject``,
+    ``Input`` and ``Output``. A name is written once, and escaped where it
+    is written."""
+    index = diagram.index
+    ids = [diagram.id, *index.pool_of, *index.flows, *index.objects]  # pool_of: pool and node ids
+    ids += [flow.id for flow in diagram.message_flows]
+    ids += [mapping.id for mapping in diagram.mappings]
+    return escape_attributes(ids)
+
+
+def _flow_attributes(flow: MessageFlow | SequenceFlow, escaped: dict[str, str]) -> str:
     """The ``Id``, ``From`` and ``To`` attributes of a ``Message`` or ``Transition``."""
-    return (
-        f' Id="{escape_attribute(flow.id)}"'
-        f' From="{escape_attribute(flow.source)}" To="{escape_attribute(flow.target)}"'
-    )
+    return f' Id="{escaped[flow.id]}" From="{escaped[flow.source]}" To="{escaped[flow.target]}"'
 
 
 def _store_fields(store: DataStore, i: str) -> str:
@@ -163,10 +174,10 @@ def _store_fields(store: DataStore, i: str) -> str:
     return "".join(fields)
 
 
-def _route_or_event(node: Node, i: str) -> str:
+def _route_or_event(node: Node, escaped: dict[str, str], i: str) -> str:
     tag, attrs = _ROUTES_AND_EVENTS[node.kind]
     inner = f"<{tag} {attrs} />" if tag == "Route" else f"<Event>{i}    <{tag} {attrs} />{i}  </Event>"
-    activity = f'<Activity Id="{escape_attribute(node.id)}" Name="{escape_attribute(node.name)}">'
+    activity = f'<Activity Id="{escaped[node.id]}" Name="{escape_attribute(node.name)}">'
     return f"{i}{activity}{i}  {inner}{i}</Activity>"
 
 
@@ -185,9 +196,11 @@ def _left_out(diagram: Diagram, node: Node) -> list[str]:
     return left_out
 
 
-def _activity(diagram: Diagram, node: Node, scoped_stores: dict[str, list[DataStore]], i: str) -> str:
+def _activity(
+    diagram: Diagram, node: Node, scoped_stores: dict[str, list[DataStore]], escaped: dict[str, str], i: str
+) -> str:
     """The ``Activity`` of task or sub-process *node* at indentation *i*."""
-    node_id = escape_attribute(node.id)
+    node_id = escaped[node.id]
     lines = [f'{i}<Activity Id="{node_id}" Name="{escape_attribute(node.name)}">']
 
     stores = scoped_stores.get(node.id)
@@ -205,7 +218,7 @@ def _activity(diagram: Diagram, node: Node, scoped_stores: dict[str, list[DataSt
         ("OutputSets", "OutputSet", "Output", outputs + store_outputs),
     ):
         if objects:
-            items = "".join(f'{i}      <{item} ArtifactId="{escape_attribute(obj)}" />' for obj in objects)
+            items = "".join(f'{i}      <{item} ArtifactId="{escaped[obj]}" />' for obj in objects)
             lines.append(f"{i}  <{sets}>{i}    <{one_set}>{items}{i}    </{one_set}>{i}  </{sets}>")
 
     # each input object's variables once, whatever the channels it comes over
@@ -227,6 +240,6 @@ def _activity(diagram: Diagram, node: Node, scoped_stores: dict[str, list[DataSt
             f"{i}      <Expression>{escape_text(print_expr(rule.from_expr))}</Expression>{i}    </Assignment>"
             for rule in mapping.rules
         )
-        lines.append(element(i + "  ", "Assignments", f' Id="{escape_attribute(mapping.id)}"', rules))
+        lines.append(element(i + "  ", "Assignments", f' Id="{escaped[mapping.id]}"', rules))
     lines.append(f"{i}</Activity>")
     return "".join(lines)

@@ -144,16 +144,13 @@ def _tokenize(text: str) -> list[_Token]:
     for match in _TOKEN.finditer(text):
         kind, word = match.lastgroup, match.group()
         if kind == "ident":
-            if not (word[0].isalpha() or word[0] == "_"):
-                raise ExprSyntaxError(f"unexpected character {word[0]!r}", match.start())
-            if word[-1] == "." or ".." in word:
-                raise ExprSyntaxError(f"malformed path {word!r}", match.start())
+            _check_ident(word, match.start())
         elif kind == "space":
             continue
         elif kind == "op":
             word = _SPELLED[word]
         elif kind == "string":
-            word = _ESCAPE.sub(r"\1", word[1:-1]) if "\\" in word else word[1:-1]
+            word = _unquote(word)
         elif kind == "quote":
             raise ExprSyntaxError("unterminated string literal", match.start())
         elif kind == "other":
@@ -162,6 +159,21 @@ def _tokenize(text: str) -> list[_Token]:
     tokens.append(_new_token(_Token, ("eof", "", len(text))))
     tokens.reverse()
     return tokens
+
+
+def _check_ident(word: str, pos: int) -> None:
+    """Refuse the ident token *word* at *pos* unless it starts with a letter
+    or ``_`` and is dot-separated words: ``[^\\W\\d]`` also lets ``²`` start one."""
+    if not (word[0].isalpha() or word[0] == "_"):
+        raise ExprSyntaxError(f"unexpected character {word[0]!r}", pos)
+    if word[-1] == "." or ".." in word:
+        raise ExprSyntaxError(f"malformed path {word!r}", pos)
+
+
+def _unquote(word: str) -> str:
+    """The value of the string token *word*: its text between the quotes,
+    escapes resolved."""
+    return _ESCAPE.sub(r"\1", word[1:-1]) if "\\" in word else word[1:-1]
 
 
 def _number(text: str, pos: int) -> int | float:
@@ -198,17 +210,23 @@ def _parse(tokens: list[_Token], level: int = 0) -> Expression:
     return node
 
 
+def _ident_term(text: str, pos: int) -> Ref | Lit:
+    """The path or boolean that the ident token *text* at *pos*, not
+    ``not``, reads as."""
+    if text in _BOOLEANS:
+        return Lit(_BOOLEANS[text])
+    path = text.split(".")
+    if path[0] in _KEYWORDS:
+        raise ExprSyntaxError(f"unexpected keyword {text!r}", pos)
+    return Ref(tuple(path))
+
+
 def _parse_term(tokens: list[_Token]) -> Expression:
     kind, text, pos = tokens.pop()
     if kind == "ident":
         if text == "not":
             return Not(_parse_term(tokens))
-        if text in _BOOLEANS:
-            return Lit(_BOOLEANS[text])
-        path = text.split(".")
-        if path[0] in _KEYWORDS:
-            raise ExprSyntaxError(f"unexpected keyword {text!r}", pos)
-        return Ref(tuple(path))
+        return _ident_term(text, pos)
     if kind == "number":
         return Lit(_number(text, pos))
     if kind == "string":
@@ -225,14 +243,30 @@ def _parse_term(tokens: list[_Token]) -> Expression:
 def parse_expr(text: str) -> Expression:
     """Parse *text* into an expression tree.
 
+    A text that is one path, number or string token, and nothing else, is
+    read by one ``fullmatch`` of ``_TOKEN``, with the checks and conversions
+    the tokenizer and the term parser apply: no token list is built and no
+    precedence level passed. Any other text, a lone ``not`` too, is
+    tokenized and parsed. Both routes give the same tree or error, since a
+    token that spans the text is the one the tokenizer would read there.
+
     Raises :class:`ExprSyntaxError` (with a character position) on malformed
     or empty input, and no other exception.
     """
+    term = _TOKEN.fullmatch(text)
+    if term is not None:
+        kind = term.lastgroup
+        if kind == "ident":
+            if text != "not":  # a lone 'not' lacks its operand, which the parser reports
+                _check_ident(text, 0)
+                return _ident_term(text, 0)
+        elif kind == "string":
+            return Lit(_unquote(text))
+        elif kind == "number":
+            return Lit(_number(text, 0))
     if not text or not text.strip():
         raise ExprSyntaxError("empty expression", 0)
     tokens = _tokenize(text)
-    if len(tokens) == 2:  # one token and eof: a lone term, which the ladder would only pass down
-        return _parse_term(tokens)
     try:
         node = _parse(tokens)
     except RecursionError:

@@ -50,6 +50,12 @@ class ModelError(Exception):
     """Structural violation detected while building a diagram."""
 
 
+def is_variable_path(text: str) -> bool:
+    """Whether *text* can name a variable: names joined by ``.``, none
+    empty, as an expression path after its object (``input.cardNumber``)."""
+    return "" not in text.split(".")
+
+
 class _Record:
     """What every element class shares, as :mod:`dataclasses` would generate
     it for a class with equality that is not frozen: an element equals one of
@@ -80,7 +86,7 @@ class Variable(_Record):
     __slots__ = _fields = ("name", "vtype")
 
     def __init__(self, name: str, vtype: str = "string") -> None:
-        if "" in name.split("."):
+        if not is_variable_path(name):
             raise ModelError(f"invalid variable name {name!r}")
         if vtype not in VTYPES:
             raise ModelError(f"invalid variable type {vtype!r}")
@@ -448,7 +454,7 @@ class Effect(_Record):
 
     def __init__(self, target_object: str, target_path: str, expr: Expression) -> None:
         # None is the parser's stand-in for a target text it refused already
-        if target_path is not None and "" in target_path.split("."):
+        if target_path is not None and not is_variable_path(target_path):
             raise ModelError(f"effect on {target_object}: invalid target path {target_path!r}")
         self.target_object = target_object
         self.target_path = target_path
@@ -631,6 +637,9 @@ class Diagram(_Record):
                 raise ModelError(f"start input {object_id}: unknown object")
             if object_id not in produced:
                 raise ModelError(f"start input {object_id}: no message start event produces it")
+            for path in self.start_inputs[object_id]:
+                if not is_variable_path(path):
+                    raise ModelError(f"start input {object_id}: invalid variable path {path!r}")
 
     def start_objects(self) -> frozenset[str]:
         """The objects a start input can bind: those a message start event
@@ -737,6 +746,11 @@ class DiagramIndex:
     order in which a firing consumes and emits tokens and BPEL takes
     branches. The lists are shared: :func:`node_inputs` and
     :func:`node_outputs` hand out copies, and other readers only iterate them.
+
+    The index is built on every command that reads a view, so the pass pays
+    no call per entry: it appends through each table's ``setdefault`` and
+    builds each :class:`NodeIO` and :class:`ObjectLink` with
+    ``tuple.__new__``, as :mod:`bpdmn.expr` builds its tokens.
     """
 
     def __init__(self, diagram: Diagram) -> None:
@@ -761,46 +775,52 @@ class DiagramIndex:
         self.readers: dict[str, set[str]] = {}
         self.writers: dict[str, set[str]] = {}
         self.store_fed: set[str] = set()  # nodes with a store-channel input
-        inputs, outputs, sources, targets = self.inputs, self.outputs, self.sources, self.targets
         stores = self.stores
-
-        def add(table: dict, key: str, value) -> None:
-            table.setdefault(key, []).append(value)
+        # each name below is its table's setdefault, and ``new`` builds a
+        # record from a tuple, without the named tuple's Python-level __new__
+        in_flows, out_flows = self.in_flows.setdefault, self.out_flows.setdefault
+        successors = self.successors.setdefault
+        inputs, outputs = self.inputs.setdefault, self.outputs.setdefault
+        sources, targets = self.sources.setdefault, self.targets.setdefault
+        readers, writers = self.readers.setdefault, self.writers.setdefault
+        new = tuple.__new__
 
         for pool in diagram.pools:
             if not pool.nodes:
                 self.black_boxes.add(pool.id)
             for flow in pool.sequence_flows:
-                add(self.out_flows, flow.source, flow)
-                add(self.in_flows, flow.target, flow)
-                self.successors.setdefault(flow.source, set()).add(flow.target)
+                source, target = flow.source, flow.target
+                out_flows(source, []).append(flow)
+                in_flows(target, []).append(flow)
+                successors(source, set()).add(target)
                 for att in flow.attachments:
                     if att.direction == "input":
-                        add(inputs, flow.target, NodeIO(att.object, att.optional, flow.id, "sequence"))
-                        add(targets, att.object, ObjectLink(flow.target, flow.id))
+                        inputs(target, []).append(new(NodeIO, (att.object, att.optional, flow.id, "sequence")))
+                        targets(att.object, []).append(new(ObjectLink, (target, flow.id)))
                     else:
-                        add(outputs, flow.source, NodeIO(att.object, False, flow.id, "sequence"))
-                        add(sources, att.object, ObjectLink(flow.source, flow.id))
+                        outputs(source, []).append(new(NodeIO, (att.object, False, flow.id, "sequence")))
+                        sources(att.object, []).append(new(ObjectLink, (source, flow.id)))
             for flow in pool.explicit_data_flows:
-                self.successors.setdefault(flow.source, set()).add(flow.target)
-                from_store = flow.source in stores
-                to_store = flow.target in stores
+                source, target, obj = flow.source, flow.target, flow.object
+                successors(source, set()).add(target)
+                from_store = source in stores
+                to_store = target in stores
                 in_channel = "store" if from_store else "explicit"
                 out_channel = "store" if to_store else "explicit"
-                add(inputs, flow.target, NodeIO(flow.object, flow.optional, flow.id, in_channel))
-                add(outputs, flow.source, NodeIO(flow.object, False, flow.id, out_channel))
+                inputs(target, []).append(new(NodeIO, (obj, flow.optional, flow.id, in_channel)))
+                outputs(source, []).append(new(NodeIO, (obj, False, flow.id, out_channel)))
                 # a flow has at most one store end; its source produces the
                 # object unless the flow feeds a store, and its target consumes
                 # it unless the flow comes from a store
                 if from_store:
-                    self.readers.setdefault(flow.source, set()).add(flow.target)
-                    self.store_fed.add(flow.target)
+                    readers(source, set()).add(target)
+                    self.store_fed.add(target)
                 else:
-                    add(targets, flow.object, ObjectLink(flow.target, flow.id))
+                    targets(obj, []).append(new(ObjectLink, (target, flow.id)))
                 if to_store:
-                    self.writers.setdefault(flow.target, set()).add(flow.source)
+                    writers(target, set()).add(source)
                 else:
-                    add(sources, flow.object, ObjectLink(flow.source, flow.id))
+                    sources(obj, []).append(new(ObjectLink, (source, flow.id)))
         for flows in (*self.in_flows.values(), *self.out_flows.values()):
             if len(flows) > 1:  # most nodes have one, and the index is built on every call
                 flows.sort(key=lambda f: f.id)
@@ -812,29 +832,30 @@ class DiagramIndex:
         for node_id, behavior in diagram.behaviors.items():
             for action in behavior.store_actions:
                 if isinstance(action, StoreRead):
-                    self.readers.setdefault(action.store, set()).add(node_id)
+                    readers(action.store, set()).add(node_id)
                     refs = () if action.filter is None else tuple(sorted(expr_refs(action.filter)))
-                    add(self.store_reads, node_id, (action, refs))
+                    self.store_reads.setdefault(node_id, []).append((action, refs))
                 else:
-                    self.writers.setdefault(action.store, set()).add(node_id)
+                    writers(action.store, set()).add(node_id)
 
         self.message_in: dict[str, list[MessageFlow]] = {}  # endpoint id -> message flows
         self.message_out: dict[str, list[MessageFlow]] = {}
         # flow id -> message flow to or from a black-box pool
         self.external_flows: dict[str, MessageFlow] = {}
         for flow in diagram.message_flows:
-            add(self.message_in, flow.target, flow)
-            add(self.message_out, flow.source, flow)
-            if flow.source in self.black_boxes or flow.target in self.black_boxes:
+            source, target = flow.source, flow.target
+            self.message_in.setdefault(target, []).append(flow)
+            self.message_out.setdefault(source, []).append(flow)
+            if source in self.black_boxes or target in self.black_boxes:
                 self.external_flows[flow.id] = flow
-            self.successors.setdefault(flow.source, set()).add(flow.target)
+            successors(source, set()).add(target)
             for att in flow.attachments:
                 if att.direction == "input":
-                    add(inputs, flow.target, NodeIO(att.object, att.optional, flow.id, "message"))
-                    add(sources, att.object, ObjectLink(flow.target, flow.id))
+                    inputs(target, []).append(new(NodeIO, (att.object, att.optional, flow.id, "message")))
+                    sources(att.object, []).append(new(ObjectLink, (target, flow.id)))
                 else:
-                    add(outputs, flow.source, NodeIO(att.object, False, flow.id, "message"))
-                    add(targets, att.object, ObjectLink(flow.source, flow.id))
+                    outputs(source, []).append(new(NodeIO, (att.object, False, flow.id, "message")))
+                    targets(att.object, []).append(new(ObjectLink, (source, flow.id)))
         # the message start events a message flow feeds
         self.message_starts: frozenset[str] = frozenset(
             n for n in self.message_in if n in self.nodes and self.nodes[n].kind == "start_event_message"
@@ -842,13 +863,16 @@ class DiagramIndex:
 
         # object id -> nodes taking it as an input, in the order of ``nodes``
         self.consumers: dict[str, list[str]] = {}
+        consumers = self.consumers.setdefault
         for node_id in self.nodes:
-            for obj in dict.fromkeys(io.object for io in inputs.get(node_id, ())):
-                add(self.consumers, obj, node_id)
+            ios = self.inputs.get(node_id)
+            if ios is not None:
+                for obj in dict.fromkeys([io.object for io in ios]):
+                    consumers(obj, []).append(node_id)
         # object id -> mappings producing it, sorted by id
         self.mappings_to: dict[str, list[DataMapping]] = {}
         for mapping in sorted(diagram.mappings, key=lambda m: m.id):
-            add(self.mappings_to, mapping.target_object, mapping)
+            self.mappings_to.setdefault(mapping.target_object, []).append(mapping)
         self._mappings_into: dict[str, list[DataMapping]] = {}  # node id -> mappings_into, once asked
         self._behaviors = diagram.behaviors
         self._footprints: dict[str, tuple[frozenset[str], ...]] = {}  # node id -> footprint, once asked

@@ -794,6 +794,9 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
     results: set[frozenset[str]] = set()
     seen: set = set()
     bits: dict[str, int] = {}  # node or object id -> its bit, in either mask
+    # fired node -> asleep node -> whether they commute: the search asks of
+    # the same pairs again and again
+    independent: dict[str, dict[str, bool]] = {}
 
     def bit(ident: str) -> int:
         value = bits.get(ident)
@@ -822,7 +825,11 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
         # with *fired*, the firing that led here; built only for a state that
         # is expanded
         if asleep:
-            asleep = {node_id for node_id in asleep if _independent(diagram, node_id, fired)}
+            commutes = independent.setdefault(fired, {})
+            for node_id in asleep:
+                if node_id not in commutes:
+                    commutes[node_id] = _independent(diagram, node_id, fired)
+            asleep = {node_id for node_id in asleep if commutes[node_id]}
             choices = sorted(ready - asleep, reverse=True)
         else:  # a new set: the parent adds to its own
             asleep, choices = set(), sorted(ready, reverse=True)

@@ -139,6 +139,14 @@ def test_simulate_set_without_a_value_exits_2():
     assert result.err == "error: bad --set 'novar', expected OBJ.VAR=VALUE\n"
 
 
+@pytest.mark.parametrize("key", ["input.", "input..x", "input.a..b", "input.a."])
+def test_simulate_set_refuses_a_variable_path_with_an_empty_name(key):
+    # no expression can name such a path, and a document's start inputs refuse it
+    result = run_cli("simulate", fx("travel.bpdmn.json"), "--set", f"{key}=1")
+    assert (result.code, result.out) == (2, "")
+    assert result.err == f"error: bad --set '{key}=1', VAR must be names joined by '.', none empty\n"
+
+
 def test_simulate_stuck_exclusive_gateway_exits_1(tmp_path):
     # x has only false guards and no default flow: no branch can be taken
     nodes = [Node("s", "s", "start_event_none"), Node("x", "x", "gateway_exclusive_data"), Node("e", "e", "end_event")]

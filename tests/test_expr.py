@@ -420,7 +420,17 @@ _FRAGMENTS = [
     "and", "or", "not", "true", "false", "true.x", "a.and",
     "1.5", "1e5", "2E+3", "1.2.3", "9..", "1.0e999", "-0", "0.00001",
 ]
-_texts = st.one_of(st.text(), st.lists(st.sampled_from(_FRAGMENTS), max_size=14).map("".join))
+# single tokens of each kind, and words the tokenizer or the term parser refuses
+_TOKEN_TEXTS = [
+    "a", "b.c", "x_1", "_x", "Ω.v", "not", "and", "or", "true", "false", "true.x", "a.and", "and.x", "a.", "a..b",
+    "9..", "²", "1", "-2", "٣", "1.5", "1e5", "1e999", "''", "'s'", "'it\\'s'", "'a\\'b'", "'", "(", ")", "=",
+    "≠", ">=", "#",
+]
+_texts = st.one_of(
+    st.text(),
+    st.lists(st.sampled_from(_FRAGMENTS), max_size=14).map("".join),
+    st.sampled_from(_TOKEN_TEXTS),
+)
 
 
 @settings(max_examples=1000)
@@ -435,13 +445,6 @@ def test_tokens_and_trees_match_the_reference(text):
         pass
     assume(all(_readable(t.text) for t in tokens if t.kind == "number"))
     assert _outcome(parse_expr, text) == expected
-
-
-# single tokens of each kind, and words the tokenizer or the term parser refuses
-_TOKEN_TEXTS = [
-    "a", "b.c", "x_1", "not", "and", "or", "true", "false", "true.x", "a.and", "a.", "9..",
-    "1", "-2", "1.5", "1e5", "1e999", "''", "'s'", "'it\\'s'", "'", "(", ")", "=", "≠", ">=", "#",
-]
 
 
 def _ladder(text: str):

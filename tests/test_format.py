@@ -234,6 +234,15 @@ def _nested_document(depth: int) -> str:
     return json.dumps(doc).replace('{"id": "@"}', node)
 
 
+def _start_input(doc: dict, path: str) -> None:
+    """Make the start event a message start that outputs o, and give o a
+    start input at *path*."""
+    pool = doc["pools"][0]
+    pool["nodes"][0]["kind"] = "start_event_message"
+    pool["sequence_flows"][0]["attachments"] = [{"object": "o", "direction": "output"}]
+    doc["start_inputs"] = {"o": {path: 1}}
+
+
 # (description, edit of the document, expected message)
 BAD_VALUES = [
     ("instances-abc", lambda d: d["behaviors"]["sp"].update(instances="abc"), "'instances' of behavior of sp must be an integer"),
@@ -290,6 +299,9 @@ BAD_VALUES = [
     ("behavior-of-a-pool", lambda d: d["behaviors"].update(q={}), "behavior of q: unknown node"),
     ("start-input-unknown-object", lambda d: d.update(start_inputs={"nosuch": {"v": 1}}), "start input nosuch: unknown object"),
     ("start-input-not-produced", lambda d: d.update(start_inputs={"o": {"v": 1}}), "start input o: no message start event produces it"),
+    # parsed, and bound a variable that no expression can name
+    ("start-input-empty-path", lambda d: _start_input(d, ""), "start input o: invalid variable path ''"),
+    ("start-input-empty-segment", lambda d: _start_input(d, "v..w"), "start input o: invalid variable path 'v..w'"),
     # parsed and validated clean, then deadlocked or failed the run
     (
         "effect-unknown-object",

@@ -11,7 +11,7 @@ import copy
 import pytest
 
 from bpdmn import simulator, validator
-from bpdmn.expr import parse_expr
+from bpdmn.expr import expr_refs, parse_expr
 from bpdmn.format import parse_diagram, serialize_diagram
 from bpdmn.model import (
     CopyRule,
@@ -355,6 +355,25 @@ def ref_consumers(d: Diagram, object_id: str) -> list[str]:
     ]
 
 
+def ref_store_reads(d: Diagram, node_id: str) -> list:
+    behavior = d.behaviors.get(node_id)
+    actions = [] if behavior is None else behavior.store_actions
+    return [
+        (a, () if a.filter is None else tuple(sorted(expr_refs(a.filter))))
+        for a in actions
+        if isinstance(a, StoreRead)
+    ]
+
+
+def ref_mappings_to(d: Diagram, object_id: str) -> list:
+    return [m for m in sorted(d.mappings, key=lambda m: m.id) if m.target_object == object_id]
+
+
+def ref_message_starts(d: Diagram) -> set[str]:
+    fed = {f.target for f in d.message_flows}
+    return {n.id for n in ref_nodes(d) if n.kind == "start_event_message" and n.id in fed}
+
+
 def ref_mappings_into(d: Diagram, node_id: str) -> list:
     input_objects = {io.object for io in ref_node_inputs(d, node_id)}
     return [m for m in sorted(d.mappings, key=lambda m: m.id) if m.target_object in input_objects]
@@ -411,7 +430,19 @@ def test_views_equal_scan_references(diagram):
         assert diagram.index.message_out.get(ident, []) == [f for f in diagram.message_flows if f.source == ident]
         fed = any(io.channel == "store" for io in ref_node_inputs(diagram, ident))
         assert (ident in diagram.index.store_fed) == fed
+        assert diagram.index.store_reads.get(ident, []) == ref_store_reads(diagram, ident)
+    assert diagram.index.message_starts == ref_message_starts(diagram)
+    # a plain tuple of the same fields would compare equal to a record
+    index = diagram.index
+    for table, record in (
+        (index.inputs, NodeIO),
+        (index.outputs, NodeIO),
+        (index.sources, ObjectLink),
+        (index.targets, ObjectLink),
+    ):
+        assert all(type(entry) is record for entries in table.values() for entry in entries)
     for object_id in object_ids:
+        assert diagram.index.mappings_to.get(object_id, []) == ref_mappings_to(diagram, object_id)
         assert diagram.index.sources.get(object_id, []) == ref_object_sources(diagram, object_id)
         assert diagram.index.targets.get(object_id, []) == ref_object_targets(diagram, object_id)
         assert diagram.index.consumers.get(object_id, []) == ref_consumers(diagram, object_id)

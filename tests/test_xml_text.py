@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from bpdmn import codegen_bpel, codegen_xpdl, validator
-from bpdmn.codegen_bpel import GenerationError, XmlWriter, element, escape_attribute, escape_text
+from bpdmn.codegen_bpel import GenerationError, XmlWriter, element, escape_attribute, escape_attributes, escape_text
 from bpdmn.expr import BoolOp, Cmp, Lit, Ref, print_expr
 from bpdmn.format import ParseError
 from bpdmn.model import (
@@ -296,6 +296,7 @@ def _replace_chain(value: str, escapes: tuple[tuple[str, str], ...]) -> str:
 def test_escaping_writes_what_the_replace_chain_of_its_table_writes(value):
     assert escape_attribute(value) == _replace_chain(value, codegen_bpel._ATTRIBUTE_ESCAPES)
     assert escape_text(value) == _replace_chain(value, codegen_bpel._TEXT_ESCAPES)
+    assert escape_attributes(["t002", value]) == {"t002": "t002", value: escape_attribute(value)}
     if value.isalnum():  # nothing to escape: the string itself comes back
         assert escape_attribute(value) is value and escape_text(value) is value
 
