@@ -9,19 +9,18 @@ and cumulative import time. The first line is the interpreter's own baseline,
 is compiled outside the import timer and shows only in the wall time. For
 ``validate`` it also lists the standard-library modules the call loads and
 the baseline does not, so a heavy import that comes back (``dataclasses``
-brings ``inspect``, ``dis``, ``ast`` and ``tokenize``) shows by name.
+brings ``inspect``, ``dis``, ``ast`` and ``tokenize``) shows by name;
+``tests/test_model.py`` checks that no subcommand loads ``dataclasses`` or
+``inspect``.
 
 The last three lines split out costs that ``-X importtime`` folds into the
 import of a module, or cannot see, each a median over fresh processes:
 
-- Class creation: the time ``dataclasses`` (``dataclasses._process_class``)
-  and ``collections.namedtuple`` (which ``typing.NamedTuple`` calls) spend
-  building classes during one cold ``bpdmn validate MODEL``, with how many
-  classes each builds: package classes and those of any module it loads.
-  ``validate`` builds 0 dataclasses and 13 named tuples: the model's element
-  classes are written out by hand, and only the simulator and the pattern
-  analyzer, which ``validate`` does not load, declare dataclasses. The probe
-  imports ``dataclasses`` itself, to count.
+- Class creation: the time ``collections.namedtuple`` (which
+  ``typing.NamedTuple`` calls) spends building classes during one cold
+  ``bpdmn validate MODEL``, with how many it builds: package classes and
+  those of any module it loads. ``validate`` builds 13 named tuples; the
+  package's other records are written out by hand.
 - Compiling: ``bpdmn.format`` compiles the fast pass and the writer of each
   schema table on first use, not on import. The two lines give the time
   ``format._compile`` takes and the functions and source lines it compiles:
@@ -83,23 +82,21 @@ if diagram is not None:
     format.serialize_diagram(diagram)
 print(*spent)
 """
-# prints the ms spent building classes, then the dataclasses and the named
-# tuples built, during one ``bpdmn validate`` of the model named by argv[1]
+# prints the ms spent building named tuples, then how many were built,
+# during one ``bpdmn validate`` of the model named by argv[1]
 CLASS_PROBE = """
-import collections, contextlib, dataclasses, os, sys
+import collections, contextlib, os, sys
 from time import perf_counter
-spent = [0.0, 0, 0]
-def timed(build, kind):
-    def wrapper(*args, **kwargs):
-        start = perf_counter()
-        try:
-            return build(*args, **kwargs)
-        finally:
-            spent[0] += (perf_counter() - start) * 1e3
-            spent[kind] += 1
-    return wrapper
-dataclasses._process_class = timed(dataclasses._process_class, 1)
-collections.namedtuple = timed(collections.namedtuple, 2)
+spent = [0.0, 0]
+namedtuple = collections.namedtuple
+def timed(*args, **kwargs):
+    start = perf_counter()
+    try:
+        return namedtuple(*args, **kwargs)
+    finally:
+        spent[0] += (perf_counter() - start) * 1e3
+        spent[1] += 1
+collections.namedtuple = timed
 from bpdmn import cli
 with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
     try:
@@ -172,18 +169,17 @@ def compile_cost(model: str) -> list[tuple[float, int, int]]:
     ]
 
 
-def class_cost(model: str) -> tuple[float, int, int]:
-    """Median ms spent building classes during one cold ``validate`` of
-    *model*, over RUNS fresh processes, with the dataclasses and the named
-    tuples built."""
+def class_cost(model: str) -> tuple[float, int]:
+    """Median ms spent building named tuples during one cold ``validate`` of
+    *model*, over RUNS fresh processes, with how many were built."""
     runs = []
     for _ in range(RUNS):
         proc = _python(["-c", CLASS_PROBE, model])
         if proc.returncode != 0:
             raise SystemExit(proc.stderr)
-        ms, dataclasses, namedtuples = proc.stdout.split()
-        runs.append((float(ms), int(dataclasses), int(namedtuples)))
-    return statistics.median(ms for ms, _, _ in runs), runs[0][1], runs[0][2]
+        ms, namedtuples = proc.stdout.split()
+        runs.append((float(ms), int(namedtuples)))
+    return statistics.median(ms for ms, _ in runs), runs[0][1]
 
 
 def _table(names: list[str], modules: dict[str, tuple[float, float]]) -> None:
@@ -214,8 +210,8 @@ def main() -> None:
             print(f"  standard-library modules `-c pass` does not load: {len(stdlib)}, self import total {total:.1f} ms")
             _table(stdlib, modules)
 
-    ms, dataclasses, namedtuples = class_cost(model)
-    print(f"\n== classes a cold validate builds: {ms:.2f} ms, {dataclasses} dataclasses, {namedtuples} named tuples")
+    ms, namedtuples = class_cost(model)
+    print(f"\n== classes a cold validate builds: {ms:.2f} ms, {namedtuples} named tuples")
     (ms, functions, lines), (write_ms, writers, write_lines) = compile_cost(model)
     print(f"== fast pass one parse compiles: {ms:.2f} ms, {functions} functions, {lines} lines")
     print(f"== writers the first serialize compiles: {write_ms:.2f} ms, {writers} functions, {write_lines} lines")

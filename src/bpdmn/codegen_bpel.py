@@ -48,9 +48,15 @@ class GenerationError(Exception):
 _NOT_IN_XML = [chr(c) for c in (*range(0x9), 0xB, 0xC, *range(0xE, 0x20), 0xFFFE, 0xFFFF)]
 
 
+# the nesting depth past which deeper elements share one indentation, so the
+# indentation of a document grows with its size, not with the square of it
+_MAX_INDENT_LEVELS = 32
+
+
 class XmlWriter:
     """An XML document written in document order: an XML declaration, then
-    the elements with two-space indentation, then a final newline.
+    the elements with two-space indentation, at most
+    ``_MAX_INDENT_LEVELS`` levels of it, then a final newline.
 
     An element holds either children or text, never both. :meth:`open` and
     :meth:`close` write an element whose children follow one by one. A start
@@ -84,13 +90,15 @@ class XmlWriter:
         *attributes* already written, each with its leading space."""
         self.run(f"{self.indent}<{tag}{attributes}")
         self.open_tags.append(tag)
-        self.indent += "  "
+        if len(self.open_tags) <= _MAX_INDENT_LEVELS:
+            self.indent += "  "
         self.childless = True
 
     def close(self) -> None:
         """End the innermost open element."""
         tag = self.open_tags.pop()
-        self.indent = self.indent[:-2]
+        if len(self.open_tags) < _MAX_INDENT_LEVELS:
+            self.indent = self.indent[:-2]
         if self.childless:
             self.parts.append(" />")
             self.childless = False

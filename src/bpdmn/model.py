@@ -17,9 +17,9 @@ into a :class:`DiagramIndex` cached on the diagram, which reuses the tables.
 The element classes are written out by hand, not declared with
 :mod:`dataclasses`: every command builds a model, and loading that module
 (with :mod:`inspect`) and generating the methods of each class was a large
-share of a cold call. They share one base class, ``_Record``; only
-:class:`Diagram` keeps a ``__dict__``, for its tables by id and its cached
-index.
+share of a cold call. They share one base class, ``_Record``, as do the
+simulator's state and trace events; only :class:`Diagram` keeps a
+``__dict__``, for its tables by id and its cached index.
 """
 
 from __future__ import annotations

@@ -8,7 +8,8 @@ it documents its predicate in one sentence and returns witness element-id
 sets found in a concrete model. A row's data-extended support is "supported"
 exactly when it has a detector; the four rows without one (3, 6, 35, 37)
 always report empty. The matrix, the unsupported keys and the rendered
-table are read off the rows.
+table are read off the rows. A row (:class:`Pattern`) and the result of an
+analysis (:class:`PatternReport`) are named tuples.
 
 :func:`analyze` builds the relations the detectors share (tasks and nodes by
 kind, each object's producers and consumers, environment source and sink
@@ -20,8 +21,8 @@ each detector is a query over them.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import validator
 from .expr import expr_refs
@@ -44,8 +45,7 @@ _S, _P, _U = Support.SUPPORTED, Support.PARTIAL, Support.UNSUPPORTED
 Witness = frozenset[str]
 
 
-@dataclass
-class PatternReport:
+class PatternReport(NamedTuple):
     """The instances :func:`analyze` found of each pattern."""
 
     # pattern key -> each witness found, as its sorted element ids, sorted
@@ -439,8 +439,7 @@ def _d_process_data_store(f: _Facts) -> list[Witness]:
     return [frozenset({s.id}) for s in f.d.stores]
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     """One row of the capability matrix: a Workflow Data Pattern (numbered
     1-40) or an additional requirement, with its support in plain BPMN and
     the detector of its instances in BPDMN (``None``: BPDMN does not support

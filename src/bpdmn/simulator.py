@@ -31,6 +31,13 @@ from another is kept by the writers of its source, so nothing recounts it:
 ``_receive_messages``; ``step_count`` by ``step``; ``reads`` by
 ``_matching_record``. ``_clone`` copies them all.
 
+A state and the trace events are records written out by hand, on the base
+class of the model's elements: each equals only one of its own class with
+equal fields, so ``MessageSent`` never equals ``MessageReceived``, and none
+has a hash. A state compares and shows its six fields, ``tokens`` to
+``step_count``, and not the caches ``marked`` and ``reads``. An inbox's
+``Message`` and a run's ``RunResult`` are named tuples.
+
 A message start event that a message flow feeds is listed in
 ``index.message_starts``. It is *pending* while it is not in ``completed``:
 ``init`` completes it only when a start input supplies one of its outputs,
@@ -118,8 +125,8 @@ in the same order as one without sleep sets. A key with store contents
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from itertools import islice
+from typing import NamedTuple
 
 from .expr import ExprError, Value, eval_expr
 from .model import (
@@ -131,6 +138,7 @@ from .model import (
     StoreInsert,
     StoreRead,
     TaskBehavior,
+    _Record,
     node_inputs,
 )
 
@@ -170,87 +178,99 @@ class _Env(dict):
         return self.objects[obj][path]
 
 
-@dataclass
-class Message:
+class Message(NamedTuple):
     """A message in an inbox: what it carries and when it was sent."""
 
     step: int  # the step that sent it
     objects: Bindings  # snapshot of the attached objects
 
 
-@dataclass
-class ExecutionState:
+class ExecutionState(_Record):
     """A run's state. Only ``init`` and ``_clone`` build one, and only the
-    writers the module docstring names change a field."""
+    writers the module docstring names change a field. Two states are equal
+    when their six fields are; the caches ``marked`` and ``reads`` are
+    neither compared nor shown in the repr."""
 
-    tokens: dict[str, int] = field(default_factory=dict, init=False)  # sequence flow id -> count
-    bindings: Bindings = field(default_factory=dict, init=False)
-    stores: dict[str, list[Record]] = field(default_factory=dict, init=False)  # records as Entity.field maps
-    inbox: dict[str, list[Message]] = field(default_factory=dict, init=False)  # message flow id -> queue, oldest first
-    completed: set[str] = field(default_factory=set, init=False)
-    step_count: int = field(default=0, init=False)
-    # node id -> how many of its sequence flows in hold a token, for the nodes
-    # with one; kept by _add_token and step's consume loop
-    marked: dict[str, int] = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (node id, number of the read in index.store_reads) -> (snapshot of the
-    # paths its filter names, records scanned, record matched or None)
-    reads: dict[tuple[str, int], tuple[tuple, int, Record | None]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _fields = ("tokens", "bindings", "stores", "inbox", "completed", "step_count")
+    __slots__ = (*_fields, "marked", "reads")
+
+    def __init__(self) -> None:
+        self.tokens: dict[str, int] = {}  # sequence flow id -> count
+        self.bindings: Bindings = {}
+        self.stores: dict[str, list[Record]] = {}  # records as Entity.field maps
+        self.inbox: dict[str, list[Message]] = {}  # message flow id -> queue, oldest first
+        self.completed: set[str] = set()
+        self.step_count = 0
+        # node id -> how many of its sequence flows in hold a token, for the nodes
+        # with one; kept by _add_token and step's consume loop
+        self.marked: dict[str, int] = {}
+        # (node id, number of the read in index.store_reads) -> (snapshot of the
+        # paths its filter names, records scanned, record matched or None)
+        self.reads: dict[tuple[str, int], tuple[tuple, int, Record | None]] = {}
 
 
 # ---------------------------------------------------------------------------
 # Trace
 
-# The events stay dataclasses: MessageSent and MessageReceived have one
-# shape, and as tuples they would compare equal.
+# An event is a record, not a named tuple, because MessageSent and
+# MessageReceived have one shape: as tuples they would compare equal.
 
 
-@dataclass(frozen=True, slots=True)
-class NodeFired:
-    step: int
-    node: str
+class NodeFired(_Record):
+    __slots__ = _fields = ("step", "node")
+
+    def __init__(self, step: int, node: str) -> None:
+        self.step = step
+        self.node = node
 
     def __str__(self) -> str:
         return f"step {self.step}: fired {self.node}"
 
 
-@dataclass(frozen=True, slots=True)
-class ObjectBound:
-    step: int
-    object: str
-    variable: str
-    value: Value
+class ObjectBound(_Record):
+    __slots__ = _fields = ("step", "object", "variable", "value")
+
+    def __init__(self, step: int, object: str, variable: str, value: Value) -> None:
+        self.step = step
+        self.object = object
+        self.variable = variable
+        self.value = value
 
     def __str__(self) -> str:
         return f"step {self.step}: bound {self.object}.{self.variable} = {self.value!r}"
 
 
-@dataclass(frozen=True, slots=True)
-class StoreChanged:
-    step: int
-    store: str
-    entity: str
-    record: tuple[tuple[str, Value], ...]
+class StoreChanged(_Record):
+    __slots__ = _fields = ("step", "store", "entity", "record")
+
+    def __init__(self, step: int, store: str, entity: str, record: tuple[tuple[str, Value], ...]) -> None:
+        self.step = step
+        self.store = store
+        self.entity = entity
+        self.record = record
 
     def __str__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in self.record)
         return f"step {self.step}: store {self.store} += {self.entity}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
-class MessageSent:
-    step: int
-    flow: str
+class MessageSent(_Record):
+    __slots__ = _fields = ("step", "flow")
+
+    def __init__(self, step: int, flow: str) -> None:
+        self.step = step
+        self.flow = flow
 
     def __str__(self) -> str:
         return f"step {self.step}: message sent on {self.flow}"
 
 
-@dataclass(frozen=True, slots=True)
-class MessageReceived:
-    step: int
-    flow: str
+class MessageReceived(_Record):
+    __slots__ = _fields = ("step", "flow")
+
+    def __init__(self, step: int, flow: str) -> None:
+        self.step = step
+        self.flow = flow
 
     def __str__(self) -> str:
         return f"step {self.step}: message received on {self.flow}"
@@ -260,8 +280,7 @@ TraceEvent = NodeFired | ObjectBound | StoreChanged | MessageSent | MessageRecei
 Trace = list[TraceEvent]
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """How a run ended: its trace, its status and its final state."""
 
     trace: Trace

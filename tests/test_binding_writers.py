@@ -1,20 +1,20 @@
 """Each field of a simulator state has its few writers.
 
-Only ``init`` and ``_clone`` build an ``ExecutionState``, and only the
-functions ``FIELD_WRITERS`` names write each of its fields. One pair of
-fields holds one fact twice: ``tokens`` and ``marked``, which counts the flows
-into a node that hold a token. So a statement that writes one of them and not
-the other leaves a state that contradicts itself. ``completed`` only grows, and
-only by one node at a time: the start events ``init`` completes and the node
-``step`` fires. The oracle keeps a mask of it that relies on this. Anything
-kept in step with a state, such as a key of it updated per firing, has to be
-updated by exactly these writers.
+Only ``init`` and ``_clone`` build an ``ExecutionState``, ``init`` through
+``ExecutionState.__init__``, which builds the empty state. Only those two
+builders and the functions ``FIELD_WRITERS`` names write each of its fields.
+One pair of fields holds one fact twice: ``tokens`` and ``marked``, which
+counts the flows into a node that hold a token. So a statement that writes
+one of them and not the other leaves a state that contradicts itself.
+``completed`` only grows, and only by one node at a time: the start events
+``init`` completes and the node ``step`` fires. The oracle keeps a mask of
+it that relies on this. Anything kept in step with a state, such as a key of
+it updated per firing, has to be updated by exactly these writers.
 """
 
 from __future__ import annotations
 
 import ast
-import dataclasses
 import inspect
 from pathlib import Path
 
@@ -25,17 +25,19 @@ from conftest import load
 
 SIMULATOR = Path(__file__).resolve().parent.parent / "src" / "bpdmn" / "simulator.py"
 SOURCE = SIMULATOR.read_text(encoding="utf-8")
+# the two builders of a state, which write every field
+BUILDERS = {"ExecutionState.__init__", "_clone"}
 # each field of ExecutionState -> the functions that may write it; step writes
 # tokens and marked only in the loop that consumes tokens
 FIELD_WRITERS = {
-    "tokens": {"_add_token", "step", "_clone"},
-    "marked": {"_add_token", "step", "_clone"},
-    "bindings": {"_bind_object", "_clone"},
-    "completed": {"init", "step", "_clone"},
-    "stores": {"_run_behavior", "_clone"},
-    "inbox": {"_send_messages", "_receive_messages", "_clone"},
-    "step_count": {"step", "_clone"},
-    "reads": {"_matching_record", "_clone"},
+    "tokens": {"_add_token", "step", *BUILDERS},
+    "marked": {"_add_token", "step", *BUILDERS},
+    "bindings": {"_bind_object", *BUILDERS},
+    "completed": {"init", "step", *BUILDERS},
+    "stores": {"_run_behavior", *BUILDERS},
+    "inbox": {"_send_messages", "_receive_messages", *BUILDERS},
+    "step_count": {"step", *BUILDERS},
+    "reads": {"_matching_record", *BUILDERS},
 }
 MUTATORS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__", "__delitem__"}  # dict
 MUTATORS |= {"add", "discard", "remove"}  # set
@@ -137,7 +139,7 @@ def writers_outside(source: str, allowed: set[str], fields: set[str]) -> list[st
 
 
 def test_every_state_field_has_writers():
-    assert sorted(f.name for f in dataclasses.fields(simulator.ExecutionState)) == sorted(FIELD_WRITERS)
+    assert sorted(simulator.ExecutionState.__slots__) == sorted(FIELD_WRITERS)
 
 
 @pytest.mark.parametrize("name", sorted(FIELD_WRITERS))
@@ -156,7 +158,7 @@ def test_step_writes_tokens_and_marks_only_in_its_consume_loop():
 
 def test_init_and_step_complete_one_node_each():
     lines = SOURCE.splitlines()
-    writes = [where.split(":") for where in writers_outside(SOURCE, {"_clone"}, {"completed"})]
+    writes = [where.split(":") for where in writers_outside(SOURCE, BUILDERS, {"completed"})]
     assert [(where, lines[int(line) - 1].strip()) for where, line in writes] == [
         ("init", "state.completed.add(node.id)"),
         ("step", "state.completed.add(node_id)"),
@@ -175,7 +177,7 @@ def test_only_init_and_clone_build_a_state():
     assert builds == [("init", "ExecutionState()"), ("_clone", "ExecutionState.__new__(ExecutionState)")]
     assert not inspect.signature(simulator.ExecutionState).parameters
     empty = simulator.ExecutionState()
-    assert all(not getattr(empty, f.name) for f in dataclasses.fields(empty))
+    assert all(not getattr(empty, name) for name in simulator.ExecutionState.__slots__)
 
 
 def test_a_clone_equals_its_state_in_every_field_and_shares_no_container():
@@ -185,11 +187,11 @@ def test_a_clone_equals_its_state_in_every_field_and_shares_no_container():
         state, _ = simulator.step(state, diagram, min(simulator.enabled(state, diagram)))
     assert state.stores and state.reads and state.marked
     clone = simulator._clone(state)
-    for f in dataclasses.fields(state):
-        value, copied = getattr(state, f.name), getattr(clone, f.name)
-        assert copied == value, f.name
-        if f.name != "step_count":
-            assert copied is not value, f.name
+    for name in simulator.ExecutionState.__slots__:
+        value, copied = getattr(state, name), getattr(clone, name)
+        assert copied == value, name
+        if name != "step_count":
+            assert copied is not value, name
     for name in ("bindings", "stores", "inbox"):
         shared = [key for key, inner in getattr(state, name).items() if getattr(clone, name)[key] is inner]
         assert shared == [], name

@@ -327,6 +327,10 @@ def test_four_hundred_nested_splits_translate(tmp_path, kind):
     result = _translate(tmp_path, _nested_splits(400, kind))
     assert (result.code, result.err) == (0, "")
     assert result.out.count("<invoke ") == 401
+    # indentation stops growing at a fixed depth, so the bytes grow with the
+    # depth, not with its square
+    half = _translate(tmp_path, _nested_splits(200, kind))
+    assert len(result.out.encode()) <= 2.2 * len(half.out.encode())
 
 
 def test_splits_nested_past_the_recursion_limit_are_refused_without_a_traceback(tmp_path):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bpdmn import expr, format as fmt, model, validator
+from bpdmn import expr, format as fmt, model, patterns, simulator, validator
 from bpdmn.expr import parse_expr
 from bpdmn.model import (
     CopyRule,
@@ -329,7 +329,7 @@ def test_travel_fixture_is_loaded(travel):
 
 
 # the immutable records, which are tuples: each keeps the fields, field order
-# and repr it had as a frozen dataclass
+# and repr it had as a dataclass
 RECORDS = [
     (expr.Ref, ("path",)),
     (expr.Lit, ("value",)),
@@ -341,6 +341,10 @@ RECORDS = [
     (fmt.SourceSpan, ("line", "column")),
     (fmt.ParseDiagnostic, ("span", "message")),
     (validator.Diagnostic, ("rule", "severity", "element", "message")),
+    (simulator.Message, ("step", "objects")),
+    (simulator.RunResult, ("trace", "status", "state")),
+    (patterns.Pattern, ("key", "name", "group", "bpmn", "detector")),
+    (patterns.PatternReport, ("instances",)),
 ]
 
 
@@ -356,12 +360,15 @@ def test_a_record_is_built_by_position_or_by_keyword(cls, fields):
         setattr(record, fields[0], None)
 
 
-def _element_classes() -> list[type]:
-    """The model's element classes: those listing their ``_fields``, which
-    are not the named tuples."""
-    return [
-        c for c in vars(model).values() if isinstance(c, type) and hasattr(c, "_fields") and not issubclass(c, tuple)
-    ]
+def _element_classes() -> set[type]:
+    """The model's element classes and the simulator's records: those
+    listing their ``_fields``, which are not the named tuples."""
+    return {
+        c
+        for module in (model, simulator)
+        for c in vars(module).values()
+        if isinstance(c, type) and hasattr(c, "_fields") and not issubclass(c, tuple)
+    }
 
 
 def test_every_element_class_but_the_diagram_has_slots():
@@ -402,11 +409,17 @@ ELEMENTS = {
     StoreRead: ("st", "E", "o", parse_expr("E.f = 1")),
     TaskBehavior: ([Effect("o", "v", parse_expr("1"))], [StoreRead("st", "E", "o")], 2),
     Diagram: ("d", [Pool("p", "P")], [], [], [], [], {}, {}),
+    simulator.NodeFired: (1, "t"),
+    simulator.ObjectBound: (1, "o", "v", 2),
+    simulator.StoreChanged: (1, "st", "E", (("E.f", 2),)),
+    simulator.MessageSent: (1, "m"),
+    simulator.MessageReceived: (1, "m"),
 }
 
 
 def test_the_record_semantics_cover_every_element_class():
-    assert set(ELEMENTS) == set(_element_classes())
+    # a state takes no argument: test_a_state_compares_and_shows_its_fields_not_its_caches
+    assert set(ELEMENTS) | {simulator.ExecutionState} == _element_classes()
 
 
 @pytest.mark.parametrize("cls", ELEMENTS, ids=lambda cls: cls.__name__)
@@ -427,11 +440,37 @@ def test_an_element_is_a_mutable_record_of_its_fields(cls):
     assert hasattr(element, "__dict__") == (cls is Diagram)
 
 
-def test_elements_of_two_classes_with_equal_fields_differ():
-    relationship, effect = Relationship("a", "b", "c"), Effect("a", "b", "c")
-    assert [getattr(relationship, f) for f in relationship._fields] == [getattr(effect, f) for f in effect._fields]
-    assert relationship != effect
-    assert not relationship == effect
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (Relationship("a", "b", "c"), Effect("a", "b", "c")),
+        (simulator.MessageSent(1, "m"), simulator.MessageReceived(1, "m")),
+        (simulator.NodeFired(1, "m"), simulator.MessageSent(1, "m")),
+    ],
+    ids=["model", "messages", "events"],
+)
+def test_elements_of_two_classes_with_equal_fields_differ(first, second):
+    assert [getattr(first, f) for f in first._fields] == [getattr(second, f) for f in second._fields]
+    assert first != second
+    assert not first == second
+
+
+def test_a_state_compares_and_shows_its_fields_not_its_caches():
+    state, other = simulator.ExecutionState(), simulator.ExecutionState()
+    other.marked["t"] = 1
+    other.reads[("t", 0)] = ((), 0, None)
+    assert state == other
+    assert repr(state) == repr(other) == (
+        "ExecutionState(tokens={}, bindings={}, stores={}, inbox={}, completed=set(), step_count=0)"
+    )
+    for name in simulator.ExecutionState._fields:
+        changed = simulator.ExecutionState()
+        setattr(changed, name, 1)
+        assert state != changed, name
+    assert state != tuple(getattr(state, name) for name in state._fields)
+    with pytest.raises(TypeError):
+        hash(state)
+    assert not hasattr(state, "__dict__")
 
 
 def test_an_element_repr_is_the_one_a_dataclass_gave():
@@ -441,6 +480,10 @@ def test_an_element_repr_is_the_one_a_dataclass_gave():
         "Node(id='sp', name='SP', kind='sub_process', children=[Node(id='t', name='T', kind='task', "
         "children=[], local_stores=[], condition=None, multi_instance=True)], local_stores=['st'], "
         "condition=None, multi_instance=False)"
+    )
+    assert repr(simulator.ObjectBound(0, "o", "v", 1)) == "ObjectBound(step=0, object='o', variable='v', value=1)"
+    assert repr(simulator.StoreChanged(2, "st", "E", (("E.f", 1),))) == (
+        "StoreChanged(step=2, store='st', entity='E', record=(('E.f', 1),))"
     )
 
 
@@ -457,18 +500,25 @@ def test_each_element_gets_its_own_default_of_an_omitted_list_or_map(cls):
             assert value is not getattr(second, name), name
 
 
-def test_a_cold_validate_loads_neither_dataclasses_nor_inspect():
+@pytest.mark.parametrize(
+    "argv",
+    [["validate"], ["translate", "--to", "bpel"], ["translate", "--to", "xpdl"], ["simulate"], ["patterns"], ["render"]],
+    ids=["validate", "translate-bpel", "translate-xpdl", "simulate", "patterns", "render"],
+)
+def test_a_cold_call_loads_neither_dataclasses_nor_inspect(argv):
     probe = (
         "import atexit, runpy, sys\n"
         "atexit.register(lambda: print(sorted({'dataclasses', 'inspect'} & set(sys.modules))))\n"
         "runpy.run_module('bpdmn.cli', run_name='__main__', alter_sys=True)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", probe, "validate", str(FIXTURES / "travel.bpdmn.json")],
+        [sys.executable, "-c", probe, argv[0], str(FIXTURES / "travel.bpdmn.json"), *argv[1:]],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["ok", "[]"]
+    assert proc.stdout.splitlines()[-1] == "[]"
+    if argv == ["validate"]:
+        assert proc.stdout.splitlines() == ["ok", "[]"]
