@@ -19,7 +19,7 @@ import of a module, or cannot see, each a median over fresh processes:
 - Class creation: the time ``collections.namedtuple`` (which
   ``typing.NamedTuple`` calls) spends building classes during one cold
   ``bpdmn validate MODEL``, with how many it builds: package classes and
-  those of any module it loads. ``validate`` builds 13 named tuples; the
+  those of any module it loads. ``validate`` builds 12 named tuples; the
   package's other records are written out by hand.
 - Compiling: ``bpdmn.format`` compiles the fast pass and the writer of each
   schema table on first use, not on import. The two lines give the time

@@ -96,6 +96,15 @@ def translate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# how --set words each rule of model.start_input_fault that an override breaks
+_SET_REFUSALS = {
+    "object": "the model declares no object {obj!r}",
+    "start": "no message start event produces {obj!r}",
+    "path": "VAR must be names joined by '.', none empty",
+    "value": "VALUE must be a string, number, boolean or null",
+}
+
+
 def simulate(args: argparse.Namespace) -> int:
     """Execute a model under data-aware enablement and print the trace."""
     from . import simulator
@@ -105,26 +114,20 @@ def simulate(args: argparse.Namespace) -> int:
     if errors is not None:
         _fail(errors, EXIT_MODEL)
     start_inputs = {obj: dict(vals) for obj, vals in diagram.start_inputs.items()}
-    produced = diagram.start_objects()
     for item in args.overrides:
         key, sep, raw = item.partition("=")
         obj, dot, var = key.partition(".")
         if not sep or not dot:
             _fail(f"bad --set {item!r}, expected OBJ.VAR=VALUE", EXIT_IO)
-        if not model.is_variable_path(var):
-            _fail(f"bad --set {item!r}, VAR must be names joined by '.', none empty", EXIT_IO)
         try:
             value = fmt.decode_json(raw)
         except json.JSONDecodeError:
             value = raw
         except fmt.ParseError as exc:
             _fail(f"bad --set {item!r}, VALUE is an {exc.diagnostics[0].message}", EXIT_IO)
-        if not fmt.is_scalar(value):
-            _fail(f"bad --set {item!r}, VALUE must be a string, number, boolean or null", EXIT_IO)
-        if diagram.object(obj) is None:
-            _fail(f"bad --set {item!r}, the model declares no object {obj!r}", EXIT_IO)
-        if obj not in produced:
-            _fail(f"bad --set {item!r}, no message start event produces {obj!r}", EXIT_IO)
+        fault = model.start_input_fault(diagram, obj, {var: value})
+        if fault is not None:
+            _fail(f"bad --set {item!r}, " + _SET_REFUSALS[fault[0]].format(obj=obj), EXIT_IO)
         start_inputs.setdefault(obj, {})[var] = value
 
     try:

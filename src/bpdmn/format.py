@@ -56,7 +56,6 @@ values.
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from functools import cached_property
@@ -107,12 +106,6 @@ def _span_of(text: str, needle: str | None) -> SourceSpan:
             column = idx - (text.rfind("\n", 0, idx) + 1) + 1
             return SourceSpan(line, column)
     return SourceSpan(1, 1)
-
-
-def is_scalar(value: object) -> bool:
-    """Whether *value* may be a start input: a string, finite number, boolean
-    or null. ``start_inputs`` and ``simulate --set`` both read values by it."""
-    return value is None or isinstance(value, (str, int)) or (isinstance(value, float) and math.isfinite(value))
 
 
 def decode_json(text: str) -> object:
@@ -437,7 +430,7 @@ _STRINGS = _scalar(
     sorted,
     text="strings({0}, {1})",
 )
-_START_VALUE = _scalar("is_scalar({0})", "a string, number, boolean or null")
+_START_VALUE = _scalar("model.is_scalar({0})", "a string, number, boolean or null")
 
 
 def _fast_items(exprs: _Exprs, values: object, depth: int, fast: Callable) -> list:

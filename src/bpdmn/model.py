@@ -10,9 +10,9 @@ while the softer well-formedness rules live in :mod:`bpdmn.validator`.
 Diagrams must not be mutated after construction, which would leave the
 derived views stale. The tables by id are built with the diagram, by the
 walk that checks its identifiers are unique. The other views (flows into and
-out of a node, a node's inputs and outputs, an object's sources and targets,
-a store's readers and writers, reachability) are built once, on first use,
-into a :class:`DiagramIndex` cached on the diagram, which reuses the tables.
+out of a node, the objects into and out of each endpoint, a store's readers
+and writers, reachability) are built once, on first use, into a
+:class:`DiagramIndex` cached on the diagram, which reuses the tables.
 
 The element classes are written out by hand, not declared with
 :mod:`dataclasses`: every command builds a model, and loading that module
@@ -24,6 +24,7 @@ simulator's state and trace events; only :class:`Diagram` keeps a
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from typing import NamedTuple
 
@@ -54,6 +55,40 @@ def is_variable_path(text: str) -> bool:
     """Whether *text* can name a variable: names joined by ``.``, none
     empty, as an expression path after its object (``input.cardNumber``)."""
     return "" not in text.split(".")
+
+
+def is_scalar(value: object) -> bool:
+    """Whether *value* may be a start input: a string, finite number, boolean
+    or null."""
+    return value is None or isinstance(value, (str, int)) or (isinstance(value, float) and math.isfinite(value))
+
+
+def start_input_fault(diagram: Diagram, object_id: str, values: dict[str, object]) -> tuple[str, str] | None:
+    """The first rule that start input *values* (variable path -> value) for
+    *object_id* break, as ``(rule, path)``, or ``None``. In order: the object
+    is declared (``"object"``), a message start event outputs it on a sequence
+    flow (``"start"``), each path is a variable path (``"path"``) and each
+    value a scalar (``"value"``); *path* is empty for the first two. A
+    diagram, ``simulator.init`` and ``simulate --set`` each word a fault."""
+    if diagram.object(object_id) is None:
+        return "object", ""
+    if object_id not in diagram.start_objects():
+        return "start", ""
+    for path, value in values.items():
+        if not is_variable_path(path):
+            return "path", path
+        if not is_scalar(value):
+            return "value", path
+    return None
+
+
+# how a diagram words each rule of start_input_fault, after "start input OBJ: "
+START_INPUT_REFUSALS = {
+    "object": "unknown object",
+    "start": "no message start event produces it",
+    "path": "invalid variable path {path!r}",
+    "value": "{path!r} must be a string, number, boolean or null",
+}
 
 
 class _Record:
@@ -632,14 +667,11 @@ class Diagram(_Record):
                     raise ModelError(f"{where}: unknown entity {action.entity!r} of store {store.id}")
                 if isinstance(action, StoreRead) and action.object not in objects:
                     raise ModelError(f"{where}: unknown object {action.object!r}")
-        for object_id in self.start_inputs:
-            if object_id not in objects:
-                raise ModelError(f"start input {object_id}: unknown object")
-            if object_id not in produced:
-                raise ModelError(f"start input {object_id}: no message start event produces it")
-            for path in self.start_inputs[object_id]:
-                if not is_variable_path(path):
-                    raise ModelError(f"start input {object_id}: invalid variable path {path!r}")
+        for object_id, values in self.start_inputs.items():
+            fault = start_input_fault(self, object_id, values)
+            if fault is not None:
+                rule, path = fault
+                raise ModelError(f"start input {object_id}: " + START_INPUT_REFUSALS[rule].format(path=path))
 
     def start_objects(self) -> frozenset[str]:
         """The objects a start input can bind: those a message start event
@@ -665,21 +697,6 @@ class Diagram(_Record):
 
     def object(self, object_id: str) -> DataObject | None:
         return self._objects.get(object_id)
-
-
-# ---------------------------------------------------------------------------
-# Provenance / consumption records
-
-
-class ObjectLink(NamedTuple):
-    """One place an object is produced or consumed.
-
-    ``element`` is the producing/consuming node or store; ``via`` is the
-    flow carrying the object.
-    """
-
-    element: str
-    via: str
 
 
 def resolve_scope(diagram: Diagram, store_id: str) -> set[str]:
@@ -747,10 +764,13 @@ class DiagramIndex:
     branches. The lists are shared: :func:`node_inputs` and
     :func:`node_outputs` hand out copies, and other readers only iterate them.
 
+    Data links are held only per endpoint, as the :class:`NodeIO` entries of
+    ``inputs`` and ``outputs`` (keyed by node, store or pool), not per object.
+
     The index is built on every command that reads a view, so the pass pays
     no call per entry: it appends through each table's ``setdefault`` and
-    builds each :class:`NodeIO` and :class:`ObjectLink` with
-    ``tuple.__new__``, as :mod:`bpdmn.expr` builds its tokens.
+    builds each :class:`NodeIO` with ``tuple.__new__``, as :mod:`bpdmn.expr`
+    builds its tokens.
     """
 
     def __init__(self, diagram: Diagram) -> None:
@@ -764,11 +784,6 @@ class DiagramIndex:
         self.out_flows: dict[str, list[SequenceFlow]] = {}
         self.inputs: dict[str, list[NodeIO]] = {}  # endpoint id -> node_inputs
         self.outputs: dict[str, list[NodeIO]] = {}
-        # object id -> where it is produced (store extraction, activity output,
-        # message receipt or start) / consumed (store insertion, activity
-        # input or message send)
-        self.sources: dict[str, list[ObjectLink]] = {}
-        self.targets: dict[str, list[ObjectLink]] = {}
         self.successors: dict[str, set[str]] = {}  # reaches adjacency
         # store id -> nodes extracting from it / inserting into it, over
         # explicit data flows and behaviors
@@ -781,7 +796,6 @@ class DiagramIndex:
         in_flows, out_flows = self.in_flows.setdefault, self.out_flows.setdefault
         successors = self.successors.setdefault
         inputs, outputs = self.inputs.setdefault, self.outputs.setdefault
-        sources, targets = self.sources.setdefault, self.targets.setdefault
         readers, writers = self.readers.setdefault, self.writers.setdefault
         new = tuple.__new__
 
@@ -796,10 +810,8 @@ class DiagramIndex:
                 for att in flow.attachments:
                     if att.direction == "input":
                         inputs(target, []).append(new(NodeIO, (att.object, att.optional, flow.id, "sequence")))
-                        targets(att.object, []).append(new(ObjectLink, (target, flow.id)))
                     else:
                         outputs(source, []).append(new(NodeIO, (att.object, False, flow.id, "sequence")))
-                        sources(att.object, []).append(new(ObjectLink, (source, flow.id)))
             for flow in pool.explicit_data_flows:
                 source, target, obj = flow.source, flow.target, flow.object
                 successors(source, set()).add(target)
@@ -809,18 +821,11 @@ class DiagramIndex:
                 out_channel = "store" if to_store else "explicit"
                 inputs(target, []).append(new(NodeIO, (obj, flow.optional, flow.id, in_channel)))
                 outputs(source, []).append(new(NodeIO, (obj, False, flow.id, out_channel)))
-                # a flow has at most one store end; its source produces the
-                # object unless the flow feeds a store, and its target consumes
-                # it unless the flow comes from a store
                 if from_store:
                     readers(source, set()).add(target)
                     self.store_fed.add(target)
-                else:
-                    targets(obj, []).append(new(ObjectLink, (target, flow.id)))
-                if to_store:
+                elif to_store:
                     writers(target, set()).add(source)
-                else:
-                    sources(obj, []).append(new(ObjectLink, (source, flow.id)))
         for flows in (*self.in_flows.values(), *self.out_flows.values()):
             if len(flows) > 1:  # most nodes have one, and the index is built on every call
                 flows.sort(key=lambda f: f.id)
@@ -852,23 +857,12 @@ class DiagramIndex:
             for att in flow.attachments:
                 if att.direction == "input":
                     inputs(target, []).append(new(NodeIO, (att.object, att.optional, flow.id, "message")))
-                    sources(att.object, []).append(new(ObjectLink, (target, flow.id)))
                 else:
                     outputs(source, []).append(new(NodeIO, (att.object, False, flow.id, "message")))
-                    targets(att.object, []).append(new(ObjectLink, (source, flow.id)))
         # the message start events a message flow feeds
         self.message_starts: frozenset[str] = frozenset(
             n for n in self.message_in if n in self.nodes and self.nodes[n].kind == "start_event_message"
         )
-
-        # object id -> nodes taking it as an input, in the order of ``nodes``
-        self.consumers: dict[str, list[str]] = {}
-        consumers = self.consumers.setdefault
-        for node_id in self.nodes:
-            ios = self.inputs.get(node_id)
-            if ios is not None:
-                for obj in dict.fromkeys([io.object for io in ios]):
-                    consumers(obj, []).append(node_id)
         # object id -> mappings producing it, sorted by id
         self.mappings_to: dict[str, list[DataMapping]] = {}
         for mapping in sorted(diagram.mappings, key=lambda m: m.id):

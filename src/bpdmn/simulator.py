@@ -130,6 +130,7 @@ from typing import NamedTuple
 
 from .expr import ExprError, Value, eval_expr
 from .model import (
+    START_INPUT_REFUSALS,
     START_KINDS,
     Diagram,
     Node,
@@ -140,6 +141,7 @@ from .model import (
     TaskBehavior,
     _Record,
     node_inputs,
+    start_input_fault,
 )
 
 
@@ -298,22 +300,29 @@ def render_trace(trace: Trace) -> str:
 # ---------------------------------------------------------------------------
 # Initialization
 
+# init words a fault as a diagram does, except that an undeclared object is
+# one that no message start event produces
+_INIT_REFUSALS = {**START_INPUT_REFUSALS, "object": START_INPUT_REFUSALS["start"]}
+
 
 def init(diagram: Diagram, start_inputs: dict[str, dict[str, Value]] | None = None) -> ExecutionState:
     """Build the initial state: tokens on the outgoing flows of ready start
     events, message-start objects bound from *start_inputs* (by default the
-    diagram's), each of which a message start event must produce. A message
-    start that a message flow feeds and no start input supplies stays
-    pending until its message arrives.
+    diagram's), which must keep the rules a document's start inputs keep
+    (:func:`bpdmn.model.start_input_fault`). A message start that a message
+    flow feeds and no start input supplies stays pending until its message
+    arrives.
     """
     if start_inputs is None:
         start_inputs = diagram.start_inputs
     index = diagram.index
     if not index.nodes:
         raise InitializationError("no start event: diagram has no nodes")
-    for object_id in start_inputs:
-        if object_id not in diagram.start_objects():
-            raise InitializationError(f"start input {object_id}: no message start event produces it")
+    for object_id, values in start_inputs.items():
+        fault = start_input_fault(diagram, object_id, values)
+        if fault is not None:
+            rule, path = fault
+            raise InitializationError(f"start input {object_id}: " + _INIT_REFUSALS[rule].format(path=path))
 
     state = ExecutionState()
     message_starts = index.message_starts

@@ -15,6 +15,7 @@ from . import model
 from .expr import expr_refs
 from .model import (
     Diagram,
+    DiagramIndex,
     reaches,
     resolve_scope,
     strong_components,
@@ -47,9 +48,10 @@ def _error(rule: str, element: str, message: str) -> Diagnostic:
 def validate(diagram: Diagram) -> list[Diagnostic]:
     """Apply the full rule catalog; an empty list means the model is valid."""
     diagnostics: list[Diagnostic] = []
-    diagnostics += _v1_sources_and_targets(diagram)
+    produced, consumed, takers = _object_links(diagram.index)
+    diagnostics += _v1_sources_and_targets(diagram, produced, consumed, takers)
     diagnostics += _v2_optional_inputs_only(diagram)
-    diagnostics += _v3_mappings(diagram)
+    diagnostics += _v3_mappings(diagram, produced, takers)
     diagnostics += _v4_store_structure(diagram)
     diagnostics += _v5_store_scope(diagram)
     diagnostics += _v6_message_objects_cross_pool(diagram)
@@ -71,28 +73,49 @@ def errors_text(diagram: Diagram) -> str | None:
     return "diagram has validation errors: " + "; ".join(errors) if errors else None
 
 
-def _only_on_external_messages(diagram: Diagram, object_id: str) -> bool:
+_Links = dict[str, list[tuple[str, str]]]  # object id -> (endpoint id, flow id) pairs
+
+
+def _object_links(index: DiagramIndex) -> tuple[_Links, _Links, dict[str, list[str]]]:
+    """Each object's links, read off ``index.outputs`` and ``index.inputs``:
+    where it is produced (an endpoint's sequence and explicit outputs, and its
+    message inputs), where it is consumed (the mirror image), and the nodes
+    taking it as an input over any channel, in node order. A store-channel
+    entry, the node end of a flow from or to a store, is neither: the store
+    end is the link."""
+    produced: _Links = {}
+    consumed: _Links = {}
+    for table, same, mirror in ((index.outputs, produced, consumed), (index.inputs, consumed, produced)):
+        for endpoint, ios in table.items():
+            for obj, _, via, channel in ios:
+                if channel != "store":
+                    (mirror if channel == "message" else same).setdefault(obj, []).append((endpoint, via))
+    takers: dict[str, list[str]] = {}
+    for node_id in index.nodes:
+        for obj in dict.fromkeys([io.object for io in index.inputs.get(node_id, ())]):
+            takers.setdefault(obj, []).append(node_id)
+    return produced, consumed, takers
+
+
+def _only_on_external_messages(index: DiagramIndex, produced: _Links, consumed: _Links, object_id: str) -> bool:
     """True when the object has links and each one is carried by a message
     flow to or from a black-box pool (data received from or sent outside
     the modeled diagram)."""
-    index = diagram.index
-    links = [*index.sources.get(object_id, ()), *index.targets.get(object_id, ())]
-    return bool(links) and all(link.via in index.external_flows for link in links)
+    links = [*produced.get(object_id, ()), *consumed.get(object_id, ())]
+    return bool(links) and all(via in index.external_flows for _, via in links)
 
 
-def _v1_sources_and_targets(diagram: Diagram) -> list[Diagnostic]:
+def _v1_sources_and_targets(
+    diagram: Diagram, produced: _Links, consumed: _Links, takers: dict[str, list[str]]
+) -> list[Diagnostic]:
     """V1: every used object is produced somewhere and consumed somewhere."""
     out = []
     index = diagram.index
     mapping_sources = {m.source_object for m in diagram.mappings}
-    for object_id in sorted({*index.sources, *index.targets, *index.mappings_to, *mapping_sources}):
-        has_source = bool(index.sources.get(object_id)) or object_id in index.mappings_to
-        has_target = (
-            bool(index.targets.get(object_id))
-            or object_id in mapping_sources
-            or object_id in index.consumers
-        )
-        if (has_source and has_target) or _only_on_external_messages(diagram, object_id):
+    for object_id in sorted({*produced, *consumed, *index.mappings_to, *mapping_sources}):
+        has_source = object_id in produced or object_id in index.mappings_to
+        has_target = object_id in consumed or object_id in mapping_sources or object_id in takers
+        if (has_source and has_target) or _only_on_external_messages(index, produced, consumed, object_id):
             continue
         if not has_source:
             out.append(_error("V1", object_id, "object is never produced (no source)"))
@@ -117,7 +140,7 @@ def _v2_optional_inputs_only(diagram: Diagram) -> list[Diagnostic]:
     return out
 
 
-def _v3_mappings(diagram: Diagram) -> list[Diagnostic]:
+def _v3_mappings(diagram: Diagram, produced: _Links, takers: dict[str, list[str]]) -> list[Diagnostic]:
     """V3: mappings connect a produced object to a consumed one on a
     connected path, and every copy-rule path resolves."""
     out = []
@@ -125,12 +148,12 @@ def _v3_mappings(diagram: Diagram) -> list[Diagnostic]:
     for mapping in diagram.mappings:
         source = diagram.object(mapping.source_object)
         target = diagram.object(mapping.target_object)
-        producers = [link.element for link in index.sources.get(source.id, ())]
+        producers = [endpoint for endpoint, _ in produced.get(source.id, ())]
         if not producers and source.id not in index.mappings_to:
             out.append(
                 _error("V3", mapping.id, f"source object {source.id} is never produced")
             )
-        consumers = index.consumers.get(target.id, [])
+        consumers = takers.get(target.id, [])
         if not consumers:
             out.append(
                 _error("V3", mapping.id, f"target object {target.id} is not an input of any node")

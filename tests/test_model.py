@@ -25,7 +25,6 @@ from bpdmn.model import (
     ModelError,
     Node,
     ObjectAttachment,
-    ObjectLink,
     Pool,
     Relationship,
     Scope,
@@ -59,6 +58,31 @@ def test_dangling_flow_endpoint_rejected():
     )
     with pytest.raises(ModelError, match="endpoint 'ghost'"):
         Diagram("d", pools=[pool])
+
+
+@pytest.mark.parametrize(
+    "start_inputs, message",
+    [
+        ({"nosuch": {}}, "start input nosuch: unknown object"),
+        ({"o": {}}, "start input o: no message start event produces it"),
+        ({"m": {"a..b": 1}}, "start input m: invalid variable path 'a..b'"),
+        ({"m": {"v": {"x": 1}}}, "start input m: 'v' must be a string, number, boolean or null"),
+        ({"m": {"v": float("nan")}}, "start input m: 'v' must be a string, number, boolean or null"),
+        ({"m": {"v": float("-inf")}}, "start input m: 'v' must be a string, number, boolean or null"),
+    ],
+    ids=["unknown-object", "not-produced", "path", "value", "nan", "minus-infinity"],
+)
+def test_a_start_input_breaking_a_rule_is_rejected(start_inputs, message):
+    pool = Pool(
+        "p",
+        "P",
+        nodes=[Node("s", "S", "start_event_message"), Node("e", "E", "end_event")],
+        sequence_flows=[SequenceFlow("f", "s", "e", [ObjectAttachment("m", "output")])],
+    )
+    objects = [DataObject("m", "M"), DataObject("o", "O")]
+    assert Diagram("d", pools=[pool], objects=objects, start_inputs={"m": {"v": 1}}).start_objects() == {"m"}
+    with pytest.raises(ModelError, match=re.escape(message)):
+        Diagram("d", pools=[pool], objects=objects, start_inputs=start_inputs)
 
 
 def test_self_loop_flow_rejected():
@@ -225,14 +249,16 @@ def test_start_objects_are_what_message_starts_output_on_sequence_flows(eco):
 
 
 def test_travel_object_sources_and_targets(travel):
-    index = travel.index
-    assert index.sources["input"] == [ObjectLink("n_start", "f01")]
-    assert index.targets["input"] == [ObjectLink("check_cc", "f01")]
-    assert set(index.targets["plan"]) == {ObjectLink("arch_db", "ef1"), ObjectLink("n_end", "f11")}
+    # (endpoint, flow) pairs, as the validator reads them off inputs and outputs
+    produced, consumed, _ = validator._object_links(travel.index)
+    assert produced["input"] == [("n_start", "f01")]
+    assert consumed["input"] == [("check_cc", "f01")]
+    assert set(consumed["plan"]) == {("arch_db", "ef1"), ("n_end", "f11")}
 
 
 def test_eco_store_extraction_is_a_source(eco):
-    assert eco.index.sources["ECO_Data"] == [ObjectLink("OracleDB", "ef_read")]
+    produced, _, _ = validator._object_links(eco.index)
+    assert produced["ECO_Data"] == [("OracleDB", "ef_read")]
 
 
 def test_node_inputs_channels(eco):
@@ -337,7 +363,6 @@ RECORDS = [
     (expr.BoolOp, ("op", "left", "right")),
     (expr.Not, ("operand",)),
     (model.NodeIO, ("object", "optional", "via", "channel")),
-    (model.ObjectLink, ("element", "via")),
     (fmt.SourceSpan, ("line", "column")),
     (fmt.ParseDiagnostic, ("span", "message")),
     (validator.Diagnostic, ("rule", "severity", "element", "message")),

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from bpdmn import validator
@@ -143,6 +145,28 @@ def test_a_start_input_no_message_start_produces_is_refused(travel, obj):
     with pytest.raises(InitializationError, match=message):
         init(travel, start_inputs)
     with pytest.raises(InitializationError, match=message):
+        run(travel, start_inputs=start_inputs)
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    [
+        ({"": 1, "a..b": 2}, "start input input: invalid variable path ''"),
+        ({"a..b": 2}, "start input input: invalid variable path 'a..b'"),
+        ({"cardNumber": {"x": 1}}, "start input input: 'cardNumber' must be a string, number, boolean or null"),
+        ({"cardNumber": [1]}, "start input input: 'cardNumber' must be a string, number, boolean or null"),
+        ({"cardNumber": float("nan")}, "start input input: 'cardNumber' must be a string, number, boolean or null"),
+    ],
+    ids=["empty-path", "empty-segment", "dict", "list", "nan"],
+)
+def test_a_start_input_a_document_refuses_is_refused(travel, values, message):
+    """A path or value that a document's ``start_inputs`` and ``simulate
+    --set`` refuse is refused before anything is bound, not bound and
+    failed on later."""
+    start_inputs = {"input": values}
+    with pytest.raises(InitializationError, match=re.escape(message)):
+        init(travel, start_inputs)
+    with pytest.raises(InitializationError, match=re.escape(message)):
         run(travel, start_inputs=start_inputs)
 
 

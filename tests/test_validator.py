@@ -11,6 +11,7 @@ from bpdmn.model import DataStore, Diagram, Entity, Generalization, Node, Pool, 
 from bpdmn.validator import Severity, _v4_store_structure, has_errors, validate
 
 from conftest import FIXTURES, load, replace
+from test_index import message_data
 
 RULES = [f"V{i}" for i in range(1, 10)]
 
@@ -62,6 +63,34 @@ def test_bad_v1_mentions_both_roles_when_unused():
     # an object attached only as input is flagged as never produced
     diagnostics = validate(load("validator/bad_v1.bpdmn.json"))
     assert any("never produced" in x.message for x in diagnostics)
+
+
+def _v1(diagram: Diagram) -> list[str]:
+    return [str(d) for d in validate(diagram) if d.rule == "V1"]
+
+
+def test_v1_exempts_objects_carried_only_on_black_box_messages():
+    # Ext is only received from the black-box pool X, and Out only sent to
+    # it: neither is consumed, nor produced, inside the diagram
+    assert _v1(message_data()) == []
+    # once sA also outputs Ext, one of its links is inside the diagram
+    assert _v1(message_data(ext_inside=True)) == ["V1 error Ext: object is never consumed (no target)"]
+
+
+def test_v1_counts_a_message_receiver_as_a_producer_and_a_sender_as_a_consumer():
+    # b receives Q, which no other node produces; a sends S, which no node takes
+    assert _v1(message_data(receive=False)) == ["V1 error Q: object is never produced (no source)"]
+    assert _v1(message_data(send=False)) == ["V1 error S: object is never consumed (no target)"]
+
+
+def test_v1_counts_a_store_extraction_as_a_producer_and_an_insertion_as_a_consumer():
+    # a inserts W into D and b extracts it: each flow has one store end
+    diagram = message_data()
+    assert {f.id: (f.source, f.target) for p in diagram.pools for f in p.explicit_data_flows} == {
+        "ef1": ("a", "D"),
+        "ef2": ("D", "b"),
+    }
+    assert not any(d.element == "W" for d in validate(diagram))
 
 
 def test_validate_does_not_mutate(travel):
