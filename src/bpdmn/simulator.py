@@ -43,13 +43,15 @@ A message start event that a message flow feeds is listed in
 ``init`` completes it only when a start input supplies one of its outputs,
 and otherwise it waits for its message and completes when it fires.
 
-The rule is written once, in ``_is_enabled``. ``enabled()`` applies it to the
-candidates of a state: the nodes in ``state.marked`` and the pending message
-starts. ``state.marked`` maps a node to how many of its sequence flows in hold
-a token, and holds no node at 0. It is kept by the only writers of tokens,
-``_add_token`` and the consume loop of ``step``. So a join holds when its
-count is the number of flows in, or above 0 for an exclusive merge, and no
-token or flow is scanned.
+The rule is written once, in ``_blocker``, which names the first conjunct a
+node fails, and ``_is_enabled`` reads it as ``is None``; ``step`` puts that
+conjunct into the error for a node it cannot fire. ``enabled()`` applies the
+rule to the candidates of a state: the nodes in ``state.marked`` and the
+pending message starts. ``state.marked`` maps a node to how many of its
+sequence flows in hold a token, and holds no node at 0. It is kept by the
+only writers of tokens, ``_add_token`` and the consume loop of ``step``. So
+a join holds when its count is the number of flows in, or above 0 for an
+exclusive merge, and no token or flow is scanned.
 
 A run and the oracle do not apply the rule again to every candidate after
 each firing, because of one fact: when a node X fires, no other enabled node
@@ -102,24 +104,41 @@ their order; and within one search a bit stands for one id. So the key holds
 the same facts as a sorted one would, still without bound values or store
 contents. Its firings pass ``traced=False``: they build no trace event.
 
-The oracle prunes with sleep sets (Godefroid 1996, ch. 5), which cut
-firings, not states. Two distinct nodes are independent (``_independent``)
-when their footprints (``index.footprint``) share no sequence or message
-flow, neither writes an object the other reads or writes, and neither
-inserts into a store the other reads. A state on the search's stack does
-not fire the nodes asleep in it: those it has fired already, and those
-asleep in its parent that are independent of the firing that led to it.
-That is sound for the key above. Where two independent nodes are both
-enabled, each stays enabled after the other fires: neither takes the
-other's tokens or messages, bindings and records are only added, and
-neither adds a record or a binding that the other's store filter reads.
-Both orders reach one key: tokens change only on their own flows, the
-completed set and the bound names grow by union, and inbox and store sizes
-grow on distinct queues, or by appends to one store, whose order the key
-does not hold. So firing an asleep node reaches the key that firing it
-before the commuting firings reached, and the search visits the same states
-in the same order as one without sleep sets. A key with store contents
-(ROADMAP item 1) would make two inserts into one store dependent.
+The oracle prunes with sleep sets (Godefroid 1996, ch. 5) and stubborn sets
+(Valmari 1991; Godefroid 1996, ch. 4-6). Two distinct nodes are independent
+(``_independent``) when their footprints (``index.footprint``) share no
+sequence or message flow, neither writes an object the other reads or
+writes, and no record that one inserts may pass a store read of the other
+(``_may_pass``: the record is of the read's entity, and the read has no
+filter, or its filter, on the record's literal fields alone, is true or
+reads another name). Where two independent nodes are both enabled, each
+stays enabled after the other fires: neither takes the other's tokens or
+messages, bindings and records are only added, neither adds a binding that
+the other reads, and a record that the other's filter can never pass leaves
+the first record it matches the first. Both orders reach one key: tokens
+change only on their own flows, the completed set and the bound names grow
+by union, and inbox and store sizes grow on distinct queues, or by appends
+to one store, whose order the key does not hold.
+
+A state on the search's stack does not fire the nodes asleep in it: those
+it has fired already, and those asleep in its parent that are independent
+of the firing that led to it. In a state with two or more enabled nodes it
+fires only the enabled members of a stubborn set: the closure of its
+smallest enabled node in which an enabled member adds every node it depends
+on and a disabled member adds the nodes that can make its failed conjunct
+true (``_Reduction.enablers``). No firing outside the set can enable a
+disabled member, and each commutes with the enabled members, so every key
+without an enabled node that the full search reaches, the reduced search
+reaches too, by a reordering of the same firings, up to what the key
+merges. A state where ``max_steps`` cuts a path is not such a state, so a
+reduced search that reaches one with a node enabled starts again without
+stubborn sets.
+
+What the key still loses, the reduction loses with it. Two inserts into one
+store are independent, so only one order of their records is explored, and
+a later filter that tells the two orders apart sees one; the key merges
+those orders already. A key with store contents (ROADMAP item 1) would make
+two such inserts dependent.
 """
 
 from __future__ import annotations
@@ -128,7 +147,7 @@ import random
 from itertools import islice
 from typing import NamedTuple
 
-from .expr import ExprError, Value, eval_expr
+from .expr import ExprError, Lit, UnboundPathError, Value, eval_expr
 from .model import (
     START_INPUT_REFUSALS,
     START_KINDS,
@@ -426,27 +445,72 @@ def _input_available(
     return False
 
 
-def _is_enabled(state: ExecutionState, diagram: Diagram, node: Node) -> bool:
-    """The enablement rule for one node: its join holds and every required
-    input is available. Store-channel inputs are tested last, so a store is
-    read only when everything else already holds."""
-    if node.id in state.completed and node.kind in START_KINDS:
-        return False
+_STARTED = ("started", ())
+_NO_FLOW_IN = ("messages", ())
+
+
+def _blocker(state: ExecutionState, diagram: Diagram, node: Node) -> tuple | None:
+    """The enablement rule for one node: ``None`` when its join holds and
+    every required input is available, else the first conjunct it fails.
+    Store-channel inputs are tested last, so a store is read only when
+    everything else already holds. A failed conjunct is a pair:
+
+    - ``("started", ())``: a start event that has completed;
+    - ``("messages", flows)``: a node without a flow in waits for a message
+      on one of *flows*, its message flows in if it is a pending message
+      start, else none;
+    - ``("join", flows)``: a flow of *flows*, the flows in, holds no token;
+    - ``("merge", flows)``: an exclusive merge's flows in hold no token;
+    - ``("input", io)``: the required input *io* is not available."""
+    node_id = node.id
+    if node_id in state.completed and node.kind in START_KINDS:
+        return _STARTED
     index = diagram.index
-    incoming = index.in_flows.get(node.id, ())
-    if not incoming:  # only a pending message start, once its message waits
-        return node.id in index.message_starts and any(state.inbox.get(f.id) for f in index.message_in.get(node.id, ()))
-    marks = state.marked.get(node.id, 0)
-    if not (marks > 0 if node.kind == "gateway_exclusive_data" else marks == len(incoming)):
-        return False
-    inputs = index.inputs.get(node.id, ())
+    incoming = index.in_flows.get(node_id, ())
+    if not incoming:
+        if node_id not in index.message_starts:
+            return _NO_FLOW_IN
+        flows = index.message_in[node_id]
+        return None if any(state.inbox.get(f.id) for f in flows) else ("messages", flows)
+    marks = state.marked.get(node_id, 0)
+    if node.kind == "gateway_exclusive_data":
+        if marks == 0:
+            return ("merge", incoming)
+    elif marks < len(incoming):
+        return ("join", incoming)
+    inputs = index.inputs.get(node_id, ())
     for store_pass in (False, True):
         for io in inputs:
             if (io.channel == "store") is not store_pass or io.optional:
                 continue
             if not _input_available(state, diagram, node, io, frozenset()):
-                return False
-    return True
+                return ("input", io)
+    return None
+
+
+def _is_enabled(state: ExecutionState, diagram: Diagram, node: Node) -> bool:
+    return _blocker(state, diagram, node) is None
+
+
+def _first_without_token(state: ExecutionState, flows: list[SequenceFlow]) -> SequenceFlow:
+    return next(f for f in flows if f.id not in state.tokens)
+
+
+def _blocked_because(state: ExecutionState, blocker: tuple) -> str:
+    """The words for a failed conjunct of :func:`_blocker` in *state*."""
+    kind, subject = blocker
+    if kind == "started":
+        return "the start event has completed"
+    if kind == "input":
+        obj, _, via, channel = subject
+        wait = {"message": f" and no message waits on flow {via}", "store": f" and no record matches on flow {via}"}
+        return f"input {obj} unbound" + wait.get(channel, "")
+    if kind == "join":
+        subject = [_first_without_token(state, subject)]
+    if not subject:
+        return "no flow in"
+    flows = ", ".join(f.id for f in subject)
+    return f"no message on flow {flows}" if kind == "messages" else f"no token on flow {flows}"
 
 
 def enabled(
@@ -614,13 +678,17 @@ def step(
     state: ExecutionState, diagram: Diagram, node_id: str, *, traced: bool = True
 ) -> tuple[ExecutionState, Trace]:
     """Fire the node *node_id* and return the updated state together with
-    the trace delta; :class:`SimulationError` if that node is not enabled.
+    the trace delta; :class:`SimulationError` if that node is not enabled,
+    whose message names the conjunct it fails (:func:`_blocker`).
 
     With ``traced=False`` the state changes alike, but no trace event is
     built and the delta is ``[]``: the oracle reads states, not traces."""
     node = diagram.index.nodes.get(node_id)
-    if node is None or not _is_enabled(state, diagram, node):
-        raise SimulationError(f"node {node_id} is not enabled")
+    if node is None:
+        raise SimulationError(f"node {node_id} is not enabled: no such node")
+    blocker = _blocker(state, diagram, node)
+    if blocker is not None:
+        raise SimulationError(f"node {node_id} is not enabled: {_blocked_because(state, blocker)}")
 
     current = state.step_count + 1
     trace: Trace | None = [NodeFired(current, node_id)] if traced else None
@@ -756,14 +824,49 @@ def _freeze_state(state: ExecutionState, done: int, bound: int):
     )
 
 
+def _may_pass(insert: StoreInsert, read: StoreRead) -> bool:
+    """Whether a record that *insert* appends may pass *read*: it is of the
+    read's entity, and the read has no filter, or the filter, evaluated on
+    the record's literal fields alone, is true or reads another name. A
+    filter that reads no other name reads only those fields, so its value
+    is the one it has on the record in every state."""
+    if insert.entity != read.entity:
+        return False
+    if read.filter is None:
+        return True
+    entity = insert.entity
+    fields = {f"{entity}.{name}": expr.value for name, expr in insert.assignments.items() if type(expr) is Lit}
+    try:
+        return eval_expr(read.filter, fields) is True
+    except UnboundPathError:
+        return True
+    except ExprError:  # a record the filter fails on is never matched
+        return False
+
+
+def _feeds(diagram: Diagram, writer: str, reader: str) -> bool:
+    """Whether a record that node *writer* inserts may pass a store read of
+    node *reader* (:func:`_may_pass`)."""
+    behavior = diagram.behaviors.get(writer)
+    if behavior is None:
+        return False
+    reads = diagram.index.store_reads.get(reader, ())
+    return any(
+        isinstance(insert, StoreInsert) and insert.store == read.store and _may_pass(insert, read)
+        for insert in behavior.store_actions
+        for read, _ in reads
+    )
+
+
 def _independent(diagram: Diagram, a: str, b: str) -> bool:
     """Whether firing node *a* then node *b* reaches the same key of
     :func:`_freeze_state` as *b* then *a*, from any state where both are
     enabled, with each still enabled after the other: their footprints
     (:meth:`~bpdmn.model.DiagramIndex.footprint`) share no flow, neither
-    writes an object the other reads or writes, and neither inserts into a
-    store the other reads. Two inserts into one store are independent,
-    because the key holds store sizes, not store contents."""
+    writes an object the other reads or writes, and no record that one
+    inserts may pass a store read of the other (:func:`_feeds`). Two
+    inserts into one store are independent, because the key holds store
+    sizes, not store contents."""
     index = diagram.index
     flows_a, reads_a, writes_a, store_reads_a, inserts_a = index.footprint(a)
     flows_b, reads_b, writes_b, store_reads_b, inserts_b = index.footprint(b)
@@ -773,9 +876,147 @@ def _independent(diagram: Diagram, a: str, b: str) -> bool:
         and writes_a.isdisjoint(reads_b)
         and writes_a.isdisjoint(writes_b)
         and writes_b.isdisjoint(reads_a)
-        and inserts_a.isdisjoint(store_reads_b)
-        and inserts_b.isdisjoint(store_reads_a)
+        and (inserts_a.isdisjoint(store_reads_b) or not _feeds(diagram, a, b))
+        and (inserts_b.isdisjoint(store_reads_a) or not _feeds(diagram, b, a))
     )
+
+
+class _Reduction:
+    """What one search asks about the diagram's nodes, memoized: whether two
+    commute (:func:`_independent`), the nodes each depends on, and the nodes
+    that can make a failed conjunct of :func:`_blocker` true. The tables of
+    each object's readers and writers, by footprint, are built on the first
+    question that needs them."""
+
+    __slots__ = ("diagram", "index", "commutes", "_dependents", "_enablers", "_readers", "_writers")
+
+    def __init__(self, diagram: Diagram) -> None:
+        self.diagram = diagram
+        self.index = diagram.index
+        # node -> other node -> whether they commute: the sleep sets of a
+        # search ask of the same pairs again and again
+        self.commutes: dict[str, dict[str, bool]] = {}
+        self._dependents: dict[str, set[str]] = {}
+        self._enablers: dict[tuple[str, NodeIO], set[str]] = {}
+        self._readers: dict[str, set[str]] | None = None
+        self._writers: dict[str, set[str]] = {}
+
+    def independent(self, a: str, b: str) -> bool:
+        row = self.commutes.setdefault(a, {})
+        value = row.get(b)
+        if value is None:
+            value = row[b] = _independent(self.diagram, a, b)
+        return value
+
+    def _objects(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
+        """Object id -> the nodes whose footprint reads it, and -> those whose
+        footprint writes it."""
+        if self._readers is None:
+            self._readers = {}
+            for node_id in self.index.nodes:
+                _, reads, writes, _, _ = self.index.footprint(node_id)
+                for obj in reads:
+                    self._readers.setdefault(obj, set()).add(node_id)
+                for obj in writes:
+                    self._writers.setdefault(obj, set()).add(node_id)
+        return self._readers, self._writers
+
+    def dependents(self, node_id: str) -> set[str]:
+        """The nodes *v* with ``not _independent(node_id, v)``, other than
+        *node_id*: the ends of its flows, which share a flow with it, and of
+        the readers and writers of the objects it writes, the writers of
+        those it reads, and the readers and inserters of its stores, those
+        that do not commute with it."""
+        found = self._dependents.get(node_id)
+        if found is None:
+            index = self.index
+            nodes = index.nodes
+            _, reads, writes, store_reads, inserts = index.footprint(node_id)
+            tables = (index.in_flows, index.out_flows, index.message_in, index.message_out)
+            ends = (end for table in tables for flow in table.get(node_id, ()) for end in (flow.source, flow.target))
+            found = {v for v in ends if v in nodes}
+            near = set()
+            if reads or writes:
+                readers, writers = self._objects()
+                for obj in writes:
+                    near.update(readers.get(obj, ()), writers.get(obj, ()))
+                for obj in reads:
+                    near.update(writers.get(obj, ()))
+            for store in inserts:
+                near.update(index.readers.get(store, ()))
+            for store in store_reads:
+                near.update(index.writers.get(store, ()))
+            near.difference_update(found)
+            found.update(v for v in near if v in nodes and not self.independent(node_id, v))
+            found.discard(node_id)
+            self._dependents[node_id] = found
+        return found
+
+    def enablers(self, state: ExecutionState, node_id: str, blocker: tuple) -> set[str] | list[str]:
+        """The nodes whose firing can make *blocker*, the conjunct of
+        :func:`_blocker` that node *node_id* fails in *state*, true; no other
+        firing can. A completed start has none. A join has the source of its
+        first flow in without a token, an exclusive merge or a waiting
+        message start the sources of all its flows in. A missing input has
+        the writers of its object and of every object that reaches it
+        through mappings, the senders of the node's message inputs of those
+        objects, and for the node's store reads of them, the inserters whose
+        records may pass a read of the node (:func:`_feeds`) and the writers
+        of the names its filters read. Some of these are pool ids, not
+        nodes."""
+        kind, subject = blocker
+        if kind == "join":
+            return [_first_without_token(state, subject).source]
+        if kind != "input":
+            return [flow.source for flow in subject]
+        key = (node_id, subject)
+        found = self._enablers.get(key)
+        if found is None:
+            index = self.index
+            objects, pending = {subject.object}, [subject.object]
+            while pending:
+                for mapping in index.mappings_to.get(pending.pop(), ()):
+                    if mapping.source_object not in objects:
+                        objects.add(mapping.source_object)
+                        pending.append(mapping.source_object)
+            _, writers = self._objects()
+            found = set()
+            for obj in objects:
+                found.update(writers.get(obj, ()))
+            for io in index.inputs.get(node_id, ()):
+                if io.object in objects and io.channel == "message":
+                    found.update(f.source for f in index.message_in.get(node_id, ()) if f.id == io.via)
+            for read, refs in index.store_reads.get(node_id, ()):
+                if read.object in objects:
+                    found.update(w for w in index.writers.get(read.store, ()) if _feeds(self.diagram, w, node_id))
+                    for ref in refs:
+                        found.update(writers.get(ref.partition(".")[0], ()))
+            self._enablers[key] = found
+        return found
+
+    def stubborn(self, state: ExecutionState, ready: set[str]) -> set[str]:
+        """The enabled members of a stubborn set of *state* (Valmari 1991),
+        whose enabled nodes are *ready*: the closure of ``{min(ready)}`` in
+        which an enabled member adds its :meth:`dependents` and a disabled
+        one the :meth:`enablers` of its failed conjunct."""
+        first = min(ready)
+        members, pending, enabled_members = {first}, [first], 1
+        nodes = self.index.nodes
+        while pending:
+            node_id = pending.pop()
+            if node_id in ready:
+                more = self.dependents(node_id)
+            else:
+                more = self.enablers(state, node_id, _blocker(state, self.diagram, nodes[node_id]))
+            for other in more:
+                if other not in members and other in nodes:
+                    members.add(other)
+                    pending.append(other)
+                    if other in ready:
+                        enabled_members += 1
+                        if enabled_members == len(ready):  # nothing left to leave out
+                            return ready
+        return members & ready
 
 
 def _clone(state: ExecutionState) -> ExecutionState:
@@ -794,15 +1035,41 @@ def _clone(state: ExecutionState) -> ExecutionState:
     return clone
 
 
+class _Cut(Exception):
+    """A reduced search reached a state where ``max_steps`` cuts a path."""
+
+
 def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozenset[str]]:
     """The oracle: the set of fired-node sets over the firing orders from
-    the diagram's start inputs, for desk-scale diagrams.
+    the diagram's start inputs.
 
     States are merged by :func:`_freeze_state`, which compares tokens, the
     names of bound objects, store and inbox sizes and the completed set, but
     neither bound values nor the step count. So an outcome that depends on
     which values were bound, or on where ``max_steps`` cuts a path, can be
     missed when another path reached the same key first.
+
+    The search fires, in a state with two or more enabled nodes, only the
+    enabled members of a stubborn set (:meth:`_Reduction.stubborn`), less
+    those asleep. A stubborn set keeps every state where no node is enabled,
+    but not every state where ``max_steps`` cuts a path; so when the reduced
+    search reaches one of those, the search starts again without stubborn
+    sets, and returns what the search with sleep sets alone returns."""
+    reduction = _Reduction(diagram)
+    try:
+        return _search(diagram, max_steps, reduction, True)
+    except _Cut:
+        pass  # outside the handler, where no exception the search catches chains to this one
+    return _search(diagram, max_steps, reduction, False)
+
+
+def _search(diagram: Diagram, max_steps: int, reduction: _Reduction, reduced: bool) -> set[frozenset[str]]:
+    """The depth-first search of :func:`explore_interleavings`, with stubborn
+    sets when *reduced*. A reduced search raises :class:`_Cut` in a state
+    with an enabled node where ``max_steps`` cuts its path, or where more
+    nodes without a store-channel input are enabled than steps are left:
+    each stays enabled until it fires (see the module docstring), so every
+    path from there is cut.
 
     The completed set and the bound names enter the key as the bit masks
     ``done`` and ``bound`` (see the module docstring). A call gives an id
@@ -814,17 +1081,12 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
     The search prunes with sleep sets (Godefroid 1996, ch. 5). Each state
     on the stack keeps the enabled nodes it must not fire: those fired from
     it already, and those asleep in its parent that commute
-    (:func:`_independent`) with the firing that led to it. Firing such a
-    node reaches a key the search has already seen, so the search fires only
-    the others, visits the same states in the same order and finds the same
-    outcomes. A state whose enabled nodes are all asleep is neither expanded
-    nor an outcome."""
+    (:func:`_independent`) with the firing that led to it. A state whose
+    nodes to fire are all asleep is neither expanded nor an outcome."""
     results: set[frozenset[str]] = set()
     seen: set = set()
     bits: dict[str, int] = {}  # node or object id -> its bit, in either mask
-    # fired node -> asleep node -> whether they commute: the search asks of
-    # the same pairs again and again
-    independent: dict[str, dict[str, bool]] = {}
+    store_fed = diagram.index.store_fed
 
     def bit(ident: str) -> int:
         value = bits.get(ident)
@@ -846,23 +1108,28 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
             return
         seen.add(key)
         ready = enabled(state, diagram, prior)
-        if not ready or state.step_count >= max_steps:
+        left = max_steps - state.step_count
+        if reduced and ready and (left <= 0 or len(ready - store_fed) > left):
+            raise _Cut
+        if not ready or left <= 0:
             results.add(frozenset(state.completed) - started)
             return
         # asleep here: the nodes asleep in the parent, *asleep*, that commute
         # with *fired*, the firing that led here; built only for a state that
         # is expanded
         if asleep:
-            commutes = independent.setdefault(fired, {})
+            commutes = reduction.commutes.setdefault(fired, {})
             for node_id in asleep:
                 if node_id not in commutes:
-                    commutes[node_id] = _independent(diagram, node_id, fired)
+                    commutes[node_id] = _independent(diagram, fired, node_id)
             asleep = {node_id for node_id in asleep if commutes[node_id]}
-            choices = sorted(ready - asleep, reverse=True)
+            awake = ready - asleep
         else:  # a new set: the parent adds to its own
-            asleep, choices = set(), sorted(ready, reverse=True)
-        if choices:
-            stack.append((state, ready, choices, done, bound, asleep))
+            asleep, awake = set(), ready
+        if reduced and len(ready) > 1:
+            awake = reduction.stubborn(state, ready) - asleep
+        if awake:
+            stack.append((state, ready, sorted(awake, reverse=True), done, bound, asleep))
 
     start = init(diagram)
     started = frozenset(start.completed)

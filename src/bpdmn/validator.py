@@ -48,10 +48,9 @@ def _error(rule: str, element: str, message: str) -> Diagnostic:
 def validate(diagram: Diagram) -> list[Diagnostic]:
     """Apply the full rule catalog; an empty list means the model is valid."""
     diagnostics: list[Diagnostic] = []
-    produced, consumed, takers = _object_links(diagram.index)
-    diagnostics += _v1_sources_and_targets(diagram, produced, consumed, takers)
+    diagnostics += _v1_sources_and_targets(diagram)
     diagnostics += _v2_optional_inputs_only(diagram)
-    diagnostics += _v3_mappings(diagram, produced, takers)
+    diagnostics += _v3_mappings(diagram)
     diagnostics += _v4_store_structure(diagram)
     diagnostics += _v5_store_scope(diagram)
     diagnostics += _v6_message_objects_cross_pool(diagram)
@@ -74,26 +73,47 @@ def errors_text(diagram: Diagram) -> str | None:
 
 
 _Links = dict[str, list[tuple[str, str]]]  # object id -> (endpoint id, flow id) pairs
+_DATA_CHANNELS = ("sequence", "explicit")
 
 
-def _object_links(index: DiagramIndex) -> tuple[_Links, _Links, dict[str, list[str]]]:
-    """Each object's links, read off ``index.outputs`` and ``index.inputs``:
-    where it is produced (an endpoint's sequence and explicit outputs, and its
-    message inputs), where it is consumed (the mirror image), and the nodes
-    taking it as an input over any channel, in node order. A store-channel
-    entry, the node end of a flow from or to a store, is neither: the store
-    end is the link."""
+def _object_sets(index: DiagramIndex) -> tuple[set[str], set[str], set[str]]:
+    """The objects with a link, read off ``index.outputs`` and
+    ``index.inputs``: those produced somewhere (on an endpoint's sequence
+    and explicit outputs, and its message inputs), those consumed somewhere
+    (the mirror image), and those a node takes as an input over any channel.
+    A store-channel entry, the node end of a flow from or to a store, is
+    neither produced nor consumed: the store end is the link."""
+    outputs, inputs = index.outputs.values(), index.inputs.values()
+    produced = {obj for ios in outputs for obj, _, _, channel in ios if channel in _DATA_CHANNELS}
+    produced.update(obj for ios in inputs for obj, _, _, channel in ios if channel == "message")
+    consumed = {obj for ios in inputs for obj, _, _, channel in ios if channel in _DATA_CHANNELS}
+    consumed.update(obj for ios in outputs for obj, _, _, channel in ios if channel == "message")
+    nodes = index.nodes
+    taken = {io.object for endpoint, ios in index.inputs.items() if endpoint in nodes for io in ios}
+    return produced, consumed, taken
+
+
+def _object_links(index: DiagramIndex, objects: set[str]) -> tuple[_Links, _Links, dict[str, set[str]]]:
+    """The links of each of *objects* that has one, as :func:`_object_sets`
+    finds them: where it is produced and where it is consumed, as (endpoint,
+    flow) pairs in table order, and the nodes taking it as an input. Built
+    only for the objects a rule reads more than membership of: those V1
+    would report, and the ends of the mappings, for V3."""
     produced: _Links = {}
     consumed: _Links = {}
-    for table, same, mirror in ((index.outputs, produced, consumed), (index.inputs, consumed, produced)):
-        for endpoint, ios in table.items():
-            for obj, _, via, channel in ios:
+    takers: dict[str, set[str]] = {}
+    for endpoint, ios in index.outputs.items():
+        for obj, _, via, channel in ios:
+            if obj in objects and channel != "store":
+                (consumed if channel == "message" else produced).setdefault(obj, []).append((endpoint, via))
+    nodes = index.nodes
+    for endpoint, ios in index.inputs.items():
+        for obj, _, via, channel in ios:
+            if obj in objects:
+                if endpoint in nodes:
+                    takers.setdefault(obj, set()).add(endpoint)
                 if channel != "store":
-                    (mirror if channel == "message" else same).setdefault(obj, []).append((endpoint, via))
-    takers: dict[str, list[str]] = {}
-    for node_id in index.nodes:
-        for obj in dict.fromkeys([io.object for io in index.inputs.get(node_id, ())]):
-            takers.setdefault(obj, []).append(node_id)
+                    (produced if channel == "message" else consumed).setdefault(obj, []).append((endpoint, via))
     return produced, consumed, takers
 
 
@@ -105,17 +125,23 @@ def _only_on_external_messages(index: DiagramIndex, produced: _Links, consumed: 
     return bool(links) and all(via in index.external_flows for _, via in links)
 
 
-def _v1_sources_and_targets(
-    diagram: Diagram, produced: _Links, consumed: _Links, takers: dict[str, list[str]]
-) -> list[Diagnostic]:
+def _v1_sources_and_targets(diagram: Diagram) -> list[Diagnostic]:
     """V1: every used object is produced somewhere and consumed somewhere."""
-    out = []
     index = diagram.index
+    produced, consumed, taken = _object_sets(index)
     mapping_sources = {m.source_object for m in diagram.mappings}
+    failing = []
     for object_id in sorted({*produced, *consumed, *index.mappings_to, *mapping_sources}):
         has_source = object_id in produced or object_id in index.mappings_to
-        has_target = object_id in consumed or object_id in mapping_sources or object_id in takers
-        if (has_source and has_target) or _only_on_external_messages(index, produced, consumed, object_id):
+        has_target = object_id in consumed or object_id in mapping_sources or object_id in taken
+        if not (has_source and has_target):
+            failing.append((object_id, has_source, has_target))
+    if not failing:
+        return []
+    producing, consuming, _ = _object_links(index, {object_id for object_id, _, _ in failing})
+    out = []
+    for object_id, has_source, has_target in failing:
+        if _only_on_external_messages(index, producing, consuming, object_id):
             continue
         if not has_source:
             out.append(_error("V1", object_id, "object is never produced (no source)"))
@@ -140,11 +166,15 @@ def _v2_optional_inputs_only(diagram: Diagram) -> list[Diagnostic]:
     return out
 
 
-def _v3_mappings(diagram: Diagram, produced: _Links, takers: dict[str, list[str]]) -> list[Diagnostic]:
+def _v3_mappings(diagram: Diagram) -> list[Diagnostic]:
     """V3: mappings connect a produced object to a consumed one on a
     connected path, and every copy-rule path resolves."""
     out = []
     index = diagram.index
+    if not diagram.mappings:
+        return out
+    ends = {end for m in diagram.mappings for end in (m.source_object, m.target_object)}
+    produced, _, takers = _object_links(index, ends)
     for mapping in diagram.mappings:
         source = diagram.object(mapping.source_object)
         target = diagram.object(mapping.target_object)
@@ -153,7 +183,7 @@ def _v3_mappings(diagram: Diagram, produced: _Links, takers: dict[str, list[str]
             out.append(
                 _error("V3", mapping.id, f"source object {source.id} is never produced")
             )
-        consumers = takers.get(target.id, [])
+        consumers = takers.get(target.id, ())
         if not consumers:
             out.append(
                 _error("V3", mapping.id, f"target object {target.id} is not an input of any node")

@@ -250,14 +250,14 @@ def test_start_objects_are_what_message_starts_output_on_sequence_flows(eco):
 
 def test_travel_object_sources_and_targets(travel):
     # (endpoint, flow) pairs, as the validator reads them off inputs and outputs
-    produced, consumed, _ = validator._object_links(travel.index)
+    produced, consumed, _ = validator._object_links(travel.index, {"input", "plan"})
     assert produced["input"] == [("n_start", "f01")]
     assert consumed["input"] == [("check_cc", "f01")]
     assert set(consumed["plan"]) == {("arch_db", "ef1"), ("n_end", "f11")}
 
 
 def test_eco_store_extraction_is_a_source(eco):
-    produced, _, _ = validator._object_links(eco.index)
+    produced, _, _ = validator._object_links(eco.index, {"ECO_Data"})
     assert produced["ECO_Data"] == [("OracleDB", "ef_read")]
 
 
