@@ -93,27 +93,33 @@ def _object_sets(index: DiagramIndex) -> tuple[set[str], set[str], set[str]]:
     return produced, consumed, taken
 
 
-def _object_links(index: DiagramIndex, objects: set[str]) -> tuple[_Links, _Links, dict[str, set[str]]]:
+def _object_links(index: DiagramIndex, objects: set[str]) -> tuple[_Links, _Links, dict[str, list[str]]]:
     """The links of each of *objects* that has one, as :func:`_object_sets`
     finds them: where it is produced and where it is consumed, as (endpoint,
-    flow) pairs in table order, and the nodes taking it as an input. Built
-    only for the objects a rule reads more than membership of: those V1
-    would report, and the ends of the mappings, for V3."""
+    flow) pairs in table order, and the nodes taking it as an input, in node
+    order, so V3 asks ``reaches`` in a fixed order. Built only for the
+    objects a rule reads more than membership of: those V1 would report, and
+    the ends of the mappings, for V3."""
     produced: _Links = {}
     consumed: _Links = {}
-    takers: dict[str, set[str]] = {}
     for endpoint, ios in index.outputs.items():
         for obj, _, via, channel in ios:
             if obj in objects and channel != "store":
                 (consumed if channel == "message" else produced).setdefault(obj, []).append((endpoint, via))
+    takers: dict[str, list[str]] = {}
     nodes = index.nodes
     for endpoint, ios in index.inputs.items():
         for obj, _, via, channel in ios:
             if obj in objects:
                 if endpoint in nodes:
-                    takers.setdefault(obj, set()).add(endpoint)
+                    takers.setdefault(obj, []).append(endpoint)
                 if channel != "store":
                     (produced if channel == "message" else consumed).setdefault(obj, []).append((endpoint, via))
+    position: dict[str, int] = {}  # node id -> its place in node order, built on first need
+    for obj, found in takers.items():
+        if len(found) > 1:
+            position = position or {node_id: k for k, node_id in enumerate(nodes)}
+            takers[obj] = sorted(set(found), key=position.__getitem__)
     return produced, consumed, takers
 
 

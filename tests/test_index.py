@@ -501,7 +501,7 @@ def test_views_equal_scan_references(diagram):
         assert diagram.index.mappings_to.get(object_id, []) == ref_mappings_to(diagram, object_id)
         assert sorted(produced.get(object_id, [])) == sorted(ref_object_sources(diagram, object_id))
         assert sorted(consumed.get(object_id, [])) == sorted(ref_object_targets(diagram, object_id))
-        assert takers.get(object_id, set()) == set(ref_consumers(diagram, object_id))
+        assert takers.get(object_id, []) == ref_consumers(diagram, object_id)
         assert validator._only_on_external_messages(
             index, produced, consumed, object_id
         ) == ref_only_on_external_messages(diagram, object_id)

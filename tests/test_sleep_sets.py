@@ -133,9 +133,11 @@ def _keys_of_both_orders(diagram: Diagram, before: list[str], x: str, y: str) ->
 
 
 def both_orders_explored(searched, diagram: Diagram, before: list[str], x: str, y: str) -> bool:
-    """Whether the oracle finds the reference's outcomes and, in the state
+    """Whether the oracle finds the reference's outcomes, visits only keys
+    the reference visits and in the reference's order, and, in the state
     that firing *before* reaches, fires both x and y: it visits the reference
-    key of each firing."""
+    key of each firing. Used where stubborn sets skip some of the
+    reference's states, so its whole key sequence cannot be asked for."""
     keys = []
     for node in (x, y):
         state = simulator.init(diagram)
@@ -143,7 +145,9 @@ def both_orders_explored(searched, diagram: Diagram, before: list[str], x: str, 
             state, _ = simulator.step(state, diagram, fired)
         keys.append(ref_key(state))
     result, visited, _, _ = searched(simulator.explore_interleavings, diagram)
-    return result == searched(ref_explore, diagram)[0] and set(keys) <= set(visited)
+    expected, reference_keys, _, _ = searched(ref_explore, diagram)
+    in_order = iter(reference_keys)
+    return result == expected and all(key in in_order for key in visited) and set(keys) <= set(visited)
 
 
 STORE = DataStore("D", "D", entities=[Entity("E", [Variable("v", "number")])])
@@ -177,7 +181,7 @@ def test_an_insert_and_a_filtered_read_of_its_store_are_dependent(searched):
     assert not simulator._independent(diagram, "b", "a")
     a_first, b_first = _keys_of_both_orders(diagram, ["split"], "a", "b")
     assert a_first != b_first
-    assert both_orders_explored(searched, diagram, ["split"], "a", "b")
+    assert searched(simulator.explore_interleavings, diagram)[:2] == searched(ref_explore, diagram)[:2]
 
 
 def test_two_effects_on_one_object_are_dependent():
@@ -191,7 +195,10 @@ def test_two_effects_on_one_object_are_dependent():
 def test_a_node_and_the_exclusive_merge_its_flow_enters_are_dependent(searched):
     """``s -> split (parallel) -> {a, b} -> m (exclusive merge) -> e``. Once
     b has fired, m and a are both enabled; m takes its token from its first
-    marked flow in, so a then m leaves a token on another flow than m then a."""
+    marked flow in, so a then m leaves a token on another flow than m then a.
+    a and b commute, so the oracle skips two of the reference's sixteen
+    states (m and e fired before the other branch), and the reference's
+    whole key sequence is not asked for."""
     kinds = {"s": "start_event_none", "split": "gateway_parallel", "a": "task", "b": "task"}
     kinds |= {"m": "gateway_exclusive_data", "e": "end_event"}
     edges = [("s", "split"), ("split", "a"), ("split", "b"), ("a", "m"), ("b", "m"), ("m", "e")]
@@ -205,7 +212,9 @@ def test_a_node_and_the_exclusive_merge_its_flow_enters_are_dependent(searched):
 
 def test_a_send_and_a_receive_on_one_message_flow_are_dependent(searched):
     """a sends on mf to r, which a token alone enables: r then a leaves the
-    message waiting, a then r takes it."""
+    message waiting, a then r takes it. The oracle skips four of the
+    reference's thirteen states, so the reference's whole key sequence is
+    not asked for."""
     sender = Pool(
         "P1",
         "P1",
