@@ -17,6 +17,10 @@ imported from ``perfbench/models.py``. The script runs the ``bpdmn`` of the
 checkout it sits in; stdlib only::
 
     python3 scripts/oracle_cost.py
+
+It exits 1 when the outcome set of any shape is not the generator's, so a
+CI step that runs it fails on a wrong oracle at shapes the tests do not
+reach (they stop at 4x4).
 """
 
 from __future__ import annotations
@@ -80,16 +84,19 @@ def _median_ms(text: str, max_steps: int) -> float:
     return statistics.median(times)
 
 
-def main() -> None:
+def main() -> int:
     models = _models()
+    wrong = 0
     print("shape  expected  states  step() calls  median ms")
     for index, (pools, width) in enumerate(SHAPES):
         model = models.fanout_model(SEED, index, pools, width)
         outcomes, states, steps = _counted(model.text, model.oracle_max_steps)
         ms = _median_ms(model.text, model.oracle_max_steps)
         expected = "yes" if outcomes == model.oracle_outcomes else "NO"
+        wrong += expected == "NO"
         print(f"{pools}x{width:<3}  {expected:>8}  {states:6d}  {steps:12d}  {ms:9.2f}")
+    return 1 if wrong else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -885,12 +885,13 @@ class DiagramIndex:
 
     def footprint(self, node_id: str) -> tuple[frozenset[str], ...]:
         """What a firing of the node can touch besides its own entry in the
-        completed set, built on the first request: the ids of the flows, the
-        objects read, the objects written, the stores read and the stores
-        inserted into. A plain tuple, since a named tuple class would be built
-        at every import of the module, and most commands never ask.
+        completed set and the tokens and messages on its own flows, which
+        ``in_flows``, ``out_flows``, ``message_in`` and ``message_out`` list,
+        built on the first request: the objects read, the objects written,
+        the stores read and the stores inserted into. A plain tuple, since a
+        named tuple class would be built at every import of the module, and
+        most commands never ask.
 
-        - Flows: its sequence and message flows, in and out.
         - Objects read: its inputs, the sources of the mappings into it and
           the objects their rules name, the objects named by its guards,
           effects, inserts and store filters, and the attachments of the
@@ -907,8 +908,6 @@ class DiagramIndex:
         if footprint is not None:
             return footprint
         inputs = self.inputs.get(node_id, ())
-        tables = (self.in_flows, self.out_flows, self.message_in, self.message_out)
-        flows = {f.id for table in tables for f in table.get(node_id, ())}
         reads = {io.object for io in inputs}
         writes = {io.object for io in inputs if io.optional}
         writes.update(io.object for io in self.outputs.get(node_id, ()) if io.channel != "store")
@@ -936,7 +935,6 @@ class DiagramIndex:
                     expressions += action.assignments.values()
         reads.update(ref.partition(".")[0] for e in expressions for ref in expr_refs(e))
         footprint = self._footprints[node_id] = (
-            frozenset(flows),
             frozenset(reads),
             frozenset(writes),
             frozenset(store_reads),

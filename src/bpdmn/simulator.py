@@ -105,20 +105,23 @@ the same facts as a sorted one would, still without bound values or store
 contents. Its firings pass ``traced=False``: they build no trace event.
 
 The oracle prunes with sleep sets (Godefroid 1996, ch. 5) and stubborn sets
-(Valmari 1991; Godefroid 1996, ch. 4-6). Two distinct nodes are independent
-(``_independent``) when their footprints (``index.footprint``) share no
-sequence or message flow, neither writes an object the other reads or
-writes, and no record that one inserts may pass a store read of the other
-(``_may_pass``: the record is of the read's entity, and the read has no
-filter, or its filter, on the record's literal fields alone, is true or
-reads another name). Where two independent nodes are both enabled, each
-stays enabled after the other fires: neither takes the other's tokens or
-messages, bindings and records are only added, neither adds a binding that
-the other reads, and a record that the other's filter can never pass leaves
-the first record it matches the first. Both orders reach one key: tokens
-change only on their own flows, the completed set and the bound names grow
-by union, and inbox and store sizes grow on distinct queues, or by appends
-to one store, whose order the key does not hold.
+(Valmari 1991; Godefroid 1996, ch. 4-6). Both read one commute relation,
+``_Reduction.dependents``, which lists a node's dependents off the index's
+tables: two distinct nodes are independent when they share no sequence or
+message flow, neither writes, by its footprint (``index.footprint``), an
+object the other reads or writes, and no record that one inserts may pass a
+store read of the other (``_may_pass``: the record is of the read's entity,
+and the read has no filter, or its filter, on the record's literal fields
+alone, is true or reads another name). ``tests/test_sleep_sets.py`` holds
+it, pair by pair, to a pairwise statement of the same rule. Where two
+independent nodes are both enabled, each stays enabled after the other
+fires: neither takes the other's tokens or messages, bindings and records
+are only added, neither adds a binding that the other reads, and a record
+that the other's filter can never pass leaves the first record it matches
+the first. Both orders reach one key: tokens change only on their own flows,
+the completed set and the bound names grow by union, and inbox and store
+sizes grow on distinct queues, or by appends to one store, whose order the
+key does not hold.
 
 A state on the search's stack does not fire the nodes asleep in it: those
 it has fired already, and those asleep in its parent that are independent
@@ -858,55 +861,22 @@ def _feeds(diagram: Diagram, writer: str, reader: str) -> bool:
     )
 
 
-def _independent(diagram: Diagram, a: str, b: str) -> bool:
-    """Whether firing node *a* then node *b* reaches the same key of
-    :func:`_freeze_state` as *b* then *a*, from any state where both are
-    enabled, with each still enabled after the other: their footprints
-    (:meth:`~bpdmn.model.DiagramIndex.footprint`) share no flow, neither
-    writes an object the other reads or writes, and no record that one
-    inserts may pass a store read of the other (:func:`_feeds`). Two
-    inserts into one store are independent, because the key holds store
-    sizes, not store contents."""
-    index = diagram.index
-    flows_a, reads_a, writes_a, store_reads_a, inserts_a = index.footprint(a)
-    flows_b, reads_b, writes_b, store_reads_b, inserts_b = index.footprint(b)
-    return (
-        a != b
-        and flows_a.isdisjoint(flows_b)
-        and writes_a.isdisjoint(reads_b)
-        and writes_a.isdisjoint(writes_b)
-        and writes_b.isdisjoint(reads_a)
-        and (inserts_a.isdisjoint(store_reads_b) or not _feeds(diagram, a, b))
-        and (inserts_b.isdisjoint(store_reads_a) or not _feeds(diagram, b, a))
-    )
-
-
 class _Reduction:
-    """What one search asks about the diagram's nodes, memoized: whether two
-    commute (:func:`_independent`), the nodes each depends on, and the nodes
-    that can make a failed conjunct of :func:`_blocker` true. The tables of
-    each object's readers and writers, by footprint, are built on the first
-    question that needs them."""
+    """What one search asks about the diagram's nodes, memoized: the nodes
+    each does not commute with, and the nodes that can make a failed
+    conjunct of :func:`_blocker` true. The tables of each object's readers
+    and writers, by footprint, are built on the first question that needs
+    them."""
 
-    __slots__ = ("diagram", "index", "_commutes", "_dependents", "_enablers", "_readers", "_writers")
+    __slots__ = ("diagram", "index", "_dependents", "_enablers", "_readers", "_writers")
 
     def __init__(self, diagram: Diagram) -> None:
         self.diagram = diagram
         self.index = diagram.index
-        # node -> other node -> whether they commute: the sleep sets of a
-        # search ask of the same pairs again and again
-        self._commutes: dict[str, dict[str, bool]] = {}
         self._dependents: dict[str, set[str]] = {}
         self._enablers: dict[tuple[str, NodeIO], set[str]] = {}
         self._readers: dict[str, set[str]] | None = None
         self._writers: dict[str, set[str]] = {}
-
-    def independent(self, a: str, b: str) -> bool:
-        row = self._commutes.setdefault(a, {})
-        value = row.get(b)
-        if value is None:
-            value = row[b] = _independent(self.diagram, a, b)
-        return value
 
     def _objects(self) -> tuple[dict[str, set[str]], dict[str, set[str]]]:
         """Object id -> the nodes whose footprint reads it, and -> those whose
@@ -914,7 +884,7 @@ class _Reduction:
         if self._readers is None:
             self._readers = {}
             for node_id in self.index.nodes:
-                _, reads, writes, _, _ = self.index.footprint(node_id)
+                reads, writes, _, _ = self.index.footprint(node_id)
                 for obj in reads:
                     self._readers.setdefault(obj, set()).add(node_id)
                 for obj in writes:
@@ -922,35 +892,37 @@ class _Reduction:
         return self._readers, self._writers
 
     def dependents(self, node_id: str) -> set[str]:
-        """The nodes *v* with ``not _independent(node_id, v)``, other than
-        *node_id*: the ends of its flows, which share a flow with it, and of
-        the readers and writers of the objects it writes, the writers of
-        those it reads, and the readers and inserters of its stores, those
-        that do not commute with it. Asking :func:`_independent` of every
-        node instead finds the same set (``tests/test_stubborn_sets.py``
-        checks that) but cost the interleave benchmark's ``oracle_ms`` about
-        11%."""
+        """The nodes that do not commute with node *node_id*, other than it:
+        the ends of its sequence and message flows, the readers and writers
+        of the objects its footprint writes, the writers of those it reads,
+        the readers of its stores that a record it inserts may pass, and the
+        inserters into the stores it reads whose records may pass its reads
+        (:func:`_feeds`). The oracle's one commute relation: its sleep sets
+        and stubborn sets both read it. It is symmetric, and
+        ``tests/test_sleep_sets.py`` holds it, pair by pair, to a pairwise
+        statement of the rule. Asking that rule of every node instead
+        makes 1,322 pairwise calls per pass of the interleave benchmark and
+        costs about 15% more oracle time."""
         found = self._dependents.get(node_id)
         if found is None:
-            index = self.index
+            index, diagram = self.index, self.diagram
             nodes = index.nodes
-            _, reads, writes, store_reads, inserts = index.footprint(node_id)
+            reads, writes, store_reads, inserts = index.footprint(node_id)
             tables = (index.in_flows, index.out_flows, index.message_in, index.message_out)
             ends = (end for table in tables for flow in table.get(node_id, ()) for end in (flow.source, flow.target))
             found = {v for v in ends if v in nodes}
-            near = set()
             if reads or writes:
                 readers, writers = self._objects()
                 for obj in writes:
-                    near.update(readers.get(obj, ()), writers.get(obj, ()))
+                    found.update(readers.get(obj, ()), writers.get(obj, ()))
                 for obj in reads:
-                    near.update(writers.get(obj, ()))
+                    found.update(writers.get(obj, ()))
             for store in inserts:
-                near.update(index.readers.get(store, ()))
+                fed = index.readers.get(store, ())
+                found.update([v for v in fed if v in nodes and v not in found and _feeds(diagram, node_id, v)])
             for store in store_reads:
-                near.update(index.writers.get(store, ()))
-            near.difference_update(found)
-            found.update(v for v in near if v in nodes and not self.independent(node_id, v))
+                feeding = index.writers.get(store, ())
+                found.update([v for v in feeding if v in nodes and v not in found and _feeds(diagram, v, node_id)])
             found.discard(node_id)
             self._dependents[node_id] = found
         return found
@@ -1054,10 +1026,12 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
 
     The search fires, in a state with two or more enabled nodes, only the
     enabled members of a stubborn set (:meth:`_Reduction.stubborn`), less
-    those asleep. A stubborn set keeps every state where no node is enabled,
-    but not every state where ``max_steps`` cuts a path; so when the reduced
-    search reaches one of those, the search starts again without stubborn
-    sets, and returns what the search with sleep sets alone returns."""
+    those asleep; both sets read one commute relation,
+    :meth:`_Reduction.dependents`. A stubborn set keeps every state where no
+    node is enabled, but not every state where ``max_steps`` cuts a path; so
+    when the reduced search reaches one of those, the search starts again
+    without stubborn sets, and returns what the search with sleep sets alone
+    returns."""
     reduction = _Reduction(diagram)
     try:
         return _search(diagram, max_steps, reduction, True)
@@ -1083,9 +1057,12 @@ def _search(diagram: Diagram, max_steps: int, reduction: _Reduction, reduced: bo
 
     The search prunes with sleep sets (Godefroid 1996, ch. 5). Each state
     on the stack keeps the enabled nodes it must not fire: those fired from
-    it already, and those asleep in its parent that commute
-    (:func:`_independent`) with the firing that led to it. A state whose
-    nodes to fire are all asleep is neither expanded nor an outcome."""
+    it already, and those asleep in its parent less the dependents
+    (:meth:`_Reduction.dependents`) of the firing that led to it. That
+    firing is never asleep in the parent, which fires no node asleep in it,
+    so the difference keeps exactly the parent's sleepers that commute with
+    it. A state whose nodes to fire are all asleep is neither expanded nor
+    an outcome."""
     results: set[frozenset[str]] = set()
     seen: set = set()
     bits: dict[str, int] = {}  # node or object id -> its bit, in either mask
@@ -1118,10 +1095,10 @@ def _search(diagram: Diagram, max_steps: int, reduction: _Reduction, reduced: bo
             results.add(frozenset(state.completed) - started)
             return
         # asleep here: the nodes asleep in the parent, *asleep*, that commute
-        # with *fired*, the firing that led here; built only for a state that
-        # is expanded
+        # with *fired*, the firing that led here, which is never asleep in the
+        # parent; built only for a state that is expanded
         if asleep:
-            asleep = {node_id for node_id in asleep if reduction.independent(fired, node_id)}
+            asleep = asleep - reduction.dependents(fired)
             awake = ready - asleep
         else:  # a new set: the parent adds to its own
             asleep, awake = set(), ready

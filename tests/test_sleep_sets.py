@@ -9,7 +9,8 @@ visits only keys the reference visits and never more of them: stubborn sets
 skip states by design. Where the reference cuts a path at ``max_steps`` the
 oracle starts again without stubborn sets, and that search visits the same
 new keys in the same order as the reference. The inline diagrams pin the
-independence rule, ``_independent``, on the cases it must get right.
+oracle's commute relation, ``_Reduction.dependents``, on the cases it must
+get right, and hold it to the pairwise rule, ``ref_independent``.
 """
 
 from __future__ import annotations
@@ -105,6 +106,42 @@ def test_the_oracle_finds_the_outcomes_and_new_keys_of_the_reference(family, sea
     assert differing == []
 
 
+def ref_independent(diagram: Diagram, a: str, b: str) -> bool:
+    """Whether firing node *a* then node *b* reaches the same key as *b*
+    then *a*, from any state where both are enabled, with each still enabled
+    after the other, stated pair by pair: they are distinct, share no
+    sequence or message flow, neither writes an object the other reads or
+    writes (``index.footprint``), and no record that one inserts may pass a
+    store read of the other (``simulator._feeds``). Two inserts into one
+    store are independent, because the key holds store sizes, not store
+    contents. The reference for ``simulator._Reduction.dependents``."""
+    index = diagram.index
+    tables = (index.in_flows, index.out_flows, index.message_in, index.message_out)
+    flows_a, flows_b = ({f.id for table in tables for f in table.get(n, ())} for n in (a, b))
+    reads_a, writes_a, store_reads_a, inserts_a = index.footprint(a)
+    reads_b, writes_b, store_reads_b, inserts_b = index.footprint(b)
+    return (
+        a != b
+        and flows_a.isdisjoint(flows_b)
+        and writes_a.isdisjoint(reads_b)
+        and writes_a.isdisjoint(writes_b)
+        and writes_b.isdisjoint(reads_a)
+        and (inserts_a.isdisjoint(store_reads_b) or not simulator._feeds(diagram, a, b))
+        and (inserts_b.isdisjoint(store_reads_a) or not simulator._feeds(diagram, b, a))
+    )
+
+
+def commutes(diagram: Diagram, a: str, b: str) -> bool:
+    """Whether nodes *a* and *b* commute by the oracle's relation: neither is
+    among the other's ``_Reduction.dependents``. Both orders must give one
+    answer, and it must be ``ref_independent``'s."""
+    reduction = simulator._Reduction(diagram)
+    answer = b not in reduction.dependents(a)
+    assert (a not in reduction.dependents(b)) is answer
+    assert ref_independent(diagram, a, b) is answer
+    return answer
+
+
 def _pair(behaviors: dict[str, TaskBehavior], **diagram_parts) -> Diagram:
     """``s -> split (parallel) -> {a, b} -> join (parallel) -> e``, with the
     behaviours *behaviors*."""
@@ -158,7 +195,7 @@ def test_two_inserts_into_one_store_are_independent(searched):
     reach one key, and the oracle fires the pair in one order only."""
     insert = TaskBehavior(store_actions=[StoreInsert("D", "E", {"v": parse_expr("1")})])
     diagram = _pair({"a": insert, "b": insert}, stores=[STORE])
-    assert simulator._independent(diagram, "a", "b")
+    assert commutes(diagram, "a", "b")
     result, keys, steps, _ = searched(simulator.explore_interleavings, diagram)
     expected, reference_keys, reference_steps, _ = searched(ref_explore, diagram)
     assert result == expected
@@ -177,8 +214,8 @@ def test_an_insert_and_a_filtered_read_of_its_store_are_dependent(searched):
         stores=[STORE],
         objects=[DataObject("R", "R", variables=[Variable("E.v", "number")])],
     )
-    assert not simulator._independent(diagram, "a", "b")
-    assert not simulator._independent(diagram, "b", "a")
+    assert not commutes(diagram, "a", "b")
+    assert not commutes(diagram, "b", "a")
     a_first, b_first = _keys_of_both_orders(diagram, ["split"], "a", "b")
     assert a_first != b_first
     assert searched(simulator.explore_interleavings, diagram)[:2] == searched(ref_explore, diagram)[:2]
@@ -189,7 +226,7 @@ def test_two_effects_on_one_object_are_dependent():
     branch, so both orders are fired (the key still merges them: see the
     strict xfail ``test_the_oracle_lists_both_outcomes_of_the_race``)."""
     diagram = _race()
-    assert not simulator._independent(diagram, "a", "b")
+    assert not commutes(diagram, "a", "b")
 
 
 def test_a_node_and_the_exclusive_merge_its_flow_enters_are_dependent(searched):
@@ -204,7 +241,7 @@ def test_a_node_and_the_exclusive_merge_its_flow_enters_are_dependent(searched):
     edges = [("s", "split"), ("split", "a"), ("split", "b"), ("a", "m"), ("b", "m"), ("m", "e")]
     flows = [SequenceFlow(f"f{k}", source, target) for k, (source, target) in enumerate(edges)]
     diagram = Diagram("merge", pools=[Pool("P", "P", [Node(i, i, kind) for i, kind in kinds.items()], flows)])
-    assert not simulator._independent(diagram, "a", "m")
+    assert not commutes(diagram, "a", "m")
     a_first, m_first = _keys_of_both_orders(diagram, ["split", "b"], "a", "m")
     assert a_first != m_first
     assert both_orders_explored(searched, diagram, ["split", "b"], "a", "m")
@@ -228,7 +265,7 @@ def test_a_send_and_a_receive_on_one_message_flow_are_dependent(searched):
         [SequenceFlow("f3", "s2", "r"), SequenceFlow("f4", "r", "e2")],
     )
     diagram = Diagram("message", pools=[sender, receiver], message_flows=[MessageFlow("mf", "a", "r")])
-    assert not simulator._independent(diagram, "a", "r")
+    assert not commutes(diagram, "a", "r")
     a_first, r_first = _keys_of_both_orders(diagram, [], "a", "r")
     assert a_first != r_first
     assert both_orders_explored(searched, diagram, [], "a", "r")

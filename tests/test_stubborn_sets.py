@@ -38,7 +38,7 @@ from bpdmn.model import (
 
 from conftest import FIXTURES, load
 from test_index import ref_explore
-from test_sleep_sets import FAMILIES, _pair, searched  # noqa: F401  (searched is a fixture)
+from test_sleep_sets import FAMILIES, _pair, commutes, ref_independent, searched  # noqa: F401  (searched is a fixture)
 
 ROOT = FIXTURES.parent
 
@@ -56,17 +56,21 @@ def _interleave_models() -> list[tuple[str, Diagram]]:
 @pytest.mark.parametrize("family", [*FAMILIES, "interleave"])
 def test_the_tables_find_every_dependent(family):
     """The dependents the tables build are exactly the nodes that do not
-    commute with a node, by ``_independent``."""
+    commute with a node by the pairwise rule, ``ref_independent``, and the
+    relation is symmetric: the sleep sets read only the row of the node
+    fired."""
     diagrams = _interleave_models() if family == "interleave" else FAMILIES[family]()
-    differing = []
+    differing, asymmetric = [], []
     for name, diagram in diagrams:
         reduction = simulator._Reduction(diagram)
         nodes = list(diagram.index.nodes)
         for u in nodes:
-            expected = {v for v in nodes if v != u and not simulator._independent(diagram, u, v)}
+            expected = {v for v in nodes if v != u and not ref_independent(diagram, u, v)}
             if reduction.dependents(u) != expected:
                 differing.append((name, u))
+            asymmetric += [(name, u, v) for v in reduction.dependents(u) if u not in reduction.dependents(v)]
     assert differing == []
+    assert asymmetric == []
 
 
 # ---------------------------------------------------------------------------
@@ -108,8 +112,8 @@ def test_an_insert_commutes_with_a_read_it_can_never_feed(entity, value, read_fi
         stores=[TWO_ENTITIES],
         objects=OBJECTS,
     )
-    assert simulator._independent(diagram, "a", "b") is commute
-    assert simulator._independent(diagram, "b", "a") is commute
+    assert commutes(diagram, "a", "b") is commute
+    assert commutes(diagram, "b", "a") is commute
     result = searched(simulator.explore_interleavings, diagram)[0]
     assert result == searched(ref_explore, diagram)[0]
 
