@@ -104,38 +104,42 @@ their order; and within one search a bit stands for one id. So the key holds
 the same facts as a sorted one would, still without bound values or store
 contents. Its firings pass ``traced=False``: they build no trace event.
 
-The oracle prunes with sleep sets (Godefroid 1996, ch. 5) and stubborn sets
-(Valmari 1991; Godefroid 1996, ch. 4-6). Both read one commute relation,
-``_Reduction.dependents``, which lists a node's dependents off the index's
-tables: two distinct nodes are independent when they share no sequence or
-message flow, neither writes, by its footprint (``index.footprint``), an
-object the other reads or writes, and no record that one inserts may pass a
-store read of the other (``_may_pass``: the record is of the read's entity,
-and the read has no filter, or its filter, on the record's literal fields
-alone, is true or reads another name). ``tests/test_sleep_sets.py`` holds
-it, pair by pair, to a pairwise statement of the same rule. Where two
-independent nodes are both enabled, each stays enabled after the other
-fires: neither takes the other's tokens or messages, bindings and records
-are only added, neither adds a binding that the other reads, and a record
-that the other's filter can never pass leaves the first record it matches
-the first. Both orders reach one key: tokens change only on their own flows,
-the completed set and the bound names grow by union, and inbox and store
-sizes grow on distinct queues, or by appends to one store, whose order the
-key does not hold.
+The oracle prunes with stubborn sets (Valmari 1991; Godefroid 1996, ch.
+4-6). They read one commute relation, ``_Reduction.dependents``, which
+lists a node's dependents off the index's tables: two distinct nodes are
+independent when they share no sequence or message flow, neither writes, by
+its footprint (``index.footprint``), an object the other reads or writes,
+and no record that one inserts may pass a store read of the other
+(``_may_pass``: the record is of the read's entity, and the read has no
+filter, or its filter, on the record's literal fields alone, is true or
+reads another name). ``tests/test_reduced_oracle.py`` holds it, pair by
+pair, to a pairwise statement of the same rule. Where two independent nodes
+are both enabled, each stays enabled after the other fires: neither takes
+the other's tokens or messages, bindings and records are only added,
+neither adds a binding that the other reads, and a record that the other's
+filter can never pass leaves the first record it matches the first. Both
+orders reach one key: tokens change only on their own flows, the completed
+set and the bound names grow by union, and inbox and store sizes grow on
+distinct queues, or by appends to one store, whose order the key does not
+hold.
 
-A state on the search's stack does not fire the nodes asleep in it: those
-it has fired already, and those asleep in its parent that are independent
-of the firing that led to it. In a state with two or more enabled nodes it
-fires only the enabled members of a stubborn set: the closure of its
-smallest enabled node in which an enabled member adds every node it depends
-on and a disabled member adds the nodes that can make its failed conjunct
-true (``_Reduction.enablers``). No firing outside the set can enable a
-disabled member, and each commutes with the enabled members, so every key
-without an enabled node that the full search reaches, the reduced search
-reaches too, by a reordering of the same firings, up to what the key
-merges. A state where ``max_steps`` cuts a path is not such a state, so a
-reduced search that reaches one with a node enabled starts again without
-stubborn sets.
+In a state with two or more enabled nodes the search fires only the
+enabled members of a stubborn set: the closure of one enabled node in which
+an enabled member adds every node it depends on and a disabled member adds
+the nodes that can make its failed conjunct true (``_Reduction.enablers``).
+Each enabled node seeds one, and the state takes the one with the fewest
+enabled members. The stubborn sets alone, with no other pruning, keep
+every outcome of a path that no cut ends, which ends in a key without an
+enabled node. Such a path fires a member of the set, since a firing
+outside it commutes with each enabled member and so leaves it enabled. Take
+the first such firing. No earlier firing can enable a disabled member, so
+it fires an enabled one, and each earlier firing commutes with it: the same
+firings, with that one moved to the front, reach the same key, and the
+search fires it from this state. Repeat from the state it reaches: the
+reduced search reaches the key too, up to what the key merges. A path that
+``max_steps`` cuts need not end like that, so a reduced search that reaches
+a state with a node enabled where a cut falls starts again without stubborn
+sets.
 
 What the key still loses, the reduction loses with it. Two inserts into one
 store are independent, so only one order of their records is explored, and
@@ -862,11 +866,11 @@ def _feeds(diagram: Diagram, writer: str, reader: str) -> bool:
 
 
 class _Reduction:
-    """What one search asks about the diagram's nodes, memoized: the nodes
-    each does not commute with, and the nodes that can make a failed
-    conjunct of :func:`_blocker` true. The tables of each object's readers
-    and writers, by footprint, are built on the first question that needs
-    them."""
+    """What one search's stubborn sets ask about the diagram's nodes,
+    memoized: the nodes each does not commute with, and the nodes that can
+    make a failed conjunct of :func:`_blocker` true. The tables of each
+    object's readers and writers, by footprint, are built on the first
+    question that needs them."""
 
     __slots__ = ("diagram", "index", "_dependents", "_enablers", "_readers", "_writers")
 
@@ -897,12 +901,12 @@ class _Reduction:
         of the objects its footprint writes, the writers of those it reads,
         the readers of its stores that a record it inserts may pass, and the
         inserters into the stores it reads whose records may pass its reads
-        (:func:`_feeds`). The oracle's one commute relation: its sleep sets
-        and stubborn sets both read it. It is symmetric, and
-        ``tests/test_sleep_sets.py`` holds it, pair by pair, to a pairwise
-        statement of the rule. Asking that rule of every node instead
-        makes 1,322 pairwise calls per pass of the interleave benchmark and
-        costs about 15% more oracle time."""
+        (:func:`_feeds`). The oracle's one commute relation, which its
+        stubborn sets read. It is symmetric, and
+        ``tests/test_reduced_oracle.py`` holds it, pair by pair, to a
+        pairwise statement of the rule. Asking that rule of every node
+        instead makes 1,322 pairwise calls per pass of the interleave
+        benchmark and costs about 15% more oracle time."""
         found = self._dependents.get(node_id)
         if found is None:
             index, diagram = self.index, self.diagram
@@ -970,28 +974,34 @@ class _Reduction:
         return found
 
     def stubborn(self, state: ExecutionState, ready: set[str]) -> set[str]:
-        """The enabled members of a stubborn set of *state* (Valmari 1991),
-        whose enabled nodes are *ready*: the closure of ``{min(ready)}`` in
-        which an enabled member adds its :meth:`dependents` and a disabled
-        one the :meth:`enablers` of its failed conjunct."""
-        first = min(ready)
-        members, pending, enabled_members = {first}, [first], 1
+        """The enabled members of the smallest stubborn set of *state*
+        (Valmari 1991) that one of its enabled nodes, *ready*, seeds. A seed
+        n's set is the closure of ``{n}`` in which an enabled member adds its
+        :meth:`dependents` and a disabled one the :meth:`enablers` of its
+        failed conjunct. The seeds are taken in sorted order, and the first
+        closure with the fewest enabled members is kept: the loop ends at a
+        closure with one, and a closure is cut short once it holds as many
+        as the best so far, *ready* at first."""
+        best = ready
         nodes = self.index.nodes
-        while pending:
-            node_id = pending.pop()
-            if node_id in ready:
-                more = self.dependents(node_id)
-            else:
-                more = self.enablers(state, node_id, _blocker(state, self.diagram, nodes[node_id]))
-            for other in more:
-                if other not in members and other in nodes:
-                    members.add(other)
-                    pending.append(other)
-                    if other in ready:
-                        enabled_members += 1
-                        if enabled_members == len(ready):  # nothing left to leave out
-                            return ready
-        return members & ready
+        for seed in sorted(ready):
+            members, pending, count = {seed}, [seed], 1
+            while pending and count < len(best):
+                node_id = pending.pop()
+                if node_id in ready:
+                    more = self.dependents(node_id)
+                else:
+                    more = self.enablers(state, node_id, _blocker(state, self.diagram, nodes[node_id]))
+                for other in more:
+                    if other not in members and other in nodes:
+                        members.add(other)
+                        pending.append(other)
+                        count += other in ready
+            if count < len(best):
+                best = members & ready
+                if count == 1:
+                    break
+        return best
 
 
 def _clone(state: ExecutionState) -> ExecutionState:
@@ -1025,13 +1035,11 @@ def explore_interleavings(diagram: Diagram, max_steps: int = 50) -> set[frozense
     missed when another path reached the same key first.
 
     The search fires, in a state with two or more enabled nodes, only the
-    enabled members of a stubborn set (:meth:`_Reduction.stubborn`), less
-    those asleep; both sets read one commute relation,
-    :meth:`_Reduction.dependents`. A stubborn set keeps every state where no
+    enabled members of its smallest stubborn set
+    (:meth:`_Reduction.stubborn`). A stubborn set keeps every state where no
     node is enabled, but not every state where ``max_steps`` cuts a path; so
     when the reduced search reaches one of those, the search starts again
-    without stubborn sets, and returns what the search with sleep sets alone
-    returns."""
+    without stubborn sets and fires every enabled node of every state."""
     reduction = _Reduction(diagram)
     try:
         return _search(diagram, max_steps, reduction, True)
@@ -1055,14 +1063,11 @@ def _search(diagram: Diagram, max_steps: int, reduction: _Reduction, reduced: bo
     keys of ``bindings``. Firings are untraced: the search reads states, not
     traces.
 
-    The search prunes with sleep sets (Godefroid 1996, ch. 5). Each state
-    on the stack keeps the enabled nodes it must not fire: those fired from
-    it already, and those asleep in its parent less the dependents
-    (:meth:`_Reduction.dependents`) of the firing that led to it. That
-    firing is never asleep in the parent, which fires no node asleep in it,
-    so the difference keeps exactly the parent's sleepers that commute with
-    it. A state whose nodes to fire are all asleep is neither expanded nor
-    an outcome."""
+    A state fires its enabled nodes in sorted order, or, in a reduced search
+    and with two or more of them, only the enabled members of its stubborn
+    set (:meth:`_Reduction.stubborn`). So the search that is not reduced
+    makes the ``enabled()`` and ``step()`` calls of the plain recursive
+    search, in its order."""
     results: set[frozenset[str]] = set()
     seen: set = set()
     bits: dict[str, int] = {}  # node or object id -> its bit, in either mask
@@ -1076,13 +1081,11 @@ def _search(diagram: Diagram, max_steps: int, reduction: _Reduction, reduced: bo
 
     # depth first with an explicit stack, so a path may be longer than the
     # recursion limit; a frame holds a state, its enabled set, the choices
-    # not yet taken, smallest last so that pop() takes it first, the state's
-    # two masks and its sleep set
-    stack: list[tuple[ExecutionState, set[str], list[str], int, int, set[str]]] = []
+    # not yet taken, smallest last so that pop() takes it first, and the
+    # state's two masks
+    stack: list[tuple[ExecutionState, set[str], list[str], int, int]] = []
 
-    def visit(
-        state: ExecutionState, prior: set[str] | frozenset[str], done: int, bound: int, asleep: set[str], fired: str
-    ) -> None:
+    def visit(state: ExecutionState, prior: set[str] | frozenset[str], done: int, bound: int) -> None:
         key = _freeze_state(state, done, bound)
         if key in seen:
             return
@@ -1094,18 +1097,8 @@ def _search(diagram: Diagram, max_steps: int, reduction: _Reduction, reduced: bo
         if not ready or left <= 0:
             results.add(frozenset(state.completed) - started)
             return
-        # asleep here: the nodes asleep in the parent, *asleep*, that commute
-        # with *fired*, the firing that led here, which is never asleep in the
-        # parent; built only for a state that is expanded
-        if asleep:
-            asleep = asleep - reduction.dependents(fired)
-            awake = ready - asleep
-        else:  # a new set: the parent adds to its own
-            asleep, awake = set(), ready
-        if reduced and len(ready) > 1:
-            awake = reduction.stubborn(state, ready) - asleep
-        if awake:
-            stack.append((state, ready, sorted(awake, reverse=True), done, bound, asleep))
+        fire = reduction.stubborn(state, ready) if reduced and len(ready) > 1 else ready
+        stack.append((state, ready, sorted(fire, reverse=True), done, bound))
 
     start = init(diagram)
     started = frozenset(start.completed)
@@ -1114,9 +1107,9 @@ def _search(diagram: Diagram, max_steps: int, reduction: _Reduction, reduced: bo
         done |= bit(node_id)
     for obj in start.bindings:
         bound |= bit(obj)
-    visit(start, frozenset(), done, bound, set(), "")
+    visit(start, frozenset(), done, bound)
     while stack:
-        state, ready, choices, done, bound, asleep = stack[-1]
+        state, ready, choices, done, bound = stack[-1]
         choice = choices.pop()
         known = len(state.bindings)  # read first: the last child is this state
         if choices:
@@ -1128,7 +1121,5 @@ def _search(diagram: Diagram, max_steps: int, reduction: _Reduction, reduced: bo
             child, _ = step(state, diagram, choice, traced=False)
         for obj in islice(reversed(child.bindings), len(child.bindings) - known):
             bound |= bit(obj)
-        visit(child, ready - {choice}, done | bit(choice), bound, asleep, choice)
-        if choices:
-            asleep.add(choice)  # explored: asleep in the later siblings
+        visit(child, ready - {choice}, done | bit(choice), bound)
     return results

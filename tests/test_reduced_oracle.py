@@ -1,16 +1,19 @@
-"""The oracle's sleep and stubborn sets against the search without them.
+"""The oracle's reduced search against the search without reduction, and
+the commute relation its stubborn sets read.
 
-``explore_interleavings`` fires no node of a state's sleep set, since such a
-firing reaches a key the search has already seen, and in a state with two or
-more enabled nodes it fires only the enabled members of a stubborn set. So
-it finds the outcomes of the reference search of ``tests/test_index.py``
-(``ref_explore``), which fires every enabled node, or the same error, and
-visits only keys the reference visits and never more of them: stubborn sets
-skip states by design. Where the reference cuts a path at ``max_steps`` the
-oracle starts again without stubborn sets, and that search visits the same
-new keys in the same order as the reference. The inline diagrams pin the
-oracle's commute relation, ``_Reduction.dependents``, on the cases it must
-get right, and hold it to the pairwise rule, ``ref_independent``.
+In a state with two or more enabled nodes ``explore_interleavings`` fires
+only the enabled members of a stubborn set. So it finds the outcomes of the
+reference search of ``tests/test_index.py`` (``ref_explore``), which fires
+every enabled node, or the same error, and visits only keys the reference
+visits and never more of them: stubborn sets skip states by design. An error
+ends the reference at its first failing firing, which the oracle, firing in
+another order, may reach later; so where the search ends in an error the
+oracle's keys are held to a reference that leaves failing firings out and
+goes on. Where the reference cuts a path at ``max_steps`` the oracle starts
+again without stubborn sets, and that search makes the reference's
+``enabled()`` and ``step()`` calls. The inline diagrams pin the oracle's
+commute relation, ``_Reduction.dependents``, on the cases it must get right,
+and hold it to the pairwise rule, ``ref_independent``.
 """
 
 from __future__ import annotations
@@ -98,8 +101,11 @@ def test_the_oracle_finds_the_outcomes_and_new_keys_of_the_reference(family, sea
             result, keys, steps, _ = searched(simulator.explore_interleavings, diagram, max_steps)
             expected, reference_keys, reference_steps, cut = searched(ref_explore, diagram, max_steps)
             if cut:
-                same = (result, keys) == (expected, reference_keys) and steps <= reference_steps
+                same = (result, keys, steps) == (expected, reference_keys, reference_steps)
             else:
+                if isinstance(expected, str):  # the reference's keys up to its first error are too few
+                    past_errors = searched(lambda d, m: ref_explore(d, m, skip_errors=True), diagram, max_steps)
+                    reference_keys = past_errors[1]
                 same = result == expected and set(keys) <= set(reference_keys) and len(keys) <= len(reference_keys)
             if not same:
                 differing.append((name, max_steps))

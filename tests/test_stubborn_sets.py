@@ -2,8 +2,8 @@
 rule that lets an insert commute with a read it can never feed, the cost on
 interleave-shaped diagrams, and the restart where ``max_steps`` cuts a path.
 
-``tests/test_sleep_sets.py`` holds the reduced search to the reference on
-every fixture and 700 generated diagrams.
+``tests/test_reduced_oracle.py`` holds the reduced search to the reference
+on every fixture and 700 generated diagrams.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from bpdmn.model import (
 
 from conftest import FIXTURES, load
 from test_index import ref_explore
-from test_sleep_sets import FAMILIES, _pair, commutes, ref_independent, searched  # noqa: F401  (searched is a fixture)
+from test_reduced_oracle import FAMILIES, _pair, commutes, ref_independent, searched  # noqa: F401  (searched is a fixture)
 
 ROOT = FIXTURES.parent
 
@@ -57,8 +57,7 @@ def _interleave_models() -> list[tuple[str, Diagram]]:
 def test_the_tables_find_every_dependent(family):
     """The dependents the tables build are exactly the nodes that do not
     commute with a node by the pairwise rule, ``ref_independent``, and the
-    relation is symmetric: the sleep sets read only the row of the node
-    fired."""
+    relation is symmetric."""
     diagrams = _interleave_models() if family == "interleave" else FAMILIES[family]()
     differing, asymmetric = [], []
     for name, diagram in diagrams:
@@ -197,13 +196,37 @@ def test_an_interleave_shape_costs_about_one_run(shape, searched):
 def test_a_bounded_search_equals_the_reference_key_for_key(max_steps, searched):
     """Where ``max_steps`` cuts a path the oracle starts again without
     stubborn sets: it visits the reference's new keys in the reference's
-    order, with no more ``step()`` calls."""
+    order, with as many ``step()`` calls."""
     diagram, _, _ = _interleave(2, 2)
     result, keys, steps, cut = searched(simulator.explore_interleavings, diagram, max_steps)
     expected, reference_keys, reference_steps, reference_cut = searched(ref_explore, diagram, max_steps)
     assert cut and reference_cut
     assert (result, keys) == (expected, reference_keys)
-    assert steps <= reference_steps
+    assert steps == reference_steps
+
+
+def _oracle_cost():
+    """``scripts/oracle_cost.py``, loaded as a module."""
+    spec = importlib.util.spec_from_file_location("oracle_cost", ROOT / "scripts" / "oracle_cost.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+# the states the full search visits on each fanout shape of scripts/oracle_cost.py
+STATES_AT_MOST = {(2, 2): 21, (2, 3): 23, (3, 2): 31, (3, 3): 34, (4, 3): 45, (4, 4): 49}
+
+
+@pytest.mark.parametrize("shape", STATES_AT_MOST, ids=lambda s: f"{s[0]}x{s[1]}")
+def test_a_fanout_shape_visits_at_most_its_states(shape):
+    """The full search that ``scripts/oracle_cost.py`` runs on a fanout
+    shape finds the one fired set, and its state count, once each state
+    fires its smallest stubborn set, is at most the shape's bound."""
+    script = _oracle_cost()
+    model = script._models().fanout_model(script.SEED, script.SHAPES.index(shape), *shape)
+    outcomes, states, _ = script._counted(model.text, model.oracle_max_steps)
+    assert outcomes == model.oracle_outcomes
+    assert states <= STATES_AT_MOST[shape]
 
 
 def test_a_search_that_must_be_cut_restarts_before_building_a_stubborn_set(monkeypatch):
@@ -338,6 +361,63 @@ def test_a_node_without_a_flow_in_has_no_enabler(searched):
     assert simulator._Reduction(diagram).stubborn(state, {"g", "z"}) == {"g"}
     with pytest.raises(simulator.SimulationError, match="^node u is not enabled: no flow in$"):
         simulator.step(state, diagram, "u")
+    assert searched(simulator.explore_interleavings, diagram)[0] == searched(ref_explore, diagram)[0]
+
+
+def test_a_state_fires_the_smallest_stubborn_set_its_enabled_nodes_seed(monkeypatch):
+    """Pool P is ``s -> split (parallel) -> {a, b} -> join -> e``, where a
+    and b both set ``o.v``; pool P2 is ``s2 -> z -> e2``. Once split has
+    fired, a, b and z are enabled. The closure of a, the smallest, holds a
+    and b, which do not commute, and that of z holds z alone: in that state
+    the oracle fires only z."""
+    setters = {name: TaskBehavior(effects=[Effect("o", "v", parse_expr(v))]) for name, v in (("a", "1"), ("b", "2"))}
+    pair = _pair(setters, objects=[DataObject("o", "o", variables=[Variable("v", "number")])])
+    diagram = Diagram(
+        "smallest", pools=[*pair.pools, _chain("P2", "s2", "z", "e2")], objects=pair.objects, behaviors=setters
+    )
+    expected = ref_explore(diagram)
+    state, _ = simulator.step(simulator.init(diagram), diagram, "split")
+    assert simulator.enabled(state, diagram) == {"a", "b", "z"}
+    assert not commutes(diagram, "a", "b")
+    assert simulator._Reduction(diagram).stubborn(state, {"a", "b", "z"}) == {"z"}
+    fired = []
+    original = simulator.step
+    monkeypatch.setattr(
+        simulator, "step", lambda s, d, node, **options: fired.append((set(s.completed), node)) or original(s, d, node, **options)
+    )
+    assert simulator.explore_interleavings(diagram) == expected
+    assert [node for completed, node in fired if completed == {"s", "s2", "split"}] == ["z"]
+
+
+def test_a_writer_without_a_behaviour_feeds_no_read(searched):
+    """w writes store D only through an explicit data flow, and ins inserts
+    ``E(v=1)`` into it; u reads an E with ``E.v = 1`` from D into q, its
+    required store input. w inserts no record, so it neither depends on u
+    nor can enable it; ins does both. The oracle finds the reference's
+    outcomes."""
+    diagram = Diagram(
+        "explicit-writer",
+        pools=[
+            _chain("P1", "s1", "w", "e1", data=[ExplicitDataFlow("xf", "w", "D", "x")]),
+            _chain("P2", "s2", "u", "e2", data=[STORE_INPUT]),
+            _chain("P3", "s3", "ins", "e3"),
+        ],
+        stores=[D],
+        objects=[DataObject("q", "q", variables=[Variable("E.v", "number")], origin_store="D"), DataObject("x", "x")],
+        behaviors={
+            "ins": TaskBehavior(store_actions=[StoreInsert("D", "E", {"v": parse_expr("1")})]),
+            "u": TaskBehavior(store_actions=[StoreRead("D", "E", "q", parse_expr("E.v = 1"))]),
+        },
+    )
+    assert diagram.index.writers["D"] == {"w", "ins"}
+    assert commutes(diagram, "w", "u")
+    assert not commutes(diagram, "ins", "u")
+    state = simulator.init(diagram)
+    blocker = simulator._blocker(state, diagram, diagram.index.nodes["u"])
+    assert blocker[0] == "input"
+    enablers = simulator._Reduction(diagram).enablers(state, "u", blocker)
+    assert "ins" in enablers
+    assert "w" not in enablers
     assert searched(simulator.explore_interleavings, diagram)[0] == searched(ref_explore, diagram)[0]
 
 
